@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet condorlint staticcheck govulncheck lint test race race-serve race-fleet stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat benchmark-module stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
 
 all: build lint test
 
@@ -46,17 +46,27 @@ race-serve:
 race-fleet:
 	$(GO) test -race ./internal/fleet/... ./internal/loadgen/...
 
+# fleet-repeat runs the fleet tests twenty times: which node owns a key
+# depends on the ports the stub nodes get, so one green run proves little.
+fleet-repeat:
+	$(GO) test -count=20 ./internal/fleet
+
+# benchmark-module vets and tests benchmark/, a module of its own that
+# `./...` does not reach: an internal/ API it uses can only break here.
+benchmark-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 # stream-stress is the continuous-streaming fabric gate CI runs: the frame
 # protocol unit tests, the epoch-framing equivalence sweep and the
 # two-epochs-in-flight saturation test under the race detector, plus the
-# CND024 static check — an undersized tap depth must pass the plain lint
-# and fail the -batch lint.
+# CND024 static check — an undersized stream FIFO depth must pass the plain
+# lint and fail the -batch lint.
 stream-stress:
 	$(GO) test -race -run 'TestFrame|TestEpoch|TestMarkEpoch|TestResetStats' ./internal/fifo/
 	$(GO) test -race -run 'TestStreaming' -timeout 20m ./internal/dataflow/
-	@if $(GO) run ./cmd/condor lint -model tc1 -batch -tap-depth 64 >/dev/null 2>&1; then \
-		echo "undersized streaming tap depth passed -batch lint"; exit 1; fi
-	$(GO) run ./cmd/condor lint -model tc1 -tap-depth 64 -q
+	@if $(GO) run ./cmd/condor lint -model tc1 -batch -fifo-depth 2 >/dev/null 2>&1; then \
+		echo "undersized streaming FIFO depth passed -batch lint"; exit 1; fi
+	$(GO) run ./cmd/condor lint -model tc1 -fifo-depth 2 -q
 	$(GO) run ./cmd/condor lint -model tc1 -batch -q
 
 # smoke-serve boots awsmock and condor-serve, then probes one inference
@@ -130,6 +140,7 @@ profile-fabric:
 		-cpuprofile fabric.cpu.prof -o fabric.bench.test .
 	$(GO) tool pprof -top -nodecount=15 fabric.cpu.prof
 
-# ci is the full gate the workflow runs: build, both linters, and the race
-# detector over the test suite.
-ci: build lint race
+# ci is the full gate the workflow runs: build, both linters, the race
+# detector over the test suite, the repeated fleet run and the nested
+# benchmark module.
+ci: build lint race fleet-repeat benchmark-module

@@ -339,8 +339,8 @@ func cmdCosim(args []string) error {
 // every diagnostic like a compiler error and fails when any error-severity
 // rule fires. Networks come either from a Condor JSON file (with optional
 // weights for the weight-consistency rules) or from the built-in evaluation
-// models by name. The configuration flags (-cus, -burst, -tap-depth,
-// -fifo-depth, -batch) describe the deployment to prove: the fabric rules
+// models by name. The configuration flags (-cus, -burst, -fifo-depth,
+// -batch) describe the deployment to prove: the fabric rules
 // CND020–CND022 statically reject a configuration whose worst-case FIFO
 // occupancy exceeds a declared depth or whose replicated compute units
 // overcommit the board, and -batch adds the CND024 continuous-streaming
@@ -354,7 +354,6 @@ func cmdLint(args []string) error {
 	model := fs.String("model", "", "built-in model: tc1 | lenet | vgg16 | vgg16-features | alexnet | alexnet-features")
 	cus := fs.Int("cus", 1, "compute units the deployment replicates the kernel into")
 	burst := fs.Int("burst", 0, "DMA burst transaction length in words (0 = host-chunked)")
-	tapDepth := fs.Int("tap-depth", 0, "declared tap FIFO depth in words (0 = auto-sized worst case)")
 	fifoDepth := fs.Int("fifo-depth", 0, "inter-PE stream FIFO depth override in words (0 = default)")
 	precision := fs.String("precision", "float32", "fabric numeric format to prove: float32 | int16 | int8")
 	strictLanes := fs.Bool("strict-lanes", false, "reject padded tail lanes (CND023 becomes an error) on the packed int8 datapath")
@@ -405,7 +404,6 @@ func cmdLint(args []string) error {
 	diags, err := condor.New().LintWith(ir, ws, condor.LintOptions{
 		ComputeUnits:     *cus,
 		BurstWords:       *burst,
-		TapFIFODepth:     *tapDepth,
 		InterPEFIFODepth: *fifoDepth,
 		Precision:        p,
 		StrictLanes:      *strictLanes,

@@ -320,11 +320,6 @@ type LintOptions struct {
 	// flight capacity rule on every FIFO edge.
 	BatchStreaming bool
 
-	// TapFIFODepth, when positive, declares that depth (in words) for every
-	// filter chain's tap FIFOs instead of the auto-sized analytic worst
-	// case — the knob that makes a FIFO-infeasible design expressible.
-	TapFIFODepth int
-
 	// InterPEFIFODepth, when positive, overrides the depth of the streaming
 	// FIFOs between PEs.
 	InterPEFIFODepth int
@@ -386,13 +381,6 @@ func (f *Framework) LintWith(ir *condorir.Network, ws *condorir.WeightSet, opts 
 	}
 	if opts.InterPEFIFODepth > 0 {
 		spec.InterPEFIFODepth = opts.InterPEFIFODepth
-	}
-	if opts.TapFIFODepth > 0 {
-		for _, pe := range spec.PEs {
-			if pe.Chain != nil {
-				pe.Chain.TapFIFODepth = opts.TapFIFODepth
-			}
-		}
 	}
 	if err := hls.PlanMemory(spec); err != nil {
 		return nil, err

@@ -408,6 +408,60 @@ func TestBuildWithDSE(t *testing.T) {
 	}
 }
 
+// TestWarmSessionAllocations pins the allocation-free session datapath: on a
+// warm LeNet session fed 16-image batches, what is left per image is the
+// output tensor and a share of RunBatch's result and stats — nothing per
+// layer, per channel pass or per band. The two legs are the benchmark's
+// fabric workloads: float32 direct convolutions at unit parallelism, and
+// int8 with the im2col+GEMM schedule and port parallelism the explorer
+// picks, which is the one that dispatches bands to the worker pool.
+func TestWarmSessionAllocations(t *testing.T) {
+	ir, ws, err := models.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := models.MNISTImages(16, 3)
+	for _, tc := range []struct {
+		name string
+		in   Input
+	}{
+		{"float32-direct", Input{IR: ir, Weights: ws}},
+		{"int8-gemm-dse", Input{IR: ir, Weights: ws, Precision: quant.Int8, RunDSE: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := New().BuildAccelerator(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.in.RunDSE {
+				banded := false
+				for _, pe := range b.Spec.PEs {
+					banded = banded || pe.Par.In > 1 || pe.Par.Out > 1
+				}
+				if !banded {
+					t.Fatal("the explorer chose unit parallelism everywhere: no band dispatch to measure")
+				}
+			}
+			acc, err := b.Fabric()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := acc.OpenSession()
+			defer sess.Close()
+			run := func() {
+				if _, _, err := sess.RunBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm: executors prepared, scratch and DDR buffers sized
+			perImage := testing.AllocsPerRun(20, run) / float64(len(batch))
+			if perImage > 6 {
+				t.Fatalf("%.1f allocations per image on a warm session, want at most 6", perImage)
+			}
+		})
+	}
+}
+
 func TestQuantizedBuild(t *testing.T) {
 	in16 := tc1Input(t)
 	in16.Precision = quant.Int16

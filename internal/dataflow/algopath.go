@@ -17,6 +17,7 @@ package dataflow
 
 import (
 	"fmt"
+	"math"
 
 	"condor/internal/nn"
 )
@@ -25,30 +26,13 @@ import (
 // microkernel: one weight load feeds this many accumulating positions.
 const gemmPosTile = 4
 
-// padChannelF copies one float channel map into the zero-padded scratch
-// plane. With no padding the input slice is returned directly.
-func padChannelF(buf *[]float32, l *LayerHW, chmap []float32) []float32 {
-	if l.Pad == 0 {
-		return chmap
-	}
-	ph, pw := l.PaddedHeight(), l.PaddedWidth()
-	w := l.InShape.Width
-	*buf = growSlice(*buf, ph*pw)
-	padded := *buf
-	clear(padded)
-	for y := 0; y < l.InShape.Height; y++ {
-		copy(padded[(y+l.Pad)*pw+l.Pad:], chmap[y*w:(y+1)*w])
-	}
-	return padded
-}
-
-// buildIm2ColPanel unrolls one padded channel plane into the tap-major
-// im2col panel: row t = (m·K+n) holds the input element under tap (m,n) of
-// every output position, so panel[t*outHW+pos] is the same value the direct
+// buildIm2ColPanel unrolls one padded channel plane (float words or int8
+// codes) into the tap-major im2col panel: row t = (m·K+n) holds the input
+// element under tap (m,n) of every output position, so panel[t*outHW+pos] is the same value the direct
 // path's window gather would deliver as win[t] at pos. For stride 1 every
 // row is outH contiguous copies — the cheap gather that makes the lowering
 // profitable.
-func buildIm2ColPanel(panel, padded []float32, l *LayerHW) {
+func buildIm2ColPanel[T float32 | int8](panel, padded []T, l *LayerHW) {
 	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
 	outH, outW := l.OutShape.Height, l.OutShape.Width
 	outHW := outH * outW
@@ -75,76 +59,50 @@ func buildIm2ColPanel(panel, padded []float32, l *LayerHW) {
 // output cell the accumulation chain is identical to runConv — ci-major
 // over input channels, ascending tap order within a channel — so float32
 // results are bit-identical to the direct path and the RunWords oracle at
-// every parallelism setting. Stats accounting mirrors runConv exactly.
-func (x *peExec) runConvGEMM(l *LayerHW, st *peLayerState, cur, out []float32) error {
-	c, f, k := l.InShape.Channels, l.OutShape.Channels, l.Kernel
+// every parallelism setting. Stats accounting is runConv's (convPasses).
+func (x *peExec) runConvGEMM() {
+	l := x.pass.l
 	outHW := l.OutShape.Height * l.OutShape.Width
-	inHW := l.InShape.Height * l.InShape.Width
-	w := st.w
-	if st.streamWords > 0 {
-		x.dm.AccountWeightStream(st.streamWords)
-	}
-	x.partial = growSlice(x.partial, f*outHW)
-	partial := x.partial
-	clear(partial)
-	kk := k * k
-	x.panel = growSlice(x.panel, kk*outHW)
-	panel := x.panel
-	outBands := x.pe.Par.Normalize().Out
-	for ci := 0; ci < c; ci++ {
-		padded := padChannelF(&x.padBuf, l, cur[ci*inHW:(ci+1)*inHW])
-		buildIm2ColPanel(panel, padded, l)
-		x.pool.bands(f, outBands, func(_, lo, hi int) {
-			for fi := lo; fi < hi; fi++ {
-				base := (fi*c + ci) * kk
-				acc := partial[fi*outHW : (fi+1)*outHW]
-				pos := 0
-				for ; pos+gemmPosTile <= outHW; pos += gemmPosTile {
-					a0, a1, a2, a3 := acc[pos], acc[pos+1], acc[pos+2], acc[pos+3]
-					for t := 0; t < kk; t++ {
-						wv := w[base+t]
-						row := panel[t*outHW+pos : t*outHW+pos+gemmPosTile]
-						a0 += wv * row[0]
-						a1 += wv * row[1]
-						a2 += wv * row[2]
-						a3 += wv * row[3]
-					}
-					acc[pos], acc[pos+1], acc[pos+2], acc[pos+3] = a0, a1, a2, a3
-				}
-				for ; pos < outHW; pos++ {
-					a := acc[pos]
-					for t := 0; t < kk; t++ {
-						a += w[base+t] * panel[t*outHW+pos]
-					}
-					acc[pos] = a
-				}
-			}
-		})
-		x.stats.WindowsRead += int64(outHW)
-		x.stats.MACs += int64(f) * int64(kk) * int64(outHW)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
-			x.stats.SpilledPartial += int64(f * outHW)
-		}
-	}
-	x.convBiasActTail(l, st.b, partial, out, f, outHW, outBands)
-	return nil
+	clear(x.partial[:l.OutShape.Channels*outHW])
+	x.convPasses(outHW, l.Kernel*l.Kernel, x.im2colPass, x.fns.gemm)
+	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.tail)
 }
 
-// convBiasActTail applies the pointwise bias + folded activation stage of a
-// conv layer, banded over output channels — the same tail as runConv.
-func (x *peExec) convBiasActTail(l *LayerHW, b, partial, out []float32, f, outHW, outBands int) {
-	x.pool.bands(f, outBands, func(_, lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			var bias float32
-			if len(b) > 0 {
-				bias = b[fi]
+// im2colPass unrolls the pass's plane into the panel.
+func (x *peExec) im2colPass() { buildIm2ColPanel(x.panel, x.pass.plane, x.pass.l) }
+
+// gemmBand drives the microkernel over the panel of input channel pass.ci
+// for output channels [lo,hi).
+func (x *peExec) gemmBand(_, lo, hi int) {
+	p := &x.pass
+	l := p.l
+	c, kk := l.InShape.Channels, l.Kernel*l.Kernel
+	outHW := l.OutShape.Height * l.OutShape.Width
+	w, panel := p.st.w, x.panel
+	for fi := lo; fi < hi; fi++ {
+		base := (fi*c + p.ci) * kk
+		acc := x.partial[fi*outHW : (fi+1)*outHW]
+		pos := 0
+		for ; pos+gemmPosTile <= outHW; pos += gemmPosTile {
+			a0, a1, a2, a3 := acc[pos], acc[pos+1], acc[pos+2], acc[pos+3]
+			for t := 0; t < kk; t++ {
+				wv := w[base+t]
+				row := panel[t*outHW+pos : t*outHW+pos+gemmPosTile]
+				a0 += wv * row[0]
+				a1 += wv * row[1]
+				a2 += wv * row[2]
+				a3 += wv * row[3]
 			}
-			for pos := 0; pos < outHW; pos++ {
-				out[fi*outHW+pos] = applyActivation(l.Activation, partial[fi*outHW+pos]+bias)
-			}
+			acc[pos], acc[pos+1], acc[pos+2], acc[pos+3] = a0, a1, a2, a3
 		}
-	})
+		for ; pos < outHW; pos++ {
+			a := acc[pos]
+			for t := 0; t < kk; t++ {
+				a += w[base+t] * panel[t*outHW+pos]
+			}
+			acc[pos] = a
+		}
+	}
 }
 
 // --- Winograd F(2,3) ---
@@ -239,95 +197,90 @@ func winogradInverse(m []float32) (y [4]float32) {
 // an accumulation chain, so results are deterministic at every parallelism
 // setting (though not bit-identical to the direct path — see the file
 // comment for the error contract).
-func (x *peExec) runConvWinograd(l *LayerHW, st *peLayerState, cur, out []float32) error {
-	c, f := l.InShape.Channels, l.OutShape.Channels
-	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
-	inHW := l.InShape.Height * l.InShape.Width
-	if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-		return fmt.Errorf("winograd_f23: layer %q does not qualify (k=%d s=%d out %dx%d)",
-			l.Name, l.Kernel, l.Stride, outH, outW)
-	}
-	if st.streamWords > 0 {
-		x.dm.AccountWeightStream(st.streamWords)
-	}
-	tH, tW := outH/2, outW/2
-	tiles := tH * tW
-	pw := l.PaddedWidth()
-	x.vBuf = growSlice(x.vBuf, tiles*16)
-	x.mBuf = growSlice(x.mBuf, f*tiles*16)
-	vBuf, mBuf := x.vBuf, x.mBuf
-	clear(mBuf)
-	outBands := x.pe.Par.Normalize().Out
-	for ci := 0; ci < c; ci++ {
-		padded := padChannelF(&x.padBuf, l, cur[ci*inHW:(ci+1)*inHW])
-		// Transform every input tile once per channel pass.
-		var d [16]float32
-		for ty := 0; ty < tH; ty++ {
-			for tx := 0; tx < tW; tx++ {
-				for r := 0; r < 4; r++ {
-					copy(d[r*4:r*4+4], padded[(2*ty+r)*pw+2*tx:(2*ty+r)*pw+2*tx+4])
-				}
-				winogradInputTransform(&d, vBuf[(ty*tW+tx)*16:])
-			}
-		}
-		// Element-wise multiply-accumulate in the transform domain.
-		x.pool.bands(f, outBands, func(_, lo, hi int) {
-			for fi := lo; fi < hi; fi++ {
-				u := st.wg[(fi*c+ci)*16 : (fi*c+ci)*16+16]
-				for ti := 0; ti < tiles; ti++ {
-					m := mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16]
-					v := vBuf[ti*16 : ti*16+16]
-					for j := 0; j < 16; j++ {
-						m[j] += u[j] * v[j]
-					}
-				}
-			}
-		})
-		x.stats.WindowsRead += int64(tiles)
-		x.stats.MACs += int64(f) * 16 * int64(tiles)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
-			x.stats.SpilledPartial += int64(f * outHW)
-		}
-	}
+func (x *peExec) runConvWinograd() {
+	l := x.pass.l
+	f := l.OutShape.Channels
+	tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
+	clear(x.mBuf[:f*tiles*16])
+	x.convPasses(tiles, 16, x.winogradInputTiles, x.fns.wgMul)
 	// Inverse transform into the partial buffer, tracking the output
 	// magnitude that parameterises the error bound, then the shared tail.
-	x.partial = growSlice(x.partial, f*outHW)
-	partial := x.partial
-	mags := make([]float64, outBands)
-	x.pool.bands(f, outBands, func(band, lo, hi int) {
-		mag := mags[band]
-		for fi := lo; fi < hi; fi++ {
-			for ti := 0; ti < tiles; ti++ {
-				y := winogradInverse(mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16])
-				ty, tx := ti/tW, ti%tW
-				base := fi*outHW + (2*ty)*outW + 2*tx
-				partial[base], partial[base+1] = y[0], y[1]
-				partial[base+outW], partial[base+outW+1] = y[2], y[3]
-				for _, v := range y {
-					if a := abs64(float64(v)); a > mag {
-						mag = a
-					}
-				}
-			}
-		}
-		mags[band] = mag
-	})
-	for _, m := range mags {
+	clear(x.mags)
+	x.pool.bands(f, x.outBands, x.fns.wgInv)
+	for _, m := range x.mags {
 		if m > x.stats.MaxWinogradMag {
 			x.stats.MaxWinogradMag = m
 		}
 	}
-	x.convBiasActTail(l, st.b, partial, out, f, outHW, outBands)
-	return nil
+	x.pool.bands(f, x.outBands, x.fns.tail)
 }
 
-func abs64(v float64) float64 {
-	if v < 0 {
-		return -v
+// winogradInputTiles transforms every 4×4 input tile of the pass's plane
+// into vBuf, once per channel pass.
+func (x *peExec) winogradInputTiles() {
+	winogradTransformPlane(x.vBuf, x.pass.plane, x.pass.l)
+}
+
+// winogradTransformPlane cuts a padded plane into the layer's overlapping
+// 4×4 tiles and writes V = BᵀdB of each to vBuf, 16 words per tile.
+func winogradTransformPlane(vBuf, plane []float32, l *LayerHW) {
+	tH, tW, pw := l.OutShape.Height/2, l.OutShape.Width/2, l.PaddedWidth()
+	var d [16]float32
+	for ty := 0; ty < tH; ty++ {
+		for tx := 0; tx < tW; tx++ {
+			for r := 0; r < 4; r++ {
+				copy(d[r*4:r*4+4], plane[(2*ty+r)*pw+2*tx:(2*ty+r)*pw+2*tx+4])
+			}
+			winogradInputTransform(&d, vBuf[(ty*tW+tx)*16:])
+		}
 	}
-	return v
+}
+
+// winogradMulAcc is the transform-domain pass of output channels [lo,hi):
+// mBuf[fi][tile] += U[fi][ci] ⊙ V[tile], element-wise.
+func winogradMulAcc(mBuf, vBuf, wg []float32, c, ci, tiles, lo, hi int) {
+	for fi := lo; fi < hi; fi++ {
+		u := wg[(fi*c+ci)*16 : (fi*c+ci)*16+16]
+		for ti := 0; ti < tiles; ti++ {
+			m := mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16]
+			v := vBuf[ti*16 : ti*16+16]
+			for j := 0; j < 16; j++ {
+				m[j] += u[j] * v[j]
+			}
+		}
+	}
+}
+
+func (x *peExec) winogradMulBand(_, lo, hi int) {
+	l := x.pass.l
+	tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
+	winogradMulAcc(x.mBuf, x.vBuf, x.pass.st.wg, l.InShape.Channels, x.pass.ci, tiles, lo, hi)
+}
+
+// winogradInverseBand inverse-transforms output channels [lo,hi) into the
+// partial buffer and records the band's largest output magnitude.
+func (x *peExec) winogradInverseBand(band, lo, hi int) {
+	l := x.pass.l
+	outW := l.OutShape.Width
+	outHW := l.OutShape.Height * outW
+	tW := outW / 2
+	tiles := l.OutShape.Height / 2 * tW
+	mag := x.mags[band]
+	for fi := lo; fi < hi; fi++ {
+		for ti := 0; ti < tiles; ti++ {
+			y := winogradInverse(x.mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16])
+			ty, tx := ti/tW, ti%tW
+			base := fi*outHW + (2*ty)*outW + 2*tx
+			x.partial[base], x.partial[base+1] = y[0], y[1]
+			x.partial[base+outW], x.partial[base+outW+1] = y[2], y[3]
+			for _, v := range y {
+				if a := math.Abs(float64(v)); a > mag {
+					mag = a
+				}
+			}
+		}
+	}
+	x.mags[band] = mag
 }
 
 // winogradWeightStore pre-transforms the weights of every winograd_f23 conv

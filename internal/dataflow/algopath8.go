@@ -9,107 +9,61 @@ package dataflow
 // requantizes the output; both algorithms keep the per-tensor scale
 // accounting that parameterises QuantErrorBound.
 
-import (
-	"fmt"
-
-	"condor/internal/quant"
-)
-
-// buildIm2ColPanel8 is buildIm2ColPanel over int8 codes.
-func buildIm2ColPanel8(panel, padded []int8, l *LayerHW) {
-	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
-	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
-	for m := 0; m < k; m++ {
-		for n := 0; n < k; n++ {
-			dst := panel[(m*k+n)*outHW:]
-			for oy := 0; oy < outH; oy++ {
-				src := padded[(oy*stride+m)*pw+n:]
-				if stride == 1 {
-					copy(dst[oy*outW:(oy+1)*outW], src[:outW])
-				} else {
-					for ox := 0; ox < outW; ox++ {
-						dst[oy*outW+ox] = src[ox*stride]
-					}
-				}
-			}
-		}
-	}
-}
+import "math"
 
 // runConvGEMM is the quantized im2col+GEMM convolution: per input-channel
 // pass the padded code plane is unrolled into the tap-major panel, then the
 // register-tiled int32 microkernel drives the output-channel bands over it.
-// The dequantize/activate/requantize tail is identical to the direct int8
-// path's, so the error accounting is unchanged.
-func (x *peExecInt8) runConvGEMM(l *LayerHW, st *peLayerInt8, cur []int8, inScale float64, out []int8) (float64, error) {
-	c, f, k := l.InShape.Channels, l.OutShape.Channels, l.Kernel
+// The dequantize/activate/requantize tail is the direct int8 path's, so the
+// error accounting is unchanged.
+func (x *peExecInt8) runConvGEMM() float64 {
+	l := x.pass.l
 	outHW := l.OutShape.Height * l.OutShape.Width
-	inHW := l.InShape.Height * l.InShape.Width
-	kk := k * k
-	if st.streamBytes > 0 {
-		x.dm.AccountReadBytes(st.streamBytes)
-	}
-	x.partial = growInt32(x.partial, f*outHW)
-	partial := x.partial
-	clear(partial)
-	x.panel = growInt8(x.panel, kk*outHW)
-	panel := x.panel
-	outBands := x.pe.Par.Normalize().Out
-	for ci := 0; ci < c; ci++ {
-		padded := x.padChannel(l, cur[ci*inHW:(ci+1)*inHW])
-		buildIm2ColPanel8(panel, padded, l)
-		x.pool.bands(f, outBands, func(_, lo, hi int) {
-			for fi := lo; fi < hi; fi++ {
-				base := (fi*c + ci) * kk
-				acc := partial[fi*outHW : (fi+1)*outHW]
-				pos := 0
-				for ; pos+gemmPosTile <= outHW; pos += gemmPosTile {
-					a0, a1, a2, a3 := acc[pos], acc[pos+1], acc[pos+2], acc[pos+3]
-					for t := 0; t < kk; t++ {
-						wv := int32(st.w[base+t])
-						row := panel[t*outHW+pos : t*outHW+pos+gemmPosTile]
-						a0 += wv * int32(row[0])
-						a1 += wv * int32(row[1])
-						a2 += wv * int32(row[2])
-						a3 += wv * int32(row[3])
-					}
-					acc[pos], acc[pos+1], acc[pos+2], acc[pos+3] = a0, a1, a2, a3
-				}
-				for ; pos < outHW; pos++ {
-					a := acc[pos]
-					for t := 0; t < kk; t++ {
-						a += int32(st.w[base+t]) * int32(panel[t*outHW+pos])
-					}
-					acc[pos] = a
-				}
+	x.partial = growSlice(x.partial, l.OutShape.Channels*outHW)
+	clear(x.partial)
+	x.panel = growSlice(x.panel, l.Kernel*l.Kernel*outHW)
+	x.convPasses(outHW, l.Kernel*l.Kernel, x.im2colPass, x.fns.gemm)
+	return x.convTail()
+}
+
+// im2colPass stages a GEMM pass: pad the channel's code plane and unroll it
+// into the panel.
+func (x *peExecInt8) im2colPass(chmap []int8) {
+	buildIm2ColPanel(x.panel, x.padChannel(x.pass.l, chmap), x.pass.l)
+}
+
+// gemmBand drives the int32 microkernel over the panel of input channel
+// pass.ci for output channels [lo,hi).
+func (x *peExecInt8) gemmBand(_, lo, hi int) {
+	p := &x.pass
+	l := p.l
+	c, kk := l.InShape.Channels, l.Kernel*l.Kernel
+	outHW := l.OutShape.Height * l.OutShape.Width
+	wq, panel := p.st.w, x.panel
+	for fi := lo; fi < hi; fi++ {
+		base := (fi*c + p.ci) * kk
+		acc := x.partial[fi*outHW : (fi+1)*outHW]
+		pos := 0
+		for ; pos+gemmPosTile <= outHW; pos += gemmPosTile {
+			a0, a1, a2, a3 := acc[pos], acc[pos+1], acc[pos+2], acc[pos+3]
+			for t := 0; t < kk; t++ {
+				wv := int32(wq[base+t])
+				row := panel[t*outHW+pos : t*outHW+pos+gemmPosTile]
+				a0 += wv * int32(row[0])
+				a1 += wv * int32(row[1])
+				a2 += wv * int32(row[2])
+				a3 += wv * int32(row[3])
 			}
-		})
-		x.stats.WindowsRead += int64(outHW)
-		x.stats.MACs += int64(f) * int64(kk) * int64(outHW)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
-			x.stats.SpilledPartial += int64(f * outHW)
+			acc[pos], acc[pos+1], acc[pos+2], acc[pos+3] = a0, a1, a2, a3
+		}
+		for ; pos < outHW; pos++ {
+			a := acc[pos]
+			for t := 0; t < kk; t++ {
+				a += int32(wq[base+t]) * int32(panel[t*outHW+pos])
+			}
+			acc[pos] = a
 		}
 	}
-	x.floatBuf = growSlice(x.floatBuf, f*outHW)
-	fb := x.floatBuf
-	deq := st.wScale * inScale
-	x.pool.bands(f, outBands, func(_, lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			var bias float64
-			if len(st.b) > 0 {
-				bias = float64(st.b[fi])
-			}
-			off := fi * outHW
-			for pos := 0; pos < outHW; pos++ {
-				fb[off+pos] = applyActivation(l.Activation, float32(float64(partial[off+pos])*deq+bias))
-			}
-		}
-	})
-	outScale := frameScale(fb)
-	quant.QuantizeInto(out, fb, outScale)
-	return outScale, nil
 }
 
 // runConvWinograd is the packed-datapath F(2,3) convolution: input codes are
@@ -118,100 +72,79 @@ func (x *peExecInt8) runConvGEMM(l *LayerHW, st *peLayerInt8, cur []int8, inScal
 // the float transformed weights, and the result requantizes with a fresh
 // per-tensor scale. Output deviation from the oracle is bounded by
 // QuantErrorBound + WinogradErrorBound.
-func (x *peExecInt8) runConvWinograd(l *LayerHW, st *peLayerInt8, cur []int8, inScale float64, out []int8) (float64, error) {
-	c, f := l.InShape.Channels, l.OutShape.Channels
-	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
-	inHW := l.InShape.Height * l.InShape.Width
-	if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-		return 0, fmt.Errorf("winograd_f23: layer %q does not qualify (k=%d s=%d out %dx%d)",
-			l.Name, l.Kernel, l.Stride, outH, outW)
-	}
-	if st.streamBytes > 0 {
-		x.dm.AccountReadBytes(st.streamBytes)
-	}
-	tH, tW := outH/2, outW/2
-	tiles := tH * tW
-	ph, pw := l.PaddedHeight(), l.PaddedWidth()
-	h, w, pad := l.InShape.Height, l.InShape.Width, l.Pad
-	x.padF = growSlice(x.padF, ph*pw)
+func (x *peExecInt8) runConvWinograd() float64 {
+	l := x.pass.l
+	f := l.OutShape.Channels
+	outHW := l.OutShape.Height * l.OutShape.Width
+	tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
+	x.padF = growSlice(x.padF, l.PaddedHeight()*l.PaddedWidth())
 	x.vBuf = growSlice(x.vBuf, tiles*16)
 	x.mBuf = growSlice(x.mBuf, f*tiles*16)
-	padded, vBuf, mBuf := x.padF, x.vBuf, x.mBuf
-	clear(mBuf)
-	outBands := x.pe.Par.Normalize().Out
-	for ci := 0; ci < c; ci++ {
-		// Dequantize the channel plane straight into the padded scratch.
-		clear(padded)
-		chmap := cur[ci*inHW : (ci+1)*inHW]
-		for y := 0; y < h; y++ {
-			row := padded[(y+pad)*pw+pad:]
-			src := chmap[y*w : (y+1)*w]
-			for i, code := range src {
-				row[i] = float32(float64(code) * inScale)
-			}
-		}
-		var d [16]float32
-		for ty := 0; ty < tH; ty++ {
-			for tx := 0; tx < tW; tx++ {
-				for r := 0; r < 4; r++ {
-					copy(d[r*4:r*4+4], padded[(2*ty+r)*pw+2*tx:(2*ty+r)*pw+2*tx+4])
-				}
-				winogradInputTransform(&d, vBuf[(ty*tW+tx)*16:])
-			}
-		}
-		x.pool.bands(f, outBands, func(_, lo, hi int) {
-			for fi := lo; fi < hi; fi++ {
-				u := st.wg[(fi*c+ci)*16 : (fi*c+ci)*16+16]
-				for ti := 0; ti < tiles; ti++ {
-					m := mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16]
-					v := vBuf[ti*16 : ti*16+16]
-					for j := 0; j < 16; j++ {
-						m[j] += u[j] * v[j]
-					}
-				}
-			}
-		})
-		x.stats.WindowsRead += int64(tiles)
-		x.stats.MACs += int64(f) * 16 * int64(tiles)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
-			x.stats.SpilledPartial += int64(f * outHW)
-		}
-	}
+	clear(x.mBuf)
+	x.convPasses(tiles, 16, x.winogradPass, x.fns.wgMul)
 	x.floatBuf = growSlice(x.floatBuf, f*outHW)
-	fb := x.floatBuf
-	mags := make([]float64, outBands)
-	x.pool.bands(f, outBands, func(band, lo, hi int) {
-		mag := mags[band]
-		for fi := lo; fi < hi; fi++ {
-			var bias float32
-			if len(st.b) > 0 {
-				bias = st.b[fi]
-			}
-			for ti := 0; ti < tiles; ti++ {
-				y := winogradInverse(mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16])
-				ty, tx := ti/tW, ti%tW
-				base := fi*outHW + (2*ty)*outW + 2*tx
-				for _, v := range y {
-					if a := abs64(float64(v)); a > mag {
-						mag = a
-					}
-				}
-				fb[base] = applyActivation(l.Activation, y[0]+bias)
-				fb[base+1] = applyActivation(l.Activation, y[1]+bias)
-				fb[base+outW] = applyActivation(l.Activation, y[2]+bias)
-				fb[base+outW+1] = applyActivation(l.Activation, y[3]+bias)
-			}
-		}
-		mags[band] = mag
-	})
-	for _, m := range mags {
+	clear(x.mags)
+	x.pool.bands(f, x.outBands, x.fns.wgInv)
+	for _, m := range x.mags {
 		if m > x.stats.MaxWinogradMag {
 			x.stats.MaxWinogradMag = m
 		}
 	}
-	outScale := frameScale(fb)
-	quant.QuantizeInto(out, fb, outScale)
-	return outScale, nil
+	return x.requantize(x.floatBuf[:f*outHW])
+}
+
+// winogradPass stages a Winograd pass: dequantize the channel's codes
+// straight into the padded float plane and transform its tiles.
+func (x *peExecInt8) winogradPass(chmap []int8) {
+	l := x.pass.l
+	w, pad, pw := l.InShape.Width, l.Pad, l.PaddedWidth()
+	clear(x.padF)
+	for y := 0; y < l.InShape.Height; y++ {
+		row := x.padF[(y+pad)*pw+pad:]
+		for i, code := range chmap[y*w : (y+1)*w] {
+			row[i] = float32(float64(code) * x.pass.inScale)
+		}
+	}
+	winogradTransformPlane(x.vBuf, x.padF, l)
+}
+
+func (x *peExecInt8) winogradMulBand(_, lo, hi int) {
+	l := x.pass.l
+	tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
+	winogradMulAcc(x.mBuf, x.vBuf, x.pass.st.wg, l.InShape.Channels, x.pass.ci, tiles, lo, hi)
+}
+
+// winogradInverseBand inverse-transforms output channels [lo,hi), folds bias
+// and activation into the float buffer and records the band's largest
+// pre-activation output magnitude.
+func (x *peExecInt8) winogradInverseBand(band, lo, hi int) {
+	p := &x.pass
+	l := p.l
+	outW := l.OutShape.Width
+	outHW := l.OutShape.Height * outW
+	tW := outW / 2
+	tiles := l.OutShape.Height / 2 * tW
+	fb := x.floatBuf
+	mag := x.mags[band]
+	for fi := lo; fi < hi; fi++ {
+		var bias float32
+		if len(p.st.b) > 0 {
+			bias = p.st.b[fi]
+		}
+		for ti := 0; ti < tiles; ti++ {
+			y := winogradInverse(x.mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16])
+			ty, tx := ti/tW, ti%tW
+			base := fi*outHW + (2*ty)*outW + 2*tx
+			for _, v := range y {
+				if a := math.Abs(float64(v)); a > mag {
+					mag = a
+				}
+			}
+			fb[base] = applyActivation(l.Activation, y[0]+bias)
+			fb[base+1] = applyActivation(l.Activation, y[1]+bias)
+			fb[base+outW] = applyActivation(l.Activation, y[2]+bias)
+			fb[base+outW+1] = applyActivation(l.Activation, y[3]+bias)
+		}
+	}
+	x.mags[band] = mag
 }

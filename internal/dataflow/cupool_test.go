@@ -74,60 +74,3 @@ func TestCUPoolReplicaError(t *testing.T) {
 		t.Fatalf("healthy unit broken after failed pool run: %v", err)
 	}
 }
-
-// TestDeclaredTapDepthAtBoundRuns proves the CND020 bound is sufficient, not
-// just necessary: declaring every tap FIFO at exactly TapWorstCaseWords (the
-// smallest depth the verifier accepts) still executes the burst row schedule
-// to completion, bit-identical to the word oracle. Together with the verify
-// tests (depth-1 is rejected) this pins the bound from both sides.
-func TestDeclaredTapDepthAtBoundRuns(t *testing.T) {
-	ir, ws, err := models.TC1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := BuildSpec(ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	declared := 0
-	for _, pe := range spec.PEs {
-		if pe.Chain == nil {
-			continue
-		}
-		worst := 0
-		for i := range pe.Layers {
-			l := &pe.Layers[i]
-			if !l.Kind.IsFeatureExtraction() {
-				continue
-			}
-			if w := TapWorstCaseWords(l); w > worst {
-				worst = w
-			}
-		}
-		if worst > 0 {
-			pe.Chain.TapFIFODepth = worst
-			declared++
-		}
-	}
-	if declared == 0 {
-		t.Fatal("no features PE to declare a tap depth on")
-	}
-	tight, err := Instantiate(spec, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := Instantiate(spec, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := models.USPSImages(3, 31)
-	gotOut, gotStats, err := tight.Run(batch)
-	if err != nil {
-		t.Fatalf("burst run at the declared bound: %v", err)
-	}
-	wantOut, wantStats, err := oracle.RunWords(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, "tight-tap", gotOut, gotStats, "word", wantOut, wantStats)
-}

@@ -1,0 +1,204 @@
+package dataflow
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"condor/internal/condorir"
+	"condor/internal/models"
+	"condor/internal/tensor"
+)
+
+// The fast executors gather windows by indexing the padded plane instead of
+// replaying the filter chain, and tile their MAC loops across independent
+// cells. TC1 and LeNet only ever show them 5×5/stride-1/pad-0 convolutions,
+// 2×2/stride-2 pools and output widths that divide the register tile, so
+// this sweep holds the gather against the word oracle on the geometries
+// those models never reach: strides, padding, overlapping windows, 1×1 and
+// 3×3 kernels, output widths on both sides of the tile, odd channel and
+// neuron counts, and fused PEs whose layers differ in window and padding.
+
+type gatherCase struct {
+	name   string
+	input  condorir.InputShape
+	layers []condorir.Layer
+}
+
+func conv(name string, k, stride, pad, out, group int) condorir.Layer {
+	return condorir.Layer{Name: name, Type: "Convolution", KernelSize: k, Stride: stride, Pad: pad,
+		NumOutput: out, Bias: true, PEGroup: group}
+}
+
+func pool(name, typ string, k, stride, pad, group int) condorir.Layer {
+	return condorir.Layer{Name: name, Type: typ, KernelSize: k, Stride: stride, Pad: pad, PEGroup: group}
+}
+
+var gatherCases = []gatherCase{
+	// out 5×5: one tile plus a remainder; odd output-channel count.
+	{"conv3-stride2-pad1", condorir.InputShape{Channels: 3, Height: 9, Width: 9},
+		[]condorir.Layer{conv("c", 3, 2, 1, 5, -1)}},
+	// out 7×7 from a 5×5 map: the padding is wider than the tile remainder.
+	{"conv3-pad2", condorir.InputShape{Channels: 2, Height: 5, Width: 5},
+		[]condorir.Layer{conv("c", 3, 1, 2, 3, -1)}},
+	// out 3×3: narrower than the tile, every cell is a remainder.
+	{"conv1x1", condorir.InputShape{Channels: 4, Height: 3, Width: 3},
+		[]condorir.Layer{conv("c", 1, 1, 0, 7, -1)}},
+	// out 1×1, one output channel: the degenerate tile in both dimensions.
+	{"conv5-single-cell", condorir.InputShape{Channels: 2, Height: 5, Width: 5},
+		[]condorir.Layer{conv("c", 5, 1, 0, 1, -1)}},
+	{"conv3-stride2-relu", condorir.InputShape{Channels: 2, Height: 15, Width: 15},
+		[]condorir.Layer{conv("c", 3, 2, 0, 6, -1), {Name: "r", Type: "ReLU", PEGroup: -1}}},
+	// Overlapping 3/2 windows, out 5×5.
+	{"maxpool3-stride2", condorir.InputShape{Channels: 3, Height: 11, Width: 11},
+		[]condorir.Layer{pool("p", "MaxPooling", 3, 2, 0, -1)}},
+	// Padded max pool over negative inputs: border windows must see the zeros.
+	{"maxpool3-stride2-pad1", condorir.InputShape{Channels: 5, Height: 7, Width: 7},
+		[]condorir.Layer{pool("p", "MaxPooling", 3, 2, 1, -1)}},
+	{"avgpool2-relu", condorir.InputShape{Channels: 3, Height: 6, Width: 6},
+		[]condorir.Layer{pool("p", "AvgPooling", 2, 2, 0, -1), {Name: "r", Type: "ReLU", PEGroup: -1}}},
+	{"avgpool3-stride2-pad1-relu", condorir.InputShape{Channels: 4, Height: 7, Width: 7},
+		[]condorir.Layer{pool("p", "AvgPooling", 3, 2, 1, -1), {Name: "r", Type: "ReLU", PEGroup: -1}}},
+	// Fused PE: the second layer has the smaller window and the smaller pad,
+	// so it reuses a plane the first layer dirtied.
+	{"fused-conv5pad2-conv3pad1", condorir.InputShape{Channels: 1, Height: 8, Width: 8},
+		[]condorir.Layer{conv("c1", 5, 1, 2, 3, 0), conv("c2", 3, 1, 1, 5, 0)}},
+	{"fused-conv3-maxpool2", condorir.InputShape{Channels: 2, Height: 9, Width: 9},
+		[]condorir.Layer{conv("c", 3, 1, 0, 4, 0), pool("p", "MaxPooling", 2, 2, 0, 0)}},
+	// 7 and 3 neurons: one neuron tile plus a remainder, then remainder only.
+	{"fc-odd-neurons", condorir.InputShape{Channels: 2, Height: 3, Width: 3},
+		[]condorir.Layer{
+			{Name: "ip1", Type: "InnerProduct", NumOutput: 7, Bias: true, PEGroup: -1},
+			{Name: "r", Type: "TanH", PEGroup: -1},
+			{Name: "ip2", Type: "InnerProduct", NumOutput: 3, Bias: true, PEGroup: -1},
+		}},
+}
+
+func TestGatherEquivalenceSweep(t *testing.T) {
+	withProcs(t, 4, func(t *testing.T) {
+		for ci, tc := range gatherCases {
+			ir, ws, net := buildIR(t, tc.name, tc.input, tc.layers, int64(100+ci))
+			batch := randomImages(2, net.Input, int64(200+ci))
+			for _, in := range []int{1, 2, 3} {
+				for _, out := range []int{1, 2, 3} {
+					par := condorir.Parallelism{In: in, Out: out}
+					t.Run(fmt.Sprintf("%s/in=%d/out=%d", tc.name, in, out), func(t *testing.T) {
+						runGatherCase(t, ir, ws, batch, par, false)
+					})
+					t.Run(fmt.Sprintf("%s/in=%d/out=%d/int8", tc.name, in, out), func(t *testing.T) {
+						runGatherCase(t, ir, ws, batch, par, true)
+					})
+				}
+			}
+		}
+	})
+}
+
+// runGatherCase runs one geometry at one parallelism against the word
+// oracle on the same spec: float32 must match bit for bit, full RunStats
+// included; the packed datapath must stay inside the bound its own recorded
+// scales imply.
+func runGatherCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, batch []*tensor.Tensor, par condorir.Parallelism, packed bool) {
+	t.Helper()
+	spec, err := BuildSpec(ir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range spec.PEs {
+		pe.Par = par
+	}
+	if packed {
+		spec.WordBits = 8
+	}
+	fastAcc, err := Instantiate(spec, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wordAcc, err := Instantiate(spec, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotOut, gotStats, err := fastAcc.Run(batch)
+	if err != nil {
+		t.Fatalf("fast run: %v", err)
+	}
+	wantOut, wantStats, err := wordAcc.RunWords(batch)
+	if err != nil {
+		t.Fatalf("word run: %v", err)
+	}
+	if !packed {
+		assertRunsIdentical(t, "gather", gotOut, gotStats, "word", wantOut, wantStats)
+		return
+	}
+	tol := gotStats.QuantErrorBound()
+	if tol <= 0 {
+		t.Fatalf("QuantErrorBound = %g, want positive", tol)
+	}
+	for i := range gotOut {
+		if d := tensor.MaxAbsDiff(gotOut[i], wantOut[i]); d > tol {
+			t.Errorf("image %d: max abs diff %g exceeds quantization bound %g", i, d, tol)
+		}
+	}
+}
+
+// TestWarmSessionSpawnsNoGoroutines pins the goroutine-free datapath: once a
+// session is up, running batches creates no goroutine on any datapath or
+// parallelism, and Close returns the process to where OpenSession found it.
+func TestWarmSessionSpawnsNoGoroutines(t *testing.T) {
+	ir, ws, err := models.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := models.MNISTImages(2, 5)
+	withProcs(t, 4, func(t *testing.T) {
+		for _, tc := range []struct {
+			name   string
+			par    int
+			packed bool
+		}{{"float32", 1, false}, {"float32/par=2", 2, false}, {"int8/par=2", 2, true}} {
+			t.Run(tc.name, func(t *testing.T) {
+				spec, err := BuildSpec(ir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, pe := range spec.PEs {
+					pe.Par = condorir.Parallelism{In: tc.par, Out: tc.par}
+				}
+				if tc.packed {
+					spec.WordBits = 8
+				}
+				acc, err := Instantiate(spec, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				baseline := runtime.NumGoroutine()
+				sess := acc.OpenSession()
+				if _, _, err := sess.RunBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				warm := runtime.NumGoroutine()
+				for i := 0; i < 100; i++ {
+					if _, _, err := sess.RunBatch(batch); err != nil {
+						t.Fatal(err)
+					}
+					if n := runtime.NumGoroutine(); n != warm {
+						t.Fatalf("batch %d: %d goroutines, the warm session had %d", i, n, warm)
+					}
+				}
+				if err := sess.Close(); err != nil {
+					t.Fatal(err)
+				}
+				// Close has joined every goroutine; poll briefly to let the
+				// runtime retire stacks that are mid-exit.
+				deadline := time.Now().Add(5 * time.Second)
+				for runtime.NumGoroutine() != baseline {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines after Close, %d before OpenSession", runtime.NumGoroutine(), baseline)
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			})
+		}
+	})
+}

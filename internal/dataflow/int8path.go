@@ -6,7 +6,6 @@ import (
 
 	"condor/internal/fifo"
 	"condor/internal/nn"
-	"condor/internal/obs"
 	"condor/internal/quant"
 )
 
@@ -66,16 +65,11 @@ func quantizeWeightStore(spec *Spec, dm *Datamover) (map[string]int8LayerWeights
 	return out, nil
 }
 
-func growInt8(s []int8, n int) []int8 {
+// growSlice returns s resized to n, reallocating only when capacity is
+// short. Contents are unspecified — callers overwrite or clear.
+func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int8, n)
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -102,32 +96,29 @@ func popInt8Frame(f *fifo.FIFO, words []fifo.Word, codes []int8) (float64, error
 	return float64(sw), nil
 }
 
-// peExecInt8 executes one PE over a batch on the packed datapath. The
-// schedule (channel passes, output banding on the worker pool, fused-layer
-// handoffs) mirrors peExec; the arithmetic is int8×int8→int32 with one
-// dequantize/requantize per layer boundary. Windows are read by direct
-// indexing into a zero-padded channel map rather than through the filter
-// chain: the chain's word-granularity simulation is a float-path fidelity
-// device, while the packed datapath models its stream traversal through
-// LayerCyclesAt and keeps the host loop tight — that hot-loop tightness is
-// where the measured (not just modeled) int8 speedup comes from.
+// peExecInt8 executes one PE over a stream of images on the packed datapath.
+// The schedule (channel passes, output banding on the worker pool, fused-layer
+// handoffs, windows gathered from the zero-padded channel plane) mirrors
+// peExec; the arithmetic is int8×int8→int32 with one dequantize/requantize
+// per layer boundary, and the stream traversal is modeled through
+// LayerCyclesAt.
 type peExecInt8 struct {
-	pe    *PE
-	dm    *Datamover
-	qw    map[string]int8LayerWeights // Instantiate-time weight codes (nil → quantize in prepare)
-	wg    map[string][]float32        // Winograd-transformed float weights (winograd_f23 layers)
-	in    *fifo.FIFO
-	out   *fifo.FIFO
-	stats *PEStats
-	track *obs.Track // nil when tracing is off
+	peStream
+	qw map[string]int8LayerWeights // Instantiate-time weight codes (nil → quantize in prepare)
+	wg map[string][]float32        // Winograd-transformed float weights (winograd_f23 layers)
 
-	// Session hooks, same contract as peExec: onImage advances the RunBatch
-	// barrier, onErr latches a failure before the input drain starts.
-	onImage func()
-	onErr   func(error)
-
-	pool   *workerPool
 	layers []peLayerInt8
+
+	// pass is the layer pass in flight, written by the run* methods before
+	// each band dispatch and read by the band bodies.
+	pass struct {
+		l        *LayerHW
+		st       *peLayerInt8
+		cur, out []int8  // the layer's input and output codes
+		inScale  float64 // scale of cur
+		ci       int     // input channel of the conv pass
+		plane    []int8  // its zero-padded code plane
+	}
 
 	// Scratch reused across layers and images.
 	curCodes []int8
@@ -140,6 +131,7 @@ type peExecInt8 struct {
 	padF     []float32 // dequantized padded channel plane (Winograd mode)
 	vBuf     []float32 // Winograd transformed input tiles
 	mBuf     []float32 // Winograd transform-domain accumulators
+	mags     []float64 // Winograd per-band output magnitudes
 }
 
 // peLayerInt8 is one fused layer's batch-resolved state: weight codes on the
@@ -199,57 +191,17 @@ func (x *peExecInt8) prepare() error {
 			}
 		}
 	}
-	width := x.pe.Par.Normalize()
-	par := width.In
-	if width.Out > par {
-		par = width.Out
-	}
-	x.pool = newPEWorkerPool(par)
+	x.startPool(bandFns{conv: x.convBand, gemm: x.gemmBand, wgMul: x.winogradMulBand, wgInv: x.winogradInverseBand,
+		tail: x.tailBand, pool: x.poolBand, fc: x.fcBand})
+	x.mags = make([]float64, x.outBands)
 	return nil
 }
 
-// runStream is the resident session loop, mirroring peExec.runStream:
-// epoch-validated frames until end-of-stream, prepare amortized over the
-// session, failure latched before the terminating input drain.
-func (x *peExecInt8) runStream() error {
-	defer x.out.Close()
-	fail := func(err error) error {
-		err = fmt.Errorf("dataflow: %s: %w", x.pe.ID, err)
-		x.onErr(err)
-		x.in.Drain()
-		return err
-	}
-	if err := x.prepare(); err != nil {
-		return fail(err)
-	}
-	defer x.pool.close()
-	var epoch uint16
-	for {
-		e, ok, err := x.in.PopFrameHeader()
-		if !ok {
-			return nil // end of session
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if e != epoch {
-			return fail(fmt.Errorf("frame epoch %d arrived, expected %d", e, epoch))
-		}
-		x.out.PushFrameHeader(e)
-		if err := x.runImage(int(epoch)); err != nil {
-			return fail(fmt.Errorf("epoch %d: %w", e, err))
-		}
-		x.stats.Images++
-		epoch++
-		x.onImage()
-	}
-}
-
-func (x *peExecInt8) runImage(img int) error {
+func (x *peExecInt8) runImage() error {
 	lanes := fifo.Int8Lanes
 	vol := x.pe.Layers[0].InShape.Volume()
-	x.curCodes = growInt8(x.curCodes, vol)
-	x.wordBuf = growWords(x.wordBuf, fifo.PackedWords(vol))
+	x.curCodes = growSlice(x.curCodes, vol)
+	x.wordBuf = growSlice(x.wordBuf, fifo.PackedWords(vol))
 	scale, err := popInt8Frame(x.in, x.wordBuf, x.curCodes)
 	if err != nil {
 		return err
@@ -264,7 +216,7 @@ func (x *peExecInt8) runImage(img int) error {
 			return fmt.Errorf("fused intermediate has %d lanes, layer expects %d", len(cur), l.InShape.Volume())
 		}
 		outVol := l.OutShape.Volume()
-		x.nxtCodes = growInt8(x.nxtCodes, outVol)
+		x.nxtCodes = growSlice(x.nxtCodes, outVol)
 		out := x.nxtCodes
 
 		sid := 0
@@ -272,26 +224,24 @@ func (x *peExecInt8) runImage(img int) error {
 			sid = x.track.Begin(l.Name, x.stats.Cycles)
 		}
 
+		x.pass.l, x.pass.st, x.pass.cur, x.pass.out, x.pass.inScale = l, st, cur, out, scale
 		var outScale float64
 		switch l.Kind {
 		case nn.Conv:
 			switch l.Algo() {
 			case AlgoGEMM:
-				outScale, err = x.runConvGEMM(l, st, cur, scale, out)
+				outScale = x.runConvGEMM()
 			case AlgoWinograd:
-				outScale, err = x.runConvWinograd(l, st, cur, scale, out)
+				outScale = x.runConvWinograd()
 			default:
-				outScale, err = x.runConv(l, st, cur, scale, out)
+				outScale = x.runConv()
 			}
 		case nn.MaxPool, nn.AvgPool:
-			outScale, err = x.runPool(l, cur, scale, out)
+			outScale = x.runPool()
 		case nn.FullyConnected:
-			outScale, err = x.runFC(l, st, cur, scale, out)
+			outScale = x.runFC()
 		default:
-			err = fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
-		}
-		if err != nil {
-			return fmt.Errorf("layer %q: %w", l.Name, err)
+			return fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
 		}
 		x.stats.Cycles += LayerCyclesAt(l, x.pe.Par, lanes)
 		if outScale > x.stats.MaxRequantScale {
@@ -299,7 +249,7 @@ func (x *peExecInt8) runImage(img int) error {
 		}
 
 		if li == len(x.pe.Layers)-1 {
-			x.wordBuf = growWords(x.wordBuf, fifo.PackedWords(outVol))
+			x.wordBuf = growSlice(x.wordBuf, fifo.PackedWords(outVol))
 			pushInt8Frame(x.out, x.wordBuf, out, outScale)
 			x.stats.ElemsOut += int64(outVol)
 		} else {
@@ -319,23 +269,52 @@ func (x *peExecInt8) runImage(img int) error {
 	return nil
 }
 
-// padChannel copies one channel map into the zero-padded scratch. With no
-// padding the in-place map is returned directly.
+// padChannel returns the channel's zero-padded code plane (padPlane over
+// the executor's single-pass scratch). Unpadded layers never touch the
+// scratch, which is what lets their pool bands share the executor.
 func (x *peExecInt8) padChannel(l *LayerHW, chmap []int8) []int8 {
 	if l.Pad == 0 {
 		return chmap
 	}
-	h, w, pad := l.InShape.Height, l.InShape.Width, l.Pad
-	ph, pw := l.PaddedHeight(), l.PaddedWidth()
-	x.padBuf = growInt8(x.padBuf, ph*pw)
-	padded := x.padBuf
-	for i := range padded {
-		padded[i] = 0
+	x.padBuf = growSlice(x.padBuf, l.PaddedHeight()*l.PaddedWidth())
+	return padPlane(x.padBuf, l, chmap)
+}
+
+// padPass stages a direct-convolution pass: the channel's padded code plane.
+func (x *peExecInt8) padPass(chmap []int8) { x.pass.plane = x.padChannel(x.pass.l, chmap) }
+
+// convPasses is the channel-pass loop the int8 convolution algorithms
+// share: per input channel, stage the pass (pad the code plane, unroll the
+// panel, or dequantize and transform the tiles), fan the MAC band body
+// across the Par.Out bands, and account the pass exactly as peExec does.
+func (x *peExecInt8) convPasses(windows, macs int, stage func(chmap []int8), band bandFunc) {
+	p := &x.pass
+	l := p.l
+	c, f := l.InShape.Channels, l.OutShape.Channels
+	inHW := l.InShape.Height * l.InShape.Width
+	spill := int64(f * l.OutShape.Height * l.OutShape.Width)
+	if p.st.streamBytes > 0 {
+		x.dm.AccountReadBytes(p.st.streamBytes)
 	}
-	for y := 0; y < h; y++ {
-		copy(padded[(y+pad)*pw+pad:], chmap[y*w:(y+1)*w])
+	for ci := 0; ci < c; ci++ {
+		p.ci = ci
+		stage(p.cur[ci*inHW : (ci+1)*inHW])
+		x.pool.bands(f, x.outBands, band)
+		x.stats.WindowsRead += int64(windows)
+		x.stats.MACs += int64(f) * int64(macs) * int64(windows)
+		if !x.pe.PartialsOnChip {
+			x.dm.AccountPartialSpill(spill)
+			x.stats.SpilledPartial += spill
+		}
 	}
-	return padded
+}
+
+// requantize closes a layer: the float results in fb get a fresh symmetric
+// per-tensor scale and land in the output codes.
+func (x *peExecInt8) requantize(fb []float32) float64 {
+	outScale := frameScale(fb)
+	quant.QuantizeInto(x.pass.out, fb, outScale)
+	return outScale
 }
 
 // runConv is the quantized convolutional PE: per input-channel pass, every
@@ -343,83 +322,86 @@ func (x *peExecInt8) padChannel(l *LayerHW, chmap []int8) []int8 {
 // output channels banded across the worker pool. After the last pass the
 // accumulators are dequantized (acc · wScale · inScale + bias), activated in
 // float, and requantized with a fresh per-tensor scale.
-func (x *peExecInt8) runConv(l *LayerHW, st *peLayerInt8, cur []int8, inScale float64, out []int8) (float64, error) {
-	c, f, k := l.InShape.Channels, l.OutShape.Channels, l.Kernel
+func (x *peExecInt8) runConv() float64 {
+	l := x.pass.l
+	outHW := l.OutShape.Height * l.OutShape.Width
+	x.partial = growSlice(x.partial, l.OutShape.Channels*outHW)
+	clear(x.partial)
+	x.convPasses(outHW, l.Kernel*l.Kernel, x.padPass, x.fns.conv)
+	return x.convTail()
+}
+
+// convBand adds input channel pass.ci's int8 products to the partial sums
+// of output channels [lo,hi).
+func (x *peExecInt8) convBand(_, lo, hi int) {
+	p := &x.pass
+	l := p.l
+	c, k, stride, pw := l.InShape.Channels, l.Kernel, l.Stride, l.PaddedWidth()
+	kk := k * k
 	outH, outW := l.OutShape.Height, l.OutShape.Width
 	outHW := outH * outW
-	inHW := l.InShape.Height * l.InShape.Width
-	pw := l.PaddedWidth()
-	stride := l.Stride
-	kk := k * k
-	if st.streamBytes > 0 {
-		x.dm.AccountReadBytes(st.streamBytes)
-	}
-	x.partial = growInt32(x.partial, f*outHW)
-	partial := x.partial
-	clear(partial)
-	outBands := x.pe.Par.Normalize().Out
-	for ci := 0; ci < c; ci++ {
-		padded := x.padChannel(l, cur[ci*inHW:(ci+1)*inHW])
-		x.pool.bands(f, outBands, func(_, lo, hi int) {
-			for fi := lo; fi < hi; fi++ {
-				wbase := (fi*c + ci) * kk
-				off := fi * outHW
-				for oy := 0; oy < outH; oy++ {
-					iy0 := oy * stride
-					for ox := 0; ox < outW; ox++ {
-						ix0 := ox * stride
-						var acc int32
-						if k == 5 {
-							// The paper's models are all 5×5 convs; a fixed
-							// unroll with full-length slices lets the compiler
-							// drop every bounds check from the MAC chain.
-							for m := 0; m < 5; m++ {
-								rb, wb := (iy0+m)*pw+ix0, wbase+m*5
-								r := padded[rb : rb+5]
-								w := st.w[wb : wb+5]
-								acc += int32(w[0])*int32(r[0]) + int32(w[1])*int32(r[1]) +
-									int32(w[2])*int32(r[2]) + int32(w[3])*int32(r[3]) +
-									int32(w[4])*int32(r[4])
-							}
-						} else {
-							for m := 0; m < k; m++ {
-								row := padded[(iy0+m)*pw+ix0:]
-								wrow := st.w[wbase+m*k:]
-								for n := 0; n < k; n++ {
-									acc += int32(wrow[n]) * int32(row[n])
-								}
-							}
+	padded, partial, wq := p.plane, x.partial, p.st.w
+	for fi := lo; fi < hi; fi++ {
+		wbase := (fi*c + p.ci) * kk
+		off := fi * outHW
+		for oy := 0; oy < outH; oy++ {
+			iy0 := oy * stride
+			for ox := 0; ox < outW; ox++ {
+				ix0 := ox * stride
+				var acc int32
+				if k == 5 {
+					// The paper's models are all 5×5 convs; a fixed
+					// unroll with full-length slices lets the compiler
+					// drop every bounds check from the MAC chain.
+					for m := 0; m < 5; m++ {
+						rb, wb := (iy0+m)*pw+ix0, wbase+m*5
+						r := padded[rb : rb+5]
+						w := wq[wb : wb+5]
+						acc += int32(w[0])*int32(r[0]) + int32(w[1])*int32(r[1]) +
+							int32(w[2])*int32(r[2]) + int32(w[3])*int32(r[3]) +
+							int32(w[4])*int32(r[4])
+					}
+				} else {
+					for m := 0; m < k; m++ {
+						row := padded[(iy0+m)*pw+ix0:]
+						wrow := wq[wbase+m*k:]
+						for n := 0; n < k; n++ {
+							acc += int32(wrow[n]) * int32(row[n])
 						}
-						partial[off+oy*outW+ox] += acc
 					}
 				}
+				partial[off+oy*outW+ox] += acc
 			}
-		})
-		x.stats.WindowsRead += int64(outHW)
-		x.stats.MACs += int64(f) * int64(kk) * int64(outHW)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
-			x.stats.SpilledPartial += int64(f * outHW)
 		}
 	}
-	x.floatBuf = growSlice(x.floatBuf, f*outHW)
-	fb := x.floatBuf
-	deq := st.wScale * inScale
-	x.pool.bands(f, outBands, func(_, lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			var bias float64
-			if len(st.b) > 0 {
-				bias = float64(st.b[fi])
-			}
-			off := fi * outHW
-			for pos := 0; pos < outHW; pos++ {
-				fb[off+pos] = applyActivation(l.Activation, float32(float64(partial[off+pos])*deq+bias))
-			}
+}
+
+// convTail dequantizes the int32 accumulators, folds bias and activation in
+// float (banded over output channels) and requantizes the layer's output.
+func (x *peExecInt8) convTail() float64 {
+	l := x.pass.l
+	n := l.OutShape.Volume()
+	x.floatBuf = growSlice(x.floatBuf, n)
+	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.tail)
+	return x.requantize(x.floatBuf[:n])
+}
+
+func (x *peExecInt8) tailBand(_, lo, hi int) {
+	p := &x.pass
+	outHW := p.l.OutShape.Height * p.l.OutShape.Width
+	act, b := p.l.Activation, p.st.b
+	deq := p.st.wScale * p.inScale
+	for fi := lo; fi < hi; fi++ {
+		var bias float64
+		if len(b) > 0 {
+			bias = float64(b[fi])
 		}
-	})
-	outScale := frameScale(fb)
-	quant.QuantizeInto(out, fb, outScale)
-	return outScale, nil
+		part := x.partial[fi*outHW:][:outHW]
+		fb := x.floatBuf[fi*outHW:][:outHW]
+		for pos, acc := range part {
+			fb[pos] = applyActivation(act, float32(float64(acc)*deq+bias))
+		}
+	}
 }
 
 // runPool is the quantized sub-sampling PE. Max pooling with no folded
@@ -427,24 +409,43 @@ func (x *peExecInt8) runConv(l *LayerHW, st *peLayerInt8, cur []int8, inScale fl
 // monotone dequantization, so the pass is exact and the input scale passes
 // through. Average pooling (and any folded activation) accumulates in int32,
 // dequantizes, applies the float stage and requantizes.
-func (x *peExecInt8) runPool(l *LayerHW, cur []int8, inScale float64, out []int8) (float64, error) {
-	c, k := l.InShape.Channels, l.Kernel
+func (x *peExecInt8) runPool() float64 {
+	p := &x.pass
+	l := p.l
+	n := l.InShape.Channels * l.OutShape.Height * l.OutShape.Width
+	pureMax := l.Kind == nn.MaxPool && l.Activation == NoActivation
+	if !pureMax {
+		x.floatBuf = growSlice(x.floatBuf, n)
+	}
+	// Channel maps are independent; bands shard whole channels. x.padBuf is
+	// single-pass state, so a padded layer runs its channels in sequence.
+	inBands := x.inBands
+	if l.Pad != 0 {
+		inBands = 1
+	}
+	x.pool.bands(l.InShape.Channels, inBands, x.fns.pool)
+	x.stats.WindowsRead += int64(n)
+	if pureMax {
+		return p.inScale
+	}
+	return x.requantize(x.floatBuf[:n])
+}
+
+// poolBand sub-samples channels [lo,hi).
+func (x *peExecInt8) poolBand(_, lo, hi int) {
+	p := &x.pass
+	l := p.l
+	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
 	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
 	inHW := l.InShape.Height * l.InShape.Width
-	pw := l.PaddedWidth()
-	stride := l.Stride
 	isMax := l.Kind == nn.MaxPool
 	pureMax := isMax && l.Activation == NoActivation
-	if !pureMax {
-		x.floatBuf = growSlice(x.floatBuf, c*outHW)
-	}
-	fb := x.floatBuf
+	inScale := p.inScale
 	inv := inScale / float64(k*k)
-	inBands := x.pe.Par.Normalize().In
-	// Channel maps are independent; bands shard whole channels, and each
-	// band pads into its own local scratch (x.padBuf is single-pass state).
-	poolChannel := func(padded []int8, base int) {
+	out, fb := p.out, x.floatBuf
+	for ci := lo; ci < hi; ci++ {
+		padded := x.padChannel(l, p.cur[ci*inHW:(ci+1)*inHW])
+		base := ci * outH * outW
 		for oy := 0; oy < outH; oy++ {
 			iy0 := oy * stride
 			for ox := 0; ox < outW; ox++ {
@@ -477,24 +478,6 @@ func (x *peExecInt8) runPool(l *LayerHW, cur []int8, inScale float64, out []int8
 			}
 		}
 	}
-	if x.pool == nil || inBands <= 1 || c <= 1 || l.Pad != 0 {
-		for ci := 0; ci < c; ci++ {
-			poolChannel(x.padChannel(l, cur[ci*inHW:(ci+1)*inHW]), ci*outHW)
-		}
-	} else {
-		x.pool.bands(c, inBands, func(_, lo, hi int) {
-			for ci := lo; ci < hi; ci++ {
-				poolChannel(cur[ci*inHW:(ci+1)*inHW], ci*outHW)
-			}
-		})
-	}
-	x.stats.WindowsRead += int64(c) * int64(outHW)
-	if pureMax {
-		return inScale, nil
-	}
-	outScale := frameScale(fb[:c*outHW])
-	quant.QuantizeInto(out, fb[:c*outHW], outScale)
-	return outScale, nil
 }
 
 // runFC is the quantized fully-connected PE: each output neuron's int32
@@ -502,38 +485,42 @@ func (x *peExecInt8) runPool(l *LayerHW, cur []int8, inScale float64, out []int8
 // dequantized, biased, activated, normalized (LogSoftMax/SoftMax in float —
 // the paper folds normalisation into the last PE) and requantized for the
 // output frame.
-func (x *peExecInt8) runFC(l *LayerHW, st *peLayerInt8, cur []int8, inScale float64, out []int8) (float64, error) {
-	v := l.InShape.Volume()
+func (x *peExecInt8) runFC() float64 {
+	p := &x.pass
+	l := p.l
 	o := l.OutShape.Channels
-	if st.streamBytes > 0 {
-		x.dm.AccountReadBytes(st.streamBytes)
+	if p.st.streamBytes > 0 {
+		x.dm.AccountReadBytes(p.st.streamBytes)
 	}
 	x.floatBuf = growSlice(x.floatBuf, o)
 	fb := x.floatBuf[:o]
-	deq := st.wScale * inScale
-	in := cur[:v]
-	x.pool.bands(o, x.pe.Par.Normalize().Out, func(_, lo, hi int) {
-		for oi := lo; oi < hi; oi++ {
-			var acc int32
-			wrow := st.w[oi*v : (oi+1)*v]
-			for h, xv := range in {
-				acc += int32(wrow[h]) * int32(xv)
-			}
-			var bias float64
-			if len(st.b) > 0 {
-				bias = float64(st.b[oi])
-			}
-			fb[oi] = float32(float64(acc)*deq + bias)
-		}
-	})
-	x.stats.MACs += int64(o) * int64(v)
+	x.pool.bands(o, x.outBands, x.fns.fc)
+	x.stats.MACs += int64(o) * int64(l.InShape.Volume())
 	for i := range fb {
 		fb[i] = applyActivation(l.Activation, fb[i])
 	}
 	if l.Normalize != NoActivation {
 		normalizeInPlace(l.Normalize, fb)
 	}
-	outScale := frameScale(fb)
-	quant.QuantizeInto(out, fb, outScale)
-	return outScale, nil
+	return x.requantize(fb)
+}
+
+// fcBand accumulates, dequantizes and biases neurons [lo,hi).
+func (x *peExecInt8) fcBand(_, lo, hi int) {
+	p := &x.pass
+	in := p.cur
+	v := len(in)
+	deq := p.st.wScale * p.inScale
+	for oi := lo; oi < hi; oi++ {
+		var acc int32
+		wrow := p.st.w[oi*v : (oi+1)*v]
+		for h, xv := range in {
+			acc += int32(wrow[h]) * int32(xv)
+		}
+		var bias float64
+		if len(p.st.b) > 0 {
+			bias = float64(p.st.b[oi])
+		}
+		x.floatBuf[oi] = float32(float64(acc)*deq + bias)
+	}
 }

@@ -167,41 +167,31 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// peExec executes one PE over a batch of images with the burst datapath:
+// peExec executes one PE over a stream of images with the burst datapath:
 // the input image is pulled from the PE's input FIFO in bursts, each layer
 // fills a preallocated output buffer, and the final layer's output leaves
-// in a single PushSlice. Arithmetic order, FIFO traffic totals, MAC counts
-// and modeled cycles are identical to the word-at-a-time oracle in
-// wordpath.go.
+// in a single PushSlice. Windows are gathered straight from the zero-padded
+// channel plane — the filter chain itself is simulated FIFO by FIFO only by
+// the word-at-a-time oracle in wordpath.go — and every output cell keeps the
+// oracle's accumulation chain (input channels ci-major, ascending tap order
+// within a channel), so arithmetic results, FIFO traffic totals, MAC counts
+// and modeled cycles are identical to it.
 //
 // The PE's modeled port parallelism (Par.In input maps read concurrently,
 // Par.Out output maps computed in parallel) executes for real on the host:
 // runConv/runFC shard the output-channel range into Par.Out bands and
-// runPool runs Par.In channel passes concurrently, on a worker pool bounded
-// by GOMAXPROCS. Banding never changes any per-cell accumulation chain, so
-// results stay bit-identical to the oracle at every parallelism setting.
+// runPool shards the channel range into Par.In bands, on a worker pool
+// bounded by GOMAXPROCS. Banding never changes any per-cell accumulation
+// chain, so results stay bit-identical to the oracle at every parallelism
+// setting.
+//
+// A warm executor allocates nothing and spawns nothing per image: scratch is
+// sized once in prepare, and the band bodies are methods bound once (bandFns)
+// that read the pass in flight from the executor instead of capturing it.
 type peExec struct {
-	pe    *PE
-	dm    *Datamover
-	in    *fifo.FIFO
-	out   *fifo.FIFO
-	stats *PEStats
-	track *obs.Track // nil when tracing is off
+	peStream
 
-	// Session hooks: onImage advances the RunBatch barrier after each
-	// retired image; onErr latches a failure before the input drain starts,
-	// so the feeder learns to close the head FIFO and the drain terminates.
-	onImage func()
-	onErr   func(error)
-
-	// pool executes port-parallel bands; nil when the PE's parallelism or
-	// the processor budget is 1 (the sequential schedule).
-	pool *workerPool
-	// runners are the filter-chain instances: runner 0 serves sequential
-	// passes, runners 1..Par.In-1 the concurrent passes of a pool layer.
-	runners []*stencilRun
-
-	// layers caches per-layer state resolved once per batch in prepare:
+	// layers caches per-layer state resolved once per session in prepare:
 	// weight/bias slices (hoisted out of the per-image datamover lookup)
 	// and the fused-handoff buffer key (hoisted out of per-image Sprintf).
 	layers []peLayerState
@@ -212,20 +202,29 @@ type peExec struct {
 	// winograd_f23 mode; prepare falls back to transforming in place.
 	wg map[string][]float32
 
-	// Scratch buffers reused across layers and images to avoid the append
-	// churn of the original per-word emit path.
+	// pass is the layer pass in flight, written by the run* methods before
+	// each band dispatch and read by the band bodies.
+	pass struct {
+		l        *LayerHW
+		st       *peLayerState
+		cur, out []float32 // the layer's input and output volumes
+		ci       int       // input channel of the conv pass
+		plane    []float32 // its zero-padded plane
+	}
+
+	// Scratch sized once in prepare for the PE's most demanding layer.
 	inBuf   []float32
 	outBuf  []float32
 	partial []float32
-	winBuf  []float32 // one channel pass's windows, for Out-banded MACs
-	padBuf  []float32 // zero-padded channel plane (GEMM/Winograd modes)
-	panel   []float32 // im2col panel, K² tap-major rows of OH·OW positions
-	vBuf    []float32 // Winograd transformed input tiles, 16 words per tile
-	mBuf    []float32 // Winograd transform-domain accumulators, f·tiles·16
+	planes  [][]float32 // zero-padded channel planes, one per Par.In band
+	panel   []float32   // im2col panel, K² tap-major rows of OH·OW positions
+	vBuf    []float32   // Winograd transformed input tiles, 16 words per tile
+	mBuf    []float32   // Winograd transform-domain accumulators, f·tiles·16
+	mags    []float64   // Winograd per-band output magnitudes
 }
 
 // peLayerState is the execution state of one fused layer, resolved once per
-// batch instead of once per image.
+// session instead of once per image.
 type peLayerState struct {
 	w, b        []float32
 	wg          []float32 // Winograd-transformed weights (winograd_f23 layers only)
@@ -233,23 +232,28 @@ type peLayerState struct {
 	fusedKey    string    // datamover buffer key for the fused-layer handoff
 }
 
-// growSlice returns s resized to n, reallocating only when capacity is
-// short. Contents are unspecified — callers overwrite or clear.
-func growSlice(s []float32, n int) []float32 {
-	if cap(s) < n {
-		return make([]float32, n)
-	}
-	return s[:n]
-}
-
-// prepare resolves the per-layer cached state and sizes the worker pool.
+// prepare resolves the per-layer cached state, sizes every scratch buffer
+// for the PE's most demanding layer and starts the worker pool.
 func (x *peExec) prepare() error {
 	x.layers = make([]peLayerState, len(x.pe.Layers))
+	var outWords, partialWords, planeWords, panelWords, vWords, mWords int
 	for li := range x.pe.Layers {
 		l := &x.pe.Layers[li]
 		st := &x.layers[li]
 		if li < len(x.pe.Layers)-1 {
 			st.fusedKey = x.pe.ID + "/fused/" + l.Name
+		}
+		outWords = max(outWords, l.OutShape.Volume())
+		if l.Kind.IsFeatureExtraction() {
+			// The gather indexes the plane directly, so the window grid must
+			// fit it — the oracle reports the same defect as a short chain.
+			if (l.OutShape.Height-1)*l.Stride+l.Kernel > l.PaddedHeight() || (l.OutShape.Width-1)*l.Stride+l.Kernel > l.PaddedWidth() {
+				return fmt.Errorf("layer %q: %dx%d windows of size %d at stride %d do not fit the %dx%d padded input",
+					l.Name, l.OutShape.Height, l.OutShape.Width, l.Kernel, l.Stride, l.PaddedHeight(), l.PaddedWidth())
+			}
+			if l.Pad > 0 {
+				planeWords = max(planeWords, l.PaddedHeight()*l.PaddedWidth())
+			}
 		}
 		if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
 			continue
@@ -265,7 +269,15 @@ func (x *peExec) prepare() error {
 		if !x.pe.WeightsOnChip {
 			st.streamWords = int64(len(w) + len(b))
 		}
-		if l.Kind == nn.Conv && l.Algo() == AlgoWinograd {
+		partialWords = max(partialWords, l.OutShape.Volume())
+		if l.Kind != nn.Conv {
+			continue
+		}
+		outHW := l.OutShape.Height * l.OutShape.Width
+		switch l.Algo() {
+		case AlgoGEMM:
+			panelWords = max(panelWords, l.Kernel*l.Kernel*outHW)
+		case AlgoWinograd:
 			if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
 				return fmt.Errorf("layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
 					l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
@@ -276,23 +288,64 @@ func (x *peExec) prepare() error {
 				// the transformed weights locally instead.
 				st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
 			}
+			vWords = max(vWords, outHW/4*16)
+			mWords = max(mWords, l.OutShape.Channels*outHW/4*16)
 		}
 	}
-	width := x.pe.Par.Normalize()
-	par := width.In
-	if width.Out > par {
-		par = width.Out
+	x.inBuf = make([]float32, x.pe.Layers[0].InShape.Volume())
+	x.outBuf = make([]float32, outWords)
+	x.partial = make([]float32, partialWords)
+	x.startPool(bandFns{conv: x.convBand, gemm: x.gemmBand, wgMul: x.winogradMulBand, wgInv: x.winogradInverseBand,
+		tail: x.tailBand, pool: x.poolBand, fc: x.fcBand})
+	x.planes = make([][]float32, x.inBands)
+	for i := range x.planes {
+		x.planes[i] = make([]float32, planeWords)
 	}
-	x.pool = newPEWorkerPool(par)
+	x.panel = make([]float32, panelWords)
+	x.vBuf = make([]float32, vWords)
+	x.mBuf = make([]float32, mWords)
+	x.mags = make([]float64, x.outBands)
 	return nil
 }
 
-// runner returns (creating as needed) the i-th filter-chain instance.
-func (x *peExec) runner(i int) *stencilRun {
-	for len(x.runners) <= i {
-		x.runners = append(x.runners, newStencilRun(x.pe, len(x.runners)))
-	}
-	return x.runners[i]
+// peStream is the part of a PE executor that does not depend on the element
+// type: the PE and its stream ends, the session hooks, the worker pool and
+// the resident frame loop.
+type peStream struct {
+	pe    *PE
+	dm    *Datamover
+	in    *fifo.FIFO
+	out   *fifo.FIFO
+	stats *PEStats
+	track *obs.Track // nil when tracing is off
+
+	// Session hooks: onImage advances the RunBatch barrier after each
+	// retired image; onErr latches a failure before the input drain starts,
+	// so the feeder learns to close the head FIFO and the drain terminates.
+	onImage func()
+	onErr   func(error)
+
+	// pool executes port-parallel bands; nil when the PE's parallelism or
+	// the processor budget is 1 (the sequential schedule). fns are the
+	// executor's band bodies and inBands/outBands the PE's normalized port
+	// counts, all set once in prepare.
+	pool              *workerPool
+	fns               bandFns
+	inBands, outBands int
+}
+
+// startPool records the PE's port counts and starts its worker pool.
+func (x *peStream) startPool(fns bandFns) {
+	width := x.pe.Par.Normalize()
+	x.inBands, x.outBands = width.In, width.Out
+	x.fns = fns
+	x.pool = newPEWorkerPool(max(width.In, width.Out))
+}
+
+// bandFns are an executor's band bodies as method values, bound once per
+// session so that dispatching a band allocates no closure.
+type bandFns struct {
+	conv, gemm, wgMul, wgInv, tail, pool, fc bandFunc
 }
 
 // runStream is the resident session loop: frames are consumed until the
@@ -302,7 +355,7 @@ func (x *peExec) runner(i int) *stencilRun {
 // first (so the session feeder stops and closes the head FIFO) and then
 // drains its input; the drain completes before runStream returns, so no
 // goroutine outlives the session.
-func (x *peExec) runStream() error {
+func (x *peStream) runStream(prepare, runImage func() error) error {
 	defer x.out.Close()
 	fail := func(err error) error {
 		err = fmt.Errorf("dataflow: %s: %w", x.pe.ID, err)
@@ -310,7 +363,7 @@ func (x *peExec) runStream() error {
 		x.in.Drain()
 		return err
 	}
-	if err := x.prepare(); err != nil {
+	if err := prepare(); err != nil {
 		return fail(err)
 	}
 	defer x.pool.close()
@@ -327,7 +380,7 @@ func (x *peExec) runStream() error {
 			return fail(fmt.Errorf("frame epoch %d arrived, expected %d", e, epoch))
 		}
 		x.out.PushFrameHeader(e)
-		if err := x.runImage(int(epoch)); err != nil {
+		if err := runImage(); err != nil {
 			return fail(fmt.Errorf("epoch %d: %w", e, err))
 		}
 		x.stats.Images++
@@ -337,16 +390,14 @@ func (x *peExec) runStream() error {
 }
 
 // runImage pushes one image through the PE's fused layer sequence.
-func (x *peExec) runImage(img int) error {
+func (x *peExec) runImage() error {
 	// The whole input image is burst out of the input FIFO up front; the
 	// bounded FIFO still throttles the producer, PopInto just retires each
 	// arriving chunk with one synchronisation instead of one per word.
-	vol := x.pe.Layers[0].InShape.Volume()
-	x.inBuf = growSlice(x.inBuf, vol)
 	n := x.in.PopInto(x.inBuf)
 	x.stats.ElemsIn += int64(n)
-	if n < vol {
-		return fmt.Errorf("input stream ended after %d of %d elements", n, vol)
+	if n < len(x.inBuf) {
+		return fmt.Errorf("input stream ended after %d of %d elements", n, len(x.inBuf))
 	}
 	cur := x.inBuf
 	for li := range x.pe.Layers {
@@ -355,8 +406,7 @@ func (x *peExec) runImage(img int) error {
 		if len(cur) != l.InShape.Volume() {
 			return fmt.Errorf("fused intermediate has %d words, layer expects %d", len(cur), l.InShape.Volume())
 		}
-		x.outBuf = growSlice(x.outBuf, l.OutShape.Volume())
-		out := x.outBuf
+		out := x.outBuf[:l.OutShape.Volume()]
 
 		// The span brackets the PE's cumulative cycle counter: its cycle
 		// width is this layer's LayerCycles plus, for fused layers, the DDR
@@ -367,26 +417,23 @@ func (x *peExec) runImage(img int) error {
 			sid = x.track.Begin(l.Name, x.stats.Cycles)
 		}
 
-		var err error
+		x.pass.l, x.pass.st, x.pass.cur, x.pass.out = l, st, cur, out
 		switch l.Kind {
 		case nn.Conv:
 			switch l.Algo() {
 			case AlgoGEMM:
-				err = x.runConvGEMM(l, st, cur, out)
+				x.runConvGEMM()
 			case AlgoWinograd:
-				err = x.runConvWinograd(l, st, cur, out)
+				x.runConvWinograd()
 			default:
-				err = x.runConv(l, st, cur, out)
+				x.runConv()
 			}
 		case nn.MaxPool, nn.AvgPool:
-			err = x.runPool(l, cur, out)
+			x.runPool()
 		case nn.FullyConnected:
-			err = x.runFC(l, st, cur, out)
+			x.runFC()
 		default:
-			err = fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
-		}
-		if err != nil {
-			return fmt.Errorf("layer %q: %w", l.Name, err)
+			return fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
 		}
 		x.stats.Cycles += LayerCycles(l, x.pe.Par)
 
@@ -398,6 +445,7 @@ func (x *peExec) runImage(img int) error {
 			// partial-result exchange): write the intermediate to DDR and
 			// stream it back for the next layer's pass.
 			x.dm.WriteBuffer(st.fusedKey, out)
+			var err error
 			cur, err = x.dm.ReadBuffer(st.fusedKey)
 			if err != nil {
 				return err
@@ -412,199 +460,272 @@ func (x *peExec) runImage(img int) error {
 	return nil
 }
 
-// runConv implements the convolutional PE schedule: input feature maps are
-// processed sequentially (one filter-chain pass each); for every window
-// position the K² taps are read once and reused across all output channels,
-// accumulating into the partial-sum buffer; after the last input map the
-// bias is added, the folded activation applied, and the output maps are
-// written channel-major into out.
-//
-// With Par.Out > 1 the output-channel range of each pass is sharded into
-// bands on the worker pool. Every (fi, pos) cell still accumulates over the
-// input channels in ci-major order with the same fixed-order k²-tap dot
-// product — banding partitions fi, never an accumulation chain — so results
-// are bit-identical to the sequential schedule and to the RunWords oracle.
-func (x *peExec) runConv(l *LayerHW, st *peLayerState, cur, out []float32) error {
-	c, f, k := l.InShape.Channels, l.OutShape.Channels, l.Kernel
-	outHW := l.OutShape.Height * l.OutShape.Width
-	inHW := l.InShape.Height * l.InShape.Width
-	w, b := st.w, st.b
-	if st.streamWords > 0 {
-		x.dm.AccountWeightStream(st.streamWords)
+// padPlane returns the zero-padded plane of one channel map (float words or
+// int8 codes), built in the scratch plane; with no padding the map itself is
+// the plane.
+func padPlane[T float32 | int8](scratch []T, l *LayerHW, chmap []T) []T {
+	if l.Pad == 0 {
+		return chmap
 	}
-	x.partial = growSlice(x.partial, f*outHW)
-	partial := x.partial
-	clear(partial)
-	kk := k * k
-	outBands := x.pe.Par.Normalize().Out
-	banded := x.pool != nil && outBands > 1 && f > 1
-	if banded {
-		x.winBuf = growSlice(x.winBuf, outHW*kk)
+	pw, w := l.PaddedWidth(), l.InShape.Width
+	plane := scratch[:l.PaddedHeight()*pw]
+	clear(plane)
+	for y := 0; y < l.InShape.Height; y++ {
+		copy(plane[(y+l.Pad)*pw+l.Pad:], chmap[y*w:(y+1)*w])
 	}
-	for ci := 0; ci < c; ci++ {
-		chmap := cur[ci*inHW : (ci+1)*inHW]
-		if banded {
-			// Parallel ports: collect the pass's windows, then fan the MAC
-			// work across the output-channel bands.
-			winBuf := x.winBuf
-			if err := x.runner(0).pass(l, chmap, func(pos int, win []fifo.Word) {
-				copy(winBuf[pos*kk:(pos+1)*kk], win)
-			}); err != nil {
-				return err
-			}
-			x.pool.bands(f, outBands, func(_, lo, hi int) {
-				for fi := lo; fi < hi; fi++ {
-					base := (fi*c + ci) * kk
-					off := fi * outHW
-					for pos := 0; pos < outHW; pos++ {
-						acc := partial[off+pos]
-						win := winBuf[pos*kk : (pos+1)*kk]
-						for t := 0; t < kk; t++ {
-							acc += w[base+t] * win[t]
-						}
-						partial[off+pos] = acc
-					}
-				}
-			})
-		} else {
-			if err := x.runner(0).pass(l, chmap, func(pos int, win []fifo.Word) {
-				for fi := 0; fi < f; fi++ {
-					base := (fi*c + ci) * kk
-					acc := partial[fi*outHW+pos]
-					for t := 0; t < kk; t++ {
-						acc += w[base+t] * win[t]
-					}
-					partial[fi*outHW+pos] = acc
-				}
-			}); err != nil {
-				return err
-			}
-		}
-		x.stats.WindowsRead += int64(outHW)
-		x.stats.MACs += int64(f) * int64(kk) * int64(outHW)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
-			x.stats.SpilledPartial += int64(f * outHW)
-		}
-	}
-	// Bias + activation is pointwise per output cell, so output-channel
-	// banding cannot reorder any arithmetic.
-	x.pool.bands(f, outBands, func(_, lo, hi int) {
-		for fi := lo; fi < hi; fi++ {
-			var bias float32
-			if len(b) > 0 {
-				bias = b[fi]
-			}
-			for pos := 0; pos < outHW; pos++ {
-				out[fi*outHW+pos] = applyActivation(l.Activation, partial[fi*outHW+pos]+bias)
-			}
-		}
-	})
-	return nil
+	return plane
 }
 
-// runPool implements the sub-sampling PE: one filter-chain pass per channel,
-// each window replaced by its maximum or average. Channels are independent
-// maps, so with Par.In > 1 the channel range is sharded into bands that run
-// concurrently, one filter-chain instance per band; within a channel the
-// window order (and thus every float operation) is unchanged.
-func (x *peExec) runPool(l *LayerHW, cur, out []float32) error {
-	k := l.Kernel
+// convPasses is the channel-pass loop every convolution algorithm shares:
+// per input channel, pad the plane, let the algorithm prepare its pass
+// (unroll the panel, transform the tiles), fan its MAC band body across the
+// Par.Out bands, and account the pass. windows is the number of windows one
+// pass reads and macs the multiplies each costs per output channel.
+func (x *peExec) convPasses(windows, macs int, stage func(), band bandFunc) {
+	p := &x.pass
+	l := p.l
+	c, f := l.InShape.Channels, l.OutShape.Channels
+	inHW := l.InShape.Height * l.InShape.Width
+	spill := int64(f * l.OutShape.Height * l.OutShape.Width)
+	if p.st.streamWords > 0 {
+		x.dm.AccountWeightStream(p.st.streamWords)
+	}
+	for ci := 0; ci < c; ci++ {
+		p.ci = ci
+		p.plane = padPlane(x.planes[0], l, p.cur[ci*inHW:(ci+1)*inHW])
+		if stage != nil {
+			stage()
+		}
+		x.pool.bands(f, x.outBands, band)
+		x.stats.WindowsRead += int64(windows)
+		x.stats.MACs += int64(f) * int64(macs) * int64(windows)
+		if !x.pe.PartialsOnChip {
+			x.dm.AccountPartialSpill(spill)
+			x.stats.SpilledPartial += spill
+		}
+	}
+}
+
+// runConv implements the convolutional PE schedule: input feature maps are
+// processed sequentially (one pass each); a pass adds the channel's K²-tap
+// dot product at every window position into the partial sums of all output
+// channels; after the last input map the bias is added, the folded
+// activation applied, and the output maps are written channel-major.
+//
+// With Par.Out > 1 the output-channel range of each pass is sharded into
+// bands on the worker pool over the shared read-only plane. Every (fi, pos)
+// cell still accumulates over the input channels in ci-major order with the
+// same fixed-order K²-tap dot product — banding and the register tile
+// partition independent cells, never an accumulation chain — so results are
+// bit-identical to the sequential schedule and to the RunWords oracle.
+func (x *peExec) runConv() {
+	l := x.pass.l
+	outHW := l.OutShape.Height * l.OutShape.Width
+	clear(x.partial[:l.OutShape.Channels*outHW])
+	x.convPasses(outHW, l.Kernel*l.Kernel, nil, x.fns.conv)
+	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.tail)
+}
+
+// convPosTile is the output-position register-tile width of the direct
+// convolution: one weight load feeds this many positions of each of the two
+// output channels a tile covers.
+const convPosTile = 4
+
+// convBand adds input channel pass.ci's contribution to the partial sums of
+// output channels [lo,hi), two channels × convPosTile positions per tile.
+func (x *peExec) convBand(_, lo, hi int) {
+	p := &x.pass
+	l := p.l
+	c, k, stride, pw := l.InShape.Channels, l.Kernel, l.Stride, l.PaddedWidth()
+	kk := k * k
+	outH, outW := l.OutShape.Height, l.OutShape.Width
+	outHW := outH * outW
+	w := p.st.w
+	for fi := lo; fi < hi; fi += 2 {
+		w0 := w[(fi*c+p.ci)*kk:][:kk]
+		acc0 := x.partial[fi*outHW:][:outHW]
+		// An odd band ends on a lone channel: run it as both halves of the
+		// tile (same values computed twice, stored once).
+		w1, acc1 := w0, acc0
+		if fi+1 < hi {
+			w1 = w[((fi+1)*c+p.ci)*kk:][:kk]
+			acc1 = x.partial[(fi+1)*outHW:][:outHW]
+		}
+		for oy := 0; oy < outH; oy++ {
+			convRow(acc0[oy*outW:][:outW], acc1[oy*outW:][:outW], w0, w1, p.plane[oy*stride*pw:], pw, k, stride)
+		}
+	}
+}
+
+// convRow accumulates the K²-tap dot products of one output row's windows —
+// plane starts at the top-left element of the first — into two output
+// channels' partial sums, taps ascending per cell.
+func convRow(acc0, acc1, w0, w1, plane []float32, pw, k, stride int) {
+	ox := 0
+	for ; ox+convPosTile <= len(acc0); ox += convPosTile {
+		t0, t1 := acc0[ox:][:convPosTile], acc1[ox:][:convPosTile]
+		a0, a1, a2, a3 := t0[0], t0[1], t0[2], t0[3]
+		b0, b1, b2, b3 := t1[0], t1[1], t1[2], t1[3]
+		for m := 0; m < k; m++ {
+			row := plane[m*pw+ox*stride:]
+			r0, r1, r2, r3 := row[:k], row[stride:][:k], row[2*stride:][:k], row[3*stride:][:k]
+			wr0, wr1 := w0[m*k:][:k], w1[m*k:][:k]
+			for n := 0; n < k; n++ {
+				u, v := wr0[n], wr1[n]
+				x0, x1, x2, x3 := r0[n], r1[n], r2[n], r3[n]
+				a0 += u * x0
+				a1 += u * x1
+				a2 += u * x2
+				a3 += u * x3
+				b0 += v * x0
+				b1 += v * x1
+				b2 += v * x2
+				b3 += v * x3
+			}
+		}
+		t0[0], t0[1], t0[2], t0[3] = a0, a1, a2, a3
+		t1[0], t1[1], t1[2], t1[3] = b0, b1, b2, b3
+	}
+	for ; ox < len(acc0); ox++ {
+		a, b := acc0[ox], acc1[ox]
+		for m := 0; m < k; m++ {
+			row := plane[m*pw+ox*stride:][:k]
+			wr0, wr1 := w0[m*k:][:k], w1[m*k:][:k]
+			for n := 0; n < k; n++ {
+				a += wr0[n] * row[n]
+				b += wr1[n] * row[n]
+			}
+		}
+		acc0[ox], acc1[ox] = a, b
+	}
+}
+
+// tailBand applies the pointwise bias + folded activation stage of a conv
+// layer to output channels [lo,hi). Pointwise per output cell, so banding
+// cannot reorder any arithmetic.
+func (x *peExec) tailBand(_, lo, hi int) {
+	p := &x.pass
+	outHW := p.l.OutShape.Height * p.l.OutShape.Width
+	act, b := p.l.Activation, p.st.b
+	for fi := lo; fi < hi; fi++ {
+		var bias float32
+		if len(b) > 0 {
+			bias = b[fi]
+		}
+		part := x.partial[fi*outHW:][:outHW]
+		out := p.out[fi*outHW:][:outHW]
+		for pos, v := range part {
+			out[pos] = applyActivation(act, v+bias)
+		}
+	}
+}
+
+// runPool implements the sub-sampling PE: one pass per channel, each window
+// replaced by its maximum or average. Channels are independent maps, so with
+// Par.In > 1 the channel range is sharded into bands that run concurrently,
+// each padding into its own plane; within a channel the window order (and
+// thus every float operation) is unchanged.
+func (x *peExec) runPool() {
+	l := x.pass.l
+	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
+	x.stats.WindowsRead += int64(l.InShape.Channels) * int64(l.OutShape.Height*l.OutShape.Width)
+}
+
+// poolBand sub-samples channels [lo,hi). A window's elements are visited in
+// ascending (m,n) order, as the oracle's window slots are.
+func (x *peExec) poolBand(band, lo, hi int) {
+	p := &x.pass
+	l := p.l
+	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
+	outH, outW := l.OutShape.Height, l.OutShape.Width
+	inHW := l.InShape.Height * l.InShape.Width
 	isMax := l.Kind == nn.MaxPool
 	inv := 1 / float32(k*k)
-	outHW := l.OutShape.Height * l.OutShape.Width
-	inHW := l.InShape.Height * l.InShape.Width
-	c := l.InShape.Channels
-	poolWindow := func(win []fifo.Word) float32 {
-		if isMax {
-			v := float32(math.Inf(-1))
-			for _, e := range win {
-				if e > v {
-					v = e
+	for ci := lo; ci < hi; ci++ {
+		plane := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
+		out := p.out[ci*outH*outW:][:outH*outW]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				win := plane[oy*stride*pw+ox*stride:]
+				var v float32
+				if isMax {
+					v = float32(math.Inf(-1))
 				}
-			}
-			return v
-		}
-		var v float32
-		for _, e := range win {
-			v += e
-		}
-		return v * inv
-	}
-
-	inBands := x.pe.Par.Normalize().In
-	if x.pool == nil || inBands <= 1 || c <= 1 {
-		for ci := 0; ci < c; ci++ {
-			base := ci * outHW
-			if err := x.runner(0).pass(l, cur[ci*inHW:(ci+1)*inHW], func(pos int, win []fifo.Word) {
-				out[base+pos] = applyActivation(l.Activation, poolWindow(win))
-			}); err != nil {
-				return err
-			}
-		}
-	} else {
-		// One chain instance per band; instantiate before dispatch so the
-		// bands never mutate shared executor state.
-		x.runner(inBands - 1)
-		errs := make([]error, inBands)
-		x.pool.bands(c, inBands, func(band, lo, hi int) {
-			r := x.runners[band]
-			for ci := lo; ci < hi; ci++ {
-				base := ci * outHW
-				if err := r.pass(l, cur[ci*inHW:(ci+1)*inHW], func(pos int, win []fifo.Word) {
-					out[base+pos] = applyActivation(l.Activation, poolWindow(win))
-				}); err != nil {
-					errs[band] = err
-					return
+				for m := 0; m < k; m++ {
+					for _, e := range win[m*pw:][:k] {
+						if !isMax {
+							v += e
+						} else if e > v {
+							v = e
+						}
+					}
 				}
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
+				if !isMax {
+					v *= inv
+				}
+				out[oy*outW+ox] = applyActivation(l.Activation, v)
 			}
 		}
 	}
-	x.stats.WindowsRead += int64(c) * int64(outHW)
-	return nil
 }
 
 // runFC implements the fully-connected PE as a single-input/single-output
 // 1x1 convolution. The loop nest is output-major over the contiguous weight
 // rows; each neuron's accumulation visits the inputs in the same order as
 // the streaming oracle, so the result is bit-identical — and since banding
-// shards whole neurons, Par.Out-parallel execution preserves that exactly.
-func (x *peExec) runFC(l *LayerHW, st *peLayerState, cur, out []float32) error {
-	v := l.InShape.Volume()
+// and the register tile shard whole neurons, Par.Out-parallel execution
+// preserves that exactly.
+func (x *peExec) runFC() {
+	p := &x.pass
+	l := p.l
 	o := l.OutShape.Channels
-	w, b := st.w, st.b
-	if st.streamWords > 0 {
-		x.dm.AccountWeightStream(st.streamWords)
+	if p.st.streamWords > 0 {
+		x.dm.AccountWeightStream(p.st.streamWords)
 	}
-	x.partial = growSlice(x.partial, o)
-	partial := x.partial
+	partial := x.partial[:o]
 	clear(partial)
-	copy(partial, b)
-	in := cur[:v]
-	x.pool.bands(o, x.pe.Par.Normalize().Out, func(_, lo, hi int) {
-		for oi := lo; oi < hi; oi++ {
-			acc := partial[oi]
-			wrow := w[oi*v : (oi+1)*v]
-			for h, xv := range in {
-				acc += wrow[h] * xv
-			}
-			partial[oi] = acc
-		}
-	})
-	x.stats.MACs += int64(o) * int64(v)
+	copy(partial, p.st.b)
+	x.pool.bands(o, x.outBands, x.fns.fc)
+	x.stats.MACs += int64(o) * int64(l.InShape.Volume())
 	for i := range partial {
 		partial[i] = applyActivation(l.Activation, partial[i])
 	}
 	if l.Normalize != NoActivation {
 		normalizeInPlace(l.Normalize, partial)
 	}
-	copy(out, partial)
-	return nil
+	copy(p.out, partial)
+}
+
+// fcNeuronTile is the neuron register-tile width of the FC loop: one input
+// load feeds this many neurons' accumulators.
+const fcNeuronTile = 4
+
+// fcBand accumulates neurons [lo,hi) over the whole input volume.
+func (x *peExec) fcBand(_, lo, hi int) {
+	p := &x.pass
+	in := p.cur
+	v := len(in)
+	w := p.st.w
+	oi := lo
+	for ; oi+fcNeuronTile <= hi; oi += fcNeuronTile {
+		w0, w1, w2, w3 := w[oi*v:][:v], w[(oi+1)*v:][:v], w[(oi+2)*v:][:v], w[(oi+3)*v:][:v]
+		acc := x.partial[oi:][:fcNeuronTile]
+		a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+		for h, xv := range in {
+			a0 += w0[h] * xv
+			a1 += w1[h] * xv
+			a2 += w2[h] * xv
+			a3 += w3[h] * xv
+		}
+		acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+	}
+	for ; oi < hi; oi++ {
+		a := x.partial[oi]
+		for h, wv := range w[oi*v:][:v] {
+			a += wv * in[h]
+		}
+		x.partial[oi] = a
+	}
 }
 
 // applyActivation applies the folded pointwise non-linearity.

@@ -105,18 +105,20 @@ func (a *Accelerator) OpenSession() *Session {
 	for i, pe := range spec.PEs {
 		s.peStats[i].ID = pe.ID
 		elem := 1 + i
-		var exec interface{ runStream() error }
+		stream := peStream{pe: pe, dm: a.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i], track: peTracks[i],
+			onImage: func() { s.imageDone(elem) }, onErr: s.fail}
+		var run func() error
 		if s.packed {
-			exec = &peExecInt8{pe: pe, dm: a.dm, qw: a.qweights, wg: a.wgweights, in: s.fifos[i], out: s.fifos[i+1],
-				stats: &s.peStats[i], track: peTracks[i], onImage: func() { s.imageDone(elem) }, onErr: s.fail}
+			x := &peExecInt8{peStream: stream, qw: a.qweights, wg: a.wgweights}
+			run = func() error { return x.runStream(x.prepare, x.runImage) }
 		} else {
-			exec = &peExec{pe: pe, dm: a.dm, wg: a.wgweights, in: s.fifos[i], out: s.fifos[i+1],
-				stats: &s.peStats[i], track: peTracks[i], onImage: func() { s.imageDone(elem) }, onErr: s.fail}
+			x := &peExec{peStream: stream, wg: a.wgweights}
+			run = func() error { return x.runStream(x.prepare, x.runImage) }
 		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			if err := exec.runStream(); err != nil {
+			if err := run(); err != nil {
 				s.fail(err)
 			}
 		}()
@@ -378,7 +380,7 @@ func (s *Session) minDoneLocked() int {
 // snapshotStats assembles the session-cumulative RunStats. Callers
 // guarantee quiescence (the RunBatch barrier or the Close join).
 func (s *Session) snapshotStats() *RunStats {
-	stats := &RunStats{Images: s.fed, PEs: make([]PEStats, len(s.peStats))}
+	stats := &RunStats{Images: s.fed, PEs: make([]PEStats, len(s.peStats)), Streams: make([]fifo.Stats, 0, len(s.fifos))}
 	copy(stats.PEs, s.peStats)
 	stats.DRAM = s.acc.dm.Stats()
 	s.mu.Lock()

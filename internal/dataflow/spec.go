@@ -220,14 +220,6 @@ type FilterChain struct {
 	// FIFODepths[i] is the depth in words of the FIFO between Taps[i] and
 	// Taps[i+1] (len = len(Taps)-1).
 	FIFODepths []int
-
-	// TapFIFODepth, when positive, declares the depth in words of the tap
-	// FIFOs feeding the window reader on the burst (row-granularity) datapath.
-	// Zero means auto: the simulator sizes the taps to the analytic worst case
-	// of the PE's fused layers (see TapWorstCaseWords). A declared depth below
-	// the worst case deadlocks the row schedule; verify rule CND020 rejects
-	// such configurations before anything runs.
-	TapFIFODepth int
 }
 
 // Tap is one window access point (m, n) of the sliding window.

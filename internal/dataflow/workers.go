@@ -5,16 +5,29 @@ import (
 	"sync"
 )
 
-// workerPool is the band-execution pool of one peExec: the host stand-in
-// for a PE's parallel ports. The pool owns a fixed set of helper goroutines
-// (at most GOMAXPROCS-1, so a 1-core box gets none and the PE degrades to
-// today's sequential schedule); band dispatch never blocks waiting for a
-// helper — a band that finds the pool busy runs inline on the caller — so
-// the pool cannot deadlock regardless of how many PEs share the processor
-// budget.
+// bandFunc is one band's share of a sharded loop: it processes [lo,hi) as
+// band number band.
+type bandFunc func(band, lo, hi int)
+
+// bandTask is a band descriptor, handed to a helper by value.
+type bandTask struct {
+	fn           bandFunc
+	band, lo, hi int
+}
+
+// workerPool is the band-execution pool of one PE executor: the host
+// stand-in for a PE's parallel ports. The pool owns a fixed set of helper
+// goroutines (at most GOMAXPROCS-1, so a 1-core box gets none and the PE
+// degrades to the sequential schedule); band dispatch never blocks waiting
+// for a helper — a band that finds the pool busy runs inline on the caller —
+// so the pool cannot deadlock regardless of how many PEs share the processor
+// budget. A pool serves one dispatching goroutine (its executor), which is
+// what lets the in-flight wait group live in the pool instead of being
+// allocated per dispatch.
 type workerPool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
+	tasks   chan bandTask
+	helpers sync.WaitGroup // helper goroutine lifetimes
+	pending sync.WaitGroup // bands of the dispatch in flight
 }
 
 // newPEWorkerPool sizes a pool for a PE's port parallelism: the widest of
@@ -27,20 +40,21 @@ func newPEWorkerPool(par int) *workerPool {
 	return newWorkerPool(par - 1)
 }
 
-// newWorkerPool starts helpers goroutines serving band closures. A pool
-// with no helpers is represented as nil; all methods are nil-safe and run
-// the work inline.
+// newWorkerPool starts helpers goroutines serving band tasks. A pool with no
+// helpers is represented as nil; all methods are nil-safe and run the work
+// inline.
 func newWorkerPool(helpers int) *workerPool {
 	if helpers <= 0 {
 		return nil
 	}
-	p := &workerPool{tasks: make(chan func())}
-	p.wg.Add(helpers)
+	p := &workerPool{tasks: make(chan bandTask)}
+	p.helpers.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		go func() {
-			defer p.wg.Done()
-			for fn := range p.tasks {
-				fn()
+			defer p.helpers.Done()
+			for t := range p.tasks {
+				t.fn(t.band, t.lo, t.hi)
+				p.pending.Done()
 			}
 		}()
 	}
@@ -53,15 +67,18 @@ func (p *workerPool) close() {
 		return
 	}
 	close(p.tasks)
-	p.wg.Wait()
+	p.helpers.Wait()
 }
 
 // bands splits [0,n) into at most par contiguous bands and runs
 // fn(band, lo, hi) for each, returning after every band has finished. Band 0
 // always runs on the caller; the rest are offered to the helpers and fall
 // back to inline execution when every helper is busy. Bands are disjoint, so
-// fn may write shared state as long as writes stay inside [lo,hi).
-func (p *workerPool) bands(n, par int, fn func(band, lo, hi int)) {
+// fn may write shared state as long as writes stay inside [lo,hi). The
+// dispatch itself allocates nothing: executors pass band bodies bound once
+// per session, and state the bodies read is written before the call — the
+// task hand-off orders it before every helper's read.
+func (p *workerPool) bands(n, par int, fn bandFunc) {
 	if par > n {
 		par = n
 	}
@@ -72,26 +89,21 @@ func (p *workerPool) bands(n, par int, fn func(band, lo, hi int)) {
 		return
 	}
 	size := (n + par - 1) / par
-	var wg sync.WaitGroup
 	band := 1
 	for lo := size; lo < n; lo += size {
 		hi := lo + size
 		if hi > n {
 			hi = n
 		}
-		b, lo, hi := band, lo, hi
-		band++
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			fn(b, lo, hi)
-		}
+		p.pending.Add(1)
 		select {
-		case p.tasks <- task:
+		case p.tasks <- bandTask{fn: fn, band: band, lo: lo, hi: hi}:
 		default:
-			task()
+			fn(band, lo, hi)
+			p.pending.Done()
 		}
+		band++
 	}
 	fn(0, 0, size)
-	wg.Wait()
+	p.pending.Wait()
 }

@@ -55,10 +55,18 @@ func NewRing(vnodes int) *Ring {
 	}
 }
 
+// hash64 places a key or a vnode label on the ring: FNV-1a, then the
+// splitmix64 finalizer. Raw FNV-1a leaves labels that differ only in their
+// last characters ("m-0"…"m-9", "host:port#v") within a multiply of each
+// other, i.e. in one ring neighbourhood; the avalanche step spreads them
+// over the whole 64-bit circle.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s)) //nolint:errcheck // fnv never fails
-	return h.Sum64()
+	z := h.Sum64()
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 // Add inserts a member; adding an existing member is a no-op.

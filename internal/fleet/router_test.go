@@ -186,10 +186,22 @@ func TestRouterFailoverToHealthyReplica(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	// Spread requests over many hash keys so some pick the failing node as
-	// primary; every one must still complete via the healthy replica.
-	for i := 0; i < 20; i++ {
-		resp := postInfer(t, front.URL, map[string]string{ModelHeader: fmt.Sprintf("m-%d", i)})
+	// Twenty model keys, the last one chosen through the ring so that the
+	// failing node is its primary (which node owns a key depends on the ports
+	// the stubs happened to get); every request must still complete via the
+	// healthy replica.
+	ring := rt.Membership().ring
+	var models []string
+	for i := 0; len(models) < 20 && i < 10000; i++ {
+		if m := fmt.Sprintf("m-%d", i); len(models) < 19 || ring.Lookup(m) == bad.srv.URL {
+			models = append(models, m)
+		}
+	}
+	if len(models) < 20 {
+		t.Fatal("no model key among 10000 has the failing node as primary")
+	}
+	for i, m := range models {
+		resp := postInfer(t, front.URL, map[string]string{ModelHeader: m})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d, want 200 via failover", i, resp.StatusCode)
 		}

@@ -460,8 +460,9 @@ func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 		for i, o := range outs {
 			copy(out.data[i*outVol:(i+1)*outVol], o.Data())
 		}
-		// Device time from the pipeline model at the achieved clock.
-		cycles := perf.SimulateBatch(perf.Stages(spec), batch)
+		// Device time from the pipeline model at the achieved clock (the
+		// recurrence the discrete-event simulation is cross-checked against).
+		cycles := perf.BatchCyclesClosedForm(perf.Stages(spec), batch)
 		ms := perf.CyclesToMs(cycles, xclbin.Meta.AchievedMHz)
 		c.info.KernelMs += ms
 		c.info.Batches++

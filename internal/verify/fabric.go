@@ -2,8 +2,8 @@ package verify
 
 // This file is the whole-network half of the verifier: where verify.go
 // checks each structural element in isolation, VerifyFabric constructs the
-// static FIFO network graph of the accelerator — datamover, PEs and every
-// FIFO edge between and inside them — and proves, for one concrete
+// static FIFO network graph of the accelerator — datamover, PEs and the
+// stream FIFO between each adjacent pair — and proves, for one concrete
 // execution configuration (port parallelism, compute-unit replication,
 // burst size), that the design cannot deadlock and that the replicated
 // hardware fits the board. The proof strategy is the fpgaConvNet-style SDF
@@ -62,15 +62,12 @@ func (c FabricConfig) normalized() FabricConfig {
 // elements it connects, its declared depth and the worst-case occupancy the
 // schedule can drive it to.
 type FIFOEdge struct {
-	// Name is the FIFO's fabric name (stream2, pe0/tap(0,1), …), matching
-	// the names RunStats reports at runtime.
+	// Name is the FIFO's fabric name (stream2, …), matching the names
+	// RunStats reports at runtime.
 	Name string
 	// From and To are the producing and consuming elements.
 	From, To string
-	// PE is the owning PE for chain-internal edges ("" for stream edges).
-	PE string
-	// Depth is the declared capacity in words (0 = auto-sized: the
-	// simulator allocates the worst case, so the edge cannot violate it).
+	// Depth is the declared capacity in words.
 	Depth int
 	// WorstCase is the occupancy bound the configuration can reach with one
 	// image in flight (drain-between-images execution).
@@ -82,9 +79,11 @@ type FIFOEdge struct {
 	InterleavedWorstCase int
 }
 
-// FabricEdges constructs the static FIFO network graph of spec under cfg.
-// Edges appear in stream order: the datamover→PE→…→datamover stream FIFOs
-// first, then each features PE's per-port tap FIFOs.
+// FabricEdges constructs the static FIFO network graph of spec under cfg:
+// the datamover→PE→…→datamover stream FIFOs, in stream order. The FIFOs
+// inside a PE's filter chain are not edges of this graph: their depths are
+// the chain's reuse distances, fixed by NewFilterChain and checked per chain
+// by the structural rules, and only the word oracle instantiates them.
 func FabricEdges(spec *dataflow.Spec, cfg FabricConfig) []FIFOEdge {
 	cfg = cfg.normalized()
 	var edges []FIFOEdge
@@ -117,43 +116,6 @@ func FabricEdges(spec *dataflow.Spec, cfg FabricConfig) []FIFOEdge {
 			WorstCase:            streamWorst,
 			InterleavedWorstCase: streamInterleaved,
 		})
-	}
-
-	// Chain tap FIFOs of the burst datapath: one chain instance per input
-	// port, each tap's worst case set by the most demanding fused layer.
-	for _, pe := range spec.PEs {
-		if pe.Chain == nil {
-			continue
-		}
-		worst, interleaved := 0, 0
-		for i := range pe.Layers {
-			l := &pe.Layers[i]
-			if !l.Kind.IsFeatureExtraction() {
-				continue
-			}
-			w := dataflow.TapWorstCaseWords(l)
-			if w > worst {
-				worst = w
-			}
-			// Back-to-back epochs: the closing windows of image e still hold
-			// their rows when image e+1's leading row enters the chain.
-			if iw := w + l.OutShape.Width; iw > interleaved {
-				interleaved = iw
-			}
-		}
-		for port := 0; port < pe.Par.In; port++ {
-			for _, tap := range pe.Chain.Taps {
-				edges = append(edges, FIFOEdge{
-					Name:                 fmt.Sprintf("%s/tap%d(%d,%d)", pe.ID, port, tap.M, tap.N),
-					From:                 pe.ID + "/chain",
-					To:                   pe.ID + "/window",
-					PE:                   pe.ID,
-					Depth:                pe.Chain.TapFIFODepth,
-					WorstCase:            worst,
-					InterleavedWorstCase: interleaved,
-				})
-			}
-		}
 	}
 	return edges
 }
@@ -194,10 +156,10 @@ func VerifyFabric(spec *dataflow.Spec, cfg FabricConfig, b *board.Board) []*Diag
 	// capacity bound is sufficient for deadlock freedom.
 	for _, e := range FabricEdges(spec, cfg) {
 		if e.Depth <= 0 {
-			continue // auto-sized: the simulator allocates the worst case
+			continue // a non-positive depth is the structural pass's finding
 		}
 		if e.WorstCase > e.Depth {
-			report(diag.Errorf(diag.RuleFIFOOccupancy, e.PE, "",
+			report(diag.Errorf(diag.RuleFIFOOccupancy, "", "",
 				"FIFO %s (%s -> %s) holds %d words but the schedule drives it to %d: the fabric deadlocks",
 				e.Name, e.From, e.To, e.Depth, e.WorstCase))
 			continue // CND024 would only repeat the finding with a larger bound
@@ -207,7 +169,7 @@ func VerifyFabric(spec *dataflow.Spec, cfg FabricConfig, b *board.Board) []*Diag
 		// the interleaved bound must fit too — a depth adequate for the
 		// drain-between-images regime can still stall the resident pipeline.
 		if cfg.BatchStreaming && e.InterleavedWorstCase > e.Depth {
-			report(diag.Errorf(diag.RuleFrameInterleave, e.PE, "",
+			report(diag.Errorf(diag.RuleFrameInterleave, "", "",
 				"FIFO %s (%s -> %s) holds %d words but two in-flight epochs drive it to %d: back-to-back streaming stalls the pipeline (deepen the FIFO or disable batch streaming)",
 				e.Name, e.From, e.To, e.Depth, e.InterleavedWorstCase))
 		}

@@ -1,28 +1,13 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"condor/internal/dataflow"
 	"condor/internal/diag"
 )
-
-// maxTapWorstCase returns the analytic tap-FIFO occupancy bound of the PE's
-// most demanding fused layer — the depth the CND020 rule proves against.
-func maxTapWorstCase(pe *dataflow.PE) int {
-	worst := 0
-	for i := range pe.Layers {
-		l := &pe.Layers[i]
-		if !l.Kind.IsFeatureExtraction() {
-			continue
-		}
-		if w := dataflow.TapWorstCaseWords(l); w > worst {
-			worst = w
-		}
-	}
-	return worst
-}
 
 // TestFabricCleanDefault: the default deployment of a clean model (one CU,
 // host-chunked bursts, auto-sized FIFOs) proves deadlock-free and within
@@ -35,64 +20,25 @@ func TestFabricCleanDefault(t *testing.T) {
 }
 
 // TestFabricEdgesGraph pins the shape of the static FIFO network graph: one
-// stream FIFO per PE boundary (including both datamover edges) and, per
-// features PE, one tap FIFO per window access per input port.
+// stream FIFO per PE boundary (including both datamover edges), in stream
+// order, each at the spec's declared depth, and nothing else — the FIFOs
+// inside a filter chain are not edges of this graph.
 func TestFabricEdgesGraph(t *testing.T) {
 	spec, _, _ := freshTC1(t)
 	edges := FabricEdges(spec, FabricConfig{})
-	streams, taps := 0, 0
-	for _, e := range edges {
-		if strings.HasPrefix(e.Name, "stream") {
-			streams++
-			if e.Depth != spec.InterPEFIFODepth {
-				t.Errorf("stream edge %s declares depth %d, spec says %d", e.Name, e.Depth, spec.InterPEFIFODepth)
-			}
-		} else {
-			taps++
+	if want := len(spec.PEs) + 1; len(edges) != want {
+		t.Fatalf("graph has %d edges, want %d stream edges", len(edges), want)
+	}
+	for i, e := range edges {
+		if want := fmt.Sprintf("stream%d", i); e.Name != want {
+			t.Errorf("edge %d is %s, want %s", i, e.Name, want)
 		}
-	}
-	if want := len(spec.PEs) + 1; streams != want {
-		t.Errorf("graph has %d stream edges, want %d", streams, want)
-	}
-	wantTaps := 0
-	for _, pe := range spec.PEs {
-		if pe.Chain != nil {
-			wantTaps += pe.Par.In * len(pe.Chain.Taps)
+		if e.Depth != spec.InterPEFIFODepth {
+			t.Errorf("stream edge %s declares depth %d, spec says %d", e.Name, e.Depth, spec.InterPEFIFODepth)
 		}
-	}
-	if taps != wantTaps {
-		t.Errorf("graph has %d tap edges, want %d", taps, wantTaps)
 	}
 	if edges[0].From != "datamover" || edges[len(spec.PEs)].To != "datamover" {
 		t.Errorf("stream chain must start and end at the datamover: %+v", edges[0])
-	}
-}
-
-// TestFabricTapDepthInfeasible: a hand-built configuration whose declared
-// tap FIFO depth is below the worst-case occupancy is rejected with a
-// CND020 error naming the edge; declaring exactly the bound passes.
-func TestFabricTapDepthInfeasible(t *testing.T) {
-	spec, _, _ := freshTC1(t)
-	pe := featurePE(t, spec)
-	bound := maxTapWorstCase(pe)
-	if bound < 2 {
-		t.Fatalf("degenerate worst case %d", bound)
-	}
-
-	pe.Chain.TapFIFODepth = bound - 1
-	ds := VerifyFabric(spec, FabricConfig{}, nil)
-	if !rules(ds)[diag.RuleFIFOOccupancy] {
-		t.Fatalf("underdeclared tap depth %d (bound %d) not caught: %v", bound-1, bound, ds)
-	}
-	if err := diag.Err(ds); err == nil {
-		t.Fatal("CND020 must be error severity")
-	} else if !strings.Contains(err.Error(), pe.ID+"/tap") {
-		t.Errorf("diagnostic does not name the tap edge: %v", err)
-	}
-
-	pe.Chain.TapFIFODepth = bound
-	if ds := VerifyFabric(spec, FabricConfig{}, nil); diag.HasErrors(ds) {
-		t.Fatalf("declared depth equal to the bound must pass: %v", ds)
 	}
 }
 
@@ -122,54 +68,6 @@ func TestFabricBurstExceedsStreamDepth(t *testing.T) {
 
 	if ds := VerifyFabric(spec, FabricConfig{BurstWords: spec.InterPEFIFODepth}, nil); diag.HasErrors(ds) {
 		t.Fatalf("burst equal to the FIFO depth must pass: %v", ds)
-	}
-}
-
-// maxTapInterleaved returns the two-epochs-in-flight tap occupancy bound —
-// the depth CND024 proves against under batch streaming.
-func maxTapInterleaved(pe *dataflow.PE) int {
-	interleaved := 0
-	for i := range pe.Layers {
-		l := &pe.Layers[i]
-		if !l.Kind.IsFeatureExtraction() {
-			continue
-		}
-		if iw := dataflow.TapWorstCaseWords(l) + l.OutShape.Width; iw > interleaved {
-			interleaved = iw
-		}
-	}
-	return interleaved
-}
-
-// TestFabricBatchStreamingTapInterleave: a tap depth that satisfies the
-// one-image bound (CND020) but not the two-epochs-in-flight bound passes the
-// drain-between-images configuration and is rejected with CND024 once batch
-// streaming is declared; deepening to the interleaved bound passes both.
-func TestFabricBatchStreamingTapInterleave(t *testing.T) {
-	spec, _, _ := freshTC1(t)
-	pe := featurePE(t, spec)
-	worst, interleaved := maxTapWorstCase(pe), maxTapInterleaved(pe)
-	if interleaved <= worst {
-		t.Fatalf("interleaved bound %d not above one-image bound %d", interleaved, worst)
-	}
-
-	pe.Chain.TapFIFODepth = interleaved - 1
-	if ds := VerifyFabric(spec, FabricConfig{}, nil); diag.HasErrors(ds) {
-		t.Fatalf("depth %d must satisfy the drain-between-images regime: %v", interleaved-1, ds)
-	}
-	ds := VerifyFabric(spec, FabricConfig{BatchStreaming: true}, nil)
-	if !rules(ds)[diag.RuleFrameInterleave] {
-		t.Fatalf("tap depth %d (interleaved bound %d) not caught under batch streaming: %v", interleaved-1, interleaved, ds)
-	}
-	if err := diag.Err(ds); err == nil {
-		t.Fatal("CND024 must be error severity")
-	} else if !strings.Contains(err.Error(), pe.ID+"/tap") || !strings.Contains(err.Error(), "two in-flight epochs") {
-		t.Errorf("diagnostic does not name the tap edge and regime: %v", err)
-	}
-
-	pe.Chain.TapFIFODepth = interleaved
-	if ds := VerifyFabric(spec, FabricConfig{BatchStreaming: true}, nil); diag.HasErrors(ds) {
-		t.Fatalf("declared depth equal to the interleaved bound must pass: %v", ds)
 	}
 }
 
@@ -209,12 +107,10 @@ func TestFabricBatchStreamingStreamInterleave(t *testing.T) {
 // undersized FIFO with a larger number.
 func TestFabricInterleaveSubsumedByOccupancy(t *testing.T) {
 	spec, _, _ := freshTC1(t)
-	pe := featurePE(t, spec)
-	pe.Chain.TapFIFODepth = 1
-	ds := VerifyFabric(spec, FabricConfig{BatchStreaming: true}, nil)
+	ds := VerifyFabric(spec, FabricConfig{BurstWords: spec.InterPEFIFODepth + 1, BatchStreaming: true}, nil)
 	r := rules(ds)
 	if !r[diag.RuleFIFOOccupancy] {
-		t.Fatalf("undersized tap not caught: %v", ds)
+		t.Fatalf("oversized burst not caught: %v", ds)
 	}
 	if r[diag.RuleFrameInterleave] {
 		t.Errorf("CND024 duplicated a CND020 finding: %v", ds)
@@ -260,10 +156,9 @@ func TestFabricConfigSanity(t *testing.T) {
 // violation and a fabric violation in one sorted batch.
 func TestLintConfigMergesCatalogues(t *testing.T) {
 	spec, ir, ws := freshTC1(t)
-	pe := featurePE(t, spec)
-	pe.Chain.TapFIFODepth = 1      // CND020
-	pe.Layers[0].OutShape.Height++ // CND001/CND002 downstream
-	ds := LintConfig(spec, ir, ws, FabricConfig{})
+	// CND001/CND002 downstream of the shape, CND020 on every stream edge.
+	featurePE(t, spec).Layers[0].OutShape.Height++
+	ds := LintConfig(spec, ir, ws, FabricConfig{BurstWords: spec.InterPEFIFODepth + 1})
 	r := rules(ds)
 	if !r[diag.RuleFIFOOccupancy] {
 		t.Errorf("fabric rule missing from LintConfig batch: %v", ds)
