@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat benchmark-module stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
 
 all: build lint test
 
@@ -50,6 +50,12 @@ race-fleet:
 # depends on the ports the stub nodes get, so one green run proves little.
 fleet-repeat:
 	$(GO) test -count=20 ./internal/fleet
+
+# serve-repeat runs the serving tests twenty times under the race detector:
+# the admission and dispatch paths race on how goroutines are scheduled, so
+# one green run proves little.
+serve-repeat:
+	$(GO) test -race -count=20 ./internal/serve
 
 # benchmark-module vets and tests benchmark/, a module of its own that
 # `./...` does not reach: an internal/ API it uses can only break here.
@@ -141,6 +147,6 @@ profile-fabric:
 	$(GO) tool pprof -top -nodecount=15 fabric.cpu.prof
 
 # ci is the full gate the workflow runs: build, both linters, the race
-# detector over the test suite, the repeated fleet run and the nested
-# benchmark module.
-ci: build lint race fleet-repeat benchmark-module
+# detector over the test suite, the repeated fleet and serve runs and the
+# nested benchmark module.
+ci: build lint race fleet-repeat serve-repeat benchmark-module

@@ -59,25 +59,24 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8781", "HTTP listen address")
-		model       = flag.String("model", "tc1", "model to serve: tc1 | lenet")
-		local       = flag.Int("local", 1, "number of local boards to program")
-		localBoard  = flag.String("local-board", "ku115", "board id for local deployments")
-		cus         = flag.Int("cus", 1, "compute units (replicated kernel instances) per local board")
-		dtype       = flag.String("dtype", "float32", "fabric numeric format: float32 | int16 | int8 (int8 serves on the packed datapath)")
-		endpoint    = flag.String("endpoint", "", "cloud endpoint URL (e.g. awsmock); empty disables the cloud pool")
-		bucket      = flag.String("bucket", "condor-serve", "S3 bucket for cloud deployments")
-		instType    = flag.String("instance-type", "f1.2xlarge", "F1 instance type for the cloud pool")
-		slots       = flag.Int("slots", 1, "F1 slots to program and schedule")
-		maxBatch    = flag.Int("max-batch", 8, "largest coalesced batch")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "max wait for a batch to fill")
-		queueDepth  = flag.Int("queue", 64, "admission queue bound (backpressure beyond it)")
-		reqTimeout  = flag.Duration("request-timeout", 2*time.Second, "per-request serving deadline")
-		probe       = flag.String("probe", "", "probe a running condor-serve at this URL and exit")
-		fleetURL    = flag.String("fleet", "", "condor-fleet router to register with once ready (empty disables)")
-		advertise   = flag.String("advertise", "", "URL the router reaches this node at (default http://<addr>)")
-		traceReq    = flag.String("trace-requests", "", "write a Chrome trace of per-request spans here on shutdown")
-		pprofOn     = flag.Bool("pprof", false, "expose Go profiling under /debug/pprof (opt-in; do not enable on untrusted networks)")
+		addr       = flag.String("addr", "127.0.0.1:8781", "HTTP listen address")
+		model      = flag.String("model", "tc1", "model to serve: tc1 | lenet")
+		local      = flag.Int("local", 1, "number of local boards to program")
+		localBoard = flag.String("local-board", "ku115", "board id for local deployments")
+		cus        = flag.Int("cus", 1, "compute units (replicated kernel instances) per local board")
+		dtype      = flag.String("dtype", "float32", "fabric numeric format: float32 | int16 | int8 (int8 serves on the packed datapath)")
+		endpoint   = flag.String("endpoint", "", "cloud endpoint URL (e.g. awsmock); empty disables the cloud pool")
+		bucket     = flag.String("bucket", "condor-serve", "S3 bucket for cloud deployments")
+		instType   = flag.String("instance-type", "f1.2xlarge", "F1 instance type for the cloud pool")
+		slots      = flag.Int("slots", 1, "F1 slots to program and schedule")
+		maxBatch   = flag.Int("max-batch", 8, "most queued requests one dispatch takes")
+		queueDepth = flag.Int("queue", 64, "admission queue bound (backpressure beyond it)")
+		reqTimeout = flag.Duration("request-timeout", 2*time.Second, "per-request serving deadline")
+		probe      = flag.String("probe", "", "probe a running condor-serve at this URL and exit")
+		fleetURL   = flag.String("fleet", "", "condor-fleet router to register with once ready (empty disables)")
+		advertise  = flag.String("advertise", "", "URL the router reaches this node at (default http://<addr>)")
+		traceReq   = flag.String("trace-requests", "", "write a Chrome trace of per-request spans here on shutdown")
+		pprofOn    = flag.Bool("pprof", false, "expose Go profiling under /debug/pprof (opt-in; do not enable on untrusted networks)")
 	)
 	flag.Parse()
 
@@ -93,7 +92,7 @@ func main() {
 		addr: *addr, model: *model,
 		local: *local, localBoard: *localBoard, cus: *cus, dtype: *dtype,
 		endpoint: *endpoint, bucket: *bucket, instType: *instType, slots: *slots,
-		maxBatch: *maxBatch, batchWindow: *batchWindow, queueDepth: *queueDepth,
+		maxBatch: *maxBatch, queueDepth: *queueDepth,
 		reqTimeout: *reqTimeout,
 		fleetURL:   *fleetURL, advertise: *advertise, tracePath: *traceReq,
 		pprofOn: *pprofOn,
@@ -118,7 +117,6 @@ type serveOptions struct {
 	instType            string
 	slots               int
 	maxBatch            int
-	batchWindow         time.Duration
 	queueDepth          int
 	reqTimeout          time.Duration
 	fleetURL, advertise string
@@ -272,10 +270,9 @@ func run(o serveOptions) error {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Backends:    pool,
-		MaxBatch:    o.maxBatch,
-		BatchWindow: o.batchWindow,
-		QueueDepth:  o.queueDepth,
+		Backends:   pool,
+		MaxBatch:   o.maxBatch,
+		QueueDepth: o.queueDepth,
 	})
 	if err != nil {
 		return err
@@ -310,8 +307,8 @@ func run(o serveOptions) error {
 		fmt.Printf("pprof enabled on http://%s/debug/pprof/\n", o.addr)
 	}
 	swap.set(mux)
-	fmt.Printf("serving %s on http://%s with %d backends (max batch %d, window %v, queue %d)\n",
-		o.model, o.addr, len(pool), o.maxBatch, o.batchWindow, o.queueDepth)
+	fmt.Printf("serving %s on http://%s with %d backends (max batch %d, queue %d)\n",
+		o.model, o.addr, len(pool), o.maxBatch, o.queueDepth)
 
 	// Fleet membership: announce readiness to the router, and make the
 	// departure explicit before draining so the ring stops routing here

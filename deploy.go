@@ -119,7 +119,7 @@ func (d *LocalDeployment) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float
 // unit), so a replicated device contributes cus-way parallelism to the pool.
 type CUBackend struct {
 	dep *LocalDeployment
-	cu  int
+	id  string // "<device>/cu<n>": the server reads it on every batch
 }
 
 // CUBackends returns one backend per compute unit of the deployment's
@@ -129,13 +129,13 @@ func (d *LocalDeployment) CUBackends() []*CUBackend {
 	n := d.Device.ComputeUnits()
 	out := make([]*CUBackend, n)
 	for i := range out {
-		out[i] = &CUBackend{dep: d, cu: i}
+		out[i] = &CUBackend{dep: d, id: fmt.Sprintf("%s/cu%d", d.Device.ID, i)}
 	}
 	return out
 }
 
 // ID names the backend after its device and compute unit.
-func (b *CUBackend) ID() string { return fmt.Sprintf("%s/cu%d", b.dep.Device.ID, b.cu) }
+func (b *CUBackend) ID() string { return b.id }
 
 // Infer runs one batch on the deployment's device, occupying one free
 // compute unit for the duration of the kernel.
@@ -285,6 +285,7 @@ func (d *CloudDeployment) ID() string {
 type SlotBackend struct {
 	dep  *CloudDeployment
 	slot int
+	id   string // "<instance>/slot<n>": the server reads it on every batch
 }
 
 // SlotBackends returns one backend per programmed slot of the instance.
@@ -295,13 +296,13 @@ func (d *CloudDeployment) SlotBackends() []*SlotBackend {
 	}
 	out := make([]*SlotBackend, len(slots))
 	for i, s := range slots {
-		out[i] = &SlotBackend{dep: d, slot: s}
+		out[i] = &SlotBackend{dep: d, slot: s, id: fmt.Sprintf("%s/slot%d", d.InstanceID, s)}
 	}
 	return out
 }
 
 // ID names the backend after its instance and slot.
-func (b *SlotBackend) ID() string { return fmt.Sprintf("%s/slot%d", b.dep.InstanceID, b.slot) }
+func (b *SlotBackend) ID() string { return b.id }
 
 // Infer runs one batch on this slot.
 func (b *SlotBackend) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {

@@ -85,10 +85,9 @@ func main() {
 	}
 
 	srv, err := serve.New(serve.Config{
-		Backends:    pool,
-		MaxBatch:    8,
-		BatchWindow: 2 * time.Millisecond,
-		QueueDepth:  128,
+		Backends:   pool,
+		MaxBatch:   8,
+		QueueDepth: 128,
 	})
 	if err != nil {
 		log.Fatal(err)

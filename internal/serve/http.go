@@ -22,6 +22,16 @@ type InputShape struct {
 // Volume returns the number of float32 words per image.
 func (s InputShape) Volume() int { return s.Channels * s.Height * s.Width }
 
+// The /infer body is capped before it is parsed. A float32 prints in at most
+// 16 bytes in shortest round-trip form and encoding/json's plain-decimal
+// form of one reaches 22 (|x| near 1e20); a client that formats float64s
+// writes up to 24. inferBytesPerWord covers any of them with its separator
+// and some whitespace; inferEnvelopeBytes covers {"image":[]} and padding.
+const (
+	inferBytesPerWord  = 32
+	inferEnvelopeBytes = 256
+)
+
 // InferRequest is the JSON body of POST /infer: one image, row-major NCHW.
 type InferRequest struct {
 	Image []float32 `json:"image"`
@@ -77,13 +87,15 @@ func WithRequestTracer(tr obs.Tracer) HandlerOption {
 // direct traffic.
 //
 // requestTimeout bounds each inference request's time in the serving
-// pipeline (queueing + batching + device); 0 means no per-request deadline.
-// Backpressure maps to 429, deadlines to 504, shutdown to 503.
+// pipeline (queueing + device); 0 means no per-request deadline.
+// Backpressure maps to 429, deadlines to 504, shutdown to 503, a body larger
+// than any image of the input shape could need to 413.
 func NewHandler(s *Server, input InputShape, requestTimeout time.Duration, opts ...HandlerOption) http.Handler {
 	var o handlerOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
+	maxBody := inferEnvelopeBytes + inferBytesPerWord*int64(input.Volume())
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, HealthResponse{
@@ -116,8 +128,17 @@ func NewHandler(s *Server, input InputShape, requestTimeout time.Duration, opts 
 			rid = obs.NewRequestID()
 		}
 		w.Header().Set(obs.RequestIDHeader, rid)
-		var req InferRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// Presized, so the decoder appends in place instead of regrowing.
+		req := InferRequest{Image: make([]float32, 0, input.Volume())}
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeJSON(w, http.StatusRequestEntityTooLarge, httpError{
+					Error: fmt.Sprintf("body exceeds %d bytes, the cap for a %dx%dx%d image",
+						maxBody, input.Channels, input.Height, input.Width),
+				})
+				return
+			}
 			writeJSON(w, http.StatusBadRequest, httpError{Error: "malformed JSON: " + err.Error()})
 			return
 		}

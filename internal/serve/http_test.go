@@ -13,7 +13,7 @@ import (
 func newTestHandler(t *testing.T) (*Server, http.Handler) {
 	t.Helper()
 	fb := &fakeBackend{id: "b0", kernelMs: 1}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, BatchWindow: time.Millisecond, QueueDepth: 16})
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +57,43 @@ func TestHTTPBadShape(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(body)))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("short image: status %d, want 400", rec.Code)
+	}
+}
+
+// A body larger than any image of the input shape could need is refused with
+// 413 before it is parsed to the end, and nothing is admitted; a well-formed
+// image at the widest float32 rendering, padded to exactly the cap, is served.
+func TestHTTPBodyCap(t *testing.T) {
+	s, h := newTestHandler(t)
+	defer mustShutdown(t, s)
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(body)))
+		return rec
+	}
+
+	huge, _ := json.Marshal(InferRequest{Image: make([]float32, 4096)})
+	rec := post(huge)
+	var envelope httpError
+	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); err != nil || envelope.Error == "" {
+		t.Fatalf("oversize body: reply %q is not the error envelope (%v)", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", rec.Code)
+	}
+	if st := s.Stats(); st.Admitted != 0 {
+		t.Fatalf("oversize body: %d requests admitted, want 0", st.Admitted)
+	}
+
+	// encoding/json prints -1e20 as float32 in 22 bytes, its longest form.
+	widest, _ := json.Marshal(InferRequest{Image: []float32{-1e20, -1e20, -1e20, -1e20}})
+	limit := inferEnvelopeBytes + inferBytesPerWord*4
+	if len(widest) > limit {
+		t.Fatalf("a 4-word image at the widest rendering is %d bytes, over the %d-byte cap", len(widest), limit)
+	}
+	atCap := append(widest, bytes.Repeat([]byte(" "), limit-len(widest))...)
+	if rec := post(atCap); rec.Code != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes: status %d (%s), want 200", limit, rec.Code, rec.Body.String())
 	}
 }
 

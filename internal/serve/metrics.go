@@ -8,7 +8,7 @@ import "condor/internal/obs"
 // reports the same numbers as /statsz with no second accounting path.
 func RegisterMetrics(reg *obs.Registry, s *Server) {
 	reg.Func("condor_serve_queue_depth", obs.TypeGauge,
-		"Admitted requests waiting for batching.", func() []obs.Sample {
+		"Admitted requests waiting for a backend.", func() []obs.Sample {
 			return []obs.Sample{{Value: float64(s.Stats().QueueDepth)}}
 		})
 	reg.Func("condor_serve_queue_capacity", obs.TypeGauge,
@@ -48,6 +48,9 @@ func RegisterMetrics(reg *obs.Registry, s *Server) {
 				q("kernel", "0.5", st.KernelMsP50),
 				q("kernel", "0.95", st.KernelMsP95),
 				q("kernel", "0.99", st.KernelMsP99),
+				q("queue", "0.5", st.QueueMsP50),
+				q("queue", "0.95", st.QueueMsP95),
+				q("queue", "0.99", st.QueueMsP99),
 				q("total", "0.5", st.TotalMsP50),
 				q("total", "0.95", st.TotalMsP95),
 				q("total", "0.99", st.TotalMsP99),

@@ -12,11 +12,11 @@ import (
 
 // TestStatsDuringDrain polls Stats (the /statsz and /metricsz read path)
 // concurrently with a full submit/shutdown cycle. Under -race this pins the
-// fix for the snapshot racing the batcher during drain: the snapshot is
+// fix for the snapshot racing the dispatcher during drain: the snapshot is
 // taken under the same admission lock Shutdown closes the queue with.
 func TestStatsDuringDrain(t *testing.T) {
 	fb := &fakeBackend{id: "b0", delay: 200 * time.Microsecond}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, BatchWindow: 100 * time.Microsecond, QueueDepth: 32})
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,42 +70,52 @@ func TestStatsDuringDrain(t *testing.T) {
 // TestRegisterMetrics checks the Prometheus bridge renders every
 // condor_serve_* family with numbers matching the Stats snapshot.
 func TestRegisterMetrics(t *testing.T) {
-	fb := &fakeBackend{id: "b0", kernelMs: 3}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, BatchWindow: time.Hour, QueueDepth: 16})
+	gate := make(chan struct{})
+	fb := &fakeBackend{id: "b0", kernelMs: 3, gate: gate}
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	RegisterMetrics(reg, s)
 
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, _, err := s.Submit(context.Background(), img(float32(i))); err != nil {
-				t.Errorf("Submit: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
+	// Eight requests as batches of 1, 4 and 3: the last seven queue while the
+	// first holds the backend.
+	wait := gatedBacklog(t, s, fb, 7)
+	close(gate)
+	wait()
 	mustShutdown(t, s)
 
 	text := reg.TextSnapshot()
 	for _, want := range []string{
 		`condor_serve_requests_total{state="admitted"} 8`,
 		`condor_serve_requests_total{state="completed"} 8`,
-		`condor_serve_batches_total 2`,
-		`condor_serve_batch_size_bucket{le="4"} 2`,
+		`condor_serve_batches_total 3`,
+		`condor_serve_batch_size_bucket{le="1"} 1`,
+		`condor_serve_batch_size_bucket{le="4"} 3`,
 		`condor_serve_batch_size_sum 8`,
-		`condor_serve_batch_size_count 2`,
-		`condor_serve_backend_batches_total{backend="b0"} 2`,
+		`condor_serve_batch_size_count 3`,
+		`condor_serve_backend_batches_total{backend="b0"} 3`,
 		`condor_serve_backend_images_total{backend="b0"} 8`,
 		`condor_serve_latency_ms{kind="kernel",q="0.5"} 3`,
+		`condor_serve_latency_ms{kind="queue",q="0.5"} `,
+		`condor_serve_latency_ms{kind="queue",q="0.95"} `,
+		`condor_serve_latency_ms{kind="queue",q="0.99"} `,
 		`condor_serve_queue_capacity 16`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %s:\n%s", want, text)
+		}
+	}
+
+	// The wait for a backend is part of admit-to-reply, request by request,
+	// so it cannot exceed it at any quantile; seven of the eight waited.
+	st := s.Stats()
+	for _, q := range [][2]float64{
+		{st.QueueMsP50, st.TotalMsP50}, {st.QueueMsP95, st.TotalMsP95}, {st.QueueMsP99, st.TotalMsP99},
+	} {
+		if q[0] <= 0 || q[0] > q[1] {
+			t.Errorf("queue wait %v ms against admit-to-reply %v ms, want 0 < queue <= total", q[0], q[1])
 		}
 	}
 }

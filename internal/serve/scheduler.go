@@ -14,7 +14,7 @@ type backendState struct {
 	failures uint64
 }
 
-// scheduler hands formed batches to the least-loaded free backend. Load is
+// scheduler hands each batch to the least-loaded free backend. Load is
 // the backend's accumulated modeled kernel time, so a pool mixing fast
 // local boards with slower (or busier) F1 slots converges towards equal
 // device-time shares rather than equal batch counts.
@@ -33,21 +33,34 @@ func newScheduler(pool []Backend) *scheduler {
 	return sc
 }
 
+// leastLoadedFree returns the free backend with the least accumulated load,
+// or nil while the whole pool is busy. The caller holds sc.mu.
+func (sc *scheduler) leastLoadedFree() *backendState {
+	var best *backendState
+	for _, st := range sc.backends {
+		if !st.busy && (best == nil || st.busyMs < best.busyMs) {
+			best = st
+		}
+	}
+	return best
+}
+
+// waitFree blocks until some backend is free, without claiming it: the
+// dispatcher leaves requests in the admission queue while the pool is busy.
+func (sc *scheduler) waitFree() {
+	sc.mu.Lock()
+	for sc.leastLoadedFree() == nil {
+		sc.free.Wait()
+	}
+	sc.mu.Unlock()
+}
+
 // acquire blocks until a backend is free and claims the least-loaded one.
 func (sc *scheduler) acquire() *backendState {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for {
-		var best *backendState
-		for _, st := range sc.backends {
-			if st.busy {
-				continue
-			}
-			if best == nil || st.busyMs < best.busyMs {
-				best = st
-			}
-		}
-		if best != nil {
+		if best := sc.leastLoadedFree(); best != nil {
 			best.busy = true
 			return best
 		}

@@ -10,14 +10,14 @@
 //     fails fast with ErrQueueFull (backpressure) instead of letting latency
 //     grow without bound, and per-request contexts carry deadlines and
 //     cancellation;
-//   - a dynamic batcher: single-image requests are coalesced into
-//     device-sized batches under a max-batch/max-latency window, because the
-//     accelerator pipeline only reaches its steady-state initiation interval
-//     when consecutive images stream back to back (the paper's Figure 5
-//     batch behaviour);
-//   - a scheduler: formed batches are dispatched to the least-loaded free
-//     backend, measured by accumulated modeled kernel milliseconds, so a
-//     mixed pool of fast and slow devices stays balanced.
+//   - a work-conserving dispatcher: a batch is whatever is queued when a
+//     backend comes free, capped at MaxBatch; an idle backend never waits.
+//     Back-to-back images amortise the accelerator's pipeline fill (the
+//     paper's Figure 5 batch behaviour) only when more than one image is
+//     actually waiting, so batches form from backlog and from nothing else;
+//   - a scheduler: each batch goes to the least-loaded free backend,
+//     measured by accumulated modeled kernel milliseconds, so a mixed pool
+//     of fast and slow devices stays balanced.
 //
 // Shutdown drains gracefully: admission stops, queued and in-flight batches
 // complete, and every admitted request receives a reply. No admitted
@@ -35,9 +35,9 @@ import (
 	"condor/internal/tensor"
 )
 
-// Backend is one inference executor the scheduler dispatches formed batches
-// to: a local board (condor.LocalDeployment) or one programmed F1 slot
-// (condor.SlotBackend). The scheduler never calls the same backend
+// Backend is one inference executor the dispatcher sends batches to: a
+// local board (condor.LocalDeployment) or one programmed F1 slot
+// (condor.SlotBackend). The server never calls the same backend
 // concurrently with itself, but different backends run in parallel from
 // separate goroutines, so implementations must not share unsynchronised
 // mutable state.
@@ -62,12 +62,8 @@ var (
 type Config struct {
 	// Backends is the pool of inference executors (at least one).
 	Backends []Backend
-	// MaxBatch caps the size of a formed batch (default 8). A full batch is
-	// dispatched immediately.
+	// MaxBatch caps how many queued requests one dispatch takes (default 8).
 	MaxBatch int
-	// BatchWindow bounds how long the first request of a forming batch
-	// waits for company before the partial batch is flushed (default 2ms).
-	BatchWindow time.Duration
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrQueueFull (default 64).
 	QueueDepth int
@@ -83,9 +79,6 @@ func (c *Config) applyDefaults() error {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -97,10 +90,11 @@ func (c *Config) applyDefaults() error {
 
 // request is one admitted single-image inference.
 type request struct {
-	ctx      context.Context
-	img      *tensor.Tensor
-	enqueued time.Time
-	done     chan result // buffered(1): the pipeline never blocks on delivery
+	ctx        context.Context
+	img        *tensor.Tensor
+	enqueued   time.Time
+	dispatched time.Time   // when the dispatcher took it off the queue
+	done       chan result // buffered(1): the pipeline never blocks on delivery
 }
 
 type result struct {
@@ -112,15 +106,14 @@ type result struct {
 
 // Server multiplexes concurrent clients onto the backend pool.
 type Server struct {
-	cfg     Config
-	queue   chan *request
-	batches chan []*request
+	cfg   Config
+	queue chan *request
 
 	mu     sync.Mutex
 	closed bool
 
 	admitted sync.WaitGroup // one count per admitted request until its reply
-	loops    sync.WaitGroup // batcher + scheduler goroutines
+	dispatch sync.WaitGroup // the dispatcher goroutine + every in-flight batch
 	drain    sync.Once
 	drained  chan struct{}
 
@@ -128,25 +121,21 @@ type Server struct {
 	stats *statsCollector
 }
 
-// New starts a server over the configured backend pool. The batcher and
-// scheduler goroutines run until Shutdown.
+// New starts a server over the configured backend pool. The dispatcher
+// goroutine runs until Shutdown.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		queue: make(chan *request, cfg.QueueDepth),
-		// A shallow batch buffer lets the batcher keep forming while every
-		// backend is busy without hiding backpressure from the queue.
-		batches: make(chan []*request, len(cfg.Backends)),
+		cfg:     cfg,
+		queue:   make(chan *request, cfg.QueueDepth),
 		drained: make(chan struct{}),
 		sched:   newScheduler(cfg.Backends),
 		stats:   newStatsCollector(cfg.MaxBatch, cfg.LatencySamples),
 	}
-	s.loops.Add(2)
-	go s.batchLoop()
-	go s.scheduleLoop()
+	s.dispatch.Add(1)
+	go s.dispatchLoop()
 	return s, nil
 }
 
@@ -177,11 +166,14 @@ func (s *Server) SubmitDetailed(ctx context.Context, img *tensor.Tensor) (Submit
 		s.mu.Unlock()
 		return SubmitResult{}, ErrClosed
 	}
+	// Counted before the send: a backend can answer, and finish can call
+	// Done, before this goroutine runs again.
+	s.admitted.Add(1)
 	select {
 	case s.queue <- req:
-		s.admitted.Add(1)
 		s.stats.admit()
 	default:
+		s.admitted.Done()
 		s.mu.Unlock()
 		s.stats.reject()
 		return SubmitResult{}, ErrQueueFull
@@ -216,106 +208,85 @@ func (s *Server) finish(req *request, r result) {
 	s.admitted.Done()
 }
 
-// batchLoop coalesces queued requests into batches: a batch is flushed as
-// soon as it reaches MaxBatch, or BatchWindow after its first request
-// arrived, whichever comes first.
-func (s *Server) batchLoop() {
-	defer s.loops.Done()
-	defer close(s.batches)
-	var pending []*request
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	flush := func() {
-		if timerLive {
-			if !timer.Stop() {
-				<-timer.C
-			}
-			timerLive = false
-		}
-		if len(pending) == 0 {
+// dispatchLoop is the whole batching policy: wait until a backend is free,
+// wait until a request is queued, take whatever else is already queued up to
+// MaxBatch, and hand the batch to the least-loaded free backend. Requests
+// wait in the queue (where QueueDepth and admission see them) only while the
+// whole pool is busy, and that backlog is the only source of batches.
+func (s *Server) dispatchLoop() {
+	defer s.dispatch.Done()
+	for {
+		s.sched.waitFree()
+		first, ok := <-s.queue
+		if !ok {
 			return
 		}
-		s.batches <- pending
-		pending = nil
-	}
-	for {
-		select {
-		case req, ok := <-s.queue:
-			if !ok {
-				flush()
-				return
-			}
-			if err := req.ctx.Err(); err != nil {
-				s.finish(req, result{err: fmt.Errorf("serve: request expired while queued: %w", err)})
-				continue
-			}
-			pending = append(pending, req)
-			if len(pending) >= s.cfg.MaxBatch {
-				flush()
-			} else if len(pending) == 1 {
-				timer.Reset(s.cfg.BatchWindow)
-				timerLive = true
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
+		reqs := s.take(first)
+		if len(reqs) == 0 {
+			continue // every taken request had expired; no backend was claimed
 		}
-	}
-}
-
-// scheduleLoop takes formed batches and dispatches each to the least-loaded
-// free backend, blocking while the whole pool is busy. Dispatches run in
-// their own goroutines so independent backends execute in parallel.
-func (s *Server) scheduleLoop() {
-	defer s.loops.Done()
-	var dispatch sync.WaitGroup
-	for batch := range s.batches {
-		// Requests whose deadline passed while the batch formed are settled
-		// here with an explicit error rather than wasting device time.
-		live := make([]*request, 0, len(batch))
-		for _, req := range batch {
-			if err := req.ctx.Err(); err != nil {
-				s.finish(req, result{err: fmt.Errorf("serve: deadline passed before dispatch: %w", err)})
-				continue
-			}
-			live = append(live, req)
-		}
-		if len(live) == 0 {
-			continue
-		}
+		// Only this goroutine claims backends, so the one waitFree saw is
+		// still free and acquire does not block.
 		st := s.sched.acquire()
-		s.stats.recordBatch(len(live))
-		dispatch.Add(1)
-		go func(st *backendState, reqs []*request) {
-			defer dispatch.Done()
-			imgs := make([]*tensor.Tensor, len(reqs))
-			for i, r := range reqs {
-				imgs[i] = r.img
-			}
-			outs, ms, err := st.backend.Infer(imgs)
-			s.sched.release(st, ms, len(reqs), err != nil)
-			id := st.backend.ID()
-			if err != nil {
-				err = fmt.Errorf("serve: backend %s: %w", id, err)
-				for _, r := range reqs {
-					s.finish(r, result{backend: id, err: err})
-				}
-				return
-			}
-			for i, r := range reqs {
-				s.finish(r, result{out: outs[i], kernelMs: ms, backend: id})
-			}
-		}(st, live)
+		s.stats.recordBatch(len(reqs))
+		s.dispatch.Add(1)
+		go s.run(st, reqs)
 	}
-	dispatch.Wait()
 }
 
-// Shutdown stops admission and drains: queued requests are batched and
-// executed, in-flight batches complete, and every admitted request receives
-// its reply. ctx bounds how long to wait for the drain. Shutdown is
+// take forms a batch from first plus the requests already queued behind it,
+// without waiting for more. A request whose context ended while it was
+// queued is answered here with an explicit error rather than spending device
+// time.
+func (s *Server) take(first *request) []*request {
+	n := min(1+len(s.queue), s.cfg.MaxBatch)
+	reqs := make([]*request, 0, n)
+	now := time.Now()
+	for req, ok := first, true; ok; {
+		if err := req.ctx.Err(); err != nil {
+			s.finish(req, result{err: fmt.Errorf("serve: request expired while queued: %w", err)})
+		} else {
+			req.dispatched = now
+			reqs = append(reqs, req)
+		}
+		if len(reqs) == n {
+			break
+		}
+		select {
+		case req, ok = <-s.queue: // not ok: Shutdown closed the drained queue
+		default:
+			ok = false
+		}
+	}
+	return reqs
+}
+
+// run executes one batch on its claimed backend and answers every request
+// of it. Batches on different backends run in parallel.
+func (s *Server) run(st *backendState, reqs []*request) {
+	defer s.dispatch.Done()
+	imgs := make([]*tensor.Tensor, len(reqs))
+	for i, r := range reqs {
+		imgs[i] = r.img
+	}
+	outs, ms, err := st.backend.Infer(imgs)
+	s.sched.release(st, ms, len(reqs), err != nil)
+	id := st.backend.ID()
+	if err != nil {
+		err = fmt.Errorf("serve: backend %s: %w", id, err)
+		for _, r := range reqs {
+			s.finish(r, result{backend: id, err: err})
+		}
+		return
+	}
+	for i, r := range reqs {
+		s.finish(r, result{out: outs[i], kernelMs: ms, backend: id})
+	}
+}
+
+// Shutdown stops admission and drains: queued requests are dispatched,
+// in-flight batches complete, and every admitted request receives its
+// reply. ctx bounds how long to wait for the drain. Shutdown is
 // idempotent; concurrent calls all wait for the same drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
@@ -326,7 +297,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	s.drain.Do(func() {
 		go func() {
-			s.loops.Wait()
+			s.dispatch.Wait()
 			s.admitted.Wait()
 			close(s.drained)
 		}()
@@ -339,14 +310,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// QueueDepth reports how many admitted requests are waiting for batching.
+// QueueDepth reports how many admitted requests are waiting for a backend.
 func (s *Server) QueueDepth() int { return len(s.queue) }
 
 // Stats snapshots the serving counters, batch histogram, per-backend
 // utilization and latency quantiles. The snapshot is taken under the
 // admission lock so a poll during shutdown observes a queue depth
-// consistent with the closed/draining state instead of racing the batcher
-// retiring the final requests.
+// consistent with the closed/draining state instead of racing the
+// dispatcher retiring the final requests.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

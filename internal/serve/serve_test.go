@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,51 +86,80 @@ func mustShutdown(t *testing.T, s *Server) {
 	}
 }
 
-// Flush-on-size: with an effectively infinite window, batches form only
-// when MaxBatch requests have coalesced.
-func TestBatcherFlushOnSize(t *testing.T) {
-	fb := &fakeBackend{id: "b0"}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, BatchWindow: time.Hour, QueueDepth: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, _, err := s.Submit(context.Background(), img(float32(i)))
-			if err != nil {
-				t.Errorf("Submit: %v", err)
-				return
-			}
-			if out.Data()[0] != float32(i) {
-				t.Errorf("request %d got echo %v", i, out.Data()[0])
-			}
-		}(i)
-	}
-	wg.Wait()
-	mustShutdown(t, s)
-	for _, size := range fb.batchSizes() {
-		if size != 4 {
-			t.Fatalf("batch sizes %v: want every flush at MaxBatch=4", fb.batchSizes())
+// waitFor polls until cond holds: tests wait on the event they need, never
+// on a sleep they hope is long enough.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-	}
-	if got := len(fb.batchSizes()); got != 2 {
-		t.Fatalf("got %d batches, want 2", got)
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 
-// Flush-on-deadline: a partial batch is dispatched once the window elapses
-// instead of waiting for MaxBatch.
-func TestBatcherFlushOnDeadline(t *testing.T) {
-	fb := &fakeBackend{id: "b0"}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 16, BatchWindow: 10 * time.Millisecond, QueueDepth: 16})
+// gatedBacklog drives 1+n echo requests at a server whose only backend is
+// gated: it returns once the first is inside the backend and the other n sit
+// in the queue. The returned wait blocks until every submitter has its reply
+// and reports an error for any that failed or got another request's echo.
+func gatedBacklog(t *testing.T, s *Server, fb *fakeBackend, n int) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	submit := func(i int) {
+		defer wg.Done()
+		out, _, err := s.Submit(context.Background(), img(float32(i)))
+		if err != nil {
+			t.Errorf("Submit %d: %v", i, err)
+		} else if out.Data()[0] != float32(i) {
+			t.Errorf("request %d got echo %v", i, out.Data()[0])
+		}
+	}
+	wg.Add(1)
+	go submit(0)
+	waitFor(t, "the first request to reach the backend", func() bool { return fb.inflight.Load() == 1 })
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go submit(i)
+	}
+	waitFor(t, fmt.Sprintf("%d requests to queue", n), func() bool { return s.QueueDepth() == n })
+	return wg.Wait
+}
+
+// Batches form from backlog: one request occupies the only backend, six more
+// queue behind it, and when the backend comes free each dispatch takes what
+// is waiting, capped at MaxBatch.
+func TestBatchFormsFromBacklog(t *testing.T) {
+	gate := make(chan struct{})
+	fb := &fakeBackend{id: "b0", gate: gate}
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wait := gatedBacklog(t, s, fb, 6)
+	close(gate)
+	wait()
+	mustShutdown(t, s)
+	if got, want := fmt.Sprint(fb.batchSizes()), "[1 4 2]"; got != want {
+		t.Fatalf("batch sizes %s, want %s", got, want)
+	}
+	st := s.Stats()
+	if st.Batches != 3 || st.BatchSizeHist[1] != 1 || st.BatchSizeHist[4] != 1 || st.BatchSizeHist[2] != 1 {
+		t.Fatalf("stats count %d batches, histogram %v", st.Batches, st.BatchSizeHist)
+	}
+}
+
+// An idle backend never waits for company: with two free backends, two
+// requests arriving one after the other run one on each, not as a pair.
+func TestIdleBackendNeverCoalesces(t *testing.T) {
+	gate := make(chan struct{})
+	pool := []*fakeBackend{{id: "b0", gate: gate}, {id: "b1", gate: gate}}
+	s, err := New(Config{Backends: []Backend{pool[0], pool[1]}, MaxBatch: 4, QueueDepth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := func() int32 { return pool[0].inflight.Load() + pool[1].inflight.Load() }
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	for i := int32(1); i <= 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -136,19 +167,67 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 				t.Errorf("Submit: %v", err)
 			}
 		}()
+		waitFor(t, fmt.Sprintf("request %d to reach a backend", i), func() bool { return inflight() == i })
+	}
+	close(gate)
+	wg.Wait()
+	mustShutdown(t, s)
+	for _, fb := range pool {
+		if got := fmt.Sprint(fb.batchSizes()); got != "[1]" {
+			t.Fatalf("backend %s ran batches %s, want [1]", fb.id, got)
+		}
+	}
+}
+
+// The price of a lone request is the pipeline's own overhead, not a wait
+// for company that is not coming (the batch window cost 2 ms here).
+func TestLoneRequestIsNotHeld(t *testing.T) {
+	s, err := New(Config{Backends: []Backend{&fakeBackend{id: "b0"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, s)
+	took := make([]time.Duration, 200)
+	for i := range took {
+		t0 := time.Now()
+		if _, _, err := s.Submit(context.Background(), img(1)); err != nil {
+			t.Fatal(err)
+		}
+		took[i] = time.Since(t0)
+	}
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	if median := took[len(took)/2]; median >= 500*time.Microsecond {
+		t.Fatalf("median admit-to-reply of a lone request %v, want < 500µs", median)
+	}
+}
+
+// Admission is counted before the request is visible to the dispatcher: an
+// instant backend answers before the submitter runs again, and finish must
+// never see a request Submit has not counted yet (it panicked with a
+// negative WaitGroup counter).
+func TestAdmissionCountedBeforeEnqueue(t *testing.T) {
+	s, err := New(Config{Backends: []Backend{&fakeBackend{id: "b0"}}, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const submitters, each = 8, 2000
+	var wg sync.WaitGroup
+	for c := 0; c < submitters; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, _, err := s.Submit(context.Background(), img(1)); err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+			}
+		}()
 	}
 	wg.Wait()
 	mustShutdown(t, s)
-	sizes := fb.batchSizes()
-	total := 0
-	for _, n := range sizes {
-		if n >= 16 {
-			t.Fatalf("batch of %d dispatched; window flush should fire first", n)
-		}
-		total += n
-	}
-	if total != 3 {
-		t.Fatalf("served %d images across %v, want 3", total, sizes)
+	if st := s.Stats(); st.Admitted != submitters*each || st.Completed != st.Admitted {
+		t.Fatalf("admitted %d, completed %d, want %d each", st.Admitted, st.Completed, submitters*each)
 	}
 }
 
@@ -158,7 +237,7 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 func TestBackpressureRejection(t *testing.T) {
 	gate := make(chan struct{})
 	fb := &fakeBackend{id: "b0", gate: gate}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 1, BatchWindow: time.Millisecond, QueueDepth: 2})
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 1, QueueDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +260,7 @@ func TestBackpressureRejection(t *testing.T) {
 		}()
 	}
 	// Let the pipeline saturate against the gated backend, then release.
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().Rejected == 0; {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "a rejection at the saturated queue", func() bool { return s.Stats().Rejected > 0 })
 	close(gate)
 	wg.Wait()
 	mustShutdown(t, s)
@@ -206,7 +280,7 @@ func TestBackpressureRejection(t *testing.T) {
 // called all receive replies; nothing is silently dropped.
 func TestDrainOnShutdown(t *testing.T) {
 	fb := &fakeBackend{id: "b0", delay: 2 * time.Millisecond}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, BatchWindow: time.Millisecond, QueueDepth: 64})
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,31 +323,77 @@ func TestDrainOnShutdown(t *testing.T) {
 	}
 }
 
-// A request whose deadline passes while it waits behind a busy backend gets
-// an explicit context error, not a hang.
-func TestDeadlineWhileQueued(t *testing.T) {
+// Shutdown with more than MaxBatch requests queued behind a busy backend
+// answers every one of them before it returns, and no goroutine of the
+// server outlives it.
+func TestShutdownDrainsBacklog(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	gate := make(chan struct{})
 	fb := &fakeBackend{id: "b0", gate: gate}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 1, BatchWindow: time.Millisecond, QueueDepth: 8})
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // occupies the only backend
-		defer wg.Done()
-		s.Submit(context.Background(), img(1)) //nolint:errcheck
+	wait := gatedBacklog(t, s, fb, 9)
+	down := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		down <- s.Shutdown(ctx)
 	}()
-	time.Sleep(2 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	_, _, err = s.Submit(ctx, img(2))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Submit with expired deadline: %v, want DeadlineExceeded", err)
+	waitFor(t, "Shutdown to close admission", s.Draining)
+	close(gate)
+	if err := <-down; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	wait()
+	if got, want := fmt.Sprint(fb.batchSizes()), "[1 4 4 1]"; got != want {
+		t.Fatalf("batch sizes %s, want %s", got, want)
+	}
+	if st := s.Stats(); st.Admitted != 10 || st.Completed != 10 || st.QueueDepth != 0 {
+		t.Fatalf("after drain: admitted %d, completed %d, queue depth %d", st.Admitted, st.Completed, st.QueueDepth)
+	}
+	waitFor(t, "the server's goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
+}
+
+// A request whose context ends while it waits behind a busy backend gets an
+// explicit context error, not a hang; the dispatcher answers it without
+// spending device time, and a take in which every request had expired
+// records no batch and leaves the backend free for the next request.
+func TestDeadlineWhileQueued(t *testing.T) {
+	gate := make(chan struct{})
+	fb := &fakeBackend{id: "b0", gate: gate}
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := gatedBacklog(t, s, fb, 0) // occupies the only backend
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan error, 1)
+	go func() {
+		_, _, err := s.Submit(ctx, img(2))
+		queued <- err
+	}()
+	waitFor(t, "the second request to queue", func() bool { return s.QueueDepth() == 1 })
+	cancel()
+	if err := <-queued; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit with a cancelled context: %v, want context.Canceled", err)
 	}
 	close(gate)
-	wg.Wait()
+	wait()
+	waitFor(t, "the dispatcher to answer the expired request", func() bool { return s.Stats().Expired == 1 })
+	if _, _, err := s.Submit(context.Background(), img(3)); err != nil {
+		t.Fatalf("Submit after an all-expired take: %v", err)
+	}
 	mustShutdown(t, s)
+	if got := fmt.Sprint(fb.batchSizes()); got != "[1 1]" {
+		t.Fatalf("backend ran batches %s, want [1 1]: the expired request must not reach it", got)
+	}
+	st := s.Stats()
+	if st.Admitted != 3 || st.Completed != 2 || st.Expired != 1 || st.Batches != 2 || st.Backends[0].Busy {
+		t.Fatalf("admitted %d, completed %d, expired %d, batches %d, backend busy %v; want 3, 2, 1, 2, false",
+			st.Admitted, st.Completed, st.Expired, st.Batches, st.Backends[0].Busy)
+	}
 }
 
 // The scheduler picks the least-loaded free backend and never overlaps
@@ -299,7 +419,7 @@ func TestSchedulerLeastLoaded(t *testing.T) {
 // backend identified.
 func TestBackendErrorPropagates(t *testing.T) {
 	fb := &fakeBackend{id: "flaky", err: errors.New("kernel fault")}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 2, BatchWindow: time.Millisecond, QueueDepth: 8})
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 2, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +443,7 @@ func TestConcurrentClientsRace(t *testing.T) {
 		&fakeBackend{id: "fast1", kernelMs: 0.3},
 		&fakeBackend{id: "slow0", kernelMs: 2, delay: time.Millisecond},
 	}
-	s, err := New(Config{Backends: pool, MaxBatch: 8, BatchWindow: 2 * time.Millisecond, QueueDepth: 256})
+	s, err := New(Config{Backends: pool, MaxBatch: 8, QueueDepth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +520,7 @@ func TestQuantiles(t *testing.T) {
 
 func TestStatsUtilization(t *testing.T) {
 	fb := &fakeBackend{id: "b0", kernelMs: 5}
-	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 2, BatchWindow: time.Millisecond, QueueDepth: 8})
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 2, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +544,7 @@ func TestStatsUtilization(t *testing.T) {
 
 func ExampleServer() {
 	fb := &fakeBackend{id: "board0"}
-	s, _ := New(Config{Backends: []Backend{fb}, MaxBatch: 4, BatchWindow: time.Millisecond})
+	s, _ := New(Config{Backends: []Backend{fb}, MaxBatch: 4})
 	out, _, err := s.Submit(context.Background(), img(7))
 	fmt.Println(err == nil, out.Data()[0])
 	s.Shutdown(context.Background()) //nolint:errcheck

@@ -15,7 +15,7 @@ type Stats struct {
 	Admitted      uint64 `json:"admitted"`
 	Rejected      uint64 `json:"rejected"` // backpressure (ErrQueueFull)
 	Completed     uint64 `json:"completed"`
-	Expired       uint64 `json:"expired"` // deadline passed in queue/batch
+	Expired       uint64 `json:"expired"` // context ended while queued
 	Failed        uint64 `json:"failed"`  // backend errors
 
 	// Batching. BatchSizeHist[n] counts dispatched batches of n images.
@@ -23,11 +23,15 @@ type Stats struct {
 	BatchSizeHist map[int]uint64 `json:"batch_size_hist"`
 
 	// Latency quantiles over the most recent completed requests. KernelMs
-	// is the modeled device time of the request's batch; TotalMs is the
-	// wall time from admission to reply (queueing + batching + device).
+	// is the modeled device time of the request's batch; QueueMs is the wall
+	// time from admission to dispatch (the wait for a free backend) and
+	// TotalMs from admission to reply (that wait + the backend call).
 	KernelMsP50 float64 `json:"kernel_ms_p50"`
 	KernelMsP95 float64 `json:"kernel_ms_p95"`
 	KernelMsP99 float64 `json:"kernel_ms_p99"`
+	QueueMsP50  float64 `json:"queue_ms_p50"`
+	QueueMsP95  float64 `json:"queue_ms_p95"`
+	QueueMsP99  float64 `json:"queue_ms_p99"`
 	TotalMsP50  float64 `json:"total_ms_p50"`
 	TotalMsP95  float64 `json:"total_ms_p95"`
 	TotalMsP99  float64 `json:"total_ms_p99"`
@@ -65,6 +69,7 @@ type statsCollector struct {
 
 	// Ring buffers of the most recent completed-request samples.
 	kernelMs []float64
+	queueMs  []float64
 	totalMs  []float64
 	next     int
 	filled   bool
@@ -75,6 +80,7 @@ func newStatsCollector(maxBatch, samples int) *statsCollector {
 		start:    time.Now(),
 		hist:     make(map[int]uint64, maxBatch),
 		kernelMs: make([]float64, samples),
+		queueMs:  make([]float64, samples),
 		totalMs:  make([]float64, samples),
 	}
 }
@@ -113,6 +119,7 @@ func (c *statsCollector) settle(req *request, r result) {
 	}
 	c.completed++
 	c.kernelMs[c.next] = r.kernelMs
+	c.queueMs[c.next] = float64(req.dispatched.Sub(req.enqueued)) / float64(time.Millisecond)
 	c.totalMs[c.next] = float64(time.Since(req.enqueued)) / float64(time.Millisecond)
 	c.next++
 	if c.next == len(c.kernelMs) {
@@ -129,6 +136,7 @@ func (c *statsCollector) snapshot(queueDepth, queueCap int, backends []BackendSt
 		n = len(c.kernelMs)
 	}
 	kq := quantiles(c.kernelMs[:n])
+	qq := quantiles(c.queueMs[:n])
 	tq := quantiles(c.totalMs[:n])
 	st := Stats{
 		QueueDepth:    queueDepth,
@@ -141,6 +149,7 @@ func (c *statsCollector) snapshot(queueDepth, queueCap int, backends []BackendSt
 		Batches:       c.batches,
 		BatchSizeHist: make(map[int]uint64, len(c.hist)),
 		KernelMsP50:   kq[0], KernelMsP95: kq[1], KernelMsP99: kq[2],
+		QueueMsP50: qq[0], QueueMsP95: qq[1], QueueMsP99: qq[2],
 		TotalMsP50: tq[0], TotalMsP95: tq[1], TotalMsP99: tq[2],
 		UptimeMs: float64(time.Since(c.start)) / float64(time.Millisecond),
 		Backends: backends,

@@ -133,10 +133,9 @@ func stressMixedPool(t *testing.T) {
 		t.Fatalf("pool has %d backends, want 4", len(pool))
 	}
 	s, err := serve.New(serve.Config{
-		Backends:    pool,
-		MaxBatch:    8,
-		BatchWindow: 2 * time.Millisecond,
-		QueueDepth:  256,
+		Backends:   pool,
+		MaxBatch:   8,
+		QueueDepth: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +220,7 @@ func TestServeMixedPoolSpreadsLoad(t *testing.T) {
 	defer ts.Close()
 
 	pool := mixedPool(t, ts.URL, 1, 1, 2)
-	s, err := serve.New(serve.Config{Backends: pool, MaxBatch: 2, BatchWindow: time.Millisecond, QueueDepth: 128})
+	s, err := serve.New(serve.Config{Backends: pool, MaxBatch: 2, QueueDepth: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +274,7 @@ func TestServeEndToEndOutputsMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := serve.New(serve.Config{Backends: []serve.Backend{dep}, MaxBatch: 4, BatchWindow: time.Millisecond})
+	s, err := serve.New(serve.Config{Backends: []serve.Backend{dep}, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
