@@ -133,7 +133,12 @@ bench-algo:
 # baseline with
 # `go run ./cmd/condor-bench -json BENCH_baseline.json -cus 1,2 -dtype float32,int8`
 # on a quiet machine (the -cus/-dtype legs must match the baseline's rows, or
-# the gate errors on the missing benchmark).
+# the gate errors on the missing benchmark). The third gate diffs ratios
+# whose denominator is the algo=direct leg, so it can fire on an improvement:
+# PR 21 made int8 direct and int8 im2col_gemm one host kernel and ≈ 3× faster,
+# after which the int8 gemm_speedup_x rows read ≈ 1.0 by construction and int8
+# winograd_speedup_x fell with no change to the Winograd path — the baseline
+# was regenerated in that PR for this reason, not because anything slowed.
 bench-check: bench-fabric
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -max-regression 0.25
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only pipeline_efficiency -max-regression 0.10

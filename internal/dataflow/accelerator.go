@@ -22,17 +22,15 @@ type Accelerator struct {
 	tracer obs.Tracer
 
 	// qweights holds every compute layer's weights pre-quantized onto the
-	// symmetric int8 grid, built at Instantiate time for packed specs
-	// (WordBits == 8). The store is sealed before the codes are derived, so
-	// they stay valid for the accelerator's lifetime and are shared
-	// read-only by clones. Nil on float32/int16 fabrics.
+	// symmetric int8 grid (FC layers packed two neurons per word), built at
+	// Instantiate time for packed specs (WordBits == 8) from the streams the
+	// sealed store holds and shared read-only by clones. Nil otherwise.
 	qweights map[string]int8LayerWeights
 
 	// wgweights holds the Winograd-transformed weights (U = G g Gᵀ, f·c·16
 	// words per layer) of every winograd_f23 conv layer, built at
-	// Instantiate time after the store is sealed and shared read-only by
-	// clones — the same lifecycle as qweights. Nil when no layer uses the
-	// algorithm.
+	// Instantiate time and shared read-only by clones — the same lifecycle
+	// as qweights. Nil when no layer uses the algorithm.
 	wgweights map[string][]float32
 
 	// trackPrefix namespaces this unit's trace tracks ("cu1/feeder", …).
@@ -58,6 +56,9 @@ func (a *Accelerator) SetTracer(t obs.Tracer) { a.tracer = t }
 // pass fires statically, so callers and tests can match on diag.Rule.
 func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 	a := &Accelerator{Spec: spec, dm: NewDatamover()}
+	if spec.WordBits == 8 {
+		a.qweights = make(map[string]int8LayerWeights)
+	}
 	for _, pe := range spec.PEs {
 		for _, l := range pe.Layers {
 			if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
@@ -83,6 +84,23 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 						"layer %q weight set has %d words, accelerator needs %d", l.Name, len(we.Data), wantW))
 			}
 			a.dm.LoadWeights(l.Name, we.Data, bias)
+			if spec.WordBits == 8 {
+				if d := Int8AccumulatorRange(pe.ID, &l); d != nil {
+					return nil, fmt.Errorf("dataflow: %w", d)
+				}
+				a.qweights[l.Name] = quantizeLayerWeights(&l, we.Data, bias)
+			}
+			if l.Kind == nn.Conv && l.Algo() == AlgoWinograd {
+				// The on-chip weight transform runs once, at configuration load.
+				if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
+					return nil, fmt.Errorf("dataflow: layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
+						l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
+				}
+				if a.wgweights == nil {
+					a.wgweights = make(map[string][]float32)
+				}
+				a.wgweights[l.Name] = winogradTransformWeights(we.Data, l.InShape.Channels, l.OutShape.Channels)
+			}
 			if pe.WeightsOnChip {
 				if spec.WordBits == 8 {
 					// The packed fabric stores on-chip weights as int8
@@ -99,21 +117,6 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 	// every subsequent read lock-free, and is what lets Clone replicate the
 	// fabric by reference instead of by copy.
 	a.dm.Seal()
-	if spec.WordBits == 8 {
-		qw, err := quantizeWeightStore(spec, a.dm)
-		if err != nil {
-			return nil, err
-		}
-		a.qweights = qw
-	}
-	// Winograd-mode layers get their weights pre-transformed into the
-	// sealed store once per design (the on-chip transform runs at
-	// configuration-load time, not per image), shared by every CU clone.
-	wg, err := winogradWeightStore(spec, a.dm)
-	if err != nil {
-		return nil, err
-	}
-	a.wgweights = wg
 	return a, nil
 }
 

@@ -1,7 +1,10 @@
 package dataflow
 
 import (
+	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -199,6 +202,70 @@ func TestAcceleratorRejectsWrongInputShape(t *testing.T) {
 	}
 	if _, _, err := acc.Run([]*tensor.Tensor{tensor.New(1, 5, 5)}); err == nil {
 		t.Fatal("expected input-shape error")
+	}
+}
+
+// A NaN or an infinity has no int8 code: the packed session must refuse the
+// batch with the typed error before feeding anything, name the image, and
+// serve the next clean batch as if nothing had happened. The float32 fabric
+// propagates such values like any arithmetic does and accepts them.
+func TestPackedSessionRejectsNonFiniteInput(t *testing.T) {
+	ir, ws, net := buildIR(t, "nonfinite", condorir.InputShape{Channels: 1, Height: 12, Width: 12}, tinyLeNetLayers(), 13)
+	clean := randomImages(3, net.Input, 14)
+	open := func(bits int) *Session {
+		spec, err := BuildSpec(ir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.WordBits = bits
+		acc, err := Instantiate(spec, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc.OpenSession()
+	}
+	poisoned := func(v float32) []*tensor.Tensor {
+		bad := clean[1].Clone()
+		bad.Data()[7] = v
+		return []*tensor.Tensor{clean[0], bad, clean[2]}
+	}
+
+	sess := open(8)
+	want, _, err := sess.RunBatch(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		_, _, err := sess.RunBatch(poisoned(v))
+		if !errors.Is(err, ErrNonFiniteInput) {
+			t.Fatalf("input %v: err = %v, want ErrNonFiniteInput", v, err)
+		}
+		if !strings.Contains(err.Error(), "image 1 ") {
+			t.Errorf("input %v: error %q does not name image 1", v, err)
+		}
+		got, stats, err := sess.RunBatch(clean)
+		if err != nil {
+			t.Fatalf("clean batch after a rejected %v: %v", v, err)
+		}
+		for i := range got {
+			if tensor.MaxAbsDiff(got[i], want[i]) != 0 {
+				t.Errorf("clean batch after a rejected %v: image %d differs from the first run", v, i)
+			}
+		}
+		if math.IsInf(stats.QuantErrorBound(), 0) || math.IsNaN(stats.QuantErrorBound()) {
+			t.Errorf("rejected %v leaked into the session's scales: bound %v", v, stats.QuantErrorBound())
+		}
+	}
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f32 := open(32)
+	if _, _, err := f32.RunBatch(poisoned(float32(math.Inf(1)))); err != nil {
+		t.Errorf("float32 session refused an infinity: %v", err)
+	}
+	if err := f32.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

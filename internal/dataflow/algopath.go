@@ -15,12 +15,7 @@ package dataflow
 //     the per-PE output magnitudes the run itself records (the same
 //     accounting pattern as the int8 path's QuantErrorBound).
 
-import (
-	"fmt"
-	"math"
-
-	"condor/internal/nn"
-)
+import "math"
 
 // gemmPosTile is the output-position register-tile width of the GEMM
 // microkernel: one weight load feeds this many accumulating positions.
@@ -257,22 +252,20 @@ func (x *peExec) winogradMulBand(_, lo, hi int) {
 	winogradMulAcc(x.mBuf, x.vBuf, x.pass.st.wg, l.InShape.Channels, x.pass.ci, tiles, lo, hi)
 }
 
-// winogradInverseBand inverse-transforms output channels [lo,hi) into the
-// partial buffer and records the band's largest output magnitude.
-func (x *peExec) winogradInverseBand(band, lo, hi int) {
-	l := x.pass.l
+// winogradInverseInto inverse-transforms output channels [lo,hi) of mBuf into
+// dst's channel-major planes; it returns the largest output magnitude or mag.
+func winogradInverseInto(dst, mBuf []float32, l *LayerHW, lo, hi int, mag float64) float64 {
 	outW := l.OutShape.Width
 	outHW := l.OutShape.Height * outW
 	tW := outW / 2
 	tiles := l.OutShape.Height / 2 * tW
-	mag := x.mags[band]
 	for fi := lo; fi < hi; fi++ {
 		for ti := 0; ti < tiles; ti++ {
-			y := winogradInverse(x.mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16])
+			y := winogradInverse(mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16])
 			ty, tx := ti/tW, ti%tW
 			base := fi*outHW + (2*ty)*outW + 2*tx
-			x.partial[base], x.partial[base+1] = y[0], y[1]
-			x.partial[base+outW], x.partial[base+outW+1] = y[2], y[3]
+			dst[base], dst[base+1] = y[0], y[1]
+			dst[base+outW], dst[base+outW+1] = y[2], y[3]
 			for _, v := range y {
 				if a := math.Abs(float64(v)); a > mag {
 					mag = a
@@ -280,34 +273,11 @@ func (x *peExec) winogradInverseBand(band, lo, hi int) {
 			}
 		}
 	}
-	x.mags[band] = mag
+	return mag
 }
 
-// winogradWeightStore pre-transforms the weights of every winograd_f23 conv
-// layer in the spec, keyed by layer name. Built at Instantiate time, after
-// the weight store is sealed, and shared read-only across CU clones — the
-// same lifecycle as the int8 code store. Returns nil when no layer uses the
-// algorithm.
-func winogradWeightStore(spec *Spec, dm *Datamover) (map[string][]float32, error) {
-	var store map[string][]float32
-	for _, pe := range spec.PEs {
-		for _, l := range pe.Layers {
-			if l.Kind != nn.Conv || l.Algo() != AlgoWinograd {
-				continue
-			}
-			if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-				return nil, fmt.Errorf("dataflow: layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
-					l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
-			}
-			w, _, err := dm.WeightsRef(l.Name)
-			if err != nil {
-				return nil, err
-			}
-			if store == nil {
-				store = make(map[string][]float32)
-			}
-			store[l.Name] = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
-		}
-	}
-	return store, nil
+// winogradInverseBand inverse-transforms output channels [lo,hi) into the
+// partial buffer and records the band's largest output magnitude.
+func (x *peExec) winogradInverseBand(band, lo, hi int) {
+	x.mags[band] = winogradInverseInto(x.partial, x.mBuf, x.pass.l, lo, hi, x.mags[band])
 }

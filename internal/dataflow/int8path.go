@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"condor/internal/diag"
 	"condor/internal/fifo"
 	"condor/internal/nn"
 	"condor/internal/quant"
@@ -13,12 +14,19 @@ import (
 // Spec.WordBits == 8, where every FIFO word carries fifo.Int8Lanes quantized
 // activation lanes. Each stream edge frames one image as a single float32
 // scale-header word followed by PackedWords(volume) payload words; PEs unpack
-// into int8, run conv/FC MACs in widened int32 accumulators, dequantize once
+// into int8, run conv/FC MACs in widened integer accumulators, dequantize once
 // per layer to fold bias/activation/normalisation in float, and requantize
 // with a fresh symmetric per-tensor scale at the PE boundary. Only the feeder
 // quantizes float inputs and only the collector dequantizes back — in
 // between, activations exist purely as packed lanes, which is what shrinks
 // the stream traversal cycles and DDR bytes by the lane factor.
+//
+// The MAC loops multiply as the DSP48 the resource model prices does (two
+// int8 MACs per DSP): two codes ride the 32-bit lanes of an int64 — adjacent
+// output positions of a convolution (pairPlane), two neurons of an FC layer
+// (packNeuronPairs) — so one multiply by a sign-extended code yields two
+// products, and splitLanes takes both sums back out exactly while each fits
+// int32, which rule CND026 guarantees. DESIGN.md §15 has the derivation.
 //
 // Unlike the float paths, results are not bit-identical to the oracle: the
 // contract is bounded error, with the admissible deviation derived from the
@@ -32,46 +40,96 @@ func frameScale(data []float32) float64 {
 	return float64(float32(quant.TensorScale(data, quant.Int8)))
 }
 
+// Int8AccumulatorRange enforces rule CND026 on one layer of a packed fabric:
+// its accumulation depth (C·K² of a convolution, the input volume of an FC
+// layer) times the largest code product 128² must stay below 2³¹, or a
+// saturated input wraps the int32 accumulator lane and, with it, the lane
+// packed beside it. Nil when the layer is in range.
+func Int8AccumulatorRange(peID string, l *LayerHW) *diag.Diagnostic {
+	const maxDepth = 1<<31/(128*128) - 1
+	var depth int64
+	switch l.Kind {
+	case nn.Conv:
+		depth = int64(l.InShape.Channels) * int64(l.Kernel) * int64(l.Kernel)
+	case nn.FullyConnected:
+		depth = int64(l.InShape.Volume())
+	}
+	if depth <= maxDepth {
+		return nil
+	}
+	return diag.Errorf(diag.RuleAccumulatorRange, peID, l.Name,
+		"int8 accumulation depth %d exceeds %d: a saturated input wraps the int32 accumulator", depth, maxDepth)
+}
+
 // int8LayerWeights is one layer's weights pre-quantized onto the symmetric
-// int8 grid. Built once per Instantiate (after the store seals) and shared
-// read-only by every compute unit and every run, so batches never pay the
-// weight-calibration scan again.
+// int8 grid, once per Instantiate, and shared read-only by every compute unit
+// and every run, so batches never pay the weight-calibration scan again.
 type int8LayerWeights struct {
-	w      []int8
+	w      []int8  // conv codes
+	wp     []int64 // FC codes, two neurons per word (packNeuronPairs)
 	wScale float64
 	b      []float32
 }
 
-// quantizeWeightStore derives the int8 weight codes for every compute layer
-// of a packed spec from the sealed datamover store.
-func quantizeWeightStore(spec *Spec, dm *Datamover) (map[string]int8LayerWeights, error) {
-	out := make(map[string]int8LayerWeights)
-	for _, pe := range spec.PEs {
-		for i := range pe.Layers {
-			l := &pe.Layers[i]
-			if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
-				continue
-			}
-			w, b, err := dm.WeightsRef(l.Name)
-			if err != nil {
-				return nil, fmt.Errorf("dataflow: layer %q: %w", l.Name, err)
-			}
-			e := int8LayerWeights{wScale: frameScale(w), b: b}
-			e.w = make([]int8, len(w))
-			quant.QuantizeInto(e.w, w, e.wScale)
-			out[l.Name] = e
-		}
+// quantizeLayerWeights derives one compute layer's int8 codes from its float
+// weight stream.
+func quantizeLayerWeights(l *LayerHW, w, b []float32) int8LayerWeights {
+	e := int8LayerWeights{wScale: frameScale(w), b: b}
+	codes := make([]int8, len(w))
+	quant.QuantizeInto(codes, w, e.wScale)
+	if l.Kind == nn.FullyConnected {
+		e.wp = packNeuronPairs(codes, l.InShape.Volume())
+	} else {
+		e.w = codes
 	}
-	return out, nil
+	return e
 }
 
-// growSlice returns s resized to n, reallocating only when capacity is
-// short. Contents are unspecified — callers overwrite or clear.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// packNeuronPairs packs an FC layer's row-major codes (v per neuron) two
+// neurons to a word: word p·v+h carries neuron 2p's code for input h in the
+// low lane and neuron 2p+1's (zero past an odd count) in the high lane.
+func packNeuronPairs(codes []int8, v int) []int64 {
+	wp := make([]int64, (len(codes)/v+1)/2*v)
+	for oi := 0; oi*v < len(codes); oi++ {
+		pair := wp[oi/2*v:][:v]
+		for h, c := range codes[oi*v:][:v] {
+			pair[h] += int64(c) << (oi % 2 * 32)
+		}
 	}
-	return s[:n]
+	return wp
+}
+
+// pairPlane stages a padded code plane as its pair plane: word i carries
+// code i in the low lane and code i+stride — the same tap of the next output
+// position's window — in the high lane (zero past the end of the plane).
+func pairPlane(dst []int64, plane []int8, stride int) {
+	for i, c := range plane {
+		dst[i] = int64(c)
+		if i+stride < len(plane) {
+			dst[i] += int64(plane[i+stride]) << 32
+		}
+	}
+}
+
+// tapOffsets lists, in weight order (input channel, tap row, tap column),
+// where each tap of a window sits in a conv layer's pair planes relative to
+// the window's top-left word in channel 0's: convTile's gather index.
+func tapOffsets(l *LayerHW) []int32 {
+	k := l.Kernel
+	taps := make([]int32, l.InShape.Channels*k*k)
+	for t := range taps {
+		ci, m, n := t/(k*k), t/k%k, t%k
+		taps[t] = int32((ci*l.PaddedHeight()+m)*l.PaddedWidth() + n)
+	}
+	return taps
+}
+
+// splitLanes recovers the two lane sums of a packed accumulator: a negative
+// low sum borrows from the high lane, so it is read first and taken back out.
+// Exact while both sums fit int32.
+func splitLanes(v int64) (lo, hi int32) {
+	lo = int32(uint32(v))
+	return lo, int32((v - int64(lo)) >> 32)
 }
 
 // pushInt8Frame sends one image's codes downstream: the scale header, then
@@ -97,14 +155,17 @@ func popInt8Frame(f *fifo.FIFO, words []fifo.Word, codes []int8) (float64, error
 }
 
 // peExecInt8 executes one PE over a stream of images on the packed datapath.
-// The schedule (channel passes, output banding on the worker pool, fused-layer
-// handoffs, windows gathered from the zero-padded channel plane) mirrors
-// peExec; the arithmetic is int8×int8→int32 with one dequantize/requantize
-// per layer boundary, and the stream traversal is modeled through
-// LayerCyclesAt.
+// Output banding on the worker pool, fused-layer handoffs and windows gathered
+// from the zero-padded channel plane mirror peExec; the arithmetic is
+// int8×int8 in lane-packed accumulators with one dequantize/requantize per
+// layer boundary, and the stream traversal is modeled through LayerCyclesAt.
+// Integer accumulation is exact and order-free, so conv and FC layers run
+// output-stationary — one band dispatch per layer, each cell's whole chain in
+// a register — and the direct and im2col_gemm schedules share one kernel: the
+// algorithm drives the cycle, resource and verification models only.
 type peExecInt8 struct {
 	peStream
-	qw map[string]int8LayerWeights // Instantiate-time weight codes (nil → quantize in prepare)
+	qw map[string]int8LayerWeights // Instantiate-time weight codes (prepare quantizes a layer it lacks)
 	wg map[string][]float32        // Winograd-transformed float weights (winograd_f23 layers)
 
 	layers []peLayerInt8
@@ -116,99 +177,117 @@ type peExecInt8 struct {
 		st       *peLayerInt8
 		cur, out []int8  // the layer's input and output codes
 		inScale  float64 // scale of cur
-		ci       int     // input channel of the conv pass
-		plane    []int8  // its zero-padded code plane
+		ci       int     // input channel of the Winograd pass
 	}
 
-	// Scratch reused across layers and images.
+	// Scratch sized once in prepare for the PE's most demanding layer.
 	curCodes []int8
 	nxtCodes []int8
 	floatBuf []float32
-	partial  []int32
 	padBuf   []int8
+	pairs    []int64 // the conv layer's pair planes, one per input channel
 	wordBuf  []fifo.Word
-	panel    []int8    // im2col panel (GEMM mode), K² tap-major rows
 	padF     []float32 // dequantized padded channel plane (Winograd mode)
 	vBuf     []float32 // Winograd transformed input tiles
 	mBuf     []float32 // Winograd transform-domain accumulators
 	mags     []float64 // Winograd per-band output magnitudes
 }
 
-// peLayerInt8 is one fused layer's batch-resolved state: weight codes on the
-// symmetric int8 grid plus their scale, and the float bias folded at
-// dequantization time.
+// peLayerInt8 is one fused layer's session-resolved state.
 type peLayerInt8 struct {
-	w           []int8
-	wScale      float64
-	b           []float32
+	int8LayerWeights
+	taps        []int32   // window gather index (tapOffsets; direct and im2col_gemm conv layers)
 	wg          []float32 // Winograd-transformed float weights (winograd_f23 layers only)
 	streamBytes int64     // weight+bias bytes re-read from DDR per image (0 when on-chip)
 }
 
+// prepare resolves the per-layer cached state, sizes every scratch buffer
+// for the PE's most demanding layer and starts the worker pool.
 func (x *peExecInt8) prepare() error {
 	x.layers = make([]peLayerInt8, len(x.pe.Layers))
+	codeLanes := x.pe.Layers[0].InShape.Volume()
+	var padLanes, pairWords, padFWords, vWords, mWords int
 	for li := range x.pe.Layers {
 		l := &x.pe.Layers[li]
 		st := &x.layers[li]
+		codeLanes = max(codeLanes, l.OutShape.Volume())
+		plane := l.PaddedHeight() * l.PaddedWidth()
+		if l.Kind.IsFeatureExtraction() {
+			if err := checkWindowGrid(l); err != nil {
+				return err
+			}
+			if l.Pad > 0 {
+				padLanes = max(padLanes, plane)
+			}
+		}
 		if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
 			continue
 		}
-		if e, ok := x.qw[l.Name]; ok {
-			st.w, st.wScale, st.b = e.w, e.wScale, e.b
-		} else {
+		w, b, err := x.dm.WeightsRef(l.Name)
+		if err != nil {
+			return fmt.Errorf("layer %q: %w", l.Name, err)
+		}
+		if len(w) != l.WeightWords() {
+			return fmt.Errorf("layer %q: weight stream has %d words, want %d", l.Name, len(w), l.WeightWords())
+		}
+		if d := Int8AccumulatorRange(x.pe.ID, l); d != nil {
+			return d
+		}
+		var ok bool
+		if st.int8LayerWeights, ok = x.qw[l.Name]; !ok {
 			// Spec switched to WordBits==8 after Instantiate: derive the
 			// codes here (the slow path the Instantiate-time cache avoids).
-			w, b, err := x.dm.WeightsRef(l.Name)
-			if err != nil {
-				return fmt.Errorf("layer %q: %w", l.Name, err)
-			}
-			st.wScale = frameScale(w)
-			st.w = make([]int8, len(w))
-			quant.QuantizeInto(st.w, w, st.wScale)
-			st.b = b
-		}
-		if len(st.w) != l.WeightWords() {
-			return fmt.Errorf("layer %q: weight stream has %d words, want %d", l.Name, len(st.w), l.WeightWords())
+			st.int8LayerWeights = quantizeLayerWeights(l, w, b)
 		}
 		if !x.pe.WeightsOnChip {
-			st.streamBytes = int64(len(st.w) + len(st.b))
+			st.streamBytes = int64(len(w) + len(b))
 		}
-		if l.Kind == nn.Conv && l.Algo() == AlgoWinograd {
-			// The transform domain stays float on the packed datapath (the
-			// ±½ combinations do not survive the int8 grid): the EWMM runs
-			// on dequantized tiles against the float transformed weights.
-			if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-				return fmt.Errorf("layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
-					l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
-			}
-			st.wg = x.wg[l.Name]
-			if st.wg == nil {
-				w, _, err := x.dm.WeightsRef(l.Name)
-				if err != nil {
-					return fmt.Errorf("layer %q: %w", l.Name, err)
-				}
-				st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
-			}
+		if l.Kind != nn.Conv {
+			continue
 		}
+		if l.Algo() != AlgoWinograd {
+			st.taps = tapOffsets(l)
+			pairWords = max(pairWords, l.InShape.Channels*plane)
+			continue
+		}
+		// The transform domain stays float on the packed datapath: the EWMM
+		// runs on dequantized tiles against the float transformed weights.
+		if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
+			return fmt.Errorf("layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
+				l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
+		}
+		st.wg = x.wg[l.Name]
+		if st.wg == nil {
+			st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
+		}
+		tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
+		padFWords = max(padFWords, plane)
+		vWords = max(vWords, tiles*16)
+		mWords = max(mWords, l.OutShape.Channels*tiles*16)
 	}
-	x.startPool(bandFns{conv: x.convBand, gemm: x.gemmBand, wgMul: x.winogradMulBand, wgInv: x.winogradInverseBand,
-		tail: x.tailBand, pool: x.poolBand, fc: x.fcBand})
+	x.curCodes = make([]int8, codeLanes)
+	x.nxtCodes = make([]int8, codeLanes)
+	x.floatBuf = make([]float32, codeLanes)
+	x.wordBuf = make([]fifo.Word, fifo.PackedWords(codeLanes))
+	x.padBuf = make([]int8, padLanes)
+	x.pairs = make([]int64, pairWords)
+	x.padF = make([]float32, padFWords)
+	x.vBuf = make([]float32, vWords)
+	x.mBuf = make([]float32, mWords)
+	x.startPool(bandFns{conv: x.convBand, wgMul: x.winogradMulBand, wgInv: x.winogradInverseBand, pool: x.poolBand, fc: x.fcBand})
 	x.mags = make([]float64, x.outBands)
 	return nil
 }
 
 func (x *peExecInt8) runImage() error {
 	lanes := fifo.Int8Lanes
-	vol := x.pe.Layers[0].InShape.Volume()
-	x.curCodes = growSlice(x.curCodes, vol)
-	x.wordBuf = growSlice(x.wordBuf, fifo.PackedWords(vol))
-	scale, err := popInt8Frame(x.in, x.wordBuf, x.curCodes)
+	cur := x.curCodes[:x.pe.Layers[0].InShape.Volume()]
+	scale, err := popInt8Frame(x.in, x.wordBuf, cur)
 	if err != nil {
 		return err
 	}
-	x.stats.ElemsIn += int64(vol)
+	x.stats.ElemsIn += int64(len(cur))
 
-	cur := x.curCodes
 	for li := range x.pe.Layers {
 		l := &x.pe.Layers[li]
 		st := &x.layers[li]
@@ -216,8 +295,7 @@ func (x *peExecInt8) runImage() error {
 			return fmt.Errorf("fused intermediate has %d lanes, layer expects %d", len(cur), l.InShape.Volume())
 		}
 		outVol := l.OutShape.Volume()
-		x.nxtCodes = growSlice(x.nxtCodes, outVol)
-		out := x.nxtCodes
+		out := x.nxtCodes[:outVol]
 
 		sid := 0
 		if x.track != nil {
@@ -228,12 +306,9 @@ func (x *peExecInt8) runImage() error {
 		var outScale float64
 		switch l.Kind {
 		case nn.Conv:
-			switch l.Algo() {
-			case AlgoGEMM:
-				outScale = x.runConvGEMM()
-			case AlgoWinograd:
+			if l.Algo() == AlgoWinograd {
 				outScale = x.runConvWinograd()
-			default:
+			} else {
 				outScale = x.runConv()
 			}
 		case nn.MaxPool, nn.AvgPool:
@@ -249,7 +324,6 @@ func (x *peExecInt8) runImage() error {
 		}
 
 		if li == len(x.pe.Layers)-1 {
-			x.wordBuf = growSlice(x.wordBuf, fifo.PackedWords(outVol))
 			pushInt8Frame(x.out, x.wordBuf, out, outScale)
 			x.stats.ElemsOut += int64(outVol)
 		} else {
@@ -269,46 +343,6 @@ func (x *peExecInt8) runImage() error {
 	return nil
 }
 
-// padChannel returns the channel's zero-padded code plane (padPlane over
-// the executor's single-pass scratch). Unpadded layers never touch the
-// scratch, which is what lets their pool bands share the executor.
-func (x *peExecInt8) padChannel(l *LayerHW, chmap []int8) []int8 {
-	if l.Pad == 0 {
-		return chmap
-	}
-	x.padBuf = growSlice(x.padBuf, l.PaddedHeight()*l.PaddedWidth())
-	return padPlane(x.padBuf, l, chmap)
-}
-
-// padPass stages a direct-convolution pass: the channel's padded code plane.
-func (x *peExecInt8) padPass(chmap []int8) { x.pass.plane = x.padChannel(x.pass.l, chmap) }
-
-// convPasses is the channel-pass loop the int8 convolution algorithms
-// share: per input channel, stage the pass (pad the code plane, unroll the
-// panel, or dequantize and transform the tiles), fan the MAC band body
-// across the Par.Out bands, and account the pass exactly as peExec does.
-func (x *peExecInt8) convPasses(windows, macs int, stage func(chmap []int8), band bandFunc) {
-	p := &x.pass
-	l := p.l
-	c, f := l.InShape.Channels, l.OutShape.Channels
-	inHW := l.InShape.Height * l.InShape.Width
-	spill := int64(f * l.OutShape.Height * l.OutShape.Width)
-	if p.st.streamBytes > 0 {
-		x.dm.AccountReadBytes(p.st.streamBytes)
-	}
-	for ci := 0; ci < c; ci++ {
-		p.ci = ci
-		stage(p.cur[ci*inHW : (ci+1)*inHW])
-		x.pool.bands(f, x.outBands, band)
-		x.stats.WindowsRead += int64(windows)
-		x.stats.MACs += int64(f) * int64(macs) * int64(windows)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(spill)
-			x.stats.SpilledPartial += spill
-		}
-	}
-}
-
 // requantize closes a layer: the float results in fb get a fresh symmetric
 // per-tensor scale and land in the output codes.
 func (x *peExecInt8) requantize(fb []float32) float64 {
@@ -317,90 +351,99 @@ func (x *peExecInt8) requantize(fb []float32) float64 {
 	return outScale
 }
 
-// runConv is the quantized convolutional PE: per input-channel pass, every
-// window position accumulates int8 products into the int32 partial buffer,
-// output channels banded across the worker pool. After the last pass the
-// accumulators are dequantized (acc · wScale · inScale + bias), activated in
-// float, and requantized with a fresh per-tensor scale.
+// runConv is the quantized convolutional PE, direct and im2col_gemm alike:
+// every input channel's padded code plane is staged once as a pair plane,
+// then one band dispatch computes each output cell's whole chain, dequantizes
+// it (acc · wScale · inScale + bias) and activates it in float; the layer
+// output is requantized with a fresh per-tensor scale.
 func (x *peExecInt8) runConv() float64 {
-	l := x.pass.l
+	p := &x.pass
+	l := p.l
+	inHW := l.InShape.Height * l.InShape.Width
 	outHW := l.OutShape.Height * l.OutShape.Width
-	x.partial = growSlice(x.partial, l.OutShape.Channels*outHW)
-	clear(x.partial)
-	x.convPasses(outHW, l.Kernel*l.Kernel, x.padPass, x.fns.conv)
-	return x.convTail()
+	plane := l.PaddedHeight() * l.PaddedWidth()
+	for ci := 0; ci < l.InShape.Channels; ci++ {
+		pairPlane(x.pairs[ci*plane:][:plane], padPlane(x.padBuf, l, p.cur[ci*inHW:(ci+1)*inHW]), l.Stride)
+	}
+	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
+	x.accountConv(l, p.st.streamBytes, outHW, l.Kernel*l.Kernel)
+	return x.requantize(x.floatBuf[:l.OutShape.Channels*outHW])
 }
 
-// convBand adds input channel pass.ci's int8 products to the partial sums
-// of output channels [lo,hi).
+// convBand computes output channels [lo,hi) of the layer in flight, two
+// channels × convPosTile positions per register tile: output-channel pair →
+// row → tile → input channel → tap, accumulators never leaving registers.
 func (x *peExecInt8) convBand(_, lo, hi int) {
 	p := &x.pass
 	l := p.l
-	c, k, stride, pw := l.InShape.Channels, l.Kernel, l.Stride, l.PaddedWidth()
-	kk := k * k
+	stride, pw := l.Stride, l.PaddedWidth()
 	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
-	padded, partial, wq := p.plane, x.partial, p.st.w
-	for fi := lo; fi < hi; fi++ {
-		wbase := (fi*c + p.ci) * kk
-		off := fi * outHW
+	deq := p.st.wScale * p.inScale
+	taps := p.st.taps
+	for fi := lo; fi < hi; fi += 2 {
+		// An odd band ends on a lone channel: run it as both halves of the
+		// tile (same values computed twice, stored once).
+		fj := min(fi+1, hi-1)
+		w0, w1 := p.st.w[fi*len(taps):][:len(taps)], p.st.w[fj*len(taps):][:len(taps)]
 		for oy := 0; oy < outH; oy++ {
-			iy0 := oy * stride
-			for ox := 0; ox < outW; ox++ {
-				ix0 := ox * stride
-				var acc int32
-				if k == 5 {
-					// The paper's models are all 5×5 convs; a fixed
-					// unroll with full-length slices lets the compiler
-					// drop every bounds check from the MAC chain.
-					for m := 0; m < 5; m++ {
-						rb, wb := (iy0+m)*pw+ix0, wbase+m*5
-						r := padded[rb : rb+5]
-						w := wq[wb : wb+5]
-						acc += int32(w[0])*int32(r[0]) + int32(w[1])*int32(r[1]) +
-							int32(w[2])*int32(r[2]) + int32(w[3])*int32(r[3]) +
-							int32(w[4])*int32(r[4])
-					}
-				} else {
-					for m := 0; m < k; m++ {
-						row := padded[(iy0+m)*pw+ix0:]
-						wrow := wq[wbase+m*k:]
-						for n := 0; n < k; n++ {
-							acc += int32(wrow[n]) * int32(row[n])
-						}
-					}
+			for ox := 0; ox < outW; ox += convPosTile {
+				// Positions ox,ox+1 share one pair word per tap, ox+2,ox+3
+				// the word two strides on; a row's last tile may have no
+				// second pair and recomputes the first instead.
+				n := min(convPosTile, outW-ox)
+				win := x.pairs[oy*stride*pw+ox*stride:]
+				win2 := win
+				if n > 2 {
+					win2 = win[2*stride:]
 				}
-				partial[off+oy*outW+ox] += acc
+				a01, a23, b01, b23 := convTile(win, win2, w0, w1, taps)
+				x.convStore(fi, oy*outW+ox, n, a01, a23, deq)
+				if fj != fi {
+					x.convStore(fj, oy*outW+ox, n, b01, b23, deq)
+				}
 			}
 		}
 	}
 }
 
-// convTail dequantizes the int32 accumulators, folds bias and activation in
-// float (banded over output channels) and requantizes the layer's output.
-func (x *peExecInt8) convTail() float64 {
-	l := x.pass.l
-	n := l.OutShape.Volume()
-	x.floatBuf = growSlice(x.floatBuf, n)
-	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.tail)
-	return x.requantize(x.floatBuf[:n])
+// convTile is the MAC chain of one register tile, every input channel and
+// tap in one flat loop: win and win2 start at the top-left pair words of the
+// tile's two position pairs in channel 0's plane, w0 and w1 are the output
+// channels' weights. Kept out of line so that its loop, not convBand's nest,
+// decides what stays in registers.
+//
+//go:noinline
+func convTile(win, win2 []int64, w0, w1 []int8, taps []int32) (a01, a23, b01, b23 int64) {
+	w0, w1 = w0[:len(taps)], w1[:len(taps)]
+	for t, o := range taps {
+		u, v := int64(w0[t]), int64(w1[t])
+		x01, x23 := win[o], win2[o]
+		a01 += u * x01
+		a23 += u * x23
+		b01 += v * x01
+		b23 += v * x23
+	}
+	return
 }
 
-func (x *peExecInt8) tailBand(_, lo, hi int) {
-	p := &x.pass
-	outHW := p.l.OutShape.Height * p.l.OutShape.Width
-	act, b := p.l.Activation, p.st.b
-	deq := p.st.wScale * p.inScale
-	for fi := lo; fi < hi; fi++ {
-		var bias float64
-		if len(b) > 0 {
-			bias = float64(b[fi])
-		}
-		part := x.partial[fi*outHW:][:outHW]
-		fb := x.floatBuf[fi*outHW:][:outHW]
-		for pos, acc := range part {
-			fb[pos] = applyActivation(act, float32(float64(acc)*deq+bias))
-		}
+// biasAt returns output i's bias, zero for a layer without one.
+func biasAt(b []float32, i int) float64 {
+	if len(b) == 0 {
+		return 0
+	}
+	return float64(b[i])
+}
+
+// convStore dequantizes and activates the first n of the four position sums
+// two packed accumulators carry, into channel fi's float plane from pos on.
+func (x *peExecInt8) convStore(fi, pos, n int, a01, a23 int64, deq float64) {
+	l, bias := x.pass.l, biasAt(x.pass.st.b, fi)
+	var acc [convPosTile]int32
+	acc[0], acc[1] = splitLanes(a01)
+	acc[2], acc[3] = splitLanes(a23)
+	fb := x.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:n]
+	for i := range fb {
+		fb[i] = applyActivation(l.Activation, float32(float64(acc[i])*deq+bias))
 	}
 }
 
@@ -413,10 +456,6 @@ func (x *peExecInt8) runPool() float64 {
 	p := &x.pass
 	l := p.l
 	n := l.InShape.Channels * l.OutShape.Height * l.OutShape.Width
-	pureMax := l.Kind == nn.MaxPool && l.Activation == NoActivation
-	if !pureMax {
-		x.floatBuf = growSlice(x.floatBuf, n)
-	}
 	// Channel maps are independent; bands shard whole channels. x.padBuf is
 	// single-pass state, so a padded layer runs its channels in sequence.
 	inBands := x.inBands
@@ -425,7 +464,7 @@ func (x *peExecInt8) runPool() float64 {
 	}
 	x.pool.bands(l.InShape.Channels, inBands, x.fns.pool)
 	x.stats.WindowsRead += int64(n)
-	if pureMax {
+	if l.Kind == nn.MaxPool && l.Activation == NoActivation {
 		return p.inScale
 	}
 	return x.requantize(x.floatBuf[:n])
@@ -444,7 +483,7 @@ func (x *peExecInt8) poolBand(_, lo, hi int) {
 	inv := inScale / float64(k*k)
 	out, fb := p.out, x.floatBuf
 	for ci := lo; ci < hi; ci++ {
-		padded := x.padChannel(l, p.cur[ci*inHW:(ci+1)*inHW])
+		padded := padPlane(x.padBuf, l, p.cur[ci*inHW:(ci+1)*inHW])
 		base := ci * outH * outW
 		for oy := 0; oy < outH; oy++ {
 			iy0 := oy * stride
@@ -480,19 +519,16 @@ func (x *peExecInt8) poolBand(_, lo, hi int) {
 	}
 }
 
-// runFC is the quantized fully-connected PE: each output neuron's int32
-// accumulation walks the packed input lanes, then the whole vector is
-// dequantized, biased, activated, normalized (LogSoftMax/SoftMax in float —
-// the paper folds normalisation into the last PE) and requantized for the
-// output frame.
+// runFC is the quantized fully-connected PE: each output neuron's integer
+// accumulation walks the input lanes, then the whole vector is dequantized,
+// biased, activated, normalized (LogSoftMax/SoftMax in float — the paper
+// folds normalisation into the last PE) and requantized for the output
+// frame.
 func (x *peExecInt8) runFC() float64 {
 	p := &x.pass
 	l := p.l
 	o := l.OutShape.Channels
-	if p.st.streamBytes > 0 {
-		x.dm.AccountReadBytes(p.st.streamBytes)
-	}
-	x.floatBuf = growSlice(x.floatBuf, o)
+	x.dm.AccountReadBytes(p.st.streamBytes)
 	fb := x.floatBuf[:o]
 	x.pool.bands(o, x.outBands, x.fns.fc)
 	x.stats.MACs += int64(o) * int64(l.InShape.Volume())
@@ -505,22 +541,51 @@ func (x *peExecInt8) runFC() float64 {
 	return x.requantize(fb)
 }
 
-// fcBand accumulates, dequantizes and biases neurons [lo,hi).
+// fcPairTile neuron pairs — eight neurons — share one input load in fcBand.
+const fcPairTile = 4
+
+// fcBand accumulates, dequantizes and biases neurons [lo,hi). Neurons live
+// two to a weight word, so the band walks the pairs that overlap it; a pair
+// a band boundary splits is computed by both neighbours and each keeps its
+// own lane.
 func (x *peExecInt8) fcBand(_, lo, hi int) {
 	p := &x.pass
 	in := p.cur
 	v := len(in)
-	deq := p.st.wScale * p.inScale
-	for oi := lo; oi < hi; oi++ {
-		var acc int32
-		wrow := p.st.w[oi*v : (oi+1)*v]
-		for h, xv := range in {
-			acc += int32(wrow[h]) * int32(xv)
+	wp := p.st.wp
+	pr, end := lo/2, (hi+1)/2
+	for ; pr+fcPairTile <= end; pr += fcPairTile {
+		w0, w1, w2, w3 := wp[pr*v:][:v], wp[(pr+1)*v:][:v], wp[(pr+2)*v:][:v], wp[(pr+3)*v:][:v]
+		var a0, a1, a2, a3 int64
+		for h, c := range in {
+			xv := int64(c)
+			a0 += w0[h] * xv
+			a1 += w1[h] * xv
+			a2 += w2[h] * xv
+			a3 += w3[h] * xv
 		}
-		var bias float64
-		if len(p.st.b) > 0 {
-			bias = float64(p.st.b[oi])
+		x.fcStore(pr, a0, lo, hi)
+		x.fcStore(pr+1, a1, lo, hi)
+		x.fcStore(pr+2, a2, lo, hi)
+		x.fcStore(pr+3, a3, lo, hi)
+	}
+	for ; pr < end; pr++ {
+		var a int64
+		for h, wv := range wp[pr*v:][:v] {
+			a += wv * int64(in[h])
 		}
-		x.floatBuf[oi] = float32(float64(acc)*deq + bias)
+		x.fcStore(pr, a, lo, hi)
+	}
+}
+
+// fcStore dequantizes the two neurons of pair pr, keeping those in [lo,hi).
+func (x *peExecInt8) fcStore(pr int, a int64, lo, hi int) {
+	p := &x.pass
+	var acc [2]int32
+	acc[0], acc[1] = splitLanes(a)
+	for i, s := range acc {
+		if oi := 2*pr + i; oi >= lo && oi < hi {
+			x.floatBuf[oi] = float32(float64(s)*(p.st.wScale*p.inScale) + biasAt(p.st.b, oi))
+		}
 	}
 }

@@ -198,8 +198,8 @@ type peExec struct {
 
 	// wg is the accelerator's pre-transformed Winograd weight cache
 	// (layer name → f·c·16 transformed words), shared read-only across CU
-	// clones like the int8 code store. Nil when no layer runs in
-	// winograd_f23 mode; prepare falls back to transforming in place.
+	// clones like the int8 code store. prepare transforms in place for a
+	// layer it does not hold.
 	wg map[string][]float32
 
 	// pass is the layer pass in flight, written by the run* methods before
@@ -245,11 +245,8 @@ func (x *peExec) prepare() error {
 		}
 		outWords = max(outWords, l.OutShape.Volume())
 		if l.Kind.IsFeatureExtraction() {
-			// The gather indexes the plane directly, so the window grid must
-			// fit it — the oracle reports the same defect as a short chain.
-			if (l.OutShape.Height-1)*l.Stride+l.Kernel > l.PaddedHeight() || (l.OutShape.Width-1)*l.Stride+l.Kernel > l.PaddedWidth() {
-				return fmt.Errorf("layer %q: %dx%d windows of size %d at stride %d do not fit the %dx%d padded input",
-					l.Name, l.OutShape.Height, l.OutShape.Width, l.Kernel, l.Stride, l.PaddedHeight(), l.PaddedWidth())
+			if err := checkWindowGrid(l); err != nil {
+				return err
 			}
 			if l.Pad > 0 {
 				planeWords = max(planeWords, l.PaddedHeight()*l.PaddedWidth())
@@ -305,6 +302,17 @@ func (x *peExec) prepare() error {
 	x.vBuf = make([]float32, vWords)
 	x.mBuf = make([]float32, mWords)
 	x.mags = make([]float64, x.outBands)
+	return nil
+}
+
+// checkWindowGrid rejects a features-extraction layer whose window grid does
+// not fit its padded input: the gather indexes the plane directly — the
+// oracle reports the same defect as a short chain.
+func checkWindowGrid(l *LayerHW) error {
+	if (l.OutShape.Height-1)*l.Stride+l.Kernel > l.PaddedHeight() || (l.OutShape.Width-1)*l.Stride+l.Kernel > l.PaddedWidth() {
+		return fmt.Errorf("layer %q: %dx%d windows of size %d at stride %d do not fit the %dx%d padded input",
+			l.Name, l.OutShape.Height, l.OutShape.Width, l.Kernel, l.Stride, l.PaddedHeight(), l.PaddedWidth())
+	}
 	return nil
 }
 
@@ -479,30 +487,36 @@ func padPlane[T float32 | int8](scratch []T, l *LayerHW, chmap []T) []T {
 // convPasses is the channel-pass loop every convolution algorithm shares:
 // per input channel, pad the plane, let the algorithm prepare its pass
 // (unroll the panel, transform the tiles), fan its MAC band body across the
-// Par.Out bands, and account the pass. windows is the number of windows one
+// Par.Out bands, and account the layer. windows is the number of windows one
 // pass reads and macs the multiplies each costs per output channel.
 func (x *peExec) convPasses(windows, macs int, stage func(), band bandFunc) {
 	p := &x.pass
 	l := p.l
-	c, f := l.InShape.Channels, l.OutShape.Channels
 	inHW := l.InShape.Height * l.InShape.Width
-	spill := int64(f * l.OutShape.Height * l.OutShape.Width)
-	if p.st.streamWords > 0 {
-		x.dm.AccountWeightStream(p.st.streamWords)
-	}
-	for ci := 0; ci < c; ci++ {
+	for ci := 0; ci < l.InShape.Channels; ci++ {
 		p.ci = ci
 		p.plane = padPlane(x.planes[0], l, p.cur[ci*inHW:(ci+1)*inHW])
 		if stage != nil {
 			stage()
 		}
-		x.pool.bands(f, x.outBands, band)
-		x.stats.WindowsRead += int64(windows)
-		x.stats.MACs += int64(f) * int64(macs) * int64(windows)
-		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(spill)
-			x.stats.SpilledPartial += spill
-		}
+		x.pool.bands(l.OutShape.Channels, x.outBands, band)
+	}
+	x.accountConv(l, 4*p.st.streamWords, windows, macs)
+}
+
+// accountConv books a finished convolution layer: the weight stream's DDR
+// re-read and, per input-channel pass, windows read at macs multiplies per
+// output channel each plus a partial-sum round trip when the accumulators
+// spill. The counters are pure adds, so the passes fold into one closed form.
+func (x *peStream) accountConv(l *LayerHW, streamBytes int64, windows, macs int) {
+	c, f := int64(l.InShape.Channels), int64(l.OutShape.Channels)
+	x.dm.AccountReadBytes(streamBytes)
+	x.stats.WindowsRead += c * int64(windows)
+	x.stats.MACs += c * f * int64(macs) * int64(windows)
+	if !x.pe.PartialsOnChip {
+		spill := c * f * int64(l.OutShape.Height*l.OutShape.Width)
+		x.dm.AccountPartialSpill(spill)
+		x.stats.SpilledPartial += spill
 	}
 }
 

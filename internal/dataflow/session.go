@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"condor/internal/fifo"
@@ -57,6 +59,10 @@ type Session struct {
 	// error-cascade test uses to prove teardown leaks no goroutine.
 	testExpectEpoch func(seq int, epoch uint16) uint16
 }
+
+// ErrNonFiniteInput is returned (wrapped) by RunBatch on the packed datapath
+// for a NaN or infinite pixel; nothing is fed and the session stays usable.
+var ErrNonFiniteInput = errors.New("non-finite value cannot be quantized")
 
 // collectJob asks the collector to retire len(outs) frames into outs.
 type collectJob struct {
@@ -315,7 +321,8 @@ func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, job *collectJo
 // fed so far; DRAM counters are cumulative over the accelerator, exactly as
 // Accelerator.Run reports them), so the final RunBatch of a session is
 // comparable against one oracle run over the same image sequence. The
-// session survives shape-validation errors; any failure detected inside the
+// session survives input-validation errors (a wrong shape, or
+// ErrNonFiniteInput on the packed datapath); any failure detected inside the
 // fabric is fatal to the session and re-reported by Close.
 func (s *Session) RunBatch(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	s.runMu.Lock()
@@ -334,6 +341,17 @@ func (s *Session) RunBatch(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats,
 		sh := img.Shape()
 		if len(sh) != 3 || sh[0] != in.Channels || sh[1] != in.Height || sh[2] != in.Width {
 			return nil, nil, fmt.Errorf("dataflow: image %d has shape %v, accelerator input is %v", i, sh, in)
+		}
+		if !s.packed {
+			continue
+		}
+		// The feeder calibrates an image's scale from its largest magnitude:
+		// an infinity makes every code garbage, and a NaN reaches a float→int
+		// conversion Go leaves implementation-defined.
+		for j, v := range img.Data() {
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, nil, fmt.Errorf("dataflow: image %d element %d is %v: %w", i, j, v, ErrNonFiniteInput)
+			}
 		}
 	}
 

@@ -19,31 +19,32 @@ import (
 // internal/verify and in the "Static analysis & design verification"
 // section of README.md.
 const (
-	RuleShapeChain      = "CND001" // successor in-shape must equal predecessor out-shape
-	RuleShapeGeometry   = "CND002" // recorded out-shape must satisfy the paper's shape equations
-	RuleChainMissing    = "CND003" // features-extraction PEs need a filter chain (and only they do)
-	RuleChainWindow     = "CND004" // chain window/width must cover every fused layer
-	RuleChainTaps       = "CND005" // taps must be the K² accesses in lexicographically-inverse order
-	RuleFIFODepth       = "CND006" // inter-filter FIFO depth must equal the reuse distance
-	RuleInterPEFIFO     = "CND007" // inter-PE streaming FIFOs need at least one slot
-	RuleWeightWords     = "CND008" // weight entry word count must match the layer geometry
-	RuleWeightMissing   = "CND009" // compute layers need a weight entry
-	RuleBiasWords       = "CND010" // bias entry word count must match the output channels
-	RuleBoardUnknown    = "CND011" // the deployment board must be in the catalogue
-	RuleFreqRange       = "CND012" // requested clock must be positive and within the platform maximum
-	RuleResourceBudget  = "CND013" // the kernel must fit the board's shell-excluded budget
-	RuleHLSArrayLimit   = "CND014" // static arrays must stay within the HLS front-end limit
-	RuleParallelism     = "CND015" // port parallelism must be positive and useful
-	RuleWordBits        = "CND016" // fabric word width must be 8, 16 or 32 bits
-	RuleEmptyStructure  = "CND017" // the spec needs PEs and every PE needs layers
-	RuleStageOrder      = "CND018" // features extraction must precede classification
-	RuleIRCoverage      = "CND019" // the spec must cover the IR's compute layers in order
-	RuleFIFOOccupancy   = "CND020" // worst-case FIFO-network edge occupancy must fit the declared depth
-	RuleCUResource      = "CND021" // replicated-CU resource totals must fit the board budget
-	RuleFabricConfig    = "CND022" // the (parallelism, CUs, burst) execution configuration must be sane
-	RuleLanePacking     = "CND023" // packed lanes must divide streamed-edge volumes (else padded tail lanes)
-	RuleFrameInterleave = "CND024" // two-epochs-in-flight occupancy must fit FIFO depths under batch streaming
-	RuleConvAlgo        = "CND025" // conv algorithm must be known; winograd_f23 needs a qualifying 3x3/stride-1 layer
+	RuleShapeChain       = "CND001" // successor in-shape must equal predecessor out-shape
+	RuleShapeGeometry    = "CND002" // recorded out-shape must satisfy the paper's shape equations
+	RuleChainMissing     = "CND003" // features-extraction PEs need a filter chain (and only they do)
+	RuleChainWindow      = "CND004" // chain window/width must cover every fused layer
+	RuleChainTaps        = "CND005" // taps must be the K² accesses in lexicographically-inverse order
+	RuleFIFODepth        = "CND006" // inter-filter FIFO depth must equal the reuse distance
+	RuleInterPEFIFO      = "CND007" // inter-PE streaming FIFOs need at least one slot
+	RuleWeightWords      = "CND008" // weight entry word count must match the layer geometry
+	RuleWeightMissing    = "CND009" // compute layers need a weight entry
+	RuleBiasWords        = "CND010" // bias entry word count must match the output channels
+	RuleBoardUnknown     = "CND011" // the deployment board must be in the catalogue
+	RuleFreqRange        = "CND012" // requested clock must be positive and within the platform maximum
+	RuleResourceBudget   = "CND013" // the kernel must fit the board's shell-excluded budget
+	RuleHLSArrayLimit    = "CND014" // static arrays must stay within the HLS front-end limit
+	RuleParallelism      = "CND015" // port parallelism must be positive and useful
+	RuleWordBits         = "CND016" // fabric word width must be 8, 16 or 32 bits
+	RuleEmptyStructure   = "CND017" // the spec needs PEs and every PE needs layers
+	RuleStageOrder       = "CND018" // features extraction must precede classification
+	RuleIRCoverage       = "CND019" // the spec must cover the IR's compute layers in order
+	RuleFIFOOccupancy    = "CND020" // worst-case FIFO-network edge occupancy must fit the declared depth
+	RuleCUResource       = "CND021" // replicated-CU resource totals must fit the board budget
+	RuleFabricConfig     = "CND022" // the (parallelism, CUs, burst) execution configuration must be sane
+	RuleLanePacking      = "CND023" // packed lanes must divide streamed-edge volumes (else padded tail lanes)
+	RuleFrameInterleave  = "CND024" // two-epochs-in-flight occupancy must fit FIFO depths under batch streaming
+	RuleConvAlgo         = "CND025" // conv algorithm must be known; winograd_f23 needs a qualifying 3x3/stride-1 layer
+	RuleAccumulatorRange = "CND026" // an int8 layer's accumulation depth times 128² must stay below 2³¹ (the int32 accumulator lane)
 )
 
 // Severity classifies a diagnostic.

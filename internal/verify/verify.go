@@ -68,6 +68,12 @@
 //	CND025 conv-algorithm    a conv layer's algorithm must be a known mode,
 //	                         and winograd_f23 requires a 3x3/stride-1 layer
 //	                         whose output tiles align (even height and width).
+//	CND026 accumulator-range on the packed fabric (WordBits 8) a layer's
+//	                         accumulation depth (C·K² of a convolution, the
+//	                         input volume of an FC layer) times 128² must
+//	                         stay below 2³¹: the MACs accumulate in int32
+//	                         lanes, two to a 64-bit word, and a wrapped lane
+//	                         corrupts its neighbour.
 package verify
 
 import (
@@ -99,6 +105,7 @@ func Verify(spec *dataflow.Spec, ir *condorir.Network, b *board.Board) []*Diagno
 	checkWordBits(spec, report)
 	checkLanePacking(spec, report)
 	checkConvAlgo(spec, report)
+	checkAccumulatorRange(spec, report)
 	if spec.InterPEFIFODepth < 1 {
 		report(diag.Errorf(diag.RuleInterPEFIFO, "", "",
 			"inter-PE FIFO depth %d < 1: blocking pushes would deadlock the fabric", spec.InterPEFIFODepth))
@@ -244,6 +251,21 @@ func checkConvAlgo(spec *dataflow.Spec, report func(*Diagnostic)) {
 				report(diag.Errorf(diag.RuleConvAlgo, pe.ID, l.Name,
 					"winograd_f23 requires a 3x3/stride-1 layer with even output tiles; layer has k=%d stride=%d out %dx%d",
 					l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width))
+			}
+		}
+	}
+}
+
+// checkAccumulatorRange enforces CND026 on the packed int8 fabric; the bound
+// itself lives beside the kernels it protects (dataflow.Int8AccumulatorRange).
+func checkAccumulatorRange(spec *dataflow.Spec, report func(*Diagnostic)) {
+	if spec.WordBits != 8 {
+		return
+	}
+	for _, pe := range spec.PEs {
+		for i := range pe.Layers {
+			if d := dataflow.Int8AccumulatorRange(pe.ID, &pe.Layers[i]); d != nil {
+				report(d)
 			}
 		}
 	}

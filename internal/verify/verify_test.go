@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +98,76 @@ func TestCleanModels(t *testing.T) {
 				t.Errorf("unexpected diagnostic: %s", d)
 			}
 		})
+	}
+}
+
+// TestAccumulatorRange pins CND026: on the packed int8 fabric a layer whose
+// accumulation depth times 128² reaches 2³¹ is rejected — by the verifier and,
+// diag-wrapped, by Instantiate — while the same net in float32, the depth one
+// below the limit and the evaluation models at int8 all pass. The rejected
+// net is the fixture CI feeds `condor lint`.
+func TestAccumulatorRange(t *testing.T) {
+	lint := func(t *testing.T, ir *condorir.Network, bits int) (*dataflow.Spec, map[string]bool) {
+		t.Helper()
+		spec, err := dataflow.BuildSpec(ir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.WordBits = bits
+		ds := Lint(spec, ir, nil)
+		for _, d := range ds {
+			if d.Rule == diag.RuleAccumulatorRange && d.Severity != diag.Error {
+				t.Errorf("%s fired below error severity: %s", diag.RuleAccumulatorRange, d)
+			}
+		}
+		return spec, rules(ds)
+	}
+	fc := func(c, h, w int) *condorir.Network {
+		return &condorir.Network{Name: "fc", Board: "aws-f1-vu9p", FrequencyMHz: 100,
+			Input:  condorir.InputShape{Channels: c, Height: h, Width: w},
+			Layers: []condorir.Layer{{Name: "ip", Type: "InnerProduct", NumOutput: 2, PEGroup: -1}}}
+	}
+
+	js, err := os.ReadFile("testdata/deep_fc.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, err := condorir.FromJSON(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, fired := lint(t, deep, 8)
+	if !fired[diag.RuleAccumulatorRange] {
+		t.Errorf("a %d-deep int8 InnerProduct passed lint", deep.Input.Channels*deep.Input.Height*deep.Input.Width)
+	}
+	ws := condorir.NewWeightSet()
+	ws.Put("ip", condorir.EntryWeights, tensor.New(2, spec.Input.Volume()))
+	ws.Put("ip", condorir.EntryBias, tensor.New(2))
+	if _, err := dataflow.Instantiate(spec, ws); diag.Rule(err) != diag.RuleAccumulatorRange {
+		t.Errorf("Instantiate at int8: diag.Rule(err) = %q (err: %v), want %s", diag.Rule(err), err, diag.RuleAccumulatorRange)
+	}
+	if spec, fired = lint(t, deep, 32); fired[diag.RuleAccumulatorRange] {
+		t.Error("the rule fired on the float32 fabric, which has no integer accumulator")
+	}
+	if _, err := dataflow.Instantiate(spec, ws); err != nil {
+		t.Errorf("Instantiate at float32: %v", err)
+	}
+
+	// 2¹⁷·128² = 2³¹ is the first depth a saturated input can wrap.
+	if _, fired := lint(t, fc(2, 256, 256), 8); !fired[diag.RuleAccumulatorRange] {
+		t.Error("depth 131072 passed")
+	}
+	if _, fired := lint(t, fc(1, 1, 131071), 8); fired[diag.RuleAccumulatorRange] {
+		t.Error("depth 131071 was rejected")
+	}
+	for _, load := range []func() (*condorir.Network, *condorir.WeightSet, error){models.TC1, models.LeNet} {
+		ir, _, err := load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, fired := lint(t, ir, 8); fired[diag.RuleAccumulatorRange] {
+			t.Errorf("%s at int8 tripped %s", ir.Name, diag.RuleAccumulatorRange)
+		}
 	}
 }
 
