@@ -1,11 +1,22 @@
 GO ?= go
 
-.PHONY: all build vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build loc vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
 
 all: build lint test
 
 build:
 	$(GO) build ./...
+
+# loc prints non-test and test Go lines per package (root, benchmark/,
+# internal/*, cmd/*): the trajectory of ROADMAP aim 2, "same behaviour from
+# the least code". CI prints it with every build.
+loc:
+	@printf '%-28s %9s %9s\n' package non-test test
+	@for d in . benchmark internal/* cmd/*; do \
+		nt=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		t=$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-28s %9d %9d\n' $$d $$nt $$t; \
+	done
 
 vet:
 	$(GO) vet ./...
@@ -117,11 +128,11 @@ bench:
 bench-fabric:
 	$(GO) run ./cmd/condor-bench -json BENCH_fabric.json -cus 1,2 -dtype float32,int8
 
-# bench-algo sweeps the per-layer convolution algorithms (direct vs
-# im2col+GEMM vs Winograd F(2,3)) on the two LeNet-class single-conv
-# workloads, per dtype — the host-side view of the per-layer algorithm
-# datapaths. The same legs ride bench-fabric's JSON, where benchdiff gates
-# the derived <algo>_speedup_x rows.
+# bench-algo times the host kernels behind the per-layer convolution
+# algorithms (direct and Winograd F(2,3); im2col_gemm runs the direct kernel
+# on both datapaths, so it has no leg) on the two LeNet-class single-conv
+# workloads, per dtype. The same legs ride bench-fabric's JSON, where
+# benchdiff gates the derived winograd_speedup_x rows.
 bench-algo:
 	$(GO) test -run '^$$' -bench 'BenchmarkFabricThroughput/conv' -benchtime 20x .
 
@@ -133,16 +144,18 @@ bench-algo:
 # baseline with
 # `go run ./cmd/condor-bench -json BENCH_baseline.json -cus 1,2 -dtype float32,int8`
 # on a quiet machine (the -cus/-dtype legs must match the baseline's rows, or
-# the gate errors on the missing benchmark). The third gate diffs ratios
-# whose denominator is the algo=direct leg, so it can fire on an improvement:
-# PR 21 made int8 direct and int8 im2col_gemm one host kernel and ≈ 3× faster,
-# after which the int8 gemm_speedup_x rows read ≈ 1.0 by construction and int8
-# winograd_speedup_x fell with no change to the Winograd path — the baseline
-# was regenerated in that PR for this reason, not because anything slowed.
+# the gate errors on the missing benchmark). The third gate diffs a ratio
+# whose denominator is the algo=direct leg, so it can fire on an improvement
+# to direct with no change to the Winograd path: PR 21 (int8) and PR 24
+# (float32) each made direct faster and regenerated the baseline for that
+# reason, not because anything slowed. Since PR 24 both datapaths run one
+# host kernel for direct and im2col_gemm — a gemm_speedup_x row would read
+# ≈ 1.0 by construction — so the sweeps carry no gemm leg and the gate is
+# winograd_speedup_x alone.
 bench-check: bench-fabric
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -max-regression 0.25
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only pipeline_efficiency -max-regression 0.10
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only '(gemm|winograd)_speedup_x' -max-regression 0.25
+	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only winograd_speedup_x -max-regression 0.25
 
 # profile-fabric captures a CPU profile of the functional fabric benchmark;
 # inspect it with `go tool pprof fabric.cpu.prof`.

@@ -335,9 +335,7 @@ func BenchmarkFabricThroughput(b *testing.B) {
 			pool := dataflow.NewCUPool(dep, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pool.Run(batch); err != nil {
-					b.Fatal(err)
-				}
+				benchPoolRun(b, pool, batch)
 			}
 			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "img/s")
 		})
@@ -365,9 +363,7 @@ func BenchmarkFabricThroughput(b *testing.B) {
 			pool := dataflow.NewCUPool(dep8, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := pool.Run(batch); err != nil {
-					b.Fatal(err)
-				}
+				benchPoolRun(b, pool, batch)
 			}
 			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "img/s")
 		})
@@ -376,12 +372,25 @@ func BenchmarkFabricThroughput(b *testing.B) {
 	benchAlgoLegs(b)
 }
 
-// benchAlgoLegs measures the per-layer convolution algorithms on two
-// LeNet-class single-conv workloads: conv5 (a 5×5 layer in LeNet-conv2's
-// class, direct vs im2col+GEMM) and conv3 (a 3×3/stride-1 layer where
-// Winograd F(2,3) also qualifies). benchdiff derives algo speedup rows from
-// these legs against their algo=direct siblings and gates them, so the
-// non-direct lowerings' host advantage is a tracked baseline figure.
+// benchPoolRun is one one-shot pool run: the batch goes through the pool's
+// resident sessions, which are then closed, so every iteration pays the
+// fabric's spawn/join as a cold deployment does.
+func benchPoolRun(b *testing.B, pool *dataflow.CUPool, batch []*tensor.Tensor) {
+	_, _, err := pool.RunBatch(batch)
+	if cerr := pool.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchAlgoLegs measures the host kernels behind the per-layer convolution
+// algorithms on two LeNet-class single-conv workloads: conv5 (a 5×5 layer in
+// LeNet-conv2's class) and conv3 (a 3×3/stride-1 layer where Winograd F(2,3)
+// also qualifies). im2col_gemm has no leg: on both datapaths it runs the
+// direct kernel, the algorithm being a model decision. benchdiff derives
+// winograd_speedup_x from the conv3 legs and gates it.
 func benchAlgoLegs(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -391,12 +400,12 @@ func benchAlgoLegs(b *testing.B) {
 	}{
 		{"conv5", condorir.InputShape{Channels: 20, Height: 12, Width: 12},
 			condorir.Layer{Name: "conv", Type: "Convolution", KernelSize: 5, Stride: 1, NumOutput: 50, PEGroup: -1},
-			[]string{"direct", "im2col_gemm"}},
+			[]string{"direct"}},
 		{"conv3", condorir.InputShape{Channels: 16, Height: 16, Width: 16},
 			condorir.Layer{Name: "conv", Type: "Convolution", KernelSize: 3, Stride: 1, Pad: 1, NumOutput: 16, PEGroup: -1},
-			[]string{"direct", "im2col_gemm", "winograd_f23"}},
+			[]string{"direct", "winograd_f23"}},
 	}
-	short := map[string]string{"direct": "direct", "im2col_gemm": "gemm", "winograd_f23": "winograd"}
+	short := map[string]string{"direct": "direct", "winograd_f23": "winograd"}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(19))
 		imgs := make([]*tensor.Tensor, 16)

@@ -92,9 +92,8 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 			}
 			if l.Kind == nn.Conv && l.Algo() == AlgoWinograd {
 				// The on-chip weight transform runs once, at configuration load.
-				if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-					return nil, fmt.Errorf("dataflow: layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
-						l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
+				if err := checkWinograd(&l); err != nil {
+					return nil, fmt.Errorf("dataflow: %w", err)
 				}
 				if a.wgweights == nil {
 					a.wgweights = make(map[string][]float32)

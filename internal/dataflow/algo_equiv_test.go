@@ -54,7 +54,7 @@ func runGEMMCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, bat
 		t.Fatal(err)
 	}
 	pool := NewCUPool(gemmAcc, cus)
-	gotOut, gotStats, err := pool.Run(batch)
+	gotOut, gotStats, err := runPoolBatch(pool, batch)
 	if err != nil {
 		t.Fatalf("gemm run: %v", err)
 	}
@@ -88,7 +88,7 @@ func runQuantAlgoCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet
 		t.Fatal(err)
 	}
 	pool := NewCUPool(packedAcc, cus)
-	gotOut, gotStats, err := pool.Run(batch)
+	gotOut, gotStats, err := runPoolBatch(pool, batch)
 	if err != nil {
 		t.Fatalf("packed %s run: %v", algo, err)
 	}
@@ -195,7 +195,7 @@ func TestWinogradEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					pool := NewCUPool(wgAcc, cus)
-					gotOut, gotStats, err := pool.Run(batch)
+					gotOut, gotStats, err := runPoolBatch(pool, batch)
 					if err != nil {
 						t.Fatalf("winograd run: %v", err)
 					}

@@ -1,107 +1,22 @@
 package dataflow
 
-// This file implements the alternate convolution algorithms of the burst
-// datapath: the im2col+GEMM lowering and the Winograd F(2,3) transform-
-// domain convolution. Both ride the same FIFOs, frame protocol and tracing
-// as the direct path in pe.go — only the intra-PE compute schedule changes.
+// This file is the Winograd F(2,3) transform-domain convolution, the one
+// convolution algorithm with a host kernel of its own (direct and im2col_gemm
+// share each element type's tap-table kernel; the algorithm only drives the
+// cycle, resource and verification models there). It rides the same FIFOs,
+// frame protocol and tracing as every other layer — only the intra-PE compute
+// schedule changes — and runs in float32 on both datapaths: the ±½ transform
+// combinations do not survive the int8 grid, so the packed executor
+// dequantizes the layer's input, calls runWinograd and requantizes.
 //
-// Contract:
-//   - im2col_gemm (float32) is BIT-IDENTICAL to the direct path and to the
-//     RunWords oracle: every output cell still accumulates its input
-//     channels ci-major with the same ascending K²-tap order; the panel
-//     and the register-tiled microkernel only reorder *independent* cells.
-//   - winograd_f23 is bounded-error: the transform-domain rounding
-//     deviation is bounded by RunStats.WinogradErrorBound, derived from
-//     the per-PE output magnitudes the run itself records (the same
-//     accounting pattern as the int8 path's QuantErrorBound).
+// Contract: winograd_f23 is bounded-error. The transform-domain rounding
+// deviation from the direct-convolution oracle is bounded by
+// RunStats.WinogradErrorBound, derived from the per-PE output magnitudes the
+// run itself records (the same accounting pattern as the int8 path's
+// QuantErrorBound).
 
 import "math"
 
-// gemmPosTile is the output-position register-tile width of the GEMM
-// microkernel: one weight load feeds this many accumulating positions.
-const gemmPosTile = 4
-
-// buildIm2ColPanel unrolls one padded channel plane (float words or int8
-// codes) into the tap-major im2col panel: row t = (m·K+n) holds the input
-// element under tap (m,n) of every output position, so panel[t*outHW+pos] is the same value the direct
-// path's window gather would deliver as win[t] at pos. For stride 1 every
-// row is outH contiguous copies — the cheap gather that makes the lowering
-// profitable.
-func buildIm2ColPanel[T float32 | int8](panel, padded []T, l *LayerHW) {
-	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
-	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
-	for m := 0; m < k; m++ {
-		for n := 0; n < k; n++ {
-			dst := panel[(m*k+n)*outHW:]
-			for oy := 0; oy < outH; oy++ {
-				src := padded[(oy*stride+m)*pw+n:]
-				if stride == 1 {
-					copy(dst[oy*outW:(oy+1)*outW], src[:outW])
-				} else {
-					for ox := 0; ox < outW; ox++ {
-						dst[oy*outW+ox] = src[ox*stride]
-					}
-				}
-			}
-		}
-	}
-}
-
-// runConvGEMM is the im2col+GEMM convolution schedule: each input channel's
-// padded plane is unrolled once into the tap-major panel, then the
-// register-tiled microkernel drives every output channel band over it. Per
-// output cell the accumulation chain is identical to runConv — ci-major
-// over input channels, ascending tap order within a channel — so float32
-// results are bit-identical to the direct path and the RunWords oracle at
-// every parallelism setting. Stats accounting is runConv's (convPasses).
-func (x *peExec) runConvGEMM() {
-	l := x.pass.l
-	outHW := l.OutShape.Height * l.OutShape.Width
-	clear(x.partial[:l.OutShape.Channels*outHW])
-	x.convPasses(outHW, l.Kernel*l.Kernel, x.im2colPass, x.fns.gemm)
-	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.tail)
-}
-
-// im2colPass unrolls the pass's plane into the panel.
-func (x *peExec) im2colPass() { buildIm2ColPanel(x.panel, x.pass.plane, x.pass.l) }
-
-// gemmBand drives the microkernel over the panel of input channel pass.ci
-// for output channels [lo,hi).
-func (x *peExec) gemmBand(_, lo, hi int) {
-	p := &x.pass
-	l := p.l
-	c, kk := l.InShape.Channels, l.Kernel*l.Kernel
-	outHW := l.OutShape.Height * l.OutShape.Width
-	w, panel := p.st.w, x.panel
-	for fi := lo; fi < hi; fi++ {
-		base := (fi*c + p.ci) * kk
-		acc := x.partial[fi*outHW : (fi+1)*outHW]
-		pos := 0
-		for ; pos+gemmPosTile <= outHW; pos += gemmPosTile {
-			a0, a1, a2, a3 := acc[pos], acc[pos+1], acc[pos+2], acc[pos+3]
-			for t := 0; t < kk; t++ {
-				wv := w[base+t]
-				row := panel[t*outHW+pos : t*outHW+pos+gemmPosTile]
-				a0 += wv * row[0]
-				a1 += wv * row[1]
-				a2 += wv * row[2]
-				a3 += wv * row[3]
-			}
-			acc[pos], acc[pos+1], acc[pos+2], acc[pos+3] = a0, a1, a2, a3
-		}
-		for ; pos < outHW; pos++ {
-			a := acc[pos]
-			for t := 0; t < kk; t++ {
-				a += w[base+t] * panel[t*outHW+pos]
-			}
-			acc[pos] = a
-		}
-	}
-}
-
-// --- Winograd F(2,3) ---
-//
 // F(2×2, 3×3): each 2×2 output tile is computed from a 4×4 input tile as
 // Y = Aᵀ[(G g Gᵀ) ⊙ (Bᵀ d B)]A with the standard small-integer transforms
 //
@@ -183,37 +98,51 @@ func winogradInverse(m []float32) (y [4]float32) {
 	return y
 }
 
-// runConvWinograd is the F(2,3) convolution schedule: per input channel the
-// padded plane is cut into overlapping 4×4 tiles, each transformed once
-// (V = BᵀdB) and multiplied element-wise against the pre-transformed
-// weights, accumulating in the transform domain; after the last input
-// channel the inverse transform produces the 2×2 output tiles, then the
-// shared bias/activation tail runs. Banding shards output channels, never
-// an accumulation chain, so results are deterministic at every parallelism
-// setting (though not bit-identical to the direct path — see the file
-// comment for the error contract).
-func (x *peExec) runConvWinograd() {
-	l := x.pass.l
+// winogradPass is the Winograd layer in flight — written by runWinograd before
+// each band dispatch and read by the band bodies — and the scratch
+// resolveLayers sized for the PE's most demanding winograd_f23 layer.
+type winogradPass struct {
+	l   *LayerHW
+	st  *layerState
+	dst []float32 // the layer's output volume
+	ci  int       // input channel of the pass
+
+	plane []float32 // zero-padded channel plane
+	v     []float32 // transformed input tiles, 16 words per tile
+	m     []float32 // transform-domain accumulators, f·tiles·16
+	mags  []float64 // per-band output magnitudes
+}
+
+// runWinograd is the F(2,3) convolution schedule over a float32 input
+// volume: per input channel the padded plane is cut into overlapping 4×4
+// tiles, each transformed once (V = BᵀdB) and multiplied element-wise against
+// the pre-transformed weights, accumulating in the transform domain — the
+// passes are per input channel by construction, one band dispatch each. After
+// the last channel the inverse transform produces the 2×2 output tiles in
+// dst and the bias and folded activation are applied in place. Banding shards
+// output channels, never an accumulation chain, so results are deterministic
+// at every parallelism setting (though not bit-identical to the direct path —
+// see the file comment for the error contract).
+func (x *peStream) runWinograd(l *LayerHW, st *layerState, cur, dst []float32, streamBytes int64) {
+	p := &x.wino
+	p.l, p.st, p.dst = l, st, dst
 	f := l.OutShape.Channels
+	inHW := l.InShape.Height * l.InShape.Width
 	tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
-	clear(x.mBuf[:f*tiles*16])
-	x.convPasses(tiles, 16, x.winogradInputTiles, x.fns.wgMul)
-	// Inverse transform into the partial buffer, tracking the output
-	// magnitude that parameterises the error bound, then the shared tail.
-	clear(x.mags)
+	clear(p.m[:f*tiles*16])
+	for ci := 0; ci < l.InShape.Channels; ci++ {
+		p.ci = ci
+		winogradTransformPlane(p.v, padPlane(p.plane, l, cur[ci*inHW:(ci+1)*inHW]), l)
+		x.pool.bands(f, x.outBands, x.fns.wgMul)
+	}
+	x.accountConv(l, streamBytes, tiles, 16)
+	clear(p.mags)
 	x.pool.bands(f, x.outBands, x.fns.wgInv)
-	for _, m := range x.mags {
+	for _, m := range p.mags {
 		if m > x.stats.MaxWinogradMag {
 			x.stats.MaxWinogradMag = m
 		}
 	}
-	x.pool.bands(f, x.outBands, x.fns.tail)
-}
-
-// winogradInputTiles transforms every 4×4 input tile of the pass's plane
-// into vBuf, once per channel pass.
-func (x *peExec) winogradInputTiles() {
-	winogradTransformPlane(x.vBuf, x.pass.plane, x.pass.l)
 }
 
 // winogradTransformPlane cuts a padded plane into the layer's overlapping
@@ -231,53 +160,52 @@ func winogradTransformPlane(vBuf, plane []float32, l *LayerHW) {
 	}
 }
 
-// winogradMulAcc is the transform-domain pass of output channels [lo,hi):
-// mBuf[fi][tile] += U[fi][ci] ⊙ V[tile], element-wise.
-func winogradMulAcc(mBuf, vBuf, wg []float32, c, ci, tiles, lo, hi int) {
+// winogradMulBand is the transform-domain pass of output channels [lo,hi):
+// m[fi][tile] += U[fi][ci] ⊙ V[tile], element-wise.
+func (x *peStream) winogradMulBand(_, lo, hi int) {
+	p := &x.wino
+	c := p.l.InShape.Channels
+	tiles := p.l.OutShape.Height / 2 * (p.l.OutShape.Width / 2)
 	for fi := lo; fi < hi; fi++ {
-		u := wg[(fi*c+ci)*16 : (fi*c+ci)*16+16]
+		u := p.st.wg[(fi*c+p.ci)*16:][:16]
 		for ti := 0; ti < tiles; ti++ {
-			m := mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16]
-			v := vBuf[ti*16 : ti*16+16]
-			for j := 0; j < 16; j++ {
+			m := p.m[(fi*tiles+ti)*16:][:16]
+			v := p.v[ti*16:][:16]
+			for j := range m {
 				m[j] += u[j] * v[j]
 			}
 		}
 	}
 }
 
-func (x *peExec) winogradMulBand(_, lo, hi int) {
-	l := x.pass.l
-	tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
-	winogradMulAcc(x.mBuf, x.vBuf, x.pass.st.wg, l.InShape.Channels, x.pass.ci, tiles, lo, hi)
-}
-
-// winogradInverseInto inverse-transforms output channels [lo,hi) of mBuf into
-// dst's channel-major planes; it returns the largest output magnitude or mag.
-func winogradInverseInto(dst, mBuf []float32, l *LayerHW, lo, hi int, mag float64) float64 {
+// winogradInverseBand inverse-transforms output channels [lo,hi) into the
+// output volume, records the band's largest output magnitude — the value that
+// parameterises the error bound — then folds bias and activation in.
+func (x *peStream) winogradInverseBand(band, lo, hi int) {
+	p := &x.wino
+	l := p.l
 	outW := l.OutShape.Width
 	outHW := l.OutShape.Height * outW
 	tW := outW / 2
 	tiles := l.OutShape.Height / 2 * tW
+	mag := p.mags[band]
 	for fi := lo; fi < hi; fi++ {
+		out := p.dst[fi*outHW:][:outHW]
 		for ti := 0; ti < tiles; ti++ {
-			y := winogradInverse(mBuf[(fi*tiles+ti)*16 : (fi*tiles+ti)*16+16])
-			ty, tx := ti/tW, ti%tW
-			base := fi*outHW + (2*ty)*outW + 2*tx
-			dst[base], dst[base+1] = y[0], y[1]
-			dst[base+outW], dst[base+outW+1] = y[2], y[3]
+			y := winogradInverse(p.m[(fi*tiles+ti)*16:][:16])
+			base := ti/tW*2*outW + ti%tW*2
+			out[base], out[base+1] = y[0], y[1]
+			out[base+outW], out[base+outW+1] = y[2], y[3]
 			for _, v := range y {
 				if a := math.Abs(float64(v)); a > mag {
 					mag = a
 				}
 			}
 		}
+		bias := biasAt(p.st.b, fi)
+		for i, v := range out {
+			out[i] = applyActivation(l.Activation, v+bias)
+		}
 	}
-	return mag
-}
-
-// winogradInverseBand inverse-transforms output channels [lo,hi) into the
-// partial buffer and records the band's largest output magnitude.
-func (x *peExec) winogradInverseBand(band, lo, hi int) {
-	x.mags[band] = winogradInverseInto(x.partial, x.mBuf, x.pass.l, lo, hi, x.mags[band])
+	p.mags[band] = mag
 }

@@ -66,57 +66,6 @@ func (p *CUPool) SetTracer(t obs.Tracer) {
 	}
 }
 
-// Run shards the batch contiguously across the compute units and executes
-// the shards concurrently, reassembling outputs in input order. Stats are
-// the merge of the per-unit runs: counters sum, per-PE entries merge
-// index-wise, stream occupancy high-water marks max. A single-unit pool
-// delegates straight to the fabric.
-func (p *CUPool) Run(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
-	if len(p.cus) == 1 || len(batch) <= 1 {
-		return p.cus[0].Run(batch)
-	}
-	n := len(p.cus)
-	per := (len(batch) + n - 1) / n
-	outs := make([]*tensor.Tensor, len(batch))
-	stats := make([]*RunStats, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	shards := 0
-	for i := 0; i < n; i++ {
-		lo := i * per
-		if lo >= len(batch) {
-			break
-		}
-		hi := lo + per
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		shards++
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			shardOuts, st, err := p.cus[i].Run(batch[lo:hi])
-			if err != nil {
-				errs[i] = fmt.Errorf("cu%d: %w", i, err)
-				return
-			}
-			copy(outs[lo:hi], shardOuts)
-			stats[i] = st
-		}(i, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	merged := stats[0]
-	for _, st := range stats[1:shards] {
-		merged.Merge(st)
-	}
-	return outs, merged, nil
-}
-
 // session returns (opening on first use) the i-th unit's resident session.
 func (p *CUPool) session(i int) *Session {
 	p.mu.Lock()
@@ -135,8 +84,8 @@ func (p *CUPool) session(i int) *Session {
 // so consecutive batches stream back-to-back through the layer pipelines
 // with no spawn/join or fill/drain per batch. Outputs come back in input
 // order; stats are the merge of the per-unit session-cumulative stats (see
-// Session.RunBatch). The caller owns Close; Run remains the one-shot
-// alternative and never touches the resident sessions.
+// Session.RunBatch): counters sum, per-PE entries merge index-wise, stream
+// occupancy high-water marks max. The caller owns Close.
 func (p *CUPool) RunBatch(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	if len(p.cus) == 1 || len(batch) <= 1 {
 		return p.session(0).RunBatch(batch)
@@ -209,9 +158,8 @@ func (p *CUPool) Stats() *RunStats {
 }
 
 // Close tears down every resident session opened by RunBatch, joining all
-// fabric goroutines, and returns the first failure. A pool that only ever
-// used Run has nothing to close; Close is then a no-op. The pool may be
-// used again after Close — the next RunBatch opens fresh sessions.
+// fabric goroutines, and returns the first failure. The pool may be used
+// again after Close — the next RunBatch opens fresh sessions.
 func (p *CUPool) Close() error {
 	p.mu.Lock()
 	sess := p.sess

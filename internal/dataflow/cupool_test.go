@@ -55,7 +55,7 @@ func TestCUPoolReplicaError(t *testing.T) {
 	// shard fails deterministically on its first layer.
 	pool.cus[1].dm = NewDatamover()
 
-	outs, stats, err := pool.Run(models.USPSImages(4, 9))
+	outs, stats, err := pool.RunBatch(models.USPSImages(4, 9))
 	if err == nil {
 		t.Fatal("corrupted replica did not fail the run")
 	}
@@ -70,7 +70,11 @@ func TestCUPoolReplicaError(t *testing.T) {
 	}
 
 	// Unit 0 is intact: a batch of one rides the delegation path and runs.
-	if _, _, err := pool.Run(models.USPSImages(1, 9)); err != nil {
+	if _, _, err := pool.RunBatch(models.USPSImages(1, 9)); err != nil {
 		t.Fatalf("healthy unit broken after failed pool run: %v", err)
+	}
+	// Close joins both units' sessions and reports the failed one again.
+	if err := pool.Close(); err == nil || !strings.Contains(err.Error(), "no weights") {
+		t.Fatalf("Close did not re-report the failed unit: %v", err)
 	}
 }

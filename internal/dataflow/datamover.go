@@ -116,9 +116,8 @@ func (d *Datamover) Weights(layer string, onChip bool) ([]float32, []float32, er
 }
 
 // WeightsRef returns the layer's weight stream without accounting any DDR
-// traffic: the lookup-hoisting path of peExec, which resolves the slices
-// once per batch and accounts each image's stream re-read separately via
-// AccountWeightStream.
+// traffic: the session executors resolve the slices once (resolveLayers) and
+// account each image's stream re-read separately.
 func (d *Datamover) WeightsRef(layer string) ([]float32, []float32, error) {
 	w, b, ok := d.store.get(layer)
 	if !ok {
@@ -126,11 +125,6 @@ func (d *Datamover) WeightsRef(layer string) ([]float32, []float32, error) {
 	}
 	return w, b, nil
 }
-
-// AccountWeightStream records the per-image DDR re-read of an off-chip
-// weight stream whose slices the PE already holds — the traffic of a
-// Weights call without the map lookup.
-func (d *Datamover) AccountWeightStream(words int64) { d.bytesRead.Add(4 * words) }
 
 // AccountOnChipLoad records the one-time DDR→BRAM weight load of a PE whose
 // weights are cached on-chip.

@@ -50,6 +50,16 @@ var gatherCases = []gatherCase{
 		[]condorir.Layer{conv("c", 5, 1, 0, 1, -1)}},
 	{"conv3-stride2-relu", condorir.InputShape{Channels: 2, Height: 15, Width: 15},
 		[]condorir.Layer{conv("c", 3, 2, 0, 6, -1), {Name: "r", Type: "ReLU", PEGroup: -1}}},
+	// out 4×4, unpadded: the input volume is gathered in place, and the last
+	// tile's fourth position reads its final word under the last channel's
+	// last tap.
+	{"conv3-stride2-full-tiles", condorir.InputShape{Channels: 3, Height: 9, Width: 9},
+		[]condorir.Layer{conv("c", 3, 2, 0, 4, -1)}},
+	// out 6×6: a two-position remainder, over three staged padded planes; 7
+	// output channels leave a lone channel at the end of a band at every
+	// Par.Out of the sweep.
+	{"conv3-pad1-lone-channel", condorir.InputShape{Channels: 3, Height: 6, Width: 6},
+		[]condorir.Layer{conv("c", 3, 1, 1, 7, -1)}},
 	// Overlapping 3/2 windows, out 5×5.
 	{"maxpool3-stride2", condorir.InputShape{Channels: 3, Height: 11, Width: 11},
 		[]condorir.Layer{pool("p", "MaxPooling", 3, 2, 0, -1)}},
@@ -98,48 +108,62 @@ func TestGatherEquivalenceSweep(t *testing.T) {
 // runGatherCase runs one geometry at one parallelism against the word
 // oracle on the same spec: float32 must match bit for bit, full RunStats
 // included; the packed datapath must stay inside the bound its own recorded
-// scales imply.
+// scales imply. A float32 net with a convolution then runs again as
+// im2col_gemm — the float twin of TestInt8DirectAndGEMMIdentical: one kernel
+// serves both schedules, so outputs and every counter but the cycles the
+// schedule owns must not move.
 func runGatherCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, batch []*tensor.Tensor, par condorir.Parallelism, packed bool) {
 	t.Helper()
-	spec, err := BuildSpec(ir)
-	if err != nil {
-		t.Fatal(err)
+	instantiate := func(algo ConvAlgo) *Accelerator {
+		spec, err := BuildSpec(ir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setConvAlgo(spec, algo)
+		for _, pe := range spec.PEs {
+			pe.Par = par
+		}
+		if packed {
+			spec.WordBits = 8
+		}
+		acc, err := Instantiate(spec, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
 	}
-	for _, pe := range spec.PEs {
-		pe.Par = par
-	}
-	if packed {
-		spec.WordBits = 8
-	}
-	fastAcc, err := Instantiate(spec, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wordAcc, err := Instantiate(spec, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotOut, gotStats, err := fastAcc.Run(batch)
+	gotOut, gotStats, err := instantiate(AlgoDirect).Run(batch)
 	if err != nil {
 		t.Fatalf("fast run: %v", err)
 	}
-	wantOut, wantStats, err := wordAcc.RunWords(batch)
+	wantOut, wantStats, err := instantiate(AlgoDirect).RunWords(batch)
 	if err != nil {
 		t.Fatalf("word run: %v", err)
 	}
-	if !packed {
-		assertRunsIdentical(t, "gather", gotOut, gotStats, "word", wantOut, wantStats)
+	if packed {
+		tol := gotStats.QuantErrorBound()
+		if tol <= 0 {
+			t.Fatalf("QuantErrorBound = %g, want positive", tol)
+		}
+		for i := range gotOut {
+			if d := tensor.MaxAbsDiff(gotOut[i], wantOut[i]); d > tol {
+				t.Errorf("image %d: max abs diff %g exceeds quantization bound %g", i, d, tol)
+			}
+		}
 		return
 	}
-	tol := gotStats.QuantErrorBound()
-	if tol <= 0 {
-		t.Fatalf("QuantErrorBound = %g, want positive", tol)
+	assertRunsIdentical(t, "gather", gotOut, gotStats, "word", wantOut, wantStats)
+	if ir.Layers[0].Type != "Convolution" {
+		return
 	}
-	for i := range gotOut {
-		if d := tensor.MaxAbsDiff(gotOut[i], wantOut[i]); d > tol {
-			t.Errorf("image %d: max abs diff %g exceeds quantization bound %g", i, d, tol)
-		}
+	gemmOut, gemmStats, err := instantiate(AlgoGEMM).Run(batch)
+	if err != nil {
+		t.Fatalf("im2col_gemm run: %v", err)
 	}
+	for i := range gemmStats.PEs {
+		gemmStats.PEs[i].Cycles = gotStats.PEs[i].Cycles
+	}
+	assertRunsIdentical(t, "direct", gotOut, gotStats, "im2col_gemm", gemmOut, gemmStats)
 }
 
 // TestWarmSessionSpawnsNoGoroutines pins the goroutine-free datapath: once a

@@ -111,19 +111,6 @@ func pairPlane(dst []int64, plane []int8, stride int) {
 	}
 }
 
-// tapOffsets lists, in weight order (input channel, tap row, tap column),
-// where each tap of a window sits in a conv layer's pair planes relative to
-// the window's top-left word in channel 0's: convTile's gather index.
-func tapOffsets(l *LayerHW) []int32 {
-	k := l.Kernel
-	taps := make([]int32, l.InShape.Channels*k*k)
-	for t := range taps {
-		ci, m, n := t/(k*k), t/k%k, t%k
-		taps[t] = int32((ci*l.PaddedHeight()+m)*l.PaddedWidth() + n)
-	}
-	return taps
-}
-
 // splitLanes recovers the two lane sums of a packed accumulator: a negative
 // low sum borrows from the high lane, so it is read first and taken back out.
 // Exact while both sums fit int32.
@@ -155,193 +142,118 @@ func popInt8Frame(f *fifo.FIFO, words []fifo.Word, codes []int8) (float64, error
 }
 
 // peExecInt8 executes one PE over a stream of images on the packed datapath.
-// Output banding on the worker pool, fused-layer handoffs and windows gathered
-// from the zero-padded channel plane mirror peExec; the arithmetic is
-// int8×int8 in lane-packed accumulators with one dequantize/requantize per
-// layer boundary, and the stream traversal is modeled through LayerCyclesAt.
-// Integer accumulation is exact and order-free, so conv and FC layers run
-// output-stationary — one band dispatch per layer, each cell's whole chain in
-// a register — and the direct and im2col_gemm schedules share one kernel: the
-// algorithm drives the cycle, resource and verification models only.
+// Layer resolution, the frame loop, output banding on the worker pool and
+// windows gathered from the zero-padded channel planes are peStream's, as for
+// peExec; the arithmetic is int8×int8 in lane-packed accumulators with one
+// dequantize/requantize per layer boundary, and the stream traversal is
+// modeled through LayerCyclesAt. Integer accumulation is exact and
+// order-free; conv and FC layers run output-stationary — one band dispatch per
+// layer, each cell's whole chain in a register — and the direct and
+// im2col_gemm schedules share one kernel: the algorithm drives the cycle,
+// resource and verification models only.
 type peExecInt8 struct {
 	peStream
 	qw map[string]int8LayerWeights // Instantiate-time weight codes (prepare quantizes a layer it lacks)
-	wg map[string][]float32        // Winograd-transformed float weights (winograd_f23 layers)
 
 	layers []peLayerInt8
 
-	// pass is the layer pass in flight, written by the run* methods before
-	// each band dispatch and read by the band bodies.
+	// pass is the layer pass in flight, written by popFrame, runLayer and
+	// handOff and read by the band bodies.
 	pass struct {
 		l        *LayerHW
 		st       *peLayerInt8
 		cur, out []int8  // the layer's input and output codes
 		inScale  float64 // scale of cur
-		ci       int     // input channel of the Winograd pass
+		outScale float64 // scale of out, once the layer has run
 	}
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
 	curCodes []int8
 	nxtCodes []int8
-	floatBuf []float32
-	padBuf   []int8
-	pairs    []int64 // the conv layer's pair planes, one per input channel
-	wordBuf  []fifo.Word
-	padF     []float32 // dequantized padded channel plane (Winograd mode)
-	vBuf     []float32 // Winograd transformed input tiles
-	mBuf     []float32 // Winograd transform-domain accumulators
-	mags     []float64 // Winograd per-band output magnitudes
+	floatBuf []float32   // a layer's results before requantization
+	deqBuf   []float32   // a winograd_f23 layer's dequantized input volume
+	planes   [][]int8    // zero-padded channel planes, one per Par.In band
+	pairs    []int64     // the conv layer's pair planes, one per input channel
+	wordBuf  []fifo.Word // a frame's packed payload
 }
 
-// peLayerInt8 is one fused layer's session-resolved state.
+// peLayerInt8 is one fused layer's session-resolved state: what peStream
+// resolved plus the layer's weight codes.
 type peLayerInt8 struct {
-	int8LayerWeights
-	taps        []int32   // window gather index (tapOffsets; direct and im2col_gemm conv layers)
-	wg          []float32 // Winograd-transformed float weights (winograd_f23 layers only)
-	streamBytes int64     // weight+bias bytes re-read from DDR per image (0 when on-chip)
+	*layerState
+	q int8LayerWeights
 }
 
-// prepare resolves the per-layer cached state, sizes every scratch buffer
-// for the PE's most demanding layer and starts the worker pool.
 func (x *peExecInt8) prepare() error {
-	x.layers = make([]peLayerInt8, len(x.pe.Layers))
-	codeLanes := x.pe.Layers[0].InShape.Volume()
-	var padLanes, pairWords, padFWords, vWords, mWords int
-	for li := range x.pe.Layers {
-		l := &x.pe.Layers[li]
-		st := &x.layers[li]
-		codeLanes = max(codeLanes, l.OutShape.Volume())
-		plane := l.PaddedHeight() * l.PaddedWidth()
-		if l.Kind.IsFeatureExtraction() {
-			if err := checkWindowGrid(l); err != nil {
-				return err
-			}
-			if l.Pad > 0 {
-				padLanes = max(padLanes, plane)
-			}
-		}
-		if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
+	sz, err := x.resolveLayers(bandFns{conv: x.convBand, pool: x.poolBand, fc: x.fcBand})
+	if err != nil {
+		return err
+	}
+	x.layers = make([]peLayerInt8, len(x.resolved))
+	for li := range x.layers {
+		l, st := &x.pe.Layers[li], &x.layers[li]
+		st.layerState = &x.resolved[li]
+		if st.w == nil {
 			continue
-		}
-		w, b, err := x.dm.WeightsRef(l.Name)
-		if err != nil {
-			return fmt.Errorf("layer %q: %w", l.Name, err)
-		}
-		if len(w) != l.WeightWords() {
-			return fmt.Errorf("layer %q: weight stream has %d words, want %d", l.Name, len(w), l.WeightWords())
 		}
 		if d := Int8AccumulatorRange(x.pe.ID, l); d != nil {
 			return d
 		}
 		var ok bool
-		if st.int8LayerWeights, ok = x.qw[l.Name]; !ok {
+		if st.q, ok = x.qw[l.Name]; !ok {
 			// Spec switched to WordBits==8 after Instantiate: derive the
 			// codes here (the slow path the Instantiate-time cache avoids).
-			st.int8LayerWeights = quantizeLayerWeights(l, w, b)
+			st.q = quantizeLayerWeights(l, st.w, st.b)
 		}
-		if !x.pe.WeightsOnChip {
-			st.streamBytes = int64(len(w) + len(b))
-		}
-		if l.Kind != nn.Conv {
-			continue
-		}
-		if l.Algo() != AlgoWinograd {
-			st.taps = tapOffsets(l)
-			pairWords = max(pairWords, l.InShape.Channels*plane)
-			continue
-		}
-		// The transform domain stays float on the packed datapath: the EWMM
-		// runs on dequantized tiles against the float transformed weights.
-		if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-			return fmt.Errorf("layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
-				l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
-		}
-		st.wg = x.wg[l.Name]
-		if st.wg == nil {
-			st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
-		}
-		tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
-		padFWords = max(padFWords, plane)
-		vWords = max(vWords, tiles*16)
-		mWords = max(mWords, l.OutShape.Channels*tiles*16)
 	}
-	x.curCodes = make([]int8, codeLanes)
-	x.nxtCodes = make([]int8, codeLanes)
-	x.floatBuf = make([]float32, codeLanes)
-	x.wordBuf = make([]fifo.Word, fifo.PackedWords(codeLanes))
-	x.padBuf = make([]int8, padLanes)
-	x.pairs = make([]int64, pairWords)
-	x.padF = make([]float32, padFWords)
-	x.vBuf = make([]float32, vWords)
-	x.mBuf = make([]float32, mWords)
-	x.startPool(bandFns{conv: x.convBand, wgMul: x.winogradMulBand, wgInv: x.winogradInverseBand, pool: x.poolBand, fc: x.fcBand})
-	x.mags = make([]float64, x.outBands)
+	x.curCodes = make([]int8, sz.vol)
+	x.nxtCodes = make([]int8, sz.vol)
+	x.floatBuf = make([]float32, sz.vol)
+	x.deqBuf = make([]float32, sz.winogradIn)
+	x.wordBuf = make([]fifo.Word, fifo.PackedWords(sz.vol))
+	x.planes = bandPlanes[int8](x.inBands, sz.plane)
+	x.pairs = make([]int64, sz.stack)
 	return nil
 }
 
-func (x *peExecInt8) runImage() error {
-	lanes := fifo.Int8Lanes
-	cur := x.curCodes[:x.pe.Layers[0].InShape.Volume()]
-	scale, err := popInt8Frame(x.in, x.wordBuf, cur)
-	if err != nil {
-		return err
+func (x *peExecInt8) popFrame() (err error) {
+	p := &x.pass
+	p.cur = x.curCodes[:x.pe.Layers[0].InShape.Volume()]
+	p.inScale, err = popInt8Frame(x.in, x.wordBuf, p.cur)
+	return err
+}
+
+func (x *peExecInt8) runLayer(li int) {
+	p := &x.pass
+	p.l, p.st = &x.pe.Layers[li], &x.layers[li]
+	p.out = x.nxtCodes[:p.l.OutShape.Volume()]
+	switch {
+	case p.l.Kind == nn.FullyConnected:
+		p.outScale = x.runFC()
+	case p.l.Kind != nn.Conv: // sub-sampling: resolveLayers admits no other kind
+		p.outScale = x.runPool()
+	case p.l.Algo() == AlgoWinograd:
+		p.outScale = x.runConvWinograd()
+	default:
+		p.outScale = x.runConv()
 	}
-	x.stats.ElemsIn += int64(len(cur))
-
-	for li := range x.pe.Layers {
-		l := &x.pe.Layers[li]
-		st := &x.layers[li]
-		if len(cur) != l.InShape.Volume() {
-			return fmt.Errorf("fused intermediate has %d lanes, layer expects %d", len(cur), l.InShape.Volume())
-		}
-		outVol := l.OutShape.Volume()
-		out := x.nxtCodes[:outVol]
-
-		sid := 0
-		if x.track != nil {
-			sid = x.track.Begin(l.Name, x.stats.Cycles)
-		}
-
-		x.pass.l, x.pass.st, x.pass.cur, x.pass.out, x.pass.inScale = l, st, cur, out, scale
-		var outScale float64
-		switch l.Kind {
-		case nn.Conv:
-			if l.Algo() == AlgoWinograd {
-				outScale = x.runConvWinograd()
-			} else {
-				outScale = x.runConv()
-			}
-		case nn.MaxPool, nn.AvgPool:
-			outScale = x.runPool()
-		case nn.FullyConnected:
-			outScale = x.runFC()
-		default:
-			return fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
-		}
-		x.stats.Cycles += LayerCyclesAt(l, x.pe.Par, lanes)
-		if outScale > x.stats.MaxRequantScale {
-			x.stats.MaxRequantScale = outScale
-		}
-
-		if li == len(x.pe.Layers)-1 {
-			pushInt8Frame(x.out, x.wordBuf, out, outScale)
-			x.stats.ElemsOut += int64(outVol)
-		} else {
-			// Fused-layer handoff: the intermediate rides through DDR as
-			// packed bytes (one per lane), half the round trip each way.
-			x.dm.AccountWriteBytes(int64(outVol))
-			x.dm.AccountReadBytes(int64(outVol))
-			x.stats.Cycles += 2 * ceilDiv64(int64(outVol), int64(lanes))
-		}
-		if x.track != nil {
-			x.track.AddWords(sid, int64(fifo.PackedWords(outVol)))
-			x.track.End(sid, x.stats.Cycles)
-		}
-		x.curCodes, x.nxtCodes = x.nxtCodes, x.curCodes
-		cur, scale = out, outScale
+	if p.outScale > x.stats.MaxRequantScale {
+		x.stats.MaxRequantScale = p.outScale
 	}
+}
+
+// handOff sends the fused intermediate through DDR as packed bytes (one per
+// lane) and makes it the next layer's input.
+func (x *peExecInt8) handOff(int) error {
+	p := &x.pass
+	x.dm.AccountWriteBytes(int64(len(p.out)))
+	x.dm.AccountReadBytes(int64(len(p.out)))
+	x.curCodes, x.nxtCodes = x.nxtCodes, x.curCodes
+	p.cur, p.inScale = p.out, p.outScale
 	return nil
 }
+
+func (x *peExecInt8) pushFrame() { pushInt8Frame(x.out, x.wordBuf, x.pass.out, x.pass.outScale) }
 
 // requantize closes a layer: the float results in fb get a fresh symmetric
 // per-tensor scale and land in the output codes.
@@ -363,10 +275,10 @@ func (x *peExecInt8) runConv() float64 {
 	outHW := l.OutShape.Height * l.OutShape.Width
 	plane := l.PaddedHeight() * l.PaddedWidth()
 	for ci := 0; ci < l.InShape.Channels; ci++ {
-		pairPlane(x.pairs[ci*plane:][:plane], padPlane(x.padBuf, l, p.cur[ci*inHW:(ci+1)*inHW]), l.Stride)
+		pairPlane(x.pairs[ci*plane:][:plane], padPlane(x.planes[0], l, p.cur[ci*inHW:(ci+1)*inHW]), l.Stride)
 	}
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
-	x.accountConv(l, p.st.streamBytes, outHW, l.Kernel*l.Kernel)
+	x.accountConv(l, p.st.streamWords, outHW, l.Kernel*l.Kernel)
 	return x.requantize(x.floatBuf[:l.OutShape.Channels*outHW])
 }
 
@@ -378,13 +290,13 @@ func (x *peExecInt8) convBand(_, lo, hi int) {
 	l := p.l
 	stride, pw := l.Stride, l.PaddedWidth()
 	outH, outW := l.OutShape.Height, l.OutShape.Width
-	deq := p.st.wScale * p.inScale
+	deq := p.st.q.wScale * p.inScale
 	taps := p.st.taps
 	for fi := lo; fi < hi; fi += 2 {
 		// An odd band ends on a lone channel: run it as both halves of the
 		// tile (same values computed twice, stored once).
 		fj := min(fi+1, hi-1)
-		w0, w1 := p.st.w[fi*len(taps):][:len(taps)], p.st.w[fj*len(taps):][:len(taps)]
+		w0, w1 := p.st.q.w[fi*len(taps):][:len(taps)], p.st.q.w[fj*len(taps):][:len(taps)]
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox += convPosTile {
 				// Positions ox,ox+1 share one pair word per tap, ox+2,ox+3
@@ -426,18 +338,10 @@ func convTile(win, win2 []int64, w0, w1 []int8, taps []int32) (a01, a23, b01, b2
 	return
 }
 
-// biasAt returns output i's bias, zero for a layer without one.
-func biasAt(b []float32, i int) float64 {
-	if len(b) == 0 {
-		return 0
-	}
-	return float64(b[i])
-}
-
 // convStore dequantizes and activates the first n of the four position sums
 // two packed accumulators carry, into channel fi's float plane from pos on.
 func (x *peExecInt8) convStore(fi, pos, n int, a01, a23 int64, deq float64) {
-	l, bias := x.pass.l, biasAt(x.pass.st.b, fi)
+	l, bias := x.pass.l, float64(biasAt(x.pass.st.b, fi))
 	var acc [convPosTile]int32
 	acc[0], acc[1] = splitLanes(a01)
 	acc[2], acc[3] = splitLanes(a23)
@@ -456,13 +360,9 @@ func (x *peExecInt8) runPool() float64 {
 	p := &x.pass
 	l := p.l
 	n := l.InShape.Channels * l.OutShape.Height * l.OutShape.Width
-	// Channel maps are independent; bands shard whole channels. x.padBuf is
-	// single-pass state, so a padded layer runs its channels in sequence.
-	inBands := x.inBands
-	if l.Pad != 0 {
-		inBands = 1
-	}
-	x.pool.bands(l.InShape.Channels, inBands, x.fns.pool)
+	// Channel maps are independent; bands shard whole channels, each padding
+	// into its own plane.
+	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
 	x.stats.WindowsRead += int64(n)
 	if l.Kind == nn.MaxPool && l.Activation == NoActivation {
 		return p.inScale
@@ -471,7 +371,7 @@ func (x *peExecInt8) runPool() float64 {
 }
 
 // poolBand sub-samples channels [lo,hi).
-func (x *peExecInt8) poolBand(_, lo, hi int) {
+func (x *peExecInt8) poolBand(band, lo, hi int) {
 	p := &x.pass
 	l := p.l
 	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
@@ -483,7 +383,7 @@ func (x *peExecInt8) poolBand(_, lo, hi int) {
 	inv := inScale / float64(k*k)
 	out, fb := p.out, x.floatBuf
 	for ci := lo; ci < hi; ci++ {
-		padded := padPlane(x.padBuf, l, p.cur[ci*inHW:(ci+1)*inHW])
+		padded := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
 		base := ci * outH * outW
 		for oy := 0; oy < outH; oy++ {
 			iy0 := oy * stride
@@ -528,7 +428,7 @@ func (x *peExecInt8) runFC() float64 {
 	p := &x.pass
 	l := p.l
 	o := l.OutShape.Channels
-	x.dm.AccountReadBytes(p.st.streamBytes)
+	x.dm.AccountReadBytes(p.st.streamWords)
 	fb := x.floatBuf[:o]
 	x.pool.bands(o, x.outBands, x.fns.fc)
 	x.stats.MACs += int64(o) * int64(l.InShape.Volume())
@@ -552,7 +452,7 @@ func (x *peExecInt8) fcBand(_, lo, hi int) {
 	p := &x.pass
 	in := p.cur
 	v := len(in)
-	wp := p.st.wp
+	wp := p.st.q.wp
 	pr, end := lo/2, (hi+1)/2
 	for ; pr+fcPairTile <= end; pr += fcPairTile {
 		w0, w1, w2, w3 := wp[pr*v:][:v], wp[(pr+1)*v:][:v], wp[(pr+2)*v:][:v], wp[(pr+3)*v:][:v]
@@ -585,7 +485,7 @@ func (x *peExecInt8) fcStore(pr int, a int64, lo, hi int) {
 	acc[0], acc[1] = splitLanes(a)
 	for i, s := range acc {
 		if oi := 2*pr + i; oi >= lo && oi < hi {
-			x.floatBuf[oi] = float32(float64(s)*(p.st.wScale*p.inScale) + biasAt(p.st.b, oi))
+			x.floatBuf[oi] = float32(float64(s)*(p.st.q.wScale*p.inScale) + float64(biasAt(p.st.b, oi)))
 		}
 	}
 }

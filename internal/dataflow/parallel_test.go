@@ -45,7 +45,7 @@ func runParallelCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet,
 	if pool.Size() != cus {
 		t.Fatalf("pool size %d, want %d", pool.Size(), cus)
 	}
-	gotOut, gotStats, err := pool.Run(batch)
+	gotOut, gotStats, err := runPoolBatch(pool, batch)
 	if err != nil {
 		t.Fatalf("pool run: %v", err)
 	}
@@ -54,6 +54,16 @@ func runParallelCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet,
 		t.Fatalf("word run: %v", err)
 	}
 	assertRunsIdentical(t, "pool", gotOut, gotStats, "word", wantOut, wantStats)
+}
+
+// runPoolBatch runs one batch through the pool's resident sessions and
+// closes them: the one-shot pool run the sweeps hold against the oracle.
+func runPoolBatch(pool *CUPool, batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
+	outs, stats, err := pool.RunBatch(batch)
+	if cerr := pool.Close(); err == nil && cerr != nil {
+		return nil, nil, cerr
+	}
+	return outs, stats, err
 }
 
 // withProcs runs the sweep body at a given GOMAXPROCS so the worker pool

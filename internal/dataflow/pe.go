@@ -167,142 +167,105 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// peExec executes one PE over a stream of images with the burst datapath:
-// the input image is pulled from the PE's input FIFO in bursts, each layer
-// fills a preallocated output buffer, and the final layer's output leaves
-// in a single PushSlice. Windows are gathered straight from the zero-padded
-// channel plane — the filter chain itself is simulated FIFO by FIFO only by
-// the word-at-a-time oracle in wordpath.go — and every output cell keeps the
-// oracle's accumulation chain (input channels ci-major, ascending tap order
-// within a channel), so arithmetic results, FIFO traffic totals, MAC counts
-// and modeled cycles are identical to it.
+// peStream is the part of a PE executor that does not depend on the element
+// type: the PE and its stream ends, the session hooks, the worker pool, the
+// per-layer state resolved once per session, the resident frame loop and the
+// Winograd convolution (whose transform domain is float32 on both datapaths).
 //
-// The PE's modeled port parallelism (Par.In input maps read concurrently,
-// Par.Out output maps computed in parallel) executes for real on the host:
-// runConv/runFC shard the output-channel range into Par.Out bands and
-// runPool shards the channel range into Par.In bands, on a worker pool
-// bounded by GOMAXPROCS. Banding never changes any per-cell accumulation
-// chain, so results stay bit-identical to the oracle at every parallelism
-// setting.
+// Windows are gathered straight from the zero-padded channel planes — the
+// filter chain itself is simulated FIFO by FIFO only by the word-at-a-time
+// oracle in wordpath.go. The PE's modeled port parallelism (Par.In input
+// maps read concurrently, Par.Out output maps computed in parallel) executes
+// for real on the host: conv and FC layers shard their output-channel range
+// into Par.Out bands and sub-sampling layers their channel range into Par.In
+// bands, on a worker pool bounded by GOMAXPROCS. Bands partition independent
+// output cells, never an accumulation chain, so results do not depend on the
+// parallelism setting.
 //
 // A warm executor allocates nothing and spawns nothing per image: scratch is
 // sized once in prepare, and the band bodies are methods bound once (bandFns)
 // that read the pass in flight from the executor instead of capturing it.
-type peExec struct {
-	peStream
+type peStream struct {
+	pe    *PE
+	dm    *Datamover
+	in    *fifo.FIFO
+	out   *fifo.FIFO
+	stats *PEStats
+	track *obs.Track // nil when tracing is off
 
-	// layers caches per-layer state resolved once per session in prepare:
-	// weight/bias slices (hoisted out of the per-image datamover lookup)
-	// and the fused-handoff buffer key (hoisted out of per-image Sprintf).
-	layers []peLayerState
+	// lanes is the number of activation elements a FIFO word carries: 1 on
+	// the float32 datapath, fifo.Int8Lanes on the packed one.
+	lanes int
 
-	// wg is the accelerator's pre-transformed Winograd weight cache
+	// wgCache is the accelerator's pre-transformed Winograd weight cache
 	// (layer name → f·c·16 transformed words), shared read-only across CU
-	// clones like the int8 code store. prepare transforms in place for a
-	// layer it does not hold.
-	wg map[string][]float32
+	// clones like the int8 code store.
+	wgCache map[string][]float32
 
-	// pass is the layer pass in flight, written by the run* methods before
-	// each band dispatch and read by the band bodies.
-	pass struct {
-		l        *LayerHW
-		st       *peLayerState
-		cur, out []float32 // the layer's input and output volumes
-		ci       int       // input channel of the conv pass
-		plane    []float32 // its zero-padded plane
-	}
+	// Session hooks: onImage advances the RunBatch barrier after each
+	// retired image; onErr latches a failure before the input drain starts,
+	// so the feeder learns to close the head FIFO and the drain terminates.
+	onImage func()
+	onErr   func(error)
 
-	// Scratch sized once in prepare for the PE's most demanding layer.
-	inBuf   []float32
-	outBuf  []float32
-	partial []float32
-	planes  [][]float32 // zero-padded channel planes, one per Par.In band
-	panel   []float32   // im2col panel, K² tap-major rows of OH·OW positions
-	vBuf    []float32   // Winograd transformed input tiles, 16 words per tile
-	mBuf    []float32   // Winograd transform-domain accumulators, f·tiles·16
-	mags    []float64   // Winograd per-band output magnitudes
+	// resolved is the per-layer state resolveLayers cached for the session.
+	resolved []layerState
+
+	// pool executes port-parallel bands; nil when the PE's parallelism or
+	// the processor budget is 1 (the sequential schedule). fns are the
+	// executor's band bodies and inBands/outBands the PE's normalized port
+	// counts, all set once in resolveLayers.
+	pool              *workerPool
+	fns               bandFns
+	inBands, outBands int
+
+	wino winogradPass // algopath.go
 }
 
-// peLayerState is the execution state of one fused layer, resolved once per
-// session instead of once per image.
-type peLayerState struct {
-	w, b        []float32
-	wg          []float32 // Winograd-transformed weights (winograd_f23 layers only)
+// layerState is what both element types read of one fused layer, resolved
+// once per session instead of once per image.
+type layerState struct {
+	w, b        []float32 // float weight stream and bias (compute layers)
+	taps        []int32   // window gather index (direct and im2col_gemm conv layers)
+	wg          []float32 // Winograd-transformed weights (winograd_f23 layers)
 	streamWords int64     // weight+bias words re-read from DDR per image (0 when on-chip)
-	fusedKey    string    // datamover buffer key for the fused-layer handoff
+	fusedKey    string    // datamover buffer key of the fused-layer hand-off
 }
 
-// prepare resolves the per-layer cached state, sizes every scratch buffer
-// for the PE's most demanding layer and starts the worker pool.
-func (x *peExec) prepare() error {
-	x.layers = make([]peLayerState, len(x.pe.Layers))
-	var outWords, partialWords, planeWords, panelWords, vWords, mWords int
-	for li := range x.pe.Layers {
-		l := &x.pe.Layers[li]
-		st := &x.layers[li]
-		if li < len(x.pe.Layers)-1 {
-			st.fusedKey = x.pe.ID + "/fused/" + l.Name
-		}
-		outWords = max(outWords, l.OutShape.Volume())
-		if l.Kind.IsFeatureExtraction() {
-			if err := checkWindowGrid(l); err != nil {
-				return err
-			}
-			if l.Pad > 0 {
-				planeWords = max(planeWords, l.PaddedHeight()*l.PaddedWidth())
-			}
-		}
-		if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
-			continue
-		}
-		w, b, err := x.dm.WeightsRef(l.Name)
-		if err != nil {
-			return fmt.Errorf("layer %q: %w", l.Name, err)
-		}
-		if len(w) != l.WeightWords() {
-			return fmt.Errorf("layer %q: weight stream has %d words, want %d", l.Name, len(w), l.WeightWords())
-		}
-		st.w, st.b = w, b
-		if !x.pe.WeightsOnChip {
-			st.streamWords = int64(len(w) + len(b))
-		}
-		partialWords = max(partialWords, l.OutShape.Volume())
-		if l.Kind != nn.Conv {
-			continue
-		}
-		outHW := l.OutShape.Height * l.OutShape.Width
-		switch l.Algo() {
-		case AlgoGEMM:
-			panelWords = max(panelWords, l.Kernel*l.Kernel*outHW)
-		case AlgoWinograd:
-			if !WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-				return fmt.Errorf("layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
-					l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
-			}
-			st.wg = x.wg[l.Name]
-			if st.wg == nil {
-				// Spec mutated after Instantiate (tests do this): derive
-				// the transformed weights locally instead.
-				st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
-			}
-			vWords = max(vWords, outHW/4*16)
-			mWords = max(mWords, l.OutShape.Channels*outHW/4*16)
-		}
+// scratchWords are the scratch sizes of the PE's most demanding layer, which
+// each element type allocates in its own word type.
+type scratchWords struct {
+	vol         int // largest volume a layer reads or writes
+	plane       int // largest zero-padded channel plane of a padded layer
+	stack       int // largest stack of channel planes a tap-table convolution gathers from
+	paddedStack int // the same over padded layers only: an unpadded float volume is its own stack
+	winogradIn  int // largest input volume of a winograd_f23 layer
+}
+
+// bandFns are an executor's band bodies as method values, bound once per
+// session so that dispatching a band allocates no closure.
+type bandFns struct {
+	conv, pool, fc bandFunc // the element type's kernels
+	wgMul, wgInv   bandFunc // the Winograd passes, peStream's own
+}
+
+// elemPath is what the frame loop asks of an element type: its session
+// set-up, the two frame ends, a layer's kernel and the fused hand-off.
+type elemPath interface {
+	prepare() error
+	popFrame() error      // receive one image as the current volume
+	runLayer(li int)      // run layer li from the current volume into the output volume
+	handOff(li int) error // the output volume becomes the current one through DDR
+	pushFrame()           // send the output volume downstream
+}
+
+// checkWinograd reports why a conv layer cannot run winograd_f23.
+func checkWinograd(l *LayerHW) error {
+	if WinogradOK(l.Kernel, l.Stride, l.OutShape) {
+		return nil
 	}
-	x.inBuf = make([]float32, x.pe.Layers[0].InShape.Volume())
-	x.outBuf = make([]float32, outWords)
-	x.partial = make([]float32, partialWords)
-	x.startPool(bandFns{conv: x.convBand, gemm: x.gemmBand, wgMul: x.winogradMulBand, wgInv: x.winogradInverseBand,
-		tail: x.tailBand, pool: x.poolBand, fc: x.fcBand})
-	x.planes = make([][]float32, x.inBands)
-	for i := range x.planes {
-		x.planes[i] = make([]float32, planeWords)
-	}
-	x.panel = make([]float32, panelWords)
-	x.vBuf = make([]float32, vWords)
-	x.mBuf = make([]float32, mWords)
-	x.mags = make([]float64, x.outBands)
-	return nil
+	return fmt.Errorf("layer %q: winograd_f23 requires a 3×3/stride-1 kernel and 2×2-tile-aligned output, got k=%d s=%d out %dx%d",
+		l.Name, l.Kernel, l.Stride, l.OutShape.Height, l.OutShape.Width)
 }
 
 // checkWindowGrid rejects a features-extraction layer whose window grid does
@@ -316,44 +279,109 @@ func checkWindowGrid(l *LayerHW) error {
 	return nil
 }
 
-// peStream is the part of a PE executor that does not depend on the element
-// type: the PE and its stream ends, the session hooks, the worker pool and
-// the resident frame loop.
-type peStream struct {
-	pe    *PE
-	dm    *Datamover
-	in    *fifo.FIFO
-	out   *fifo.FIFO
-	stats *PEStats
-	track *obs.Track // nil when tracing is off
-
-	// Session hooks: onImage advances the RunBatch barrier after each
-	// retired image; onErr latches a failure before the input drain starts,
-	// so the feeder learns to close the head FIFO and the drain terminates.
-	onImage func()
-	onErr   func(error)
-
-	// pool executes port-parallel bands; nil when the PE's parallelism or
-	// the processor budget is 1 (the sequential schedule). fns are the
-	// executor's band bodies and inBands/outBands the PE's normalized port
-	// counts, all set once in prepare.
-	pool              *workerPool
-	fns               bandFns
-	inBands, outBands int
+// tapOffsets lists, in weight order (input channel, tap row, tap column),
+// where each tap of a window sits in a conv layer's stacked padded planes
+// relative to the window's top-left word in channel 0's: the gather index of
+// both element types' convolution tiles.
+func tapOffsets(l *LayerHW) []int32 {
+	k := l.Kernel
+	taps := make([]int32, l.InShape.Channels*k*k)
+	for t := range taps {
+		ci, m, n := t/(k*k), t/k%k, t%k
+		taps[t] = int32((ci*l.PaddedHeight()+m)*l.PaddedWidth() + n)
+	}
+	return taps
 }
 
-// startPool records the PE's port counts and starts its worker pool.
-func (x *peStream) startPool(fns bandFns) {
+// resolveLayers is the once-per-session resolution pass both element types
+// share: it validates every fused layer against what the gather assumes,
+// caches its weight stream and derived tables, sizes the scratch of the PE's
+// most demanding layer and starts the worker pool on the executor's band
+// bodies.
+func (x *peStream) resolveLayers(fns bandFns) (scratchWords, error) {
+	layers := x.pe.Layers
+	x.resolved = make([]layerState, len(layers))
+	sz := scratchWords{vol: layers[0].InShape.Volume()}
+	var wgPlane, wgTiles, wgAcc int
+	for li := range layers {
+		l, st := &layers[li], &x.resolved[li]
+		if li+1 < len(layers) {
+			if next := &layers[li+1]; next.InShape.Volume() != l.OutShape.Volume() {
+				return sz, fmt.Errorf("fused intermediate has %d words, layer %q expects %d", l.OutShape.Volume(), next.Name, next.InShape.Volume())
+			}
+			st.fusedKey = x.pe.ID + "/fused/" + l.Name
+		}
+		sz.vol = max(sz.vol, l.OutShape.Volume())
+		plane := l.PaddedHeight() * l.PaddedWidth()
+		switch {
+		case l.Kind.IsFeatureExtraction():
+			if err := checkWindowGrid(l); err != nil {
+				return sz, err
+			}
+			if l.Pad > 0 {
+				sz.plane = max(sz.plane, plane)
+			}
+		case l.Kind != nn.FullyConnected:
+			return sz, fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
+		}
+		if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
+			continue
+		}
+		w, b, err := x.dm.WeightsRef(l.Name)
+		if err != nil {
+			return sz, fmt.Errorf("layer %q: %w", l.Name, err)
+		}
+		if len(w) != l.WeightWords() {
+			return sz, fmt.Errorf("layer %q: weight stream has %d words, want %d", l.Name, len(w), l.WeightWords())
+		}
+		st.w, st.b = w, b
+		if !x.pe.WeightsOnChip {
+			st.streamWords = int64(len(w) + len(b))
+		}
+		if l.Kind != nn.Conv {
+			continue
+		}
+		if l.Algo() != AlgoWinograd {
+			st.taps = tapOffsets(l)
+			sz.stack = max(sz.stack, l.InShape.Channels*plane)
+			if l.Pad > 0 {
+				sz.paddedStack = max(sz.paddedStack, l.InShape.Channels*plane)
+			}
+			continue
+		}
+		if err := checkWinograd(l); err != nil {
+			return sz, err
+		}
+		if st.wg = x.wgCache[l.Name]; st.wg == nil {
+			// Spec mutated after Instantiate (tests do this): derive the
+			// transformed weights locally instead.
+			st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
+		}
+		tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
+		sz.winogradIn = max(sz.winogradIn, l.InShape.Volume())
+		wgPlane = max(wgPlane, plane)
+		wgTiles = max(wgTiles, tiles*16)
+		wgAcc = max(wgAcc, l.OutShape.Channels*tiles*16)
+	}
 	width := x.pe.Par.Normalize()
 	x.inBands, x.outBands = width.In, width.Out
 	x.fns = fns
+	x.fns.wgMul, x.fns.wgInv = x.winogradMulBand, x.winogradInverseBand
 	x.pool = newPEWorkerPool(max(width.In, width.Out))
+	x.wino.plane = make([]float32, wgPlane)
+	x.wino.v = make([]float32, wgTiles)
+	x.wino.m = make([]float32, wgAcc)
+	x.wino.mags = make([]float64, x.outBands)
+	return sz, nil
 }
 
-// bandFns are an executor's band bodies as method values, bound once per
-// session so that dispatching a band allocates no closure.
-type bandFns struct {
-	conv, gemm, wgMul, wgInv, tail, pool, fc bandFunc
+// bandPlanes allocates one zero-padded channel plane per Par.In band.
+func bandPlanes[T float32 | int8](bands, words int) [][]T {
+	planes := make([][]T, bands)
+	for i := range planes {
+		planes[i] = make([]T, words)
+	}
+	return planes
 }
 
 // runStream is the resident session loop: frames are consumed until the
@@ -363,7 +391,7 @@ type bandFns struct {
 // first (so the session feeder stops and closes the head FIFO) and then
 // drains its input; the drain completes before runStream returns, so no
 // goroutine outlives the session.
-func (x *peStream) runStream(prepare, runImage func() error) error {
+func (x *peStream) runStream(e elemPath) error {
 	defer x.out.Close()
 	fail := func(err error) error {
 		err = fmt.Errorf("dataflow: %s: %w", x.pe.ID, err)
@@ -371,25 +399,25 @@ func (x *peStream) runStream(prepare, runImage func() error) error {
 		x.in.Drain()
 		return err
 	}
-	if err := prepare(); err != nil {
+	if err := e.prepare(); err != nil {
 		return fail(err)
 	}
 	defer x.pool.close()
 	var epoch uint16
 	for {
-		e, ok, err := x.in.PopFrameHeader()
+		h, ok, err := x.in.PopFrameHeader()
 		if !ok {
 			return nil // end of session
 		}
 		if err != nil {
 			return fail(err)
 		}
-		if e != epoch {
-			return fail(fmt.Errorf("frame epoch %d arrived, expected %d", e, epoch))
+		if h != epoch {
+			return fail(fmt.Errorf("frame epoch %d arrived, expected %d", h, epoch))
 		}
-		x.out.PushFrameHeader(e)
-		if err := runImage(); err != nil {
-			return fail(fmt.Errorf("epoch %d: %w", e, err))
+		x.out.PushFrameHeader(h)
+		if err := x.runImage(e); err != nil {
+			return fail(fmt.Errorf("epoch %d: %w", h, err))
 		}
 		x.stats.Images++
 		epoch++
@@ -398,70 +426,42 @@ func (x *peStream) runStream(prepare, runImage func() error) error {
 }
 
 // runImage pushes one image through the PE's fused layer sequence.
-func (x *peExec) runImage() error {
-	// The whole input image is burst out of the input FIFO up front; the
-	// bounded FIFO still throttles the producer, PopInto just retires each
-	// arriving chunk with one synchronisation instead of one per word.
-	n := x.in.PopInto(x.inBuf)
-	x.stats.ElemsIn += int64(n)
-	if n < len(x.inBuf) {
-		return fmt.Errorf("input stream ended after %d of %d elements", n, len(x.inBuf))
+func (x *peStream) runImage(e elemPath) error {
+	if err := e.popFrame(); err != nil {
+		return err
 	}
-	cur := x.inBuf
-	for li := range x.pe.Layers {
-		l := &x.pe.Layers[li]
-		st := &x.layers[li]
-		if len(cur) != l.InShape.Volume() {
-			return fmt.Errorf("fused intermediate has %d words, layer expects %d", len(cur), l.InShape.Volume())
-		}
-		out := x.outBuf[:l.OutShape.Volume()]
+	layers := x.pe.Layers
+	x.stats.ElemsIn += int64(layers[0].InShape.Volume())
+	for li := range layers {
+		l := &layers[li]
 
 		// The span brackets the PE's cumulative cycle counter: its cycle
-		// width is this layer's LayerCycles plus, for fused layers, the DDR
+		// width is this layer's LayerCyclesAt plus, for fused layers, the DDR
 		// round trip of the intermediate — so per-track span totals sum to
 		// exactly PEStats.Cycles.
 		sid := 0
 		if x.track != nil {
 			sid = x.track.Begin(l.Name, x.stats.Cycles)
 		}
+		e.runLayer(li)
+		x.stats.Cycles += LayerCyclesAt(l, x.pe.Par, x.lanes)
 
-		x.pass.l, x.pass.st, x.pass.cur, x.pass.out = l, st, cur, out
-		switch l.Kind {
-		case nn.Conv:
-			switch l.Algo() {
-			case AlgoGEMM:
-				x.runConvGEMM()
-			case AlgoWinograd:
-				x.runConvWinograd()
-			default:
-				x.runConv()
-			}
-		case nn.MaxPool, nn.AvgPool:
-			x.runPool()
-		case nn.FullyConnected:
-			x.runFC()
-		default:
-			return fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
-		}
-		x.stats.Cycles += LayerCycles(l, x.pe.Par)
-
-		if li == len(x.pe.Layers)-1 {
-			x.out.PushSlice(out)
-			x.stats.ElemsOut += int64(len(out))
+		outVol := int64(l.OutShape.Volume())
+		words := ceilDiv64(outVol, int64(x.lanes))
+		if li == len(layers)-1 {
+			e.pushFrame()
+			x.stats.ElemsOut += outVol
 		} else {
-			// Fused-layer handoff goes through the datamover (the paper's
-			// partial-result exchange): write the intermediate to DDR and
-			// stream it back for the next layer's pass.
-			x.dm.WriteBuffer(st.fusedKey, out)
-			var err error
-			cur, err = x.dm.ReadBuffer(st.fusedKey)
-			if err != nil {
+			// Fused-layer hand-off goes through the datamover (the paper's
+			// partial-result exchange): one DDR write and one read back at a
+			// word per cycle.
+			if err := e.handOff(li); err != nil {
 				return err
 			}
-			x.stats.Cycles += 2 * int64(len(out))
+			x.stats.Cycles += 2 * words
 		}
 		if x.track != nil {
-			x.track.AddWords(sid, int64(len(out)))
+			x.track.AddWords(sid, words)
 			x.track.End(sid, x.stats.Cycles)
 		}
 	}
@@ -484,30 +484,11 @@ func padPlane[T float32 | int8](scratch []T, l *LayerHW, chmap []T) []T {
 	return plane
 }
 
-// convPasses is the channel-pass loop every convolution algorithm shares:
-// per input channel, pad the plane, let the algorithm prepare its pass
-// (unroll the panel, transform the tiles), fan its MAC band body across the
-// Par.Out bands, and account the layer. windows is the number of windows one
-// pass reads and macs the multiplies each costs per output channel.
-func (x *peExec) convPasses(windows, macs int, stage func(), band bandFunc) {
-	p := &x.pass
-	l := p.l
-	inHW := l.InShape.Height * l.InShape.Width
-	for ci := 0; ci < l.InShape.Channels; ci++ {
-		p.ci = ci
-		p.plane = padPlane(x.planes[0], l, p.cur[ci*inHW:(ci+1)*inHW])
-		if stage != nil {
-			stage()
-		}
-		x.pool.bands(l.OutShape.Channels, x.outBands, band)
-	}
-	x.accountConv(l, 4*p.st.streamWords, windows, macs)
-}
-
 // accountConv books a finished convolution layer: the weight stream's DDR
-// re-read and, per input-channel pass, windows read at macs multiplies per
-// output channel each plus a partial-sum round trip when the accumulators
-// spill. The counters are pure adds, so the passes fold into one closed form.
+// re-read and, per input channel, windows read at macs multiplies per output
+// channel each plus a partial-sum round trip when the accumulators spill.
+// The counters are pure adds, so the modeled channel passes fold into one
+// closed form whatever order the host computed the cells in.
 func (x *peStream) accountConv(l *LayerHW, streamBytes int64, windows, macs int) {
 	c, f := int64(l.InShape.Channels), int64(l.OutShape.Channels)
 	x.dm.AccountReadBytes(streamBytes)
@@ -520,117 +501,171 @@ func (x *peStream) accountConv(l *LayerHW, streamBytes int64, windows, macs int)
 	}
 }
 
-// runConv implements the convolutional PE schedule: input feature maps are
-// processed sequentially (one pass each); a pass adds the channel's K²-tap
-// dot product at every window position into the partial sums of all output
-// channels; after the last input map the bias is added, the folded
-// activation applied, and the output maps are written channel-major.
-//
-// With Par.Out > 1 the output-channel range of each pass is sharded into
-// bands on the worker pool over the shared read-only plane. Every (fi, pos)
-// cell still accumulates over the input channels in ci-major order with the
-// same fixed-order K²-tap dot product — banding and the register tile
-// partition independent cells, never an accumulation chain — so results are
-// bit-identical to the sequential schedule and to the RunWords oracle.
-func (x *peExec) runConv() {
-	l := x.pass.l
-	outHW := l.OutShape.Height * l.OutShape.Width
-	clear(x.partial[:l.OutShape.Channels*outHW])
-	x.convPasses(outHW, l.Kernel*l.Kernel, nil, x.fns.conv)
-	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.tail)
+// peExec executes one PE on the float32 datapath: the input image is pulled
+// from the PE's input FIFO in one burst, each layer fills a preallocated
+// output buffer, and the final layer's output leaves in a single PushSlice.
+// Every output cell keeps the RunWords oracle's accumulation chain — input
+// channels ci-major, ascending tap order within a channel, starting from
+// zero — so arithmetic results, FIFO traffic totals, MAC counts and modeled
+// cycles are identical to it at every parallelism setting. The direct and
+// im2col_gemm schedules share one kernel: the algorithm drives the cycle,
+// resource and verification models only.
+type peExec struct {
+	peStream
+
+	// pass is the layer pass in flight, written by runLayer before each band
+	// dispatch and read by the band bodies.
+	pass struct {
+		l        *LayerHW
+		st       *layerState
+		cur, out []float32 // the layer's input and output volumes
+		stack    []float32 // the conv layer's stacked zero-padded channel planes
+	}
+
+	// Scratch sized once in prepare for the PE's most demanding layer.
+	inBuf  []float32
+	outBuf []float32
+	stack  []float32
+	planes [][]float32 // zero-padded channel planes, one per Par.In band
 }
 
-// convPosTile is the output-position register-tile width of the direct
-// convolution: one weight load feeds this many positions of each of the two
+func (x *peExec) prepare() error {
+	sz, err := x.resolveLayers(bandFns{conv: x.convBand, pool: x.poolBand, fc: x.fcBand})
+	if err != nil {
+		return err
+	}
+	x.inBuf = make([]float32, x.pe.Layers[0].InShape.Volume())
+	x.outBuf = make([]float32, sz.vol)
+	x.stack = make([]float32, sz.paddedStack)
+	x.planes = bandPlanes[float32](x.inBands, sz.plane)
+	return nil
+}
+
+func (x *peExec) popFrame() error {
+	// The whole input image is burst out of the input FIFO up front; the
+	// bounded FIFO still throttles the producer, PopInto just retires each
+	// arriving chunk with one synchronisation instead of one per word.
+	if n := x.in.PopInto(x.inBuf); n < len(x.inBuf) {
+		return fmt.Errorf("input stream ended after %d of %d elements", n, len(x.inBuf))
+	}
+	x.pass.cur = x.inBuf
+	return nil
+}
+
+func (x *peExec) runLayer(li int) {
+	p := &x.pass
+	p.l, p.st = &x.pe.Layers[li], &x.resolved[li]
+	p.out = x.outBuf[:p.l.OutShape.Volume()]
+	switch {
+	case p.l.Kind == nn.FullyConnected:
+		x.runFC()
+	case p.l.Kind != nn.Conv: // sub-sampling: resolveLayers admits no other kind
+		x.runPool()
+	case p.l.Algo() == AlgoWinograd:
+		x.runWinograd(p.l, p.st, p.cur, p.out, 4*p.st.streamWords)
+	default:
+		x.runConv()
+	}
+}
+
+func (x *peExec) handOff(li int) (err error) {
+	key := x.resolved[li].fusedKey
+	x.dm.WriteBuffer(key, x.pass.out)
+	x.pass.cur, err = x.dm.ReadBuffer(key)
+	return err
+}
+
+func (x *peExec) pushFrame() { x.out.PushSlice(x.pass.out) }
+
+// runConv is the convolutional PE, direct and im2col_gemm alike: the layer's
+// zero-padded channel planes are staged once, stacked (an unpadded input
+// volume already is that stack), then one band dispatch computes each output
+// cell's whole chain, adds the bias and applies the folded activation.
+func (x *peExec) runConv() {
+	p := &x.pass
+	l := p.l
+	p.stack = p.cur
+	if l.Pad > 0 {
+		inHW, plane := l.InShape.Height*l.InShape.Width, l.PaddedHeight()*l.PaddedWidth()
+		p.stack = x.stack[:l.InShape.Channels*plane]
+		for ci := 0; ci < l.InShape.Channels; ci++ {
+			padPlane(p.stack[ci*plane:], l, p.cur[ci*inHW:(ci+1)*inHW])
+		}
+	}
+	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
+	x.accountConv(l, 4*p.st.streamWords, l.OutShape.Height*l.OutShape.Width, l.Kernel*l.Kernel)
+}
+
+// convPosTile is the output-position register-tile width of the convolution
+// kernels: one weight load feeds this many positions of each of the two
 // output channels a tile covers.
 const convPosTile = 4
 
-// convBand adds input channel pass.ci's contribution to the partial sums of
-// output channels [lo,hi), two channels × convPosTile positions per tile.
+// convBand computes output channels [lo,hi) of the layer in flight, two
+// channels × convPosTile positions per register tile: output-channel pair →
+// row → tile → input channel → tap, accumulators never leaving registers.
 func (x *peExec) convBand(_, lo, hi int) {
 	p := &x.pass
 	l := p.l
-	c, k, stride, pw := l.InShape.Channels, l.Kernel, l.Stride, l.PaddedWidth()
-	kk := k * k
+	stride, pw := l.Stride, l.PaddedWidth()
 	outH, outW := l.OutShape.Height, l.OutShape.Width
-	outHW := outH * outW
-	w := p.st.w
+	taps := p.st.taps
 	for fi := lo; fi < hi; fi += 2 {
-		w0 := w[(fi*c+p.ci)*kk:][:kk]
-		acc0 := x.partial[fi*outHW:][:outHW]
 		// An odd band ends on a lone channel: run it as both halves of the
 		// tile (same values computed twice, stored once).
-		w1, acc1 := w0, acc0
-		if fi+1 < hi {
-			w1 = w[((fi+1)*c+p.ci)*kk:][:kk]
-			acc1 = x.partial[(fi+1)*outHW:][:outHW]
-		}
+		fj := min(fi+1, hi-1)
+		w0, w1 := p.st.w[fi*len(taps):][:len(taps)], p.st.w[fj*len(taps):][:len(taps)]
 		for oy := 0; oy < outH; oy++ {
-			convRow(acc0[oy*outW:][:outW], acc1[oy*outW:][:outW], w0, w1, p.plane[oy*stride*pw:], pw, k, stride)
+			for ox := 0; ox < outW; ox += convPosTile {
+				// A row's last tile may hold fewer positions: the surplus
+				// ones recompute its last, so no gather leaves the stack.
+				n := min(convPosTile, outW-ox)
+				win := p.stack[(oy*pw+ox)*stride:]
+				a, b := convTileF32(win, stride*min(1, n-1), stride*min(2, n-1), stride*(n-1), w0, w1, taps)
+				x.convStore(fi, oy*outW+ox, n, &a)
+				if fj != fi {
+					x.convStore(fj, oy*outW+ox, n, &b)
+				}
+			}
 		}
 	}
 }
 
-// convRow accumulates the K²-tap dot products of one output row's windows —
-// plane starts at the top-left element of the first — into two output
-// channels' partial sums, taps ascending per cell.
-func convRow(acc0, acc1, w0, w1, plane []float32, pw, k, stride int) {
-	ox := 0
-	for ; ox+convPosTile <= len(acc0); ox += convPosTile {
-		t0, t1 := acc0[ox:][:convPosTile], acc1[ox:][:convPosTile]
-		a0, a1, a2, a3 := t0[0], t0[1], t0[2], t0[3]
-		b0, b1, b2, b3 := t1[0], t1[1], t1[2], t1[3]
-		for m := 0; m < k; m++ {
-			row := plane[m*pw+ox*stride:]
-			r0, r1, r2, r3 := row[:k], row[stride:][:k], row[2*stride:][:k], row[3*stride:][:k]
-			wr0, wr1 := w0[m*k:][:k], w1[m*k:][:k]
-			for n := 0; n < k; n++ {
-				u, v := wr0[n], wr1[n]
-				x0, x1, x2, x3 := r0[n], r1[n], r2[n], r3[n]
-				a0 += u * x0
-				a1 += u * x1
-				a2 += u * x2
-				a3 += u * x3
-				b0 += v * x0
-				b1 += v * x1
-				b2 += v * x2
-				b3 += v * x3
-			}
-		}
-		t0[0], t0[1], t0[2], t0[3] = a0, a1, a2, a3
-		t1[0], t1[1], t1[2], t1[3] = b0, b1, b2, b3
+// convTileF32 is the MAC chain of one register tile, every input channel and
+// tap in one flat loop: win starts at the top-left word of the tile's first
+// window in channel 0's plane, s1–s3 are where the other three positions'
+// windows start relative to it, w0 and w1 the output channels' weights. Each
+// cell accumulates from zero in weight order, which is the oracle's chain.
+// Kept out of line so that its loop, not convBand's nest, decides what stays
+// in registers.
+//
+//go:noinline
+func convTileF32(win []float32, s1, s2, s3 int, w0, w1 []float32, taps []int32) (a, b [convPosTile]float32) {
+	var a0, a1, a2, a3, b0, b1, b2, b3 float32
+	w0, w1 = w0[:len(taps)], w1[:len(taps)]
+	for t, o := range taps {
+		u, v := w0[t], w1[t]
+		x0, x1, x2, x3 := win[o], win[int(o)+s1], win[int(o)+s2], win[int(o)+s3]
+		a0 += u * x0
+		a1 += u * x1
+		a2 += u * x2
+		a3 += u * x3
+		b0 += v * x0
+		b1 += v * x1
+		b2 += v * x2
+		b3 += v * x3
 	}
-	for ; ox < len(acc0); ox++ {
-		a, b := acc0[ox], acc1[ox]
-		for m := 0; m < k; m++ {
-			row := plane[m*pw+ox*stride:][:k]
-			wr0, wr1 := w0[m*k:][:k], w1[m*k:][:k]
-			for n := 0; n < k; n++ {
-				a += wr0[n] * row[n]
-				b += wr1[n] * row[n]
-			}
-		}
-		acc0[ox], acc1[ox] = a, b
-	}
+	return [convPosTile]float32{a0, a1, a2, a3}, [convPosTile]float32{b0, b1, b2, b3}
 }
 
-// tailBand applies the pointwise bias + folded activation stage of a conv
-// layer to output channels [lo,hi). Pointwise per output cell, so banding
-// cannot reorder any arithmetic.
-func (x *peExec) tailBand(_, lo, hi int) {
+// convStore adds the bias to the first n sums of a tile, applies the folded
+// activation and writes them to channel fi's output map from pos on.
+func (x *peExec) convStore(fi, pos, n int, acc *[convPosTile]float32) {
 	p := &x.pass
-	outHW := p.l.OutShape.Height * p.l.OutShape.Width
-	act, b := p.l.Activation, p.st.b
-	for fi := lo; fi < hi; fi++ {
-		var bias float32
-		if len(b) > 0 {
-			bias = b[fi]
-		}
-		part := x.partial[fi*outHW:][:outHW]
-		out := p.out[fi*outHW:][:outHW]
-		for pos, v := range part {
-			out[pos] = applyActivation(act, v+bias)
-		}
+	bias := biasAt(p.st.b, fi)
+	out := p.out[fi*p.l.OutShape.Height*p.l.OutShape.Width+pos:][:n]
+	for i := range out {
+		out[i] = applyActivation(p.l.Activation, acc[i]+bias)
 	}
 }
 
@@ -685,29 +720,24 @@ func (x *peExec) poolBand(band, lo, hi int) {
 
 // runFC implements the fully-connected PE as a single-input/single-output
 // 1x1 convolution. The loop nest is output-major over the contiguous weight
-// rows; each neuron's accumulation visits the inputs in the same order as
-// the streaming oracle, so the result is bit-identical — and since banding
-// and the register tile shard whole neurons, Par.Out-parallel execution
-// preserves that exactly.
+// rows; each neuron's accumulation starts from its bias and visits the inputs
+// in the same order as the streaming oracle, so the result is bit-identical —
+// and since banding and the register tile shard whole neurons, Par.Out-
+// parallel execution preserves that exactly.
 func (x *peExec) runFC() {
 	p := &x.pass
 	l := p.l
-	o := l.OutShape.Channels
-	if p.st.streamWords > 0 {
-		x.dm.AccountWeightStream(p.st.streamWords)
-	}
-	partial := x.partial[:o]
-	clear(partial)
-	copy(partial, p.st.b)
-	x.pool.bands(o, x.outBands, x.fns.fc)
-	x.stats.MACs += int64(o) * int64(l.InShape.Volume())
-	for i := range partial {
-		partial[i] = applyActivation(l.Activation, partial[i])
+	x.dm.AccountReadBytes(4 * p.st.streamWords)
+	clear(p.out)
+	copy(p.out, p.st.b)
+	x.pool.bands(len(p.out), x.outBands, x.fns.fc)
+	x.stats.MACs += int64(len(p.out)) * int64(l.InShape.Volume())
+	for i, v := range p.out {
+		p.out[i] = applyActivation(l.Activation, v)
 	}
 	if l.Normalize != NoActivation {
-		normalizeInPlace(l.Normalize, partial)
+		normalizeInPlace(l.Normalize, p.out)
 	}
-	copy(p.out, partial)
 }
 
 // fcNeuronTile is the neuron register-tile width of the FC loop: one input
@@ -723,7 +753,7 @@ func (x *peExec) fcBand(_, lo, hi int) {
 	oi := lo
 	for ; oi+fcNeuronTile <= hi; oi += fcNeuronTile {
 		w0, w1, w2, w3 := w[oi*v:][:v], w[(oi+1)*v:][:v], w[(oi+2)*v:][:v], w[(oi+3)*v:][:v]
-		acc := x.partial[oi:][:fcNeuronTile]
+		acc := p.out[oi:][:fcNeuronTile]
 		a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
 		for h, xv := range in {
 			a0 += w0[h] * xv
@@ -734,12 +764,20 @@ func (x *peExec) fcBand(_, lo, hi int) {
 		acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
 	}
 	for ; oi < hi; oi++ {
-		a := x.partial[oi]
+		a := p.out[oi]
 		for h, wv := range w[oi*v:][:v] {
 			a += wv * in[h]
 		}
-		x.partial[oi] = a
+		p.out[oi] = a
 	}
+}
+
+// biasAt returns output i's bias, zero for a layer without one.
+func biasAt(b []float32, i int) float32 {
+	if len(b) == 0 {
+		return 0
+	}
+	return b[i]
 }
 
 // applyActivation applies the folded pointwise non-linearity.

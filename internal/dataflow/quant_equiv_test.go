@@ -43,7 +43,7 @@ func runQuantCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, ba
 		t.Fatal(err)
 	}
 	pool := NewCUPool(packedAcc, cus)
-	gotOut, gotStats, err := pool.Run(batch)
+	gotOut, gotStats, err := runPoolBatch(pool, batch)
 	if err != nil {
 		t.Fatalf("packed run: %v", err)
 	}

@@ -112,14 +112,14 @@ func (a *Accelerator) OpenSession() *Session {
 		s.peStats[i].ID = pe.ID
 		elem := 1 + i
 		stream := peStream{pe: pe, dm: a.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i], track: peTracks[i],
-			onImage: func() { s.imageDone(elem) }, onErr: s.fail}
+			lanes: spec.Lanes(), wgCache: a.wgweights, onImage: func() { s.imageDone(elem) }, onErr: s.fail}
 		var run func() error
 		if s.packed {
-			x := &peExecInt8{peStream: stream, qw: a.qweights, wg: a.wgweights}
-			run = func() error { return x.runStream(x.prepare, x.runImage) }
+			x := &peExecInt8{peStream: stream, qw: a.qweights}
+			run = func() error { return x.runStream(x) }
 		} else {
-			x := &peExec{peStream: stream, wg: a.wgweights}
-			run = func() error { return x.runStream(x.prepare, x.runImage) }
+			x := &peExec{peStream: stream}
+			run = func() error { return x.runStream(x) }
 		}
 		s.wg.Add(1)
 		go func() {

@@ -217,6 +217,31 @@ func TestRouterFailoverToHealthyReplica(t *testing.T) {
 	}
 }
 
+// A node's 400 settles the request at the router: the image is unservable
+// (a non-finite pixel on an int8 node, a wrong shape), so it is neither
+// retried on the other replica nor held against the node's breaker.
+func TestRouterPassesClientErrorThrough(t *testing.T) {
+	reject := func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"non-finite value cannot be quantized"}`, http.StatusBadRequest)
+	}
+	a, b := newStubNode(t, reject), newStubNode(t, reject)
+	rt := newTestRouter(t, RouterConfig{ReplicationFactor: 2, Retries: 1, RetryBackoff: time.Millisecond,
+		Membership: MembershipConfig{BreakerThreshold: 1}}, a, b)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	for i := 0; i < 3; i++ {
+		if resp := postInfer(t, front.URL, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("request %d: status %d, want the node's 400", i, resp.StatusCode)
+		}
+	}
+	if hits := a.hits.Load() + b.hits.Load(); hits != 3 {
+		t.Fatalf("%d node hits for 3 requests: a client error was retried", hits)
+	}
+	if st := rt.Stats(); st.Retries != 0 {
+		t.Fatalf("retries = %d, want 0", st.Retries)
+	}
+}
+
 func TestRouterBreakerRemovesFlappingNode(t *testing.T) {
 	bad := newStubNode(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)

@@ -7,6 +7,7 @@
 package sdaccel
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -452,8 +453,12 @@ func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 		outs, stats, err := cu.session().RunBatch(imgs)
 		if err != nil {
 			// A failed session is sticky; retire it so the next dispatch
-			// reopens a fresh fabric instead of failing forever.
-			cu.closeSession()
+			// reopens a fresh fabric instead of failing forever. A rejected
+			// input is not a failed session: nothing was fed, and the
+			// resident fabric serves the next batch.
+			if !errors.Is(err, dataflow.ErrNonFiniteInput) {
+				cu.closeSession()
+			}
 			cu.mu.Unlock()
 			return err
 		}

@@ -2,7 +2,9 @@ package sdaccel
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -16,8 +18,14 @@ import (
 	"condor/internal/tensor"
 )
 
-// tc1Xclbin compiles TC1 for the given board.
+// tc1Xclbin compiles float32 TC1 for the given board.
 func tc1Xclbin(t *testing.T, boardID string) ([]byte, *condorir.WeightSet) {
+	t.Helper()
+	return tc1XclbinBits(t, boardID, 32)
+}
+
+// tc1XclbinBits compiles TC1 for the given board at the given word width.
+func tc1XclbinBits(t *testing.T, boardID string, wordBits int) ([]byte, *condorir.WeightSet) {
 	t.Helper()
 	ir, ws, err := models.TC1()
 	if err != nil {
@@ -28,6 +36,7 @@ func tc1Xclbin(t *testing.T, boardID string) ([]byte, *condorir.WeightSet) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec.WordBits = wordBits
 	xo, err := bitstream.PackageXO(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -37,6 +46,65 @@ func tc1Xclbin(t *testing.T, boardID string) ([]byte, *condorir.WeightSet) {
 		t.Fatal(err)
 	}
 	return xclbin, ws
+}
+
+// TestNonFiniteInputKeepsSession: a NaN pixel on an int8 deployment is a
+// rejected request, not a failed fabric — the compute unit keeps its resident
+// session and that session serves the next clean batch.
+func TestNonFiniteInputKeepsSession(t *testing.T) {
+	xclbin, ws := tc1XclbinBits(t, "zc706", 8)
+	dev, err := NewDevice("fpga0", "zc706")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.LoadXclbin(xclbin); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.LoadWeights(ws); err != nil {
+		t.Fatal(err)
+	}
+	const inVol, outVol = 16 * 16, 10
+	infer := func(img []float32) ([]float32, error) {
+		ctx := CreateContext(dev)
+		in, out := ctx.CreateBuffer(inVol), ctx.CreateBuffer(outVol)
+		ctx.EnqueueWrite(in, img)
+		ctx.EnqueueKernel(in, out, 1)
+		res := make([]float32, outVol)
+		ctx.EnqueueRead(out, res)
+		_, err := ctx.Finish()
+		return res, err
+	}
+	clean := models.USPSImages(1, 9)[0].Data()
+	want, err := infer(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cu := dev.cus[0]
+	resident := cu.sess
+	if resident == nil {
+		t.Fatal("no resident session after the first dispatch")
+	}
+
+	poisoned := append([]float32(nil), clean...)
+	poisoned[17] = float32(math.NaN())
+	if _, err := infer(poisoned); !errors.Is(err, dataflow.ErrNonFiniteInput) {
+		t.Fatalf("NaN image: %v, want ErrNonFiniteInput", err)
+	}
+	if cu.sess != resident {
+		t.Fatal("the rejected image cost the compute unit its resident session")
+	}
+	got, err := infer(clean)
+	if err != nil {
+		t.Fatalf("clean batch after the rejection: %v", err)
+	}
+	if cu.sess != resident {
+		t.Fatal("the next clean batch was not served by the resident session")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("output %d: %v after the rejection, %v before", i, got[i], want[i])
+		}
+	}
 }
 
 func TestLocalDeviceEndToEnd(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"condor/internal/dataflow"
 	"condor/internal/obs"
 	"condor/internal/tensor"
 )
@@ -89,7 +90,8 @@ func WithRequestTracer(tr obs.Tracer) HandlerOption {
 // requestTimeout bounds each inference request's time in the serving
 // pipeline (queueing + device); 0 means no per-request deadline.
 // Backpressure maps to 429, deadlines to 504, shutdown to 503, a body larger
-// than any image of the input shape could need to 413.
+// than any image of the input shape could need to 413, an image the fabric
+// rejects (dataflow.ErrNonFiniteInput) to 400.
 func NewHandler(s *Server, input InputShape, requestTimeout time.Duration, opts ...HandlerOption) http.Handler {
 	var o handlerOptions
 	for _, opt := range opts {
@@ -196,6 +198,10 @@ func statusForErr(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
+	case errors.Is(err, dataflow.ErrNonFiniteInput):
+		// The image itself is unservable on a quantized fabric: no retry and
+		// no other replica would answer differently.
+		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"condor/internal/dataflow"
 )
 
 func newTestHandler(t *testing.T) (*Server, http.Handler) {
@@ -136,5 +139,23 @@ func TestHTTPBackpressureStatus(t *testing.T) {
 	}
 	if got := statusForErr(context.DeadlineExceeded); got != http.StatusGatewayTimeout {
 		t.Fatalf("DeadlineExceeded → %d, want 504", got)
+	}
+}
+
+// A request the fabric rejects as unservable — a non-finite pixel on an int8
+// deployment — is the client's error, however deep the backend wrapped it.
+func TestHTTPNonFiniteInputIs400(t *testing.T) {
+	fb := &fakeBackend{id: "b0", err: fmt.Errorf("dataflow: image 0 element 1 is NaN: %w", dataflow.ErrNonFiniteInput)}
+	s, err := New(Config{Backends: []Backend{fb}, MaxBatch: 4, QueueDepth: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, s)
+	h := NewHandler(s, InputShape{Channels: 1, Height: 2, Width: 2}, time.Second)
+	rec := httptest.NewRecorder()
+	body, _ := json.Marshal(InferRequest{Image: []float32{0.1, 0.9, 0.3, 0.2}})
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/infer", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("rejected image: status %d, want 400 (body %s)", rec.Code, rec.Body)
 	}
 }
