@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build loc vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
 
 all: build lint test
 
@@ -72,6 +72,16 @@ serve-repeat:
 # `./...` does not reach: an internal/ API it uses can only break here.
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz-smoke runs each fuzz target for 10 s: the weights-file and container
+# parsers must turn any byte string into a value or an error, never a panic,
+# and allocate at most a small multiple of its length. `go test -fuzz` takes
+# one target per run, hence one line each. Minimizing a new-coverage input
+# grown from a multi-kilobyte seed defaults to 60 s, which would eat the
+# whole budget (≈ 10 execs instead of ≈ 100 k); 1 s keeps the smoke fuzzing.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseWeights$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/condorir
+	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
 
 # stream-stress is the continuous-streaming fabric gate CI runs: the frame
 # protocol unit tests, the epoch-framing equivalence sweep and the
@@ -165,6 +175,6 @@ profile-fabric:
 	$(GO) tool pprof -top -nodecount=15 fabric.cpu.prof
 
 # ci is the full gate the workflow runs: build, both linters, the race
-# detector over the test suite, the repeated fleet and serve runs and the
-# nested benchmark module.
-ci: build lint race fleet-repeat serve-repeat benchmark-module
+# detector over the test suite, the repeated fleet and serve runs, the
+# nested benchmark module and the parser fuzz smoke.
+ci: build lint race fleet-repeat serve-repeat benchmark-module fuzz-smoke

@@ -595,6 +595,39 @@ func BenchmarkCloudSlotScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkToolflowLeNetF1 is the benchmark module's toolflow-lenet-f1 op in
+// process: LeNet from its caffemodel through BuildAccelerator (DSE on),
+// DeployCloud, one Infer and Terminate. Its B/op is the number the weight
+// path's copy budget (TestWeightPathCopyBudget) guards; -memprofile shows
+// which hop allocated it.
+func BenchmarkToolflowLeNetF1(b *testing.B) {
+	srv := aws.NewServer(aws.Options{AFIGenerationDelay: time.Nanosecond})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Quiesce()
+	in := toolflowInput(b)
+	cfg := CloudConfig{Endpoint: ts.URL, License: aws.LicenseFromAMI(), Bucket: "condor-toolflow"}
+	img := models.MNISTImages(1, 1)
+	f := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bld, err := f.BuildAccelerator(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dep, err := f.DeployCloud(bld, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := dep.Infer(img); err != nil {
+			b.Fatal(err)
+		}
+		if err := dep.Terminate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationFIFODepth studies how the inter-PE FIFO skid affects the
 // batch pipeline: with bounded boundaries a finished PE blocks on a full
 // downstream FIFO (the fabric's blocking writes), so shallow skids slow

@@ -18,7 +18,6 @@
 package condor
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -427,10 +426,4 @@ func (b *Build) BatchCurve(batches []int) ([]perf.BatchPoint, error) {
 
 // WeightsBytes serialises the build's weight set in the Condor external
 // weights format (the file the datamover loads at runtime).
-func (b *Build) WeightsBytes() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := b.Weights.Write(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func (b *Build) WeightsBytes() ([]byte, error) { return b.Weights.Bytes() }

@@ -1,7 +1,6 @@
 package aws
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -185,7 +184,7 @@ func (e *ec2Service) executeInference(instanceID string, slot int,
 	if err != nil {
 		return nil, err
 	}
-	ws, err := condorir.ReadWeights(bytes.NewReader(wBytes))
+	ws, err := condorir.ParseWeights(wBytes)
 	if err != nil {
 		return nil, &apiError{Code: "InvalidWeightsFile", Status: 400, Message: err.Error()}
 	}

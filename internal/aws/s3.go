@@ -15,7 +15,10 @@ import (
 	"sync"
 )
 
-// objectStore is the S3 backend: buckets of named byte objects.
+// objectStore is the S3 backend: buckets of named byte objects, immutable
+// once stored, so the store copies nothing. put takes ownership of data (the
+// caller must not write to it afterwards); get returns the stored slice,
+// which callers only read. A put replaces an object, never writes into it.
 type objectStore struct {
 	mu      sync.RWMutex
 	buckets map[string]map[string][]byte
@@ -60,9 +63,7 @@ func (s *objectStore) put(bucket, key string, data []byte) error {
 	if !ok {
 		return &apiError{Code: "NoSuchBucket", Status: 404, Message: bucket}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	b[key] = cp
+	b[key] = data
 	return nil
 }
 
@@ -77,9 +78,7 @@ func (s *objectStore) get(bucket, key string) ([]byte, error) {
 	if !ok {
 		return nil, &apiError{Code: "NoSuchKey", Status: 404, Message: bucket + "/" + key}
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	return data, nil
 }
 
 func (s *objectStore) delete(bucket, key string) error {

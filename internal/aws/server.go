@@ -2,6 +2,7 @@ package aws
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -14,6 +15,14 @@ import (
 // provides. AFI creation requires it; running Condor outside the Developer
 // AMI (no token) reproduces the paper's accessibility constraint.
 const DefaultLicense = "fpga-developer-ami/1.5.0"
+
+// Request body caps. A PUT is read into one buffer sized from its declared
+// length, so maxObjectBytes bounds what a hostile Content-Length can reserve
+// (64 MiB is ≈ 37 LeNet weight files); no /api request nears a kilobyte.
+const (
+	maxObjectBytes  = 64 << 20
+	maxAPIBodyBytes = 64 << 10
+)
 
 // Options configures the simulated cloud.
 type Options struct {
@@ -159,7 +168,7 @@ func (s *Server) serveS3(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodPut:
 			var body []byte
-			body, err = io.ReadAll(r.Body)
+			body, err = readObject(w, r)
 			if err == nil {
 				err = s.store.put(bucket, key, body)
 			}
@@ -185,6 +194,31 @@ func (s *Server) serveS3(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeErr(w, err)
 	}
+}
+
+// readObject reads a PUT body into one buffer, sized from Content-Length or
+// grown under the same cap when chunked: 413 over the cap, 400 when short.
+func readObject(w http.ResponseWriter, r *http.Request) (body []byte, err error) {
+	switch n := r.ContentLength; {
+	case n > maxObjectBytes:
+		err = &http.MaxBytesError{Limit: maxObjectBytes}
+	case n < 0:
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxObjectBytes))
+	default:
+		body = make([]byte, n)
+		if _, err = io.ReadFull(r.Body, body); err != nil {
+			return nil, &apiError{Code: "IncompleteBody", Status: 400, Message: "body shorter than its Content-Length"}
+		}
+	}
+	if isTooLarge(err) {
+		return nil, &apiError{Code: "EntityTooLarge", Status: 413, Message: err.Error()}
+	}
+	return body, err
+}
+
+func isTooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
 }
 
 // apiRequest is the JSON envelope of the action API.
@@ -233,8 +267,12 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req apiRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, &apiError{Code: "MalformedRequest", Status: 400, Message: err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAPIBodyBytes)).Decode(&req); err != nil {
+		ae := &apiError{Code: "MalformedRequest", Status: 400, Message: err.Error()}
+		if isTooLarge(err) {
+			ae.Code, ae.Status = "RequestEntityTooLarge", 413
+		}
+		writeErr(w, ae)
 		return
 	}
 	var resp apiResponse

@@ -52,52 +52,47 @@ func WriteContainer(magic string, sections []Section) ([]byte, error) {
 }
 
 // ReadContainer parses and verifies a container, checking the magic and
-// every section checksum.
+// every section checksum. Payloads are sub-slices of data, not copies. Every
+// count and length is checked against the bytes left before it sizes
+// anything, so a hostile header costs no more than the input's own size.
 func ReadContainer(magic string, data []byte) ([]Section, error) {
-	r := bytes.NewReader(data)
-	got := make([]byte, 4)
-	if _, err := io.ReadFull(r, got); err != nil || string(got) != magic {
-		return nil, fmt.Errorf("bitstream: bad magic %q, want %q", got, magic)
+	le := binary.LittleEndian
+	if len(data) < 4 || string(data[:4]) != magic {
+		return nil, fmt.Errorf("bitstream: bad magic %q, want %q", data[:min(4, len(data))], magic)
 	}
-	var version, count uint32
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, err
+	if len(data) < 12 {
+		return nil, fmt.Errorf("bitstream: container header: %w", io.ErrUnexpectedEOF)
 	}
-	if version != containerVersion {
-		return nil, fmt.Errorf("bitstream: unsupported container version %d", version)
+	if v := le.Uint32(data[4:]); v != containerVersion {
+		return nil, fmt.Errorf("bitstream: unsupported container version %d", v)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
-		return nil, err
+	count := le.Uint32(data[8:])
+	b := data[12:]
+	// The smallest section (empty name, empty payload) takes 10 bytes.
+	if uint64(count) > uint64(len(b))/10 {
+		return nil, fmt.Errorf("bitstream: container declares %d sections in %d bytes", count, len(b))
 	}
 	sections := make([]Section, 0, count)
 	for i := uint32(0); i < count; i++ {
-		var nameLen uint16
-		if err := binary.Read(r, binary.LittleEndian, &nameLen); err != nil {
-			return nil, fmt.Errorf("bitstream: section %d: %w", i, err)
+		if len(b) < 2 || len(b) < 6+int(le.Uint16(b)) {
+			return nil, fmt.Errorf("bitstream: section %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(r, name); err != nil {
-			return nil, err
-		}
-		var size uint32
-		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
-			return nil, err
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		nameLen := int(le.Uint16(b))
+		name := string(b[2 : 2+nameLen])
+		size := uint64(le.Uint32(b[2+nameLen:]))
+		b = b[6+nameLen:]
+		if uint64(len(b)) < size+4 {
 			return nil, fmt.Errorf("bitstream: section %q truncated", name)
 		}
-		var crc uint32
-		if err := binary.Read(r, binary.LittleEndian, &crc); err != nil {
-			return nil, err
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
+		payload := b[:size:size]
+		if crc32.ChecksumIEEE(payload) != le.Uint32(b[size:]) {
 			return nil, fmt.Errorf("bitstream: section %q checksum mismatch (file corrupt)", name)
 		}
-		sections = append(sections, Section{Name: string(name), Data: payload})
+		sections = append(sections, Section{Name: name, Data: payload})
+		b = b[size+4:]
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("bitstream: %d trailing bytes after last section", r.Len())
+	if len(b) != 0 {
+		return nil, fmt.Errorf("bitstream: %d trailing bytes after last section", len(b))
 	}
 	return sections, nil
 }

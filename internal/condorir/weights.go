@@ -1,7 +1,6 @@
 package condorir
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -125,132 +124,134 @@ var weightsMagic = [4]byte{'C', 'N', 'D', 'W'}
 
 const weightsVersion = 1
 
-// Write serialises the weight set.
-func (ws *WeightSet) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(weightsMagic[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(weightsVersion)); err != nil {
-		return err
-	}
+// Bytes serialises the weight set. The file's exact size is computed
+// first, so the encoding is one allocation written in one pass.
+func (ws *WeightSet) Bytes() ([]byte, error) {
 	entries := ws.Entries()
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(entries))); err != nil {
-		return err
-	}
+	size := 12
 	for _, e := range entries {
 		if len(e.Layer) > math.MaxUint16 {
-			return fmt.Errorf("condorir: layer name %q too long", e.Layer)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint16(len(e.Layer))); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(e.Layer); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
+			return nil, fmt.Errorf("condorir: layer name %q too long", e.Layer)
 		}
 		if len(e.Dims) > math.MaxUint8 {
-			return fmt.Errorf("condorir: entry %s/%s rank %d too large", e.Layer, e.Kind, len(e.Dims))
+			return nil, fmt.Errorf("condorir: entry %s/%s rank %d too large", e.Layer, e.Kind, len(e.Dims))
 		}
-		if err := bw.WriteByte(byte(len(e.Dims))); err != nil {
-			return err
-		}
-		for _, d := range e.Dims {
-			if err := binary.Write(bw, binary.LittleEndian, uint32(d)); err != nil {
-				return err
-			}
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(e.Data))); err != nil {
-			return err
-		}
-		buf := make([]byte, 4*len(e.Data))
-		for i, v := range e.Data {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, crc32.ChecksumIEEE(buf)); err != nil {
-			return err
-		}
+		size += 2 + len(e.Layer) + 2 + 4*len(e.Dims) + 4 + 4*len(e.Data) + 4
 	}
-	return bw.Flush()
+	le := binary.LittleEndian
+	b := make([]byte, 0, size)
+	b = append(b, weightsMagic[:]...)
+	b = le.AppendUint32(b, weightsVersion)
+	b = le.AppendUint32(b, uint32(len(entries)))
+	for _, e := range entries {
+		b = le.AppendUint16(b, uint16(len(e.Layer)))
+		b = append(b, e.Layer...)
+		b = append(b, byte(e.Kind), byte(len(e.Dims)))
+		for _, d := range e.Dims {
+			b = le.AppendUint32(b, uint32(d))
+		}
+		b = le.AppendUint32(b, uint32(len(e.Data)))
+		data := len(b)
+		for _, v := range e.Data {
+			b = le.AppendUint32(b, math.Float32bits(v))
+		}
+		b = le.AppendUint32(b, crc32.ChecksumIEEE(b[data:]))
+	}
+	return b, nil
 }
 
-// ReadWeights parses a Condor weights file, verifying per-entry checksums.
+// Write serialises the weight set to w.
+func (ws *WeightSet) Write(w io.Writer) error {
+	b, err := ws.Bytes()
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
+// ReadWeights parses a Condor weights file read to its end from r.
 func ReadWeights(r io.Reader) (*WeightSet, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("condorir: weights file: %w", err)
 	}
-	if magic != weightsMagic {
+	return ParseWeights(b)
+}
+
+// ParseWeights decodes a Condor weights file straight from b, verifying
+// per-entry checksums. Every count and length is checked against the bytes
+// left before it sizes anything, so a hostile header cannot allocate more
+// than a small multiple of the input.
+func ParseWeights(b []byte) (*WeightSet, error) {
+	le := binary.LittleEndian
+	if len(b) < 12 {
+		return nil, fmt.Errorf("condorir: weights file: %w", io.ErrUnexpectedEOF)
+	}
+	if magic := [4]byte(b); magic != weightsMagic {
 		return nil, fmt.Errorf("condorir: bad weights magic %q", magic[:])
 	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
+	if v := le.Uint32(b[4:]); v != weightsVersion {
+		return nil, fmt.Errorf("condorir: unsupported weights version %d", v)
 	}
-	if version != weightsVersion {
-		return nil, fmt.Errorf("condorir: unsupported weights version %d", version)
+	count := le.Uint32(b[8:])
+	b = b[12:]
+	// The smallest entry (empty name, rank 0, no values) takes 12 bytes.
+	if uint64(count) > uint64(len(b))/12 {
+		return nil, fmt.Errorf("condorir: weights file declares %d entries in %d bytes", count, len(b))
 	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	ws := NewWeightSet()
+	ws := &WeightSet{entries: make(map[string]*WeightEntry, count)}
 	for i := uint32(0); i < count; i++ {
-		var nameLen uint16
-		if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-			return nil, fmt.Errorf("condorir: weights entry %d: %w", i, err)
+		if len(b) < 2 {
+			return nil, fmt.Errorf("condorir: weights entry %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, err
+		nameLen := int(le.Uint16(b))
+		if len(b) < 4+nameLen {
+			return nil, fmt.Errorf("condorir: weights entry %d: %w", i, io.ErrUnexpectedEOF)
 		}
-		kindB, err := br.ReadByte()
-		if err != nil {
-			return nil, err
+		name := string(b[2 : 2+nameLen])
+		kind, rank := b[2+nameLen], int(b[3+nameLen])
+		if kind > 1 {
+			return nil, fmt.Errorf("condorir: weights entry %q: bad kind %d", name, kind)
 		}
-		if kindB > 1 {
-			return nil, fmt.Errorf("condorir: weights entry %q: bad kind %d", name, kindB)
-		}
-		rank, err := br.ReadByte()
-		if err != nil {
-			return nil, err
+		b = b[4+nameLen:]
+		if len(b) < 4*rank+4 {
+			return nil, fmt.Errorf("condorir: weights entry %d: %w", i, io.ErrUnexpectedEOF)
 		}
 		dims := make([]int, rank)
 		for d := range dims {
-			var v uint32
-			if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-				return nil, err
-			}
-			dims[d] = int(v)
+			dims[d] = int(le.Uint32(b[4*d:]))
 		}
-		var n uint32
-		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-			return nil, err
-		}
-		if len(dims) > 0 && uint32(tensor.Volume(dims)) != n {
+		n := uint64(le.Uint32(b[4*rank:]))
+		b = b[4*rank+4:]
+		if rank > 0 && !volumeIs(dims, n) {
 			return nil, fmt.Errorf("condorir: weights entry %q: dims %v inconsistent with %d values", name, dims, n)
 		}
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("condorir: weights entry %q: %w", name, err)
+		if uint64(len(b)) < 4*n+4 {
+			return nil, fmt.Errorf("condorir: weights entry %q: %w", name, io.ErrUnexpectedEOF)
 		}
-		var crc uint32
-		if err := binary.Read(br, binary.LittleEndian, &crc); err != nil {
-			return nil, err
-		}
-		if got := crc32.ChecksumIEEE(buf); got != crc {
+		raw := b[:4*n]
+		if crc32.ChecksumIEEE(raw) != le.Uint32(b[4*n:]) {
 			return nil, fmt.Errorf("condorir: weights entry %q: checksum mismatch (file corrupt)", name)
 		}
 		data := make([]float32, n)
 		for j := range data {
-			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
+			data[j] = math.Float32frombits(le.Uint32(raw[4*j:]))
 		}
-		ws.PutRaw(string(name), EntryKind(kindB), dims, data)
+		b = b[4*n+4:]
+		ws.PutRaw(name, EntryKind(kind), dims, data)
 	}
 	return ws, nil
+}
+
+// volumeIs reports whether dims multiply out to exactly n, stopping before
+// the product can overflow: dims [65536 65536] do not describe 0 values.
+func volumeIs(dims []int, n uint64) bool {
+	v := uint64(1)
+	for _, d := range dims {
+		if d != 0 && v > n/uint64(d) {
+			return false
+		}
+		v *= uint64(d)
+	}
+	return v == n
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // WireType identifies the low-level encoding of a field on the wire.
@@ -204,13 +205,14 @@ func AppendFloatField(b []byte, num int, v float32) []byte {
 }
 
 // AppendPackedFloats appends a repeated float field in packed encoding, the
-// layout Caffe uses for BlobProto.data.
+// layout Caffe uses for BlobProto.data, encoded straight into b (grown once).
 func AppendPackedFloats(b []byte, num int, vals []float32) []byte {
-	payload := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(payload[4*i:], math.Float32bits(v))
+	b = AppendVarint(AppendTag(b, num, WireBytes), uint64(4*len(vals)))
+	b = slices.Grow(b, 4*len(vals))
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 	}
-	return AppendBytesField(b, num, payload)
+	return b
 }
 
 // --- Accessor helpers on decoded messages ---
@@ -305,18 +307,30 @@ func (m Message) GetMessage(num int) (Message, error) {
 }
 
 // GetFloats gathers a repeated float field, accepting both the packed
-// (length-delimited) and unpacked (one fixed32 per occurrence) encodings,
-// as required when reading proto2 files from varied writers.
+// (length-delimited) and unpacked (one fixed32 per occurrence) encodings
+// proto2 writers use, into one slice sized by a counting pass first.
 func (m Message) GetFloats(num int) ([]float32, error) {
-	var out []float32
+	n := 0
+	for _, f := range m {
+		switch {
+		case f.Num == num && f.Wire == WireFixed32:
+			n++
+		case f.Num == num && f.Wire == WireBytes:
+			if len(f.Bytes)%4 != 0 {
+				return nil, fmt.Errorf("proto: packed float field %d has %d bytes (not a multiple of 4)", num, len(f.Bytes))
+			}
+			n += len(f.Bytes) / 4
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]float32, 0, n)
 	for _, f := range m {
 		switch {
 		case f.Num == num && f.Wire == WireFixed32:
 			out = append(out, math.Float32frombits(uint32(f.Uint)))
 		case f.Num == num && f.Wire == WireBytes:
-			if len(f.Bytes)%4 != 0 {
-				return nil, fmt.Errorf("proto: packed float field %d has %d bytes (not a multiple of 4)", num, len(f.Bytes))
-			}
 			for i := 0; i < len(f.Bytes); i += 4 {
 				out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(f.Bytes[i:])))
 			}

@@ -189,6 +189,31 @@ func TestGetFloatsAcceptsUnpacked(t *testing.T) {
 	}
 }
 
+// TestGetFloatsAllocatesOnce pins the exactly-sized result: a caffemodel
+// blob of any length, packed or mixed with unpacked occurrences, costs one
+// allocation, not the doublings of an unsized append.
+func TestGetFloatsAllocatesOnce(t *testing.T) {
+	vals := make([]float32, 10000)
+	for i := range vals {
+		vals[i] = float32(i)
+	}
+	b := AppendPackedFloats(nil, 5, vals)
+	b = AppendFloatField(b, 5, -1)
+	b = AppendPackedFloats(b, 5, vals[:7])
+	msg, err := Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float32
+	allocs := testing.AllocsPerRun(20, func() { got, _ = msg.GetFloats(5) })
+	if allocs != 1 {
+		t.Fatalf("GetFloats made %v allocations, want 1", allocs)
+	}
+	if len(got) != len(vals)+8 || got[len(vals)] != -1 || got[len(got)-1] != 6 {
+		t.Fatalf("GetFloats gathered %d values, want %d in field order", len(got), len(vals)+8)
+	}
+}
+
 func TestGetFloatsRejectsMisalignedPacked(t *testing.T) {
 	b := AppendBytesField(nil, 5, []byte{1, 2, 3}) // 3 bytes: not a float array
 	msg, err := Decode(b)
