@@ -1,25 +1,32 @@
 GO ?= go
 
-.PHONY: all build loc vet condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build loc vet crosscondorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 
-# loc prints non-test and test Go lines per package (root, benchmark/,
-# internal/*, cmd/*): the trajectory of ROADMAP aim 2, "same behaviour from
-# the least code". CI prints it with every build.
+# loc prints non-test (Go and assembly) and test Go lines per package (root,
+# benchmark/, internal/*, cmd/*): the trajectory of ROADMAP aim 2, "same
+# behaviour from the least code". CI prints it with every build.
 loc:
 	@printf '%-28s %9s %9s\n' package non-test test
 	@for d in . benchmark internal/* cmd/*; do \
-		nt=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		nt=$$(find $$d -maxdepth 1 \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) -exec cat {} + | wc -l); \
 		t=$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
 		printf '%-28s %9d %9d\n' $$d $$nt $$t; \
 	done
 
 vet:
 	$(GO) vet ./...
+
+# cross keeps the portable paths compiling: internal/dataflow's float32
+# convolution tile is amd64 assembly, and every other architecture runs its
+# Go fallback. (`go vet` on amd64 already runs asmdecl over the .s file.)
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/dataflow/...
+	GOARCH=386 $(GO) build ./...
 
 # condorlint runs the repository's custom static analyzers — fifodiscard,
 # shapecompare, copylocks, httptimeout, plus the v2 concurrency suite
@@ -174,7 +181,7 @@ profile-fabric:
 		-cpuprofile fabric.cpu.prof -o fabric.bench.test .
 	$(GO) tool pprof -top -nodecount=15 fabric.cpu.prof
 
-# ci is the full gate the workflow runs: build, both linters, the race
-# detector over the test suite, the repeated fleet and serve runs, the
-# nested benchmark module and the parser fuzz smoke.
-ci: build lint race fleet-repeat serve-repeat benchmark-module fuzz-smoke
+# ci is the full gate the workflow runs: build, the cross-architecture
+# build, both linters, the race detector over the test suite, the repeated
+# fleet and serve runs, the nested benchmark module and the parser fuzz smoke.
+ci: build cross lint race fleet-repeat serve-repeat benchmark-module fuzz-smoke

@@ -83,6 +83,19 @@ var gatherCases = []gatherCase{
 			{Name: "r", Type: "TanH", PEGroup: -1},
 			{Name: "ip2", Type: "InnerProduct", NumOutput: 3, Bias: true, PEGroup: -1},
 		}},
+	// Stride-1 rows of convLanes and more take the AVX2 tile where the CPU
+	// has one. out 8×8: one tile per row; 7 output channels end a band
+	// inside a channel quad at every Par.Out of the sweep.
+	{"conv3-pad1-one-lane-tile", condorir.InputShape{Channels: 3, Height: 8, Width: 8},
+		[]condorir.Layer{conv("c", 3, 1, 1, 7, -1)}},
+	// out 3×19: the last tile starts at column 11 and recomputes five
+	// positions of the tile before it, through the folded activation.
+	{"conv3-overlapping-last-tile-relu", condorir.InputShape{Channels: 2, Height: 5, Width: 21},
+		[]condorir.Layer{conv("c", 3, 1, 0, 5, -1), {Name: "r", Type: "ReLU", PEGroup: -1}}},
+	// out 3×10, unpadded: the input volume is the stack, and the last tile's
+	// eighth position reads its final word under the last channel's last tap.
+	{"conv5-unpadded-lane-tile-full-stack", condorir.InputShape{Channels: 3, Height: 7, Width: 14},
+		[]condorir.Layer{conv("c", 5, 1, 0, 6, -1)}},
 }
 
 func TestGatherEquivalenceSweep(t *testing.T) {

@@ -520,6 +520,7 @@ type peExec struct {
 		st       *layerState
 		cur, out []float32 // the layer's input and output volumes
 		stack    []float32 // the conv layer's stacked zero-padded channel planes
+		tile8    bool      // the conv layer runs on the AVX2 tile (convTile8OK)
 	}
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
@@ -592,6 +593,7 @@ func (x *peExec) runConv() {
 			padPlane(p.stack[ci*plane:], l, p.cur[ci*inHW:(ci+1)*inHW])
 		}
 	}
+	p.tile8 = convTile8OK(l, p.st, p.stack)
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
 	x.accountConv(l, 4*p.st.streamWords, l.OutShape.Height*l.OutShape.Width, l.Kernel*l.Kernel)
 }
@@ -601,10 +603,41 @@ func (x *peExec) runConv() {
 // output channels a tile covers.
 const convPosTile = 4
 
+// convLanes is the position width of the AVX2 tile: one ymm register of
+// float32 cells.
+const convLanes = 8
+
+// convTile8OK reports whether the AVX2 tile may run conv layer l over stack:
+// the CPU has it, the layer is stride 1 and at least one tile wide, and —
+// because the tile's loads are unchecked — the taps ascend from a
+// non-negative first offset, the last tile's last tap ends inside the stack
+// and every weight row is whole.
+// Anything else runs the Go tile.
+func convTile8OK(l *LayerHW, st *layerState, stack []float32) bool {
+	taps := st.taps
+	if !haveConvTile8 || l.Stride != 1 || l.OutShape.Width < convLanes || len(taps) == 0 || taps[0] < 0 ||
+		len(st.w) != l.OutShape.Channels*len(taps) {
+		return false
+	}
+	for i := 1; i < len(taps); i++ {
+		if taps[i] < taps[i-1] {
+			return false
+		}
+	}
+	lastTile := (l.OutShape.Height-1)*l.PaddedWidth() + l.OutShape.Width - convLanes
+	return lastTile+int(taps[len(taps)-1])+convLanes <= len(stack)
+}
+
 // convBand computes output channels [lo,hi) of the layer in flight, two
 // channels × convPosTile positions per register tile: output-channel pair →
-// row → tile → input channel → tap, accumulators never leaving registers.
+// row → tile → input channel → tap, accumulators never leaving registers. A
+// layer convTile8OK admits goes to convBand8 instead; this Go tile is the
+// path for every other layer and platform, and the AVX2 tile's reference.
 func (x *peExec) convBand(_, lo, hi int) {
+	if x.pass.tile8 {
+		x.convBand8(lo, hi)
+		return
+	}
 	p := &x.pass
 	l := p.l
 	stride, pw := l.Stride, l.PaddedWidth()
@@ -622,9 +655,40 @@ func (x *peExec) convBand(_, lo, hi int) {
 				n := min(convPosTile, outW-ox)
 				win := p.stack[(oy*pw+ox)*stride:]
 				a, b := convTileF32(win, stride*min(1, n-1), stride*min(2, n-1), stride*(n-1), w0, w1, taps)
-				x.convStore(fi, oy*outW+ox, n, &a)
+				x.convStore(fi, oy*outW+ox, a[:n])
 				if fj != fi {
-					x.convStore(fj, oy*outW+ox, n, &b)
+					x.convStore(fj, oy*outW+ox, b[:n])
+				}
+			}
+		}
+	}
+}
+
+// convBand8 is convBand on the AVX2 tile, four channels × convLanes
+// positions per call. A row's last tile starts at outW-convLanes and
+// recomputes the positions it shares with the tile before (the same values,
+// stored again); a band ending inside a quad repeats its last channel.
+func (x *peExec) convBand8(lo, hi int) {
+	p := &x.pass
+	l := p.l
+	pw, outH, outW := l.PaddedWidth(), l.OutShape.Height, l.OutShape.Width
+	taps := p.st.taps
+	var acc [4][convLanes]float32
+	for fi := lo; fi < hi; fi += 4 {
+		var f [4]int
+		var w [4]*float32
+		for j := range f {
+			f[j] = min(fi+j, hi-1)
+			w[j] = &p.st.w[f[j]*len(taps)]
+		}
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox += convLanes {
+				col := min(ox, outW-convLanes)
+				convTile8(&p.stack[oy*pw+col], &taps[0], len(taps), w[0], w[1], w[2], w[3], &acc)
+				for j := range f {
+					if j == 0 || f[j] != f[j-1] {
+						x.convStore(f[j], oy*outW+col, acc[j][:])
+					}
 				}
 			}
 		}
@@ -658,14 +722,14 @@ func convTileF32(win []float32, s1, s2, s3 int, w0, w1 []float32, taps []int32) 
 	return [convPosTile]float32{a0, a1, a2, a3}, [convPosTile]float32{b0, b1, b2, b3}
 }
 
-// convStore adds the bias to the first n sums of a tile, applies the folded
-// activation and writes them to channel fi's output map from pos on.
-func (x *peExec) convStore(fi, pos, n int, acc *[convPosTile]float32) {
+// convStore adds the bias to a tile's sums for one channel, applies the
+// folded activation and writes them to channel fi's output map from pos on.
+func (x *peExec) convStore(fi, pos int, acc []float32) {
 	p := &x.pass
 	bias := biasAt(p.st.b, fi)
-	out := p.out[fi*p.l.OutShape.Height*p.l.OutShape.Width+pos:][:n]
-	for i := range out {
-		out[i] = applyActivation(p.l.Activation, acc[i]+bias)
+	out := p.out[fi*p.l.OutShape.Height*p.l.OutShape.Width+pos:][:len(acc)]
+	for i, v := range acc {
+		out[i] = applyActivation(p.l.Activation, v+bias)
 	}
 }
 
