@@ -21,12 +21,16 @@ loc:
 vet:
 	$(GO) vet ./...
 
-# cross keeps the portable paths compiling: internal/dataflow's float32
-# convolution tile is amd64 assembly, and every other architecture runs its
-# Go fallback. (`go vet` on amd64 already runs asmdecl over the .s file.)
+# cross keeps the portable paths compiling and running: internal/dataflow's
+# float32 and int8 convolution tiles and int8 FC kernel are amd64 assembly,
+# and every other architecture runs the Go kernels. A 386 binary runs
+# natively on an amd64 host, so the 386 test run executes those Go kernels
+# (the int8 tile over pair planes, the packed-pair FC, the float32 tile) end
+# to end. (`go vet` on amd64 already runs asmdecl over the .s file.)
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/dataflow/...
 	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/dataflow/...
 
 # condorlint runs the repository's custom static analyzers — fifodiscard,
 # shapecompare, copylocks, httptimeout, plus the v2 concurrency suite

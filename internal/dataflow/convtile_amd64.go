@@ -9,6 +9,22 @@ package dataflow
 //go:noescape
 func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, acc *[4][convLanes]float32)
 
+// convTile8I8 is convTile8 on int8 codes, the sums in int32 lanes and two
+// taps per step: taps holds 2·pairs offsets (pairTaps) and w0–w3 are the
+// four channels' rows of the layer's pair table (pairWeights). Unchecked
+// loads, guarded by convTile8OK.
+//
+//go:noescape
+func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, acc *[4][convLanes]int32)
+
+// fcDot4I8 accumulates the first 16·blocks products of four FC neurons'
+// code rows w0–w3 with the input codes in, eight int32 lanes per neuron; the
+// caller adds the lanes up and finishes the row. Unchecked loads: every row
+// and the input must hold 16·blocks codes.
+//
+//go:noescape
+func fcDot4I8(in *int8, blocks int, w0, w1, w2, w3 *int8, acc *[4][convLanes]int32)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 

@@ -58,8 +58,7 @@ func TestConvTile8MatchesGoTile(t *testing.T) {
 				for i := range w {
 					w[i] = hostileWord(rng, true)
 				}
-				st := layerState{w: w, taps: taps}
-				if !convTile8OK(&l, &st, stack) {
+				if !convTile8OK(&l, taps, len(taps), len(w), len(stack)) {
 					t.Fatalf("C=%d K=%d pw=%d: convTile8OK refused a well-formed layer", c, k, pw)
 				}
 				rows := [4][]float32{w[:len(taps)], w[len(taps) : 2*len(taps)], w[2*len(taps) : 3*len(taps)], w[3*len(taps):]}
@@ -114,44 +113,205 @@ func fusedChain(win, w []float32, taps []int32) float32 {
 }
 
 // TestConvTile8OKGuards pins what sends a layer back to the Go tile: the
-// geometry the AVX2 tile does not cover, and anything that would let its
-// unchecked loads leave the stack or a weight row.
+// geometry the AVX2 tiles do not cover, and anything that would let their
+// unchecked loads leave the stack or a weight row — for the float32 tile
+// (one tap per weight word, four bytes per stack element) and the int8 tile
+// (a tap pair per weight word, one byte per code) alike.
 func TestConvTile8OKGuards(t *testing.T) {
 	if !haveConvTile8 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
 	}
-	geom := func(stride, outW int) (LayerHW, layerState, []float32) {
-		l := LayerHW{Kind: nn.Conv, Kernel: 3, Stride: stride,
-			InShape:  nn.Shape{Channels: 2, Height: 5, Width: (outW-1)*stride + 3},
-			OutShape: nn.Shape{Channels: 3, Height: (5-3)/stride + 1, Width: outW}}
-		taps := tapOffsets(&l)
-		st := layerState{w: make([]float32, l.OutShape.Channels*len(taps)), taps: taps}
-		return l, st, make([]float32, l.InShape.Channels*l.PaddedHeight()*l.PaddedWidth())
+	type guard struct {
+		l                      LayerHW
+		taps                   []int32
+		row, weights, stackLen int
 	}
-	l, st, stack := geom(1, 8)
-	l2, st2, stack2 := geom(2, 8)
-	l7, st7, stack7 := geom(1, 7)
-	swapped := slices.Clone(st.taps)
-	swapped[1], swapped[2] = swapped[2], swapped[1]
-	negative := slices.Clone(st.taps)
-	negative[0] = -1
-	for _, tc := range []struct {
-		name  string
-		l     LayerHW
-		st    layerState
-		stack []float32
-		admit bool
-	}{
-		{"well-formed", l, st, stack, true},
-		{"stride 2", l2, st2, stack2, false},
-		{"outW 7", l7, st7, stack7, false},
-		{"stack one word short", l, st, stack[:len(stack)-1], false},
-		{"taps out of order", l, layerState{w: st.w, taps: swapped}, stack, false},
-		{"negative first tap", l, layerState{w: st.w, taps: negative}, stack, false},
-		{"short weight stream", l, layerState{w: st.w[:len(st.w)-1], taps: st.taps}, stack, false},
-	} {
-		if got := convTile8OK(&tc.l, &tc.st, tc.stack); got != tc.admit {
-			t.Errorf("%s: convTile8OK = %v, want %v", tc.name, got, tc.admit)
+	// Channels 3 × 3×3 taps: 27, an odd count the int8 tile pads to 14 pairs.
+	geom := func(stride, outW int, int8Codes bool) guard {
+		l := LayerHW{Kind: nn.Conv, Kernel: 3, Stride: stride,
+			InShape:  nn.Shape{Channels: 3, Height: 5, Width: (outW-1)*stride + 3},
+			OutShape: nn.Shape{Channels: 3, Height: (5-3)/stride + 1, Width: outW}}
+		g := guard{l: l, taps: tapOffsets(&l), stackLen: l.InShape.Channels * l.PaddedHeight() * l.PaddedWidth()}
+		g.row = len(g.taps)
+		if int8Codes {
+			g.taps = pairTaps(g.taps)
+			g.row = len(g.taps) / 2
+		}
+		g.weights = l.OutShape.Channels * g.row
+		return g
+	}
+	for _, dtype := range []string{"float32", "int8"} {
+		int8Codes := dtype == "int8"
+		ok := geom(1, 8, int8Codes)
+		if int8Codes && (len(ok.taps) != 28 || ok.row != 14) {
+			t.Fatalf("int8 geometry: %d padded taps, %d-word pair rows; want 28 and 14", len(ok.taps), ok.row)
+		}
+		with := func(edit func(*guard)) guard {
+			g := ok
+			g.taps = slices.Clone(ok.taps)
+			edit(&g)
+			return g
+		}
+		for _, tc := range []struct {
+			name  string
+			g     guard
+			admit bool
+		}{
+			{"well-formed", ok, true},
+			{"stride 2", geom(2, 8, int8Codes), false},
+			{"outW 7", geom(1, 7, int8Codes), false},
+			{"stack one element short", with(func(g *guard) { g.stackLen-- }), false},
+			{"taps out of order", with(func(g *guard) { g.taps[1], g.taps[2] = g.taps[2], g.taps[1] }), false},
+			{"negative first tap", with(func(g *guard) { g.taps[0] = -1 }), false},
+			{"short weight table", with(func(g *guard) { g.weights-- }), false},
+		} {
+			if got := convTile8OK(&tc.g.l, tc.g.taps, tc.g.row, tc.g.weights, tc.g.stackLen); got != tc.admit {
+				t.Errorf("%s/%s: convTile8OK = %v, want %v", dtype, tc.name, got, tc.admit)
+			}
 		}
 	}
+}
+
+// The int8 tiles must be the Go kernels, sixteen products at a time: every
+// sum the same int32, on codes at both ends of the int8 range and on chains
+// as deep as rule CND026 admits.
+
+// hostileCode draws an extreme code (−128, −127, 127), zero or any code.
+func hostileCode(rng *rand.Rand) int8 {
+	switch rng.Intn(5) {
+	case 0:
+		return -128
+	case 1:
+		return -127
+	case 2:
+		return 0
+	case 3:
+		return 127
+	}
+	return int8(rng.Intn(256) - 128)
+}
+
+// checkConvTile8I8 runs every tile of a two-row, four-channel layer of c
+// channels, k×k taps and padded width pw on the AVX2 int8 tile and on the Go
+// tile (pair planes, then splitLanes), and compares the int32 sums. It
+// returns the number of cells compared.
+func checkConvTile8I8(t *testing.T, c, k, pw int, code, weight func() int8) int {
+	t.Helper()
+	l := LayerHW{Kind: nn.Conv, Kernel: k, Stride: 1,
+		InShape:  nn.Shape{Channels: c, Height: k + 1, Width: pw},
+		OutShape: nn.Shape{Channels: 4, Height: 2, Width: pw - k + 1}}
+	if d := Int8AccumulatorRange("pe0", &l); d != nil {
+		t.Fatal(d)
+	}
+	taps := tapOffsets(&l)
+	plane := l.PaddedHeight() * pw
+	stack := make([]int8, c*plane)
+	for i := range stack {
+		stack[i] = code()
+	}
+	w := make([]int8, 4*len(taps))
+	for i := range w {
+		w[i] = weight()
+	}
+	taps2, tp := pairTaps(taps), pairWeights(w, len(taps))
+	pairs := len(taps2) / 2
+	if !convTile8OK(&l, taps2, pairs, len(tp), len(stack)) {
+		t.Fatalf("C=%d K=%d pw=%d: convTile8OK refused a well-formed layer", c, k, pw)
+	}
+	packed := make([]int64, len(stack))
+	for ci := 0; ci < c; ci++ {
+		pairPlane(packed[ci*plane:][:plane], stack[ci*plane:][:plane], 1)
+	}
+	rows := [4][]int8{w[:len(taps)], w[len(taps) : 2*len(taps)], w[2*len(taps) : 3*len(taps)], w[3*len(taps):]}
+	outW, cells := l.OutShape.Width, 0
+	for oy := 0; oy < 2; oy++ {
+		for ox := 0; ox < outW; ox += convLanes {
+			base := oy*pw + min(ox, outW-convLanes)
+			var got, want [4][convLanes]int32
+			convTile8I8(&stack[base], &taps2[0], pairs, &tp[0], &tp[pairs], &tp[2*pairs], &tp[3*pairs], &got)
+			for half := 0; half < convLanes; half += convPosTile {
+				for j := 0; j < 4; j += 2 {
+					win := packed[base+half:]
+					a01, a23, b01, b23 := convTile(win, win[2:], rows[j], rows[j+1], taps)
+					a, b := splitTile(a01, a23), splitTile(b01, b23)
+					copy(want[j][half:], a[:])
+					copy(want[j+1][half:], b[:])
+				}
+			}
+			if got != want {
+				t.Fatalf("C=%d K=%d pw=%d tile (%d,%d): AVX2 %v, Go tile %v", c, k, pw, oy, base-oy*pw, got, want)
+			}
+			cells += 4 * convLanes
+		}
+	}
+	return cells
+}
+
+func TestConvTile8I8MatchesGoTile(t *testing.T) {
+	if !haveConvTile8 {
+		t.Skip("CPU without AVX2: every layer runs the Go tile")
+	}
+	rng := rand.New(rand.NewSource(27))
+	draw := func() int8 { return hostileCode(rng) }
+	cells := 0
+	for _, c := range []int{1, 2, 3, 7, 20} {
+		for _, k := range []int{1, 3, 5} { // C·K² odd and even: the padded pair and without
+			for pw := 8; pw <= 40; pw++ {
+				if pw-k+1 >= convLanes {
+					cells += checkConvTile8I8(t, c, k, pw, draw, draw)
+				}
+			}
+		}
+	}
+	// The deepest chain CND026 admits, every product at an extreme of one
+	// sign: 131 067 products of −128·−128 or −128·127 sum to 99.996 % and
+	// −99.2 % of the int32 range, so a lane that wrapped would show.
+	const depthC = (1<<31/(128*128) - 1) / 9
+	for _, wcode := range []int8{-128, 127} {
+		cells += checkConvTile8I8(t, depthC, 3, 10, func() int8 { return -128 }, func() int8 { return wcode })
+	}
+	t.Logf("%d int8 cells identical to the Go tile", cells)
+}
+
+// TestFCDot4I8MatchesGoFCBand runs each FC layer through the executor's band
+// dispatch twice — on the AVX2 kernel over row-major codes, and on the Go
+// kernel over the same codes packed two neurons per word — at every Par.Out
+// of the int8 sweep, so bands start on odd neurons and end inside a quad.
+// Scale 1 and no bias make each output the exact sum (|sum| < 2²⁴).
+func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
+	if !haveConvTile8 {
+		t.Skip("CPU without AVX2: every FC layer runs the Go kernel")
+	}
+	rng := rand.New(rand.NewSource(28))
+	withProcs(t, 4, func(t *testing.T) {
+		for _, v := range []int{1, 15, 16, 17, 31, 800} {
+			for _, neurons := range []int{1, 3, 5, 7, 9, 13} {
+				tc := int8KernelCase{l: fcLayerHW(v, neurons), scale: 1,
+					in: make([]int8, v), w: make([]int8, neurons*v)}
+				for i := range tc.in {
+					tc.in[i] = hostileCode(rng)
+				}
+				for i := range tc.w {
+					tc.w[i] = max(hostileCode(rng), -127) // weights are symmetric codes
+				}
+				tc.w[rng.Intn(len(tc.w))] = 127
+				for _, parOut := range int8KernelParOuts {
+					var tile8 bool
+					got := runInt8Kernel(t, tc, parOut, func(st *peLayerInt8) { tile8 = st.tile8 })
+					if !tile8 {
+						t.Fatalf("v=%d o=%d: the layer did not resolve to the AVX2 kernel", v, neurons)
+					}
+					got = slices.Clone(got)
+					want := runInt8Kernel(t, tc, parOut, func(st *peLayerInt8) {
+						st.q.wp, st.q.w, st.tile8 = packNeuronPairs(st.q.w, v), nil, false
+					})
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("v=%d o=%d Par.Out %d neuron %d: AVX2 %v, Go %v", v, neurons, parOut, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }

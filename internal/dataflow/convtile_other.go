@@ -2,9 +2,17 @@
 
 package dataflow
 
-// Off amd64 every float32 convolution runs the portable Go tile.
+// Off amd64 every convolution and FC layer runs the portable Go kernels.
 const haveConvTile8 = false
 
 func convTile8(*float32, *int32, int, *float32, *float32, *float32, *float32, *[4][convLanes]float32) {
 	panic("dataflow: convTile8 called without AVX2")
+}
+
+func convTile8I8(*int8, *int32, int, *uint32, *uint32, *uint32, *uint32, *[4][convLanes]int32) {
+	panic("dataflow: convTile8I8 called without AVX2")
+}
+
+func fcDot4I8(*int8, int, *int8, *int8, *int8, *int8, *[4][convLanes]int32) {
+	panic("dataflow: fcDot4I8 called without AVX2")
 }

@@ -1,0 +1,24 @@
+package dataflow
+
+import "condor/internal/condorir"
+
+// Hooks for the external test package (digest_test.go): it builds LeNet and
+// TC1 through the root package, which imports this one, so it cannot be an
+// internal test; these give it the internal tests' net builders.
+var (
+	BuildIR         = buildIR
+	RandomImages    = randomImages
+	SetConvAlgo     = setConvAlgo
+	Conv            = conv
+	TinyLeNetLayers = tinyLeNetLayers
+)
+
+// GatherCase returns the input and layers of the named gather-sweep net.
+func GatherCase(name string) (condorir.InputShape, []condorir.Layer) {
+	for _, tc := range gatherCases {
+		if tc.name == name {
+			return tc.input, tc.layers
+		}
+	}
+	panic("dataflow: no gather case " + name)
+}

@@ -64,8 +64,10 @@ type int8KernelCase struct {
 // Par.Out, runs the layer the way runImage would and returns the floats it left
 // for requantization. The float weights handed to the datamover are the
 // codes themselves with one pinned at 127, so the production quantizer
-// (quantizeLayerWeights, hence packNeuronPairs) reproduces them at scale 1.
-func runInt8Kernel(t *testing.T, tc int8KernelCase, parOut int) []float32 {
+// (quantizeLayerWeights) reproduces them at scale 1. A non-nil relayout
+// rewrites the session-resolved layer before it runs — how a test sends it
+// to a kernel this CPU would not choose.
+func runInt8Kernel(t *testing.T, tc int8KernelCase, parOut int, relayout func(*peLayerInt8)) []float32 {
 	t.Helper()
 	l := tc.l
 	l.Name, l.Activation, l.Normalize = "k", NoActivation, NoActivation
@@ -85,6 +87,9 @@ func runInt8Kernel(t *testing.T, tc int8KernelCase, parOut int) []float32 {
 		t.Fatal(err)
 	}
 	defer x.pool.close()
+	if relayout != nil {
+		relayout(&x.layers[0])
+	}
 	out := make([]int8, l.OutShape.Volume())
 	x.pass.l, x.pass.st, x.pass.cur, x.pass.out, x.pass.inScale = &pe.Layers[0], &x.layers[0], tc.in, out, tc.scale
 	if l.Kind == nn.Conv {
@@ -106,7 +111,7 @@ func checkInt8Kernel(t *testing.T, tc int8KernelCase, want []int32) {
 	t.Helper()
 	per := len(want) / tc.l.OutShape.Channels
 	for _, parOut := range int8KernelParOuts {
-		got := runInt8Kernel(t, tc, parOut)
+		got := runInt8Kernel(t, tc, parOut, nil)
 		for i, acc := range want {
 			var bias float64
 			if len(tc.bias) > 0 {

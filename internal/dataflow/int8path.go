@@ -26,7 +26,12 @@ import (
 // output positions of a convolution (pairPlane), two neurons of an FC layer
 // (packNeuronPairs) — so one multiply by a sign-extended code yields two
 // products, and splitLanes takes both sums back out exactly while each fits
-// int32, which rule CND026 guarantees. DESIGN.md §15 has the derivation.
+// int32, which rule CND026 guarantees. Where the CPU has AVX2 the same sums
+// come from VPMADDWD tiles (convtile_amd64.s) sixteen int16 products per
+// instruction: the conv tile over the padded codes stacked one byte each and
+// a tap-pair weight table (pairWeights), the FC kernel over row-major codes.
+// Integer sums are exact, so both kernels give the same int32s. DESIGN.md
+// §15 has the derivations.
 //
 // Unlike the float paths, results are not bit-identical to the oracle: the
 // contract is bounded error, with the admissible deviation derived from the
@@ -65,24 +70,47 @@ func Int8AccumulatorRange(peID string, l *LayerHW) *diag.Diagnostic {
 // int8 grid, once per Instantiate, and shared read-only by every compute unit
 // and every run, so batches never pay the weight-calibration scan again.
 type int8LayerWeights struct {
-	w      []int8  // conv codes
-	wp     []int64 // FC codes, two neurons per word (packNeuronPairs)
-	wScale float64
-	b      []float32
+	w        []int8   // conv codes; FC codes, row-major, where the AVX2 FC kernel runs
+	wp       []int64  // FC codes, two neurons per word (packNeuronPairs), for the Go FC kernel
+	tapPairs []uint32 // conv codes by tap pair (pairWeights), for the AVX2 conv tile
+	wScale   float64
+	b        []float32
 }
 
 // quantizeLayerWeights derives one compute layer's int8 codes from its float
-// weight stream.
+// weight stream, in the layouts this CPU's kernels read.
 func quantizeLayerWeights(l *LayerHW, w, b []float32) int8LayerWeights {
-	e := int8LayerWeights{wScale: frameScale(w), b: b}
-	codes := make([]int8, len(w))
-	quant.QuantizeInto(codes, w, e.wScale)
-	if l.Kind == nn.FullyConnected {
-		e.wp = packNeuronPairs(codes, l.InShape.Volume())
-	} else {
-		e.w = codes
+	e := int8LayerWeights{wScale: frameScale(w), b: b, w: make([]int8, len(w))}
+	quant.QuantizeInto(e.w, w, e.wScale)
+	switch {
+	case l.Kind == nn.FullyConnected && !haveConvTile8:
+		e.wp, e.w = packNeuronPairs(e.w, l.InShape.Volume()), nil
+	case l.Kind == nn.Conv && haveConvTile8:
+		e.tapPairs = pairWeights(e.w, l.InShape.Channels*l.Kernel*l.Kernel)
 	}
 	return e
+}
+
+// pairWeights lays a conv layer's codes (n taps per output channel) out for
+// the AVX2 tile: word i of a channel's row carries tap 2i's code in its low
+// int16 half and tap 2i+1's — zero past an odd count — in its high half.
+func pairWeights(codes []int8, n int) []uint32 {
+	pairs := (n + 1) / 2
+	out := make([]uint32, len(codes)/n*pairs)
+	for i, c := range codes {
+		f, t := i/n, i%n
+		out[f*pairs+t/2] |= uint32(uint16(c)) << (t % 2 * 16)
+	}
+	return out
+}
+
+// pairTaps pads a tap table to whole pairs for the AVX2 tile: an odd count
+// repeats its last offset, which pairWeights weights with zero.
+func pairTaps(taps []int32) []int32 {
+	if len(taps)%2 == 0 {
+		return taps
+	}
+	return append(taps[:len(taps):len(taps)], taps[len(taps)-1])
 }
 
 // packNeuronPairs packs an FC layer's row-major codes (v per neuron) two
@@ -163,6 +191,7 @@ type peExecInt8 struct {
 		l        *LayerHW
 		st       *peLayerInt8
 		cur, out []int8  // the layer's input and output codes
+		stack    []int8  // an AVX2 conv layer's stacked zero-padded code planes
 		inScale  float64 // scale of cur
 		outScale float64 // scale of out, once the layer has run
 	}
@@ -173,15 +202,19 @@ type peExecInt8 struct {
 	floatBuf []float32   // a layer's results before requantization
 	deqBuf   []float32   // a winograd_f23 layer's dequantized input volume
 	planes   [][]int8    // zero-padded channel planes, one per Par.In band
-	pairs    []int64     // the conv layer's pair planes, one per input channel
+	stack    []int8      // the padded code planes of an AVX2 conv layer, one byte per code
+	pairs    []int64     // a Go-tile conv layer's pair planes, one per input channel
 	wordBuf  []fifo.Word // a frame's packed payload
 }
 
 // peLayerInt8 is one fused layer's session-resolved state: what peStream
-// resolved plus the layer's weight codes.
+// resolved plus the layer's weight codes and, for a conv or FC layer, which
+// kernel runs it.
 type peLayerInt8 struct {
 	*layerState
-	q int8LayerWeights
+	q     int8LayerWeights
+	tile8 bool    // the layer runs on the AVX2 kernel (convTile8I8, fcDot4I8)
+	taps2 []int32 // an AVX2 conv layer's tap table padded to whole pairs
 }
 
 func (x *peExecInt8) prepare() error {
@@ -190,6 +223,7 @@ func (x *peExecInt8) prepare() error {
 		return err
 	}
 	x.layers = make([]peLayerInt8, len(x.resolved))
+	var stack, pairs int
 	for li := range x.layers {
 		l, st := &x.pe.Layers[li], &x.layers[li]
 		st.layerState = &x.resolved[li]
@@ -205,6 +239,25 @@ func (x *peExecInt8) prepare() error {
 			// codes here (the slow path the Instantiate-time cache avoids).
 			st.q = quantizeLayerWeights(l, st.w, st.b)
 		}
+		switch {
+		case l.Kind == nn.FullyConnected:
+			// The AVX2 kernel reads every row whole; the codes are row-major
+			// only where it runs.
+			st.tile8 = haveConvTile8 && len(st.q.w) == l.OutShape.Channels*l.InShape.Volume()
+		case st.taps != nil:
+			// The stack the tile gathers from: the staged padded planes, or an
+			// unpadded input volume in place — C planes either way.
+			n := l.InShape.Channels * l.PaddedHeight() * l.PaddedWidth()
+			taps := pairTaps(st.taps)
+			if st.tile8 = convTile8OK(l, taps, len(taps)/2, len(st.q.tapPairs), n); !st.tile8 {
+				pairs = max(pairs, n)
+				continue
+			}
+			st.taps2 = taps
+			if l.Pad > 0 {
+				stack = max(stack, n)
+			}
+		}
 	}
 	x.curCodes = make([]int8, sz.vol)
 	x.nxtCodes = make([]int8, sz.vol)
@@ -212,7 +265,8 @@ func (x *peExecInt8) prepare() error {
 	x.deqBuf = make([]float32, sz.winogradIn)
 	x.wordBuf = make([]fifo.Word, fifo.PackedWords(sz.vol))
 	x.planes = bandPlanes[int8](x.inBands, sz.plane)
-	x.pairs = make([]int64, sz.stack)
+	x.stack = make([]int8, stack)
+	x.pairs = make([]int64, pairs)
 	return nil
 }
 
@@ -264,18 +318,30 @@ func (x *peExecInt8) requantize(fb []float32) float64 {
 }
 
 // runConv is the quantized convolutional PE, direct and im2col_gemm alike:
-// every input channel's padded code plane is staged once as a pair plane,
-// then one band dispatch computes each output cell's whole chain, dequantizes
-// it (acc · wScale · inScale + bias) and activates it in float; the layer
-// output is requantized with a fresh per-tensor scale.
+// every input channel's padded code plane is staged once — stacked one byte
+// per code for the AVX2 tile (an unpadded input volume already is that
+// stack), as a pair plane for the Go tile — then one band dispatch computes
+// each output cell's whole chain, dequantizes it (acc · wScale · inScale +
+// bias) and activates it in float; the layer output is requantized with a
+// fresh per-tensor scale.
 func (x *peExecInt8) runConv() float64 {
 	p := &x.pass
 	l := p.l
 	inHW := l.InShape.Height * l.InShape.Width
 	outHW := l.OutShape.Height * l.OutShape.Width
 	plane := l.PaddedHeight() * l.PaddedWidth()
-	for ci := 0; ci < l.InShape.Channels; ci++ {
-		pairPlane(x.pairs[ci*plane:][:plane], padPlane(x.planes[0], l, p.cur[ci*inHW:(ci+1)*inHW]), l.Stride)
+	switch {
+	case !p.st.tile8:
+		for ci := 0; ci < l.InShape.Channels; ci++ {
+			pairPlane(x.pairs[ci*plane:][:plane], padPlane(x.planes[0], l, p.cur[ci*inHW:(ci+1)*inHW]), l.Stride)
+		}
+	case l.Pad > 0:
+		p.stack = x.stack[:l.InShape.Channels*plane]
+		for ci := 0; ci < l.InShape.Channels; ci++ {
+			padPlane(p.stack[ci*plane:], l, p.cur[ci*inHW:(ci+1)*inHW])
+		}
+	default:
+		p.stack = p.cur
 	}
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
 	x.accountConv(l, p.st.streamWords, outHW, l.Kernel*l.Kernel)
@@ -284,8 +350,15 @@ func (x *peExecInt8) runConv() float64 {
 
 // convBand computes output channels [lo,hi) of the layer in flight, two
 // channels × convPosTile positions per register tile: output-channel pair →
-// row → tile → input channel → tap, accumulators never leaving registers.
+// row → tile → input channel → tap, accumulators never leaving registers. A
+// layer that resolved to the AVX2 tile goes to convBand8 instead; this Go
+// tile is the path for every other layer and platform, and the AVX2 tile's
+// reference.
 func (x *peExecInt8) convBand(_, lo, hi int) {
+	if x.pass.st.tile8 {
+		x.convBand8(lo, hi)
+		return
+	}
 	p := &x.pass
 	l := p.l
 	stride, pw := l.Stride, l.PaddedWidth()
@@ -309,9 +382,43 @@ func (x *peExecInt8) convBand(_, lo, hi int) {
 					win2 = win[2*stride:]
 				}
 				a01, a23, b01, b23 := convTile(win, win2, w0, w1, taps)
-				x.convStore(fi, oy*outW+ox, n, a01, a23, deq)
+				a := splitTile(a01, a23)
+				x.convStore(fi, oy*outW+ox, a[:n], deq)
 				if fj != fi {
-					x.convStore(fj, oy*outW+ox, n, b01, b23, deq)
+					b := splitTile(b01, b23)
+					x.convStore(fj, oy*outW+ox, b[:n], deq)
+				}
+			}
+		}
+	}
+}
+
+// convBand8 is convBand on the AVX2 tile, four channels × convLanes
+// positions per call. A row's last tile starts at outW-convLanes and
+// recomputes the positions it shares with the tile before (the same sums,
+// stored again); a band ending inside a quad repeats its last channel.
+func (x *peExecInt8) convBand8(lo, hi int) {
+	p := &x.pass
+	l := p.l
+	pw, outH, outW := l.PaddedWidth(), l.OutShape.Height, l.OutShape.Width
+	deq := p.st.q.wScale * p.inScale
+	taps, pairs := p.st.taps2, len(p.st.taps2)/2
+	var acc [4][convLanes]int32
+	for fi := lo; fi < hi; fi += 4 {
+		var f [4]int
+		var w [4]*uint32
+		for j := range f {
+			f[j] = min(fi+j, hi-1)
+			w[j] = &p.st.q.tapPairs[f[j]*pairs]
+		}
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox += convLanes {
+				col := min(ox, outW-convLanes)
+				convTile8I8(&p.stack[oy*pw+col], &taps[0], pairs, w[0], w[1], w[2], w[3], &acc)
+				for j := range f {
+					if j == 0 || f[j] != f[j-1] {
+						x.convStore(f[j], oy*outW+col, acc[j][:], deq)
+					}
 				}
 			}
 		}
@@ -338,16 +445,21 @@ func convTile(win, win2 []int64, w0, w1 []int8, taps []int32) (a01, a23, b01, b2
 	return
 }
 
-// convStore dequantizes and activates the first n of the four position sums
-// two packed accumulators carry, into channel fi's float plane from pos on.
-func (x *peExecInt8) convStore(fi, pos, n int, a01, a23 int64, deq float64) {
-	l, bias := x.pass.l, float64(biasAt(x.pass.st.b, fi))
-	var acc [convPosTile]int32
+// splitTile takes the four position sums of a Go tile's channel out of its
+// two packed accumulators.
+func splitTile(a01, a23 int64) (acc [convPosTile]int32) {
 	acc[0], acc[1] = splitLanes(a01)
 	acc[2], acc[3] = splitLanes(a23)
-	fb := x.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:n]
-	for i := range fb {
-		fb[i] = applyActivation(l.Activation, float32(float64(acc[i])*deq+bias))
+	return acc
+}
+
+// convStore dequantizes and activates a tile's position sums for one
+// channel, into channel fi's float plane from pos on.
+func (x *peExecInt8) convStore(fi, pos int, acc []int32, deq float64) {
+	l, bias := x.pass.l, float64(biasAt(x.pass.st.b, fi))
+	fb := x.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:len(acc)]
+	for i, a := range acc {
+		fb[i] = applyActivation(l.Activation, float32(float64(a)*deq+bias))
 	}
 }
 
@@ -447,8 +559,13 @@ const fcPairTile = 4
 // fcBand accumulates, dequantizes and biases neurons [lo,hi). Neurons live
 // two to a weight word, so the band walks the pairs that overlap it; a pair
 // a band boundary splits is computed by both neighbours and each keeps its
-// own lane.
+// own lane. A layer that resolved to the AVX2 kernel goes to fcBand8
+// instead; this is the path on every other platform, and its reference.
 func (x *peExecInt8) fcBand(_, lo, hi int) {
+	if x.pass.st.tile8 {
+		x.fcBand8(lo, hi)
+		return
+	}
 	p := &x.pass
 	in := p.cur
 	v := len(in)
@@ -464,28 +581,66 @@ func (x *peExecInt8) fcBand(_, lo, hi int) {
 			a2 += w2[h] * xv
 			a3 += w3[h] * xv
 		}
-		x.fcStore(pr, a0, lo, hi)
-		x.fcStore(pr+1, a1, lo, hi)
-		x.fcStore(pr+2, a2, lo, hi)
-		x.fcStore(pr+3, a3, lo, hi)
+		x.fcStorePair(pr, a0, lo, hi)
+		x.fcStorePair(pr+1, a1, lo, hi)
+		x.fcStorePair(pr+2, a2, lo, hi)
+		x.fcStorePair(pr+3, a3, lo, hi)
 	}
 	for ; pr < end; pr++ {
 		var a int64
 		for h, wv := range wp[pr*v:][:v] {
 			a += wv * int64(in[h])
 		}
-		x.fcStore(pr, a, lo, hi)
+		x.fcStorePair(pr, a, lo, hi)
 	}
 }
 
-// fcStore dequantizes the two neurons of pair pr, keeping those in [lo,hi).
-func (x *peExecInt8) fcStore(pr int, a int64, lo, hi int) {
+// fcBand8 is fcBand on the AVX2 kernel: four neurons' code rows against the
+// input per call, sixteen codes per step; each neuron's eight lane sums and
+// the inputs past the last whole block are added up here. A band ending
+// inside a quad repeats its last neuron.
+func (x *peExecInt8) fcBand8(lo, hi int) {
 	p := &x.pass
+	in, w := p.cur, p.st.q.w
+	v := len(in)
+	body := v &^ 15
+	var acc [4][convLanes]int32
+	for oi := lo; oi < hi; oi += 4 {
+		var f [4]int
+		for j := range f {
+			f[j] = min(oi+j, hi-1)
+		}
+		fcDot4I8(&in[0], body/16, &w[f[0]*v], &w[f[1]*v], &w[f[2]*v], &w[f[3]*v], &acc)
+		for j := range f {
+			if j > 0 && f[j] == f[j-1] {
+				continue
+			}
+			var s int32
+			for _, a := range acc[j] {
+				s += a
+			}
+			for h, c := range w[f[j]*v+body : (f[j]+1)*v] {
+				s += int32(c) * int32(in[body+h])
+			}
+			x.fcStore(f[j], s)
+		}
+	}
+}
+
+// fcStorePair dequantizes the two neurons of pair pr, keeping those in
+// [lo,hi).
+func (x *peExecInt8) fcStorePair(pr int, a int64, lo, hi int) {
 	var acc [2]int32
 	acc[0], acc[1] = splitLanes(a)
 	for i, s := range acc {
 		if oi := 2*pr + i; oi >= lo && oi < hi {
-			x.floatBuf[oi] = float32(float64(s)*(p.st.q.wScale*p.inScale) + float64(biasAt(p.st.b, oi)))
+			x.fcStore(oi, s)
 		}
 	}
+}
+
+// fcStore dequantizes and biases neuron oi's sum.
+func (x *peExecInt8) fcStore(oi int, s int32) {
+	p := &x.pass
+	x.floatBuf[oi] = float32(float64(s)*(p.st.q.wScale*p.inScale) + float64(biasAt(p.st.b, oi)))
 }

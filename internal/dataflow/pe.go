@@ -237,8 +237,7 @@ type layerState struct {
 type scratchWords struct {
 	vol         int // largest volume a layer reads or writes
 	plane       int // largest zero-padded channel plane of a padded layer
-	stack       int // largest stack of channel planes a tap-table convolution gathers from
-	paddedStack int // the same over padded layers only: an unpadded float volume is its own stack
+	paddedStack int // largest stack of padded channel planes a tap-table convolution gathers from (an unpadded volume is its own stack)
 	winogradIn  int // largest input volume of a winograd_f23 layer
 }
 
@@ -343,7 +342,6 @@ func (x *peStream) resolveLayers(fns bandFns) (scratchWords, error) {
 		}
 		if l.Algo() != AlgoWinograd {
 			st.taps = tapOffsets(l)
-			sz.stack = max(sz.stack, l.InShape.Channels*plane)
 			if l.Pad > 0 {
 				sz.paddedStack = max(sz.paddedStack, l.InShape.Channels*plane)
 			}
@@ -593,7 +591,7 @@ func (x *peExec) runConv() {
 			padPlane(p.stack[ci*plane:], l, p.cur[ci*inHW:(ci+1)*inHW])
 		}
 	}
-	p.tile8 = convTile8OK(l, p.st, p.stack)
+	p.tile8 = convTile8OK(l, p.st.taps, len(p.st.taps), len(p.st.w), len(p.stack))
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
 	x.accountConv(l, 4*p.st.streamWords, l.OutShape.Height*l.OutShape.Width, l.Kernel*l.Kernel)
 }
@@ -603,20 +601,21 @@ func (x *peExec) runConv() {
 // output channels a tile covers.
 const convPosTile = 4
 
-// convLanes is the position width of the AVX2 tile: one ymm register of
-// float32 cells.
+// convLanes is the position width of the AVX2 tiles: one ymm register of
+// float32 or int32 cells.
 const convLanes = 8
 
-// convTile8OK reports whether the AVX2 tile may run conv layer l over stack:
-// the CPU has it, the layer is stride 1 and at least one tile wide, and —
-// because the tile's loads are unchecked — the taps ascend from a
-// non-negative first offset, the last tile's last tap ends inside the stack
-// and every weight row is whole.
+// convTile8OK reports whether an AVX2 tile may run conv layer l, loading at
+// taps from a stack of stackLen elements (float32 words or int8 codes) with
+// weight rows of row words in a weight table of weights words: the CPU has
+// the tile, the layer is stride 1 and at least one tile wide, and — because
+// the tile's loads are unchecked — the taps ascend from a non-negative first
+// offset, the last tile's last tap ends inside the stack and every weight
+// row is whole.
 // Anything else runs the Go tile.
-func convTile8OK(l *LayerHW, st *layerState, stack []float32) bool {
-	taps := st.taps
+func convTile8OK(l *LayerHW, taps []int32, row, weights, stackLen int) bool {
 	if !haveConvTile8 || l.Stride != 1 || l.OutShape.Width < convLanes || len(taps) == 0 || taps[0] < 0 ||
-		len(st.w) != l.OutShape.Channels*len(taps) {
+		weights != l.OutShape.Channels*row {
 		return false
 	}
 	for i := 1; i < len(taps); i++ {
@@ -625,7 +624,7 @@ func convTile8OK(l *LayerHW, st *layerState, stack []float32) bool {
 		}
 	}
 	lastTile := (l.OutShape.Height-1)*l.PaddedWidth() + l.OutShape.Width - convLanes
-	return lastTile+int(taps[len(taps)-1])+convLanes <= len(stack)
+	return lastTile+int(taps[len(taps)-1])+convLanes <= stackLen
 }
 
 // convBand computes output channels [lo,hi) of the layer in flight, two
