@@ -128,6 +128,7 @@ func BenchmarkTable2(b *testing.B) {
 				}
 			}
 			b.ReportMetric(row.GFLOPS, "GFLOPS")
+			b.ReportMetric(row.DSEGFLOPS, "dse-GFLOPS")
 		})
 	}
 }
