@@ -9,7 +9,7 @@ import (
 
 // The reproduction targets the paper's qualitative shape, not its absolute
 // numbers (our substrate is a model, not the authors' testbed). These tests
-// pin the shape.
+// state the shape the paper claims; TestPaperTables pins every number.
 
 func TestTable1Shape(t *testing.T) {
 	rows, err := Table1()
@@ -37,15 +37,7 @@ func TestTable1Shape(t *testing.T) {
 	if lenet.BRAMPct <= 4*tc1.BRAMPct {
 		t.Fatalf("LeNet BRAM %v%% should dwarf TC1 %v%%", lenet.BRAMPct, tc1.BRAMPct)
 	}
-	// Magnitudes: single-digit GFLOPS band and utilizations below 50%.
-	for _, r := range rows {
-		if r.GFLOPS < 0.5 || r.GFLOPS > 40 {
-			t.Fatalf("%s GFLOPS %v outside plausible band", r.Name, r.GFLOPS)
-		}
-		if r.LUTPct <= 0 || r.LUTPct > 50 || r.BRAMPct < 0 || r.BRAMPct > 60 {
-			t.Fatalf("%s utilization out of band: %+v", r.Name, r)
-		}
-	}
+	// The magnitudes themselves are pinned by TestPaperTables.
 }
 
 func TestTable2Shape(t *testing.T) {
