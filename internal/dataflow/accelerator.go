@@ -60,7 +60,7 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 		a.qweights = make(map[string]int8LayerWeights)
 	}
 	for _, pe := range spec.PEs {
-		for _, l := range pe.Layers {
+		for i, l := range pe.Layers {
 			if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
 				continue
 			}
@@ -90,7 +90,7 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 				}
 				a.qweights[l.Name] = quantizeLayerWeights(&l, we.Data, bias)
 			}
-			if l.Kind == nn.Conv && l.Algo() == AlgoWinograd {
+			if pe.Schedule(i, spec.Bits()).XformWords > 0 {
 				// The on-chip weight transform runs once, at configuration load.
 				if err := checkWinograd(&l); err != nil {
 					return nil, fmt.Errorf("dataflow: %w", err)
@@ -101,14 +101,7 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 				a.wgweights[l.Name] = winogradTransformWeights(we.Data, l.InShape.Channels, l.OutShape.Channels)
 			}
 			if pe.WeightsOnChip {
-				if spec.WordBits == 8 {
-					// The packed fabric stores on-chip weights as int8
-					// codes: the configuration load moves one byte per
-					// word, matching Spec.OnChipLoadBytes.
-					a.dm.AccountOnChipLoadBytes(l.Name, 1)
-				} else {
-					a.dm.AccountOnChipLoad(l.Name)
-				}
+				a.dm.AccountOnChipLoad(l.Name, spec.Lanes())
 			}
 		}
 	}

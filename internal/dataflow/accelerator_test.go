@@ -335,7 +335,7 @@ func TestStatsCyclesMatchModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pe := range spec.PEs {
-		want := PECyclesPerImage(pe)
+		want := pe.CyclesPerImage(spec.Bits())
 		if got := stats.PEs[i].CyclesPerImage(); got != want {
 			t.Fatalf("PE %s cycles/image = %d, model says %d", pe.ID, got, want)
 		}

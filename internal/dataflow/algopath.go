@@ -123,7 +123,7 @@ type winogradPass struct {
 // output channels, never an accumulation chain, so results are deterministic
 // at every parallelism setting (though not bit-identical to the direct path —
 // see the file comment for the error contract).
-func (x *peStream) runWinograd(l *LayerHW, st *layerState, cur, dst []float32, streamBytes int64) {
+func (x *peStream) runWinograd(l *LayerHW, st *layerState, cur, dst []float32) {
 	p := &x.wino
 	p.l, p.st, p.dst = l, st, dst
 	f := l.OutShape.Channels
@@ -135,7 +135,6 @@ func (x *peStream) runWinograd(l *LayerHW, st *layerState, cur, dst []float32, s
 		winogradTransformPlane(p.v, padPlane(p.plane, l, cur[ci*inHW:(ci+1)*inHW]), l)
 		x.pool.bands(f, x.outBands, x.fns.wgMul)
 	}
-	x.accountConv(l, streamBytes, tiles, 16)
 	clear(p.mags)
 	x.pool.bands(f, x.outBands, x.fns.wgInv)
 	for _, m := range p.mags {

@@ -13,6 +13,6 @@ func (x *peExecInt8) runConvWinograd() float64 {
 	p := &x.pass
 	in, fb := x.deqBuf[:len(p.cur)], x.floatBuf[:len(p.out)]
 	quant.DequantizeInto(in, p.cur, p.inScale)
-	x.runWinograd(p.l, p.st.layerState, in, fb, p.st.streamWords)
+	x.runWinograd(p.l, p.st.layerState, in, fb)
 	return x.requantize(fb)
 }

@@ -127,16 +127,11 @@ func (d *Datamover) WeightsRef(layer string) ([]float32, []float32, error) {
 }
 
 // AccountOnChipLoad records the one-time DDR→BRAM weight load of a PE whose
-// weights are cached on-chip.
-func (d *Datamover) AccountOnChipLoad(layer string) { d.AccountOnChipLoadBytes(layer, 4) }
-
-// AccountOnChipLoadBytes is AccountOnChipLoad at an explicit word size: the
-// quantized fabrics store weights at WordBits/8 bytes per word, so their
-// configuration-time load moves proportionally fewer bytes — mirroring the
-// analytic Spec.OnChipLoadBytes exactly.
-func (d *Datamover) AccountOnChipLoadBytes(layer string, wordBytes int64) {
+// weights are cached on-chip, on a fabric whose 32-bit words pack lanes
+// elements: a float32 word per weight, or one byte per int8 code.
+func (d *Datamover) AccountOnChipLoad(layer string, lanes int) {
 	w, b, _ := d.store.get(layer)
-	d.bytesRead.Add(wordBytes * int64(len(w)+len(b)))
+	d.bytesRead.Add(int64(4/lanes) * int64(len(w)+len(b)))
 }
 
 // WriteBuffer stores an intermediate array in DDR (fused-layer handoff or

@@ -173,8 +173,8 @@ func popInt8Frame(f *fifo.FIFO, words []fifo.Word, codes []int8) (float64, error
 // Layer resolution, the frame loop, output banding on the worker pool and
 // windows gathered from the zero-padded channel planes are peStream's, as for
 // peExec; the arithmetic is int8×int8 in lane-packed accumulators with one
-// dequantize/requantize per layer boundary, and the stream traversal is
-// modeled through LayerCyclesAt. Integer accumulation is exact and
+// dequantize/requantize per layer boundary, and the layer schedule models the
+// packed stream traversal. Integer accumulation is exact and
 // order-free; conv and FC layers run output-stationary — one band dispatch per
 // layer, each cell's whole chain in a register — and the direct and
 // im2col_gemm schedules share one kernel: the algorithm drives the cycle,
@@ -344,7 +344,6 @@ func (x *peExecInt8) runConv() float64 {
 		p.stack = p.cur
 	}
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
-	x.accountConv(l, p.st.streamWords, outHW, l.Kernel*l.Kernel)
 	return x.requantize(x.floatBuf[:l.OutShape.Channels*outHW])
 }
 
@@ -475,7 +474,6 @@ func (x *peExecInt8) runPool() float64 {
 	// Channel maps are independent; bands shard whole channels, each padding
 	// into its own plane.
 	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
-	x.stats.WindowsRead += int64(n)
 	if l.Kind == nn.MaxPool && l.Activation == NoActivation {
 		return p.inScale
 	}
@@ -539,11 +537,8 @@ func (x *peExecInt8) poolBand(band, lo, hi int) {
 func (x *peExecInt8) runFC() float64 {
 	p := &x.pass
 	l := p.l
-	o := l.OutShape.Channels
-	x.dm.AccountReadBytes(p.st.streamWords)
-	fb := x.floatBuf[:o]
-	x.pool.bands(o, x.outBands, x.fns.fc)
-	x.stats.MACs += int64(o) * int64(l.InShape.Volume())
+	fb := x.floatBuf[:l.OutShape.Channels]
+	x.pool.bands(len(fb), x.outBands, x.fns.fc)
 	for i := range fb {
 		fb[i] = applyActivation(l.Activation, fb[i])
 	}

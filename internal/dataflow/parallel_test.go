@@ -22,8 +22,8 @@ import (
 // runParallelCase executes one {Par, CUs} point: the same spec (with every
 // PE's port parallelism overridden) is instantiated twice; the burst side
 // runs the batch through an n-CU pool, the oracle side through RunWords.
-// Sharing one spec keeps LayerCycles — which depend on Par — identical on
-// both sides, so the stats comparison is exact.
+// Sharing one spec keeps the layer schedules — which depend on Par —
+// identical on both sides, so the stats comparison is exact.
 func runParallelCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, batch []*tensor.Tensor, par condorir.Parallelism, cus int) {
 	t.Helper()
 	spec, err := BuildSpec(ir)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"condor/internal/condorir"
 	"condor/internal/fifo"
 	"condor/internal/nn"
 	"condor/internal/obs"
@@ -43,130 +42,6 @@ func (s *PEStats) CyclesPerImage() int64 {
 	return s.Cycles / s.Images
 }
 
-// LayerCycles models the PE-busy cycles one image spends in layer l at port
-// parallelism par. The iteration space is (input-channel group, output
-// position, output-channel group) with II=1 on the HLS pipeline; a channel
-// group is additionally bounded below by the stream traversal of the padded
-// input map (1 element/cycle through the filter chain), which dominates for
-// sub-sampling layers. This is the single cycle model shared by the
-// functional simulator and the analytic performance layer.
-func LayerCycles(l *LayerHW, par condorir.Parallelism) int64 {
-	return LayerCyclesAt(l, par, 1)
-}
-
-// LayerCyclesAt is LayerCycles with an explicit lane count: on the packed
-// int8 datapath each FIFO word carries `lanes` activation elements, so the
-// stream-traversal terms (padded-map traversal for features extraction, the
-// input-volume walk for FC) shrink by the lane factor — ceil'd, since a
-// padded tail word still takes its cycle. Compute terms are unchanged: the
-// MAC count per output cell does not depend on how elements were packed in
-// flight. lanes=1 reproduces the float model exactly.
-func LayerCyclesAt(l *LayerHW, par condorir.Parallelism, lanes int) int64 {
-	if lanes < 1 {
-		lanes = 1
-	}
-	par = par.Normalize()
-	switch {
-	case l.Kind == nn.Conv:
-		groups := ceilDiv(l.InShape.Channels, par.In)
-		outHW := int64(l.OutShape.Height) * int64(l.OutShape.Width)
-		outGroups := int64(ceilDiv(l.OutShape.Channels, par.Out))
-		stream := ceilDiv64(int64(l.PaddedHeight())*int64(l.PaddedWidth()), int64(lanes))
-		switch l.Algo() {
-		case AlgoGEMM:
-			// The padded map is unrolled once into the on-chip im2col
-			// panel (one stream traversal total, not one per input-channel
-			// group), and the dual-ported panel BRAM feeds the MAC array
-			// two output positions per cycle.
-			compute := ceilDiv64(outHW, 2) * outGroups
-			return maxI64(int64(groups)*compute, stream) + hlsPipelineDepth
-		case AlgoWinograd:
-			// One 2×2 output tile per cycle per output-channel group: the
-			// 16-lane element-wise multiply stage retires a whole
-			// transformed tile each cycle. Input tiles are gathered from
-			// the same padded-map traversal as the direct path; the extra
-			// fill term covers the input/inverse transform pipelines.
-			tiles := int64((l.OutShape.Height/2)*(l.OutShape.Width/2)) * outGroups
-			return int64(groups)*maxI64(tiles, stream) + chainFill(l) + winogradXformFill
-		default:
-			compute := outHW * outGroups
-			return int64(groups)*maxI64(compute, stream) + chainFill(l)
-		}
-	case l.Kind == nn.MaxPool || l.Kind == nn.AvgPool:
-		groups := ceilDiv(l.InShape.Channels, par.In)
-		outHW := int64(l.OutShape.Height) * int64(l.OutShape.Width)
-		stream := ceilDiv64(int64(l.PaddedHeight())*int64(l.PaddedWidth()), int64(lanes))
-		return int64(groups)*maxI64(outHW, stream) + chainFill(l)
-	case l.Kind == nn.FullyConnected:
-		// Single-input/single-output 1x1-convolution PE: every input element
-		// is multiplied against each output neuron group. Packed lanes feed
-		// the MAC array `lanes` elements per cycle.
-		v := ceilDiv64(int64(l.InShape.Volume()), int64(lanes))
-		return v*int64(ceilDiv(l.OutShape.Channels, par.Out)) + fcPipelineFill
-	default:
-		return 0
-	}
-}
-
-// chainFill is the fill latency of the filter pipeline: the spatial distance
-// between the first and last window access plus the HLS pipeline depth.
-func chainFill(l *LayerHW) int64 {
-	return int64((l.Kernel-1)*l.PaddedWidth()+l.Kernel) + hlsPipelineDepth
-}
-
-const (
-	hlsPipelineDepth = 64 // floating-point MAC pipeline depth at target clocks
-	fcPipelineFill   = 64
-	// winogradXformFill is the extra fill latency of the Winograd input
-	// transform (BᵀdB) and inverse transform (AᵀMA) pipeline stages.
-	winogradXformFill = 16
-)
-
-// PECyclesPerImage models the total busy cycles per image of a PE: the sum
-// over its (possibly fused) layers plus the DDR round trips of fused-layer
-// intermediates (one write + one read at one word per cycle).
-func PECyclesPerImage(pe *PE) int64 {
-	return PECyclesPerImageAt(pe, 1)
-}
-
-// PECyclesPerImageAt is PECyclesPerImage with an explicit lane count: the
-// fused-layer handoff also moves packed words, so its DDR round trip shrinks
-// by the lane factor alongside the per-layer stream terms.
-func PECyclesPerImageAt(pe *PE, lanes int) int64 {
-	if lanes < 1 {
-		lanes = 1
-	}
-	var total int64
-	for i, l := range pe.Layers {
-		total += LayerCyclesAt(&l, pe.Par, lanes)
-		if i+1 < len(pe.Layers) {
-			total += 2 * ceilDiv64(int64(l.OutShape.Volume()), int64(lanes))
-		}
-	}
-	return total
-}
-
-func ceilDiv(a, b int) int {
-	if b <= 0 {
-		b = 1
-	}
-	return (a + b - 1) / b
-}
-
-func ceilDiv64(a, b int64) int64 {
-	if b <= 0 {
-		b = 1
-	}
-	return (a + b - 1) / b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // peStream is the part of a PE executor that does not depend on the element
 // type: the PE and its stream ends, the session hooks, the worker pool, the
 // per-layer state resolved once per session, the resident frame loop and the
@@ -193,9 +68,8 @@ type peStream struct {
 	stats *PEStats
 	track *obs.Track // nil when tracing is off
 
-	// lanes is the number of activation elements a FIFO word carries: 1 on
-	// the float32 datapath, fifo.Int8Lanes on the packed one.
-	lanes int
+	// bits is the fabric word width (Spec.Bits) the layers are lowered at.
+	bits int
 
 	// wgCache is the accelerator's pre-transformed Winograd weight cache
 	// (layer name → f·c·16 transformed words), shared read-only across CU
@@ -225,10 +99,11 @@ type peStream struct {
 // layerState is what both element types read of one fused layer, resolved
 // once per session instead of once per image.
 type layerState struct {
+	sched       Schedule  // the layer's cycles and counters per image
 	w, b        []float32 // float weight stream and bias (compute layers)
 	taps        []int32   // window gather index (direct and im2col_gemm conv layers)
 	wg          []float32 // Winograd-transformed weights (winograd_f23 layers)
-	streamWords int64     // weight+bias words re-read from DDR per image (0 when on-chip)
+	streamBytes int64     // weight+bias bytes re-read from DDR per image (0 when on-chip)
 	fusedKey    string    // datamover buffer key of the fused-layer hand-off
 }
 
@@ -294,9 +169,9 @@ func tapOffsets(l *LayerHW) []int32 {
 
 // resolveLayers is the once-per-session resolution pass both element types
 // share: it validates every fused layer against what the gather assumes,
-// caches its weight stream and derived tables, sizes the scratch of the PE's
-// most demanding layer and starts the worker pool on the executor's band
-// bodies.
+// caches its schedule, weight stream and derived tables, sizes the scratch of
+// the PE's most demanding layer and starts the worker pool on the executor's
+// band bodies.
 func (x *peStream) resolveLayers(fns bandFns) (scratchWords, error) {
 	layers := x.pe.Layers
 	x.resolved = make([]layerState, len(layers))
@@ -304,6 +179,7 @@ func (x *peStream) resolveLayers(fns bandFns) (scratchWords, error) {
 	var wgPlane, wgTiles, wgAcc int
 	for li := range layers {
 		l, st := &layers[li], &x.resolved[li]
+		st.sched = x.pe.Schedule(li, x.bits)
 		if li+1 < len(layers) {
 			if next := &layers[li+1]; next.InShape.Volume() != l.OutShape.Volume() {
 				return sz, fmt.Errorf("fused intermediate has %d words, layer %q expects %d", l.OutShape.Volume(), next.Name, next.InShape.Volume())
@@ -335,12 +211,14 @@ func (x *peStream) resolveLayers(fns bandFns) (scratchWords, error) {
 		}
 		st.w, st.b = w, b
 		if !x.pe.WeightsOnChip {
-			st.streamWords = int64(len(w) + len(b))
+			// The datapath re-reads its own elements: a float32 word each, or
+			// one byte per code where a word packs lanes of them.
+			st.streamBytes = int64(4/lanesAt(x.bits)) * int64(len(w)+len(b))
 		}
 		if l.Kind != nn.Conv {
 			continue
 		}
-		if l.Algo() != AlgoWinograd {
+		if st.sched.XformWords == 0 { // not in the Winograd transform domain
 			st.taps = tapOffsets(l)
 			if l.Pad > 0 {
 				sz.paddedStack = max(sz.paddedStack, l.InShape.Channels*plane)
@@ -423,7 +301,10 @@ func (x *peStream) runStream(e elemPath) error {
 	}
 }
 
-// runImage pushes one image through the PE's fused layer sequence.
+// runImage pushes one image through the PE's fused layer sequence and books
+// each layer's counters from its schedule: they are pure adds, so the
+// modeled passes fold into one closed form whatever order the host computed
+// the cells in.
 func (x *peStream) runImage(e elemPath) error {
 	if err := e.popFrame(); err != nil {
 		return err
@@ -431,35 +312,41 @@ func (x *peStream) runImage(e elemPath) error {
 	layers := x.pe.Layers
 	x.stats.ElemsIn += int64(layers[0].InShape.Volume())
 	for li := range layers {
-		l := &layers[li]
+		st := &x.resolved[li]
+		s := &st.sched
 
 		// The span brackets the PE's cumulative cycle counter: its cycle
-		// width is this layer's LayerCyclesAt plus, for fused layers, the DDR
-		// round trip of the intermediate — so per-track span totals sum to
-		// exactly PEStats.Cycles.
+		// width is this layer's cycles plus, for fused layers, the DDR round
+		// trip of the intermediate — so per-track span totals sum to exactly
+		// PEStats.Cycles.
 		sid := 0
 		if x.track != nil {
-			sid = x.track.Begin(l.Name, x.stats.Cycles)
+			sid = x.track.Begin(layers[li].Name, x.stats.Cycles)
 		}
 		e.runLayer(li)
-		x.stats.Cycles += LayerCyclesAt(l, x.pe.Par, x.lanes)
-
-		outVol := int64(l.OutShape.Volume())
-		words := ceilDiv64(outVol, int64(x.lanes))
+		if st.streamBytes > 0 {
+			x.dm.AccountReadBytes(st.streamBytes)
+		}
+		if s.SpillWords > 0 {
+			x.dm.AccountPartialSpill(s.SpillWords)
+			x.stats.SpilledPartial += s.SpillWords
+		}
+		x.stats.WindowsRead += s.Windows
+		x.stats.MACs += s.MACs
+		x.stats.Cycles += s.Cycles()
 		if li == len(layers)-1 {
 			e.pushFrame()
-			x.stats.ElemsOut += outVol
+			x.stats.ElemsOut += int64(layers[li].OutShape.Volume())
 		} else {
 			// Fused-layer hand-off goes through the datamover (the paper's
-			// partial-result exchange): one DDR write and one read back at a
-			// word per cycle.
+			// partial-result exchange): one DDR write and one read back.
 			if err := e.handOff(li); err != nil {
 				return err
 			}
-			x.stats.Cycles += 2 * words
+			x.stats.Cycles += s.HandOff
 		}
 		if x.track != nil {
-			x.track.AddWords(sid, words)
+			x.track.AddWords(sid, s.OutWords)
 			x.track.End(sid, x.stats.Cycles)
 		}
 	}
@@ -480,23 +367,6 @@ func padPlane[T float32 | int8](scratch []T, l *LayerHW, chmap []T) []T {
 		copy(plane[(y+l.Pad)*pw+l.Pad:], chmap[y*w:(y+1)*w])
 	}
 	return plane
-}
-
-// accountConv books a finished convolution layer: the weight stream's DDR
-// re-read and, per input channel, windows read at macs multiplies per output
-// channel each plus a partial-sum round trip when the accumulators spill.
-// The counters are pure adds, so the modeled channel passes fold into one
-// closed form whatever order the host computed the cells in.
-func (x *peStream) accountConv(l *LayerHW, streamBytes int64, windows, macs int) {
-	c, f := int64(l.InShape.Channels), int64(l.OutShape.Channels)
-	x.dm.AccountReadBytes(streamBytes)
-	x.stats.WindowsRead += c * int64(windows)
-	x.stats.MACs += c * f * int64(macs) * int64(windows)
-	if !x.pe.PartialsOnChip {
-		spill := c * f * int64(l.OutShape.Height*l.OutShape.Width)
-		x.dm.AccountPartialSpill(spill)
-		x.stats.SpilledPartial += spill
-	}
 }
 
 // peExec executes one PE on the float32 datapath: the input image is pulled
@@ -559,9 +429,9 @@ func (x *peExec) runLayer(li int) {
 	case p.l.Kind == nn.FullyConnected:
 		x.runFC()
 	case p.l.Kind != nn.Conv: // sub-sampling: resolveLayers admits no other kind
-		x.runPool()
+		x.pool.bands(p.l.InShape.Channels, x.inBands, x.fns.pool)
 	case p.l.Algo() == AlgoWinograd:
-		x.runWinograd(p.l, p.st, p.cur, p.out, 4*p.st.streamWords)
+		x.runWinograd(p.l, p.st, p.cur, p.out)
 	default:
 		x.runConv()
 	}
@@ -593,7 +463,6 @@ func (x *peExec) runConv() {
 	}
 	p.tile8 = convTile8OK(l, p.st.taps, len(p.st.taps), len(p.st.w), len(p.stack))
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
-	x.accountConv(l, 4*p.st.streamWords, l.OutShape.Height*l.OutShape.Width, l.Kernel*l.Kernel)
 }
 
 // convPosTile is the output-position register-tile width of the convolution
@@ -732,19 +601,13 @@ func (x *peExec) convStore(fi, pos int, acc []float32) {
 	}
 }
 
-// runPool implements the sub-sampling PE: one pass per channel, each window
-// replaced by its maximum or average. Channels are independent maps, so with
-// Par.In > 1 the channel range is sharded into bands that run concurrently,
-// each padding into its own plane; within a channel the window order (and
-// thus every float operation) is unchanged.
-func (x *peExec) runPool() {
-	l := x.pass.l
-	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
-	x.stats.WindowsRead += int64(l.InShape.Channels) * int64(l.OutShape.Height*l.OutShape.Width)
-}
-
-// poolBand sub-samples channels [lo,hi). A window's elements are visited in
-// ascending (m,n) order, as the oracle's window slots are.
+// poolBand is the sub-sampling PE over channels [lo,hi): one pass per
+// channel, each window replaced by its maximum or average. Channels are
+// independent maps, so with Par.In > 1 the channel range is sharded into
+// bands that run concurrently, each padding into its own plane; within a
+// channel the window order (and thus every float operation) is unchanged. A
+// window's elements are visited in ascending (m,n) order, as the oracle's
+// window slots are.
 func (x *peExec) poolBand(band, lo, hi int) {
 	p := &x.pass
 	l := p.l
@@ -789,17 +652,14 @@ func (x *peExec) poolBand(band, lo, hi int) {
 // parallel execution preserves that exactly.
 func (x *peExec) runFC() {
 	p := &x.pass
-	l := p.l
-	x.dm.AccountReadBytes(4 * p.st.streamWords)
 	clear(p.out)
 	copy(p.out, p.st.b)
 	x.pool.bands(len(p.out), x.outBands, x.fns.fc)
-	x.stats.MACs += int64(len(p.out)) * int64(l.InShape.Volume())
 	for i, v := range p.out {
-		p.out[i] = applyActivation(l.Activation, v)
+		p.out[i] = applyActivation(p.l.Activation, v)
 	}
-	if l.Normalize != NoActivation {
-		normalizeInPlace(l.Normalize, p.out)
+	if p.l.Normalize != NoActivation {
+		normalizeInPlace(p.l.Normalize, p.out)
 	}
 }
 

@@ -83,20 +83,20 @@ func runQuantCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, ba
 		t.Error("packed run recorded zero lane pushes — the float path ran instead")
 	}
 	// Modeled cycles must agree with the measured fabric on the packed path
-	// too: both sides use the lanes-aware LayerCyclesAt model.
+	// too: both sides read the lanes-aware layer schedules.
 	if model, meas := modelBottleneck(spec), gotStats.BottleneckCycles(); model != meas {
 		t.Errorf("modeled bottleneck %d != measured %d", model, meas)
 	}
 }
 
 // modelBottleneck computes the modeled per-image bottleneck for a spec
-// directly via the lane-aware cycle model (the perf package re-derives the
-// same quantity; duplicating the fold here keeps the test self-contained in
-// package dataflow).
+// directly from the lane-aware layer schedules (the perf package re-derives
+// the same quantity; duplicating the fold here keeps the test self-contained
+// in package dataflow).
 func modelBottleneck(spec *Spec) int64 {
 	var worst int64
 	for _, pe := range spec.PEs {
-		if c := PECyclesPerImageAt(pe, spec.Lanes()); c > worst {
+		if c := pe.CyclesPerImage(spec.Bits()); c > worst {
 			worst = c
 		}
 	}

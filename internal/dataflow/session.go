@@ -112,7 +112,7 @@ func (a *Accelerator) OpenSession() *Session {
 		s.peStats[i].ID = pe.ID
 		elem := 1 + i
 		stream := peStream{pe: pe, dm: a.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i], track: peTracks[i],
-			lanes: spec.Lanes(), wgCache: a.wgweights, onImage: func() { s.imageDone(elem) }, onErr: s.fail}
+			bits: spec.Bits(), wgCache: a.wgweights, onImage: func() { s.imageDone(elem) }, onErr: s.fail}
 		var run func() error
 		if s.packed {
 			x := &peExecInt8{peStream: stream, qw: a.qweights}

@@ -166,43 +166,6 @@ func (pe *PE) IsFeatureExtraction() bool {
 	return len(pe.Layers) > 0 && pe.Layers[0].Kind.IsFeatureExtraction()
 }
 
-// WeightWords returns the number of weight+bias words the PE needs across
-// its layers.
-func (pe *PE) WeightWords() int64 {
-	var n int64
-	for _, l := range pe.Layers {
-		switch l.Kind {
-		case nn.Conv:
-			n += int64(l.OutShape.Channels) * int64(l.InShape.Channels) * int64(l.Kernel) * int64(l.Kernel)
-			n += int64(l.OutShape.Channels) // bias
-		case nn.FullyConnected:
-			n += int64(l.OutShape.Channels) * int64(l.InShape.Volume())
-			n += int64(l.OutShape.Channels)
-		}
-	}
-	return n
-}
-
-// PartialWords returns the size of the largest partial-sum buffer the PE
-// needs: the full output volume of a conv layer (accumulated across input
-// channels) or the output neuron count of an FC layer.
-func (pe *PE) PartialWords() int64 {
-	var max int64
-	for _, l := range pe.Layers {
-		var n int64
-		switch l.Kind {
-		case nn.Conv:
-			n = int64(l.OutShape.Volume())
-		case nn.FullyConnected:
-			n = int64(l.OutShape.Channels)
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
 // FilterChain describes the memory subsystem of one features-extraction PE
 // input port: a pipeline of K² filters interleaved by K²−1 FIFOs,
 // implementing the non-uniform partitioning of the reuse buffer (Cong et
@@ -297,12 +260,23 @@ type Spec struct {
 	StrictLanes bool
 }
 
+// Bits returns the fabric word width: 8 or 16 on the fixed-point variants,
+// 32 (float32) otherwise. The cost models read WordBits only through it.
+func (s *Spec) Bits() int {
+	if s.WordBits == 8 || s.WordBits == 16 {
+		return s.WordBits
+	}
+	return 32
+}
+
 // Lanes returns the number of activation lanes packed into each 32-bit FIFO
 // word: Int8Lanes on the packed int8 datapath, 1 everywhere else (the int16
 // variant keeps the float-over-quantized-values execution, one element per
 // word).
-func (s *Spec) Lanes() int {
-	if s.WordBits == 8 {
+func (s *Spec) Lanes() int { return lanesAt(s.Bits()) }
+
+func lanesAt(bits int) int {
+	if bits == 8 {
 		return fifo.Int8Lanes
 	}
 	return 1
@@ -313,7 +287,7 @@ func (s *Spec) Lanes() int {
 // the per-image scale word of the packed int8 frame layout. The verifier's
 // CND024 interleaving rule uses it to bound two-epochs-in-flight occupancy.
 func (s *Spec) FrameHeaderWords() int {
-	if s.WordBits == 8 {
+	if s.Lanes() > 1 {
 		return 2
 	}
 	return 1
@@ -397,7 +371,7 @@ func BuildSpec(ir *condorir.Network) (*Spec, error) {
 					Name:       irl.Name,
 					Kind:       kind,
 					Kernel:     irl.KernelSize,
-					Stride:     maxInt(irl.Stride, 1),
+					Stride:     max(irl.Stride, 1),
 					Pad:        irl.Pad,
 					InShape:    shapes[li],
 					OutShape:   shapes[li+1],
@@ -447,11 +421,4 @@ func BuildSpec(ir *condorir.Network) (*Spec, error) {
 		spec.PEs = append(spec.PEs, pe)
 	}
 	return spec, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

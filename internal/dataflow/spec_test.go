@@ -104,23 +104,29 @@ func TestPEWeightAndPartialWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe0 := spec.PEs[0]
+	s0 := spec.PEs[0].Schedule(0, 32)
 	// conv1: 4*1*5*5 weights + 4 bias.
-	if got := pe0.WeightWords(); got != 104 {
-		t.Fatalf("conv weight words = %d, want 104", got)
+	if s0.WeightWords != 104 {
+		t.Fatalf("conv weight words = %d, want 104", s0.WeightWords)
 	}
 	// partials: full output volume 4*12*12.
-	if got := pe0.PartialWords(); got != 576 {
-		t.Fatalf("conv partial words = %d, want 576", got)
+	if s0.PartialWords != 576 {
+		t.Fatalf("conv partial words = %d, want 576", s0.PartialWords)
 	}
-	pe2 := spec.PEs[2]
+	s2 := spec.PEs[2].Schedule(0, 32)
 	// fc1: 10*(4*6*6) + 10 bias... input of fc1 is pool1 output 4x6x6=144.
-	if got := pe2.WeightWords(); got != int64(10*144+10) {
-		t.Fatalf("fc weight words = %d", got)
+	if s2.WeightWords != int64(10*144+10) {
+		t.Fatalf("fc weight words = %d", s2.WeightWords)
 	}
-	if got := pe2.PartialWords(); got != 10 {
-		t.Fatalf("fc partial words = %d", got)
+	if s2.PartialWords != 10 {
+		t.Fatalf("fc partial words = %d", s2.PartialWords)
 	}
+}
+
+// layerCycles lowers l alone on a PE of parallelism par, at 32 bits.
+func layerCycles(l *LayerHW, par condorir.Parallelism) int64 {
+	pe := &PE{Layers: []LayerHW{*l}, Par: par}
+	return pe.Schedule(0, 32).Cycles()
 }
 
 func TestLayerCyclesModel(t *testing.T) {
@@ -133,19 +139,19 @@ func TestLayerCyclesModel(t *testing.T) {
 	seq := condorir.Parallelism{In: 1, Out: 1}
 	// compute = 64*8 = 512 > stream = 100 → 4 groups * 512 + fill.
 	want := int64(4*512) + chainFill(conv)
-	if got := LayerCycles(conv, seq); got != want {
+	if got := layerCycles(conv, seq); got != want {
 		t.Fatalf("conv cycles = %d, want %d", got, want)
 	}
 	// With Out=8 the compute term collapses to 64 < stream 100 → stream-bound.
 	par := condorir.Parallelism{In: 1, Out: 8}
 	want = int64(4*100) + chainFill(conv)
-	if got := LayerCycles(conv, par); got != want {
+	if got := layerCycles(conv, par); got != want {
 		t.Fatalf("parallel conv cycles = %d, want %d", got, want)
 	}
 	// With In=4 as well, one group.
 	par = condorir.Parallelism{In: 4, Out: 8}
 	want = int64(100) + chainFill(conv)
-	if got := LayerCycles(conv, par); got != want {
+	if got := layerCycles(conv, par); got != want {
 		t.Fatalf("fully parallel conv cycles = %d, want %d", got, want)
 	}
 
@@ -157,7 +163,7 @@ func TestLayerCyclesModel(t *testing.T) {
 	}
 	// Pooling is stream-bound: 4 groups * 100.
 	want = int64(4*100) + chainFill(pool)
-	if got := LayerCycles(pool, seq); got != want {
+	if got := layerCycles(pool, seq); got != want {
 		t.Fatalf("pool cycles = %d, want %d", got, want)
 	}
 
@@ -168,12 +174,12 @@ func TestLayerCyclesModel(t *testing.T) {
 		Activation: NoActivation, Normalize: NoActivation,
 	}
 	want = int64(100*10) + fcPipelineFill
-	if got := LayerCycles(fc, seq); got != want {
+	if got := layerCycles(fc, seq); got != want {
 		t.Fatalf("fc cycles = %d, want %d", got, want)
 	}
 	// Output parallelism divides the per-element loop.
 	want = int64(100*5) + fcPipelineFill
-	if got := LayerCycles(fc, condorir.Parallelism{In: 1, Out: 2}); got != want {
+	if got := layerCycles(fc, condorir.Parallelism{In: 1, Out: 2}); got != want {
 		t.Fatalf("parallel fc cycles = %d, want %d", got, want)
 	}
 }

@@ -1,49 +1,18 @@
 package dataflow
 
-import "condor/internal/nn"
-
-// This file models the accelerator's DDR traffic analytically. The numbers
-// mirror exactly what the functional datamover accounts at run time (the
-// equivalence is asserted in tests), and feed the roofline analysis and the
-// bandwidth-bound checks of the performance layer.
-
-// wordBytes returns the stream word size of the spec.
-func (s *Spec) wordBytes() int64 {
-	switch s.WordBits {
-	case 8:
-		return 1
-	case 16:
-		return 2
-	default:
-		return 4
-	}
-}
+// This file models the accelerator's DDR traffic analytically, from the
+// layer schedules. The numbers mirror exactly what the functional datamover
+// accounts at run time (the equivalence is asserted in tests), and feed the
+// roofline analysis and the bandwidth-bound checks of the performance layer.
 
 // DDRBytesPerImage returns the on-board memory traffic one image generates:
-// the input stream read, the output write-back, weight streams for PEs
-// whose weights are not cached on-chip, partial-sum spill round trips, and
-// fused-layer intermediate round trips.
+// the input stream read, the output write-back, and every layer's weight
+// re-read, partial-sum spill and fused-layer hand-off (Schedule.DDRBytes).
 func (s *Spec) DDRBytesPerImage() int64 {
-	wb := s.wordBytes()
-	// Partials accumulate at full precision.
-	const partialBytes = 4
-
-	total := int64(s.Input.Volume()) * wb
-	total += int64(s.OutputShape().Volume()) * wb
+	total := int64(s.Input.Volume()+s.OutputShape().Volume()) * int64(s.Bits()/8)
 	for _, pe := range s.PEs {
-		if !pe.WeightsOnChip {
-			total += pe.WeightWords() * wb
-		}
-		for i, l := range pe.Layers {
-			if !pe.PartialsOnChip && l.Kind == nn.Conv {
-				// One read-modify-write of the partial buffer per input
-				// channel pass.
-				total += 2 * int64(l.OutShape.Volume()) * int64(l.InShape.Channels) * partialBytes
-			}
-			if i+1 < len(pe.Layers) {
-				// Fused handoff: write + read of the intermediate volume.
-				total += 2 * int64(l.OutShape.Volume()) * wb
-			}
+		for i := range pe.Layers {
+			total += pe.Schedule(i, s.Bits()).DDRBytes
 		}
 	}
 	return total
@@ -52,11 +21,10 @@ func (s *Spec) DDRBytesPerImage() int64 {
 // OnChipLoadBytes returns the one-time DDR reads performed at configuration
 // time to fill the on-chip weight caches.
 func (s *Spec) OnChipLoadBytes() int64 {
-	wb := s.wordBytes()
 	var total int64
 	for _, pe := range s.PEs {
-		if pe.WeightsOnChip {
-			total += pe.WeightWords() * wb
+		for i := range pe.Layers {
+			total += pe.Schedule(i, s.Bits()).LoadBytes
 		}
 	}
 	return total

@@ -75,7 +75,9 @@ func (x *peExecWords) runImage(img int) error {
 		if err != nil {
 			return fmt.Errorf("layer %q: %w", l.Name, err)
 		}
-		x.stats.Cycles += LayerCycles(l, x.pe.Par)
+		// The oracle computes in float32 whatever the spec's word width, so
+		// its cycles are the 32-bit schedule's.
+		x.stats.Cycles += x.pe.Schedule(li, 32).Cycles()
 
 		if !last {
 			// Fused-layer handoff goes through the datamover (the paper's

@@ -309,19 +309,6 @@ func TestKernelNameSanitized(t *testing.T) {
 	}
 }
 
-func TestEstimateReportsPELatency(t *testing.T) {
-	spec := lenetSpec(t)
-	rep, err := Estimate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pe := range spec.PEs {
-		if rep.PEs[i].CyclesPerImage != dataflow.PECyclesPerImage(pe) {
-			t.Fatalf("PE %s latency mismatch", pe.ID)
-		}
-	}
-}
-
 func TestSortedBreakdownDeterministic(t *testing.T) {
 	spec := lenetSpec(t)
 	rep, err := Estimate(spec)

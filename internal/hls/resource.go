@@ -10,8 +10,10 @@
 package hls
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"condor/internal/board"
@@ -57,34 +59,22 @@ func fadd(freqMHz float64) board.Resources {
 	return costFAddLog
 }
 
-// Fixed-point MAC costs: an int16 multiply-accumulate maps onto a single
-// DSP48 (multiplier plus post-adder); two int8 MACs pack into one DSP48.
-var (
-	costMACInt16 = board.Resources{LUT: 62, FF: 84, DSP: 1}
-	costMACInt8  = board.Resources{LUT: 44, FF: 52, DSP: 0.5}
-)
-
-// macCost returns the cost of one multiply-accumulate lane for the fabric
-// word width.
-func macCost(freqMHz float64, wordBits int) board.Resources {
-	switch wordBits {
-	case 16:
-		return costMACInt16
-	case 8:
-		return costMACInt8
-	default:
-		return costFMul.Add(fadd(freqMHz))
-	}
+// costMACFixed prices one fixed-point multiply-accumulate lane by word
+// width: an int16 MAC maps onto a single DSP48 (multiplier plus post-adder);
+// two int8 MACs pack into one DSP48.
+var costMACFixed = map[int]board.Resources{
+	16: {LUT: 62, FF: 84, DSP: 1},
+	8:  {LUT: 44, FF: 52, DSP: 0.5},
 }
 
-// wordBitsOf normalises a spec's word width.
-func wordBitsOf(bits int) int {
-	switch bits {
-	case 8, 16:
-		return bits
-	default:
-		return 32
+// macCost returns the cost of one multiply-accumulate lane for the fabric
+// word width: the fixed-point table's, or a float32 multiplier plus the
+// clock's adder.
+func macCost(freqMHz float64, wordBits int) board.Resources {
+	if c, ok := costMACFixed[wordBits]; ok {
+		return c
 	}
+	return costFMul.Add(fadd(freqMHz))
 }
 
 // bramForWords returns the BRAM36 blocks needed to hold n words of the
@@ -108,16 +98,12 @@ func fifoCost(depth, wordBits int) board.Resources {
 }
 
 // PEReport is the synthesis estimate for one PE (datapath + its memory
-// subsystem).
+// subsystem). Its latency is the cycle model's (perf.Stages).
 type PEReport struct {
 	ID        string
 	MACs      int
 	Kernel    board.Resources
 	Breakdown map[string]board.Resources
-
-	// CyclesPerImage is the HLS latency figure: busy cycles per image
-	// (II=1 pipeline over the PE's iteration space).
-	CyclesPerImage int64
 }
 
 // Report is the synthesis estimate for a complete accelerator.
@@ -151,7 +137,7 @@ func Estimate(spec *dataflow.Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	bits := wordBitsOf(spec.WordBits)
+	bits := spec.Bits()
 	rep := &Report{BoardID: b.ID}
 	kernel := costDatamover
 	rep.Datamover = costDatamover
@@ -195,51 +181,17 @@ func estimatePE(pe *dataflow.PE, freqMHz float64, wordBits int) (PEReport, error
 	}
 	add("control", ctrl)
 
-	// Datapath: sized by the most demanding fused layer. The MAC bank of a
-	// conv layer depends on its algorithm: direct needs the K² window lanes,
-	// im2col+GEMM doubles the bank (the dual-ported panel BRAM feeds two
-	// output positions per cycle, which is where its 2× cycle advantage
-	// comes from), and Winograd F(2,3) needs the 16 element-wise lanes of
-	// the 4×4 transform-domain tile regardless of K.
 	maxK := 0
-	convLanes := 0
-	hasConv, hasMaxPool, hasAvgPool, hasFC := false, false, false, false
-	hasWinograd := false
-	var wgWeightWords, panelWords int64
+	hasMaxPool, hasAvgPool := false, false
 	var act, norm nn.Kind = dataflow.NoActivation, dataflow.NoActivation
 	for _, l := range pe.Layers {
-		if l.Kind == nn.FullyConnected && int64(l.OutShape.Channels)*int64(l.InShape.Volume()) > maxHLSArrayWords {
+		if w := int64(l.WeightWords()); l.Kind == nn.FullyConnected && w > maxHLSArrayWords {
 			return pr, fmt.Errorf("hls: layer %q: fully-connected weight array of %d words exceeds the %d-word HLS limit; not synthesizable with the current methodology",
-				l.Name, int64(l.OutShape.Channels)*int64(l.InShape.Volume()), maxHLSArrayWords)
+				l.Name, w, maxHLSArrayWords)
 		}
-		if l.Kernel > maxK {
-			maxK = l.Kernel
-		}
-		switch l.Kind {
-		case nn.Conv:
-			hasConv = true
-			lanes := l.Kernel * l.Kernel
-			switch l.Algo() {
-			case dataflow.AlgoGEMM:
-				lanes *= 2
-				if w := int64(l.Kernel*l.Kernel) * int64(l.OutShape.Height) * int64(l.OutShape.Width); w > panelWords {
-					panelWords = w
-				}
-			case dataflow.AlgoWinograd:
-				lanes = 16
-				hasWinograd = true
-				wgWeightWords += int64(l.OutShape.Channels) * int64(l.InShape.Channels) * 16
-			}
-			if lanes > convLanes {
-				convLanes = lanes
-			}
-		case nn.MaxPool:
-			hasMaxPool = true
-		case nn.AvgPool:
-			hasAvgPool = true
-		case nn.FullyConnected:
-			hasFC = true
-		}
+		maxK = max(maxK, l.Kernel)
+		hasMaxPool = hasMaxPool || l.Kind == nn.MaxPool
+		hasAvgPool = hasAvgPool || l.Kind == nn.AvgPool
 		if l.Activation != dataflow.NoActivation {
 			act = l.Activation
 		}
@@ -248,31 +200,29 @@ func estimatePE(pe *dataflow.PE, freqMHz float64, wordBits int) (PEReport, error
 		}
 	}
 
+	// Datapath: the layer schedules' MAC lanes (multiplier + adder-tree slot
+	// + accumulator), the bank sized by the most demanding fused layer.
 	adder := fadd(freqMHz)
 	mac := macCost(freqMHz, wordBits)
-	if hasConv {
-		// MAC lanes (multiplier + adder-tree slot + accumulator), replicated
-		// per parallel input/output port pair.
-		lanes := convLanes * par.In * par.Out
-		pr.MACs += lanes
-		add("conv-mac", mac.Scale(float64(lanes)))
+	f := foldSchedules(pe, wordBits)
+	if f.convMACs > 0 {
+		pr.MACs += f.convMACs
+		add("conv-mac", mac.Scale(float64(f.convMACs)))
 	}
-	if panelWords > 0 {
+	if f.panel > 0 {
 		// im2col scratch panel, dual-ported; layers on one PE run
 		// sequentially, so the largest panel is shared.
-		add("im2col-bram", board.Resources{BRAM: bramForWords(panelWords, wordBits)})
+		add("im2col-bram", board.Resources{BRAM: bramForWords(f.panel, wordBits)})
 	}
-	if hasWinograd {
+	if f.xform > 0 {
 		// Transformed-weight cache (always resident, float32 like the
 		// partials) plus the input/inverse tile-transform adder networks.
-		add("winograd-weight-bram", board.Resources{BRAM: bramForWords(wgWeightWords, 32)})
+		add("winograd-weight-bram", board.Resources{BRAM: bramForWords(f.xform, 32)})
 		add("winograd-xform", adder.Scale(float64(32*par.In+24*par.Out)))
 	}
-	if hasFC {
-		// Single-input/single-output 1x1-conv PE: one MAC per output port.
-		lanes := par.Out
-		pr.MACs += lanes
-		add("fc-mac", mac.Scale(float64(lanes)))
+	if f.fcMACs > 0 {
+		pr.MACs += f.fcMACs
+		add("fc-mac", mac.Scale(float64(f.fcMACs)))
 	}
 	if hasMaxPool {
 		add("pool-cmp", costFCmp.Scale(float64((maxK*maxK-1)*par.In)))
@@ -310,16 +260,40 @@ func estimatePE(pe *dataflow.PE, freqMHz float64, wordBits int) (PEReport, error
 	}
 
 	if pe.WeightsOnChip {
-		add("weight-bram", board.Resources{BRAM: bramForWords(pe.WeightWords(), wordBits)})
+		add("weight-bram", board.Resources{BRAM: bramForWords(f.weights, wordBits)})
 	}
 	if pe.PartialsOnChip {
 		// Partial sums accumulate at full precision regardless of the
 		// stream word width.
-		add("partial-bram", board.Resources{BRAM: bramForWords(pe.PartialWords(), 32)})
+		add("partial-bram", board.Resources{BRAM: bramForWords(f.partials, 32)})
 	}
-
-	pr.CyclesPerImage = dataflow.PECyclesPerImage(pe)
 	return pr, nil
+}
+
+// peFold is what a PE needs in hardware, folded from its layer schedules:
+// the MAC banks of its largest convolution and FC layers, the largest im2col
+// panel (fused layers run one at a time), every Winograd transformed-weight
+// store, all its weights and its largest partial-sum buffer.
+type peFold struct {
+	convMACs, fcMACs                int
+	panel, xform, weights, partials int64
+}
+
+func foldSchedules(pe *dataflow.PE, bits int) (f peFold) {
+	for i := range pe.Layers {
+		s := pe.Schedule(i, bits)
+		switch pe.Layers[i].Kind {
+		case nn.Conv:
+			f.convMACs = max(f.convMACs, s.MACLanes)
+		case nn.FullyConnected:
+			f.fcMACs = max(f.fcMACs, s.MACLanes)
+		}
+		f.panel = max(f.panel, s.PanelWords)
+		f.xform += s.XformWords
+		f.weights += s.WeightWords
+		f.partials = max(f.partials, s.PartialWords)
+	}
+	return f
 }
 
 // fmaxModel is the timing-closure model: routing congestion erodes the
@@ -354,33 +328,24 @@ func PlanMemory(spec *dataflow.Spec) error {
 	if err != nil {
 		return err
 	}
-	bits := wordBitsOf(spec.WordBits)
+	bits := spec.Bits()
 	budget := b.Available().BRAM
 
 	// Fixed BRAM consumers.
 	fixed := costDatamover.BRAM
 	fixed += fifoCost(spec.InterPEFIFODepth, bits).BRAM * float64(len(spec.PEs)+1)
-	for _, pe := range spec.PEs {
+	type planned struct {
+		pe *dataflow.PE
+		peFold
+	}
+	order := make([]planned, len(spec.PEs))
+	for i, pe := range spec.PEs {
 		pe.WeightsOnChip = false
 		pe.PartialsOnChip = false
-		// Algorithm-mode scratch and caches are unconditionally resident:
-		// the im2col panel (largest gemm layer on the PE) and the Winograd
-		// transformed-weight store (float32, all winograd layers).
-		var panelWords, wgWords int64
-		for _, l := range pe.Layers {
-			if l.Kind != nn.Conv {
-				continue
-			}
-			switch l.Algo() {
-			case dataflow.AlgoGEMM:
-				if w := int64(l.Kernel*l.Kernel) * int64(l.OutShape.Height) * int64(l.OutShape.Width); w > panelWords {
-					panelWords = w
-				}
-			case dataflow.AlgoWinograd:
-				wgWords += int64(l.OutShape.Channels) * int64(l.InShape.Channels) * 16
-			}
-		}
-		fixed += bramForWords(panelWords, bits) + bramForWords(wgWords, 32)
+		// The im2col panel and the Winograd transformed-weight store are
+		// unconditionally resident.
+		order[i] = planned{pe, foldSchedules(pe, bits)}
+		fixed += bramForWords(order[i].panel, bits) + bramForWords(order[i].xform, 32)
 		if pe.Chain == nil {
 			continue
 		}
@@ -397,24 +362,22 @@ func PlanMemory(spec *dataflow.Spec) error {
 	}
 
 	// Partials first, in PE order.
-	for _, pe := range spec.PEs {
-		need := bramForWords(pe.PartialWords(), 32)
+	for _, p := range order {
+		need := bramForWords(p.partials, 32)
 		if need <= remaining {
-			pe.PartialsOnChip = true
+			p.pe.PartialsOnChip = true
 			remaining -= need
 		}
 	}
 	// Then weights, smallest first.
-	order := make([]*dataflow.PE, len(spec.PEs))
-	copy(order, spec.PEs)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].WeightWords() < order[j].WeightWords() })
-	for _, pe := range order {
-		if pe.WeightWords() == 0 {
+	slices.SortStableFunc(order, func(a, b planned) int { return cmp.Compare(a.weights, b.weights) })
+	for _, p := range order {
+		if p.weights == 0 {
 			continue
 		}
-		need := bramForWords(pe.WeightWords(), bits)
+		need := bramForWords(p.weights, bits)
 		if need <= remaining {
-			pe.WeightsOnChip = true
+			p.pe.WeightsOnChip = true
 			remaining -= need
 		}
 	}

@@ -20,14 +20,12 @@ type Stage struct {
 	Cycles int64
 }
 
-// Stages maps every PE of the spec to a pipeline stage. Stage times come
-// from the lane-aware cycle model: on the packed int8 fabric every FIFO word
-// carries Spec.Lanes() activation elements, so the stream-bound terms (and
-// with them the modeled cycles) shrink by the lane factor.
+// Stages maps every PE of the spec to a pipeline stage, timed by its layer
+// schedules at the spec's word width (dataflow.PE.CyclesPerImage).
 func Stages(spec *dataflow.Spec) []Stage {
 	out := make([]Stage, len(spec.PEs))
 	for i, pe := range spec.PEs {
-		out[i] = Stage{Name: pe.ID, Cycles: dataflow.PECyclesPerImageAt(pe, spec.Lanes())}
+		out[i] = Stage{Name: pe.ID, Cycles: pe.CyclesPerImage(spec.Bits())}
 	}
 	return out
 }
@@ -38,7 +36,7 @@ func FeatureStages(spec *dataflow.Spec) []Stage {
 	var out []Stage
 	for _, pe := range spec.PEs {
 		if pe.IsFeatureExtraction() {
-			out = append(out, Stage{Name: pe.ID, Cycles: dataflow.PECyclesPerImageAt(pe, spec.Lanes())})
+			out = append(out, Stage{Name: pe.ID, Cycles: pe.CyclesPerImage(spec.Bits())})
 		}
 	}
 	return out
@@ -187,25 +185,21 @@ type ConvAlgoRow struct {
 }
 
 // ConvAlgoTable evaluates every conv layer of the spec under each
-// algorithm (Winograd only where it qualifies). The spec is not modified:
-// each row re-evaluates a copy of the layer with its ConvAlgo overridden.
+// algorithm (Winograd only where it qualifies), from the layer's schedule
+// lowered as if it ran that algorithm; the spec is not modified.
 func ConvAlgoTable(spec *dataflow.Spec) []ConvAlgoRow {
 	var out []ConvAlgoRow
-	lanes := spec.Lanes()
+	bits := spec.Bits()
 	for _, pe := range spec.PEs {
-		for _, l := range pe.Layers {
+		for i, l := range pe.Layers {
 			if l.Kind != nn.Conv {
 				continue
 			}
-			row := ConvAlgoRow{PE: pe.ID, Layer: l.Name, Selected: l.Algo()}
-			trial := l
-			trial.ConvAlgo = dataflow.AlgoDirect
-			row.DirectCycles = dataflow.LayerCyclesAt(&trial, pe.Par, lanes)
-			trial.ConvAlgo = dataflow.AlgoGEMM
-			row.GEMMCycles = dataflow.LayerCyclesAt(&trial, pe.Par, lanes)
+			row := ConvAlgoRow{PE: pe.ID, Layer: l.Name, Selected: l.Algo(),
+				DirectCycles: pe.ScheduleAs(i, bits, dataflow.AlgoDirect).Cycles(),
+				GEMMCycles:   pe.ScheduleAs(i, bits, dataflow.AlgoGEMM).Cycles()}
 			if dataflow.WinogradOK(l.Kernel, l.Stride, l.OutShape) {
-				trial.ConvAlgo = dataflow.AlgoWinograd
-				row.WinogradCycles = dataflow.LayerCyclesAt(&trial, pe.Par, lanes)
+				row.WinogradCycles = pe.ScheduleAs(i, bits, dataflow.AlgoWinograd).Cycles()
 			}
 			out = append(out, row)
 		}

@@ -134,7 +134,7 @@ func TestStagesFromSpec(t *testing.T) {
 		t.Fatalf("stage count %d", len(stages))
 	}
 	for i, pe := range spec.PEs {
-		if stages[i].Cycles != dataflow.PECyclesPerImage(pe) {
+		if stages[i].Cycles != pe.CyclesPerImage(spec.Bits()) {
 			t.Fatalf("stage %d cycles mismatch", i)
 		}
 	}
