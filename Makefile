@@ -22,11 +22,13 @@ vet:
 	$(GO) vet ./...
 
 # cross keeps the portable paths compiling and running: internal/dataflow's
-# float32 and int8 convolution tiles and int8 FC kernel are amd64 assembly,
-# and every other architecture runs the Go kernels. A 386 binary runs
-# natively on an amd64 host, so the 386 test run executes those Go kernels
-# (the int8 tile over pair planes, the packed-pair FC, the float32 tile) end
-# to end. (`go vet` on amd64 already runs asmdecl over the .s file.)
+# float32 and int8 convolution tiles, float32 and int8 FC kernels and
+# float32 max-pool kernel are amd64 assembly, and every other architecture
+# runs the Go kernels. A 386 binary runs natively on an amd64 host, so the
+# 386 test run executes those Go kernels (the int8 tile over pair planes,
+# the packed-pair FC, the float32 tile, the float32 FC band and max-pool
+# loop) end to end. (`go vet` on amd64 already runs asmdecl over the .s
+# file.)
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/dataflow/...
 	GOARCH=386 $(GO) build ./...
@@ -178,10 +180,13 @@ bench-check: bench-fabric
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only pipeline_efficiency -max-regression 0.10
 	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only winograd_speedup_x -max-regression 0.25
 
-# profile-fabric captures a CPU profile of the functional fabric benchmark;
-# inspect it with `go tool pprof fabric.cpu.prof`.
+# profile-fabric captures a CPU profile of a warm LeNet session in the shape
+# of the benchmark's fabric-lenet-f32 workload (BenchmarkLeNetSession/float32;
+# PROFILE_LEG=int8 profiles fabric-lenet-int8-gemm's shape instead); inspect
+# it with `go tool pprof fabric.cpu.prof`.
+PROFILE_LEG ?= float32
 profile-fabric:
-	$(GO) test -run '^$$' -bench BenchmarkFabricThroughput -benchtime 200x \
+	$(GO) test -run '^$$' -bench 'BenchmarkLeNetSession/$(PROFILE_LEG)$$' -benchtime 400x \
 		-cpuprofile fabric.cpu.prof -o fabric.bench.test .
 	$(GO) tool pprof -top -nodecount=15 fabric.cpu.prof
 

@@ -373,6 +373,48 @@ func BenchmarkFabricThroughput(b *testing.B) {
 	benchAlgoLegs(b)
 }
 
+// BenchmarkLeNetSession is the benchmark module's two fabric workloads
+// reduced to the fabric, the shape `make profile-fabric` profiles: LeNet from
+// its seed-1 caffemodel on the local board, one warm session running 16-image
+// RunBatches — float32 with the plain build's direct convolutions
+// (fabric-lenet-f32), int8 with the explorer on (fabric-lenet-int8-gemm).
+func BenchmarkLeNetSession(b *testing.B) {
+	blob, err := models.LeNetCaffeModel(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := models.MNISTImages(16, 1)
+	for _, c := range []struct {
+		name      string
+		precision quant.Precision
+		dse       bool
+	}{{"float32", quant.Float32, false}, {"int8", quant.Int8, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			bld, err := New().BuildAccelerator(Input{Prototxt: models.LeNetPrototxt, CaffeModel: blob,
+				Board: localBoard, FrequencyMHz: models.LeNetFreqMHz, Precision: c.precision, RunDSE: c.dse})
+			if err != nil {
+				b.Fatal(err)
+			}
+			acc, err := bld.Fabric()
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := acc.OpenSession()
+			defer s.Close()
+			if _, _, err := s.RunBatch(batch); err != nil { // warm the session
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.RunBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "img/s")
+		})
+	}
+}
+
 // benchPoolRun is one one-shot pool run: the batch goes through the pool's
 // resident sessions, which are then closed, so every iteration pays the
 // fabric's spawn/join as a cold deployment does.

@@ -203,8 +203,9 @@ func (x *peStream) winogradInverseBand(band, lo, hi int) {
 		}
 		bias := biasAt(p.st.b, fi)
 		for i, v := range out {
-			out[i] = applyActivation(l.Activation, v+bias)
+			out[i] = v + bias
 		}
+		activateInPlace(l.Activation, out)
 	}
 	p.mags[band] = mag
 }

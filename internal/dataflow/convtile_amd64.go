@@ -9,6 +9,23 @@ package dataflow
 //go:noescape
 func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, acc *[4][convLanes]float32)
 
+// fcRows8 adds the first 8·blocks products of eight consecutive FC neurons'
+// row-major weight rows (w is neuron 0's row, the others follow v words
+// apart) with the input in, in h order, onto the eight sums at acc — each
+// lane one neuron's chain, as the Go band accumulates it. Unchecked loads:
+// the input and all eight rows must hold 8·blocks words.
+//
+//go:noescape
+func fcRows8(in *float32, blocks int, w *float32, v int, acc *float32)
+
+// poolMax8 writes the maxima of two half-tiles of poolHalf consecutive k×k
+// windows each: the one whose first window's top-left word is win to out,
+// the one at win2 to out2. pw is the plane's row length and stride (1 or 2)
+// the step between windows. Unchecked loads, guarded by poolMax8Rows.
+//
+//go:noescape
+func poolMax8(win, win2 *float32, k, pw, stride int, out, out2 *float32)
+
 // convTile8I8 is convTile8 on int8 codes, the sums in int32 lanes and two
 // taps per step: taps holds 2·pairs offsets (pairTaps) and w0–w3 are the
 // four channels' rows of the layer's pair table (pairWeights). Unchecked
@@ -28,9 +45,9 @@ func fcDot4I8(in *int8, blocks int, w0, w1, w2, w3 *int8, acc *[4][convLanes]int
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// haveConvTile8 reports whether the CPU has AVX2 and the OS saves the ymm
-// registers across context switches.
-var haveConvTile8 = func() bool {
+// haveAVX2 reports whether the CPU has AVX2 and the OS saves the ymm
+// registers across context switches: the gate of every kernel above.
+var haveAVX2 = func() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}

@@ -52,6 +52,164 @@ store:
 	VZEROUPPER
 	RET
 
+// func fcRows8(in *float32, blocks int, w *float32, v int, acc *float32)
+//
+// Eight FC neurons (rows w, w+v, …, w+7v of the row-major weights, read in
+// place) against one input vector, eight inputs per step. Each half of the
+// block is one 4×4 transpose per 128-bit lane: the inputs' four words are
+// broadcast to both lanes, neuron j's four weights are loaded into the low
+// lane and neuron j+4's into the high one, and the four VMULPS products
+// (rounded) are transposed in-lane (VUNPCKLPS/HPS, then VSHUFPS) into one
+// vector per input whose lane j is neuron j's product. Those are added
+// (VADDPS) in input order into the eight sums, which start from acc: every
+// lane is one neuron's h-ascending chain with two roundings per MAC, the Go
+// band's. No FMA.
+TEXT ·fcRows8(SB), NOSPLIT, $0-40
+	MOVQ in+0(FP), SI
+	MOVQ blocks+8(FP), CX
+	MOVQ w+16(FP), DI
+	MOVQ v+24(FP), DX
+	MOVQ acc+32(FP), R8
+	SHLQ $2, DX            // row stride in bytes
+	LEAQ (DX)(DX*2), R10   // three rows
+	LEAQ (DI)(DX*4), R9    // neuron 4's row
+	VMOVUPS (R8), Y15
+	TESTQ CX, CX
+	JLE storerows
+
+looprows:
+	VBROADCASTF128 (SI), Y12
+	VBROADCASTF128 16(SI), Y13
+	VMOVUPS (DI), X0
+	VMOVUPS (DI)(DX*1), X1
+	VMOVUPS (DI)(DX*2), X2
+	VMOVUPS (DI)(R10*1), X3
+	VINSERTF128 $1, (R9), Y0, Y0
+	VINSERTF128 $1, (R9)(DX*1), Y1, Y1
+	VINSERTF128 $1, (R9)(DX*2), Y2, Y2
+	VINSERTF128 $1, (R9)(R10*1), Y3, Y3
+	VMOVUPS 16(DI), X4
+	VMOVUPS 16(DI)(DX*1), X5
+	VMOVUPS 16(DI)(DX*2), X6
+	VMOVUPS 16(DI)(R10*1), X7
+	VINSERTF128 $1, 16(R9), Y4, Y4
+	VINSERTF128 $1, 16(R9)(DX*1), Y5, Y5
+	VINSERTF128 $1, 16(R9)(DX*2), Y6, Y6
+	VINSERTF128 $1, 16(R9)(R10*1), Y7, Y7
+	VMULPS Y12, Y0, Y0
+	VMULPS Y12, Y1, Y1
+	VMULPS Y12, Y2, Y2
+	VMULPS Y12, Y3, Y3
+	VMULPS Y13, Y4, Y4
+	VMULPS Y13, Y5, Y5
+	VMULPS Y13, Y6, Y6
+	VMULPS Y13, Y7, Y7
+
+	// Inputs 0–3: lane pairs (a,b) = neurons (0,1), (c,d) = (2,3), and
+	// (4,5), (6,7) in the high lane.
+	VUNPCKLPS Y1, Y0, Y8   // a0 b0 a1 b1
+	VUNPCKHPS Y1, Y0, Y9   // a2 b2 a3 b3
+	VUNPCKLPS Y3, Y2, Y10  // c0 d0 c1 d1
+	VUNPCKHPS Y3, Y2, Y11  // c2 d2 c3 d3
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VADDPS Y0, Y15, Y15
+	VADDPS Y1, Y15, Y15
+	VADDPS Y2, Y15, Y15
+	VADDPS Y3, Y15, Y15
+
+	// Inputs 4–7.
+	VUNPCKLPS Y5, Y4, Y8
+	VUNPCKHPS Y5, Y4, Y9
+	VUNPCKLPS Y7, Y6, Y10
+	VUNPCKHPS Y7, Y6, Y11
+	VSHUFPS $0x44, Y10, Y8, Y4
+	VSHUFPS $0xEE, Y10, Y8, Y5
+	VSHUFPS $0x44, Y11, Y9, Y6
+	VSHUFPS $0xEE, Y11, Y9, Y7
+	VADDPS Y4, Y15, Y15
+	VADDPS Y5, Y15, Y15
+	VADDPS Y6, Y15, Y15
+	VADDPS Y7, Y15, Y15
+
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R9
+	DECQ CX
+	JNZ looprows
+
+storerows:
+	VMOVUPS Y15, (R8)
+	VZEROUPPER
+	RET
+
+// func poolMax8(win, win2 *float32, k, pw, stride int, out, out2 *float32)
+//
+// Eight max-pool windows: four consecutive ones of a row from win (lanes
+// 0–3, stored to out) and four from win2 (lanes 4–7, stored to out2) — the
+// next four of the row, or of a later row where rows are narrower than
+// eight. Per tap (m,n), in ascending order, the tap's word of each window
+// is loaded — at stride 1 four consecutive words per half (VMOVUPS, then
+// VINSERTF128 for the high lane); at stride 2 the even words of eight per
+// half, two loads picked by VSHUFPS $0x88 within each 128-bit lane and put
+// in order by VPERMPD $0xD8 — and VMAXPS folds it into the running maxima,
+// which start at −Inf. The tap is VMAXPS's first source and the running
+// maximum its second, so each lane is e > v ? e : v: the Go loop's
+// comparison, ±0 ties and NaN included (a NaN tap is skipped).
+TEXT ·poolMax8(SB), NOSPLIT, $0-56
+	MOVQ win+0(FP), SI
+	MOVQ win2+8(FP), R11
+	MOVQ k+16(FP), CX
+	MOVQ pw+24(FP), DX
+	MOVQ stride+32(FP), BX
+	MOVQ out+40(FP), DI
+	MOVQ out2+48(FP), R12
+	SHLQ $2, DX            // row step in bytes
+	SUBQ SI, R11           // win2 as an offset from win: one pointer walks the taps
+	MOVL $0xff800000, AX   // −Inf
+	VMOVD AX, X0
+	VBROADCASTSS X0, Y0
+	XORQ R8, R8            // m
+
+poolrow:
+	MOVQ SI, R9
+	XORQ R10, R10          // n
+	CMPQ BX, $2
+	JEQ pooltap2
+
+pooltap1:
+	VMOVUPS (R9), X1
+	VINSERTF128 $1, (R9)(R11*1), Y1, Y1
+	VMAXPS Y0, Y1, Y0
+	ADDQ $4, R9
+	INCQ R10
+	CMPQ R10, CX
+	JLT pooltap1
+	JMP poolnext
+
+pooltap2:
+	VMOVUPS (R9), Y1
+	VMOVUPS (R9)(R11*1), Y2
+	VSHUFPS $0x88, Y2, Y1, Y1
+	VPERMPD $0xD8, Y1, Y1
+	VMAXPS Y0, Y1, Y0
+	ADDQ $4, R9
+	INCQ R10
+	CMPQ R10, CX
+	JLT pooltap2
+
+poolnext:
+	ADDQ DX, SI
+	INCQ R8
+	CMPQ R8, CX
+	JLT poolrow
+	VMOVUPS X0, (DI)
+	VEXTRACTF128 $1, Y0, (R12)
+	VZEROUPPER
+	RET
+
 // func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, acc *[4][8]int32)
 //
 // The int8 tile: four output channels × eight consecutive output positions,

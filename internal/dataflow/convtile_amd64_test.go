@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"condor/internal/condorir"
 	"condor/internal/nn"
 )
 
@@ -32,7 +33,7 @@ func hostileWord(rng *rand.Rand, weight bool) float32 {
 }
 
 func TestConvTile8MatchesGoTile(t *testing.T) {
-	if !haveConvTile8 {
+	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
 	}
 	rng := rand.New(rand.NewSource(26))
@@ -118,7 +119,7 @@ func fusedChain(win, w []float32, taps []int32) float32 {
 // (one tap per weight word, four bytes per stack element) and the int8 tile
 // (a tap pair per weight word, one byte per code) alike.
 func TestConvTile8OKGuards(t *testing.T) {
-	if !haveConvTile8 {
+	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
 	}
 	type guard struct {
@@ -248,7 +249,7 @@ func checkConvTile8I8(t *testing.T, c, k, pw int, code, weight func() int8) int 
 }
 
 func TestConvTile8I8MatchesGoTile(t *testing.T) {
-	if !haveConvTile8 {
+	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
 	}
 	rng := rand.New(rand.NewSource(27))
@@ -279,7 +280,7 @@ func TestConvTile8I8MatchesGoTile(t *testing.T) {
 // of the int8 sweep, so bands start on odd neurons and end inside a quad.
 // Scale 1 and no bias make each output the exact sum (|sum| < 2²⁴).
 func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
-	if !haveConvTile8 {
+	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every FC layer runs the Go kernel")
 	}
 	rng := rand.New(rand.NewSource(28))
@@ -314,4 +315,241 @@ func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
 			}
 		}
 	})
+}
+
+// newFloatExec prepares a float32 executor for a one-layer PE at the given
+// port parallelism, with the layer's weights (if any) in its datamover. The
+// caller closes its worker pool.
+func newFloatExec(t *testing.T, l LayerHW, w, bias []float32, par condorir.Parallelism) *peExec {
+	t.Helper()
+	l.Activation, l.Normalize = NoActivation, NoActivation
+	dm := NewDatamover()
+	if w != nil {
+		dm.LoadWeights(l.Name, w, bias)
+	}
+	dm.Seal()
+	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, Par: par, WeightsOnChip: true, PartialsOnChip: true}
+	x := &peExec{peStream: peStream{pe: pe, dm: dm, stats: &PEStats{}}}
+	if err := x.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// TestFCRows8MatchesGoFCBand runs each FC layer through the executor twice —
+// runLayer, which puts every whole group of eight neurons on the AVX2 kernel,
+// and the band dispatch again with the Go band forced — at every Par.Out of
+// the sweep, so bands start and end inside a group. Inputs past the last
+// whole 8-input block (v = 9, 15, 17) are the Go band's either way. Inputs
+// draw ±0, ±Inf, subnormals and ordinary values, weights also huge ones:
+// every neuron must match bit for bit (two NaNs match), and on enough of
+// them a fused chain must not, or the sweep could not see an FMA.
+func TestFCRows8MatchesGoFCBand(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every FC layer runs the Go band")
+	}
+	rng := rand.New(rand.NewSource(29))
+	var neuronsRun, fusedDiffer int
+	withProcs(t, 4, func(t *testing.T) {
+		for _, v := range []int{1, 7, 8, 9, 15, 16, 17, 800} {
+			for neurons := 1; neurons <= 17; neurons++ {
+				in := make([]float32, v)
+				for i := range in {
+					in[i] = hostileWord(rng, false)
+					if rng.Intn(50) == 0 {
+						in[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+					}
+				}
+				w := make([]float32, neurons*v)
+				for i := range w {
+					w[i] = hostileWord(rng, true)
+				}
+				for _, bias := range [][]float32{nil, randomBias(rng, neurons)} {
+					for _, parOut := range int8KernelParOuts {
+						l := fcLayerHW(v, neurons)
+						l.Name = "fc"
+						x := newFloatExec(t, l, w, bias, condorir.Parallelism{In: 1, Out: parOut})
+						p := &x.pass
+						p.cur = in
+						x.runLayer(0)
+						if p.tile8 != (v >= convLanes) {
+							t.Fatalf("v=%d: runFC chose the AVX2 kernel = %v", v, p.tile8)
+						}
+						got := slices.Clone(p.out)
+						p.tile8 = false
+						clear(p.out)
+						copy(p.out, bias)
+						x.pool.bands(neurons, x.outBands, x.fns.fc)
+						x.pool.close()
+						for oi, want := range p.out {
+							if math.Float32bits(got[oi]) != math.Float32bits(want) && !(isNaN32(got[oi]) && isNaN32(want)) {
+								t.Fatalf("v=%d o=%d Par.Out %d bias=%v neuron %d: AVX2 %g (%#08x), Go band %g (%#08x)",
+									v, neurons, parOut, bias != nil, oi, got[oi], math.Float32bits(got[oi]), want, math.Float32bits(want))
+							}
+							neuronsRun++
+							fused := biasAt(bias, oi)
+							for h, xv := range in {
+								fused = float32(float64(fused) + float64(w[oi*v+h])*float64(xv))
+							}
+							if math.Float32bits(fused) != math.Float32bits(want) {
+								fusedDiffer++
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	if fusedDiffer == 0 {
+		t.Fatalf("a fused-multiply-add chain matched all %d neurons: the values cannot tell the roundings apart", neuronsRun)
+	}
+	t.Logf("%d neurons bit-identical to the Go band; a fused chain differs on %d", neuronsRun, fusedDiffer)
+}
+
+func isNaN32(v float32) bool { return math.IsNaN(float64(v)) }
+
+// hostilePoolWord draws the values max pooling must not reorder or skip
+// differently: ±0, NaN, ±Inf, a subnormal or an ordinary value.
+func hostilePoolWord(rng *rand.Rand) float32 {
+	switch rng.Intn(9) {
+	case 0:
+		return 0
+	case 1:
+		return float32(math.Copysign(0, -1))
+	case 2:
+		return float32(math.NaN())
+	case 3, 4:
+		return float32(math.Inf(-1))
+	case 5:
+		return float32(math.Inf(1))
+	case 6:
+		return float32(rng.NormFloat64() * 1e-39)
+	}
+	return float32(rng.NormFloat64())
+}
+
+// TestPoolMax8MatchesGoPool runs max-pool layers through the executor twice —
+// runLayer, which puts the rows poolMax8Rows admits on the AVX2 kernel, and
+// the band dispatch again with the Go loop forced — at stride 1 and 2, k
+// 1–3, padded widths 8–40 and pad 0 and 1, and compares every window bit for
+// bit. It also counts the windows whose order the comparison must respect —
+// +0 before −0 and after it, a NaN first and later, all −Inf — and fails if
+// the sweep drew none of one.
+func TestPoolMax8MatchesGoPool(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every pool layer runs the Go loop")
+	}
+	rng := rand.New(rand.NewSource(30))
+	const c, h = 3, 9
+	var windows, kernelRows, goRows int
+	var zeroThenNeg, negThenZero, nanFirst, nanLater, allNegInf int
+	for _, s := range []int{1, 2} {
+		for k := 1; k <= 3; k++ {
+			for pad := 0; pad <= 1; pad++ {
+				for pw := 8; pw <= 40; pw++ {
+					l := LayerHW{Name: "pool", Kind: nn.MaxPool, Kernel: k, Stride: s, Pad: pad,
+						InShape:  nn.Shape{Channels: c, Height: h, Width: pw - 2*pad},
+						OutShape: nn.Shape{Channels: c, Height: (h+2*pad-k)/s + 1, Width: (pw-k)/s + 1}}
+					in := make([]float32, l.InShape.Volume())
+					for i := range in {
+						in[i] = hostilePoolWord(rng)
+					}
+					for _, parIn := range []int{1, 2} {
+						x := newFloatExec(t, l, nil, nil, condorir.Parallelism{In: parIn, Out: 1})
+						p := &x.pass
+						p.cur = in
+						x.runLayer(0)
+						if p.rows8 == 0 && l.OutShape.Width >= poolHalf {
+							t.Fatalf("s=%d k=%d pad=%d pw=%d: no row ran on the AVX2 kernel", s, k, pad, pw)
+						}
+						kernelRows += p.rows8
+						goRows += l.OutShape.Height - p.rows8
+						got := slices.Clone(p.out)
+						p.rows8 = 0
+						x.pool.bands(c, x.inBands, x.fns.pool)
+						x.pool.close()
+						for i, want := range p.out {
+							if math.Float32bits(got[i]) != math.Float32bits(want) {
+								t.Fatalf("s=%d k=%d pad=%d pw=%d Par.In %d window %d: AVX2 %g (%#08x), Go loop %g (%#08x)",
+									s, k, pad, pw, parIn, i, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+							}
+						}
+					}
+					// Classify the windows the sweep compared, on the padded planes.
+					outHW := l.OutShape.Height * l.OutShape.Width
+					for ci := 0; ci < c; ci++ {
+						plane := padPlane(make([]float32, l.PaddedHeight()*pw), &l, in[ci*h*l.InShape.Width:][:h*l.InShape.Width])
+						for i := 0; i < outHW; i++ {
+							oy, ox := i/l.OutShape.Width, i%l.OutShape.Width
+							win := plane[(oy*pw+ox)*s:]
+							var taps []float32
+							for m := 0; m < k; m++ {
+								taps = append(taps, win[m*pw:][:k]...)
+							}
+							windows++
+							zero := slices.IndexFunc(taps, func(e float32) bool { return math.Float32bits(e) == 0 })
+							neg := slices.IndexFunc(taps, func(e float32) bool { return math.Float32bits(e) == 1<<31 })
+							if zero >= 0 && neg > zero {
+								zeroThenNeg++
+							} else if neg >= 0 && zero > neg {
+								negThenZero++
+							}
+							switch nan := slices.IndexFunc(taps, isNaN32); {
+							case nan == 0:
+								nanFirst++
+							case nan > 0:
+								nanLater++
+							}
+							if !slices.ContainsFunc(taps, func(e float32) bool { return !math.IsInf(float64(e), -1) }) {
+								allNegInf++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if zeroThenNeg == 0 || negThenZero == 0 || nanFirst == 0 || nanLater == 0 || allNegInf == 0 {
+		t.Fatalf("the sweep drew +0 then −0 in %d windows, −0 then +0 in %d, a NaN first in %d, a later NaN in %d, all −Inf in %d: every count must be positive",
+			zeroThenNeg, negThenZero, nanFirst, nanLater, allNegInf)
+	}
+	t.Logf("%d windows, twice each: %d rows on the AVX2 kernel and %d on the Go loop identical to the Go loop", windows, kernelRows, goRows)
+}
+
+// TestPoolMax8RowsGuards pins which rows the AVX2 max-pool kernel runs: none
+// for a geometry it does not cover, and — its loads being unchecked — only
+// the rows whose last half-tile's loads end inside the plane.
+func TestPoolMax8RowsGuards(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every pool layer runs the Go loop")
+	}
+	pool := func(kind nn.Kind, k, s, c, hw int) LayerHW {
+		return LayerHW{Kind: kind, Kernel: k, Stride: s, InShape: nn.Shape{Channels: c, Height: hw, Width: hw},
+			OutShape: nn.Shape{Channels: c, Height: (hw-k)/s + 1, Width: (hw-k)/s + 1}}
+	}
+	pool1 := pool(nn.MaxPool, 2, 2, 20, 24) // LeNet's: 12 rows of 12 windows
+	s1 := pool(nn.MaxPool, 3, 1, 1, 10)     // 8 rows of 8 windows, the last reading the plane's last word
+	for _, tc := range []struct {
+		name     string
+		l        LayerHW
+		planeLen int
+		rows     int
+	}{
+		// The stride-2 half-tile loads eight words to use seven: on the last
+		// row of a plane that ends on the last window's last word, that is one
+		// word past the plane.
+		{"LeNet pool1", pool1, 24 * 24, 11},
+		{"LeNet pool1, one word of slack", pool1, 24*24 + 1, 12},
+		{"stride 1, exact plane", s1, 100, 8},
+		{"stride 1, plane one word short", s1, 99, 7},
+		{"rows of four", pool(nn.MaxPool, 2, 2, 1, 8), 8*8 + 1, 4},
+		{"rows of three", pool(nn.MaxPool, 2, 2, 1, 6), 6 * 6, 0},
+		{"average pooling", pool(nn.AvgPool, 2, 2, 20, 24), 24 * 24, 0},
+		{"stride 3", pool(nn.MaxPool, 3, 3, 1, 30), 30 * 30, 0},
+		{"plane shorter than one row's reach", pool1, 40, 0},
+	} {
+		if got := poolMax8Rows(&tc.l, tc.planeLen); got != tc.rows {
+			t.Errorf("%s: poolMax8Rows = %d, want %d", tc.name, got, tc.rows)
+		}
+	}
 }

@@ -2,11 +2,20 @@
 
 package dataflow
 
-// Off amd64 every convolution and FC layer runs the portable Go kernels.
-const haveConvTile8 = false
+// Off amd64 every convolution, FC and pooling layer runs the portable Go
+// kernels.
+const haveAVX2 = false
 
 func convTile8(*float32, *int32, int, *float32, *float32, *float32, *float32, *[4][convLanes]float32) {
 	panic("dataflow: convTile8 called without AVX2")
+}
+
+func fcRows8(*float32, int, *float32, int, *float32) {
+	panic("dataflow: fcRows8 called without AVX2")
+}
+
+func poolMax8(*float32, *float32, int, int, int, *float32, *float32) {
+	panic("dataflow: poolMax8 called without AVX2")
 }
 
 func convTile8I8(*int8, *int32, int, *uint32, *uint32, *uint32, *uint32, *[4][convLanes]int32) {

@@ -83,9 +83,9 @@ func quantizeLayerWeights(l *LayerHW, w, b []float32) int8LayerWeights {
 	e := int8LayerWeights{wScale: frameScale(w), b: b, w: make([]int8, len(w))}
 	quant.QuantizeInto(e.w, w, e.wScale)
 	switch {
-	case l.Kind == nn.FullyConnected && !haveConvTile8:
+	case l.Kind == nn.FullyConnected && !haveAVX2:
 		e.wp, e.w = packNeuronPairs(e.w, l.InShape.Volume()), nil
-	case l.Kind == nn.Conv && haveConvTile8:
+	case l.Kind == nn.Conv && haveAVX2:
 		e.tapPairs = pairWeights(e.w, l.InShape.Channels*l.Kernel*l.Kernel)
 	}
 	return e
@@ -243,7 +243,7 @@ func (x *peExecInt8) prepare() error {
 		case l.Kind == nn.FullyConnected:
 			// The AVX2 kernel reads every row whole; the codes are row-major
 			// only where it runs.
-			st.tile8 = haveConvTile8 && len(st.q.w) == l.OutShape.Channels*l.InShape.Volume()
+			st.tile8 = haveAVX2 && len(st.q.w) == l.OutShape.Channels*l.InShape.Volume()
 		case st.taps != nil:
 			// The stack the tile gathers from: the staged padded planes, or an
 			// unpadded input volume in place — C planes either way.
@@ -458,8 +458,9 @@ func (x *peExecInt8) convStore(fi, pos int, acc []int32, deq float64) {
 	l, bias := x.pass.l, float64(biasAt(x.pass.st.b, fi))
 	fb := x.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:len(acc)]
 	for i, a := range acc {
-		fb[i] = applyActivation(l.Activation, float32(float64(a)*deq+bias))
+		fb[i] = float32(float64(a)*deq + bias)
 	}
+	activateInPlace(l.Activation, fb)
 }
 
 // runPool is the quantized sub-sampling PE. Max pooling with no folded
@@ -512,7 +513,7 @@ func (x *peExecInt8) poolBand(band, lo, hi int) {
 					if pureMax {
 						out[base+oy*outW+ox] = v
 					} else {
-						fb[base+oy*outW+ox] = applyActivation(l.Activation, float32(float64(v)*inScale))
+						fb[base+oy*outW+ox] = float32(float64(v) * inScale)
 					}
 				} else {
 					var sum int32
@@ -522,9 +523,12 @@ func (x *peExecInt8) poolBand(band, lo, hi int) {
 							sum += int32(row[n])
 						}
 					}
-					fb[base+oy*outW+ox] = applyActivation(l.Activation, float32(float64(sum)*inv))
+					fb[base+oy*outW+ox] = float32(float64(sum) * inv)
 				}
 			}
+		}
+		if !pureMax {
+			activateInPlace(l.Activation, fb[base:][:outH*outW])
 		}
 	}
 }
@@ -539,9 +543,7 @@ func (x *peExecInt8) runFC() float64 {
 	l := p.l
 	fb := x.floatBuf[:l.OutShape.Channels]
 	x.pool.bands(len(fb), x.outBands, x.fns.fc)
-	for i := range fb {
-		fb[i] = applyActivation(l.Activation, fb[i])
-	}
+	activateInPlace(l.Activation, fb)
 	if l.Normalize != NoActivation {
 		normalizeInPlace(l.Normalize, fb)
 	}

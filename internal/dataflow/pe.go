@@ -388,7 +388,8 @@ type peExec struct {
 		st       *layerState
 		cur, out []float32 // the layer's input and output volumes
 		stack    []float32 // the conv layer's stacked zero-padded channel planes
-		tile8    bool      // the conv layer runs on the AVX2 tile (convTile8OK)
+		tile8    bool      // the conv or FC layer runs on its AVX2 kernel (convTile8OK, runFC)
+		rows8    int       // leading output rows of a max-pool layer the AVX2 kernel runs (poolMax8Rows)
 	}
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
@@ -429,6 +430,7 @@ func (x *peExec) runLayer(li int) {
 	case p.l.Kind == nn.FullyConnected:
 		x.runFC()
 	case p.l.Kind != nn.Conv: // sub-sampling: resolveLayers admits no other kind
+		p.rows8 = poolMax8Rows(p.l, p.l.PaddedHeight()*p.l.PaddedWidth())
 		x.pool.bands(p.l.InShape.Channels, x.inBands, x.fns.pool)
 	case p.l.Algo() == AlgoWinograd:
 		x.runWinograd(p.l, p.st, p.cur, p.out)
@@ -483,7 +485,7 @@ const convLanes = 8
 // row is whole.
 // Anything else runs the Go tile.
 func convTile8OK(l *LayerHW, taps []int32, row, weights, stackLen int) bool {
-	if !haveConvTile8 || l.Stride != 1 || l.OutShape.Width < convLanes || len(taps) == 0 || taps[0] < 0 ||
+	if !haveAVX2 || l.Stride != 1 || l.OutShape.Width < convLanes || len(taps) == 0 || taps[0] < 0 ||
 		weights != l.OutShape.Channels*row {
 		return false
 	}
@@ -597,8 +599,36 @@ func (x *peExec) convStore(fi, pos int, acc []float32) {
 	bias := biasAt(p.st.b, fi)
 	out := p.out[fi*p.l.OutShape.Height*p.l.OutShape.Width+pos:][:len(acc)]
 	for i, v := range acc {
-		out[i] = applyActivation(p.l.Activation, v+bias)
+		out[i] = v + bias
 	}
+	activateInPlace(p.l.Activation, out)
+}
+
+// poolHalf is the half-tile width of the AVX2 max-pool kernel: it computes
+// two runs of this many consecutive windows of a row per call.
+const poolHalf = convLanes / 2
+
+// poolMax8Rows reports how many leading output rows of sub-sampling layer l
+// the AVX2 max kernel may run over a padded plane of planeLen words: none
+// unless the CPU has it, the layer max-pools at stride 1 or 2 and its rows
+// are at least one half-tile wide; past that — because the kernel's loads
+// are unchecked — every row whose last half-tile's loads end inside the
+// plane. A half-tile loads poolHalf words per tap at stride 1 and
+// 2·poolHalf at stride 2, whose last word no window uses, so at stride 2 the
+// last row can read one word past the plane; the rows from there on run the
+// Go loop.
+func poolMax8Rows(l *LayerHW, planeLen int) int {
+	s, pw := l.Stride, l.PaddedWidth()
+	if !haveAVX2 || l.Kind != nn.MaxPool || s < 1 || s > 2 || l.OutShape.Width < poolHalf {
+		return 0
+	}
+	// Words a row's last half-tile, at outW−poolHalf, reads from the row's
+	// first window on.
+	reach := l.OutShape.Width*s + (l.Kernel-1)*(pw+1)
+	if reach > planeLen {
+		return 0
+	}
+	return min(l.OutShape.Height, (planeLen-reach)/(s*pw)+1)
 }
 
 // poolBand is the sub-sampling PE over channels [lo,hi): one pass per
@@ -607,7 +637,11 @@ func (x *peExec) convStore(fi, pos int, acc []float32) {
 // bands that run concurrently, each padding into its own plane; within a
 // channel the window order (and thus every float operation) is unchanged. A
 // window's elements are visited in ascending (m,n) order, as the oracle's
-// window slots are.
+// window slots are. The first pass.rows8 output rows of a max-pool layer go
+// to the AVX2 kernel in half-tiles of poolHalf windows, two per call: a
+// row's last half-tile starts at outW−poolHalf and recomputes the windows it
+// shares with the one before, a call's two halves may lie in two rows, and
+// an odd last half runs as both. The rest go to the Go loop.
 func (x *peExec) poolBand(band, lo, hi int) {
 	p := &x.pass
 	l := p.l
@@ -619,45 +653,75 @@ func (x *peExec) poolBand(band, lo, hi int) {
 	for ci := lo; ci < hi; ci++ {
 		plane := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
 		out := p.out[ci*outH*outW:][:outH*outW]
-		for oy := 0; oy < outH; oy++ {
+		half, halfOut := -1, 0 // a half-tile waiting for its partner: plane and output offsets
+		for oy := 0; oy < p.rows8; oy++ {
+			for ox := 0; ox < outW; ox += poolHalf {
+				col := min(ox, outW-poolHalf)
+				win, o := (oy*pw+col)*stride, oy*outW+col
+				if half < 0 {
+					half, halfOut = win, o
+					continue
+				}
+				poolMax8(&plane[half], &plane[win], k, pw, stride, &out[halfOut], &out[o])
+				half = -1
+			}
+		}
+		if half >= 0 {
+			poolMax8(&plane[half], &plane[half], k, pw, stride, &out[halfOut], &out[halfOut])
+		}
+		for oy := p.rows8; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox++ {
-				win := plane[oy*stride*pw+ox*stride:]
-				var v float32
+				win := plane[(oy*pw+ox)*stride:]
 				if isMax {
-					v = float32(math.Inf(-1))
+					out[oy*outW+ox] = windowMax(win, k, pw)
+				} else {
+					out[oy*outW+ox] = windowSum(win, k, pw) * inv
 				}
-				for m := 0; m < k; m++ {
-					for _, e := range win[m*pw:][:k] {
-						if !isMax {
-							v += e
-						} else if e > v {
-							v = e
-						}
-					}
-				}
-				if !isMax {
-					v *= inv
-				}
-				out[oy*outW+ox] = applyActivation(l.Activation, v)
+			}
+		}
+		activateInPlace(l.Activation, out)
+	}
+}
+
+// windowMax is the maximum of the k×k window whose top-left word starts win
+// in a plane of row length pw, its words visited in ascending (m,n) order.
+func windowMax(win []float32, k, pw int) float32 {
+	v := float32(math.Inf(-1))
+	for m := 0; m < k; m++ {
+		for _, e := range win[m*pw:][:k] {
+			if e > v {
+				v = e
 			}
 		}
 	}
+	return v
+}
+
+// windowSum is windowMax's sum, from +0 in the same order.
+func windowSum(win []float32, k, pw int) float32 {
+	var v float32
+	for m := 0; m < k; m++ {
+		for _, e := range win[m*pw:][:k] {
+			v += e
+		}
+	}
+	return v
 }
 
 // runFC implements the fully-connected PE as a single-input/single-output
 // 1x1 convolution. The loop nest is output-major over the contiguous weight
 // rows; each neuron's accumulation starts from its bias and visits the inputs
 // in the same order as the streaming oracle, so the result is bit-identical —
-// and since banding and the register tile shard whole neurons, Par.Out-
-// parallel execution preserves that exactly.
+// and since banding and the register tiles shard whole neurons, Par.Out-
+// parallel execution preserves that exactly. The AVX2 kernel needs one whole
+// 8-input block; resolveLayers checked that every weight row is whole.
 func (x *peExec) runFC() {
 	p := &x.pass
 	clear(p.out)
 	copy(p.out, p.st.b)
+	p.tile8 = haveAVX2 && len(p.cur) >= convLanes
 	x.pool.bands(len(p.out), x.outBands, x.fns.fc)
-	for i, v := range p.out {
-		p.out[i] = applyActivation(p.l.Activation, v)
-	}
+	activateInPlace(p.l.Activation, p.out)
 	if p.l.Normalize != NoActivation {
 		normalizeInPlace(p.l.Normalize, p.out)
 	}
@@ -667,13 +731,30 @@ func (x *peExec) runFC() {
 // load feeds this many neurons' accumulators.
 const fcNeuronTile = 4
 
-// fcBand accumulates neurons [lo,hi) over the whole input volume.
+// fcBand accumulates neurons [lo,hi) over the whole input volume. On the
+// AVX2 kernel (pass.tile8) each whole group of convLanes neurons takes its
+// whole 8-input blocks there and the inputs past the last block here; the
+// neurons past the last whole group, and every neuron of a layer the kernel
+// does not run, take the Go tile.
 func (x *peExec) fcBand(_, lo, hi int) {
 	p := &x.pass
 	in := p.cur
 	v := len(in)
 	w := p.st.w
 	oi := lo
+	if p.tile8 {
+		body := v &^ (convLanes - 1)
+		for ; oi+convLanes <= hi; oi += convLanes {
+			fcRows8(&in[0], body/convLanes, &w[oi*v], v, &p.out[oi])
+			for j := oi; j < oi+convLanes; j++ {
+				a := p.out[j]
+				for h, wv := range w[j*v+body : (j+1)*v] {
+					a += wv * in[body+h]
+				}
+				p.out[j] = a
+			}
+		}
+	}
 	for ; oi+fcNeuronTile <= hi; oi += fcNeuronTile {
 		w0, w1, w2, w3 := w[oi*v:][:v], w[(oi+1)*v:][:v], w[(oi+2)*v:][:v], w[(oi+3)*v:][:v]
 		acc := p.out[oi:][:fcNeuronTile]
@@ -701,6 +782,23 @@ func biasAt(b []float32, i int) float32 {
 		return 0
 	}
 	return b[i]
+}
+
+// activateInPlace applies the folded pointwise non-linearity to every value,
+// choosing the function once per slice rather than once per value.
+func activateInPlace(kind nn.Kind, vals []float32) {
+	switch kind {
+	case nn.ReLU:
+		for i, v := range vals {
+			if v < 0 {
+				vals[i] = 0
+			}
+		}
+	case nn.Sigmoid, nn.TanH:
+		for i, v := range vals {
+			vals[i] = applyActivation(kind, v)
+		}
+	}
 }
 
 // applyActivation applies the folded pointwise non-linearity.
