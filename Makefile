@@ -25,10 +25,9 @@ vet:
 # float32 and int8 convolution tiles, float32 and int8 FC kernels and
 # float32 max-pool kernel are amd64 assembly, and every other architecture
 # runs the Go kernels. A 386 binary runs natively on an amd64 host, so the
-# 386 test run executes those Go kernels (the int8 tile over pair planes,
-# the packed-pair FC, the float32 tile, the float32 FC band and max-pool
-# loop) end to end. (`go vet` on amd64 already runs asmdecl over the .s
-# file.)
+# 386 test run executes those Go kernels (the conv and FC tiles both
+# element types share, the float32 max-pool loop) end to end. (`go vet` on
+# amd64 already runs asmdecl over the .s file.)
 cross:
 	GOARCH=arm64 $(GO) vet ./internal/dataflow/...
 	GOARCH=386 $(GO) build ./...

@@ -88,7 +88,7 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 				if d := Int8AccumulatorRange(pe.ID, &l); d != nil {
 					return nil, fmt.Errorf("dataflow: %w", d)
 				}
-				a.qweights[l.Name] = quantizeLayerWeights(&l, we.Data, bias)
+				a.qweights[l.Name] = quantizeLayerWeights(&l, we.Data)
 			}
 			if pe.Schedule(i, spec.Bits()).XformWords > 0 {
 				// The on-chip weight transform runs once, at configuration load.

@@ -72,7 +72,7 @@ func TestConvTile8MatchesGoTile(t *testing.T) {
 						var want [4][convLanes]float32
 						for half := 0; half < convLanes; half += convPosTile {
 							for pair := 0; pair < 4; pair += 2 {
-								a, b := convTileF32(stack[base+half:], 1, 2, 3, rows[pair], rows[pair+1], taps)
+								a, b := convTileGo[float32, float32](stack[base+half:], 1, 2, 3, rows[pair], rows[pair+1], taps)
 								copy(want[pair][half:], a[:])
 								copy(want[pair+1][half:], b[:])
 							}
@@ -194,7 +194,7 @@ func hostileCode(rng *rand.Rand) int8 {
 
 // checkConvTile8I8 runs every tile of a two-row, four-channel layer of c
 // channels, k×k taps and padded width pw on the AVX2 int8 tile and on the Go
-// tile (pair planes, then splitLanes), and compares the int32 sums. It
+// tile, both over the same code stack, and compares the int32 sums. It
 // returns the number of cells compared.
 func checkConvTile8I8(t *testing.T, c, k, pw int, code, weight func() int8) int {
 	t.Helper()
@@ -219,10 +219,6 @@ func checkConvTile8I8(t *testing.T, c, k, pw int, code, weight func() int8) int 
 	if !convTile8OK(&l, taps2, pairs, len(tp), len(stack)) {
 		t.Fatalf("C=%d K=%d pw=%d: convTile8OK refused a well-formed layer", c, k, pw)
 	}
-	packed := make([]int64, len(stack))
-	for ci := 0; ci < c; ci++ {
-		pairPlane(packed[ci*plane:][:plane], stack[ci*plane:][:plane], 1)
-	}
 	rows := [4][]int8{w[:len(taps)], w[len(taps) : 2*len(taps)], w[2*len(taps) : 3*len(taps)], w[3*len(taps):]}
 	outW, cells := l.OutShape.Width, 0
 	for oy := 0; oy < 2; oy++ {
@@ -232,9 +228,7 @@ func checkConvTile8I8(t *testing.T, c, k, pw int, code, weight func() int8) int 
 			convTile8I8(&stack[base], &taps2[0], pairs, &tp[0], &tp[pairs], &tp[2*pairs], &tp[3*pairs], &got)
 			for half := 0; half < convLanes; half += convPosTile {
 				for j := 0; j < 4; j += 2 {
-					win := packed[base+half:]
-					a01, a23, b01, b23 := convTile(win, win[2:], rows[j], rows[j+1], taps)
-					a, b := splitTile(a01, a23), splitTile(b01, b23)
+					a, b := convTileGo[int8, int32](stack[base+half:], 1, 2, 3, rows[j], rows[j+1], taps)
 					copy(want[j][half:], a[:])
 					copy(want[j+1][half:], b[:])
 				}
@@ -275,10 +269,10 @@ func TestConvTile8I8MatchesGoTile(t *testing.T) {
 }
 
 // TestFCDot4I8MatchesGoFCBand runs each FC layer through the executor's band
-// dispatch twice — on the AVX2 kernel over row-major codes, and on the Go
-// kernel over the same codes packed two neurons per word — at every Par.Out
-// of the int8 sweep, so bands start on odd neurons and end inside a quad.
-// Scale 1 and no bias make each output the exact sum (|sum| < 2²⁴).
+// dispatch twice over the same row-major codes — on the AVX2 kernel, and on
+// the Go tile — at every Par.Out of the int8 sweep, so bands start on odd
+// neurons and end inside a quad. Scale 1 and no bias make each output the
+// exact sum (|sum| < 2²⁴).
 func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every FC layer runs the Go kernel")
@@ -303,9 +297,7 @@ func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
 						t.Fatalf("v=%d o=%d: the layer did not resolve to the AVX2 kernel", v, neurons)
 					}
 					got = slices.Clone(got)
-					want := runInt8Kernel(t, tc, parOut, func(st *peLayerInt8) {
-						st.q.wp, st.q.w, st.tile8 = packNeuronPairs(st.q.w, v), nil, false
-					})
+					want := runInt8Kernel(t, tc, parOut, func(st *peLayerInt8) { st.tile8 = false })
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 							t.Fatalf("v=%d o=%d Par.Out %d neuron %d: AVX2 %v, Go %v", v, neurons, parOut, i, got[i], want[i])

@@ -3,8 +3,9 @@
 package dataflow
 
 // Off amd64 every convolution, FC and pooling layer runs the portable Go
-// kernels.
-const haveAVX2 = false
+// kernels. A variable, as on amd64, so that the test hook which switches the
+// AVX2 kernels off (DisableAVX2) builds everywhere.
+var haveAVX2 = false
 
 func convTile8(*float32, *int32, int, *float32, *float32, *float32, *float32, *[4][convLanes]float32) {
 	panic("dataflow: convTile8 called without AVX2")

@@ -30,7 +30,9 @@ const digestGolden = "testdata/kernel_digest.txt"
 // convolution algorithm, and hashes each run's output bits and deterministic
 // RunStats counters. The listing must equal the golden line for line, so a
 // kernel rewrite that changes any output bit, scale or counter anywhere in
-// the set fails here, naming the runs that moved.
+// the set fails here, naming the runs that moved. The go-kernels subtest
+// holds the Go kernels, which a CPU without AVX2 runs everywhere, to the same
+// golden on the same runs.
 //
 // Regenerate the golden only from a tree whose kernels are trusted (the
 // parent of a kernel change): go test -run TestKernelDigest -update.
@@ -43,6 +45,47 @@ func TestKernelDigest(t *testing.T) {
 	// Enough procs that every Par.Out band runs on a worker of its own.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
+	lines := kernelDigest(t)
+	if *updateDigest {
+		if err := os.WriteFile(digestGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d runs to %s", len(lines), digestGolden)
+		return
+	}
+	raw, err := os.ReadFile(digestGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	compareDigest(t, lines, want)
+	t.Run("go-kernels", func(t *testing.T) {
+		dataflow.DisableAVX2(t)
+		compareDigest(t, kernelDigest(t), want)
+	})
+}
+
+// compareDigest fails t for every run whose line differs from the golden's.
+func compareDigest(t *testing.T, lines, want []string) {
+	t.Helper()
+	if len(want) != len(lines) {
+		t.Fatalf("%d runs, the golden has %d", len(lines), len(want))
+	}
+	moved := 0
+	for i := range lines {
+		if lines[i] != want[i] {
+			moved++
+			t.Errorf("run %d moved:\n  got  %s\n  want %s", i, lines[i], want[i])
+		}
+	}
+	if moved == 0 {
+		t.Logf("%d runs bit-identical to the golden", len(lines))
+	}
+}
+
+// kernelDigest runs the digest's nets and returns one line per run: its name
+// and runDigest.
+func kernelDigest(t *testing.T) []string {
 	var lines []string
 	record := func(name string, outs []*tensor.Tensor, stats *dataflow.RunStats, err error) {
 		t.Helper()
@@ -149,32 +192,7 @@ func TestKernelDigest(t *testing.T) {
 		}
 	}
 
-	got := strings.Join(lines, "\n") + "\n"
-	if *updateDigest {
-		if err := os.WriteFile(digestGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d runs to %s", len(lines), digestGolden)
-		return
-	}
-	raw, err := os.ReadFile(digestGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(want) != len(lines) {
-		t.Fatalf("%d runs, the golden has %d", len(lines), len(want))
-	}
-	moved := 0
-	for i := range lines {
-		if lines[i] != want[i] {
-			moved++
-			t.Errorf("run %d moved:\n  got  %s\n  want %s", i, lines[i], want[i])
-		}
-	}
-	if moved == 0 {
-		t.Logf("%d runs bit-identical to the golden", len(lines))
-	}
+	return lines
 }
 
 // runDigest hashes one run: every output bit, then every RunStats counter

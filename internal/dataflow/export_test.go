@@ -1,6 +1,10 @@
 package dataflow
 
-import "condor/internal/condorir"
+import (
+	"testing"
+
+	"condor/internal/condorir"
+)
 
 // Hooks for the external test package (digest_test.go): it builds LeNet and
 // TC1 through the root package, which imports this one, so it cannot be an
@@ -12,6 +16,14 @@ var (
 	Conv            = conv
 	TinyLeNetLayers = tinyLeNetLayers
 )
+
+// DisableAVX2 makes every accelerator instantiated until t ends run the Go
+// kernels, as on a CPU without AVX2.
+func DisableAVX2(t testing.TB) {
+	was := haveAVX2
+	haveAVX2 = false
+	t.Cleanup(func() { haveAVX2 = was })
+}
 
 // GatherCase returns the input and layers of the named gather-sweep net.
 func GatherCase(name string) (condorir.InputShape, []condorir.Layer) {

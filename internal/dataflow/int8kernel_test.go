@@ -11,10 +11,10 @@ import (
 	"condor/internal/tensor"
 )
 
-// The packed int8 kernels carry two lane sums per 64-bit accumulator and
-// never store a partial sum. These tests hold them — on the executor itself,
-// one layer at a time — against the plainest possible integer reference: an
-// int32 accumulator per output cell and a triple loop.
+// The int8 kernels keep every cell's sum in a register and never store a
+// partial sum. These tests hold them — on the executor itself, one layer at
+// a time — against the plainest possible integer reference: an int32
+// accumulator per output cell and a triple loop.
 
 // refConvInt8 is the oracle of the conv kernel: out[fi][oy][ox] accumulated
 // in int32 over every input channel and tap of the zero-padded input.
@@ -180,8 +180,8 @@ func TestInt8ConvKernelMatchesReference(t *testing.T) {
 }
 
 // TestInt8FCKernelMatchesReference covers neuron counts on both sides of the
-// eight-neuron tile, odd counts (a last pair with an empty high lane) and
-// bands whose first neuron is the high lane of a pair its neighbour owns.
+// four-neuron tile and of two tiles, odd counts (a last quad that repeats its
+// neuron) and bands that start inside a quad their neighbour began.
 func TestInt8FCKernelMatchesReference(t *testing.T) {
 	withProcs(t, 4, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
@@ -199,12 +199,12 @@ func TestInt8FCKernelMatchesReference(t *testing.T) {
 	})
 }
 
-// TestInt8KernelsSaturatedLanes drives both lanes of a packed accumulator to
-// the largest sums a layer can produce, in all four sign combinations: the
-// low lane's borrow into the high lane (and the carry back out of it in
-// splitLanes) is at its worst when the two sums saturate with opposite signs.
+// TestInt8KernelsSaturatedLanes is the CND026-depth saturation test: it
+// drives the int32 accumulators of neighbouring cells to the largest sums a
+// layer can produce, in all four sign combinations, so a sum that wrapped,
+// or leaked into a neighbour's, would show.
 func TestInt8KernelsSaturatedLanes(t *testing.T) {
-	// Neighbouring lanes take the signs + − − + + + − −: every combination
+	// Neighbouring cells take the signs + − − + + + − −: every combination
 	// in some pair, and again with the other operand's sign flipped.
 	signs := []int8{127, -127, -127, 127, 127, 127, -127, -127}
 
@@ -236,7 +236,7 @@ func TestInt8KernelsSaturatedLanes(t *testing.T) {
 
 	// FC at depth 130 944 — 127 short of the CND026 limit and a multiple of
 	// 128, so the saturated sum ±130944·127² is a float32 and the bias can
-	// cancel it exactly: the expected output is an exact zero, which a lane
+	// cancel it exactly: the expected output is an exact zero, which a sum
 	// off by one would miss where float32 rounding of the bare sum would hide
 	// it. Neuron oi's weights are all signs[oi].
 	t.Run("fc", func(t *testing.T) {
@@ -265,17 +265,6 @@ func TestInt8KernelsSaturatedLanes(t *testing.T) {
 			checkInt8Kernel(t, int8KernelCase{l: l, in: in, w: w, bias: bias, scale: 1}, want)
 		}
 	})
-}
-
-func TestSplitLanes(t *testing.T) {
-	edge := []int32{0, 1, -1, 127 * 127, -127 * 127, math.MaxInt32, math.MinInt32 + 1}
-	for _, lo := range edge {
-		for _, hi := range edge {
-			if gotLo, gotHi := splitLanes(int64(lo) + int64(hi)<<32); gotLo != lo || gotHi != hi {
-				t.Errorf("splitLanes(%d + %d<<32) = %d, %d", lo, hi, gotLo, gotHi)
-			}
-		}
-	}
 }
 
 // TestInt8DirectAndGEMMIdentical pins the contract that on the packed

@@ -387,10 +387,10 @@ type peExec struct {
 		l        *LayerHW
 		st       *layerState
 		cur, out []float32 // the layer's input and output volumes
-		stack    []float32 // the conv layer's stacked zero-padded channel planes
-		tile8    bool      // the conv or FC layer runs on its AVX2 kernel (convTile8OK, runFC)
+		tile8    bool      // the FC layer runs on its AVX2 kernel (runFC)
 		rows8    int       // leading output rows of a max-pool layer the AVX2 kernel runs (poolMax8Rows)
 	}
+	conv convPass[float32, float32, float32]
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
 	inBuf  []float32
@@ -400,10 +400,11 @@ type peExec struct {
 }
 
 func (x *peExec) prepare() error {
-	sz, err := x.resolveLayers(bandFns{conv: x.convBand, pool: x.poolBand, fc: x.fcBand})
+	sz, err := x.resolveLayers(bandFns{conv: x.conv.convBand, pool: x.poolBand, fc: x.fcBand})
 	if err != nil {
 		return err
 	}
+	x.conv.ops = x
 	x.inBuf = make([]float32, x.pe.Layers[0].InShape.Volume())
 	x.outBuf = make([]float32, sz.vol)
 	x.stack = make([]float32, sz.paddedStack)
@@ -454,17 +455,23 @@ func (x *peExec) pushFrame() { x.out.PushSlice(x.pass.out) }
 // cell's whole chain, adds the bias and applies the folded activation.
 func (x *peExec) runConv() {
 	p := &x.pass
-	l := p.l
-	p.stack = p.cur
-	if l.Pad > 0 {
-		inHW, plane := l.InShape.Height*l.InShape.Width, l.PaddedHeight()*l.PaddedWidth()
-		p.stack = x.stack[:l.InShape.Channels*plane]
-		for ci := 0; ci < l.InShape.Channels; ci++ {
-			padPlane(p.stack[ci*plane:], l, p.cur[ci*inHW:(ci+1)*inHW])
-		}
+	x.conv.set(p.l, stackPlanes(x.stack, p.l, p.cur), p.st.w, p.st.taps, p.st.w, p.st.taps, len(p.st.taps))
+	x.pool.bands(p.l.OutShape.Channels, x.outBands, x.fns.conv)
+}
+
+// stackPlanes returns a conv layer's input as the tiles gather from it: its
+// zero-padded channel planes staged back to back in scratch, or the input
+// volume itself when the layer has no padding.
+func stackPlanes[T float32 | int8](scratch []T, l *LayerHW, in []T) []T {
+	if l.Pad == 0 {
+		return in
 	}
-	p.tile8 = convTile8OK(l, p.st.taps, len(p.st.taps), len(p.st.w), len(p.stack))
-	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
+	inHW, plane := l.InShape.Height*l.InShape.Width, l.PaddedHeight()*l.PaddedWidth()
+	stack := scratch[:l.InShape.Channels*plane]
+	for ci := 0; ci < l.InShape.Channels; ci++ {
+		padPlane(stack[ci*plane:], l, in[ci*inHW:(ci+1)*inHW])
+	}
+	return stack
 }
 
 // convPosTile is the output-position register-tile width of the convolution
@@ -498,36 +505,68 @@ func convTile8OK(l *LayerHW, taps []int32, row, weights, stackLen int) bool {
 	return lastTile+int(taps[len(taps)-1])+convLanes <= stackLen
 }
 
+// convPass is the conv layer in flight as the band nests both element types
+// share read it — elements E (float32 words or int8 codes), AVX2 weight words
+// W, accumulators A — and ops, the executor, bound once per session.
+type convPass[E float32 | int8, W float32 | uint32, A float32 | int32] struct {
+	l     *LayerHW
+	stack []E     // the stacked zero-padded input planes
+	w     []E     // the Go tile's weight rows, len(taps) per channel
+	taps  []int32 // tapOffsets
+	tile8 bool    // the layer runs on the AVX2 tile (convTile8OK), over w8 and taps8
+	w8    []W     // the AVX2 tile's weight table, row8 words per channel
+	taps8 []int32
+	row8  int
+	ops   convOps[E, W, A]
+}
+
+// convOps is an element type's part of the conv band nests: its AVX2 tile
+// call and its store. A pointer handed through an interface escapes, so no
+// tile's sums cross it by reference: tile8 stores its own, and store4 takes
+// a Go tile's by value.
+type convOps[E float32 | int8, W float32 | uint32, A float32 | int32] interface {
+	// tile8 runs the AVX2 tile (convTile8, convTile8I8) for channels f,
+	// whose weight rows start at w, and stores each channel's sums once,
+	// from output position pos on.
+	tile8(win *E, taps *int32, row int, w [4]*W, f [4]int, pos int)
+	// store4 stores the first n of a Go tile's sums for channel fi.
+	store4(fi, pos, n int, acc [convPosTile]A)
+}
+
+// set makes conv layer l over stack the layer in flight and decides its tile.
+func (c *convPass[E, W, A]) set(l *LayerHW, stack, w []E, taps []int32, w8 []W, taps8 []int32, row8 int) {
+	c.l, c.stack, c.w, c.taps, c.w8, c.taps8, c.row8 = l, stack, w, taps, w8, taps8, row8
+	c.tile8 = convTile8OK(l, taps8, row8, len(w8), len(stack))
+}
+
 // convBand computes output channels [lo,hi) of the layer in flight, two
 // channels × convPosTile positions per register tile: output-channel pair →
 // row → tile → input channel → tap, accumulators never leaving registers. A
 // layer convTile8OK admits goes to convBand8 instead; this Go tile is the
-// path for every other layer and platform, and the AVX2 tile's reference.
-func (x *peExec) convBand(_, lo, hi int) {
-	if x.pass.tile8 {
-		x.convBand8(lo, hi)
+// path for every other layer and platform, and the AVX2 tiles' reference.
+func (c *convPass[E, W, A]) convBand(_, lo, hi int) {
+	if c.tile8 {
+		c.convBand8(lo, hi)
 		return
 	}
-	p := &x.pass
-	l := p.l
+	l, taps := c.l, c.taps
 	stride, pw := l.Stride, l.PaddedWidth()
 	outH, outW := l.OutShape.Height, l.OutShape.Width
-	taps := p.st.taps
 	for fi := lo; fi < hi; fi += 2 {
 		// An odd band ends on a lone channel: run it as both halves of the
 		// tile (same values computed twice, stored once).
 		fj := min(fi+1, hi-1)
-		w0, w1 := p.st.w[fi*len(taps):][:len(taps)], p.st.w[fj*len(taps):][:len(taps)]
+		w0, w1 := c.w[fi*len(taps):][:len(taps)], c.w[fj*len(taps):][:len(taps)]
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox += convPosTile {
 				// A row's last tile may hold fewer positions: the surplus
 				// ones recompute its last, so no gather leaves the stack.
 				n := min(convPosTile, outW-ox)
-				win := p.stack[(oy*pw+ox)*stride:]
-				a, b := convTileF32(win, stride*min(1, n-1), stride*min(2, n-1), stride*(n-1), w0, w1, taps)
-				x.convStore(fi, oy*outW+ox, a[:n])
+				win := c.stack[(oy*pw+ox)*stride:]
+				a, b := convTileGo[E, A](win, stride*min(1, n-1), stride*min(2, n-1), stride*(n-1), w0, w1, taps)
+				c.ops.store4(fi, oy*outW+ox, n, a)
 				if fj != fi {
-					x.convStore(fj, oy*outW+ox, b[:n])
+					c.ops.store4(fj, oy*outW+ox, n, b)
 				}
 			}
 		}
@@ -538,48 +577,46 @@ func (x *peExec) convBand(_, lo, hi int) {
 // positions per call. A row's last tile starts at outW-convLanes and
 // recomputes the positions it shares with the tile before (the same values,
 // stored again); a band ending inside a quad repeats its last channel.
-func (x *peExec) convBand8(lo, hi int) {
-	p := &x.pass
-	l := p.l
+func (c *convPass[E, W, A]) convBand8(lo, hi int) {
+	l := c.l
 	pw, outH, outW := l.PaddedWidth(), l.OutShape.Height, l.OutShape.Width
-	taps := p.st.taps
-	var acc [4][convLanes]float32
 	for fi := lo; fi < hi; fi += 4 {
-		var f [4]int
-		var w [4]*float32
-		for j := range f {
-			f[j] = min(fi+j, hi-1)
-			w[j] = &p.st.w[f[j]*len(taps)]
-		}
+		f := quad(fi, hi)
+		w := [4]*W{&c.w8[f[0]*c.row8], &c.w8[f[1]*c.row8], &c.w8[f[2]*c.row8], &c.w8[f[3]*c.row8]}
 		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox += convLanes {
 				col := min(ox, outW-convLanes)
-				convTile8(&p.stack[oy*pw+col], &taps[0], len(taps), w[0], w[1], w[2], w[3], &acc)
-				for j := range f {
-					if j == 0 || f[j] != f[j-1] {
-						x.convStore(f[j], oy*outW+col, acc[j][:])
-					}
-				}
+				c.ops.tile8(&c.stack[oy*pw+col], &c.taps8[0], c.row8, w, f, oy*outW+col)
 			}
 		}
 	}
 }
 
-// convTileF32 is the MAC chain of one register tile, every input channel and
-// tap in one flat loop: win starts at the top-left word of the tile's first
-// window in channel 0's plane, s1–s3 are where the other three positions'
-// windows start relative to it, w0 and w1 the output channels' weights. Each
-// cell accumulates from zero in weight order, which is the oracle's chain.
-// Kept out of line so that its loop, not convBand's nest, decides what stays
-// in registers.
+// quad lists the four channels (or neurons) of a tile from i on in a band
+// ending at hi: a band ending inside the quad repeats its last one.
+func quad(i, hi int) (f [4]int) {
+	for j := range f {
+		f[j] = min(i+j, hi-1)
+	}
+	return f
+}
+
+// convTileGo is the MAC chain of one register tile, every input channel and
+// tap in one flat loop: win starts at the top-left element of the tile's
+// first window in channel 0's plane, s1–s3 are where the other three
+// positions' windows start relative to it, w0 and w1 the output channels'
+// weights. Each cell accumulates from zero in weight order: the oracle's
+// chain for float32, an exact int32 sum for int8 codes (CND026). Kept out of
+// line so that its loop, not convBand's nest, decides what stays in
+// registers.
 //
 //go:noinline
-func convTileF32(win []float32, s1, s2, s3 int, w0, w1 []float32, taps []int32) (a, b [convPosTile]float32) {
-	var a0, a1, a2, a3, b0, b1, b2, b3 float32
+func convTileGo[E float32 | int8, A float32 | int32](win []E, s1, s2, s3 int, w0, w1 []E, taps []int32) (a, b [convPosTile]A) {
+	var a0, a1, a2, a3, b0, b1, b2, b3 A
 	w0, w1 = w0[:len(taps)], w1[:len(taps)]
 	for t, o := range taps {
-		u, v := w0[t], w1[t]
-		x0, x1, x2, x3 := win[o], win[int(o)+s1], win[int(o)+s2], win[int(o)+s3]
+		u, v := A(w0[t]), A(w1[t])
+		x0, x1, x2, x3 := A(win[o]), A(win[int(o)+s1]), A(win[int(o)+s2]), A(win[int(o)+s3])
 		a0 += u * x0
 		a1 += u * x1
 		a2 += u * x2
@@ -589,8 +626,22 @@ func convTileF32(win []float32, s1, s2, s3 int, w0, w1 []float32, taps []int32) 
 		b2 += v * x2
 		b3 += v * x3
 	}
-	return [convPosTile]float32{a0, a1, a2, a3}, [convPosTile]float32{b0, b1, b2, b3}
+	return [convPosTile]A{a0, a1, a2, a3}, [convPosTile]A{b0, b1, b2, b3}
 }
+
+// tile8 and store4 are the float32 part of the shared conv band nests
+// (convOps).
+func (x *peExec) tile8(win *float32, taps *int32, n int, w [4]*float32, f [4]int, pos int) {
+	var acc [4][convLanes]float32
+	convTile8(win, taps, n, w[0], w[1], w[2], w[3], &acc)
+	for j, fj := range f {
+		if j == 0 || fj != f[j-1] {
+			x.convStore(fj, pos, acc[j][:])
+		}
+	}
+}
+
+func (x *peExec) store4(fi, pos, n int, acc [convPosTile]float32) { x.convStore(fi, pos, acc[:n]) }
 
 // convStore adds the bias to a tile's sums for one channel, applies the
 // folded activation and writes them to channel fi's output map from pos on.
@@ -727,15 +778,11 @@ func (x *peExec) runFC() {
 	}
 }
 
-// fcNeuronTile is the neuron register-tile width of the FC loop: one input
-// load feeds this many neurons' accumulators.
-const fcNeuronTile = 4
-
 // fcBand accumulates neurons [lo,hi) over the whole input volume. On the
 // AVX2 kernel (pass.tile8) each whole group of convLanes neurons takes its
 // whole 8-input blocks there and the inputs past the last block here; the
 // neurons past the last whole group, and every neuron of a layer the kernel
-// does not run, take the Go tile.
+// does not run, take the Go tile, four at a time.
 func (x *peExec) fcBand(_, lo, hi int) {
 	p := &x.pass
 	in := p.cur
@@ -755,25 +802,32 @@ func (x *peExec) fcBand(_, lo, hi int) {
 			}
 		}
 	}
-	for ; oi+fcNeuronTile <= hi; oi += fcNeuronTile {
-		w0, w1, w2, w3 := w[oi*v:][:v], w[(oi+1)*v:][:v], w[(oi+2)*v:][:v], w[(oi+3)*v:][:v]
-		acc := p.out[oi:][:fcNeuronTile]
-		a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
-		for h, xv := range in {
-			a0 += w0[h] * xv
-			a1 += w1[h] * xv
-			a2 += w2[h] * xv
-			a3 += w3[h] * xv
+	for ; oi < hi; oi += 4 {
+		f := quad(oi, hi)
+		acc := fcTileGo(in, w, v, f, [4]float32{p.out[f[0]], p.out[f[1]], p.out[f[2]], p.out[f[3]]})
+		for j, fj := range f {
+			p.out[fj] = acc[j]
 		}
-		acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
 	}
-	for ; oi < hi; oi++ {
-		a := p.out[oi]
-		for h, wv := range w[oi*v:][:v] {
-			a += wv * in[h]
-		}
-		p.out[oi] = a
+}
+
+// fcTileGo continues the chains of FC neurons f over the inputs in: neuron
+// f[j]'s row starts at w[f[j]·v] and its sum at acc[j], and each input adds
+// its product in order — the oracle's chain for float32 from the bias, an
+// exact int32 sum for int8 codes from zero. A repeated neuron computes the
+// same sum twice.
+func fcTileGo[E float32 | int8, A float32 | int32](in, w []E, v int, f [4]int, acc [4]A) [4]A {
+	n := len(in)
+	w0, w1, w2, w3 := w[f[0]*v:][:n], w[f[1]*v:][:n], w[f[2]*v:][:n], w[f[3]*v:][:n]
+	a0, a1, a2, a3 := acc[0], acc[1], acc[2], acc[3]
+	for h, xv := range in {
+		x := A(xv)
+		a0 += A(w0[h]) * x
+		a1 += A(w1[h]) * x
+		a2 += A(w2[h]) * x
+		a3 += A(w3[h]) * x
 	}
+	return [4]A{a0, a1, a2, a3}
 }
 
 // biasAt returns output i's bias, zero for a layer without one.
