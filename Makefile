@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet crosscondorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build loc vet cross condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
 
 all: build lint test
 
@@ -22,16 +22,18 @@ vet:
 	$(GO) vet ./...
 
 # cross keeps the portable paths compiling and running: internal/dataflow's
-# float32 and int8 convolution tiles, float32 and int8 FC kernels and
-# float32 max-pool kernel are amd64 assembly, and every other architecture
-# runs the Go kernels. A 386 binary runs natively on an amd64 host, so the
-# 386 test run executes those Go kernels (the conv and FC tiles both
-# element types share, the float32 max-pool loop) end to end. (`go vet` on
-# amd64 already runs asmdecl over the .s file.)
+# convolution tiles, FC kernels and max-pool kernels (float32 and int8) are
+# amd64 assembly, and every other architecture runs the Go kernels. A 386
+# binary runs natively on an amd64 host, so the 386 test run executes those
+# Go kernels (the conv and FC tiles and the max-pool loop both element types
+# share) end to end. internal/fifo views packed words as int8 codes through
+# unsafe, which assumes a little-endian target: it is vetted for arm64 and
+# tested on 386 too. (`go vet` on amd64 already runs asmdecl over the .s
+# file.)
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/dataflow/...
+	GOARCH=arm64 $(GO) vet ./internal/dataflow/... ./internal/fifo/...
 	GOARCH=386 $(GO) build ./...
-	GOARCH=386 $(GO) test ./internal/dataflow/...
+	GOARCH=386 $(GO) test ./internal/dataflow/... ./internal/fifo/...
 
 # condorlint runs the repository's custom static analyzers — fifodiscard,
 # shapecompare, copylocks, httptimeout, plus the v2 concurrency suite
@@ -87,13 +89,15 @@ benchmark-module:
 
 # fuzz-smoke runs each fuzz target for 10 s: the weights-file and container
 # parsers must turn any byte string into a value or an error, never a panic,
-# and allocate at most a small multiple of its length. `go test -fuzz` takes
+# and allocate at most a small multiple of its length; the packed-frame
+# decode must turn any words into a frame or a short count, never a panic. `go test -fuzz` takes
 # one target per run, hence one line each. Minimizing a new-coverage input
 # grown from a multi-kilobyte seed defaults to 60 s, which would eat the
 # whole budget (≈ 10 execs instead of ≈ 100 k); 1 s keeps the smoke fuzzing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWeights$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/condorir
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
+	$(GO) test -run '^$$' -fuzz '^FuzzPackedFrame$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
 
 # stream-stress is the continuous-streaming fabric gate CI runs: the frame
 # protocol unit tests, the epoch-framing equivalence sweep and the

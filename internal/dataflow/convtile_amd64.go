@@ -26,6 +26,12 @@ func fcRows8(in *float32, blocks int, w *float32, v int, acc *float32)
 //go:noescape
 func poolMax8(win, win2 *float32, k, pw, stride int, out, out2 *float32)
 
+// poolMax8I8 is poolMax8 on int8 codes, with the same call geometry and the
+// same loads counted in codes, so poolMax8Rows guards it too.
+//
+//go:noescape
+func poolMax8I8(win, win2 *int8, k, pw, stride int, out, out2 *int8)
+
 // convTile8I8 is convTile8 on int8 codes, the sums in int32 lanes and two
 // taps per step: taps holds 2·pairs offsets (pairTaps) and w0–w3 are the
 // four channels' rows of the layer's pair table (pairWeights). Unchecked

@@ -210,6 +210,72 @@ poolnext:
 	VZEROUPPER
 	RET
 
+// func poolMax8I8(win, win2 *int8, k, pw, stride int, out, out2 *int8)
+//
+// poolMax8 on int8 codes: eight max-pool windows, four consecutive ones of a
+// row from win (bytes 0–3, stored to out) and four from win2 (bytes 4–7,
+// stored to out2). Per tap (m,n) the tap's code of each window is loaded —
+// at stride 1 four consecutive bytes per half (VMOVD, then VPINSRD for
+// win2's); at stride 2 eight per half, the windows' taps on the even bytes
+// (VMOVQ twice, joined by VPUNPCKLQDQ) — and VPMAXSB folds it into the
+// running signed maxima, which start at −128. At stride 2 the odd bytes carry
+// maxima no window uses: the even ones are picked at the end by
+// sign-extending each int16 lane's low byte and packing with signed
+// saturation, exact for int8 values. Integer max is exact and order-free, so
+// every window's code is the Go loop's.
+TEXT ·poolMax8I8(SB), NOSPLIT, $0-56
+	MOVQ win+0(FP), SI
+	MOVQ win2+8(FP), R11
+	MOVQ k+16(FP), CX
+	MOVQ pw+24(FP), DX
+	MOVQ stride+32(FP), BX
+	MOVQ out+40(FP), DI
+	MOVQ out2+48(FP), R12
+	SUBQ SI, R11           // win2 as an offset from win: one pointer walks the taps
+	MOVL $0x80808080, AX   // −128 in every byte
+	VMOVD AX, X0
+	VPBROADCASTD X0, X0
+	MOVQ CX, R8            // rows left (k ≥ 1)
+
+pool8row:
+	MOVQ SI, R9
+	MOVQ CX, R10           // taps left in the row
+	CMPQ BX, $2
+	JEQ pool8tap2
+
+pool8tap1:
+	VMOVD (R9), X1
+	VPINSRD $1, (R9)(R11*1), X1, X1
+	VPMAXSB X1, X0, X0
+	INCQ R9
+	DECQ R10
+	JNZ pool8tap1
+	JMP pool8next
+
+pool8tap2:
+	VMOVQ (R9), X1
+	VMOVQ (R9)(R11*1), X2
+	VPUNPCKLQDQ X2, X1, X1
+	VPMAXSB X1, X0, X0
+	INCQ R9
+	DECQ R10
+	JNZ pool8tap2
+
+pool8next:
+	ADDQ DX, SI
+	DECQ R8
+	JNZ pool8row
+	CMPQ BX, $2
+	JNE pool8store
+	VPSLLW $8, X0, X0
+	VPSRAW $8, X0, X0
+	VPACKSSWB X0, X0, X0
+
+pool8store:
+	VMOVD X0, (DI)
+	VPEXTRD $1, X0, (R12)
+	RET
+
 // func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, acc *[4][8]int32)
 //
 // The int8 tile: four output channels × eight consecutive output positions,

@@ -426,7 +426,8 @@ func hostilePoolWord(rng *rand.Rand) float32 {
 // 1–3, padded widths 8–40 and pad 0 and 1, and compares every window bit for
 // bit. It also counts the windows whose order the comparison must respect —
 // +0 before −0 and after it, a NaN first and later, all −Inf — and fails if
-// the sweep drew none of one.
+// the sweep drew none of one. Each layer runs the same way on int8 codes
+// drawn heavy in −128, +127 and ties (int8PoolBothWays).
 func TestPoolMax8MatchesGoPool(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every pool layer runs the Go loop")
@@ -446,7 +447,11 @@ func TestPoolMax8MatchesGoPool(t *testing.T) {
 					for i := range in {
 						in[i] = hostilePoolWord(rng)
 					}
+					codes := extremeCodes(rng, len(in))
 					for _, parIn := range []int{1, 2} {
+						kernelRows8, goRows8 := int8PoolBothWays(t, l, codes, parIn)
+						kernelRows += kernelRows8
+						goRows += goRows8
 						x := newFloatExec(t, l, nil, nil, condorir.Parallelism{In: parIn, Out: 1})
 						p := &x.pass
 						p.cur = in
@@ -505,7 +510,35 @@ func TestPoolMax8MatchesGoPool(t *testing.T) {
 		t.Fatalf("the sweep drew +0 then −0 in %d windows, −0 then +0 in %d, a NaN first in %d, a later NaN in %d, all −Inf in %d: every count must be positive",
 			zeroThenNeg, negThenZero, nanFirst, nanLater, allNegInf)
 	}
-	t.Logf("%d windows, twice each: %d rows on the AVX2 kernel and %d on the Go loop identical to the Go loop", windows, kernelRows, goRows)
+	t.Logf("%d windows, twice each per element type: %d rows on the AVX2 kernels and %d on the Go loop identical to the Go loop", windows, kernelRows, goRows)
+}
+
+// int8PoolBothWays is TestPoolMax8MatchesGoPool's int8 leg: max-pool layer l
+// over the codes through the int8 executor, once through runLayer, which
+// puts the rows poolMax8Rows admits (its planes carry poolSlack) on
+// poolMax8I8, and again with the Go loop forced; every code must match. It
+// returns the rows each way ran.
+func int8PoolBothWays(t *testing.T, l LayerHW, codes []int8, parIn int) (kernelRows, goRows int) {
+	t.Helper()
+	l.Activation, l.Normalize = NoActivation, NoActivation
+	x := newInt8PoolExec(t, l, codes, 1, parIn)
+	defer x.pool.close()
+	p := &x.pass
+	x.runLayer(0)
+	if p.rows8 == 0 && l.OutShape.Width >= poolHalf {
+		t.Fatalf("int8 s=%d k=%d pad=%d: no row ran on the AVX2 kernel", l.Stride, l.Kernel, l.Pad)
+	}
+	got := slices.Clone(p.out)
+	kernelRows, goRows = p.rows8, l.OutShape.Height-p.rows8
+	p.rows8 = 0
+	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
+	for i, want := range p.out {
+		if got[i] != want {
+			t.Fatalf("int8 s=%d k=%d pad=%d pw=%d Par.In %d window %d: AVX2 %d, Go loop %d",
+				l.Stride, l.Kernel, l.Pad, l.PaddedWidth(), parIn, i, got[i], want)
+		}
+	}
+	return kernelRows, goRows
 }
 
 // TestPoolMax8RowsGuards pins which rows the AVX2 max-pool kernel runs: none
@@ -542,6 +575,27 @@ func TestPoolMax8RowsGuards(t *testing.T) {
 	} {
 		if got := poolMax8Rows(&tc.l, tc.planeLen); got != tc.rows {
 			t.Errorf("%s: poolMax8Rows = %d, want %d", tc.name, got, tc.rows)
+		}
+	}
+
+	// The int8 kernel loads as many codes as the float32 one loads words, so
+	// the guard is the same count; the int8 executor's frames and planes carry
+	// poolSlack codes past every plane, which admits the rows the stride-2
+	// load would otherwise cost: LeNet's pool1 and pool2 run every row there,
+	// and all but the last on float32.
+	pool2 := pool(nn.MaxPool, 2, 2, 50, 8) // LeNet's: 4 rows of 4 windows
+	for _, tc := range []struct {
+		name       string
+		l          LayerHW
+		f32, int8s int
+	}{{"LeNet pool1", pool1, 11, 12}, {"LeNet pool2", pool2, 3, 4}, {"stride 1", s1, 8, 8}} {
+		x := newFloatExec(t, tc.l, nil, nil, condorir.Parallelism{In: 1, Out: 1})
+		x.pass.cur = make([]float32, tc.l.InShape.Volume())
+		x.runLayer(0)
+		x.pool.close()
+		in := make([]int8, tc.l.InShape.Volume())
+		if kernelRows, _ := int8PoolBothWays(t, tc.l, in, 1); x.pass.rows8 != tc.f32 || kernelRows != tc.int8s {
+			t.Errorf("%s: %d float32 and %d int8 rows on the kernels, want %d and %d", tc.name, x.pass.rows8, kernelRows, tc.f32, tc.int8s)
 		}
 	}
 }

@@ -19,6 +19,10 @@ func poolMax8(*float32, *float32, int, int, int, *float32, *float32) {
 	panic("dataflow: poolMax8 called without AVX2")
 }
 
+func poolMax8I8(*int8, *int8, int, int, int, *int8, *int8) {
+	panic("dataflow: poolMax8I8 called without AVX2")
+}
+
 func convTile8I8(*int8, *int32, int, *uint32, *uint32, *uint32, *uint32, *[4][convLanes]int32) {
 	panic("dataflow: convTile8I8 called without AVX2")
 }

@@ -267,6 +267,145 @@ func TestInt8KernelsSaturatedLanes(t *testing.T) {
 	})
 }
 
+// refPoolInt8 is the oracle of the pool kernels: each output cell the maximum
+// or the int32 sum of its k×k window over the input codes, a padded position
+// reading code 0 (the executor's zero-padded planes).
+func refPoolInt8(l *LayerHW, in []int8) []int32 {
+	k, s, pad := l.Kernel, l.Stride, l.Pad
+	h, wd := l.InShape.Height, l.InShape.Width
+	outH, outW := l.OutShape.Height, l.OutShape.Width
+	out := make([]int32, l.OutShape.Volume())
+	for ci := 0; ci < l.InShape.Channels; ci++ {
+		for pos := 0; pos < outH*outW; pos++ {
+			oy, ox := pos/outW, pos%outW
+			v := int32(0)
+			if l.Kind == nn.MaxPool {
+				v = math.MinInt32
+			}
+			for m := 0; m < k; m++ {
+				for n := 0; n < k; n++ {
+					var e int32
+					if iy, ix := oy*s+m-pad, ox*s+n-pad; iy >= 0 && iy < h && ix >= 0 && ix < wd {
+						e = int32(in[(ci*h+iy)*wd+ix])
+					}
+					if l.Kind != nn.MaxPool {
+						v += e
+					} else if e > v {
+						v = e
+					}
+				}
+			}
+			out[ci*outH*outW+pos] = v
+		}
+	}
+	return out
+}
+
+// extremeCodes draws codes heavy in the extremes (−128 included, which the
+// quantizer never emits but a kernel must order) and in repeated values, so
+// windows tie.
+func extremeCodes(rng *rand.Rand, n int) []int8 {
+	codes := make([]int8, n)
+	for i := range codes {
+		switch rng.Intn(6) {
+		case 0:
+			codes[i] = math.MinInt8
+		case 1:
+			codes[i] = math.MaxInt8
+		case 2:
+			codes[i] = int8(rng.Intn(3) - 1)
+		default:
+			codes[i] = int8(rng.Intn(256) - 128)
+		}
+	}
+	return codes
+}
+
+// newInt8PoolExec prepares an int8 executor for a one-layer pool PE at the
+// given Par.In, with the codes popped into its frame buffer as popFrame
+// leaves them. The caller closes its worker pool.
+func newInt8PoolExec(t *testing.T, l LayerHW, codes []int8, inScale float64, parIn int) *peExecInt8 {
+	t.Helper()
+	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, Par: condorir.Parallelism{In: parIn, Out: 1}, WeightsOnChip: true, PartialsOnChip: true}
+	dm := NewDatamover()
+	dm.Seal()
+	x := &peExecInt8{peStream: peStream{pe: pe, dm: dm, stats: &PEStats{}}}
+	if err := x.prepare(); err != nil {
+		t.Fatal(err)
+	}
+	x.pass.cur, x.pass.inScale = int8Payload(x.curFrame, len(codes)), inScale
+	copy(x.pass.cur, codes)
+	return x
+}
+
+// TestInt8PoolMatchesReference runs pool layers through the int8 executor —
+// k 1–3 × stride 1–3 × pad 0–1 × output widths on both sides of the AVX2
+// kernel's half-tile and tile, max, max + ReLU and average, Par.In 1 and 2 —
+// with the AVX2 kernels and with the Go kernels, and compares every cell with
+// refPoolInt8: a pure max pool's codes exactly, the others' floats (before
+// requantization) bit for bit with the reference pushed through the
+// executor's dequantization.
+func TestInt8PoolMatchesReference(t *testing.T) {
+	kinds := []struct {
+		name string
+		kind nn.Kind
+		act  nn.Kind
+	}{{"max", nn.MaxPool, NoActivation}, {"max+relu", nn.MaxPool, nn.ReLU}, {"avg", nn.AvgPool, NoActivation}}
+	for _, leg := range []string{"avx2", "go-kernels"} {
+		t.Run(leg, func(t *testing.T) {
+			if leg == "go-kernels" {
+				DisableAVX2(t)
+			}
+			rng := rand.New(rand.NewSource(31))
+			const c, inScale = 3, 0.0173
+			var cells int
+			for k := 1; k <= 3; k++ {
+				for s := 1; s <= 3; s++ {
+					for pad := 0; pad <= 1; pad++ {
+						for _, outW := range []int{3, 4, 5, 8, 12, 13} {
+							outH := 2 + outW%3
+							inW, inH := (outW-1)*s+k-2*pad, (outH-1)*s+k-2*pad
+							if inW < 1 || inH < 1 {
+								continue
+							}
+							in := extremeCodes(rng, c*inH*inW)
+							for _, kd := range kinds {
+								l := LayerHW{Name: "pool", Kind: kd.kind, Activation: kd.act, Kernel: k, Stride: s, Pad: pad,
+									InShape: nn.Shape{Channels: c, Height: inH, Width: inW}, OutShape: nn.Shape{Channels: c, Height: outH, Width: outW}}
+								want := refPoolInt8(&l, in)
+								for _, parIn := range []int{1, 2} {
+									x := newInt8PoolExec(t, l, in, inScale, parIn)
+									p := &x.pass
+									x.runLayer(0)
+									x.pool.close()
+									for i, r := range want {
+										cells++
+										if kd.name == "max" {
+											if p.out[i] != int8(r) {
+												t.Fatalf("k=%d s=%d pad=%d outW=%d %s Par.In %d cell %d: code %d, reference %d", k, s, pad, outW, kd.name, parIn, i, p.out[i], r)
+											}
+											continue
+										}
+										w := float32(float64(r) * inScale)
+										if kd.kind == nn.AvgPool {
+											w = float32(float64(r) * (inScale / float64(k*k)))
+										}
+										w = applyActivation(kd.act, w)
+										if got := x.floatBuf[i]; math.Float32bits(got) != math.Float32bits(w) {
+											t.Fatalf("k=%d s=%d pad=%d outW=%d %s Par.In %d cell %d: %v, reference %d gives %v", k, s, pad, outW, kd.name, parIn, i, got, r, w)
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			t.Logf("%d cells identical to the reference", cells)
+		})
+	}
+}
+
 // TestInt8DirectAndGEMMIdentical pins the contract that on the packed
 // datapath the convolution algorithm is a model decision, not a host kernel:
 // direct and im2col_gemm builds of one net return the same bits, the same

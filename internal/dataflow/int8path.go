@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"condor/internal/diag"
 	"condor/internal/fifo"
@@ -13,13 +14,16 @@ import (
 // This file is the packed int8 datapath: the fabric variant selected by
 // Spec.WordBits == 8, where every FIFO word carries fifo.Int8Lanes quantized
 // activation lanes. Each stream edge frames one image as a single float32
-// scale-header word followed by PackedWords(volume) payload words; PEs unpack
-// into int8, run conv/FC MACs in widened integer accumulators, dequantize once
-// per layer to fold bias/activation/normalisation in float, and requantize
-// with a fresh symmetric per-tensor scale at the PE boundary. Only the feeder
-// quantizes float inputs and only the collector dequantizes back — in
-// between, activations exist purely as packed lanes, which is what shrinks
-// the stream traversal cycles and DDR bytes by the lane factor.
+// scale-header word followed by PackedWords(volume) payload words, whose bytes
+// are the codes in order (fifo.Int8View): a PE pops the frame into a word
+// buffer and its kernels read the codes in place, runs conv/FC MACs in
+// widened integer accumulators, dequantizes once per layer to fold
+// bias/activation/normalisation in float, and requantizes with a fresh
+// symmetric per-tensor scale at the PE boundary, straight into the word
+// buffer it pushes. Only the feeder quantizes float inputs and only the
+// collector dequantizes back — in between, activations exist purely as
+// packed lanes, which is what shrinks the stream traversal cycles and DDR
+// bytes by the lane factor.
 //
 // Codes have one layout on every CPU: a conv layer's padded code planes are
 // stacked one byte per code, as the float32 path stacks words, and FC codes
@@ -29,8 +33,9 @@ import (
 // come from VPMADDWD tiles (convtile_amd64.s) sixteen int16 products per
 // instruction: the conv tile over the code stack and a tap-pair weight table
 // (pairWeights), the FC kernel over the row-major codes. Integer sums are
-// exact, so every kernel gives the same int32s. DESIGN.md §15 has the
-// derivations.
+// exact, so every kernel gives the same int32s. Max pooling runs the float32
+// path's half-tile loop (maxPoolPlane) on VPMAXSB where the CPU has AVX2;
+// integer max is exact too. DESIGN.md §15 has the derivations.
 //
 // Unlike the float paths, results are not bit-identical to the oracle: the
 // contract is bounded error, with the admissible deviation derived from the
@@ -107,26 +112,27 @@ func pairTaps(taps []int32) []int32 {
 	return append(taps[:len(taps):len(taps)], taps[len(taps)-1])
 }
 
-// pushInt8Frame sends one image's codes downstream: the scale header, then
-// the packed payload.
-func pushInt8Frame(f *fifo.FIFO, words []fifo.Word, codes []int8, scale float64) {
-	f.Push(fifo.Word(scale))
-	fifo.PackInt8(words, codes)
-	f.PushPacked(words[:fifo.PackedWords(len(codes))], int64(len(codes)))
+// int8Payload is the code view of a frame buffer's first n payload lanes. A
+// frame buffer is one image's frame on the packed datapath as the words that
+// carry it, moved as one packed burst: the scale header word, then the
+// payload words whose bytes are the codes.
+func int8Payload(words []fifo.Word, n int) []int8 { return fifo.Int8View(words[1:], n) }
+
+// pushInt8Frame sends the frame buffer whose payload holds n codes
+// downstream with the given scale in its header word.
+func pushInt8Frame(f *fifo.FIFO, words []fifo.Word, n int, scale float64) {
+	words[0] = fifo.Word(scale)
+	f.PushPacked(words[:1+fifo.PackedWords(n)], int64(n))
 }
 
-// popInt8Frame receives one image's codes: header word, then payload.
-func popInt8Frame(f *fifo.FIFO, words []fifo.Word, codes []int8) (float64, error) {
-	sw, ok := f.Pop()
-	if !ok {
-		return 0, fmt.Errorf("input stream ended before the scale header")
+// popInt8Frame receives a frame of n codes into the frame buffer and returns
+// its scale.
+func popInt8Frame(f *fifo.FIFO, words []fifo.Word, n int) (float64, error) {
+	need := 1 + fifo.PackedWords(n)
+	if got := f.PopPackedInto(words[:need], int64(n)); got < need {
+		return 0, fmt.Errorf("input stream ended after %d of the frame's %d words (scale header and packed payload)", got, need)
 	}
-	need := fifo.PackedWords(len(codes))
-	if n := f.PopPackedInto(words[:need], int64(len(codes))); n < need {
-		return 0, fmt.Errorf("input stream ended after %d of %d packed words", n, need)
-	}
-	fifo.UnpackInt8(codes, words)
-	return float64(sw), nil
+	return float64(words[0]), nil
 }
 
 // peExecInt8 executes one PE over a stream of images on the packed datapath.
@@ -150,20 +156,21 @@ type peExecInt8 struct {
 	pass struct {
 		l        *LayerHW
 		st       *peLayerInt8
-		cur, out []int8  // the layer's input and output codes
+		cur, out []int8  // the layer's input and output codes, views of curFrame and nxtFrame
 		inScale  float64 // scale of cur
 		outScale float64 // scale of out, once the layer has run
+		rows8    int     // leading output rows of a max-pool layer the AVX2 kernel runs (poolMax8Rows)
 	}
 	conv convPass[int8, uint32, int32]
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
-	curCodes []int8
-	nxtCodes []int8
-	floatBuf []float32   // a layer's results before requantization
-	deqBuf   []float32   // a winograd_f23 layer's dequantized input volume
-	planes   [][]int8    // zero-padded channel planes, one per Par.In band
-	stack    []int8      // a padded conv layer's stacked code planes, one byte per code
-	wordBuf  []fifo.Word // a frame's packed payload
+	curFrame []fifo.Word // frame buffers (int8Payload): the layer's input and output volumes
+	nxtFrame []fifo.Word
+	floatBuf []float32 // a layer's results before requantization
+	chanMax  []uint32  // a direct or im2col_gemm conv layer's largest |result| per output channel, as float32 bits (convStore)
+	deqBuf   []float32 // a winograd_f23 layer's dequantized input volume
+	planes   [][]int8  // zero-padded channel planes, one per Par.In band
+	stack    []int8    // a padded conv layer's stacked code planes, one byte per code
 }
 
 // peLayerInt8 is one fused layer's session-resolved state: what peStream
@@ -183,12 +190,14 @@ func (x *peExecInt8) prepare() error {
 	}
 	x.conv.ops = x
 	x.layers = make([]peLayerInt8, len(x.resolved))
+	channels := 0
 	for li := range x.layers {
 		l, st := &x.pe.Layers[li], &x.layers[li]
 		st.layerState = &x.resolved[li]
 		if st.w == nil {
 			continue
 		}
+		channels = max(channels, l.OutShape.Channels)
 		if d := Int8AccumulatorRange(x.pe.ID, l); d != nil {
 			return d
 		}
@@ -201,27 +210,27 @@ func (x *peExecInt8) prepare() error {
 		st.tile8 = haveAVX2 && l.Kind == nn.FullyConnected
 		st.taps2 = pairTaps(st.taps)
 	}
-	x.curCodes = make([]int8, sz.vol)
-	x.nxtCodes = make([]int8, sz.vol)
+	x.curFrame = make([]fifo.Word, 1+fifo.PackedWords(sz.vol+poolSlack))
+	x.nxtFrame = make([]fifo.Word, 1+fifo.PackedWords(sz.vol+poolSlack))
 	x.floatBuf = make([]float32, sz.vol)
+	x.chanMax = make([]uint32, channels)
 	x.deqBuf = make([]float32, sz.winogradIn)
-	x.wordBuf = make([]fifo.Word, fifo.PackedWords(sz.vol))
-	x.planes = bandPlanes[int8](x.inBands, sz.plane)
+	x.planes = bandPlanes[int8](x.inBands, sz.plane+poolSlack)
 	x.stack = make([]int8, sz.paddedStack)
 	return nil
 }
 
 func (x *peExecInt8) popFrame() (err error) {
-	p := &x.pass
-	p.cur = x.curCodes[:x.pe.Layers[0].InShape.Volume()]
-	p.inScale, err = popInt8Frame(x.in, x.wordBuf, p.cur)
+	p, n := &x.pass, x.pe.Layers[0].InShape.Volume()
+	p.inScale, err = popInt8Frame(x.in, x.curFrame, n)
+	p.cur = int8Payload(x.curFrame, n)
 	return err
 }
 
 func (x *peExecInt8) runLayer(li int) {
 	p := &x.pass
 	p.l, p.st = &x.pe.Layers[li], &x.layers[li]
-	p.out = x.nxtCodes[:p.l.OutShape.Volume()]
+	p.out = int8Payload(x.nxtFrame, p.l.OutShape.Volume())
 	switch {
 	case p.l.Kind == nn.FullyConnected:
 		p.outScale = x.runFC()
@@ -243,12 +252,12 @@ func (x *peExecInt8) handOff(int) error {
 	p := &x.pass
 	x.dm.AccountWriteBytes(int64(len(p.out)))
 	x.dm.AccountReadBytes(int64(len(p.out)))
-	x.curCodes, x.nxtCodes = x.nxtCodes, x.curCodes
+	x.curFrame, x.nxtFrame = x.nxtFrame, x.curFrame
 	p.cur, p.inScale = p.out, p.outScale
 	return nil
 }
 
-func (x *peExecInt8) pushFrame() { pushInt8Frame(x.out, x.wordBuf, x.pass.out, x.pass.outScale) }
+func (x *peExecInt8) pushFrame() { pushInt8Frame(x.out, x.nxtFrame, len(x.pass.out), x.pass.outScale) }
 
 // requantize closes a layer: the float results in fb get a fresh symmetric
 // per-tensor scale and land in the output codes.
@@ -263,13 +272,18 @@ func (x *peExecInt8) requantize(fb []float32) float64 {
 // unpadded input volume already is that stack), then one band dispatch of
 // the shared nests (convPass) computes each output cell's whole chain,
 // dequantizes it (acc · wScale · inScale + bias) and activates it in float;
-// the layer output is requantized with a fresh per-tensor scale.
+// the layer output is requantized with a fresh per-tensor scale, from the
+// per-channel magnitudes the stores kept instead of a scan of the output.
 func (x *peExecInt8) runConv() float64 {
 	p := &x.pass
 	l, q := p.l, &p.st.q
+	chanMax := x.chanMax[:l.OutShape.Channels]
+	clear(chanMax)
 	x.conv.set(l, stackPlanes(x.stack, l, p.cur), q.w, p.st.taps, q.tapPairs, p.st.taps2, len(p.st.taps2)/2)
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
-	return x.requantize(x.floatBuf[:l.OutShape.Volume()])
+	outScale := float64(float32(quant.MaxAbsScale(float64(math.Float32frombits(slices.Max(chanMax))), quant.Int8))) // rounded as frameScale does
+	quant.QuantizeInto(p.out, x.floatBuf[:len(p.out)], outScale)
+	return outScale
 }
 
 // tile8 and store4 are the int8 part of the shared conv band nests
@@ -288,7 +302,10 @@ func (x *peExecInt8) tile8(win *int8, taps *int32, pairs int, w [4]*uint32, f [4
 func (x *peExecInt8) store4(fi, pos, n int, acc [convPosTile]int32) { x.convStore(fi, pos, acc[:n]) }
 
 // convStore dequantizes and activates a tile's position sums for one
-// channel, into channel fi's float plane from pos on.
+// channel, into channel fi's float plane from pos on, and folds their
+// magnitudes into the channel's maximum with tensorScale's comparison (a NaN
+// is skipped). One band owns each channel, and a recomputed tile stores equal
+// values again, so the maximum is the scan's.
 func (x *peExecInt8) convStore(fi, pos int, acc []int32) {
 	l, bias := x.pass.l, float64(biasAt(x.pass.st.b, fi))
 	deq := x.pass.st.q.wScale * x.pass.inScale
@@ -297,75 +314,68 @@ func (x *peExecInt8) convStore(fi, pos int, acc []int32) {
 		fb[i] = float32(float64(a)*deq + bias)
 	}
 	activateInPlace(l.Activation, fb)
+	m := x.chanMax[fi]
+	for _, v := range fb {
+		if a := math.Float32bits(v) &^ (1 << 31); a <= 0x7f800000 { // |v|, whose bits order as the magnitudes do, unless a NaN
+			m = max(m, a)
+		}
+	}
+	x.chanMax[fi] = m
 }
 
-// runPool is the quantized sub-sampling PE. Max pooling with no folded
-// activation stays entirely on the int8 grid — max commutes with the
-// monotone dequantization, so the pass is exact and the input scale passes
-// through. Average pooling (and any folded activation) accumulates in int32,
-// dequantizes, applies the float stage and requantizes.
+// runPool is the quantized sub-sampling PE. Max pooling runs on the codes —
+// integer max is exact and order-free, and max commutes with the monotone
+// dequantization — so a max pool with no folded activation stays entirely on
+// the int8 grid and the input scale passes through. Average pooling
+// accumulates in int32, and it and a max pool with a folded activation
+// dequantize, apply the float stage and requantize.
 func (x *peExecInt8) runPool() float64 {
 	p := &x.pass
 	l := p.l
-	n := l.InShape.Channels * l.OutShape.Height * l.OutShape.Width
+	p.rows8 = poolMax8Rows(l, l.PaddedHeight()*l.PaddedWidth()+poolSlack)
 	// Channel maps are independent; bands shard whole channels, each padding
 	// into its own plane.
 	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
 	if l.Kind == nn.MaxPool && l.Activation == NoActivation {
 		return p.inScale
 	}
-	return x.requantize(x.floatBuf[:n])
+	return x.requantize(x.floatBuf[:len(p.out)])
 }
 
-// poolBand sub-samples channels [lo,hi).
+// poolSlack is how many codes past every channel plane the executor can read
+// — the frame buffers and scratch planes carry them — so that poolMax8Rows,
+// which counts the stride-2 kernel's one load past a plane's last window,
+// admits a plane's last row too.
+const poolSlack = 1
+
+// poolBand sub-samples channels [lo,hi): a max pool into the output codes
+// (maxPoolPlane, on poolMax8I8), dequantized per channel where an activation
+// follows; an average pool from its int32 window sums.
 func (x *peExecInt8) poolBand(band, lo, hi int) {
 	p := &x.pass
 	l := p.l
 	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
-	outH, outW := l.OutShape.Height, l.OutShape.Width
+	outHW, outW := l.OutShape.Height*l.OutShape.Width, l.OutShape.Width
 	inHW := l.InShape.Height * l.InShape.Width
-	isMax := l.Kind == nn.MaxPool
-	pureMax := isMax && l.Activation == NoActivation
 	inScale := p.inScale
 	inv := inScale / float64(k*k)
-	out, fb := p.out, x.floatBuf
 	for ci := lo; ci < hi; ci++ {
-		padded := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
-		base := ci * outH * outW
-		for oy := 0; oy < outH; oy++ {
-			iy0 := oy * stride
-			for ox := 0; ox < outW; ox++ {
-				ix0 := ox * stride
-				if isMax {
-					v := int8(math.MinInt8)
-					for m := 0; m < k; m++ {
-						row := padded[(iy0+m)*pw+ix0:]
-						for n := 0; n < k; n++ {
-							if row[n] > v {
-								v = row[n]
-							}
-						}
-					}
-					if pureMax {
-						out[base+oy*outW+ox] = v
-					} else {
-						fb[base+oy*outW+ox] = float32(float64(v) * inScale)
-					}
-				} else {
-					var sum int32
-					for m := 0; m < k; m++ {
-						row := padded[(iy0+m)*pw+ix0:]
-						for n := 0; n < k; n++ {
-							sum += int32(row[n])
-						}
-					}
-					fb[base+oy*outW+ox] = float32(float64(sum) * inv)
-				}
+		plane := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
+		out, fb := p.out[ci*outHW:][:outHW], x.floatBuf[ci*outHW:][:outHW]
+		if l.Kind == nn.MaxPool {
+			maxPoolPlane(poolMax8I8, plane, out, l, p.rows8)
+			if l.Activation == NoActivation {
+				continue
+			}
+			for i, v := range out {
+				fb[i] = float32(float64(v) * inScale)
+			}
+		} else {
+			for i := range fb {
+				fb[i] = float32(float64(windowSum[int8, int32](plane[(i/outW*pw+i%outW)*stride:], k, pw)) * inv)
 			}
 		}
-		if !pureMax {
-			activateInPlace(l.Activation, fb[base:][:outH*outW])
-		}
+		activateInPlace(l.Activation, fb)
 	}
 }
 

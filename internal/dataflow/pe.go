@@ -660,17 +660,18 @@ func (x *peExec) convStore(fi, pos int, acc []float32) {
 const poolHalf = convLanes / 2
 
 // poolMax8Rows reports how many leading output rows of sub-sampling layer l
-// the AVX2 max kernel may run over a padded plane of planeLen words: none
-// unless the CPU has it, the layer max-pools at stride 1 or 2 and its rows
-// are at least one half-tile wide; past that — because the kernel's loads
-// are unchecked — every row whose last half-tile's loads end inside the
-// plane. A half-tile loads poolHalf words per tap at stride 1 and
-// 2·poolHalf at stride 2, whose last word no window uses, so at stride 2 the
-// last row can read one word past the plane; the rows from there on run the
-// Go loop.
+// the AVX2 max kernels may run over a padded plane from whose start planeLen
+// elements (float32 words or int8 codes) can be read: none unless the CPU
+// has them, the layer max-pools at stride 1 or 2 with a kernel of at least
+// one tap and its rows are at least one half-tile wide; past that — because the kernels' loads are unchecked —
+// every row whose last half-tile's loads end inside those elements. A
+// half-tile loads poolHalf elements per tap at stride 1 and 2·poolHalf at
+// stride 2, whose last element no window uses, so at stride 2 the last row
+// of a plane with nothing readable after it reads one element too many; the
+// rows from there on run the Go loop.
 func poolMax8Rows(l *LayerHW, planeLen int) int {
 	s, pw := l.Stride, l.PaddedWidth()
-	if !haveAVX2 || l.Kind != nn.MaxPool || s < 1 || s > 2 || l.OutShape.Width < poolHalf {
+	if !haveAVX2 || l.Kind != nn.MaxPool || s < 1 || s > 2 || l.Kernel < 1 || l.OutShape.Width < poolHalf {
 		return 0
 	}
 	// Words a row's last half-tile, at outW−poolHalf, reads from the row's
@@ -683,61 +684,78 @@ func poolMax8Rows(l *LayerHW, planeLen int) int {
 }
 
 // poolBand is the sub-sampling PE over channels [lo,hi): one pass per
-// channel, each window replaced by its maximum or average. Channels are
-// independent maps, so with Par.In > 1 the channel range is sharded into
-// bands that run concurrently, each padding into its own plane; within a
-// channel the window order (and thus every float operation) is unchanged. A
-// window's elements are visited in ascending (m,n) order, as the oracle's
-// window slots are. The first pass.rows8 output rows of a max-pool layer go
-// to the AVX2 kernel in half-tiles of poolHalf windows, two per call: a
-// row's last half-tile starts at outW−poolHalf and recomputes the windows it
-// shares with the one before, a call's two halves may lie in two rows, and
-// an odd last half runs as both. The rest go to the Go loop.
+// channel, each window replaced by its maximum (maxPoolPlane) or average.
+// Channels are independent maps, so with Par.In > 1 the channel range is
+// sharded into bands that run concurrently, each padding into its own plane;
+// within a channel the window order (and thus every float operation) is
+// unchanged. A window's elements are visited in ascending (m,n) order, as the
+// oracle's window slots are.
 func (x *peExec) poolBand(band, lo, hi int) {
 	p := &x.pass
 	l := p.l
 	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
-	outH, outW := l.OutShape.Height, l.OutShape.Width
+	outHW, outW := l.OutShape.Height*l.OutShape.Width, l.OutShape.Width
 	inHW := l.InShape.Height * l.InShape.Width
-	isMax := l.Kind == nn.MaxPool
 	inv := 1 / float32(k*k)
 	for ci := lo; ci < hi; ci++ {
 		plane := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
-		out := p.out[ci*outH*outW:][:outH*outW]
-		half, halfOut := -1, 0 // a half-tile waiting for its partner: plane and output offsets
-		for oy := 0; oy < p.rows8; oy++ {
-			for ox := 0; ox < outW; ox += poolHalf {
-				col := min(ox, outW-poolHalf)
-				win, o := (oy*pw+col)*stride, oy*outW+col
-				if half < 0 {
-					half, halfOut = win, o
-					continue
-				}
-				poolMax8(&plane[half], &plane[win], k, pw, stride, &out[halfOut], &out[o])
-				half = -1
-			}
-		}
-		if half >= 0 {
-			poolMax8(&plane[half], &plane[half], k, pw, stride, &out[halfOut], &out[halfOut])
-		}
-		for oy := p.rows8; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				win := plane[(oy*pw+ox)*stride:]
-				if isMax {
-					out[oy*outW+ox] = windowMax(win, k, pw)
-				} else {
-					out[oy*outW+ox] = windowSum(win, k, pw) * inv
-				}
+		out := p.out[ci*outHW:][:outHW]
+		if l.Kind == nn.MaxPool {
+			maxPoolPlane(poolMax8, plane, out, l, p.rows8)
+		} else {
+			for i := range out {
+				out[i] = windowSum[float32, float32](plane[(i/outW*pw+i%outW)*stride:], k, pw) * inv
 			}
 		}
 		activateInPlace(l.Activation, out)
 	}
 }
 
-// windowMax is the maximum of the k×k window whose top-left word starts win
-// in a plane of row length pw, its words visited in ascending (m,n) order.
-func windowMax(win []float32, k, pw int) float32 {
-	v := float32(math.Inf(-1))
+// maxPoolPlane writes one channel's max pool from its padded plane, for
+// float32 words and int8 codes alike: output rows [0,rows8) on the AVX2
+// kernel (poolMax8, poolMax8I8; poolMax8Rows decides rows8) in half-tiles of
+// poolHalf windows, two per call — a row's last half-tile starts at
+// outW−poolHalf and recomputes the windows it shares with the one before, a
+// call's two halves may lie in two rows, and an odd last half runs as both —
+// and the rest with windowMax.
+func maxPoolPlane[E float32 | int8](kernel func(win, win2 *E, k, pw, stride int, out, out2 *E), plane, out []E, l *LayerHW, rows8 int) {
+	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
+	outH, outW := l.OutShape.Height, l.OutShape.Width
+	half, halfOut := -1, 0 // a half-tile waiting for its partner: plane and output offsets
+	for oy := 0; oy < rows8; oy++ {
+		for ox := 0; ox < outW; ox += poolHalf {
+			col := min(ox, outW-poolHalf)
+			win, o := (oy*pw+col)*stride, oy*outW+col
+			if half < 0 {
+				half, halfOut = win, o
+				continue
+			}
+			kernel(&plane[half], &plane[win], k, pw, stride, &out[halfOut], &out[o])
+			half = -1
+		}
+	}
+	if half >= 0 {
+		kernel(&plane[half], &plane[half], k, pw, stride, &out[halfOut], &out[halfOut])
+	}
+	for oy := rows8; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			out[oy*outW+ox] = windowMax(plane[(oy*pw+ox)*stride:], k, pw)
+		}
+	}
+}
+
+// windowMax is the maximum of the k×k window whose top-left element starts
+// win in a plane of row length pw, its elements visited in ascending (m,n)
+// order from the element type's lowest value: −Inf for float32 words, so a
+// NaN is skipped and the first of two equal zeros stays, and −128 for codes.
+func windowMax[E float32 | int8](win []E, k, pw int) E {
+	var v E
+	switch p := any(&v).(type) {
+	case *float32:
+		*p = float32(math.Inf(-1))
+	case *int8:
+		*p = math.MinInt8
+	}
 	for m := 0; m < k; m++ {
 		for _, e := range win[m*pw:][:k] {
 			if e > v {
@@ -748,12 +766,13 @@ func windowMax(win []float32, k, pw int) float32 {
 	return v
 }
 
-// windowSum is windowMax's sum, from +0 in the same order.
-func windowSum(win []float32, k, pw int) float32 {
-	var v float32
+// windowSum is windowMax's sum in accumulator type A, from zero in the same
+// order: the oracle's float32 chain, or an exact int32 sum of codes.
+func windowSum[E float32 | int8, A float32 | int32](win []E, k, pw int) A {
+	var v A
 	for m := 0; m < k; m++ {
 		for _, e := range win[m*pw:][:k] {
-			v += e
+			v += A(e)
 		}
 	}
 	return v

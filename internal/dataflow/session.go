@@ -175,12 +175,9 @@ func (s *Session) feeder(track *obs.Track) {
 	defer s.wg.Done()
 	in := s.acc.Spec.Input
 	head := s.fifos[0]
-	var codes []int8
-	var words []fifo.Word
+	var frame []fifo.Word // the packed datapath's frame buffer
 	if s.packed {
-		vol := in.Volume()
-		codes = make([]int8, vol)
-		words = make([]fifo.Word, fifo.PackedWords(vol))
+		frame = make([]fifo.Word, 1+fifo.PackedWords(in.Volume()))
 	}
 	var epoch uint16
 	for {
@@ -207,9 +204,9 @@ func (s *Session) feeder(track *obs.Track) {
 			head.PushFrameHeader(epoch)
 			if s.packed {
 				scale := frameScale(img.Data())
-				quant.QuantizeInto(codes, img.Data(), scale)
+				quant.QuantizeInto(int8Payload(frame, img.Len()), img.Data(), scale)
 				s.acc.dm.AccountReadBytes(int64(img.Len()))
-				pushInt8Frame(head, words, codes, scale)
+				pushInt8Frame(head, frame, img.Len(), scale)
 				s.mu.Lock()
 				if scale > s.inputScale {
 					s.inputScale = scale
@@ -237,12 +234,9 @@ func (s *Session) collector(track *obs.Track) {
 	defer s.wg.Done()
 	sink := s.fifos[len(s.fifos)-1]
 	elem := len(s.done) - 1
-	var codes []int8
-	var words []fifo.Word
-	vol := s.outShape[0] * s.outShape[1] * s.outShape[2]
+	var frame []fifo.Word // the packed datapath's frame buffer
 	if s.packed {
-		codes = make([]int8, vol)
-		words = make([]fifo.Word, fifo.PackedWords(vol))
+		frame = make([]fifo.Word, 1+fifo.PackedWords(s.outShape[0]*s.outShape[1]*s.outShape[2]))
 	}
 	seq := 0 // images retired over the session; low 16 bits = expected epoch
 	for {
@@ -258,7 +252,7 @@ func (s *Session) collector(track *obs.Track) {
 			return
 		}
 		for b := range job.outs {
-			if err := s.collectImage(sink, track, job, b, seq, codes, words); err != nil {
+			if err := s.collectImage(sink, track, job, b, seq, frame); err != nil {
 				s.fail(err)
 				sink.Drain()
 				return
@@ -270,7 +264,7 @@ func (s *Session) collector(track *obs.Track) {
 }
 
 // collectImage retires one output frame into job.outs[b].
-func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, job *collectJob, b, seq int, codes []int8, words []fifo.Word) error {
+func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, job *collectJob, b, seq int, frame []fifo.Word) error {
 	want := uint16(seq)
 	if s.testExpectEpoch != nil {
 		want = s.testExpectEpoch(seq, want)
@@ -292,14 +286,14 @@ func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, job *collectJo
 		sid = track.Begin("collect", 0)
 	}
 	if s.packed {
-		// The collector is the fabric's only int8→float point: it unpacks
-		// the last PE's frame and dequantizes with the frame's scale before
-		// the output leaves the fabric.
-		scale, err := popInt8Frame(sink, words, codes)
+		// The collector is the fabric's only int8→float point: it
+		// dequantizes the last PE's codes with the frame's scale, straight
+		// from the frame buffer, before the output leaves the fabric.
+		scale, err := popInt8Frame(sink, frame, len(data))
 		if err != nil {
 			return fmt.Errorf("dataflow: image %d: %w", seq, err)
 		}
-		quant.DequantizeInto(data, codes, scale)
+		quant.DequantizeInto(data, int8Payload(frame, len(data)), scale)
 		s.acc.dm.AccountWriteBytes(int64(len(data)))
 	} else {
 		if n := sink.PopInto(data); n < len(data) {

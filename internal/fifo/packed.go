@@ -1,14 +1,18 @@
 package fifo
 
-import "math"
+import "unsafe"
 
 // Packed-lane transfers: the fixed-point fabric keeps the FIFO word 32 bits
 // wide (Word stays the ring-buffer currency) but packs Int8Lanes int8
-// activation lanes into each word's bit pattern, quadrupling the effective
-// stream bandwidth — the Qiu-style bandwidth optimisation the quantized
-// datapath is built on. Pack/Unpack move lanes through math.Float32bits
-// punning: pure bit moves, never float arithmetic, so every lane pattern
-// (including ones whose word aliases a NaN encoding) round-trips losslessly.
+// activation lanes into each word, quadrupling the effective stream
+// bandwidth — the Qiu-style bandwidth optimisation the quantized datapath is
+// built on. The lanes are the words' bytes in memory order: lane i of a
+// packed buffer is its byte i, so Int8View packs and unpacks by viewing the
+// word buffer as codes, with no per-lane loop. Every target this module
+// builds for (amd64, arm64, 386) is little-endian, so lane i%Int8Lanes of a
+// word is also its bits 8·i… of the 32-bit pattern. Words are only ever
+// copied, never used as floats, so every lane pattern — including ones whose
+// word aliases a NaN encoding — survives the ring unchanged.
 
 // Int8Lanes is the number of int8 lanes packed into one 32-bit FIFO word.
 const Int8Lanes = 4
@@ -17,38 +21,24 @@ const Int8Lanes = 4
 // lanes (the tail word is zero-padded when Int8Lanes does not divide n).
 func PackedWords(n int) int { return (n + Int8Lanes - 1) / Int8Lanes }
 
-// PackInt8 packs src into dst, Int8Lanes lanes per word, little-lane-first;
-// tail lanes of the final word are zero. dst must hold PackedWords(len(src))
-// words; the words written are returned.
-func PackInt8(dst []Word, src []int8) int {
-	words := PackedWords(len(src))
-	_ = dst[:words]
-	i := 0
-	for w := 0; w < words; w++ {
-		var u uint32
-		for l := 0; l < Int8Lanes && i < len(src); l++ {
-			u |= uint32(uint8(src[i])) << (8 * l)
-			i++
-		}
-		dst[w] = math.Float32frombits(u)
-	}
-	return words
+// Int8View returns the first n lanes of the packed words as codes, lane i at
+// byte i: writing the view packs the words, reading it unpacks them. words
+// must hold PackedWords(n) words.
+func Int8View(words []Word, n int) []int8 {
+	_ = words[:PackedWords(n)]
+	return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
-// UnpackInt8 unpacks len(dst) lanes from the packed words in src (the
-// inverse of PackInt8; padded tail lanes are simply never read).
-func UnpackInt8(dst []int8, src []Word) {
-	for i := range dst {
-		u := math.Float32bits(src[i/Int8Lanes])
-		dst[i] = int8(u >> (8 * (i % Int8Lanes)))
-	}
-}
-
-// PushPacked pushes a burst of packed words carrying the given number of
-// int8 lanes, accounting the per-lane traffic counters alongside the word
-// counters PushSlice advances. Framing words that carry no lanes (per-image
-// scale headers) are pushed with lanes=0.
+// PushPacked pushes a burst whose last PackedWords(lanes) words carry the
+// given number of int8 lanes — words before them, such as a per-image scale
+// header, carry none — and accounts the per-lane traffic counters alongside
+// the word counters PushSlice advances. The unused tail lanes of the last
+// word are zeroed first, so a frame never carries a stale code.
 func (f *FIFO) PushPacked(vs []Word, lanes int64) {
+	if pad := int(-lanes & (Int8Lanes - 1)); pad > 0 {
+		b := Int8View(vs, len(vs)*Int8Lanes)
+		clear(b[len(b)-pad:])
+	}
 	f.PushSlice(vs)
 	f.mu.Lock()
 	f.lanePushes += lanes

@@ -107,10 +107,21 @@ func tensorScale(data []float32, levels float64) float64 {
 			maxAbs = a
 		}
 	}
+	return maxAbsScale(maxAbs, levels)
+}
+
+func maxAbsScale(maxAbs, levels float64) float64 {
 	if maxAbs == 0 {
 		return 0
 	}
 	return maxAbs / levels
+}
+
+// MaxAbsScale is TensorScale without the scan: the scale of a tensor whose
+// largest magnitude is maxAbs, for a producer that tracks it as it writes
+// the values.
+func MaxAbsScale(maxAbs float64, p Precision) float64 {
+	return maxAbsScale(maxAbs, p.levels())
 }
 
 // TensorScale computes the symmetric max-abs per-tensor scale for the given
