@@ -44,6 +44,7 @@ const (
 	CodeSaturated       = "saturated"
 	CodeNoReadyNodes    = "no_ready_nodes"
 	CodeNoReplica       = "no_replica_available"
+	CodeBodyTooLarge    = "body_too_large"
 )
 
 // RouterError is the JSON body of a router-originated error reply.

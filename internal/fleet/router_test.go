@@ -242,6 +242,65 @@ func TestRouterPassesClientErrorThrough(t *testing.T) {
 	}
 }
 
+// An /infer body larger than any image of the fleet's input shape could need
+// is refused at the router with the node's own bound: 413 and the router's
+// error envelope, and nothing is forwarded.
+func TestRouterInferBodyCap(t *testing.T) {
+	node := newStubNode(t, okInfer)
+	rt := newTestRouter(t, RouterConfig{}, node)
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	limit := serve.InputShape{Channels: 1, Height: 8, Width: 8}.MaxInferBytes()
+	body := `{"image":[` + strings.Repeat("0,", int(limit)) + `0]}`
+	resp, err := http.Post(front.URL+"/infer", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var re RouterError
+	if err := json.NewDecoder(resp.Body).Decode(&re); err != nil {
+		t.Fatalf("decode reply: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || re.Code != CodeBodyTooLarge || re.Error == "" {
+		t.Fatalf("oversize /infer = %d %+v, want 413 with code %q", resp.StatusCode, re, CodeBodyTooLarge)
+	}
+	if n := node.hits.Load(); n != 0 {
+		t.Fatalf("oversize body forwarded to the node %d time(s)", n)
+	}
+	// A body under the cap still goes through.
+	if resp := postInfer(t, front.URL, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("small /infer = %d, want 200", resp.StatusCode)
+	}
+}
+
+// /register and /deregister carry one URL; a 1 MiB body is refused before it
+// is buffered or decoded, and no node joins.
+func TestRouterRegistrationBodyCap(t *testing.T) {
+	rt := newTestRouter(t, RouterConfig{})
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	// Leading whitespace is valid JSON, so the decoder must read past the
+	// cap to reach the object; the URL points at a closed local port.
+	body := strings.Repeat(" ", 1<<20) + `{"url":"http://127.0.0.1:1"}`
+	for _, path := range []string{"/register", "/deregister"} {
+		resp, err := http.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var re RouterError
+		json.NewDecoder(resp.Body).Decode(&re) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || re.Code != CodeBodyTooLarge {
+			t.Errorf("1 MiB %s body = %d %+v, want 413 with code %q", path, resp.StatusCode, re, CodeBodyTooLarge)
+		}
+	}
+	if n := len(rt.Membership().Snapshot()); n != 0 {
+		t.Fatalf("%d node(s) registered from an oversize body", n)
+	}
+}
+
 func TestRouterBreakerRemovesFlappingNode(t *testing.T) {
 	bad := newStubNode(t, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)

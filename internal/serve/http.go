@@ -23,6 +23,13 @@ type InputShape struct {
 // Volume returns the number of float32 words per image.
 func (s InputShape) Volume() int { return s.Channels * s.Height * s.Width }
 
+// MaxInferBytes is the /infer body cap for one image of this shape: a node
+// answers 413 above it, and the fleet router applies the same bound before
+// it buffers a request to forward.
+func (s InputShape) MaxInferBytes() int64 {
+	return inferEnvelopeBytes + inferBytesPerWord*int64(s.Volume())
+}
+
 // The /infer body is capped before it is parsed. A float32 prints in at most
 // 16 bytes in shortest round-trip form and encoding/json's plain-decimal
 // form of one reaches 22 (|x| near 1e20); a client that formats float64s
@@ -97,7 +104,7 @@ func NewHandler(s *Server, input InputShape, requestTimeout time.Duration, opts 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	maxBody := inferEnvelopeBytes + inferBytesPerWord*int64(input.Volume())
+	maxBody := input.MaxInferBytes()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, HealthResponse{
