@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet cross condorlint staticcheck govulncheck lint test race race-serve race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build loc vet cross condorlint staticcheck govulncheck lint test race race-serve race-lifecycle race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
 
 all: build lint test
 
@@ -65,6 +65,16 @@ race:
 race-serve:
 	$(GO) test -race ./internal/serve/...
 	$(GO) test -race -run 'TestServe|TestDeployLocalUnique' .
+
+# race-lifecycle runs the release paths three times under the race detector:
+# TerminateInstances against in-flight ExecuteInference/LoadFpgaImage on one
+# slot, Device.Close against waiting dispatches, and the leak harness's legs
+# (goroutines and live heap back at baseline after 50 create/use/close
+# cycles per tier). Which side of a release a call lands on depends on
+# scheduling, so one green run proves little.
+race-lifecycle:
+	$(GO) test -race -count=3 -run 'TestTerminateRacesInFlightWork|TestDeviceClose' ./internal/aws ./internal/sdaccel
+	$(GO) test -race -count=3 -run 'TestLifecycle' .
 
 # race-fleet focuses the race detector on the fleet tier, including the
 # saturation-shedding and node-kill stress tests.
@@ -195,5 +205,5 @@ profile-fabric:
 
 # ci is the full gate the workflow runs: build, the cross-architecture
 # build, both linters, the race detector over the test suite, the repeated
-# fleet and serve runs, the nested benchmark module and the parser fuzz smoke.
-ci: build cross lint race fleet-repeat serve-repeat benchmark-module fuzz-smoke
+# lifecycle, fleet and serve runs, the nested benchmark module and the parser fuzz smoke.
+ci: build cross lint race race-lifecycle fleet-repeat serve-repeat benchmark-module fuzz-smoke

@@ -230,6 +230,7 @@ func run(o serveOptions) error {
 			if err != nil {
 				return fmt.Errorf("local deployment %d: %w", i, err)
 			}
+			defer dep.Close() // after the drain below: the pool is idle by then
 			if o.cus > 1 {
 				// Each replicated kernel instance joins the pool as its own
 				// backend, so the scheduler keeps cus batches in flight per card.

@@ -76,6 +76,12 @@ func (f *Framework) DeployLocalCUs(b *Build, cus int) (*LocalDeployment, error) 
 // ID identifies the deployment's device, e.g. for serving-pool stats.
 func (d *LocalDeployment) ID() string { return d.Device.ID }
 
+// Close releases the deployment's device: its compute units' sessions are
+// joined and its fabric and weights dropped, and later Infer calls fail with
+// sdaccel.ErrDeviceClosed. Shut down a serve.Server pooling the deployment
+// first. Close is idempotent.
+func (d *LocalDeployment) Close() { d.Device.Close() }
+
 // Infer runs a batch on the local device and returns the outputs plus the
 // modeled kernel time in milliseconds.
 func (d *LocalDeployment) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
@@ -177,6 +183,8 @@ type CloudDeployment struct {
 	// runSeq numbers inference runs so concurrent callers get disjoint S3
 	// staging keys.
 	runSeq atomic.Uint64
+
+	terminated atomic.Bool
 }
 
 // DeployCloud runs the full cloud path of the backend: package the AFI
@@ -230,16 +238,22 @@ func (f *Framework) DeployCloud(b *Build, cfg CloudConfig) (*CloudDeployment, er
 	if err != nil {
 		return nil, err
 	}
+	// From here on a failed deploy terminates the instance it launched:
+	// the caller never gets a handle to release it with.
+	fail := func(err error) (*CloudDeployment, error) {
+		client.TerminateInstance(inst.InstanceID) //nolint:errcheck // the first error is the one to report
+		return nil, err
+	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = 1
 	}
 	if cfg.Slots > inst.Slots {
-		return nil, fmt.Errorf("condor: %s has %d FPGA slots, %d requested", cfg.InstanceType, inst.Slots, cfg.Slots)
+		return fail(fmt.Errorf("condor: %s has %d FPGA slots, %d requested", cfg.InstanceType, inst.Slots, cfg.Slots))
 	}
 	slots := make([]int, cfg.Slots)
 	for s := 0; s < cfg.Slots; s++ {
 		if err := client.LoadFpgaImage(inst.InstanceID, s, final.FpgaImageGlobalID); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		slots[s] = s
 	}
@@ -248,10 +262,10 @@ func (f *Framework) DeployCloud(b *Build, cfg CloudConfig) (*CloudDeployment, er
 	// them dynamically.
 	wbytes, err := b.WeightsBytes()
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	if err := client.PutObject(cfg.Bucket, weightsKey(b), wbytes); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	return &CloudDeployment{
 		Client: client, Bucket: cfg.Bucket, AFI: final,
@@ -426,9 +440,19 @@ func (d *CloudDeployment) inferOnSlot(slot int, keyPrefix string, batch []*tenso
 	return outs, res.KernelMs, nil
 }
 
-// Terminate shuts the F1 instance down.
+// Terminate shuts the F1 instance down, which frees its slots: the devices
+// close and their fabrics and weights are released. Later inference calls
+// fail with IncorrectInstanceState. A second Terminate returns nil without
+// another API call.
 func (d *CloudDeployment) Terminate() error {
-	return d.Client.TerminateInstance(d.InstanceID)
+	if d.terminated.Load() {
+		return nil
+	}
+	if err := d.Client.TerminateInstance(d.InstanceID); err != nil {
+		return err
+	}
+	d.terminated.Store(true)
+	return nil
 }
 
 // RegisterMetrics exposes the deployment's device execution counters under

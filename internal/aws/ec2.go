@@ -28,6 +28,8 @@ type Instance struct {
 	// slotMu serialises the load-weights → run sequence per slot, so
 	// concurrent ExecuteInference calls from serving-scheduler goroutines
 	// are safe: each targets one slot, different slots run in parallel.
+	// Terminate takes it too, so a running host program finishes before
+	// the slot's device is closed.
 	slotMu []sync.Mutex
 }
 
@@ -90,15 +92,53 @@ func (e *ec2Service) describeInstances() []*Instance {
 	return out
 }
 
+// terminate shuts an instance down and releases its FPGA slots. The state
+// flips first, under e.mu, so no new slot operation starts; each slot's
+// device is then closed under its slot lock, after any host program already
+// running on it. A terminated instance stays visible to DescribeInstances,
+// as on AWS; terminating it again is a no-op.
 func (e *ec2Service) terminate(id string) error {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	inst, ok := e.instances[id]
+	if ok {
+		inst.State = "terminated"
+	}
+	e.mu.Unlock()
 	if !ok {
 		return &apiError{Code: "InvalidInstanceID.NotFound", Status: 404, Message: id}
 	}
-	inst.State = "terminated"
+	inst.release()
 	return nil
+}
+
+// terminateAll terminates every instance still running (Server.Close).
+func (e *ec2Service) terminateAll() {
+	e.mu.Lock()
+	var live []*Instance
+	for _, inst := range e.instances {
+		if inst.State == "running" {
+			inst.State = "terminated"
+			live = append(live, inst)
+		}
+	}
+	e.mu.Unlock()
+	for _, inst := range live {
+		inst.release()
+	}
+}
+
+// release closes every slot's device, waiting out the host program that
+// holds the slot. Called after the state left "running".
+func (inst *Instance) release() {
+	for s, dev := range inst.devices {
+		inst.slotMu[s].Lock()
+		dev.Close()
+		inst.slotMu[s].Unlock()
+	}
+}
+
+func incorrectState(state string) error {
+	return &apiError{Code: "IncorrectInstanceState", Status: 409, Message: state}
 }
 
 func (e *ec2Service) slot(id string, slot int) (*Instance, *sdaccel.Device, error) {
@@ -109,13 +149,32 @@ func (e *ec2Service) slot(id string, slot int) (*Instance, *sdaccel.Device, erro
 		return nil, nil, &apiError{Code: "InvalidInstanceID.NotFound", Status: 404, Message: id}
 	}
 	if inst.State != "running" {
-		return nil, nil, &apiError{Code: "IncorrectInstanceState", Status: 409, Message: inst.State}
+		return nil, nil, incorrectState(inst.State)
 	}
 	if slot < 0 || slot >= inst.Slots {
 		return nil, nil, &apiError{Code: "InvalidSlot", Status: 400,
 			Message: fmt.Sprintf("slot %d out of range [0,%d)", slot, inst.Slots)}
 	}
 	return inst, inst.devices[slot], nil
+}
+
+// lockSlot is slot plus the slot lock, which the caller releases. The state
+// is checked again once the lock is held: a call that waited out a terminate
+// gets IncorrectInstanceState and never touches the closed device.
+func (e *ec2Service) lockSlot(id string, slot int) (*Instance, *sdaccel.Device, error) {
+	inst, dev, err := e.slot(id, slot)
+	if err != nil {
+		return nil, nil, err
+	}
+	inst.slotMu[slot].Lock()
+	e.mu.Lock()
+	state := inst.State
+	e.mu.Unlock()
+	if state != "running" {
+		inst.slotMu[slot].Unlock()
+		return nil, nil, incorrectState(state)
+	}
+	return inst, dev, nil
 }
 
 // loadImage programs an FPGA slot with an available AFI
@@ -125,11 +184,10 @@ func (e *ec2Service) loadImage(instanceID string, slot int, agfi string) error {
 	if err != nil {
 		return err
 	}
-	inst, dev, err := e.slot(instanceID, slot)
+	inst, dev, err := e.lockSlot(instanceID, slot)
 	if err != nil {
 		return err
 	}
-	inst.slotMu[slot].Lock()
 	defer inst.slotMu[slot].Unlock()
 	if err := dev.ProgramFromAFI(xclbin); err != nil {
 		return &apiError{Code: "FpgaImageLoadFailure", Status: 500, Message: err.Error()}
@@ -168,13 +226,12 @@ type InferenceResult struct {
 // and writes the raw float32 outputs back to S3.
 func (e *ec2Service) executeInference(instanceID string, slot int,
 	weightsBucket, weightsKey, inputBucket, inputKey, outputBucket, outputKey string, batch int) (*InferenceResult, error) {
-	inst, dev, err := e.slot(instanceID, slot)
+	// The whole host-program run — weight load through kernel execution —
+	// holds the slot, as the real per-slot host process would.
+	inst, dev, err := e.lockSlot(instanceID, slot)
 	if err != nil {
 		return nil, err
 	}
-	// The whole host-program run — weight load through kernel execution —
-	// holds the slot, as the real per-slot host process would.
-	inst.slotMu[slot].Lock()
 	defer inst.slotMu[slot].Unlock()
 	if !dev.Programmed() {
 		return nil, &apiError{Code: "FpgaNotProgrammed", Status: 409,

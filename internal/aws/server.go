@@ -64,6 +64,15 @@ func (s *Server) Quiesce() {
 	s.afi.workers.Wait()
 }
 
+// Close shuts the endpoint's simulated hardware down: it quiesces the AFI
+// workers and terminates every instance still running, which closes the
+// devices of its slots. Stop the HTTP listener in front of the server first
+// so no request races it. Close is idempotent.
+func (s *Server) Close() {
+	s.Quiesce()
+	s.ec2.terminateAll()
+}
+
 // NewServer builds a cloud endpoint.
 func NewServer(opts Options) *Server {
 	if opts.AFIGenerationDelay == 0 {

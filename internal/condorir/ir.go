@@ -10,6 +10,7 @@ package condorir
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"condor/internal/caffe"
 	"condor/internal/nn"
@@ -240,7 +241,9 @@ func FromCaffe(m *caffe.Model, board string, freqMHz float64) (*Network, *Weight
 }
 
 // FromNN translates an nn.Network (with weights attached) into the IR and
-// weight set.
+// weight set. The weight set shares the network's weight and bias storage
+// (only the shapes are copied): every caller drops the network right after,
+// and nothing downstream writes into a weight set.
 func FromNN(net *nn.Network, board string, freqMHz float64) (*Network, *WeightSet, error) {
 	ir := &Network{
 		Name:         net.Name,
@@ -249,7 +252,7 @@ func FromNN(net *nn.Network, board string, freqMHz float64) (*Network, *WeightSe
 		Input:        InputShape{Channels: net.Input.Channels, Height: net.Input.Height, Width: net.Input.Width},
 	}
 	ws := NewWeightSet()
-	for i, l := range net.Layers {
+	for _, l := range net.Layers {
 		typ, ok := typeByKind[l.Kind]
 		if !ok {
 			return nil, nil, fmt.Errorf("condorir: layer %q: unsupported kind %v", l.Name, l.Kind)
@@ -266,12 +269,11 @@ func FromNN(net *nn.Network, board string, freqMHz float64) (*Network, *WeightSe
 			PEGroup:     -1,
 		})
 		if l.Weights != nil {
-			ws.Put(l.Name, EntryWeights, l.Weights)
+			ws.PutRaw(l.Name, EntryWeights, slices.Clone(l.Weights.Shape()), l.Weights.Data())
 		}
 		if l.Bias != nil {
-			ws.Put(l.Name, EntryBias, l.Bias)
+			ws.PutRaw(l.Name, EntryBias, slices.Clone(l.Bias.Shape()), l.Bias.Data())
 		}
-		_ = i
 	}
 	if err := ir.Validate(); err != nil {
 		return nil, nil, err

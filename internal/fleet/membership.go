@@ -58,6 +58,13 @@ type memberNode struct {
 	input      serve.InputShape
 }
 
+// inputShape is the image geometry the node reported at registration.
+func (n *memberNode) inputShape() serve.InputShape {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.input
+}
+
 func (n *memberNode) snapshot() NodeInfo {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -284,6 +285,15 @@ type RegistrationRequest struct {
 	URL string `json:"url"`
 }
 
+// maxRegistrationBytes caps a /register or /deregister body: its one field
+// is a node URL.
+const maxRegistrationBytes = 64 << 10
+
+func isTooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
 func (rt *Router) handleRegistration(join bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -291,7 +301,14 @@ func (rt *Router) handleRegistration(join bool) http.HandlerFunc {
 			return
 		}
 		var req RegistrationRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRegistrationBytes)).Decode(&req)
+		if isTooLarge(err) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, RouterError{
+				Error: fmt.Sprintf("body exceeds %d bytes", maxRegistrationBytes), Code: CodeBodyTooLarge,
+			})
+			return
+		}
+		if err != nil || req.URL == "" {
 			writeJSON(w, http.StatusBadRequest, RouterError{Error: "body must be {\"url\":\"http://node\"}"})
 			return
 		}
@@ -385,9 +402,18 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return candidates[i].inflight.Load() < candidates[j].inflight.Load()
 	})
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	// The nodes cap the body at what one image of their input shape needs;
+	// buffering more here would only hold a request every replica refuses.
+	limit := candidates[0].inputShape().MaxInferBytes()
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		class.completed.Add(1) // answered, just not forwarded
+		if isTooLarge(err) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, RouterError{
+				Error: fmt.Sprintf("body exceeds %d bytes, the nodes' cap for one image", limit), Code: CodeBodyTooLarge,
+			})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, RouterError{Error: "read body: " + err.Error()})
 		return
 	}

@@ -20,18 +20,25 @@ import (
 	"condor/internal/tensor"
 )
 
+// ErrDeviceClosed is returned by every call that would program, load or
+// dispatch on a device after Close: a released card is never silently
+// re-instantiated.
+var ErrDeviceClosed = errors.New("sdaccel: device closed")
+
 // Device models one FPGA card visible to the runtime. The card carries one
 // or more compute units — replicated kernel instances of the programmed
 // design, the CU replication knob of the packaging flow — and each unit runs
 // one kernel at a time behind its own lock, so a device executes up to
 // ComputeUnits() kernels concurrently. Device state transitions (program,
-// weight load, CU count) stay behind the device mutex; scheduler goroutines
-// of the serving tier may share a Device without external locking.
+// weight load, CU count, Close) stay behind the device mutex; scheduler
+// goroutines of the serving tier may share a Device without external
+// locking.
 type Device struct {
 	ID    string
 	Board *board.Board
 
 	mu      sync.Mutex
+	closed  bool
 	xclbin  *bitstream.Xclbin
 	weights *condorir.WeightSet
 	tracer  obs.Tracer
@@ -51,9 +58,10 @@ type Device struct {
 // batches on the same unit pipeline at the fabric's steady-state initiation
 // interval instead of draining between kernels.
 type computeUnit struct {
-	mu   sync.Mutex // execution lock: held for the duration of one kernel run
-	acc  *dataflow.Accelerator
-	sess *dataflow.Session // resident session; opened lazily, nil when closed
+	mu      sync.Mutex // execution lock: held for the duration of one kernel run
+	acc     *dataflow.Accelerator
+	sess    *dataflow.Session // resident session; opened lazily, nil when closed
+	retired bool              // dropped from the device; set under mu, never reopens a session
 
 	// Counters live behind their own lock so metric scrapes read them
 	// mid-kernel instead of stalling behind a running dispatch.
@@ -136,6 +144,9 @@ func (d *Device) SetComputeUnits(n int) error {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return ErrDeviceClosed
+	}
 	d.numCUs = n
 	if d.weights == nil || d.xclbin == nil {
 		return nil
@@ -247,9 +258,12 @@ func (d *Device) program(data []byte) error {
 		return fmt.Errorf("sdaccel: xclbin targets %s, device is %s", x.Meta.Board, d.Board.ID)
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return ErrDeviceClosed
+	}
 	d.xclbin = x
 	d.retireLocked() // weights must be (re)loaded for the new image
-	d.mu.Unlock()
 	return nil
 }
 
@@ -261,10 +275,35 @@ func (d *Device) retireLocked() {
 	for _, cu := range d.cus {
 		cu.mu.Lock()
 		cu.closeSession()
+		cu.retired = true
 		cu.mu.Unlock()
 		d.archived.add(cu.counters())
 	}
 	d.cus = nil
+}
+
+// Close releases the card: every compute unit's resident session is joined
+// (an in-flight kernel finishes first) and the image, the weights and the
+// fabric are dropped, so nothing the device instantiated stays reachable
+// through it. Afterwards program, weight load, CU count changes and
+// dispatch fail with ErrDeviceClosed; the counters stay readable. Close is
+// idempotent.
+func (d *Device) Close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return
+	}
+	d.closed = true
+	d.retireLocked()
+	d.xclbin, d.weights = nil, nil
+}
+
+// Closed reports whether Close has run.
+func (d *Device) Closed() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.closed
 }
 
 // Programmed reports whether a kernel image is loaded.
@@ -300,6 +339,9 @@ func (d *Device) Meta() (bitstream.Metadata, error) {
 func (d *Device) LoadWeights(ws *condorir.WeightSet) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.closed {
+		return ErrDeviceClosed
+	}
 	if d.xclbin == nil {
 		return fmt.Errorf("sdaccel: device %s has no image loaded", d.ID)
 	}
@@ -333,12 +375,30 @@ func (d *Device) instantiateLocked() error {
 	return nil
 }
 
-// acquireCU returns a compute unit with its execution lock held. A TryLock
-// scan starting at the round-robin cursor grabs an idle unit without
-// blocking; when every unit is busy the caller blocks on the cursor's unit,
-// so waiting dispatches spread across the units instead of piling onto one.
+// acquireCU returns a live compute unit with its execution lock held. A unit
+// retired while the dispatch waited for it (a reload, a reprogram or Close)
+// must not reopen its session, so the dispatch picks again from the current
+// pool.
 func (d *Device) acquireCU() (*computeUnit, error) {
+	for {
+		cu, err := d.lockCU()
+		if err != nil || !cu.retired {
+			return cu, err
+		}
+		cu.mu.Unlock()
+	}
+}
+
+// lockCU locks one unit of the current pool. A TryLock scan starting at the
+// round-robin cursor grabs an idle unit without blocking; when every unit is
+// busy the caller blocks on the cursor's unit, so waiting dispatches spread
+// across the units instead of piling onto one.
+func (d *Device) lockCU() (*computeUnit, error) {
 	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return nil, ErrDeviceClosed
+	}
 	cus := d.cus
 	var start int
 	if len(cus) > 0 {
@@ -421,9 +481,12 @@ func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 	c.queue = append(c.queue, func() error {
 		dev := c.dev
 		dev.mu.Lock()
-		xclbin := dev.xclbin
+		closed, xclbin := dev.closed, dev.xclbin
 		loaded := len(dev.cus) > 0
 		dev.mu.Unlock()
+		if closed {
+			return ErrDeviceClosed
+		}
 		if xclbin == nil || !loaded {
 			return fmt.Errorf("sdaccel: device %s has no weights loaded", dev.ID)
 		}

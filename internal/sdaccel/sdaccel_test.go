@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"condor/internal/bitstream"
 	"condor/internal/condorir"
@@ -358,6 +359,94 @@ func TestComputeUnitReplication(t *testing.T) {
 	if got := dev.Counters(); got != total {
 		t.Fatalf("counters after reprogram = %+v, want %+v", got, total)
 	}
+}
+
+// TestDeviceClose: Close lands while dispatches are in flight on a
+// two-unit device. Each dispatch completes or fails with ErrDeviceClosed —
+// none reopens a session on a retired unit — every session goroutine is
+// joined, and the closed device refuses program, load, CU changes and
+// dispatch while its counters stay readable.
+func TestDeviceClose(t *testing.T) {
+	xclbin, ws := tc1Xclbin(t, "zc706")
+	img := models.USPSImages(1, 2)[0].Data()
+	dispatch := func(dev *Device) error {
+		ctx := CreateContext(dev)
+		in, out := ctx.CreateBuffer(len(img)), ctx.CreateBuffer(10)
+		ctx.EnqueueWrite(in, img)
+		ctx.EnqueueKernel(in, out, 1)
+		_, err := ctx.Finish()
+		return err
+	}
+	baseline := runtime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		dev, err := NewDevice("fpga0", "zc706")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.LoadXclbin(xclbin); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.SetComputeUnits(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.LoadWeights(ws); err != nil {
+			t.Fatal(err)
+		}
+		// Six dispatches on two units: four wait for a busy unit. Close lags
+		// by 0–1 ms, stepping across rounds, so it retires units before,
+		// while and after dispatches wait on them.
+		var wg sync.WaitGroup
+		errs := make([]error, 6)
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = dispatch(dev)
+			}(i)
+		}
+		time.Sleep(time.Duration(round%5) * 250 * time.Microsecond)
+		dev.Close()
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil && !errors.Is(err, ErrDeviceClosed) {
+				t.Fatalf("round %d dispatch %d: %v, want success or ErrDeviceClosed", round, i, err)
+			}
+		}
+		dev.Close()
+		if !dev.Closed() {
+			t.Fatal("Closed() = false after Close")
+		}
+		for name, err := range map[string]error{
+			"dispatch":        dispatch(dev),
+			"LoadWeights":     dev.LoadWeights(ws),
+			"LoadXclbin":      dev.LoadXclbin(xclbin),
+			"SetComputeUnits": dev.SetComputeUnits(1),
+		} {
+			if !errors.Is(err, ErrDeviceClosed) {
+				t.Fatalf("%s after Close = %v, want ErrDeviceClosed", name, err)
+			}
+		}
+		if got, done := dev.Counters().Kernels, countNil(errs); got != int64(done) {
+			t.Fatalf("counters after Close report %d kernels, %d dispatches completed", got, done)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Fatalf("%d goroutines after closing every device, %d before", n, baseline)
+	}
+}
+
+func countNil(errs []error) int {
+	n := 0
+	for _, err := range errs {
+		if err == nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestReloadInvalidatesWeights(t *testing.T) {
