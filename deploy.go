@@ -238,22 +238,16 @@ func (f *Framework) DeployCloud(b *Build, cfg CloudConfig) (*CloudDeployment, er
 	if err != nil {
 		return nil, err
 	}
-	// From here on a failed deploy terminates the instance it launched:
-	// the caller never gets a handle to release it with.
-	fail := func(err error) (*CloudDeployment, error) {
-		client.TerminateInstance(inst.InstanceID) //nolint:errcheck // the first error is the one to report
-		return nil, err
-	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = 1
 	}
 	if cfg.Slots > inst.Slots {
-		return fail(fmt.Errorf("condor: %s has %d FPGA slots, %d requested", cfg.InstanceType, inst.Slots, cfg.Slots))
+		return nil, fmt.Errorf("condor: %s has %d FPGA slots, %d requested", cfg.InstanceType, inst.Slots, cfg.Slots)
 	}
 	slots := make([]int, cfg.Slots)
 	for s := 0; s < cfg.Slots; s++ {
 		if err := client.LoadFpgaImage(inst.InstanceID, s, final.FpgaImageGlobalID); err != nil {
-			return fail(err)
+			return nil, err
 		}
 		slots[s] = s
 	}
@@ -262,10 +256,10 @@ func (f *Framework) DeployCloud(b *Build, cfg CloudConfig) (*CloudDeployment, er
 	// them dynamically.
 	wbytes, err := b.WeightsBytes()
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if err := client.PutObject(cfg.Bucket, weightsKey(b), wbytes); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	return &CloudDeployment{
 		Client: client, Bucket: cfg.Bucket, AFI: final,

@@ -113,17 +113,10 @@ func (e *ec2Service) terminate(id string) error {
 
 // terminateAll terminates every instance still running (Server.Close).
 func (e *ec2Service) terminateAll() {
-	e.mu.Lock()
-	var live []*Instance
-	for _, inst := range e.instances {
+	for _, inst := range e.describeInstances() {
 		if inst.State == "running" {
-			inst.State = "terminated"
-			live = append(live, inst)
+			e.terminate(inst.InstanceID) //nolint:errcheck // listed, so it exists
 		}
-	}
-	e.mu.Unlock()
-	for _, inst := range live {
-		inst.release()
 	}
 }
 

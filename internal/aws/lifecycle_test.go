@@ -18,11 +18,10 @@ import (
 // call drives one API action through the server's HTTP handler in process
 // (no listener, so no connection goroutines) and returns the decoded reply
 // or the API error.
-func call(t *testing.T, srv *Server, req apiRequest) (*apiResponse, error) {
-	t.Helper()
+func call(srv *Server, req apiRequest) (*apiResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	r := httptest.NewRequest(http.MethodPost, "/api", bytes.NewReader(body))
 	r.Header.Set("X-Condor-License", DefaultLicense)
@@ -33,7 +32,7 @@ func call(t *testing.T, srv *Server, req apiRequest) (*apiResponse, error) {
 	}
 	var resp apiResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	return &resp, nil
 }
@@ -65,7 +64,7 @@ func tc1Cloud(t *testing.T) (*Server, string) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := call(t, srv, apiRequest{Action: "CreateFpgaImage", Name: "tc1", InputBucket: "condor-lc", InputKey: "d.tar"})
+	resp, err := call(srv, apiRequest{Action: "CreateFpgaImage", Name: "tc1", InputBucket: "condor-lc", InputKey: "d.tar"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +85,13 @@ func TestTerminateRacesInFlightWork(t *testing.T) {
 		outcomes[i] = map[string]int{}
 	}
 	for i := 0; i < 200; i++ {
-		resp, err := call(t, srv, apiRequest{Action: "RunInstances", InstanceType: "f1.2xlarge"})
+		resp, err := call(srv, apiRequest{Action: "RunInstances", InstanceType: "f1.2xlarge"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		id := resp.Instance.InstanceID
 		load := apiRequest{Action: "LoadFpgaImage", InstanceID: id, AgfiID: agfi}
-		if _, err := call(t, srv, load); err != nil {
+		if _, err := call(srv, load); err != nil {
 			t.Fatal(err)
 		}
 		work := []apiRequest{
@@ -110,7 +109,7 @@ func TestTerminateRacesInFlightWork(t *testing.T) {
 			go func(j int, req apiRequest) {
 				defer wg.Done()
 				<-start
-				_, errs[j] = call(t, srv, req)
+				_, errs[j] = call(srv, req)
 			}(j, req)
 		}
 		var termErr error
@@ -119,7 +118,7 @@ func TestTerminateRacesInFlightWork(t *testing.T) {
 			defer wg.Done()
 			<-start
 			time.Sleep(time.Duration(i%5) * 250 * time.Microsecond)
-			_, termErr = call(t, srv, apiRequest{Action: "TerminateInstances", InstanceID: id})
+			_, termErr = call(srv, apiRequest{Action: "TerminateInstances", InstanceID: id})
 		}()
 		close(start)
 		wg.Wait()
@@ -156,17 +155,17 @@ func TestTerminateRacesInFlightWork(t *testing.T) {
 // on it get 409.
 func TestTerminatedInstanceStaysVisible(t *testing.T) {
 	srv, agfi := tc1Cloud(t)
-	resp, err := call(t, srv, apiRequest{Action: "RunInstances", InstanceType: "f1.4xlarge"})
+	resp, err := call(srv, apiRequest{Action: "RunInstances", InstanceType: "f1.4xlarge"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := resp.Instance.InstanceID
 	for i := 0; i < 2; i++ {
-		if _, err := call(t, srv, apiRequest{Action: "TerminateInstances", InstanceID: id}); err != nil {
+		if _, err := call(srv, apiRequest{Action: "TerminateInstances", InstanceID: id}); err != nil {
 			t.Fatalf("terminate %d: %v", i+1, err)
 		}
 	}
-	resp, err = call(t, srv, apiRequest{Action: "DescribeInstances"})
+	resp, err = call(srv, apiRequest{Action: "DescribeInstances"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestTerminatedInstanceStaysVisible(t *testing.T) {
 			t.Errorf("slot %d still open after terminate", s)
 		}
 	}
-	_, err = call(t, srv, apiRequest{Action: "LoadFpgaImage", InstanceID: id, AgfiID: agfi})
+	_, err = call(srv, apiRequest{Action: "LoadFpgaImage", InstanceID: id, AgfiID: agfi})
 	if ae, ok := err.(*apiError); !ok || ae.Status != http.StatusConflict {
 		t.Fatalf("LoadFpgaImage on a terminated instance = %v, want 409", err)
 	}
@@ -190,12 +189,12 @@ func TestServerCloseReleasesRunningInstances(t *testing.T) {
 	srv, agfi := tc1Cloud(t)
 	var ids []string
 	for i := 0; i < 2; i++ {
-		resp, err := call(t, srv, apiRequest{Action: "RunInstances", InstanceType: "f1.2xlarge"})
+		resp, err := call(srv, apiRequest{Action: "RunInstances", InstanceType: "f1.2xlarge"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, resp.Instance.InstanceID)
-		if _, err := call(t, srv, apiRequest{Action: "LoadFpgaImage", InstanceID: ids[i], AgfiID: agfi}); err != nil {
+		if _, err := call(srv, apiRequest{Action: "LoadFpgaImage", InstanceID: ids[i], AgfiID: agfi}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +205,7 @@ func TestServerCloseReleasesRunningInstances(t *testing.T) {
 			t.Errorf("%s: device open after Server.Close", id)
 		}
 	}
-	resp, err := call(t, srv, apiRequest{Action: "DescribeInstances"})
+	resp, err := call(srv, apiRequest{Action: "DescribeInstances"})
 	if err != nil {
 		t.Fatal(err)
 	}
