@@ -1,6 +1,8 @@
 package onnx
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -254,5 +256,32 @@ func TestRawDataTensors(t *testing.T) {
 	}
 	if len(tt.Data) != 2 || tt.Data[0] != 1 || tt.Data[1] != 2 {
 		t.Fatalf("raw tensor %v", tt.Data)
+	}
+}
+
+// TestRawDataBitExact: raw_data is the values' little-endian bits, so NaN
+// payloads, −0, ±Inf and the smallest subnormal decode unchanged.
+func TestRawDataBitExact(t *testing.T) {
+	bits := []uint32{0x7fc00001, 0x7f800001, 0xffbfffff, 0x80000000, 0x7f800000, 0xff800000, 0x00000001, 0x7f7fffff}
+	var raw []byte
+	for _, u := range bits {
+		raw = binary.LittleEndian.AppendUint32(raw, u)
+	}
+	var tb []byte
+	tb = appendVarint(tb, tensorDims, uint64(len(bits)))
+	tb = appendVarint(tb, tensorDataType, dataTypeFloat)
+	tb = appendBytes(tb, tensorRawData, raw)
+	tb = appendString(tb, tensorName, "T")
+	tt, err := parseTensor(decodeMsg(t, tb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tt.Data) != len(bits) {
+		t.Fatalf("raw tensor has %d values, want %d", len(tt.Data), len(bits))
+	}
+	for i, v := range tt.Data {
+		if math.Float32bits(v) != bits[i] {
+			t.Errorf("value %d decoded to %#08x, want %#08x", i, math.Float32bits(v), bits[i])
+		}
 	}
 }
