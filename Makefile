@@ -26,14 +26,17 @@ vet:
 # amd64 assembly, and every other architecture runs the Go kernels. A 386
 # binary runs natively on an amd64 host, so the 386 test run executes those
 # Go kernels (the conv and FC tiles and the max-pool loop both element types
-# share) end to end. internal/fifo views packed words as int8 codes through
-# unsafe, which assumes a little-endian target: it is vetted for arm64 and
-# tested on 386 too. (`go vet` on amd64 already runs asmdecl over the .s
-# file.)
+# share) end to end. Two byte views go through unsafe and assume a
+# little-endian target: internal/fifo's packed words as int8 codes, and
+# internal/tensor's LEBytes, the float32 ↔ little-endian bytes view that the
+# proto float fields and the CNDW weights codec in internal/condorir copy
+# through. Those packages are vetted for arm64 and tested on 386 too. (`go
+# vet` on amd64 already runs asmdecl over the .s file.)
+CROSS_PKGS = ./internal/dataflow/... ./internal/fifo/... ./internal/tensor/... ./internal/proto/... ./internal/condorir/...
 cross:
-	GOARCH=arm64 $(GO) vet ./internal/dataflow/... ./internal/fifo/...
+	GOARCH=arm64 $(GO) vet $(CROSS_PKGS)
 	GOARCH=386 $(GO) build ./...
-	GOARCH=386 $(GO) test ./internal/dataflow/... ./internal/fifo/...
+	GOARCH=386 $(GO) test $(CROSS_PKGS)
 
 # condorlint runs the repository's custom static analyzers — fifodiscard,
 # shapecompare, copylocks, httptimeout, plus the v2 concurrency suite
@@ -97,15 +100,16 @@ serve-repeat:
 benchmark-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# fuzz-smoke runs each fuzz target for 10 s: the weights-file and container
-# parsers must turn any byte string into a value or an error, never a panic,
-# and allocate at most a small multiple of its length; the packed-frame
+# fuzz-smoke runs each fuzz target for 10 s: the weights-file, container and
+# protobuf wire parsers must turn any byte string into a value or an error,
+# never a panic, and allocate at most a small multiple of its length; the packed-frame
 # decode must turn any words into a frame or a short count, never a panic. `go test -fuzz` takes
 # one target per run, hence one line each. Minimizing a new-coverage input
 # grown from a multi-kilobyte seed defaults to 60 s, which would eat the
 # whole budget (≈ 10 execs instead of ≈ 100 k); 1 s keeps the smoke fuzzing.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWeights$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/condorir
+	$(GO) test -run '^$$' -fuzz '^FuzzProtoDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedFrame$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
 

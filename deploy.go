@@ -253,12 +253,13 @@ func (f *Framework) DeployCloud(b *Build, cfg CloudConfig) (*CloudDeployment, er
 	}
 
 	// Stage the weights next to the design so remote inference can load
-	// them dynamically.
-	wbytes, err := b.WeightsBytes()
+	// them dynamically. The file's parts go up as one body straight from the
+	// weight set's storage, without being joined first.
+	wparts, err := b.Weights.Parts()
 	if err != nil {
 		return nil, err
 	}
-	if err := client.PutObject(cfg.Bucket, weightsKey(b), wbytes); err != nil {
+	if err := client.PutObject(cfg.Bucket, weightsKey(b), wparts...); err != nil {
 		return nil, err
 	}
 	return &CloudDeployment{

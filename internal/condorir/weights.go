@@ -1,6 +1,7 @@
 package condorir
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -124,9 +125,13 @@ var weightsMagic = [4]byte{'C', 'N', 'D', 'W'}
 
 const weightsVersion = 1
 
-// Bytes serialises the weight set. The file's exact size is computed
-// first, so the encoding is one allocation written in one pass.
-func (ws *WeightSet) Bytes() ([]byte, error) {
+// Parts encodes the weight set as the pieces of its weights file, in order:
+// joined, they are the file Bytes returns. The headers and checksums are
+// slices of one small buffer sized up front, and each entry's values are the
+// byte view of its data (tensor.LEBytes), so the payload is neither copied
+// nor allocated. The parts alias the weight set's storage: they must not be
+// written, and they are only valid while the weights stay unchanged.
+func (ws *WeightSet) Parts() ([][]byte, error) {
 	entries := ws.Entries()
 	size := 12
 	for _, e := range entries {
@@ -136,13 +141,17 @@ func (ws *WeightSet) Bytes() ([]byte, error) {
 		if len(e.Dims) > math.MaxUint8 {
 			return nil, fmt.Errorf("condorir: entry %s/%s rank %d too large", e.Layer, e.Kind, len(e.Dims))
 		}
-		size += 2 + len(e.Layer) + 2 + 4*len(e.Dims) + 4 + 4*len(e.Data) + 4
+		size += 2 + len(e.Layer) + 2 + 4*len(e.Dims) + 4 + 4
 	}
 	le := binary.LittleEndian
 	b := make([]byte, 0, size)
 	b = append(b, weightsMagic[:]...)
 	b = le.AppendUint32(b, weightsVersion)
 	b = le.AppendUint32(b, uint32(len(entries)))
+	// Each header part runs from the previous entry's checksum (or the file
+	// header) to the end of this entry's header.
+	parts := make([][]byte, 0, 2*len(entries)+1)
+	start := 0
 	for _, e := range entries {
 		b = le.AppendUint16(b, uint16(len(e.Layer)))
 		b = append(b, e.Layer...)
@@ -151,22 +160,35 @@ func (ws *WeightSet) Bytes() ([]byte, error) {
 			b = le.AppendUint32(b, uint32(d))
 		}
 		b = le.AppendUint32(b, uint32(len(e.Data)))
-		data := len(b)
-		for _, v := range e.Data {
-			b = le.AppendUint32(b, math.Float32bits(v))
-		}
-		b = le.AppendUint32(b, crc32.ChecksumIEEE(b[data:]))
+		data := tensor.LEBytes(e.Data)
+		parts = append(parts, b[start:len(b):len(b)], data)
+		start = len(b)
+		b = le.AppendUint32(b, crc32.ChecksumIEEE(data))
 	}
-	return b, nil
+	return append(parts, b[start:]), nil
 }
 
-// Write serialises the weight set to w.
-func (ws *WeightSet) Write(w io.Writer) error {
-	b, err := ws.Bytes()
-	if err == nil {
-		_, err = w.Write(b)
+// Bytes serialises the weight set: its Parts joined into one buffer.
+func (ws *WeightSet) Bytes() ([]byte, error) {
+	parts, err := ws.Parts()
+	if err != nil {
+		return nil, err
 	}
-	return err
+	return bytes.Join(parts, nil), nil
+}
+
+// Write serialises the weight set to w, part by part.
+func (ws *WeightSet) Write(w io.Writer) error {
+	parts, err := ws.Parts()
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadWeights parses a Condor weights file read to its end from r.
@@ -234,9 +256,7 @@ func ParseWeights(b []byte) (*WeightSet, error) {
 			return nil, fmt.Errorf("condorir: weights entry %q: checksum mismatch (file corrupt)", name)
 		}
 		data := make([]float32, n)
-		for j := range data {
-			data[j] = math.Float32frombits(le.Uint32(raw[4*j:]))
-		}
+		copy(tensor.LEBytes(data), raw)
 		b = b[4*n+4:]
 		ws.PutRaw(name, EntryKind(kind), dims, data)
 	}

@@ -10,9 +10,7 @@
 package onnx
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"condor/internal/nn"
 	"condor/internal/proto"
@@ -325,21 +323,19 @@ func parseTensor(tm proto.Message) (*Tensor, error) {
 	if dt := tm.GetInt(tensorDataType, dataTypeFloat); dt != dataTypeFloat {
 		return nil, fmt.Errorf("onnx: tensor %q has unsupported data type %d (only float32)", t.Name, dt)
 	}
-	// float_data (packed floats) or raw_data (little-endian bytes).
+	// float_data (packed floats) or raw_data (the values' little-endian
+	// bytes, copied straight into their byte view).
 	t.Data, err = tm.GetFloats(tensorFloatData)
 	if err != nil {
 		return nil, err
 	}
 	if len(t.Data) == 0 {
 		if raw, ok := tm.GetString(tensorRawData); ok {
-			b := []byte(raw)
-			if len(b)%4 != 0 {
-				return nil, fmt.Errorf("onnx: tensor %q raw_data of %d bytes is not float32", t.Name, len(b))
+			if len(raw)%4 != 0 {
+				return nil, fmt.Errorf("onnx: tensor %q raw_data of %d bytes is not float32", t.Name, len(raw))
 			}
-			t.Data = make([]float32, len(b)/4)
-			for i := range t.Data {
-				t.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-			}
+			t.Data = make([]float32, len(raw)/4)
+			copy(tensor.LEBytes(t.Data), raw)
 		}
 	}
 	vol := 1

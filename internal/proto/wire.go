@@ -10,7 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
+
+	"condor/internal/tensor"
 )
 
 // WireType identifies the low-level encoding of a field on the wire.
@@ -205,14 +206,11 @@ func AppendFloatField(b []byte, num int, v float32) []byte {
 }
 
 // AppendPackedFloats appends a repeated float field in packed encoding, the
-// layout Caffe uses for BlobProto.data, encoded straight into b (grown once).
+// layout Caffe uses for BlobProto.data: the payload is the values'
+// little-endian bytes (tensor.LEBytes), appended in one copy.
 func AppendPackedFloats(b []byte, num int, vals []float32) []byte {
 	b = AppendVarint(AppendTag(b, num, WireBytes), uint64(4*len(vals)))
-	b = slices.Grow(b, 4*len(vals))
-	for _, v := range vals {
-		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
-	}
-	return b
+	return append(b, tensor.LEBytes(vals)...)
 }
 
 // --- Accessor helpers on decoded messages ---
@@ -308,7 +306,9 @@ func (m Message) GetMessage(num int) (Message, error) {
 
 // GetFloats gathers a repeated float field, accepting both the packed
 // (length-delimited) and unpacked (one fixed32 per occurrence) encodings
-// proto2 writers use, into one slice sized by a counting pass first.
+// proto2 writers use, into one slice sized by a counting pass first. A
+// packed run is the values' little-endian bytes, so it lands in one copy
+// into the result's byte view (tensor.LEBytes).
 func (m Message) GetFloats(num int) ([]float32, error) {
 	n := 0
 	for _, f := range m {
@@ -325,15 +325,15 @@ func (m Message) GetFloats(num int) ([]float32, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make([]float32, 0, n)
+	out := make([]float32, n)
+	i := 0
 	for _, f := range m {
 		switch {
 		case f.Num == num && f.Wire == WireFixed32:
-			out = append(out, math.Float32frombits(uint32(f.Uint)))
+			out[i] = math.Float32frombits(uint32(f.Uint))
+			i++
 		case f.Num == num && f.Wire == WireBytes:
-			for i := 0; i < len(f.Bytes); i += 4 {
-				out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(f.Bytes[i:])))
-			}
+			i += copy(tensor.LEBytes(out[i:]), f.Bytes) / 4
 		}
 	}
 	return out, nil
