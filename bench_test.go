@@ -10,6 +10,7 @@ package condor
 // in EXPERIMENTS.md; cmd/condor-bench prints them as text tables.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 
 	"condor/internal/aws"
 	"condor/internal/baseline"
+	"condor/internal/caffe"
 	"condor/internal/condorir"
 	"condor/internal/dataflow"
 	"condor/internal/models"
@@ -668,6 +670,61 @@ func BenchmarkToolflowLeNetF1(b *testing.B) {
 		if err := dep.Terminate(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWeightPath times, one hop at a time, what the toolflow op does
+// with LeNet's 1.72 MB of weights (DESIGN.md, "The weight path"): the
+// caffemodel decode, the CNDW encode DeployCloud uploads, the S3 PUT of it to
+// an in-process cloud and the ParseWeights decode every cloud inference
+// runs. MB/s is over each hop's input.
+func BenchmarkWeightPath(b *testing.B) {
+	in := toolflowInput(b)
+	trained, err := caffe.ParseCaffeModel(in.CaffeModel)
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := caffe.ParsePrototxt(in.Prototxt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo.MergeWeights(trained)
+	_, ws, err := condorir.FromCaffe(topo, in.Board, in.FrequencyMHz)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts, err := ws.Parts()
+	if err != nil {
+		b.Fatal(err)
+	}
+	file := bytes.Join(parts, nil)
+	srv := aws.NewServer(aws.Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Quiesce()
+	client := aws.NewClient(ts.URL, "")
+	if err := client.CreateBucket("condor-hops"); err != nil {
+		b.Fatal(err)
+	}
+	for _, hop := range []struct {
+		name  string
+		bytes int
+		run   func() error
+	}{
+		{"caffemodel-decode", len(in.CaffeModel), func() error { _, err := caffe.ParseCaffeModel(in.CaffeModel); return err }},
+		{"encode", len(file), func() error { _, err := ws.Parts(); return err }},
+		{"s3-put", len(file), func() error { return client.PutObject("condor-hops", "w.cndw", parts...) }},
+		{"parse-weights", len(file), func() error { _, err := condorir.ParseWeights(file); return err }},
+	} {
+		b.Run(hop.name, func(b *testing.B) {
+			b.SetBytes(int64(hop.bytes))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := hop.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -79,6 +79,40 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	}
 }
 
+// TestPutObjectPartsSurviveRetries: a body of several parts goes up as the
+// parts joined, also when transient failures make the client resend it —
+// reading a net.Buffers consumes it, so each attempt needs a fresh one.
+func TestPutObjectPartsSurviveRetries(t *testing.T) {
+	srv, c := newTestCloud(t)
+	if err := c.CreateBucket("parts-bucket"); err != nil {
+		t.Fatal(err)
+	}
+	parts := [][]byte{[]byte("CNDW"), nil, bytes.Repeat([]byte{7}, 70000), []byte("tail")}
+	srv.FailNextN(2)
+	if err := c.PutObject("parts-bucket", "k", parts...); err != nil {
+		t.Fatal(err)
+	}
+	if r := c.Stats().Retries; r != 2 {
+		t.Fatalf("%d retries, want 2", r)
+	}
+	got, err := c.GetObject("parts-bucket", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := bytes.Join(parts, nil); !bytes.Equal(got, want) {
+		t.Fatalf("stored %d bytes, want the %d bytes of the joined parts", len(got), len(want))
+	}
+	if string(parts[0]) != "CNDW" || len(parts[2]) != 70000 {
+		t.Fatal("sending the body changed the caller's parts")
+	}
+	if err := c.PutObject("parts-bucket", "empty"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.GetObject("parts-bucket", "empty"); err != nil || len(got) != 0 {
+		t.Fatalf("an object of no parts reads back as %d bytes, %v", len(got), err)
+	}
+}
+
 func TestClientGivesUpAfterMaxRetries(t *testing.T) {
 	srv, c := newTestCloud(t)
 	c.MaxRetries = 1
