@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet cross condorlint staticcheck govulncheck lint test race race-serve race-lifecycle race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench bench-fabric bench-algo bench-check profile-fabric ci
+.PHONY: all build loc vet cross condorlint staticcheck govulncheck lint test race race-serve race-lifecycle race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench profile-fabric ci
 
 all: build lint test
 
@@ -160,43 +160,6 @@ smoke-fleet:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-fabric runs the streaming-datapath microbenchmarks (including the
-# compute-unit replication legs) across both fabric numeric formats and
-# writes the machine-readable results CI uploads as an artifact. The
-# /dtype=int8 legs exercise the packed 4-lane datapath; benchdiff derives
-# and gates the int8-over-float32 speedup ratio from the paired rows.
-bench-fabric:
-	$(GO) run ./cmd/condor-bench -json BENCH_fabric.json -cus 1,2 -dtype float32,int8
-
-# bench-algo times the host kernels behind the per-layer convolution
-# algorithms (direct and Winograd F(2,3); im2col_gemm runs the direct kernel
-# on both datapaths, so it has no leg) on the two LeNet-class single-conv
-# workloads, per dtype. The same legs ride bench-fabric's JSON, where
-# benchdiff gates the derived winograd_speedup_x rows.
-bench-algo:
-	$(GO) test -run '^$$' -bench 'BenchmarkFabricThroughput/conv' -benchtime 20x .
-
-# bench-check is the throughput-regression gate: regenerate the fabric
-# microbenchmarks and diff them against the committed baseline, failing on a
-# >25% drop — then the tighter utilization gate diffs only the derived
-# pipeline_efficiency rows (measured batch=8/batch=1 speedup over the
-# modeled host steady-state speedup), failing on a >10% drop. Refresh the
-# baseline with
-# `go run ./cmd/condor-bench -json BENCH_baseline.json -cus 1,2 -dtype float32,int8`
-# on a quiet machine (the -cus/-dtype legs must match the baseline's rows, or
-# the gate errors on the missing benchmark). The third gate diffs a ratio
-# whose denominator is the algo=direct leg, so it can fire on an improvement
-# to direct with no change to the Winograd path: PR 21 (int8) and PR 24
-# (float32) each made direct faster and regenerated the baseline for that
-# reason, not because anything slowed. Since PR 24 both datapaths run one
-# host kernel for direct and im2col_gemm — a gemm_speedup_x row would read
-# ≈ 1.0 by construction — so the sweeps carry no gemm leg and the gate is
-# winograd_speedup_x alone.
-bench-check: bench-fabric
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -max-regression 0.25
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only pipeline_efficiency -max-regression 0.10
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -current BENCH_fabric.json -only winograd_speedup_x -max-regression 0.25
-
 # profile-fabric captures a CPU profile of a warm LeNet session in the shape
 # of the benchmark's fabric-lenet-f32 workload (BenchmarkLeNetSession/float32;
 # PROFILE_LEG=int8 profiles fabric-lenet-int8-gemm's shape instead); inspect
@@ -210,4 +173,6 @@ profile-fabric:
 # ci is the full gate the workflow runs: build, the cross-architecture
 # build, both linters, the race detector over the test suite, the repeated
 # lifecycle, fleet and serve runs, the nested benchmark module and the parser fuzz smoke.
+# None of it is timed: speed is compared by benchmark/run.sh's paired runs,
+# and the paper's tables and the model and kernel digests are exact goldens.
 ci: build cross lint race race-lifecycle fleet-repeat serve-repeat benchmark-module fuzz-smoke

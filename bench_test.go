@@ -434,8 +434,8 @@ func benchPoolRun(b *testing.B, pool *dataflow.CUPool, batch []*tensor.Tensor) {
 // algorithms on two LeNet-class single-conv workloads: conv5 (a 5×5 layer in
 // LeNet-conv2's class) and conv3 (a 3×3/stride-1 layer where Winograd F(2,3)
 // also qualifies). im2col_gemm has no leg: on both datapaths it runs the
-// direct kernel, the algorithm being a model decision. benchdiff derives
-// winograd_speedup_x from the conv3 legs and gates it.
+// direct kernel, the algorithm being a model decision. The conv3 legs'
+// Winograd-over-direct ratio is the host-side view of that algorithm's win.
 func benchAlgoLegs(b *testing.B) {
 	cases := []struct {
 		name  string
@@ -509,7 +509,7 @@ func algoBenchFabric(b *testing.B, input condorir.InputShape, layer condorir.Lay
 // fabric: batch=1 drains between images (one Run per image, today's
 // image-at-a-time deployment) while batch=8 streams all eight back-to-back
 // through a resident session at the pipeline's steady-state initiation
-// interval — the continuous-streaming speedup CI's utilization gate tracks.
+// interval — the continuous-streaming speedup of a resident session.
 func benchStreamingLegs(b *testing.B, dep *dataflow.Accelerator, suffix string) {
 	stream := models.USPSImages(8, 5)
 	b.Run("batch=1"+suffix, func(b *testing.B) {

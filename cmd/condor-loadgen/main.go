@@ -9,8 +9,7 @@
 //	condor-loadgen -target http://127.0.0.1:8790 -rate 200 -duration 10s \
 //	    -deadline-ms 100 -high-frac 0.25
 //
-// Sweep offered load to trace the goodput curve, appending JSON for
-// benchdiff:
+// Sweep offered load to trace the goodput curve, one JSON report per rate:
 //
 //	condor-loadgen -target http://127.0.0.1:8790 -rates 50,100,200,400 \
 //	    -duration 5s -json sweep.json

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// ReportKind tags loadgen JSON so consumers (benchdiff, CI gates) can detect
-// the shape without schema negotiation.
+// ReportKind tags loadgen JSON so consumers (CI's smoke step, scripts) can
+// detect the shape without schema negotiation.
 const ReportKind = "condor-loadgen"
 
 // SweepKind tags a multi-rate sweep: several Reports in one envelope.

@@ -62,6 +62,27 @@ func TestSimulationMatchesClosedForm(t *testing.T) {
 	}
 }
 
+// The fill-plus-initiation-interval bound L + (b-1)·II equals the
+// simulation when the bottleneck is the first stage (no interior skew) and
+// lower-bounds it in general.
+func TestSteadyStateBoundVsSimulation(t *testing.T) {
+	fillPlusII := func(stages []Stage, b int) int64 {
+		return Latency(stages) + int64(b-1)*Bottleneck(stages)
+	}
+	front := []Stage{{Cycles: 50}, {Cycles: 5}, {Cycles: 5}}
+	for _, b := range []int{1, 2, 8, 33} {
+		if bound, sim := fillPlusII(front, b), SimulateBatch(front, b); bound != sim {
+			t.Fatalf("front-bottleneck batch %d: bound %d != sim %d", b, bound, sim)
+		}
+	}
+	interior := []Stage{{Cycles: 7}, {Cycles: 50}, {Cycles: 13}, {Cycles: 29}}
+	for _, b := range []int{1, 2, 8, 33} {
+		if bound, sim := fillPlusII(interior, b), SimulateBatch(interior, b); bound > sim {
+			t.Fatalf("batch %d: bound %d exceeds simulation %d", b, bound, sim)
+		}
+	}
+}
+
 func TestBatchCurveDecreasingAndConverging(t *testing.T) {
 	stages := []Stage{{Cycles: 20}, {Cycles: 40}, {Cycles: 30}, {Cycles: 40}}
 	batches := []int{1, 2, 4, 8, 16, 32, 64}
