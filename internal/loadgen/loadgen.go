@@ -138,8 +138,13 @@ func (g *generator) run(ctx context.Context) (*Report, error) {
 	defer timer.Stop()
 	<-timer.C
 
+	// Arrivals follow an absolute schedule: each gap is added to the previous
+	// arrival's planned time, not to when its timer fired, so wake-up latency
+	// under CPU load does not pile up into a lower offered rate. A generator
+	// that falls behind fires at once until it has caught up.
+	next := start
 arrivals:
-	for time.Now().Before(end) {
+	for next.Before(end) {
 		if ctx.Err() != nil {
 			break
 		}
@@ -151,7 +156,8 @@ arrivals:
 			g.record(g.fire(ctx, hi))
 		}(high)
 
-		timer.Reset(g.gap())
+		next = next.Add(g.gap())
+		timer.Reset(time.Until(next))
 		select {
 		case <-ctx.Done():
 			break arrivals

@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"math"
+	"testing"
+	"time"
+)
 
 // hookedElement mirrors how the fabric holds its tracing hook: a Tracer
 // interface field that is nil when tracing is off, checked at every hook
@@ -60,19 +64,29 @@ func TestDisabledTracerOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
 	}
-	const budgetNs = 5.0
-	var best float64
-	// Take the best of three runs: the gate bounds the code path's cost,
-	// not the scheduler's worst case.
-	for run := 0; run < 3; run++ {
-		res := testing.Benchmark(BenchmarkTracerDisabled)
-		ns := float64(res.T.Nanoseconds()) / float64(res.N)
-		if run == 0 || ns < best {
+	const (
+		budgetNs = 5.0
+		// Each window times calls hooks, a fraction of a millisecond: short
+		// enough that some windows run without being preempted even while
+		// other test binaries share the CPUs. The gate takes the fastest
+		// window, because it bounds the code path's cost, not the
+		// scheduler's worst case.
+		calls   = 1 << 16
+		windows = 1000
+	)
+	h := &hookedElement{}
+	best := math.Inf(1)
+	for w := 0; w < windows; w++ {
+		start := time.Now()
+		for i := 0; i < calls; i++ {
+			h.step("layer", 100)
+		}
+		if ns := float64(time.Since(start).Nanoseconds()) / calls; ns < best {
 			best = ns
 		}
-		if best <= budgetNs {
-			break
-		}
+	}
+	if h.cycles != 100*calls*windows {
+		t.Fatalf("hook ran %d cycles, want %d", h.cycles, 100*calls*windows)
 	}
 	if best > budgetNs {
 		t.Errorf("disabled tracer hook costs %.2f ns/op, budget %v ns/op", best, budgetNs)
