@@ -103,7 +103,9 @@ benchmark-module:
 # fuzz-smoke runs each fuzz target for 10 s: the weights-file, container and
 # protobuf wire parsers must turn any byte string into a value or an error,
 # never a panic, and allocate at most a small multiple of its length; the packed-frame
-# decode must turn any words into a frame or a short count, never a panic. `go test -fuzz` takes
+# decode must turn any words into a frame or a short count, never a panic; the AVX2
+# requantizer must give quant.QuantizeInto's code for any float32 bits and scale
+# (it skips on a CPU without AVX2). `go test -fuzz` takes
 # one target per run, hence one line each. Minimizing a new-coverage input
 # grown from a multi-kilobyte seed defaults to 60 s, which would eat the
 # whole budget (≈ 10 execs instead of ≈ 100 k); 1 s keeps the smoke fuzzing.
@@ -112,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProtoDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedFrame$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
+	$(GO) test -run '^$$' -fuzz '^FuzzQuantizeAVX2$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
 # stream-stress is the continuous-streaming fabric gate CI runs: the frame
 # protocol unit tests, the epoch-framing equivalence sweep and the

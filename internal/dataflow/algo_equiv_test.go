@@ -127,7 +127,7 @@ func TestAlgoEquivalenceTC1(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.USPSImages(4, 7)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			for _, cus := range []int{1, 2} {
 				p := condorir.Parallelism{In: par, Out: par}
@@ -148,7 +148,7 @@ func TestAlgoEquivalenceLeNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(2, 11)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, cus := range []int{1, 2} {
 			p := condorir.Parallelism{In: 2, Out: 2}
 			t.Run(fmt.Sprintf("gemm/cus=%d", cus), func(t *testing.T) {
@@ -174,7 +174,7 @@ func winogradNet(t testing.TB) (*condorir.Network, *condorir.WeightSet, *nn.Netw
 func TestWinogradEquivalence(t *testing.T) {
 	ir, ws, net := winogradNet(t)
 	batch := randomImages(4, net.Input, 41)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, par := range []int{1, 2} {
 			for _, cus := range []int{1, 2} {
 				t.Run(fmt.Sprintf("par=%d/cus=%d", par, cus), func(t *testing.T) {
@@ -223,7 +223,7 @@ func TestWinogradEquivalence(t *testing.T) {
 func TestWinogradEquivalenceInt8(t *testing.T) {
 	ir, ws, net := winogradNet(t)
 	batch := randomImages(4, net.Input, 42)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		runQuantAlgoCase(t, ir, ws, batch, AlgoWinograd, condorir.Parallelism{In: 2, Out: 2}, 2)
 	})
 }

@@ -48,6 +48,22 @@ func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, acc 
 //go:noescape
 func fcDot4I8(in *int8, blocks int, w0, w1, w2, w3 *int8, acc *[4][convLanes]int32)
 
+// deqStore4 dequantizes 4·blocks int32 conv sums at acc into dst as
+// float32(float64(a)·deq + bias), clamps them at zero when relu is set, and
+// returns the running magnitude maximum m (float32 bits, sign cleared)
+// folded with theirs, a NaN skipped: deqStoreGo's results, bit for bit.
+// Unchecked loads and stores: acc and dst must hold 4·blocks elements.
+//
+//go:noescape
+func deqStore4(acc *int32, blocks int, dst *float32, deq, bias float64, relu bool, m uint32) uint32
+
+// quantize8 writes the int8 codes of 8·blocks float32 values at src to dst
+// with the reciprocal scale inv: quant.QuantizeInto's codes, bit for bit.
+// Unchecked loads and stores: src and dst must hold 8·blocks elements.
+//
+//go:noescape
+func quantize8(dst *int8, src *float32, blocks int, inv float64)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 

@@ -383,6 +383,131 @@ storefc:
 	VZEROUPPER
 	RET
 
+// func deqStore4(acc *int32, blocks int, dst *float32, deq, bias float64, relu bool, m uint32) uint32
+//
+// The int8 conv store, four sums per step: each int32 sum is widened
+// exactly (VCVTDQ2PD), multiplied by deq (VMULPD) and biased (VADDPD) in
+// float64, then rounded to nearest float32 (VCVTPD2PS under the default
+// MXCSR): float32(float64(a)·deq + bias), the Go store's two roundings and
+// its conversion. With relu the value is VMAXPS's second source and zero
+// its first, so a lane is 0 > v ? 0 : v — Go's `if v < 0`, which keeps −0
+// and a NaN. The stored values' magnitude bits (sign cleared) fold into the
+// running maximum, which starts at m, as unsigned integers; a NaN lane
+// (magnitude above +Inf's bits) is masked to zero first, so it never wins.
+TEXT ·deqStore4(SB), NOSPLIT, $0-52
+	MOVQ acc+0(FP), SI
+	MOVQ blocks+8(FP), CX
+	MOVQ dst+16(FP), DI
+	VBROADCASTSD deq+24(FP), Y15
+	VBROADCASTSD bias+32(FP), Y14
+	MOVBLZX relu+40(FP), AX
+	MOVL m+44(FP), DX
+	VMOVD DX, X13
+	VPBROADCASTD X13, X13
+	MOVL $0x7fffffff, DX   // magnitude mask
+	VMOVD DX, X12
+	VPBROADCASTD X12, X12
+	MOVL $0x7f800000, DX   // +Inf
+	VMOVD DX, X11
+	VPBROADCASTD X11, X11
+	VXORPS X10, X10, X10
+	TESTQ CX, CX
+	JLE deqmax
+
+deqloop:
+	VCVTDQ2PD (SI), Y0
+	VMULPD Y15, Y0, Y0
+	VADDPD Y14, Y0, Y0
+	VCVTPD2PSY Y0, X0
+	TESTB AL, AL
+	JZ deqstore
+	VMAXPS X0, X10, X0
+
+deqstore:
+	VMOVUPS X0, (DI)
+	VPAND X12, X0, X1
+	VPCMPGTD X11, X1, X2   // NaN lanes
+	VPANDN X1, X2, X1
+	VPMAXUD X1, X13, X13
+	ADDQ $16, SI
+	ADDQ $16, DI
+	DECQ CX
+	JNZ deqloop
+
+deqmax:
+	VPSHUFD $0x4E, X13, X1
+	VPMAXUD X1, X13, X13
+	VPSHUFD $0xB1, X13, X1
+	VPMAXUD X1, X13, X13
+	VMOVD X13, AX
+	MOVL AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func quantize8(dst *int8, src *float32, blocks int, inv float64)
+//
+// quant.QuantizeInto's rounding, eight values per step: each float32 is
+// widened exactly (VCVTPS2PD) and multiplied by inv (VMULPD), as Go's
+// float64(v)·inv. The product is clamped to ±126.5 with VMINPD and VMAXPD,
+// the product being their second source so that a NaN passes through as
+// Go's comparisons let it; above 126.5 (or below −126.5) the clamp lands
+// exactly on ±127 after rounding, as Go's clamp branches do. Then
+// copysign(0.5, f) is added (the sign bit of f OR 0.5) and VCVTTPD2DQ
+// truncates to int32, and VPSHUFB keeps each int32's low byte, as Go's
+// int8(int32(·)) does: a NaN converts to 0x80000000, whose low byte is 0
+// (a saturating pack would make it −128).
+TEXT ·quantize8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ blocks+16(FP), CX
+	VBROADCASTSD inv+24(FP), Y15
+	MOVQ $0x405FA00000000000, AX   // 126.5
+	VMOVQ AX, X14
+	VBROADCASTSD X14, Y14
+	MOVQ $0xC05FA00000000000, AX   // −126.5
+	VMOVQ AX, X13
+	VBROADCASTSD X13, Y13
+	MOVQ $0x8000000000000000, AX   // sign bit
+	VMOVQ AX, X12
+	VBROADCASTSD X12, Y12
+	MOVQ $0x3FE0000000000000, AX   // 0.5
+	VMOVQ AX, X11
+	VBROADCASTSD X11, Y11
+	MOVL $0x0C080400, AX           // low byte of each int32 lane
+	VMOVD AX, X10
+	TESTQ CX, CX
+	JLE qdone
+
+qloop:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	VMULPD Y15, Y0, Y0
+	VMULPD Y15, Y1, Y1
+	VMINPD Y0, Y14, Y0
+	VMINPD Y1, Y14, Y1
+	VMAXPD Y0, Y13, Y0
+	VMAXPD Y1, Y13, Y1
+	VANDPD Y12, Y0, Y2
+	VANDPD Y12, Y1, Y3
+	VORPD Y11, Y2, Y2
+	VORPD Y11, Y3, Y3
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	VCVTTPD2DQY Y0, X0
+	VCVTTPD2DQY Y1, X1
+	VPSHUFB X10, X0, X0
+	VPSHUFB X10, X1, X1
+	VPUNPCKLDQ X1, X0, X0
+	VMOVQ X0, (DI)
+	ADDQ $32, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ qloop
+
+qdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

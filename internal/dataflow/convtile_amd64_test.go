@@ -278,7 +278,7 @@ func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
 		t.Skip("CPU without AVX2: every FC layer runs the Go kernel")
 	}
 	rng := rand.New(rand.NewSource(28))
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, v := range []int{1, 15, 16, 17, 31, 800} {
 			for _, neurons := range []int{1, 3, 5, 7, 9, 13} {
 				tc := int8KernelCase{l: fcLayerHW(v, neurons), scale: 1,
@@ -342,7 +342,7 @@ func TestFCRows8MatchesGoFCBand(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(29))
 	var neuronsRun, fusedDiffer int
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, v := range []int{1, 7, 8, 9, 15, 16, 17, 800} {
 			for neurons := 1; neurons <= 17; neurons++ {
 				in := make([]float32, v)

@@ -30,3 +30,11 @@ func convTile8I8(*int8, *int32, int, *uint32, *uint32, *uint32, *uint32, *[4][co
 func fcDot4I8(*int8, int, *int8, *int8, *int8, *int8, *[4][convLanes]int32) {
 	panic("dataflow: fcDot4I8 called without AVX2")
 }
+
+func deqStore4(*int32, int, *float32, float64, float64, bool, uint32) uint32 {
+	panic("dataflow: deqStore4 called without AVX2")
+}
+
+func quantize8(*int8, *float32, int, float64) {
+	panic("dataflow: quantize8 called without AVX2")
+}

@@ -20,7 +20,7 @@ func TestCUPoolSmallBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := condorir.Parallelism{In: 2, Out: 2}
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, tc := range []struct{ batch, cus int }{
 			{2, 4}, // fewer images than units
 			{1, 3}, // batch of one

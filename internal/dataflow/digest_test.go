@@ -42,8 +42,8 @@ func TestKernelDigest(t *testing.T) {
 		// and round once where amd64 rounds twice.
 		t.Skip("the kernel digest is recorded on amd64")
 	}
-	// Enough procs that every Par.Out band runs on a worker of its own.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// Enough procs that every PE's bands run on helpers (withHelpers).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(dataflow.HelperProcs))
 
 	lines := kernelDigest(t)
 	if *updateDigest {

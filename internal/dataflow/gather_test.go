@@ -99,7 +99,7 @@ var gatherCases = []gatherCase{
 }
 
 func TestGatherEquivalenceSweep(t *testing.T) {
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for ci, tc := range gatherCases {
 			ir, ws, net := buildIR(t, tc.name, tc.input, tc.layers, int64(100+ci))
 			batch := randomImages(2, net.Input, int64(200+ci))
@@ -188,7 +188,7 @@ func TestWarmSessionSpawnsNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(2, 5)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, tc := range []struct {
 			name   string
 			par    int

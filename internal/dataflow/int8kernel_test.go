@@ -155,7 +155,7 @@ func fcLayerHW(vol, neurons int) LayerHW {
 // pad 0–2 over input widths that leave output rows of every length modulo
 // the four-position tile, with odd input- and output-channel counts.
 func TestInt8ConvKernelMatchesReference(t *testing.T) {
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		for k := 1; k <= 5; k++ {
 			for stride := 1; stride <= 3; stride++ {
@@ -183,7 +183,7 @@ func TestInt8ConvKernelMatchesReference(t *testing.T) {
 // four-neuron tile and of two tiles, odd counts (a last quad that repeats its
 // neuron) and bands that start inside a quad their neighbour began.
 func TestInt8FCKernelMatchesReference(t *testing.T) {
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
 		for _, neurons := range []int{1, 2, 3, 7, 8, 9, 17, 21} {
 			for _, vol := range []int{1, 9, 50} {
@@ -439,7 +439,7 @@ func TestInt8DirectAndGEMMIdentical(t *testing.T) {
 		}
 		return outs, stats
 	}
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, par := range []int{1, 3} {
 			dOut, dStats := run(AlgoDirect, par)
 			gOut, gStats := run(AlgoGEMM, par)

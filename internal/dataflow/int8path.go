@@ -180,6 +180,7 @@ type peLayerInt8 struct {
 	*layerState
 	q     int8LayerWeights
 	tile8 bool    // the FC layer runs on fcDot4I8
+	deq4  bool    // the conv layer's store runs on deqStore4: AVX2, and no activation or ReLU
 	taps2 []int32 // a conv layer's tap table padded to whole pairs (pairTaps)
 }
 
@@ -208,6 +209,7 @@ func (x *peExecInt8) prepare() error {
 			st.q = quantizeLayerWeights(l, st.w)
 		}
 		st.tile8 = haveAVX2 && l.Kind == nn.FullyConnected
+		st.deq4 = haveAVX2 && (l.Activation == NoActivation || l.Activation == nn.ReLU)
 		st.taps2 = pairTaps(st.taps)
 	}
 	x.curFrame = make([]fifo.Word, 1+fifo.PackedWords(sz.vol+poolSlack))
@@ -263,8 +265,22 @@ func (x *peExecInt8) pushFrame() { pushInt8Frame(x.out, x.nxtFrame, len(x.pass.o
 // per-tensor scale and land in the output codes.
 func (x *peExecInt8) requantize(fb []float32) float64 {
 	outScale := frameScale(fb)
-	quant.QuantizeInto(x.pass.out, fb, outScale)
+	quantizeCodes(x.pass.out, fb, outScale)
 	return outScale
+}
+
+// quantizeCodes is quant.QuantizeInto — the reference, and the path off
+// AVX2 — with its whole blocks of eight on the AVX2 requantizer (quantize8)
+// where the CPU has one. The feeder, runConv and requantize use it.
+func quantizeCodes(dst []int8, src []float32, scale float64) {
+	_ = dst[:len(src)]
+	n := 0
+	if haveAVX2 && scale != 0 {
+		if n = len(src) &^ 7; n > 0 {
+			quantize8(&dst[0], &src[0], n/8, 1/scale)
+		}
+	}
+	quant.QuantizeInto(dst[n:], src[n:], scale)
 }
 
 // runConv is the quantized convolutional PE, direct and im2col_gemm alike:
@@ -282,7 +298,7 @@ func (x *peExecInt8) runConv() float64 {
 	x.conv.set(l, stackPlanes(x.stack, l, p.cur), q.w, p.st.taps, q.tapPairs, p.st.taps2, len(p.st.taps2)/2)
 	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
 	outScale := float64(float32(quant.MaxAbsScale(float64(math.Float32frombits(slices.Max(chanMax))), quant.Int8))) // rounded as frameScale does
-	quant.QuantizeInto(p.out, x.floatBuf[:len(p.out)], outScale)
+	quantizeCodes(p.out, x.floatBuf[:len(p.out)], outScale)
 	return outScale
 }
 
@@ -305,22 +321,42 @@ func (x *peExecInt8) store4(fi, pos, n int, acc [convPosTile]int32) { x.convStor
 // channel, into channel fi's float plane from pos on, and folds their
 // magnitudes into the channel's maximum with tensorScale's comparison (a NaN
 // is skipped). One band owns each channel, and a recomputed tile stores equal
-// values again, so the maximum is the scan's.
+// values again, so the maximum is the scan's. Whole blocks of four run on
+// deqStore4 where the layer admits it (peLayerInt8.deq4), the rest on
+// deqStoreGo.
 func (x *peExecInt8) convStore(fi, pos int, acc []int32) {
-	l, bias := x.pass.l, float64(biasAt(x.pass.st.b, fi))
-	deq := x.pass.st.q.wScale * x.pass.inScale
+	p := &x.pass
+	l, bias := p.l, float64(biasAt(p.st.b, fi))
+	deq := p.st.q.wScale * p.inScale
 	fb := x.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:len(acc)]
+	m, n := x.chanMax[fi], 0
+	if p.st.deq4 {
+		if n = len(acc) &^ 3; n > 0 {
+			m = deqStore4(&acc[0], n/4, &fb[0], deq, bias, l.Activation == nn.ReLU, m)
+		}
+	}
+	if n < len(acc) {
+		m = deqStoreGo(fb[n:], acc[n:], deq, bias, l.Activation, m)
+	}
+	x.chanMax[fi] = m
+}
+
+// deqStoreGo is the conv store's float stage in Go, the reference for
+// deqStore4: fb[i] = float32(float64(acc[i])·deq + bias), activated, and the
+// running magnitude maximum m (float32 bits, sign cleared) folded with the
+// stored values', a NaN skipped.
+func deqStoreGo(fb []float32, acc []int32, deq, bias float64, act nn.Kind, m uint32) uint32 {
+	fb = fb[:len(acc)]
 	for i, a := range acc {
 		fb[i] = float32(float64(a)*deq + bias)
 	}
-	activateInPlace(l.Activation, fb)
-	m := x.chanMax[fi]
+	activateInPlace(act, fb)
 	for _, v := range fb {
 		if a := math.Float32bits(v) &^ (1 << 31); a <= 0x7f800000 { // |v|, whose bits order as the magnitudes do, unless a NaN
 			m = max(m, a)
 		}
 	}
-	x.chanMax[fi] = m
+	return m
 }
 
 // runPool is the quantized sub-sampling PE. Max pooling runs on the codes —

@@ -109,7 +109,7 @@ func TestQuantEquivalenceTC1(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.USPSImages(4, 7)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, in := range []int{1, 2, 4} {
 			for _, out := range []int{1, 2, 4} {
 				for _, cus := range []int{1, 2, 4} {
@@ -129,7 +129,7 @@ func TestQuantEquivalenceLeNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(3, 11)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, p := range []int{1, 2, 4} {
 			name := fmt.Sprintf("in=%d/out=%d/cus=%d", p, p, p)
 			t.Run(name, func(t *testing.T) {

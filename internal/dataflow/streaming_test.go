@@ -129,7 +129,7 @@ func TestStreamingEquivalenceTC1(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.USPSImages(6, 7)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, dtype := range []string{"float32", "int8"} {
 			for _, in := range []int{1, 2, 4} {
 				for _, out := range []int{1, 2, 4} {
@@ -151,7 +151,7 @@ func TestStreamingEquivalenceLeNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(4, 11)
-	withProcs(t, 4, func(t *testing.T) {
+	withHelpers(t, func(t *testing.T) {
 		for _, dtype := range []string{"float32", "int8"} {
 			for _, p := range []int{1, 2, 4} {
 				name := fmt.Sprintf("dtype=%s/in=%d/out=%d/cus=%d", dtype, p, p, p)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"condor/internal/models"
 	"condor/internal/obs"
@@ -137,6 +138,68 @@ func TestRunStatsPublish(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %s:\n%s", want, text)
+		}
+	}
+}
+
+// TestLayerSpansExcludeBackpressure holds the sink: the collector sleeps
+// before it retires each image, and the stream depth is squeezed below the
+// output frame, so the last PE's push blocks until the collector wakes and
+// the stall backs up through every PE. A layer span brackets the layer's
+// own work — a PE's waits for its input (popFrame) and for room downstream
+// (pushFrame) both fall outside every span — so no PE's spans may add up to
+// even one hold, while the session as a whole takes one hold per image.
+func TestLayerSpansExcludeBackpressure(t *testing.T) {
+	ir, ws, err := models.TC1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := BuildSpec(ir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.InterPEFIFODepth = 4
+	if out := spec.OutputShape().Volume(); out <= spec.InterPEFIFODepth {
+		t.Fatalf("output frame of %d words fits the %d-word sink: the push would not block", out, spec.InterPEFIFODepth)
+	}
+	acc, err := Instantiate(spec, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	acc.SetTracer(tr)
+	const hold = 50 * time.Millisecond
+	batch := models.USPSImages(4, 5)
+	s := acc.OpenSession()
+	s.testExpectEpoch = func(_ int, epoch uint16) uint16 {
+		time.Sleep(hold)
+		return epoch
+	}
+	start := time.Now()
+	_, stats, err := s.RunBatch(batch)
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < time.Duration(len(batch))*hold {
+		t.Fatalf("the batch took %v, less than its %d holds: the sink was not held", took, len(batch))
+	}
+	for _, pe := range stats.PEs {
+		var wall time.Duration
+		for _, tk := range tr.Tracks() {
+			if tk.Name() == pe.ID {
+				for _, sp := range tk.Spans() {
+					wall += sp.End.Sub(sp.Start)
+				}
+			}
+		}
+		if wall >= hold {
+			t.Errorf("PE %s: layer spans add up to %v over %d images, at least one %v hold of the sink", pe.ID, wall, len(batch), hold)
+		}
+		if got := tr.TrackCycles(pe.ID); got != pe.Cycles {
+			t.Errorf("PE %s: span cycles %d != RunStats cycles %d", pe.ID, got, pe.Cycles)
 		}
 	}
 }
