@@ -103,7 +103,9 @@ benchmark-module:
 # fuzz-smoke runs each fuzz target for 10 s: the weights-file, container and
 # protobuf wire parsers must turn any byte string into a value or an error,
 # never a panic, and allocate at most a small multiple of its length; the packed-frame
-# decode must turn any words into a frame or a short count, never a panic; the AVX2
+# decode must turn any words into a frame or a short count, never a panic; a
+# two-sided burst schedule built from the fuzz bytes must move the words and book
+# the totals a word-at-a-time reference FIFO does; the AVX2
 # requantizer must give quant.QuantizeInto's code for any float32 bits and scale
 # (it skips on a CPU without AVX2). `go test -fuzz` takes
 # one target per run, hence one line each. Minimizing a new-coverage input
@@ -114,15 +116,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProtoDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedFrame$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
+	$(GO) test -run '^$$' -fuzz '^FuzzFIFOHandOff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantizeAVX2$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
 # stream-stress is the continuous-streaming fabric gate CI runs: the frame
-# protocol unit tests, the epoch-framing equivalence sweep and the
+# protocol unit tests, the burst rendezvous tests (pending burst, waiting
+# buffer, lane snapshots), the epoch-framing equivalence sweep and the
 # two-epochs-in-flight saturation test under the race detector, plus the
 # CND024 static check — an undersized stream FIFO depth must pass the plain
 # lint and fail the -batch lint.
 stream-stress:
-	$(GO) test -race -run 'TestFrame|TestEpoch|TestMarkEpoch|TestResetStats' ./internal/fifo/
+	$(GO) test -race -run 'TestFrame|TestEpoch|TestMarkEpoch|TestResetStats|TestHandOff|TestPackedLaneSnapshots' ./internal/fifo/
 	$(GO) test -race -run 'TestStreaming' -timeout 20m ./internal/dataflow/
 	@if $(GO) run ./cmd/condor lint -model tc1 -batch -fifo-depth 2 >/dev/null 2>&1; then \
 		echo "undersized streaming FIFO depth passed -batch lint"; exit 1; fi

@@ -4,10 +4,12 @@ package dataflow
 // float32 tile in AVX2 (convtile_amd64.s): win points at the first window's
 // top-left word in channel 0's plane, the other seven windows start at the
 // words after it, taps are the layer's n gather offsets and w0–w3 the four
-// channels' weight rows. The loads are unchecked; convTile8OK is their guard.
+// channels' weight rows. It stores chain + bias of channel j (bias bj) to the
+// convLanes words at oj. The loads and stores are unchecked; convTile8OK
+// guards the loads.
 //
 //go:noescape
-func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, acc *[4][convLanes]float32)
+func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, o0, o1, o2, o3 *float32, b0, b1, b2, b3 float32)
 
 // fcRows8 adds the first 8·blocks products of eight consecutive FC neurons'
 // row-major weight rows (w is neuron 0's row, the others follow v words

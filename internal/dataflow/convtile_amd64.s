@@ -1,14 +1,16 @@
 #include "textflag.h"
 
-// func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, acc *[4][8]float32)
+// func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, o0, o1, o2, o3 *float32, b0, b1, b2, b3 float32)
 //
 // Four output channels × eight consecutive output positions. Per tap t the
 // eight window words at win[taps[t]:] are loaded once, each channel's weight
 // is broadcast, and the products are rounded (VMULPS) before they are added
 // (VADDPS): every lane is one cell's chain from +0, in tap order, with the
 // oracle's two roundings per MAC. A fused multiply-add would round once and
-// break bit-identity, so none is used.
-TEXT ·convTile8(SB), NOSPLIT, $0-64
+// break bit-identity, so none is used. Each finished chain then gets its
+// channel's bias added (chain + bias, as the Go store adds it) and the eight
+// cells are stored at the channel's output row.
+TEXT ·convTile8(SB), NOSPLIT, $0-104
 	MOVQ win+0(FP), SI
 	MOVQ taps+8(FP), DI
 	MOVQ n+16(FP), CX
@@ -16,7 +18,6 @@ TEXT ·convTile8(SB), NOSPLIT, $0-64
 	MOVQ w1+32(FP), R9
 	MOVQ w2+40(FP), R10
 	MOVQ w3+48(FP), R11
-	MOVQ acc+56(FP), DX
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -45,10 +46,22 @@ loop:
 	JLT loop
 
 store:
-	VMOVUPS Y0, (DX)
-	VMOVUPS Y1, 32(DX)
-	VMOVUPS Y2, 64(DX)
-	VMOVUPS Y3, 96(DX)
+	VBROADCASTSS b0+88(FP), Y4
+	VBROADCASTSS b1+92(FP), Y5
+	VBROADCASTSS b2+96(FP), Y6
+	VBROADCASTSS b3+100(FP), Y7
+	VADDPS Y4, Y0, Y0
+	VADDPS Y5, Y1, Y1
+	VADDPS Y6, Y2, Y2
+	VADDPS Y7, Y3, Y3
+	MOVQ o0+56(FP), R8
+	MOVQ o1+64(FP), R9
+	MOVQ o2+72(FP), R10
+	MOVQ o3+80(FP), R11
+	VMOVUPS Y0, (R8)
+	VMOVUPS Y1, (R9)
+	VMOVUPS Y2, (R10)
+	VMOVUPS Y3, (R11)
 	VZEROUPPER
 	RET
 

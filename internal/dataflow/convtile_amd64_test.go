@@ -67,8 +67,11 @@ func TestConvTile8MatchesGoTile(t *testing.T) {
 					for ox := 0; ox < outW; ox += convLanes {
 						col := min(ox, outW-convLanes)
 						base := oy*pw + col
+						// With zero biases the tile stores chain + 0: the
+						// chain, a −0 one as +0.
 						var got [4][convLanes]float32
-						convTile8(&stack[base], &taps[0], len(taps), &rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0], &got)
+						convTile8(&stack[base], &taps[0], len(taps), &rows[0][0], &rows[1][0], &rows[2][0], &rows[3][0],
+							&got[0][0], &got[1][0], &got[2][0], &got[3][0], 0, 0, 0, 0)
 						var want [4][convLanes]float32
 						for half := 0; half < convLanes; half += convPosTile {
 							for pair := 0; pair < 4; pair += 2 {
@@ -80,9 +83,9 @@ func TestConvTile8MatchesGoTile(t *testing.T) {
 						for j := range got {
 							for i := range got[j] {
 								cells++
-								if math.Float32bits(got[j][i]) != math.Float32bits(want[j][i]) {
+								if math.Float32bits(got[j][i]) != math.Float32bits(want[j][i]+0) {
 									t.Fatalf("C=%d K=%d pw=%d row %d col %d: channel %d lane %d = %g (%#08x), Go tile %g (%#08x)",
-										c, k, pw, oy, col, j, i, got[j][i], math.Float32bits(got[j][i]), want[j][i], math.Float32bits(want[j][i]))
+										c, k, pw, oy, col, j, i, got[j][i], math.Float32bits(got[j][i]), want[j][i]+0, math.Float32bits(want[j][i]+0))
 								}
 								if fused := fusedChain(stack[base+i:], rows[j], taps); math.Float32bits(fused) != math.Float32bits(want[j][i]) {
 									fusedDiffer++
@@ -456,14 +459,14 @@ func TestPoolMax8MatchesGoPool(t *testing.T) {
 						p := &x.pass
 						p.cur = in
 						x.runLayer(0)
-						if p.rows8 == 0 && l.OutShape.Width >= poolHalf {
+						rows8 := poolKernelRows(&l, in, 0)
+						if rows8 == 0 && l.OutShape.Width >= poolHalf {
 							t.Fatalf("s=%d k=%d pad=%d pw=%d: no row ran on the AVX2 kernel", s, k, pad, pw)
 						}
-						kernelRows += p.rows8
-						goRows += l.OutShape.Height - p.rows8
+						kernelRows += rows8
+						goRows += c*l.OutShape.Height - rows8
 						got := slices.Clone(p.out)
-						p.rows8 = 0
-						x.pool.bands(c, x.inBands, x.fns.pool)
+						withoutAVX2(func() { x.pool.bands(c, x.inBands, x.fns.pool) })
 						x.pool.close()
 						for i, want := range p.out {
 							if math.Float32bits(got[i]) != math.Float32bits(want) {
@@ -525,13 +528,13 @@ func int8PoolBothWays(t *testing.T, l LayerHW, codes []int8, parIn int) (kernelR
 	defer x.pool.close()
 	p := &x.pass
 	x.runLayer(0)
-	if p.rows8 == 0 && l.OutShape.Width >= poolHalf {
+	kernelRows = poolKernelRows(&l, codes, poolSlack)
+	if kernelRows == 0 && l.OutShape.Width >= poolHalf {
 		t.Fatalf("int8 s=%d k=%d pad=%d: no row ran on the AVX2 kernel", l.Stride, l.Kernel, l.Pad)
 	}
 	got := slices.Clone(p.out)
-	kernelRows, goRows = p.rows8, l.OutShape.Height-p.rows8
-	p.rows8 = 0
-	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
+	goRows = l.InShape.Channels*l.OutShape.Height - kernelRows
+	withoutAVX2(func() { x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool) })
 	for i, want := range p.out {
 		if got[i] != want {
 			t.Fatalf("int8 s=%d k=%d pad=%d pw=%d Par.In %d window %d: AVX2 %d, Go loop %d",
@@ -579,23 +582,217 @@ func TestPoolMax8RowsGuards(t *testing.T) {
 	}
 
 	// The int8 kernel loads as many codes as the float32 one loads words, so
-	// the guard is the same count; the int8 executor's frames and planes carry
-	// poolSlack codes past every plane, which admits the rows the stride-2
-	// load would otherwise cost: LeNet's pool1 and pool2 run every row there,
-	// and all but the last on float32.
+	// the guard is the same count. An unpadded plane is a view into the layer
+	// input, so every channel but the last can read on into the next one and
+	// runs all its rows on the kernels; the int8 executor's frames and planes
+	// also carry poolSlack codes past the input's end, which admits the last
+	// channel's last row as well. So LeNet's pool1 and pool2 run every row
+	// there, and all but the last channel's last row on float32.
 	pool2 := pool(nn.MaxPool, 2, 2, 50, 8) // LeNet's: 4 rows of 4 windows
 	for _, tc := range []struct {
 		name       string
 		l          LayerHW
 		f32, int8s int
-	}{{"LeNet pool1", pool1, 11, 12}, {"LeNet pool2", pool2, 3, 4}, {"stride 1", s1, 8, 8}} {
-		x := newFloatExec(t, tc.l, nil, nil, condorir.Parallelism{In: 1, Out: 1})
-		x.pass.cur = make([]float32, tc.l.InShape.Volume())
-		x.runLayer(0)
-		x.pool.close()
-		in := make([]int8, tc.l.InShape.Volume())
-		if kernelRows, _ := int8PoolBothWays(t, tc.l, in, 1); x.pass.rows8 != tc.f32 || kernelRows != tc.int8s {
-			t.Errorf("%s: %d float32 and %d int8 rows on the kernels, want %d and %d", tc.name, x.pass.rows8, kernelRows, tc.f32, tc.int8s)
+	}{{"LeNet pool1", pool1, 20*12 - 1, 20 * 12}, {"LeNet pool2", pool2, 50*4 - 1, 50 * 4}, {"stride 1", s1, 8, 8}} {
+		f32 := poolKernelRows(&tc.l, make([]float32, tc.l.InShape.Volume()), 0)
+		if kernelRows, _ := int8PoolBothWays(t, tc.l, make([]int8, tc.l.InShape.Volume()), 1); f32 != tc.f32 || kernelRows != tc.int8s {
+			t.Errorf("%s: %d float32 and %d int8 rows on the kernels, want %d and %d", tc.name, f32, kernelRows, tc.f32, tc.int8s)
 		}
 	}
+}
+
+// poolKernelRows is how many output rows, summed over the channels, the
+// executors put on the AVX2 max-pool kernel for layer l over input in, whose
+// buffer carries slack elements past its end.
+func poolKernelRows[E float32 | int8](l *LayerHW, in []E, slack int) (rows int) {
+	plane := make([]E, l.PaddedHeight()*l.PaddedWidth())
+	for ci := 0; ci < l.InShape.Channels; ci++ {
+		rows += poolMax8Rows(l, poolReach(l, in, plane, ci)+slack)
+	}
+	return rows
+}
+
+// withoutAVX2 runs f with the AVX2 kernels switched off: every layer pass it
+// makes takes the Go kernels.
+func withoutAVX2(f func()) {
+	was := haveAVX2
+	haveAVX2 = false
+	defer func() { haveAVX2 = was }()
+	f()
+}
+
+// TestConvTile8StoreMatchesGo runs conv layers through the executor twice —
+// on the storing AVX2 tile, which adds the bias to each finished chain and
+// leaves the activation to the band, and on the Go tile (convTileGo, then
+// convStore per tile) — over random geometries, Par.Out bands that end
+// inside a quad, layers with and without biases (some −0), inputs and
+// weights drawing ±0, NaN and ±Inf, and every folded activation. Every cell
+// must match bit for bit (two NaNs match). A chain from +0 is never −0, so a
+// −0 bias must store +0: a tile that seeded its chains with the bias instead
+// would keep −0 there and round differently elsewhere, and the sweep counts
+// the cells where such a chain would differ.
+func TestConvTile8StoreMatchesGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every layer runs the Go tile")
+	}
+	rng := rand.New(rand.NewSource(39))
+	special := func(weight bool) float32 {
+		switch rng.Intn(24) {
+		case 0:
+			return float32(math.NaN())
+		case 1:
+			return float32(math.Inf(1 - 2*rng.Intn(2)))
+		}
+		return hostileWord(rng, weight)
+	}
+	acts := []nn.Kind{NoActivation, nn.ReLU, nn.Sigmoid, nn.TanH}
+	var cells, biasFirstDiffers, negZeroBias, raggedBands int
+	withHelpers(t, func(t *testing.T) {
+		for run := 0; run < 120; run++ {
+			c, k, pad := 1+rng.Intn(4), 1+2*rng.Intn(3), rng.Intn(2)
+			h, w := k+rng.Intn(4), 8+k-1-2*pad+rng.Intn(20)
+			f := 1 + rng.Intn(11)
+			l := convLayerHW(c, h, w, k, 1, pad, f)
+			l.Name = "conv"
+			in := make([]float32, l.InShape.Volume())
+			for i := range in {
+				in[i] = special(false)
+			}
+			wts := make([]float32, l.WeightWords())
+			for i := range wts {
+				wts[i] = special(true)
+			}
+			var bias []float32
+			if run%3 != 0 {
+				bias = randomBias(rng, f)
+				for i := range bias {
+					if rng.Intn(4) == 0 {
+						bias[i] = float32(math.Copysign(0, -1))
+					}
+				}
+			}
+			act := acts[run%len(acts)]
+			parOut := 1 + rng.Intn(f)
+			if size := (f + parOut - 1) / parOut; size%4 != 0 || f%size%4 != 0 {
+				raggedBands++ // a band ends inside a quad
+			}
+			x := newFloatExec(t, l, wts, bias, condorir.Parallelism{In: 1, Out: parOut})
+			x.pe.Layers[0].Activation = act
+			p := &x.pass
+			p.cur = in
+			x.runLayer(0)
+			if !x.conv.tile8 {
+				t.Fatalf("run %d: C=%d K=%d pad=%d %dx%d: the layer did not run on the AVX2 tile", run, c, k, pad, h, w)
+			}
+			got := slices.Clone(p.out)
+			withoutAVX2(func() { x.runLayer(0) })
+			x.pool.close()
+			if x.conv.tile8 {
+				t.Fatal("the Go leg ran on the AVX2 tile")
+			}
+			l = x.pe.Layers[0]
+			taps, hw := tapOffsets(&l), l.OutShape.Height*l.OutShape.Width
+			stack := stackPlanes(make([]float32, c*l.PaddedHeight()*l.PaddedWidth()), &l, in)
+			for i, want := range p.out {
+				cells++
+				if math.Float32bits(got[i]) != math.Float32bits(want) && !(isNaN32(got[i]) && isNaN32(want)) {
+					t.Fatalf("run %d: C=%d K=%d pad=%d %dx%d F=%d Par.Out %d act %v bias=%v cell %d: AVX2 %g (%#08x), Go %g (%#08x)",
+						run, c, k, pad, h, w, f, parOut, act, bias != nil, i, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+				}
+				fi, pos := i/hw, i%hw
+				b := biasAt(bias, fi)
+				if math.Float32bits(b) == 1<<31 {
+					negZeroBias++
+				}
+				seeded := b
+				win := stack[pos/l.OutShape.Width*l.PaddedWidth()+pos%l.OutShape.Width:]
+				for ti, o := range taps {
+					seeded += wts[fi*len(taps)+ti] * win[o]
+				}
+				if v := applyActivation(act, seeded); math.Float32bits(v) != math.Float32bits(want) && !(isNaN32(v) && isNaN32(want)) {
+					biasFirstDiffers++
+				}
+			}
+		}
+	})
+	if biasFirstDiffers == 0 || negZeroBias == 0 || raggedBands == 0 {
+		t.Fatalf("a bias-seeded chain differed on %d of %d cells, %d cells had a −0 bias and %d layers a band ending inside a quad: each must be positive",
+			biasFirstDiffers, cells, negZeroBias, raggedBands)
+	}
+	t.Logf("%d cells bit-identical to the Go tile; a bias-seeded chain differs on %d", cells, biasFirstDiffers)
+}
+
+// TestGoKernelFallbacksRun keeps the Go kernels the AVX2 paths fall back to
+// exercised and checked: windowMax on the last channel's last row of a
+// stride-2 max pool (the only plane with nothing readable after it), and
+// fcTileGo on bands narrower than eight neurons and under DisableAVX2 —
+// each against the oracle's chain computed here.
+func TestGoKernelFallbacksRun(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every layer runs the Go kernels")
+	}
+	rng := rand.New(rand.NewSource(40))
+	pool := LayerHW{Name: "pool", Kind: nn.MaxPool, Kernel: 2, Stride: 2,
+		InShape:  nn.Shape{Channels: 3, Height: 8, Width: 8},
+		OutShape: nn.Shape{Channels: 3, Height: 4, Width: 4}}
+	in := make([]float32, pool.InShape.Volume())
+	for i := range in {
+		in[i] = hostilePoolWord(rng)
+	}
+	last := pool.InShape.Channels - 1
+	if r := poolMax8Rows(&pool, poolReach(&pool, in, nil, last)); r != pool.OutShape.Height-1 {
+		t.Fatalf("the last channel runs %d rows on the kernel, want all but its last", r)
+	}
+	x := newFloatExec(t, pool, nil, nil, condorir.Parallelism{In: 1, Out: 1})
+	x.pass.cur = in
+	x.runLayer(0)
+	x.pool.close()
+	for i, got := range x.pass.out {
+		ci, oy, ox := i/16, i%16/4, i%4
+		want := float32(math.Inf(-1))
+		for _, e := range []float32{in[ci*64+oy*16+ox*2], in[ci*64+oy*16+ox*2+1], in[ci*64+oy*16+8+ox*2], in[ci*64+oy*16+8+ox*2+1]} {
+			if e > want {
+				want = e
+			}
+		}
+		if math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("pool window %d: %g, the oracle's %g", i, got, want)
+		}
+	}
+
+	const v, neurons = 37, 20
+	fc := fcLayerHW(v, neurons)
+	fc.Name = "fc"
+	fin, w, bias := make([]float32, v), make([]float32, neurons*v), randomBias(rng, neurons)
+	for i := range fin {
+		fin[i] = hostileWord(rng, false)
+	}
+	for i := range w {
+		w[i] = hostileWord(rng, true)
+	}
+	withHelpers(t, func(t *testing.T) {
+		for _, leg := range []struct {
+			name   string
+			parOut int
+			noAVX2 bool
+		}{{"bands of five", 4, false}, {"DisableAVX2", 1, true}} {
+			x := newFloatExec(t, fc, w, bias, condorir.Parallelism{In: 1, Out: leg.parOut})
+			x.pass.cur = fin
+			if leg.noAVX2 {
+				withoutAVX2(func() { x.runLayer(0) })
+			} else {
+				x.runLayer(0)
+			}
+			x.pool.close()
+			for oi, got := range x.pass.out {
+				want := bias[oi]
+				for h, xv := range fin {
+					want += w[oi*v+h] * xv
+				}
+				if math.Float32bits(got) != math.Float32bits(want) {
+					t.Fatalf("%s: neuron %d = %g, the oracle's %g", leg.name, oi, got, want)
+				}
+			}
+		}
+	})
 }

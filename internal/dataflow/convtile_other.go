@@ -7,7 +7,7 @@ package dataflow
 // AVX2 kernels off (DisableAVX2) builds everywhere.
 var haveAVX2 = false
 
-func convTile8(*float32, *int32, int, *float32, *float32, *float32, *float32, *[4][convLanes]float32) {
+func convTile8(*float32, *int32, int, *float32, *float32, *float32, *float32, *float32, *float32, *float32, *float32, float32, float32, float32, float32) {
 	panic("dataflow: convTile8 called without AVX2")
 }
 

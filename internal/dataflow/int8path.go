@@ -159,7 +159,6 @@ type peExecInt8 struct {
 		cur, out []int8  // the layer's input and output codes, views of curFrame and nxtFrame
 		inScale  float64 // scale of cur
 		outScale float64 // scale of out, once the layer has run
-		rows8    int     // leading output rows of a max-pool layer the AVX2 kernel runs (poolMax8Rows)
 	}
 	conv convPass[int8, uint32, int32]
 
@@ -368,7 +367,6 @@ func deqStoreGo(fb []float32, acc []int32, deq, bias float64, act nn.Kind, m uin
 func (x *peExecInt8) runPool() float64 {
 	p := &x.pass
 	l := p.l
-	p.rows8 = poolMax8Rows(l, l.PaddedHeight()*l.PaddedWidth()+poolSlack)
 	// Channel maps are independent; bands shard whole channels, each padding
 	// into its own plane.
 	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
@@ -399,7 +397,7 @@ func (x *peExecInt8) poolBand(band, lo, hi int) {
 		plane := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
 		out, fb := p.out[ci*outHW:][:outHW], x.floatBuf[ci*outHW:][:outHW]
 		if l.Kind == nn.MaxPool {
-			maxPoolPlane(poolMax8I8, plane, out, l, p.rows8)
+			maxPoolPlane(poolMax8I8, plane, out, l, poolMax8Rows(l, poolReach(l, p.cur, plane, ci)+poolSlack))
 			if l.Activation == NoActivation {
 				continue
 			}

@@ -398,7 +398,6 @@ type peExec struct {
 		st       *layerState
 		cur, out []float32 // the layer's input and output volumes
 		tile8    bool      // the FC layer runs on its AVX2 kernel (runFC)
-		rows8    int       // leading output rows of a max-pool layer the AVX2 kernel runs (poolMax8Rows)
 	}
 	conv convPass[float32, float32, float32]
 
@@ -410,7 +409,7 @@ type peExec struct {
 }
 
 func (x *peExec) prepare() error {
-	sz, err := x.resolveLayers(bandFns{conv: x.conv.convBand, pool: x.poolBand, fc: x.fcBand})
+	sz, err := x.resolveLayers(bandFns{conv: x.convBand, pool: x.poolBand, fc: x.fcBand})
 	if err != nil {
 		return err
 	}
@@ -441,7 +440,6 @@ func (x *peExec) runLayer(li int) {
 	case p.l.Kind == nn.FullyConnected:
 		x.runFC()
 	case p.l.Kind != nn.Conv: // sub-sampling: resolveLayers admits no other kind
-		p.rows8 = poolMax8Rows(p.l, p.l.PaddedHeight()*p.l.PaddedWidth())
 		x.pool.bands(p.l.InShape.Channels, x.inBands, x.fns.pool)
 	case p.l.Algo() == AlgoWinograd:
 		x.runWinograd(p.l, p.st, p.cur, p.out)
@@ -467,6 +465,18 @@ func (x *peExec) runConv() {
 	p := &x.pass
 	x.conv.set(p.l, stackPlanes(x.stack, p.l, p.cur), p.st.w, p.st.taps, p.st.w, p.st.taps, len(p.st.taps))
 	x.pool.bands(p.l.OutShape.Channels, x.outBands, x.fns.conv)
+}
+
+// convBand computes output channels [lo,hi) on the shared band nest. The
+// AVX2 tile stores biased sums, so the band then applies the layer's
+// activation once over its channels; the Go tile's stores activate their own.
+func (x *peExec) convBand(band, lo, hi int) {
+	x.conv.convBand(band, lo, hi)
+	if x.conv.tile8 {
+		p := &x.pass
+		hw := p.l.OutShape.Height * p.l.OutShape.Width
+		activateInPlace(p.l.Activation, p.out[lo*hw:hi*hw])
+	}
 }
 
 // stackPlanes returns a conv layer's input as the tiles gather from it: its
@@ -640,15 +650,15 @@ func convTileGo[E float32 | int8, A float32 | int32](win []E, s1, s2, s3 int, w0
 }
 
 // tile8 and store4 are the float32 part of the shared conv band nests
-// (convOps).
+// (convOps): the AVX2 tile adds each channel's bias to its finished chains
+// and stores them itself (a repeated channel stores the same values twice);
+// convBand activates them.
 func (x *peExec) tile8(win *float32, taps *int32, n int, w [4]*float32, f [4]int, pos int) {
-	var acc [4][convLanes]float32
-	convTile8(win, taps, n, w[0], w[1], w[2], w[3], &acc)
-	for j, fj := range f {
-		if j == 0 || fj != f[j-1] {
-			x.convStore(fj, pos, acc[j][:])
-		}
-	}
+	p := &x.pass
+	hw, b := p.l.OutShape.Height*p.l.OutShape.Width, p.st.b
+	convTile8(win, taps, n, w[0], w[1], w[2], w[3],
+		&p.out[f[0]*hw+pos], &p.out[f[1]*hw+pos], &p.out[f[2]*hw+pos], &p.out[f[3]*hw+pos],
+		biasAt(b, f[0]), biasAt(b, f[1]), biasAt(b, f[2]), biasAt(b, f[3]))
 }
 
 func (x *peExec) store4(fi, pos, n int, acc [convPosTile]float32) { x.convStore(fi, pos, acc[:n]) }
@@ -711,7 +721,7 @@ func (x *peExec) poolBand(band, lo, hi int) {
 		plane := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
 		out := p.out[ci*outHW:][:outHW]
 		if l.Kind == nn.MaxPool {
-			maxPoolPlane(poolMax8, plane, out, l, p.rows8)
+			maxPoolPlane(poolMax8, plane, out, l, poolMax8Rows(l, poolReach(l, p.cur, plane, ci)))
 		} else {
 			for i := range out {
 				out[i] = windowSum[float32, float32](plane[(i/outW*pw+i%outW)*stride:], k, pw) * inv
@@ -719,6 +729,17 @@ func (x *peExec) poolBand(band, lo, hi int) {
 		}
 		activateInPlace(l.Activation, out)
 	}
+}
+
+// poolReach is how many elements can be read from the start of channel ci's
+// padded plane of sub-sampling layer l over input in: the scratch plane when
+// the layer pads, else the rest of the input, of which the plane is a view —
+// so only the last channel's plane ends where the input does.
+func poolReach[E float32 | int8](l *LayerHW, in, plane []E, ci int) int {
+	if l.Pad > 0 {
+		return len(plane)
+	}
+	return len(in) - ci*l.InShape.Height*l.InShape.Width
 }
 
 // maxPoolPlane writes one channel's max pool from its padded plane, for
@@ -808,10 +829,12 @@ func (x *peExec) runFC() {
 }
 
 // fcBand accumulates neurons [lo,hi) over the whole input volume. On the
-// AVX2 kernel (pass.tile8) each whole group of convLanes neurons takes its
-// whole 8-input blocks there and the inputs past the last block here; the
-// neurons past the last whole group, and every neuron of a layer the kernel
-// does not run, take the Go tile, four at a time.
+// AVX2 kernel (pass.tile8) each whole group of convLanes neurons runs
+// fcGroup8; the neurons past the last whole group run again as the last
+// convLanes of the band, into a scratch seeded with their biases, of which
+// only theirs are kept, as a conv row's last tile does. A band narrower than
+// convLanes, and every neuron of a layer the kernel does not run, take the Go
+// tile, four at a time.
 func (x *peExec) fcBand(_, lo, hi int) {
 	p := &x.pass
 	in := p.cur
@@ -819,16 +842,17 @@ func (x *peExec) fcBand(_, lo, hi int) {
 	w := p.st.w
 	oi := lo
 	if p.tile8 {
-		body := v &^ (convLanes - 1)
 		for ; oi+convLanes <= hi; oi += convLanes {
-			fcRows8(&in[0], body/convLanes, &w[oi*v], v, &p.out[oi])
-			for j := oi; j < oi+convLanes; j++ {
-				a := p.out[j]
-				for h, wv := range w[j*v+body : (j+1)*v] {
-					a += wv * in[body+h]
-				}
-				p.out[j] = a
+			x.fcGroup8(oi, p.out[oi:oi+convLanes])
+		}
+		if oi < hi && hi-lo >= convLanes {
+			var acc [convLanes]float32
+			for j := range acc {
+				acc[j] = biasAt(p.st.b, hi-convLanes+j)
 			}
+			x.fcGroup8(hi-convLanes, acc[:])
+			copy(p.out[oi:hi], acc[convLanes-(hi-oi):])
+			oi = hi
 		}
 	}
 	for ; oi < hi; oi += 4 {
@@ -837,6 +861,23 @@ func (x *peExec) fcBand(_, lo, hi int) {
 		for j, fj := range f {
 			p.out[fj] = acc[j]
 		}
+	}
+}
+
+// fcGroup8 continues the chains of the convLanes neurons from first on,
+// whose sums start at acc: the whole 8-input blocks on fcRows8, the inputs
+// past the last block here.
+func (x *peExec) fcGroup8(first int, acc []float32) {
+	in, w := x.pass.cur, x.pass.st.w
+	v := len(in)
+	body := v &^ (convLanes - 1)
+	fcRows8(&in[0], body/convLanes, &w[first*v], v, &acc[0])
+	for j := range acc[:convLanes] {
+		a := acc[j]
+		for h, wv := range w[(first+j)*v+body : (first+j+1)*v] {
+			a += wv * in[body+h]
+		}
+		acc[j] = a
 	}
 }
 

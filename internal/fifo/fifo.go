@@ -27,28 +27,39 @@ type Word = float32
 // the FIFO is full; Pop blocks while it is empty and no writer has closed
 // it. It is safe for concurrent producers and consumers, though the fabric
 // uses it point-to-point (one producer, one consumer).
+//
+// A burst call meets a blocked peer instead of trading depth-sized chunks
+// with it (DESIGN §10): the words of a PushSlice that do not fit in the ring
+// wait as the pending burst, and a PopInto that finds nothing to take waits
+// with the rest of its destination as the waiting buffer. Ring words are
+// older than pending ones, so every transfer is a legal word interleaving.
 type FIFO struct {
 	name string
 
 	mu       sync.Mutex
-	notEmpty sync.Cond // signalled when words arrive or the FIFO closes
-	notFull  sync.Cond // signalled when space frees or the FIFO closes
+	notEmpty sync.Cond // signalled when words arrive, the waiting buffer fills or the FIFO closes
+	notFull  sync.Cond // signalled when space frees, the pending burst empties or the FIFO closes
 
 	buf    []Word // ring storage, len(buf) == depth
 	head   int    // index of the oldest word
 	count  int    // words currently buffered
 	closed bool
 
+	// The pending burst and the waiting buffer, each owned by a caller
+	// blocked in a burst call.
+	pend, wait burst
+
 	// Traffic counters, guarded by mu. Burst operations account once per
 	// burst chunk; the word totals equal the word-at-a-time sequence
 	// exactly, while the burst counters record how many synchronisations
 	// carried them (the quantity the observability layer reports as
-	// words-per-burst efficiency).
+	// words-per-burst efficiency). A direct copy between the two sides is
+	// one push burst and one pop burst.
 	pushes     int64
 	pops       int64
 	pushBursts int64
 	popBursts  int64
-	maxOcc     int64 // high-water mark, observed at burst boundaries
+	maxOcc     int64 // ring high-water mark, observed at burst boundaries
 
 	// Frame-protocol counters (frame.go): header words are control traffic
 	// and are kept apart from the datapath word totals so framed streaming
@@ -72,6 +83,27 @@ type FIFO struct {
 	lanePops   int64
 }
 
+// burst is one side's burst call: its words (source or destination), how
+// many have moved, and the int8 lanes the whole call carries. Lanes are
+// booked with the words that carry them, in proportion, so a finished call
+// books exactly its lanes and a truncated one its share.
+type burst struct {
+	words []Word
+	done  int
+	lanes int64
+}
+
+func (b *burst) active() bool   { return b.words != nil }
+func (b *burst) rest() []Word   { return b.words[b.done:] }
+func (b *burst) finished() bool { return b.done == len(b.words) }
+
+// advance moves the burst on by n words and returns the lanes they carry.
+func (b *burst) advance(n int) int64 {
+	was := b.lanes * int64(b.done) / int64(len(b.words))
+	b.done += n
+	return b.lanes*int64(b.done)/int64(len(b.words)) - was
+}
+
 // New creates a FIFO with the given capacity (depth in words). Depth must be
 // at least 1, matching hardware FIFOs which always have at least one slot.
 func New(name string, depth int) *FIFO {
@@ -90,33 +122,34 @@ func (f *FIFO) Name() string { return f.name }
 // Depth returns the FIFO capacity in words.
 func (f *FIFO) Depth() int { return len(f.buf) }
 
-// enqueueLocked copies vs (which must fit) into the ring and accounts the
-// burst. Callers hold mu and have ensured space.
-func (f *FIFO) enqueueLocked(vs []Word) {
+// enqueueLocked copies as many of p's remaining words as fit into the ring
+// and accounts the burst; it returns the number moved. Callers hold mu.
+func (f *FIFO) enqueueLocked(p *burst) int {
+	vs := p.rest()
+	n := min(len(f.buf)-f.count, len(vs))
+	if n == 0 {
+		return 0
+	}
 	tail := f.head + f.count
 	if tail >= len(f.buf) {
 		tail -= len(f.buf)
 	}
-	n := copy(f.buf[tail:], vs)
-	copy(f.buf, vs[n:])
-	f.count += len(vs)
-	f.pushes += int64(len(vs))
+	first := copy(f.buf[tail:], vs[:n])
+	copy(f.buf, vs[first:n])
+	f.count += n
+	f.pushes += int64(n)
 	f.pushBursts++
-	if occ := int64(f.count); occ > f.maxOcc {
-		f.maxOcc = occ
-	}
-	if occ := int64(f.count); occ > f.epochOcc {
-		f.epochOcc = occ
-	}
+	f.lanePushes += p.advance(n)
+	f.maxOcc = max(f.maxOcc, int64(f.count))
+	f.epochOcc = max(f.epochOcc, int64(f.count))
+	return n
 }
 
-// dequeueLocked moves up to len(dst) buffered words into dst and accounts
-// the burst; it returns the number moved. Callers hold mu.
-func (f *FIFO) dequeueLocked(dst []Word) int {
-	n := len(dst)
-	if n > f.count {
-		n = f.count
-	}
+// dequeueLocked moves buffered words into c's rest and accounts the burst;
+// it returns the number moved. Callers hold mu.
+func (f *FIFO) dequeueLocked(c *burst) int {
+	dst := c.rest()
+	n := min(len(dst), f.count)
 	if n == 0 {
 		return 0
 	}
@@ -129,105 +162,195 @@ func (f *FIFO) dequeueLocked(dst []Word) int {
 	f.count -= n
 	f.pops += int64(n)
 	f.popBursts++
+	f.lanePops += c.advance(n)
 	return n
 }
 
-// Push appends v, blocking while the FIFO is full. Pushing to a closed FIFO
-// panics, as writing to a hardware FIFO after end-of-stream is a design bug.
-func (f *FIFO) Push(v Word) {
-	f.mu.Lock()
-	for f.count == len(f.buf) && !f.closed {
+// handOffLocked copies words straight from producer burst p to consumer
+// burst c, past the ring: one push burst and one pop burst. Callers hold mu.
+func (f *FIFO) handOffLocked(p, c *burst) int {
+	n := copy(c.rest(), p.rest())
+	if n == 0 {
+		return 0
+	}
+	f.pushes += int64(n)
+	f.pops += int64(n)
+	f.pushBursts++
+	f.popBursts++
+	f.lanePushes += p.advance(n)
+	f.lanePops += c.advance(n)
+	return n
+}
+
+// putLocked moves p's words into the waiting buffer (only while the ring is
+// empty, since ring words are older) and then the ring, as far as they go.
+// It reports whether a blocked consumer has something new: ring words, or a
+// full waiting buffer. Callers hold mu.
+func (f *FIFO) putLocked(p *burst) (wake bool) {
+	if f.wait.active() && f.count == 0 && f.handOffLocked(p, &f.wait) > 0 && f.wait.finished() {
+		wake = true
+	}
+	return f.enqueueLocked(p) > 0 || wake
+}
+
+// takeLocked fills c from the ring and then, once the ring is empty, from
+// the pending burst; it returns the number of words moved. Callers hold mu.
+func (f *FIFO) takeLocked(c *burst) int {
+	n := f.dequeueLocked(c)
+	if f.count == 0 && f.pendingLocked() {
+		n += f.handOffLocked(&f.pend, c)
+	}
+	if n > 0 {
+		f.wakeProducerLocked()
+	}
+	return n
+}
+
+// wakeProducerLocked wakes blocked producers after words were taken, unless
+// a pending burst remains: then nothing a producer waits for has happened.
+func (f *FIFO) wakeProducerLocked() {
+	if !f.pend.active() || f.pend.finished() {
+		f.notFull.Broadcast()
+	}
+}
+
+// awaitRoomLocked blocks a word push until the ring has room and no pending
+// burst is ahead of it; pushing to a closed FIFO panics, as writing to a
+// hardware FIFO after end-of-stream is a design bug. Callers hold mu.
+func (f *FIFO) awaitRoomLocked() {
+	for (f.count == len(f.buf) || f.pend.active()) && !f.closed {
 		f.notFull.Wait()
 	}
+	f.panicIfClosedLocked()
+}
+
+func (f *FIFO) panicIfClosedLocked() {
 	if f.closed {
 		f.mu.Unlock()
 		panic(fmt.Sprintf("fifo %q: push after close", f.name))
 	}
-	var one [1]Word
-	one[0] = v
-	f.enqueueLocked(one[:])
-	f.notEmpty.Broadcast()
+}
+
+// pendingLocked reports whether the pending burst has words left to take.
+func (f *FIFO) pendingLocked() bool { return len(f.pend.rest()) > 0 }
+
+// awaitWordLocked blocks a pop until a word can be taken or the FIFO is
+// closed. Callers hold mu.
+func (f *FIFO) awaitWordLocked() {
+	for f.count == 0 && !f.pendingLocked() && !f.closed {
+		f.notEmpty.Wait()
+	}
+}
+
+// Push appends v, blocking while the FIFO is full; a consumer waiting in
+// PopInto receives it directly. Pushing to a closed FIFO panics.
+func (f *FIFO) Push(v Word) {
+	one := [1]Word{v}
+	p := burst{words: one[:]}
+	f.mu.Lock()
+	f.awaitRoomLocked()
+	if f.putLocked(&p) {
+		f.notEmpty.Broadcast()
+	}
 	f.mu.Unlock()
 }
 
-// PushSlice appends every word of vs in order, blocking as needed. The burst
-// is split into chunks no larger than the free space, so vs may exceed the
-// FIFO depth; each chunk advances the traffic counters once. vs is copied —
-// the caller may reuse it immediately. Pushing to a closed FIFO panics.
-func (f *FIFO) PushSlice(vs []Word) {
-	for len(vs) > 0 {
-		f.mu.Lock()
-		for f.count == len(f.buf) && !f.closed {
+// PushSlice appends every word of vs in order and returns once a consumer
+// has taken every word that did not fit in the ring, so vs may exceed the
+// FIFO depth. A consumer waiting in PopInto is filled directly; the words
+// that fit neither it nor the ring stay pending in vs until consumers copy
+// them out. vs may be reused once PushSlice returns. Pushing to a closed
+// FIFO panics.
+func (f *FIFO) PushSlice(vs []Word) { f.push(vs, 0) }
+
+func (f *FIFO) push(vs []Word, lanes int64) {
+	if len(vs) == 0 {
+		return
+	}
+	p := burst{words: vs, lanes: lanes}
+	f.mu.Lock()
+	for f.pend.active() && !f.closed {
+		f.notFull.Wait() // another producer's pending burst goes first
+	}
+	f.panicIfClosedLocked()
+	if f.putLocked(&p) || !p.finished() {
+		f.notEmpty.Broadcast()
+	}
+	if !p.finished() {
+		f.pend = p
+		for !f.pend.finished() && !f.closed {
 			f.notFull.Wait()
 		}
-		if f.closed {
-			f.mu.Unlock()
-			panic(fmt.Sprintf("fifo %q: push after close", f.name))
+		done := f.pend.finished()
+		f.pend = burst{}
+		f.notFull.Broadcast() // the next producer's turn
+		if !done {
+			f.panicIfClosedLocked()
 		}
-		n := len(f.buf) - f.count
-		if n > len(vs) {
-			n = len(vs)
-		}
-		f.enqueueLocked(vs[:n])
-		f.notEmpty.Broadcast()
-		f.mu.Unlock()
-		vs = vs[n:]
 	}
+	f.mu.Unlock()
 }
 
 // Pop removes and returns the oldest word. It blocks while the FIFO is
 // empty; once the FIFO is closed and drained it returns ok=false.
 func (f *FIFO) Pop() (Word, bool) {
-	f.mu.Lock()
-	for f.count == 0 && !f.closed {
-		f.notEmpty.Wait()
-	}
 	var one [1]Word
-	if f.dequeueLocked(one[:]) == 0 {
-		f.mu.Unlock()
-		return 0, false
-	}
-	f.notFull.Broadcast()
+	c := burst{words: one[:]}
+	f.mu.Lock()
+	f.awaitWordLocked()
+	ok := f.takeLocked(&c) == 1
 	f.mu.Unlock()
-	return one[0], true
+	return one[0], ok
 }
 
 // PopSlice removes up to len(dst) words in one burst: it blocks until at
 // least one word is available (or the FIFO is closed and drained), then
-// moves everything currently buffered, up to len(dst). It returns the
-// number of words written to dst; ok=false marks end-of-stream (closed and
-// empty, n == 0).
+// moves everything currently buffered and pending, up to len(dst). It
+// returns the number of words written to dst; ok=false marks end-of-stream
+// (closed and empty, n == 0).
 func (f *FIFO) PopSlice(dst []Word) (int, bool) {
 	if len(dst) == 0 {
 		return 0, true
 	}
+	c := burst{words: dst}
 	f.mu.Lock()
-	for f.count == 0 && !f.closed {
-		f.notEmpty.Wait()
-	}
-	n := f.dequeueLocked(dst)
-	if n == 0 {
-		f.mu.Unlock()
-		return 0, false
-	}
-	f.notFull.Broadcast()
+	f.awaitWordLocked()
+	n := f.takeLocked(&c)
 	f.mu.Unlock()
-	return n, true
+	return n, n > 0
 }
 
 // PopInto fills dst completely, blocking for more words as needed, and
 // returns the number of words written. A short count (< len(dst)) means the
 // FIFO was closed and drained before the burst completed.
-func (f *FIFO) PopInto(dst []Word) int {
-	filled := 0
-	for filled < len(dst) {
-		n, ok := f.PopSlice(dst[filled:])
-		filled += n
-		if !ok {
+func (f *FIFO) PopInto(dst []Word) int { return f.popInto(dst, 0) }
+
+func (f *FIFO) popInto(dst []Word, lanes int64) int {
+	if len(dst) == 0 {
+		return 0
+	}
+	c := burst{words: dst, lanes: lanes}
+	f.mu.Lock()
+	for !c.finished() {
+		if f.takeLocked(&c) > 0 {
+			continue
+		}
+		if f.closed {
 			break
 		}
+		if f.wait.active() {
+			f.notEmpty.Wait() // another consumer's waiting buffer goes first
+			continue
+		}
+		f.wait = c
+		for !f.wait.finished() && f.count == 0 && !f.pendingLocked() && !f.closed {
+			f.notEmpty.Wait()
+		}
+		c, f.wait = f.wait, burst{}
+		f.notEmpty.Broadcast() // the next consumer's turn
 	}
-	return filled
+	f.mu.Unlock()
+	return c.done
 }
 
 // Reset returns a closed, fully drained FIFO to its ready state so the

@@ -48,13 +48,7 @@ func DecodeFrameHeader(w Word) (uint16, bool) {
 func (f *FIFO) PushFrameHeader(epoch uint16) {
 	w := EncodeFrameHeader(epoch)
 	f.mu.Lock()
-	for f.count == len(f.buf) && !f.closed {
-		f.notFull.Wait()
-	}
-	if f.closed {
-		f.mu.Unlock()
-		panic(fmt.Sprintf("fifo %q: push after close", f.name))
-	}
+	f.awaitRoomLocked()
 	f.markEpochLocked()
 	tail := f.head + f.count
 	if tail >= len(f.buf) {
@@ -63,39 +57,29 @@ func (f *FIFO) PushFrameHeader(epoch uint16) {
 	f.buf[tail] = w
 	f.count++
 	f.headerPushes++
-	if occ := int64(f.count); occ > f.maxOcc {
-		f.maxOcc = occ
-	}
-	if occ := int64(f.count); occ > f.epochOcc {
-		f.epochOcc = occ
-	}
+	f.maxOcc = max(f.maxOcc, int64(f.count))
+	f.epochOcc = max(f.epochOcc, int64(f.count))
 	f.notEmpty.Broadcast()
 	f.mu.Unlock()
 }
 
-// PopFrameHeader removes the word at the head of the FIFO and decodes it as
-// a frame header. It blocks while the FIFO is empty; ok=false marks
+// PopFrameHeader removes the oldest word — the ring's head, or a pending
+// burst's next word — and decodes it as a frame header. It blocks while the FIFO is empty; ok=false marks
 // end-of-stream (closed and drained), the way a resident element learns its
 // session is over. A non-header word at a frame boundary is a protocol
 // violation and is returned as an error with the word left consumed.
 func (f *FIFO) PopFrameHeader() (epoch uint16, ok bool, err error) {
+	var one [1]Word
+	c := burst{words: one[:]}
 	f.mu.Lock()
-	for f.count == 0 && !f.closed {
-		f.notEmpty.Wait()
-	}
-	if f.count == 0 {
+	f.awaitWordLocked()
+	if f.takeLocked(&c) == 0 {
 		f.mu.Unlock()
 		return 0, false, nil
 	}
-	w := f.buf[f.head]
-	f.head++
-	if f.head >= len(f.buf) {
-		f.head -= len(f.buf)
-	}
-	f.count--
-	f.headerPops++
-	f.notFull.Broadcast()
+	f.pops, f.popBursts, f.headerPops = f.pops-1, f.popBursts-1, f.headerPops+1 // control traffic, not a datapath pop
 	f.mu.Unlock()
+	w := one[0]
 	e, valid := DecodeFrameHeader(w)
 	if !valid {
 		return 0, true, fmt.Errorf("fifo %q: word %v at frame boundary is not a frame header", f.name, w)

@@ -31,32 +31,20 @@ func Int8View(words []Word, n int) []int8 {
 
 // PushPacked pushes a burst whose last PackedWords(lanes) words carry the
 // given number of int8 lanes — words before them, such as a per-image scale
-// header, carry none — and accounts the per-lane traffic counters alongside
-// the word counters PushSlice advances. The unused tail lanes of the last
+// header, carry none — like PushSlice, booking the lanes with the words in
+// the same critical sections, in proportion to the words moved. The unused tail lanes of the last
 // word are zeroed first, so a frame never carries a stale code.
 func (f *FIFO) PushPacked(vs []Word, lanes int64) {
 	if pad := int(-lanes & (Int8Lanes - 1)); pad > 0 {
 		b := Int8View(vs, len(vs)*Int8Lanes)
 		clear(b[len(b)-pad:])
 	}
-	f.PushSlice(vs)
-	f.mu.Lock()
-	f.lanePushes += lanes
-	f.mu.Unlock()
+	f.push(vs, lanes)
 }
 
 // PopPackedInto fills dst with packed words (blocking like PopInto) and
-// accounts the given lane count on the pop side. It returns the number of
-// words read; a short count means the stream closed mid-frame.
-func (f *FIFO) PopPackedInto(dst []Word, lanes int64) int {
-	n := f.PopInto(dst)
-	if n < len(dst) {
-		// Truncated frame: scale the lane accounting to the words that
-		// actually arrived so pushes and pops still reconcile on teardown.
-		lanes = lanes * int64(n) / int64(len(dst))
-	}
-	f.mu.Lock()
-	f.lanePops += lanes
-	f.mu.Unlock()
-	return n
-}
+// books the given lane count on the pop side with the words, in proportion:
+// a truncated frame books the lanes of the words that arrived, so pushes and
+// pops still reconcile on teardown. It returns the number of words read; a
+// short count means the stream closed mid-frame.
+func (f *FIFO) PopPackedInto(dst []Word, lanes int64) int { return f.popInto(dst, lanes) }
