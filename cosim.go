@@ -2,9 +2,11 @@ package condor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"condor/internal/dataflow"
+	"condor/internal/nn"
 	"condor/internal/obs"
 	"condor/internal/tensor"
 )
@@ -47,20 +49,29 @@ func (r CosimReport) Passed() bool {
 	return r.Mismatches == 0 && r.ModelCycles == r.MeasuredCycles
 }
 
-// DefaultCosimTolerance allows for float32 reassociation between the
-// fabric's accumulation order and the reference engine's.
+// DefaultCosimTolerance is the automatic tolerance of a build the fabric
+// does not compute exactly as the reference engine does: a winograd_f23
+// layer rounds in its transform domain.
 const DefaultCosimTolerance = 2e-3
 
 // Cosim validates a build: n random inputs are pushed through the
 // functional dataflow fabric and compared element-wise against the
 // reference CNN engine, and the analytic cycle model is checked against the
-// simulator's measured per-PE cycles.
+// simulator's measured per-PE cycles. With the automatic tolerance
+// (tolerance ≤ 0) a float32-datapath build with no winograd_f23 layer must
+// equal the reference bit for bit — both accumulate every cell in the same
+// order — a Winograd build gets DefaultCosimTolerance and an int8 build its
+// run's QuantErrorBound.
 func (b *Build) Cosim(n int, seed int64, tolerance float64) (CosimReport, error) {
 	if n <= 0 {
 		return CosimReport{}, fmt.Errorf("condor: cosim needs at least one image")
 	}
 	autoTol := tolerance <= 0
-	if autoTol {
+	exact := autoTol && b.Spec.WordBits != 8 && !hasWinograd(b.Spec)
+	switch {
+	case exact:
+		tolerance = 0
+	case autoTol:
 		tolerance = DefaultCosimTolerance
 	}
 	rep := CosimReport{Images: n, Tolerance: tolerance}
@@ -90,28 +101,12 @@ func (b *Build) Cosim(n int, seed int64, tolerance float64) (CosimReport, error)
 		// the default tolerance to the bound the run's recorded quantization
 		// scales imply (never below the float reassociation allowance).
 		if qb := stats.QuantErrorBound(); qb > tolerance {
-			tolerance = qb
 			rep.Tolerance = qb
 		}
 	}
-	agree := 0
-	for i := range imgs {
-		want, err := net.Predict(imgs[i])
-		if err != nil {
-			return rep, err
-		}
-		d := tensor.MaxAbsDiff(outs[i], want)
-		if d > rep.MaxAbsDiff {
-			rep.MaxAbsDiff = d
-		}
-		if d > tolerance {
-			rep.Mismatches++
-		}
-		if outs[i].ArgMax() == want.ArgMax() {
-			agree++
-		}
+	if err := rep.compare(net, imgs, outs, exact); err != nil {
+		return rep, err
 	}
-	rep.ArgMaxAgreement = float64(agree) / float64(n)
 
 	// Cycle-model cross check: the analytic bottleneck must equal the
 	// simulator's measured per-PE maximum.
@@ -122,4 +117,53 @@ func (b *Build) Cosim(n int, seed int64, tolerance float64) (CosimReport, error)
 	}
 	rep.ModelCycles = s.BottleneckCycles
 	return rep, nil
+}
+
+// compare scores the fabric's outputs against the reference engine's on the
+// same images: bit for bit when exact, else within rep.Tolerance.
+func (rep *CosimReport) compare(net *nn.Network, imgs, outs []*tensor.Tensor, exact bool) error {
+	agree := 0
+	for i := range imgs {
+		want, err := net.Predict(imgs[i])
+		if err != nil {
+			return err
+		}
+		d := tensor.MaxAbsDiff(outs[i], want)
+		if d > rep.MaxAbsDiff {
+			rep.MaxAbsDiff = d
+		}
+		if d > rep.Tolerance || exact && !sameBits(outs[i].Data(), want.Data()) {
+			rep.Mismatches++
+		}
+		if outs[i].ArgMax() == want.ArgMax() {
+			agree++
+		}
+	}
+	rep.ArgMaxAgreement = float64(agree) / float64(len(imgs))
+	return nil
+}
+
+// hasWinograd reports whether any layer of spec runs winograd_f23.
+func hasWinograd(spec *dataflow.Spec) bool {
+	for _, pe := range spec.PEs {
+		for i := range pe.Layers {
+			if pe.Layers[i].Algo() == dataflow.AlgoWinograd {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -144,7 +144,7 @@ func (x *peExecWords) runConv(l *LayerHW, read func() (fifo.Word, bool), emit fu
 				base := (fi*c + ci) * k * k
 				acc := partial[fi*outHW+pos]
 				for t := 0; t < k*k; t++ {
-					acc += w[base+t] * win[t]
+					acc += float32(w[base+t] * win[t])
 				}
 				partial[fi*outHW+pos] = acc
 			}
@@ -254,7 +254,7 @@ func (x *peExecWords) runFC(l *LayerHW, read func() (fifo.Word, bool), emit func
 			return fmt.Errorf("input stream ended after %d of %d elements", h, v)
 		}
 		for oi := 0; oi < o; oi++ {
-			partial[oi] += w[oi*v+h] * xv
+			partial[oi] += float32(w[oi*v+h] * xv)
 		}
 		x.stats.MACs += int64(o)
 	}

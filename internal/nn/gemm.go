@@ -104,7 +104,7 @@ func MatMul(a, b *tensor.Tensor) (*tensor.Tensor, error) {
 					}
 					brow := bd[kk*n : (kk+1)*n]
 					for j, bv := range brow {
-						crow[j] += av * bv
+						crow[j] += float32(av * bv)
 					}
 				}
 			}
