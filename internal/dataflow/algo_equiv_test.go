@@ -127,19 +127,17 @@ func TestAlgoEquivalenceTC1(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.USPSImages(4, 7)
-	withHelpers(t, func(t *testing.T) {
-		for _, par := range []int{1, 2} {
-			for _, cus := range []int{1, 2} {
-				p := condorir.Parallelism{In: par, Out: par}
-				t.Run(fmt.Sprintf("gemm/par=%d/cus=%d", par, cus), func(t *testing.T) {
-					runGEMMCase(t, ir, ws, batch, p, cus)
-				})
-				t.Run(fmt.Sprintf("gemm/int8/par=%d/cus=%d", par, cus), func(t *testing.T) {
-					runQuantAlgoCase(t, ir, ws, batch, AlgoGEMM, p, cus)
-				})
-			}
+	for _, par := range []int{1, 2} {
+		for _, cus := range []int{1, 2} {
+			p := condorir.Parallelism{In: par, Out: par}
+			t.Run(fmt.Sprintf("gemm/par=%d/cus=%d", par, cus), func(t *testing.T) {
+				runGEMMCase(t, ir, ws, batch, p, cus)
+			})
+			t.Run(fmt.Sprintf("gemm/int8/par=%d/cus=%d", par, cus), func(t *testing.T) {
+				runQuantAlgoCase(t, ir, ws, batch, AlgoGEMM, p, cus)
+			})
 		}
-	})
+	}
 }
 
 func TestAlgoEquivalenceLeNet(t *testing.T) {
@@ -148,17 +146,15 @@ func TestAlgoEquivalenceLeNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(2, 11)
-	withHelpers(t, func(t *testing.T) {
-		for _, cus := range []int{1, 2} {
-			p := condorir.Parallelism{In: 2, Out: 2}
-			t.Run(fmt.Sprintf("gemm/cus=%d", cus), func(t *testing.T) {
-				runGEMMCase(t, ir, ws, batch, p, cus)
-			})
-			t.Run(fmt.Sprintf("gemm/int8/cus=%d", cus), func(t *testing.T) {
-				runQuantAlgoCase(t, ir, ws, batch, AlgoGEMM, p, cus)
-			})
-		}
-	})
+	for _, cus := range []int{1, 2} {
+		p := condorir.Parallelism{In: 2, Out: 2}
+		t.Run(fmt.Sprintf("gemm/cus=%d", cus), func(t *testing.T) {
+			runGEMMCase(t, ir, ws, batch, p, cus)
+		})
+		t.Run(fmt.Sprintf("gemm/int8/cus=%d", cus), func(t *testing.T) {
+			runQuantAlgoCase(t, ir, ws, batch, AlgoGEMM, p, cus)
+		})
+	}
 }
 
 // winogradNet is a tiny 3×3/stride-1 network whose conv outputs are even on
@@ -174,48 +170,46 @@ func winogradNet(t testing.TB) (*condorir.Network, *condorir.WeightSet, *nn.Netw
 func TestWinogradEquivalence(t *testing.T) {
 	ir, ws, net := winogradNet(t)
 	batch := randomImages(4, net.Input, 41)
-	withHelpers(t, func(t *testing.T) {
-		for _, par := range []int{1, 2} {
-			for _, cus := range []int{1, 2} {
-				t.Run(fmt.Sprintf("par=%d/cus=%d", par, cus), func(t *testing.T) {
-					spec, err := BuildSpec(ir)
-					if err != nil {
-						t.Fatal(err)
+	for _, par := range []int{1, 2} {
+		for _, cus := range []int{1, 2} {
+			t.Run(fmt.Sprintf("par=%d/cus=%d", par, cus), func(t *testing.T) {
+				spec, err := BuildSpec(ir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				setConvAlgo(spec, AlgoWinograd)
+				for _, pe := range spec.PEs {
+					pe.Par = condorir.Parallelism{In: par, Out: par}
+				}
+				wgAcc, err := Instantiate(spec, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wordAcc, err := Instantiate(spec, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool := NewCUPool(wgAcc, cus)
+				gotOut, gotStats, err := runPoolBatch(pool, batch)
+				if err != nil {
+					t.Fatalf("winograd run: %v", err)
+				}
+				wantOut, _, err := wordAcc.RunWords(batch)
+				if err != nil {
+					t.Fatalf("word run: %v", err)
+				}
+				tol := gotStats.WinogradErrorBound()
+				if tol <= 0 {
+					t.Fatalf("WinogradErrorBound = %g, want positive", tol)
+				}
+				for i := range gotOut {
+					if d := tensor.MaxAbsDiff(gotOut[i], wantOut[i]); d > tol {
+						t.Errorf("image %d: max abs diff %g exceeds winograd error bound %g", i, d, tol)
 					}
-					setConvAlgo(spec, AlgoWinograd)
-					for _, pe := range spec.PEs {
-						pe.Par = condorir.Parallelism{In: par, Out: par}
-					}
-					wgAcc, err := Instantiate(spec, ws)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wordAcc, err := Instantiate(spec, ws)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pool := NewCUPool(wgAcc, cus)
-					gotOut, gotStats, err := runPoolBatch(pool, batch)
-					if err != nil {
-						t.Fatalf("winograd run: %v", err)
-					}
-					wantOut, _, err := wordAcc.RunWords(batch)
-					if err != nil {
-						t.Fatalf("word run: %v", err)
-					}
-					tol := gotStats.WinogradErrorBound()
-					if tol <= 0 {
-						t.Fatalf("WinogradErrorBound = %g, want positive", tol)
-					}
-					for i := range gotOut {
-						if d := tensor.MaxAbsDiff(gotOut[i], wantOut[i]); d > tol {
-							t.Errorf("image %d: max abs diff %g exceeds winograd error bound %g", i, d, tol)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
-	})
+	}
 }
 
 // TestWinogradEquivalenceInt8 runs the packed variant of the same model:
@@ -223,9 +217,7 @@ func TestWinogradEquivalence(t *testing.T) {
 func TestWinogradEquivalenceInt8(t *testing.T) {
 	ir, ws, net := winogradNet(t)
 	batch := randomImages(4, net.Input, 42)
-	withHelpers(t, func(t *testing.T) {
-		runQuantAlgoCase(t, ir, ws, batch, AlgoWinograd, condorir.Parallelism{In: 2, Out: 2}, 2)
-	})
+	runQuantAlgoCase(t, ir, ws, batch, AlgoWinograd, condorir.Parallelism{In: 2, Out: 2}, 2)
 }
 
 // TestStreamingMixedAlgoChain proves a resident batch=8 session survives a

@@ -6,8 +6,8 @@ package dataflow
 // cycle, resource and verification models there). It rides the same FIFOs,
 // frame protocol and tracing as every other layer — only the intra-PE compute
 // schedule changes — and runs in float32 on both datapaths: the ±½ transform
-// combinations do not survive the int8 grid, so the packed executor
-// dequantizes the layer's input, calls runWinograd and requantizes.
+// combinations do not survive the int8 grid, so on the packed datapath the
+// executor dequantizes the layer's input, calls runWinograd and requantizes.
 //
 // Contract: winograd_f23 is bounded-error. The transform-domain rounding
 // deviation from the direct-convolution oracle is bounded by
@@ -98,50 +98,43 @@ func winogradInverse(m []float32) (y [4]float32) {
 	return y
 }
 
-// winogradPass is the Winograd layer in flight — written by runWinograd before
-// each band dispatch and read by the band bodies — and the scratch
-// resolveLayers sized for the PE's most demanding winograd_f23 layer.
+// winogradPass is the scratch resolveLayers sized for the PE's most
+// demanding winograd_f23 layer.
 type winogradPass struct {
-	l   *LayerHW
-	st  *layerState
-	dst []float32 // the layer's output volume
-	ci  int       // input channel of the pass
-
 	plane []float32 // zero-padded channel plane
 	v     []float32 // transformed input tiles, 16 words per tile
 	m     []float32 // transform-domain accumulators, f·tiles·16
-	mags  []float64 // per-band output magnitudes
 }
 
 // runWinograd is the F(2,3) convolution schedule over a float32 input
 // volume: per input channel the padded plane is cut into overlapping 4×4
 // tiles, each transformed once (V = BᵀdB) and multiplied element-wise against
-// the pre-transformed weights, accumulating in the transform domain — the
-// passes are per input channel by construction, one band dispatch each. After
+// the pre-transformed weights, accumulating in the transform domain. After
 // the last channel the inverse transform produces the 2×2 output tiles in
-// dst and the bias and folded activation are applied in place. Banding shards
-// output channels, never an accumulation chain, so results are deterministic
-// at every parallelism setting (though not bit-identical to the direct path —
-// see the file comment for the error contract).
+// dst and the bias and folded activation are applied in place. Results are
+// deterministic, though not bit-identical to the direct path — see the file
+// comment for the error contract.
 func (x *peStream) runWinograd(l *LayerHW, st *layerState, cur, dst []float32) {
 	p := &x.wino
-	p.l, p.st, p.dst = l, st, dst
-	f := l.OutShape.Channels
+	f, c := l.OutShape.Channels, l.InShape.Channels
 	inHW := l.InShape.Height * l.InShape.Width
 	tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
-	clear(p.m[:f*tiles*16])
-	for ci := 0; ci < l.InShape.Channels; ci++ {
-		p.ci = ci
+	acc := p.m[:f*tiles*16]
+	clear(acc)
+	for ci := 0; ci < c; ci++ {
 		winogradTransformPlane(p.v, padPlane(p.plane, l, cur[ci*inHW:(ci+1)*inHW]), l)
-		x.pool.bands(f, x.outBands, x.fns.wgMul)
-	}
-	clear(p.mags)
-	x.pool.bands(f, x.outBands, x.fns.wgInv)
-	for _, m := range p.mags {
-		if m > x.stats.MaxWinogradMag {
-			x.stats.MaxWinogradMag = m
+		// m[fi][tile] += U[fi][ci] ⊙ V[tile], element-wise.
+		for fi := 0; fi < f; fi++ {
+			u := st.wg[(fi*c+ci)*16:][:16]
+			for ti := 0; ti < tiles; ti++ {
+				m, v := acc[(fi*tiles+ti)*16:][:16], p.v[ti*16:][:16]
+				for j := range m {
+					m[j] += u[j] * v[j]
+				}
+			}
 		}
 	}
+	x.stats.MaxWinogradMag = max(x.stats.MaxWinogradMag, winogradInverseLayer(l, st.b, acc, dst))
 }
 
 // winogradTransformPlane cuts a padded plane into the layer's overlapping
@@ -159,39 +152,19 @@ func winogradTransformPlane(vBuf, plane []float32, l *LayerHW) {
 	}
 }
 
-// winogradMulBand is the transform-domain pass of output channels [lo,hi):
-// m[fi][tile] += U[fi][ci] ⊙ V[tile], element-wise.
-func (x *peStream) winogradMulBand(_, lo, hi int) {
-	p := &x.wino
-	c := p.l.InShape.Channels
-	tiles := p.l.OutShape.Height / 2 * (p.l.OutShape.Width / 2)
-	for fi := lo; fi < hi; fi++ {
-		u := p.st.wg[(fi*c+p.ci)*16:][:16]
-		for ti := 0; ti < tiles; ti++ {
-			m := p.m[(fi*tiles+ti)*16:][:16]
-			v := p.v[ti*16:][:16]
-			for j := range m {
-				m[j] += u[j] * v[j]
-			}
-		}
-	}
-}
-
-// winogradInverseBand inverse-transforms output channels [lo,hi) into the
-// output volume, records the band's largest output magnitude — the value that
-// parameterises the error bound — then folds bias and activation in.
-func (x *peStream) winogradInverseBand(band, lo, hi int) {
-	p := &x.wino
-	l := p.l
+// winogradInverseLayer inverse-transforms every output channel from the
+// transform-domain accumulators m into the output volume and returns the
+// largest output magnitude — the value that parameterises the error bound —
+// before it folds bias and activation in.
+func winogradInverseLayer(l *LayerHW, bias, m, dst []float32) (mag float64) {
 	outW := l.OutShape.Width
 	outHW := l.OutShape.Height * outW
 	tW := outW / 2
 	tiles := l.OutShape.Height / 2 * tW
-	mag := p.mags[band]
-	for fi := lo; fi < hi; fi++ {
-		out := p.dst[fi*outHW:][:outHW]
+	for fi := 0; fi < l.OutShape.Channels; fi++ {
+		out := dst[fi*outHW:][:outHW]
 		for ti := 0; ti < tiles; ti++ {
-			y := winogradInverse(p.m[(fi*tiles+ti)*16:][:16])
+			y := winogradInverse(m[(fi*tiles+ti)*16:][:16])
 			base := ti/tW*2*outW + ti%tW*2
 			out[base], out[base+1] = y[0], y[1]
 			out[base+outW], out[base+outW+1] = y[2], y[3]
@@ -201,11 +174,11 @@ func (x *peStream) winogradInverseBand(band, lo, hi int) {
 				}
 			}
 		}
-		bias := biasAt(p.st.b, fi)
+		b := biasAt(bias, fi)
 		for i, v := range out {
-			out[i] = v + bias
+			out[i] = v + b
 		}
 		activateInPlace(l.Activation, out)
 	}
-	p.mags[band] = mag
+	return mag
 }

@@ -14,7 +14,7 @@ func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, o0, o1
 // fcRows8 adds the first 8·blocks products of eight consecutive FC neurons'
 // row-major weight rows (w is neuron 0's row, the others follow v words
 // apart) with the input in, in h order, onto the eight sums at acc — each
-// lane one neuron's chain, as the Go band accumulates it. Unchecked loads:
+// lane one neuron's chain, as the Go tile accumulates it. Unchecked loads:
 // the input and all eight rows must hold 8·blocks words.
 //
 //go:noescape

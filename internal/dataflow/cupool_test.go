@@ -20,18 +20,16 @@ func TestCUPoolSmallBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := condorir.Parallelism{In: 2, Out: 2}
-	withHelpers(t, func(t *testing.T) {
-		for _, tc := range []struct{ batch, cus int }{
-			{2, 4}, // fewer images than units
-			{1, 3}, // batch of one
-			{5, 4}, // uneven split, one idle unit
-		} {
-			name := fmt.Sprintf("batch=%d/cus=%d", tc.batch, tc.cus)
-			t.Run(name, func(t *testing.T) {
-				runParallelCase(t, ir, ws, models.USPSImages(tc.batch, 23), par, tc.cus)
-			})
-		}
-	})
+	for _, tc := range []struct{ batch, cus int }{
+		{2, 4}, // fewer images than units
+		{1, 3}, // batch of one
+		{5, 4}, // uneven split, one idle unit
+	} {
+		name := fmt.Sprintf("batch=%d/cus=%d", tc.batch, tc.cus)
+		t.Run(name, func(t *testing.T) {
+			runParallelCase(t, ir, ws, models.USPSImages(tc.batch, 23), par, tc.cus)
+		})
+	}
 }
 
 // TestCUPoolReplicaError: a replica failing mid-batch must join every shard

@@ -42,9 +42,6 @@ func TestKernelDigest(t *testing.T) {
 		// and round once where amd64 rounds twice.
 		t.Skip("the kernel digest is recorded on amd64")
 	}
-	// Enough procs that every PE's bands run on helpers (withHelpers).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(dataflow.HelperProcs))
-
 	lines := kernelDigest(t)
 	if *updateDigest {
 		if err := os.WriteFile(digestGolden, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {

@@ -17,22 +17,6 @@ var (
 	TinyLeNetLayers = tinyLeNetLayers
 )
 
-// HelperProcs is withHelpers' GOMAXPROCS, for the digest's runs.
-const HelperProcs = helperProcs
-
-// PortHelpers reports how many port helpers each PE executor of s started.
-// Call it after a RunBatch: an executor starts its pool before it retires
-// its first image, and RunBatch's barrier orders that before the return.
-func (s *Session) PortHelpers() []int {
-	n := make([]int, len(s.streams))
-	for i, x := range s.streams {
-		if x.pool != nil {
-			n[i] = x.pool.size
-		}
-	}
-	return n
-}
-
 // DisableAVX2 makes every accelerator instantiated until t ends run the Go
 // kernels, as on a CPU without AVX2.
 func DisableAVX2(t testing.TB) {

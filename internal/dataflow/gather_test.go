@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,23 +100,21 @@ var gatherCases = []gatherCase{
 }
 
 func TestGatherEquivalenceSweep(t *testing.T) {
-	withHelpers(t, func(t *testing.T) {
-		for ci, tc := range gatherCases {
-			ir, ws, net := buildIR(t, tc.name, tc.input, tc.layers, int64(100+ci))
-			batch := randomImages(2, net.Input, int64(200+ci))
-			for _, in := range []int{1, 2, 3} {
-				for _, out := range []int{1, 2, 3} {
-					par := condorir.Parallelism{In: in, Out: out}
-					t.Run(fmt.Sprintf("%s/in=%d/out=%d", tc.name, in, out), func(t *testing.T) {
-						runGatherCase(t, ir, ws, batch, par, false)
-					})
-					t.Run(fmt.Sprintf("%s/in=%d/out=%d/int8", tc.name, in, out), func(t *testing.T) {
-						runGatherCase(t, ir, ws, batch, par, true)
-					})
-				}
+	for ci, tc := range gatherCases {
+		ir, ws, net := buildIR(t, tc.name, tc.input, tc.layers, int64(100+ci))
+		batch := randomImages(2, net.Input, int64(200+ci))
+		for _, in := range []int{1, 2, 3} {
+			for _, out := range []int{1, 2, 3} {
+				par := condorir.Parallelism{In: in, Out: out}
+				t.Run(fmt.Sprintf("%s/in=%d/out=%d", tc.name, in, out), func(t *testing.T) {
+					runGatherCase(t, ir, ws, batch, par, false)
+				})
+				t.Run(fmt.Sprintf("%s/in=%d/out=%d/int8", tc.name, in, out), func(t *testing.T) {
+					runGatherCase(t, ir, ws, batch, par, true)
+				})
 			}
 		}
-	})
+	}
 }
 
 // runGatherCase runs one geometry at one parallelism against the word
@@ -188,40 +187,95 @@ func TestWarmSessionSpawnsNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(2, 5)
-	withHelpers(t, func(t *testing.T) {
-		for _, tc := range []struct {
-			name   string
-			par    int
-			packed bool
-		}{{"float32", 1, false}, {"float32/par=2", 2, false}, {"int8/par=2", 2, true}} {
-			t.Run(tc.name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		par    int
+		packed bool
+	}{{"float32", 1, false}, {"float32/par=2", 2, false}, {"int8/par=2", 2, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := BuildSpec(ir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pe := range spec.PEs {
+				pe.Par = condorir.Parallelism{In: tc.par, Out: tc.par}
+			}
+			if tc.packed {
+				spec.WordBits = 8
+			}
+			acc, err := Instantiate(spec, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseline := runtime.NumGoroutine()
+			sess := acc.OpenSession()
+			if _, _, err := sess.RunBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			warm := runtime.NumGoroutine()
+			for i := 0; i < 100; i++ {
+				if _, _, err := sess.RunBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				if n := runtime.NumGoroutine(); n != warm {
+					t.Fatalf("batch %d: %d goroutines, the warm session had %d", i, n, warm)
+				}
+			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Close has joined every goroutine; poll briefly to let the
+			// runtime retire stacks that are mid-exit.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() != baseline {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before OpenSession", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestSessionGoroutinesPerElement pins what a session runs on: one goroutine
+// per PE, the feeder and the collector, whatever the PEs' port parallelism
+// and the processor count — a port is modeled, not a goroutine. On LeNet
+// with Par {2,2}, float32 and int8, at GOMAXPROCS 2 and 16, a session that
+// has retired a batch (so every executor has prepared) must have started
+// exactly len(PEs)+2 goroutines, and Close must return the count to its
+// baseline. The count is of the goroutines this package created, read from
+// their stacks, so the other tests' goroutines cannot move it.
+func TestSessionGoroutinesPerElement(t *testing.T) {
+	ir, ws, err := models.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := models.MNISTImages(2, 5)
+	for _, procs := range []int{2, 16} {
+		for _, packed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("procs=%d/packed=%v", procs, packed), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				spec, err := BuildSpec(ir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, pe := range spec.PEs {
-					pe.Par = condorir.Parallelism{In: tc.par, Out: tc.par}
+					pe.Par = condorir.Parallelism{In: 2, Out: 2}
 				}
-				if tc.packed {
+				if packed {
 					spec.WordBits = 8
 				}
 				acc, err := Instantiate(spec, ws)
 				if err != nil {
 					t.Fatal(err)
 				}
-				baseline := runtime.NumGoroutine()
+				baseline := packageGoroutines()
 				sess := acc.OpenSession()
 				if _, _, err := sess.RunBatch(batch); err != nil {
 					t.Fatal(err)
 				}
-				warm := runtime.NumGoroutine()
-				for i := 0; i < 100; i++ {
-					if _, _, err := sess.RunBatch(batch); err != nil {
-						t.Fatal(err)
-					}
-					if n := runtime.NumGoroutine(); n != warm {
-						t.Fatalf("batch %d: %d goroutines, the warm session had %d", i, n, warm)
-					}
+				if n, want := packageGoroutines()-baseline, len(spec.PEs)+2; n != want {
+					t.Errorf("the session runs %d goroutines, want %d (%d PEs, the feeder and the collector)", n, want, len(spec.PEs))
 				}
 				if err := sess.Close(); err != nil {
 					t.Fatal(err)
@@ -229,13 +283,26 @@ func TestWarmSessionSpawnsNoGoroutines(t *testing.T) {
 				// Close has joined every goroutine; poll briefly to let the
 				// runtime retire stacks that are mid-exit.
 				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() != baseline {
+				for packageGoroutines() != baseline {
 					if time.Now().After(deadline) {
-						t.Fatalf("%d goroutines after Close, %d before OpenSession", runtime.NumGoroutine(), baseline)
+						t.Fatalf("%d goroutines of this package after Close, %d before OpenSession", packageGoroutines(), baseline)
 					}
 					time.Sleep(10 * time.Millisecond)
 				}
 			})
 		}
-	})
+	}
+}
+
+// packageGoroutines counts the live goroutines this package's code started:
+// those whose stack names a creator in it.
+func packageGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "\ncreated by condor/internal/dataflow.")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }

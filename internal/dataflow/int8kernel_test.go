@@ -60,14 +60,13 @@ type int8KernelCase struct {
 	scale float64 // input scale; the weight scale is 1 (codes are the weights)
 }
 
-// runInt8Kernel instantiates a one-layer PE around the case at the given
-// Par.Out, runs the layer the way runImage would and returns the floats it left
-// for requantization. The float weights handed to the datamover are the
+// runInt8Kernel instantiates a one-layer PE around the case, runs the layer
+// the way runImage would and returns the floats it left for requantization. The float weights handed to the datamover are the
 // codes themselves with one pinned at 127, so the production quantizer
 // (quantizeLayerWeights) reproduces them at scale 1. A non-nil relayout
 // rewrites the session-resolved layer before it runs — how a test sends it
 // to a kernel this CPU would not choose.
-func runInt8Kernel(t *testing.T, tc int8KernelCase, parOut int, relayout func(*peLayerInt8)) []float32 {
+func runInt8Kernel(t *testing.T, tc int8KernelCase, relayout func(*layerState)) []float32 {
 	t.Helper()
 	l := tc.l
 	l.Name, l.Activation, l.Normalize = "k", NoActivation, NoActivation
@@ -81,45 +80,33 @@ func runInt8Kernel(t *testing.T, tc int8KernelCase, parOut int, relayout func(*p
 	dm := NewDatamover()
 	dm.LoadWeights(l.Name, wf, tc.bias)
 	dm.Seal()
-	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, Par: condorir.Parallelism{In: 1, Out: parOut}, WeightsOnChip: true, PartialsOnChip: true}
-	x := &peExecInt8{peStream: peStream{pe: pe, dm: dm, stats: &PEStats{}}}
+	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, WeightsOnChip: true, PartialsOnChip: true}
+	x := newI8Exec(peStream{pe: pe, dm: dm, stats: &PEStats{}}, nil)
 	if err := x.prepare(); err != nil {
 		t.Fatal(err)
 	}
-	defer x.pool.close()
 	if relayout != nil {
-		relayout(&x.layers[0])
+		relayout(&x.resolved[0])
 	}
-	out := make([]int8, l.OutShape.Volume())
-	x.pass.l, x.pass.st, x.pass.cur, x.pass.out, x.pass.inScale = &pe.Layers[0], &x.layers[0], tc.in, out, tc.scale
-	if l.Kind == nn.Conv {
-		x.runConv()
-	} else {
-		x.runFC()
-	}
-	return x.floatBuf[:l.OutShape.Volume()]
+	x.pass.cur, x.pass.inScale = tc.in, tc.scale
+	x.runLayer(0)
+	return x.el.floats(l.OutShape.Volume())
 }
 
-// int8KernelParOuts makes bands start on odd channels and odd neurons (3, 5)
-// and narrower than a register tile (8 over a handful of channels).
-var int8KernelParOuts = []int{1, 2, 3, 5, 8}
-
-// checkInt8Kernel runs the case at every Par.Out of the sweep and compares
-// the kernel's floats with the reference sums pushed through the same
-// dequantization expression, bit for bit.
+// checkInt8Kernel runs the case and compares the kernel's floats with the
+// reference sums pushed through the same dequantization expression, bit for
+// bit.
 func checkInt8Kernel(t *testing.T, tc int8KernelCase, want []int32) {
 	t.Helper()
 	per := len(want) / tc.l.OutShape.Channels
-	for _, parOut := range int8KernelParOuts {
-		got := runInt8Kernel(t, tc, parOut, nil)
-		for i, acc := range want {
-			var bias float64
-			if len(tc.bias) > 0 {
-				bias = float64(tc.bias[i/per])
-			}
-			if w := float32(float64(acc)*tc.scale + bias); math.Float32bits(got[i]) != math.Float32bits(w) {
-				t.Fatalf("Par.Out %d, cell %d (channel %d): kernel %v, reference sum %d dequantizes to %v", parOut, i, i/per, got[i], acc, w)
-			}
+	got := runInt8Kernel(t, tc, nil)
+	for i, acc := range want {
+		var bias float64
+		if len(tc.bias) > 0 {
+			bias = float64(tc.bias[i/per])
+		}
+		if w := float32(float64(acc)*tc.scale + bias); math.Float32bits(got[i]) != math.Float32bits(w) {
+			t.Fatalf("cell %d (channel %d): kernel %v, reference sum %d dequantizes to %v", i, i/per, got[i], acc, w)
 		}
 	}
 }
@@ -155,48 +142,44 @@ func fcLayerHW(vol, neurons int) LayerHW {
 // pad 0–2 over input widths that leave output rows of every length modulo
 // the four-position tile, with odd input- and output-channel counts.
 func TestInt8ConvKernelMatchesReference(t *testing.T) {
-	withHelpers(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(21))
-		for k := 1; k <= 5; k++ {
-			for stride := 1; stride <= 3; stride++ {
-				for pad := 0; pad <= 2; pad++ {
-					for wi, width := range []int{5, 6, 8, 11} {
-						if width+2*pad < k {
-							continue
-						}
-						c, f, height := 1+(k+wi)%3, 3+2*(wi%2)+k%2, 5+wi%2
-						l := convLayerHW(c, height, width, k, stride, pad, f)
-						tc := int8KernelCase{l: l, scale: 0.0123,
-							in: randomCodes(rng, l.InShape.Volume()), w: randomCodes(rng, l.WeightWords()), bias: randomBias(rng, f)}
-						tc.w[rng.Intn(len(tc.w))] = 127
-						t.Run(fmt.Sprintf("k=%d/s=%d/p=%d/w=%d/c=%d/f=%d", k, stride, pad, width, c, f), func(t *testing.T) {
-							checkInt8Kernel(t, tc, refConvInt8(&l, tc.in, tc.w))
-						})
+	rng := rand.New(rand.NewSource(21))
+	for k := 1; k <= 5; k++ {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 2; pad++ {
+				for wi, width := range []int{5, 6, 8, 11} {
+					if width+2*pad < k {
+						continue
 					}
+					c, f, height := 1+(k+wi)%3, 3+2*(wi%2)+k%2, 5+wi%2
+					l := convLayerHW(c, height, width, k, stride, pad, f)
+					tc := int8KernelCase{l: l, scale: 0.0123,
+						in: randomCodes(rng, l.InShape.Volume()), w: randomCodes(rng, l.WeightWords()), bias: randomBias(rng, f)}
+					tc.w[rng.Intn(len(tc.w))] = 127
+					t.Run(fmt.Sprintf("k=%d/s=%d/p=%d/w=%d/c=%d/f=%d", k, stride, pad, width, c, f), func(t *testing.T) {
+						checkInt8Kernel(t, tc, refConvInt8(&l, tc.in, tc.w))
+					})
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestInt8FCKernelMatchesReference covers neuron counts on both sides of the
-// four-neuron tile and of two tiles, odd counts (a last quad that repeats its
-// neuron) and bands that start inside a quad their neighbour began.
+// four-neuron tile and of two tiles, and odd counts (a last quad that
+// repeats its neuron).
 func TestInt8FCKernelMatchesReference(t *testing.T) {
-	withHelpers(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(22))
-		for _, neurons := range []int{1, 2, 3, 7, 8, 9, 17, 21} {
-			for _, vol := range []int{1, 9, 50} {
-				l := fcLayerHW(vol, neurons)
-				tc := int8KernelCase{l: l, scale: 0.0321,
-					in: randomCodes(rng, vol), w: randomCodes(rng, neurons*vol), bias: randomBias(rng, neurons)}
-				tc.w[rng.Intn(len(tc.w))] = -127
-				t.Run(fmt.Sprintf("o=%d/v=%d", neurons, vol), func(t *testing.T) {
-					checkInt8Kernel(t, tc, refFCInt8(tc.in, tc.w, neurons))
-				})
-			}
+	rng := rand.New(rand.NewSource(22))
+	for _, neurons := range []int{1, 2, 3, 7, 8, 9, 17, 21} {
+		for _, vol := range []int{1, 9, 50} {
+			l := fcLayerHW(vol, neurons)
+			tc := int8KernelCase{l: l, scale: 0.0321,
+				in: randomCodes(rng, vol), w: randomCodes(rng, neurons*vol), bias: randomBias(rng, neurons)}
+			tc.w[rng.Intn(len(tc.w))] = -127
+			t.Run(fmt.Sprintf("o=%d/v=%d", neurons, vol), func(t *testing.T) {
+				checkInt8Kernel(t, tc, refFCInt8(tc.in, tc.w, neurons))
+			})
 		}
-	})
+	}
 }
 
 // TestInt8KernelsSaturatedLanes is the CND026-depth saturation test: it
@@ -321,26 +304,25 @@ func extremeCodes(rng *rand.Rand, n int) []int8 {
 	return codes
 }
 
-// newInt8PoolExec prepares an int8 executor for a one-layer pool PE at the
-// given Par.In, with the codes popped into its frame buffer as popFrame
-// leaves them. The caller closes its worker pool.
-func newInt8PoolExec(t *testing.T, l LayerHW, codes []int8, inScale float64, parIn int) *peExecInt8 {
+// newInt8PoolExec prepares an int8 executor for a one-layer pool PE, with
+// the codes popped into its frame buffer as runImage leaves them.
+func newInt8PoolExec(t *testing.T, l LayerHW, codes []int8, inScale float64) *peExec[int8] {
 	t.Helper()
-	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, Par: condorir.Parallelism{In: parIn, Out: 1}, WeightsOnChip: true, PartialsOnChip: true}
+	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, WeightsOnChip: true, PartialsOnChip: true}
 	dm := NewDatamover()
 	dm.Seal()
-	x := &peExecInt8{peStream: peStream{pe: pe, dm: dm, stats: &PEStats{}}}
+	x := newI8Exec(peStream{pe: pe, dm: dm, stats: &PEStats{}}, nil)
 	if err := x.prepare(); err != nil {
 		t.Fatal(err)
 	}
-	x.pass.cur, x.pass.inScale = int8Payload(x.curFrame, len(codes)), inScale
+	x.pass.cur, x.pass.inScale = x.el.view(x.curFrame, len(codes)), inScale
 	copy(x.pass.cur, codes)
 	return x
 }
 
 // TestInt8PoolMatchesReference runs pool layers through the int8 executor —
 // k 1–3 × stride 1–3 × pad 0–1 × output widths on both sides of the AVX2
-// kernel's half-tile and tile, max, max + ReLU and average, Par.In 1 and 2 —
+// kernel's half-tile and tile, max, max + ReLU and average —
 // with the AVX2 kernels and with the Go kernels, and compares every cell with
 // refPoolInt8: a pure max pool's codes exactly, the others' floats (before
 // requantization) bit for bit with the reference pushed through the
@@ -373,27 +355,25 @@ func TestInt8PoolMatchesReference(t *testing.T) {
 								l := LayerHW{Name: "pool", Kind: kd.kind, Activation: kd.act, Kernel: k, Stride: s, Pad: pad,
 									InShape: nn.Shape{Channels: c, Height: inH, Width: inW}, OutShape: nn.Shape{Channels: c, Height: outH, Width: outW}}
 								want := refPoolInt8(&l, in)
-								for _, parIn := range []int{1, 2} {
-									x := newInt8PoolExec(t, l, in, inScale, parIn)
-									p := &x.pass
-									x.runLayer(0)
-									x.pool.close()
-									for i, r := range want {
-										cells++
-										if kd.name == "max" {
-											if p.out[i] != int8(r) {
-												t.Fatalf("k=%d s=%d pad=%d outW=%d %s Par.In %d cell %d: code %d, reference %d", k, s, pad, outW, kd.name, parIn, i, p.out[i], r)
-											}
-											continue
+								x := newInt8PoolExec(t, l, in, inScale)
+								p := &x.pass
+								x.runLayer(0)
+								fb := x.el.floats(len(p.out))
+								for i, r := range want {
+									cells++
+									if kd.name == "max" {
+										if p.out[i] != int8(r) {
+											t.Fatalf("k=%d s=%d pad=%d outW=%d %s cell %d: code %d, reference %d", k, s, pad, outW, kd.name, i, p.out[i], r)
 										}
-										w := float32(float64(r) * inScale)
-										if kd.kind == nn.AvgPool {
-											w = float32(float64(r) * (inScale / float64(k*k)))
-										}
-										w = applyActivation(kd.act, w)
-										if got := x.floatBuf[i]; math.Float32bits(got) != math.Float32bits(w) {
-											t.Fatalf("k=%d s=%d pad=%d outW=%d %s Par.In %d cell %d: %v, reference %d gives %v", k, s, pad, outW, kd.name, parIn, i, got, r, w)
-										}
+										continue
+									}
+									w := float32(float64(r) * inScale)
+									if kd.kind == nn.AvgPool {
+										w = float32(float64(r) * (inScale / float64(k*k)))
+									}
+									w = applyActivation(kd.act, w)
+									if got := fb[i]; math.Float32bits(got) != math.Float32bits(w) {
+										t.Fatalf("k=%d s=%d pad=%d outW=%d %s cell %d: %v, reference %d gives %v", k, s, pad, outW, kd.name, i, got, r, w)
 									}
 								}
 							}
@@ -439,23 +419,21 @@ func TestInt8DirectAndGEMMIdentical(t *testing.T) {
 		}
 		return outs, stats
 	}
-	withHelpers(t, func(t *testing.T) {
-		for _, par := range []int{1, 3} {
-			dOut, dStats := run(AlgoDirect, par)
-			gOut, gStats := run(AlgoGEMM, par)
-			cyclesDiffer := false
-			for i := range gStats.PEs {
-				cyclesDiffer = cyclesDiffer || gStats.PEs[i].Cycles != dStats.PEs[i].Cycles
-				gStats.PEs[i].Cycles = dStats.PEs[i].Cycles
-			}
-			if !cyclesDiffer {
-				t.Error("direct and im2col_gemm report the same cycles: the algorithm no longer reaches the cycle model")
-			}
-			assertRunsIdentical(t, "direct", dOut, dStats, "im2col_gemm", gOut, gStats)
-			if dStats.InputScale != gStats.InputScale || dStats.QuantErrorBound() != gStats.QuantErrorBound() {
-				t.Errorf("quantization record differs: direct %g/%g, im2col_gemm %g/%g",
-					dStats.InputScale, dStats.QuantErrorBound(), gStats.InputScale, gStats.QuantErrorBound())
-			}
+	for _, par := range []int{1, 3} {
+		dOut, dStats := run(AlgoDirect, par)
+		gOut, gStats := run(AlgoGEMM, par)
+		cyclesDiffer := false
+		for i := range gStats.PEs {
+			cyclesDiffer = cyclesDiffer || gStats.PEs[i].Cycles != dStats.PEs[i].Cycles
+			gStats.PEs[i].Cycles = dStats.PEs[i].Cycles
 		}
-	})
+		if !cyclesDiffer {
+			t.Error("direct and im2col_gemm report the same cycles: the algorithm no longer reaches the cycle model")
+		}
+		assertRunsIdentical(t, "direct", dOut, dStats, "im2col_gemm", gOut, gStats)
+		if dStats.InputScale != gStats.InputScale || dStats.QuantErrorBound() != gStats.QuantErrorBound() {
+			t.Errorf("quantization record differs: direct %g/%g, im2col_gemm %g/%g",
+				dStats.InputScale, dStats.QuantErrorBound(), gStats.InputScale, gStats.QuantErrorBound())
+		}
+	}
 }

@@ -27,8 +27,9 @@ import (
 //
 // Codes have one layout on every CPU: a conv layer's padded code planes are
 // stacked one byte per code, as the float32 path stacks words, and FC codes
-// are row-major. The MAC loops are the float32 path's too — convPass's band
-// nests and the generic Go tiles (convTileGo, fcTileGo) — summing in int32,
+// are row-major. The executor (peExec[int8], with i8Ops as its per-type
+// value) and the MAC loops are the float32 path's too — convPass's nests and
+// the generic Go tiles (convTileGo, fcTileGo) — summing in int32,
 // which rule CND026 keeps from wrapping. Where the CPU has AVX2 the same sums
 // come from VPMADDWD tiles (convtile_amd64.s) sixteen int16 products per
 // instruction: the conv tile over the code stack and a tap-pair weight table
@@ -135,65 +136,40 @@ func popInt8Frame(f *fifo.FIFO, words []fifo.Word, n int) (float64, error) {
 	return float64(words[0]), nil
 }
 
-// peExecInt8 executes one PE over a stream of images on the packed datapath.
-// Layer resolution, the frame loop, output banding on the worker pool and
-// windows gathered from the zero-padded channel planes are peStream's, as for
-// peExec; the arithmetic is int8×int8 in int32 accumulators with one
-// dequantize/requantize per layer boundary, and the layer schedule models the
-// packed stream traversal. Integer accumulation is exact and
-// order-free; conv and FC layers run output-stationary — one band dispatch per
-// layer, each cell's whole chain in a register — and the direct and
-// im2col_gemm schedules share one kernel: the algorithm drives the cycle,
-// resource and verification models only.
-type peExecInt8 struct {
-	peStream
-	qw map[string]int8LayerWeights // Instantiate-time weight codes (prepare quantizes a layer it lacks)
-
-	layers []peLayerInt8
-
-	// pass is the layer pass in flight, written by popFrame, runLayer and
-	// handOff and read by the band bodies.
-	pass struct {
-		l        *LayerHW
-		st       *peLayerInt8
-		cur, out []int8  // the layer's input and output codes, views of curFrame and nxtFrame
-		inScale  float64 // scale of cur
-		outScale float64 // scale of out, once the layer has run
-	}
-	conv convPass[int8, uint32, int32]
+// i8Ops is the packed datapath's per-type value. Its arithmetic is
+// int8×int8 in int32 accumulators with one dequantize/requantize per layer
+// boundary: the stores dequantize into floatBuf, where bias, activation and
+// normalisation fold in float, and the layer close requantizes with a fresh
+// per-tensor scale, straight into the output codes. Integer accumulation is
+// exact and order-free; the layer schedule models the packed stream
+// traversal.
+type i8Ops struct {
+	x     *peExec[int8]
+	qw    map[string]int8LayerWeights // Instantiate-time weight codes (prepare quantizes a layer it lacks)
+	tiles convPass[int8, uint32, int32]
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
-	curFrame []fifo.Word // frame buffers (int8Payload): the layer's input and output volumes
-	nxtFrame []fifo.Word
 	floatBuf []float32 // a layer's results before requantization
 	chanMax  []uint32  // a direct or im2col_gemm conv layer's largest |result| per output channel, as float32 bits (convStore)
 	deqBuf   []float32 // a winograd_f23 layer's dequantized input volume
-	planes   [][]int8  // zero-padded channel planes, one per Par.In band
-	stack    []int8    // a padded conv layer's stacked code planes, one byte per code
 }
 
-// peLayerInt8 is one fused layer's session-resolved state: what peStream
-// resolved plus the layer's weight codes, a conv layer's tap table for the
-// AVX2 tile and whether an FC layer runs on the AVX2 kernel.
-type peLayerInt8 struct {
-	*layerState
-	q     int8LayerWeights
-	tile8 bool    // the FC layer runs on fcDot4I8
-	deq4  bool    // the conv layer's store runs on deqStore4: AVX2, and no activation or ReLU
-	taps2 []int32 // a conv layer's tap table padded to whole pairs (pairTaps)
+// newI8Exec binds a packed int8 executor to its stream ends and the
+// accelerator's weight codes.
+func newI8Exec(s peStream, qw map[string]int8LayerWeights) *peExec[int8] {
+	x := &peExec[int8]{peStream: s, poolMax8: poolMax8I8}
+	o := &i8Ops{x: x, qw: qw}
+	o.tiles.ops, x.el = o, o
+	return x
 }
 
-func (x *peExecInt8) prepare() error {
-	sz, err := x.resolveLayers(bandFns{conv: x.conv.convBand, pool: x.poolBand, fc: x.fcBand})
-	if err != nil {
-		return err
-	}
-	x.conv.ops = x
-	x.layers = make([]peLayerInt8, len(x.resolved))
+// prepare checks CND026 on every compute layer and resolves its weight codes
+// and kernel choices into its layerState.
+func (o *i8Ops) prepare(sz scratchWords) error {
+	x := o.x
 	channels := 0
-	for li := range x.layers {
-		l, st := &x.pe.Layers[li], &x.layers[li]
-		st.layerState = &x.resolved[li]
+	for li := range x.resolved {
+		l, st := &x.pe.Layers[li], &x.resolved[li]
 		if st.w == nil {
 			continue
 		}
@@ -202,7 +178,7 @@ func (x *peExecInt8) prepare() error {
 			return d
 		}
 		var ok bool
-		if st.q, ok = x.qw[l.Name]; !ok {
+		if st.q, ok = o.qw[l.Name]; !ok {
 			// Spec switched to WordBits==8 after Instantiate: derive the
 			// codes here (the slow path the Instantiate-time cache avoids).
 			st.q = quantizeLayerWeights(l, st.w)
@@ -211,66 +187,47 @@ func (x *peExecInt8) prepare() error {
 		st.deq4 = haveAVX2 && (l.Activation == NoActivation || l.Activation == nn.ReLU)
 		st.taps2 = pairTaps(st.taps)
 	}
-	x.curFrame = make([]fifo.Word, 1+fifo.PackedWords(sz.vol+poolSlack))
-	x.nxtFrame = make([]fifo.Word, 1+fifo.PackedWords(sz.vol+poolSlack))
-	x.floatBuf = make([]float32, sz.vol)
-	x.chanMax = make([]uint32, channels)
-	x.deqBuf = make([]float32, sz.winogradIn)
-	x.planes = bandPlanes[int8](x.inBands, sz.plane+poolSlack)
-	x.stack = make([]int8, sz.paddedStack)
+	o.floatBuf = make([]float32, sz.vol)
+	o.chanMax = make([]uint32, channels)
+	o.deqBuf = make([]float32, sz.winogradIn)
 	return nil
 }
 
-func (x *peExecInt8) popFrame() (err error) {
-	p, n := &x.pass, x.pe.Layers[0].InShape.Volume()
-	p.inScale, err = popInt8Frame(x.in, x.curFrame, n)
-	p.cur = int8Payload(x.curFrame, n)
-	return err
+func (o *i8Ops) frameWords(n int) int                 { return 1 + fifo.PackedWords(n) }
+func (o *i8Ops) view(frame []fifo.Word, n int) []int8 { return int8Payload(frame, n) }
+
+func (o *i8Ops) popFrame(frame []fifo.Word, n int) (float64, error) {
+	return popInt8Frame(o.x.in, frame, n)
 }
 
-func (x *peExecInt8) runLayer(li int) {
-	p := &x.pass
-	p.l, p.st = &x.pe.Layers[li], &x.layers[li]
-	p.out = int8Payload(x.nxtFrame, p.l.OutShape.Volume())
-	switch {
-	case p.l.Kind == nn.FullyConnected:
-		p.outScale = x.runFC()
-	case p.l.Kind != nn.Conv: // sub-sampling: resolveLayers admits no other kind
-		p.outScale = x.runPool()
-	case p.l.Algo() == AlgoWinograd:
-		p.outScale = x.runConvWinograd()
-	default:
-		p.outScale = x.runConv()
-	}
-	if p.outScale > x.stats.MaxRequantScale {
-		x.stats.MaxRequantScale = p.outScale
-	}
+func (o *i8Ops) pushFrame(frame []fifo.Word, n int, scale float64) {
+	pushInt8Frame(o.x.out, frame, n, scale)
 }
 
-// handOff sends the fused intermediate through DDR as packed bytes (one per
-// lane) and makes it the next layer's input.
-func (x *peExecInt8) handOff(int) error {
-	p := &x.pass
-	x.dm.AccountWriteBytes(int64(len(p.out)))
-	x.dm.AccountReadBytes(int64(len(p.out)))
-	x.curFrame, x.nxtFrame = x.nxtFrame, x.curFrame
-	p.cur, p.inScale = p.out, p.outScale
-	return nil
+func (o *i8Ops) floats(n int) []float32 { return o.floatBuf[:n] }
+
+// floatsIn dequantizes the input codes for a winograd_f23 layer, whose ±½
+// transform combinations do not survive the int8 grid: the float32 schedule
+// runs over them and the layer requantizes, so its deviation from the oracle
+// is bounded by QuantErrorBound + WinogradErrorBound.
+func (o *i8Ops) floatsIn() []float32 {
+	p := &o.x.pass
+	in := o.deqBuf[:len(p.cur)]
+	quant.DequantizeInto(in, p.cur, p.inScale)
+	return in
 }
 
-func (x *peExecInt8) pushFrame() { pushInt8Frame(x.out, x.nxtFrame, len(x.pass.out), x.pass.outScale) }
-
-// requantize closes a layer: the float results in fb get a fresh symmetric
-// per-tensor scale and land in the output codes.
-func (x *peExecInt8) requantize(fb []float32) float64 {
+// closeLayer requantizes a layer's float results with a fresh symmetric
+// per-tensor scale into the output codes.
+func (o *i8Ops) closeLayer(fb []float32) float64 {
 	outScale := frameScale(fb)
-	quantizeCodes(x.pass.out, fb, outScale)
+	quantizeCodes(o.x.pass.out, fb, outScale)
 	return outScale
 }
 
 // quantizeCodes is quant.QuantizeInto — the reference, and the path off
 // AVX2 — with its whole blocks of eight on the AVX2 requantizer (quantize8)
-// where the CPU has one. The feeder, runConv and requantize use it.
+// where the CPU has one. The feeder, conv and closeLayer use it.
 func quantizeCodes(dst []int8, src []float32, scale float64) {
 	_ = dst[:len(src)]
 	n := 0
@@ -282,53 +239,49 @@ func quantizeCodes(dst []int8, src []float32, scale float64) {
 	quant.QuantizeInto(dst[n:], src[n:], scale)
 }
 
-// runConv is the quantized convolutional PE, direct and im2col_gemm alike:
-// the padded code planes are staged once, stacked one byte per code (an
-// unpadded input volume already is that stack), then one band dispatch of
-// the shared nests (convPass) computes each output cell's whole chain,
-// dequantizes it (acc · wScale · inScale + bias) and activates it in float;
-// the layer output is requantized with a fresh per-tensor scale, from the
-// per-channel magnitudes the stores kept instead of a scan of the output.
-func (x *peExecInt8) runConv() float64 {
-	p := &x.pass
-	l, q := p.l, &p.st.q
-	chanMax := x.chanMax[:l.OutShape.Channels]
+// conv runs the shared nests (convPass) over the stacked code planes: each
+// output cell's whole chain is dequantized (acc · wScale · inScale + bias)
+// and activated in float, and the layer output is requantized with a fresh
+// per-tensor scale, from the per-channel magnitudes the stores kept instead
+// of a scan of the output.
+func (o *i8Ops) conv(stack []int8) float64 {
+	p := &o.x.pass
+	l, st := p.l, p.st
+	chanMax := o.chanMax[:l.OutShape.Channels]
 	clear(chanMax)
-	x.conv.set(l, stackPlanes(x.stack, l, p.cur), q.w, p.st.taps, q.tapPairs, p.st.taps2, len(p.st.taps2)/2)
-	x.pool.bands(l.OutShape.Channels, x.outBands, x.fns.conv)
+	o.tiles.set(l, stack, st.q.w, st.taps, st.q.tapPairs, st.taps2, len(st.taps2)/2)
+	o.tiles.run()
 	outScale := float64(float32(quant.MaxAbsScale(float64(math.Float32frombits(slices.Max(chanMax))), quant.Int8))) // rounded as frameScale does
-	quantizeCodes(p.out, x.floatBuf[:len(p.out)], outScale)
+	quantizeCodes(p.out, o.floatBuf[:len(p.out)], outScale)
 	return outScale
 }
 
-// tile8 and store4 are the int8 part of the shared conv band nests
-// (convOps): the AVX2 tile reads the padded tap table and rows of the
-// tap-pair table.
-func (x *peExecInt8) tile8(win *int8, taps *int32, pairs int, w [4]*uint32, f [4]int, pos int) {
+// tile8 and store4 are the int8 part of the shared conv nests (convOps): the
+// AVX2 tile reads the padded tap table and rows of the tap-pair table.
+func (o *i8Ops) tile8(win *int8, taps *int32, pairs int, w [4]*uint32, f [4]int, pos int) {
 	var acc [4][convLanes]int32
 	convTile8I8(win, taps, pairs, w[0], w[1], w[2], w[3], &acc)
 	for j, fj := range f {
 		if j == 0 || fj != f[j-1] {
-			x.convStore(fj, pos, acc[j][:])
+			o.convStore(fj, pos, acc[j][:])
 		}
 	}
 }
 
-func (x *peExecInt8) store4(fi, pos, n int, acc [convPosTile]int32) { x.convStore(fi, pos, acc[:n]) }
+func (o *i8Ops) store4(fi, pos, n int, acc [convPosTile]int32) { o.convStore(fi, pos, acc[:n]) }
 
 // convStore dequantizes and activates a tile's position sums for one
 // channel, into channel fi's float plane from pos on, and folds their
 // magnitudes into the channel's maximum with tensorScale's comparison (a NaN
-// is skipped). One band owns each channel, and a recomputed tile stores equal
-// values again, so the maximum is the scan's. Whole blocks of four run on
-// deqStore4 where the layer admits it (peLayerInt8.deq4), the rest on
-// deqStoreGo.
-func (x *peExecInt8) convStore(fi, pos int, acc []int32) {
-	p := &x.pass
+// is skipped). A recomputed tile stores equal values again, so the maximum
+// is the scan's. Whole blocks of four run on deqStore4 where the layer admits
+// it (layerState.deq4), the rest on deqStoreGo.
+func (o *i8Ops) convStore(fi, pos int, acc []int32) {
+	p := &o.x.pass
 	l, bias := p.l, float64(biasAt(p.st.b, fi))
 	deq := p.st.q.wScale * p.inScale
-	fb := x.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:len(acc)]
-	m, n := x.chanMax[fi], 0
+	fb := o.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:len(acc)]
+	m, n := o.chanMax[fi], 0
 	if p.st.deq4 {
 		if n = len(acc) &^ 3; n > 0 {
 			m = deqStore4(&acc[0], n/4, &fb[0], deq, bias, l.Activation == nn.ReLU, m)
@@ -337,7 +290,7 @@ func (x *peExecInt8) convStore(fi, pos int, acc []int32) {
 	if n < len(acc) {
 		m = deqStoreGo(fb[n:], acc[n:], deq, bias, l.Activation, m)
 	}
-	x.chanMax[fi] = m
+	o.chanMax[fi] = m
 }
 
 // deqStoreGo is the conv store's float stage in Go, the reference for
@@ -358,94 +311,33 @@ func deqStoreGo(fb []float32, acc []int32, deq, bias float64, act nn.Kind, m uin
 	return m
 }
 
-// runPool is the quantized sub-sampling PE. Max pooling runs on the codes —
-// integer max is exact and order-free, and max commutes with the monotone
-// dequantization — so a max pool with no folded activation stays entirely on
-// the int8 grid and the input scale passes through. Average pooling
-// accumulates in int32, and it and a max pool with a folded activation
-// dequantize, apply the float stage and requantize.
-func (x *peExecInt8) runPool() float64 {
-	p := &x.pass
-	l := p.l
-	// Channel maps are independent; bands shard whole channels, each padding
-	// into its own plane.
-	x.pool.bands(l.InShape.Channels, x.inBands, x.fns.pool)
-	if l.Kind == nn.MaxPool && l.Activation == NoActivation {
-		return p.inScale
-	}
-	return x.requantize(x.floatBuf[:len(p.out)])
+// maxFloats dequantizes a max pool's codes for the folded activation that
+// follows it.
+func (o *i8Ops) maxFloats(fb []float32, out []int8) { quant.DequantizeInto(fb, out, o.x.pass.inScale) }
+
+// avgPool averages from int32 window sums, dequantized at the input scale.
+func (o *i8Ops) avgPool(fb []float32, plane []int8) {
+	p := &o.x.pass
+	avgPlane[int8, int32](fb, plane, p.l, p.inScale/float64(p.l.Kernel*p.l.Kernel))
 }
 
-// poolSlack is how many codes past every channel plane the executor can read
-// — the frame buffers and scratch planes carry them — so that poolMax8Rows,
-// which counts the stride-2 kernel's one load past a plane's last window,
-// admits a plane's last row too.
-const poolSlack = 1
-
-// poolBand sub-samples channels [lo,hi): a max pool into the output codes
-// (maxPoolPlane, on poolMax8I8), dequantized per channel where an activation
-// follows; an average pool from its int32 window sums.
-func (x *peExecInt8) poolBand(band, lo, hi int) {
-	p := &x.pass
-	l := p.l
-	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
-	outHW, outW := l.OutShape.Height*l.OutShape.Width, l.OutShape.Width
-	inHW := l.InShape.Height * l.InShape.Width
-	inScale := p.inScale
-	inv := inScale / float64(k*k)
-	for ci := lo; ci < hi; ci++ {
-		plane := padPlane(x.planes[band], l, p.cur[ci*inHW:(ci+1)*inHW])
-		out, fb := p.out[ci*outHW:][:outHW], x.floatBuf[ci*outHW:][:outHW]
-		if l.Kind == nn.MaxPool {
-			maxPoolPlane(poolMax8I8, plane, out, l, poolMax8Rows(l, poolReach(l, p.cur, plane, ci)+poolSlack))
-			if l.Activation == NoActivation {
-				continue
-			}
-			for i, v := range out {
-				fb[i] = float32(float64(v) * inScale)
-			}
-		} else {
-			for i := range fb {
-				fb[i] = float32(float64(windowSum[int8, int32](plane[(i/outW*pw+i%outW)*stride:], k, pw)) * inv)
-			}
-		}
-		activateInPlace(l.Activation, fb)
-	}
-}
-
-// runFC is the quantized fully-connected PE: each output neuron's integer
-// accumulation walks the input lanes, then the whole vector is dequantized,
-// biased, activated, normalized (LogSoftMax/SoftMax in float — the paper
-// folds normalisation into the last PE) and requantized for the output
-// frame.
-func (x *peExecInt8) runFC() float64 {
-	p := &x.pass
-	l := p.l
-	fb := x.floatBuf[:l.OutShape.Channels]
-	x.pool.bands(len(fb), x.outBands, x.fns.fc)
-	activateInPlace(l.Activation, fb)
-	if l.Normalize != NoActivation {
-		normalizeInPlace(l.Normalize, fb)
-	}
-	return x.requantize(fb)
-}
-
-// fcBand accumulates, dequantizes and biases neurons [lo,hi), four per tile
-// over the row-major codes; a band ending inside a quad repeats its last
-// neuron. On the AVX2 kernel (tile8) fcDot4I8 takes each quad's whole
+// fc accumulates, dequantizes and biases every neuron, four per tile over
+// the row-major codes; a layer ending inside a quad repeats its last neuron.
+// On the AVX2 kernel (layerState.tile8) fcDot4I8 takes each quad's whole
 // 16-input blocks, sixteen codes per step, and its eight lane sums per neuron
 // are added up here; the Go tile takes the inputs past the last block, or the
 // whole row.
-func (x *peExecInt8) fcBand(_, lo, hi int) {
-	p := &x.pass
+func (o *i8Ops) fc(fb []float32) {
+	p := &o.x.pass
 	in, w := p.cur, p.st.q.w
 	v, body := len(in), 0
 	if p.st.tile8 {
 		body = v &^ 15
 	}
+	deq := p.st.q.wScale * p.inScale
 	var acc [4][convLanes]int32
-	for oi := lo; oi < hi; oi += 4 {
-		f := quad(oi, hi)
+	for oi := 0; oi < len(fb); oi += 4 {
+		f := quad(oi, len(fb))
 		var s [4]int32
 		if p.st.tile8 {
 			fcDot4I8(&in[0], body/16, &w[f[0]*v], &w[f[1]*v], &w[f[2]*v], &w[f[3]*v], &acc)
@@ -457,15 +349,7 @@ func (x *peExecInt8) fcBand(_, lo, hi int) {
 		}
 		s = fcTileGo(in[body:], w[body:], v, f, s)
 		for j, fj := range f {
-			if j == 0 || fj != f[j-1] {
-				x.fcStore(fj, s[j])
-			}
+			fb[fj] = float32(float64(s[j])*deq + float64(biasAt(p.st.b, fj)))
 		}
 	}
-}
-
-// fcStore dequantizes and biases neuron oi's sum.
-func (x *peExecInt8) fcStore(oi int, s int32) {
-	p := &x.pass
-	x.floatBuf[oi] = float32(float64(s)*(p.st.q.wScale*p.inScale) + float64(biasAt(p.st.b, oi)))
 }

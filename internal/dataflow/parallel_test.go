@@ -10,13 +10,13 @@ import (
 	"condor/internal/tensor"
 )
 
-// These tests pin the tentpole invariant of parallel-port execution: at any
+// These tests pin the invariant of parallel-port execution: at any
 // Parallelism{In,Out} setting and any compute-unit count, the burst fabric
-// (banded across worker goroutines, batch sharded across cloned CUs) must
-// produce bit-identical outputs and identical merged RunStats to the
-// word-at-a-time oracle running the same spec sequentially — banding
-// partitions output channels (conv/FC) or whole input maps (pool), never an
-// accumulation chain, and CU shards merge back counter-for-counter.
+// (each PE's ports modeled, its layers run inline; the batch sharded across
+// cloned CUs) must produce bit-identical outputs and identical merged
+// RunStats to the word-at-a-time oracle running the same spec sequentially —
+// the port parallelism moves only the schedule, which both sides share, and
+// CU shards merge back counter-for-counter.
 // MaxOccupancy stays excluded as in the burst/word equivalence tests.
 
 // runParallelCase executes one {Par, CUs} point: the same spec (with every
@@ -74,40 +74,22 @@ func withProcs(t *testing.T, procs int, body func(t *testing.T)) {
 	body(t)
 }
 
-// helperProcs is a GOMAXPROCS at which every PE the sweeps build gets at
-// least one port helper: newPEWorkerPool grants a PE GOMAXPROCS ÷ (the
-// session's PEs) processors, a helper needs a share of two, and no sweep
-// builds more than 8 PEs.
-const helperProcs = 2 * 8
-
-// withHelpers runs the sweep body at helperProcs, so that the worker pools
-// spawn helpers and the bands of a PE run concurrently whatever the box's
-// core count (on one core, or with fewer processors than PEs, the pools
-// legally degrade to the sequential schedule and a sweep would test only
-// that).
-func withHelpers(t *testing.T, body func(t *testing.T)) {
-	t.Helper()
-	withProcs(t, helperProcs, body)
-}
-
 func TestParallelPortEquivalenceTC1(t *testing.T) {
 	ir, ws, err := models.TC1()
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := models.USPSImages(4, 7)
-	withHelpers(t, func(t *testing.T) {
-		for _, in := range []int{1, 2, 4} {
-			for _, out := range []int{1, 2, 4} {
-				for _, cus := range []int{1, 2, 4} {
-					name := fmt.Sprintf("in=%d/out=%d/cus=%d", in, out, cus)
-					t.Run(name, func(t *testing.T) {
-						runParallelCase(t, ir, ws, batch, condorir.Parallelism{In: in, Out: out}, cus)
-					})
-				}
+	for _, in := range []int{1, 2, 4} {
+		for _, out := range []int{1, 2, 4} {
+			for _, cus := range []int{1, 2, 4} {
+				name := fmt.Sprintf("in=%d/out=%d/cus=%d", in, out, cus)
+				t.Run(name, func(t *testing.T) {
+					runParallelCase(t, ir, ws, batch, condorir.Parallelism{In: in, Out: out}, cus)
+				})
 			}
 		}
-	})
+	}
 }
 
 func TestParallelPortEquivalenceLeNet(t *testing.T) {
@@ -116,19 +98,17 @@ func TestParallelPortEquivalenceLeNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(3, 11)
-	withHelpers(t, func(t *testing.T) {
-		for _, p := range []int{1, 2, 4} {
-			name := fmt.Sprintf("in=%d/out=%d/cus=%d", p, p, p)
-			t.Run(name, func(t *testing.T) {
-				runParallelCase(t, ir, ws, batch, condorir.Parallelism{In: p, Out: p}, p)
-			})
-		}
-	})
+	for _, p := range []int{1, 2, 4} {
+		name := fmt.Sprintf("in=%d/out=%d/cus=%d", p, p, p)
+		t.Run(name, func(t *testing.T) {
+			runParallelCase(t, ir, ws, batch, condorir.Parallelism{In: p, Out: p}, p)
+		})
+	}
 }
 
-// A single-processor budget must degrade to the sequential schedule (no
-// helper goroutines) while remaining bit-identical — the explicit check that
-// parallelism settings are semantics-free on any host.
+// One processor must neither deadlock the pipeline of PE goroutines nor
+// change a bit — the explicit check that parallelism settings are
+// semantics-free on any host.
 func TestParallelPortSingleProcDegrades(t *testing.T) {
 	ir, ws, err := models.TC1()
 	if err != nil {
@@ -136,10 +116,6 @@ func TestParallelPortSingleProcDegrades(t *testing.T) {
 	}
 	batch := models.USPSImages(3, 5)
 	withProcs(t, 1, func(t *testing.T) {
-		if p := newPEWorkerPool(4, 1); p != nil {
-			p.close()
-			t.Fatal("newPEWorkerPool spawned helpers at GOMAXPROCS=1")
-		}
 		runParallelCase(t, ir, ws, batch, condorir.Parallelism{In: 4, Out: 4}, 2)
 	})
 }

@@ -109,18 +109,16 @@ func TestQuantEquivalenceTC1(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.USPSImages(4, 7)
-	withHelpers(t, func(t *testing.T) {
-		for _, in := range []int{1, 2, 4} {
-			for _, out := range []int{1, 2, 4} {
-				for _, cus := range []int{1, 2, 4} {
-					name := fmt.Sprintf("in=%d/out=%d/cus=%d", in, out, cus)
-					t.Run(name, func(t *testing.T) {
-						runQuantCase(t, ir, ws, batch, condorir.Parallelism{In: in, Out: out}, cus)
-					})
-				}
+	for _, in := range []int{1, 2, 4} {
+		for _, out := range []int{1, 2, 4} {
+			for _, cus := range []int{1, 2, 4} {
+				name := fmt.Sprintf("in=%d/out=%d/cus=%d", in, out, cus)
+				t.Run(name, func(t *testing.T) {
+					runQuantCase(t, ir, ws, batch, condorir.Parallelism{In: in, Out: out}, cus)
+				})
 			}
 		}
-	})
+	}
 }
 
 func TestQuantEquivalenceLeNet(t *testing.T) {
@@ -129,14 +127,12 @@ func TestQuantEquivalenceLeNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(3, 11)
-	withHelpers(t, func(t *testing.T) {
-		for _, p := range []int{1, 2, 4} {
-			name := fmt.Sprintf("in=%d/out=%d/cus=%d", p, p, p)
-			t.Run(name, func(t *testing.T) {
-				runQuantCase(t, ir, ws, batch, condorir.Parallelism{In: p, Out: p}, p)
-			})
-		}
-	})
+	for _, p := range []int{1, 2, 4} {
+		name := fmt.Sprintf("in=%d/out=%d/cus=%d", p, p, p)
+		t.Run(name, func(t *testing.T) {
+			runQuantCase(t, ir, ws, batch, condorir.Parallelism{In: p, Out: p}, p)
+		})
+	}
 }
 
 // The int8 fabric's run-time DDR byte counters must equal the analytic

@@ -47,7 +47,6 @@ type Session struct {
 
 	fed        int // images fed over the session (runMu-guarded)
 	peStats    []PEStats
-	streams    []*peStream // the PE executors; tests read their pools after a RunBatch
 	inputScale float64
 	outShape   [3]int
 
@@ -84,7 +83,6 @@ func (a *Accelerator) OpenSession() *Session {
 		quit:     make(chan struct{}),
 		done:     make([]int, len(spec.PEs)+2),
 		peStats:  make([]PEStats, len(spec.PEs)),
-		streams:  make([]*peStream, len(spec.PEs)),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	out := spec.OutputShape()
@@ -114,17 +112,13 @@ func (a *Accelerator) OpenSession() *Session {
 		s.peStats[i].ID = pe.ID
 		elem := 1 + i
 		stream := peStream{pe: pe, dm: a.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i], track: peTracks[i],
-			bits: spec.Bits(), sessionPEs: len(spec.PEs), wgCache: a.wgweights,
+			bits: spec.Bits(), wgCache: a.wgweights,
 			onImage: func() { s.imageDone(elem) }, onErr: s.fail}
 		var run func() error
 		if s.packed {
-			x := &peExecInt8{peStream: stream, qw: a.qweights}
-			run = func() error { return x.runStream(x) }
-			s.streams[i] = &x.peStream
+			run = newI8Exec(stream, a.qweights).runStream
 		} else {
-			x := &peExec{peStream: stream}
-			run = func() error { return x.runStream(x) }
-			s.streams[i] = &x.peStream
+			run = newF32Exec(stream).runStream
 		}
 		s.wg.Add(1)
 		go func() {

@@ -129,20 +129,18 @@ func TestStreamingEquivalenceTC1(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.USPSImages(6, 7)
-	withHelpers(t, func(t *testing.T) {
-		for _, dtype := range []string{"float32", "int8"} {
-			for _, in := range []int{1, 2, 4} {
-				for _, out := range []int{1, 2, 4} {
-					for _, cus := range []int{1, 2, 4} {
-						name := fmt.Sprintf("dtype=%s/in=%d/out=%d/cus=%d", dtype, in, out, cus)
-						t.Run(name, func(t *testing.T) {
-							runStreamCase(t, ir, ws, batch, condorir.Parallelism{In: in, Out: out}, cus, dtype == "int8")
-						})
-					}
+	for _, dtype := range []string{"float32", "int8"} {
+		for _, in := range []int{1, 2, 4} {
+			for _, out := range []int{1, 2, 4} {
+				for _, cus := range []int{1, 2, 4} {
+					name := fmt.Sprintf("dtype=%s/in=%d/out=%d/cus=%d", dtype, in, out, cus)
+					t.Run(name, func(t *testing.T) {
+						runStreamCase(t, ir, ws, batch, condorir.Parallelism{In: in, Out: out}, cus, dtype == "int8")
+					})
 				}
 			}
 		}
-	})
+	}
 }
 
 func TestStreamingEquivalenceLeNet(t *testing.T) {
@@ -151,16 +149,14 @@ func TestStreamingEquivalenceLeNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := models.MNISTImages(4, 11)
-	withHelpers(t, func(t *testing.T) {
-		for _, dtype := range []string{"float32", "int8"} {
-			for _, p := range []int{1, 2, 4} {
-				name := fmt.Sprintf("dtype=%s/in=%d/out=%d/cus=%d", dtype, p, p, p)
-				t.Run(name, func(t *testing.T) {
-					runStreamCase(t, ir, ws, batch, condorir.Parallelism{In: p, Out: p}, p, dtype == "int8")
-				})
-			}
+	for _, dtype := range []string{"float32", "int8"} {
+		for _, p := range []int{1, 2, 4} {
+			name := fmt.Sprintf("dtype=%s/in=%d/out=%d/cus=%d", dtype, p, p, p)
+			t.Run(name, func(t *testing.T) {
+				runStreamCase(t, ir, ws, batch, condorir.Parallelism{In: p, Out: p}, p, dtype == "int8")
+			})
 		}
-	})
+	}
 }
 
 // A session fed batch=1 repeatedly must degenerate to today's one-shot Run
