@@ -2,6 +2,8 @@ package condor
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -364,6 +366,36 @@ func TestCloudDeploymentTooManySlots(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected slot-count error on f1.2xlarge")
 	}
+	// The failed deployment returned no handle to terminate with, so it must
+	// not leave the instance it launched running.
+	if ids := runningInstances(t, ts.URL); len(ids) != 0 {
+		t.Fatalf("the failed deployment left instances %v running", ids)
+	}
+}
+
+// runningInstances lists the instances the simulated endpoint reports
+// running (DescribeInstances).
+func runningInstances(t *testing.T, endpoint string) []string {
+	t.Helper()
+	resp, err := http.Post(endpoint+"/api", "application/json", strings.NewReader(`{"Action":"DescribeInstances"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct{ Instances []aws.Instance }
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Instances) == 0 {
+		t.Fatal("DescribeInstances lists no instance: the deployment never launched one")
+	}
+	var ids []string
+	for _, in := range out.Instances {
+		if in.State == "running" {
+			ids = append(ids, in.InstanceID)
+		}
+	}
+	return ids
 }
 
 func TestCloudDeploymentRequiresLicense(t *testing.T) {

@@ -1,6 +1,7 @@
 package condor
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -238,16 +239,24 @@ func (f *Framework) DeployCloud(b *Build, cfg CloudConfig) (*CloudDeployment, er
 	if err != nil {
 		return nil, err
 	}
+	// From here on no caller can reach the instance but through the
+	// deployment returned at the end: a failure terminates it first.
+	abort := func(err error) (*CloudDeployment, error) {
+		if terr := client.TerminateInstance(inst.InstanceID); terr != nil {
+			return nil, errors.Join(err, fmt.Errorf("condor: terminating %s: %w", inst.InstanceID, terr))
+		}
+		return nil, err
+	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = 1
 	}
 	if cfg.Slots > inst.Slots {
-		return nil, fmt.Errorf("condor: %s has %d FPGA slots, %d requested", cfg.InstanceType, inst.Slots, cfg.Slots)
+		return abort(fmt.Errorf("condor: %s has %d FPGA slots, %d requested", cfg.InstanceType, inst.Slots, cfg.Slots))
 	}
 	slots := make([]int, cfg.Slots)
 	for s := 0; s < cfg.Slots; s++ {
 		if err := client.LoadFpgaImage(inst.InstanceID, s, final.FpgaImageGlobalID); err != nil {
-			return nil, err
+			return abort(err)
 		}
 		slots[s] = s
 	}
@@ -257,10 +266,10 @@ func (f *Framework) DeployCloud(b *Build, cfg CloudConfig) (*CloudDeployment, er
 	// weight set's storage, without being joined first.
 	wparts, err := b.Weights.Parts()
 	if err != nil {
-		return nil, err
+		return abort(err)
 	}
 	if err := client.PutObject(cfg.Bucket, weightsKey(b), wparts...); err != nil {
-		return nil, err
+		return abort(err)
 	}
 	return &CloudDeployment{
 		Client: client, Bucket: cfg.Bucket, AFI: final,
