@@ -102,7 +102,8 @@ benchmark-module:
 
 # fuzz-smoke runs each fuzz target for 10 s: the weights-file, container and
 # protobuf wire parsers must turn any byte string into a value or an error,
-# never a panic, and allocate at most a small multiple of its length; the packed-frame
+# never a panic, and allocate at most a small multiple of its length, and so
+# must the prototxt text reader on any string; the packed-frame
 # decode must turn any words into a frame or a short count, never a panic; a
 # two-sided burst schedule built from the fuzz bytes must move the words and book
 # the totals a word-at-a-time reference FIFO does; the AVX2
@@ -114,6 +115,7 @@ benchmark-module:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseWeights$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/condorir
 	$(GO) test -run '^$$' -fuzz '^FuzzProtoDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
+	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
 	$(GO) test -run '^$$' -fuzz '^FuzzPackedFrame$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
 	$(GO) test -run '^$$' -fuzz '^FuzzFIFOHandOff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo

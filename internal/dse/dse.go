@@ -9,6 +9,7 @@ package dse
 
 import (
 	"fmt"
+	"slices"
 
 	"condor/internal/board"
 	"condor/internal/condorir"
@@ -131,8 +132,18 @@ func exploreAt(ir *condorir.Network, opts Options, p quant.Precision) (*Result, 
 	for i := range cur.Layers {
 		cur.Layers[i].Parallelism = cur.Layers[i].Parallelism.Normalize()
 	}
-
-	spec, rep, sc, err := evaluate(cur, opts, p)
+	spec, err := dataflow.BuildSpec(cur)
+	if err != nil {
+		return nil, score{}, err
+	}
+	w, err := newWalk(cur, opts, p)
+	if err != nil {
+		return nil, score{}, err
+	}
+	// The sequential configuration is the walk's one BuildSpec; every
+	// candidate after it is priced on a copy (withMove).
+	spec.WordBits = w.bits
+	rep, sc, err := w.price(spec)
 	if err != nil {
 		return nil, score{}, err
 	}
@@ -148,22 +159,22 @@ func exploreAt(ir *condorir.Network, opts Options, p quant.Precision) (*Result, 
 		// accepted when it lowers the bottleneck, or keeps it while lowering
 		// the total stage time (which unsticks ties: halving one of several
 		// equally-slow PEs is progress even before the global maximum moves).
-		for _, mv := range candidateMoves(res, opts) {
-			trial := cloneIR(res.IR)
-			if mv.algo != "" {
-				trial.Layers[mv.layerIdx].Algorithm = string(mv.algo)
-			} else {
-				trial.Layers[mv.layerIdx].Parallelism = mv.par
-			}
-			spec, rep, sc, err := evaluate(trial, opts, p)
+		for _, mv := range w.candidateMoves(res) {
+			spec := w.withMove(res.Spec, res.IR, mv)
+			rep, sc, err := w.price(spec)
 			if err != nil || !rep.Fits || !sc.betterThan(best) {
 				continue
 			}
-			res.IR, res.Spec, res.Report, res.BottleneckCycles = trial, spec, rep, sc.bottleneck
+			// The walk owns res.IR (a clone of the input), so the move is
+			// written in place; the replaced spec takes the next candidate.
+			mv.writeTo(res.IR)
+			w.spare, res.Spec = res.Spec, spec
+			res.Report, res.BottleneckCycles = rep, sc.bottleneck
 			best = sc
+			l := &res.IR.Layers[mv.layerIdx]
 			res.Trace = append(res.Trace, Move{
-				Layer:       trial.Layers[mv.layerIdx].Name,
-				Parallelism: trial.Layers[mv.layerIdx].Parallelism.Normalize(),
+				Layer:       l.Name,
+				Parallelism: l.Parallelism.Normalize(),
 				Algorithm:   string(mv.algo),
 				Bottleneck:  sc.bottleneck,
 			})
@@ -176,6 +187,110 @@ func exploreAt(ir *condorir.Network, opts Options, p quant.Precision) (*Result, 
 	}
 	res.Algorithms = chosenAlgorithms(res.Spec)
 	return res, best, nil
+}
+
+// walk is one precision's walk: what every pricing shares and no move
+// changes (the options, the word width, the board, the network's FLOPs and
+// its layer shapes), and the buffers the walk reuses.
+type walk struct {
+	opts   Options
+	bits   int
+	algos  []dataflow.ConvAlgo
+	board  *board.Board
+	flops  int64
+	shapes []nn.Shape
+	moves  []move         // candidateMoves' buffer, reused across iterations
+	spare  *dataflow.Spec // withMove's buffer: a spec no longer in use
+}
+
+// newWalk looks up, once, what every pricing of ir's walk at p shares.
+func newWalk(ir *condorir.Network, opts Options, p quant.Precision) (*walk, error) {
+	b, err := board.Lookup(ir.Board)
+	if err != nil {
+		return nil, err
+	}
+	flops, err := ir.FLOPs()
+	if err != nil {
+		return nil, err
+	}
+	shapes, err := ir.Shapes()
+	if err != nil {
+		return nil, err
+	}
+	return &walk{opts: opts, bits: p.Bits(), algos: allowedAlgos(opts), board: b, flops: flops, shapes: shapes}, nil
+}
+
+// price plans, estimates and scores a configuration. Configurations whose
+// sustained throughput exceeds the DDR bandwidth roof are rejected — the
+// datamover could not feed them, so their modeled throughput would never be
+// reached on the device.
+func (w *walk) price(spec *dataflow.Spec) (*hls.Report, score, error) {
+	if err := hls.PlanMemory(spec); err != nil {
+		return nil, score{}, err
+	}
+	rep, err := hls.Estimate(spec)
+	if err != nil {
+		return nil, score{}, err
+	}
+	lanes := 0
+	for i := range rep.PEs {
+		lanes += rep.PEs[i].MACs
+	}
+	r := perf.AnalyzeRoofline(spec, w.board, lanes, w.flops, rep.AchievedMHz)
+	if r.BandwidthBound() {
+		return nil, score{}, fmt.Errorf("dse: configuration is DDR-bandwidth bound (sustained %.1f GFLOPS over a %.1f GFLOPS roof)",
+			r.SustainedGFLOPS, r.AttainableGFLOPS)
+	}
+	stages := objectiveStages(spec, w.opts)
+	return rep, score{
+		bottleneck: perf.Bottleneck(stages),
+		total:      perf.Latency(stages),
+	}, nil
+}
+
+// withMove returns the spec BuildSpec would make of ir with mv applied,
+// without rebuilding it. A move changes one PE: a port move its Par, an
+// algorithm move one layer's ConvAlgo; shapes, PE grouping, IDs, filter
+// chains, the FIFO depth and the word width stay as they are. So the copy
+// shares every filter chain and every unmoved PE's layers with cur, and
+// copies the PE structs themselves only because PlanMemory rewrites each
+// PE's weight and partial residency: the BRAM budget is shared, so a move on
+// one PE can flip another's. Nothing writes the shared parts, so cur stays
+// valid whether or not the move is accepted.
+//
+// The copy is written into the walk's spare spec: the last rejected
+// candidate, or the spec the last accepted move replaced.
+func (w *walk) withMove(cur *dataflow.Spec, ir *condorir.Network, mv move) *dataflow.Spec {
+	if w.spare == nil {
+		pes := make([]dataflow.PE, len(cur.PEs))
+		w.spare = &dataflow.Spec{PEs: make([]*dataflow.PE, len(cur.PEs))}
+		for i := range pes {
+			w.spare.PEs[i] = &pes[i]
+		}
+	}
+	spec, ptrs := w.spare, w.spare.PEs
+	*spec = *cur
+	spec.PEs = ptrs
+	for i, pe := range cur.PEs {
+		*ptrs[i] = *pe
+	}
+	pe := ptrs[mv.pe]
+	if mv.algo != "" {
+		pe.Layers = slices.Clone(pe.Layers)
+		pe.Layers[mv.slot].ConvAlgo = mv.algo
+		return spec
+	}
+	// BuildSpec's rule: the PE is built for the most demanding of its
+	// compute layers.
+	pe.Par = condorir.Parallelism{In: 1, Out: 1}
+	for _, l := range pe.Layers {
+		p := ir.Layers[l.Index].Parallelism.Normalize()
+		if l.Index == mv.layerIdx {
+			p = mv.par
+		}
+		pe.Par.In, pe.Par.Out = max(pe.Par.In, p.In), max(pe.Par.Out, p.Out)
+	}
+	return spec
 }
 
 // chosenAlgorithms collects the per-conv-layer algorithm of a configured
@@ -207,9 +322,19 @@ func (s score) betterThan(o score) bool {
 }
 
 type move struct {
-	layerIdx int
+	layerIdx int // the layer's index in the IR
+	pe, slot int // its PE's index in the spec and its index in that PE's layers
 	par      condorir.Parallelism
 	algo     dataflow.ConvAlgo // non-empty: an algorithm switch, not a parallelism move
+}
+
+// writeTo writes the move into its layer of ir.
+func (mv move) writeTo(ir *condorir.Network) {
+	if mv.algo != "" {
+		ir.Layers[mv.layerIdx].Algorithm = string(mv.algo)
+	} else {
+		ir.Layers[mv.layerIdx].Parallelism = mv.par
+	}
 }
 
 // allowedAlgos resolves Options.Algorithms, defaulting to the full set.
@@ -223,54 +348,45 @@ func allowedAlgos(opts Options) []dataflow.ConvAlgo {
 // candidateMoves proposes moves for the layers of every PE tied at the
 // current bottleneck: convolution-algorithm switches first (they cost
 // bounded MAC lanes and scratch BRAM, versus the multiplicative cost of a
-// port doubling), then output-port and input-port doublings.
-func candidateMoves(res *Result, opts Options) []move {
-	stages := objectiveStages(res.Spec, opts)
-	var worst int64
+// port doubling), then output-port and input-port doublings. The returned
+// slice is valid until the next call.
+func (w *walk) candidateMoves(res *Result) []move {
+	stages := objectiveStages(res.Spec, w.opts)
+	worst := perf.Bottleneck(stages)
+	out := w.moves[:0]
+	// The stages list the objective's PEs in spec order.
+	pi := 0
 	for _, s := range stages {
-		if s.Cycles > worst {
-			worst = s.Cycles
+		for res.Spec.PEs[pi].ID != s.Name {
+			pi++
 		}
-	}
-	tied := make(map[string]bool)
-	for _, s := range stages {
-		if s.Cycles == worst {
-			tied[s.Name] = true
-		}
-	}
-	shapes, err := res.IR.Shapes()
-	if err != nil {
-		return nil
-	}
-	var out []move
-	for _, pe := range res.Spec.PEs {
-		if !tied[pe.ID] {
+		if s.Cycles != worst {
 			continue
 		}
-		for _, l := range pe.Layers {
-			irl := &res.IR.Layers[l.Index]
-			p := irl.Parallelism.Normalize()
+		for slot, l := range res.Spec.PEs[pi].Layers {
+			p := res.IR.Layers[l.Index].Parallelism.Normalize()
 			if l.Kind == nn.Conv {
-				for _, algo := range allowedAlgos(opts) {
+				for _, algo := range w.algos {
 					if algo == l.Algo() {
 						continue
 					}
 					if algo == dataflow.AlgoWinograd && !dataflow.WinogradOK(l.Kernel, l.Stride, l.OutShape) {
 						continue
 					}
-					out = append(out, move{layerIdx: l.Index, algo: algo})
+					out = append(out, move{layerIdx: l.Index, pe: pi, slot: slot, algo: algo})
 				}
 			}
-			outCap := min(opts.MaxPortParallelism, maxOutPorts(&l))
-			inCap := min(opts.MaxPortParallelism, shapes[l.Index].Channels)
+			outCap := min(w.opts.MaxPortParallelism, maxOutPorts(&l))
+			inCap := min(w.opts.MaxPortParallelism, w.shapes[l.Index].Channels)
 			if 2*p.Out <= outCap {
-				out = append(out, move{layerIdx: l.Index, par: condorir.Parallelism{In: p.In, Out: 2 * p.Out}})
+				out = append(out, move{layerIdx: l.Index, pe: pi, slot: slot, par: condorir.Parallelism{In: p.In, Out: 2 * p.Out}})
 			}
 			if 2*p.In <= inCap {
-				out = append(out, move{layerIdx: l.Index, par: condorir.Parallelism{In: 2 * p.In, Out: p.Out}})
+				out = append(out, move{layerIdx: l.Index, pe: pi, slot: slot, par: condorir.Parallelism{In: 2 * p.In, Out: p.Out}})
 			}
 		}
 	}
+	w.moves = out
 	return out
 }
 
@@ -280,57 +396,6 @@ func maxOutPorts(l *dataflow.LayerHW) int {
 		return n
 	}
 	return 1
-}
-
-// evaluate builds, plans and estimates a configuration at the given
-// precision, returning its objective score. Configurations whose sustained
-// throughput exceeds the DDR bandwidth roof are rejected — the datamover
-// could not feed them, so their modeled throughput would never be reached on
-// the device.
-func evaluate(ir *condorir.Network, opts Options, p quant.Precision) (*dataflow.Spec, *hls.Report, score, error) {
-	spec, err := dataflow.BuildSpec(ir)
-	if err != nil {
-		return nil, nil, score{}, err
-	}
-	spec.WordBits = p.Bits()
-	if err := hls.PlanMemory(spec); err != nil {
-		return nil, nil, score{}, err
-	}
-	rep, err := hls.Estimate(spec)
-	if err != nil {
-		return nil, nil, score{}, err
-	}
-	if err := checkBandwidth(ir, spec, rep); err != nil {
-		return nil, nil, score{}, err
-	}
-	stages := objectiveStages(spec, opts)
-	return spec, rep, score{
-		bottleneck: perf.Bottleneck(stages),
-		total:      perf.Latency(stages),
-	}, nil
-}
-
-// checkBandwidth runs the roofline analysis against the board's DDR
-// bandwidth.
-func checkBandwidth(ir *condorir.Network, spec *dataflow.Spec, rep *hls.Report) error {
-	b, err := board.Lookup(spec.Board)
-	if err != nil {
-		return err
-	}
-	flops, err := ir.FLOPs()
-	if err != nil {
-		return err
-	}
-	lanes := 0
-	for i := range rep.PEs {
-		lanes += rep.PEs[i].MACs
-	}
-	r := perf.AnalyzeRoofline(spec, b, lanes, flops, rep.AchievedMHz)
-	if r.BandwidthBound() {
-		return fmt.Errorf("dse: configuration is DDR-bandwidth bound (sustained %.1f GFLOPS over a %.1f GFLOPS roof)",
-			r.SustainedGFLOPS, r.AttainableGFLOPS)
-	}
-	return nil
 }
 
 func objectiveStages(spec *dataflow.Spec, opts Options) []perf.Stage {
@@ -344,11 +409,4 @@ func cloneIR(ir *condorir.Network) *condorir.Network {
 	out := *ir
 	out.Layers = append([]condorir.Layer(nil), ir.Layers...)
 	return &out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -23,7 +23,7 @@ func TestExploreImprovesLeNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, baseScore, err := evaluate(baseline, Options{}, quant.Float32)
+	_, _, baseScore, err := rebuild(baseline, Options{}, quant.Float32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestExploreSelectsConvAlgorithm(t *testing.T) {
 	}
 	// The choice is written back into the result IR, so re-evaluating that
 	// IR reproduces the explored configuration exactly.
-	spec, _, sc, err := evaluate(res.IR, Options{}, quant.Float32)
+	spec, _, sc, err := rebuild(res.IR, Options{}, quant.Float32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func Estimate(spec *dataflow.Spec) (*Report, error) {
 		return nil, err
 	}
 	bits := spec.Bits()
-	rep := &Report{BoardID: b.ID}
+	rep := &Report{BoardID: b.ID, PEs: make([]PEReport, 0, len(spec.PEs))}
 	kernel := costDatamover
 	rep.Datamover = costDatamover
 

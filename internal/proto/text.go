@@ -161,24 +161,25 @@ func isIdentChar(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9')
 // --- Parser ---
 
 type textParser struct {
-	lx     *lexer
-	peeked *token
+	lx        *lexer
+	peeked    token // the next token, when hasPeeked
+	hasPeeked bool
 }
 
 func (p *textParser) peek() (token, error) {
-	if p.peeked == nil {
+	if !p.hasPeeked {
 		t, err := p.lx.next()
 		if err != nil {
 			return token{}, err
 		}
-		p.peeked = &t
+		p.peeked, p.hasPeeked = t, true
 	}
-	return *p.peeked, nil
+	return p.peeked, nil
 }
 
 func (p *textParser) advance() (token, error) {
 	t, err := p.peek()
-	p.peeked = nil
+	p.hasPeeked = false
 	return t, err
 }
 
@@ -300,8 +301,11 @@ func (p *textParser) parseScalar(name string) (TextField, error) {
 	}
 	switch t.kind {
 	case tokString:
-		// Adjacent string literals concatenate, as in C.
+		// Adjacent string literals concatenate, as in C. They join in one
+		// builder: appending each to the last result would copy a run of n
+		// literals n times over.
 		val := t.text
+		var joined strings.Builder
 		for {
 			nxt, err := p.peek()
 			if err != nil {
@@ -311,7 +315,13 @@ func (p *textParser) parseScalar(name string) (TextField, error) {
 				break
 			}
 			p.advance()
-			val += nxt.text
+			if joined.Len() == 0 {
+				joined.WriteString(val)
+			}
+			joined.WriteString(nxt.text)
+		}
+		if joined.Len() > 0 {
+			val = joined.String()
 		}
 		return TextField{Name: name, Scalar: val, IsString: true}, nil
 	case tokNumber, tokIdent:
