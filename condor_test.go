@@ -494,6 +494,55 @@ func TestWarmSessionAllocations(t *testing.T) {
 	}
 }
 
+// TestLocalInferAllocations bounds a warm 16-image LocalDeployment.Infer in
+// the benchmark's two fabric shapes. The kernel streams straight from the
+// input buffer into the output buffer and the outputs are views of the one
+// read-back array, so what is left is the context, its two buffers and
+// queue, the batch's staging and result arrays, the views and the stats
+// snapshot: nothing per image.
+func TestLocalInferAllocations(t *testing.T) {
+	ir, ws, err := models.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir.Board = "ku115" // the benchmark's locally-deployable board
+	batch := models.MNISTImages(16, 3)
+	for _, tc := range []struct {
+		name string
+		in   Input
+	}{
+		{"float32-direct", Input{IR: ir, Weights: ws}},
+		{"int8-gemm-dse", Input{IR: ir, Weights: ws, Precision: quant.Int8, RunDSE: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := New().BuildAccelerator(tc.in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dep, err := New().DeployLocal(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			infer := func() {
+				outs, _, err := dep.Infer(batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(outs) != len(batch) {
+					t.Fatalf("%d outputs for %d images", len(outs), len(batch))
+				}
+			}
+			infer() // warm: the compute unit's session is open
+			if n := testing.AllocsPerRun(20, infer); n > 32 {
+				t.Fatalf("%.1f allocations per 16-image Infer, want at most 32", n)
+			} else {
+				t.Logf("%.1f allocations per 16-image Infer", n)
+			}
+		})
+	}
+}
+
 func TestQuantizedBuild(t *testing.T) {
 	in16 := tc1Input(t)
 	in16.Precision = quant.Int16

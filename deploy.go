@@ -83,8 +83,9 @@ func (d *LocalDeployment) ID() string { return d.Device.ID }
 // first. Close is idempotent.
 func (d *LocalDeployment) Close() { d.Device.Close() }
 
-// Infer runs a batch on the local device and returns the outputs plus the
-// modeled kernel time in milliseconds.
+// Infer runs a batch on the local device and returns the outputs, views of
+// one array read back from the device, plus the modeled kernel time in
+// milliseconds.
 func (d *LocalDeployment) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
 	spec := d.build.Spec
 	inVol := spec.Input.Volume()
@@ -109,13 +110,7 @@ func (d *LocalDeployment) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float
 	if err != nil {
 		return nil, 0, err
 	}
-	outs := make([]*tensor.Tensor, len(batch))
-	for i := range outs {
-		t := tensor.New(outShape.Channels, outShape.Height, outShape.Width)
-		copy(t.Data(), results[i*outVol:(i+1)*outVol])
-		outs[i] = t
-	}
-	return outs, info.KernelMs, nil
+	return tensor.Views(results, outShape.Channels, outShape.Height, outShape.Width), info.KernelMs, nil
 }
 
 // CUBackend exposes one compute unit of a local deployment as an
@@ -435,13 +430,7 @@ func (d *CloudDeployment) inferOnSlot(slot int, keyPrefix string, batch []*tenso
 	if len(vals) != len(batch)*outVol {
 		return nil, 0, fmt.Errorf("condor: slot %d output under %s has %d words, want %d", slot, keyPrefix, len(vals), len(batch)*outVol)
 	}
-	outs := make([]*tensor.Tensor, len(batch))
-	for i := range outs {
-		t := tensor.New(outShape.Channels, outShape.Height, outShape.Width)
-		copy(t.Data(), vals[i*outVol:(i+1)*outVol])
-		outs[i] = t
-	}
-	return outs, res.KernelMs, nil
+	return tensor.Views(vals, outShape.Channels, outShape.Height, outShape.Width), res.KernelMs, nil
 }
 
 // Terminate shuts the F1 instance down, which frees its slots: the devices

@@ -20,21 +20,21 @@ import (
 // silently mixing images; on the packed int8 datapath the epoch header
 // precedes the per-image scale word of the PR-8 frame layout.
 //
-// RunBatch feeds a batch into the running pipeline and blocks until every
-// element has retired it; Close ends the stream, joins every goroutine and
-// reports any deferred failure. Accelerator.Run is OpenSession + RunBatch +
-// Close, so one-shot callers see exactly the old behavior; throughput
-// callers hold a session open and amortize the fabric's fill/drain and
-// setup (executor prepare, FIFO and scratch allocation, goroutine spawn)
-// over the whole stream.
+// RunInto (flat words) and RunBatch (tensors) feed a batch into the
+// running pipeline and block until every element has retired it; Close ends
+// the stream, joins every goroutine and reports any deferred failure.
+// Accelerator.Run is OpenSession + RunBatch + Close, so one-shot callers
+// see exactly the old behavior; throughput callers hold a session open and
+// amortize the fabric's fill/drain and setup (executor prepare, FIFO and
+// scratch allocation, goroutine spawn) over the whole stream.
 type Session struct {
 	acc    *Accelerator
 	packed bool
 	fifos  []*fifo.FIFO
 
-	feedQ    chan *tensor.Tensor
-	collectQ chan *collectJob
-	quit     chan struct{} // closed on first element failure
+	feedQ    chan []float32 // one image's words
+	collectQ chan []float32 // a batch's output words, one frame per image
+	quit     chan struct{}  // closed on first element failure
 
 	// mu guards the completion barrier and the failure latch. Elements
 	// increment their done counter after finishing an image; RunBatch waits
@@ -49,8 +49,9 @@ type Session struct {
 	peStats    []PEStats
 	inputScale float64
 	outShape   [3]int
+	outVol     int
 
-	runMu  sync.Mutex // serializes RunBatch and Close
+	runMu  sync.Mutex // serializes batches and Close
 	closed bool       // runMu-guarded
 	wg     sync.WaitGroup
 
@@ -60,14 +61,10 @@ type Session struct {
 	testExpectEpoch func(seq int, epoch uint16) uint16
 }
 
-// ErrNonFiniteInput is returned (wrapped) by RunBatch on the packed datapath
-// for a NaN or infinite pixel; nothing is fed and the session stays usable.
+// ErrNonFiniteInput is returned (wrapped) by RunInto and RunBatch on the
+// packed datapath for a NaN or infinite pixel; nothing is fed and the
+// session stays usable.
 var ErrNonFiniteInput = errors.New("non-finite value cannot be quantized")
-
-// collectJob asks the collector to retire len(outs) frames into outs.
-type collectJob struct {
-	outs []*tensor.Tensor
-}
 
 // OpenSession brings the fabric up as a resident streaming pipeline with no
 // images in flight. The caller must Close the session to join its
@@ -78,8 +75,8 @@ func (a *Accelerator) OpenSession() *Session {
 	s := &Session{
 		acc:      a,
 		packed:   spec.WordBits == 8,
-		feedQ:    make(chan *tensor.Tensor),
-		collectQ: make(chan *collectJob, 1),
+		feedQ:    make(chan []float32),
+		collectQ: make(chan []float32, 1),
 		quit:     make(chan struct{}),
 		done:     make([]int, len(spec.PEs)+2),
 		peStats:  make([]PEStats, len(spec.PEs)),
@@ -87,6 +84,7 @@ func (a *Accelerator) OpenSession() *Session {
 	s.cond = sync.NewCond(&s.mu)
 	out := spec.OutputShape()
 	s.outShape = [3]int{out.Channels, out.Height, out.Width}
+	s.outVol = out.Volume()
 
 	s.fifos = make([]*fifo.FIFO, len(spec.PEs)+1)
 	for i := range s.fifos {
@@ -202,21 +200,21 @@ func (s *Session) feeder(track *obs.Track) {
 			}
 			head.PushFrameHeader(epoch)
 			if s.packed {
-				scale := frameScale(img.Data())
-				quantizeCodes(int8Payload(frame, img.Len()), img.Data(), scale)
-				s.acc.dm.AccountReadBytes(int64(img.Len()))
-				pushInt8Frame(head, frame, img.Len(), scale)
+				scale := frameScale(img)
+				quantizeCodes(int8Payload(frame, len(img)), img, scale)
+				s.acc.dm.AccountReadBytes(int64(len(img)))
+				pushInt8Frame(head, frame, len(img), scale)
 				s.mu.Lock()
 				if scale > s.inputScale {
 					s.inputScale = scale
 				}
 				s.mu.Unlock()
 			} else {
-				s.acc.dm.AccountInput(int64(img.Len()))
-				head.PushSlice(img.Data())
+				s.acc.dm.AccountInput(int64(len(img)))
+				head.PushSlice(img)
 			}
 			if track != nil {
-				track.AddWords(sid, int64(img.Len()))
+				track.AddWords(sid, int64(len(img)))
 				track.End(sid, 0)
 			}
 			epoch++
@@ -225,8 +223,8 @@ func (s *Session) feeder(track *obs.Track) {
 	}
 }
 
-// collector retires output frames from the tail FIFO into the tensors of
-// the posted jobs, validating the epoch sequence and dequantizing on the
+// collector retires output frames from the tail FIFO into the posted
+// output slices, validating the epoch sequence and dequantizing on the
 // packed datapath. A mid-stream failure drains the tail synchronously so no
 // upstream element can block on a full FIFO forever.
 func (s *Session) collector(track *obs.Track) {
@@ -235,11 +233,11 @@ func (s *Session) collector(track *obs.Track) {
 	elem := len(s.done) - 1
 	var frame []fifo.Word // the packed datapath's frame buffer
 	if s.packed {
-		frame = make([]fifo.Word, 1+fifo.PackedWords(s.outShape[0]*s.outShape[1]*s.outShape[2]))
+		frame = make([]fifo.Word, 1+fifo.PackedWords(s.outVol))
 	}
 	seq := 0 // images retired over the session; low 16 bits = expected epoch
 	for {
-		job, ok := <-s.collectQ
+		out, ok := <-s.collectQ
 		if !ok {
 			// Clean shutdown: anything left in the tail stream is a shape
 			// accounting bug. The blocking Pop terminates because Close has
@@ -250,8 +248,8 @@ func (s *Session) collector(track *obs.Track) {
 			}
 			return
 		}
-		for b := range job.outs {
-			if err := s.collectImage(sink, track, job, b, seq, frame); err != nil {
+		for ; len(out) > 0; out = out[s.outVol:] {
+			if err := s.collectImage(sink, track, out[:s.outVol], seq, frame); err != nil {
 				s.fail(err)
 				sink.Drain()
 				return
@@ -262,8 +260,8 @@ func (s *Session) collector(track *obs.Track) {
 	}
 }
 
-// collectImage retires one output frame into job.outs[b].
-func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, job *collectJob, b, seq int, frame []fifo.Word) error {
+// collectImage retires one output frame into data.
+func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, data []float32, seq int, frame []fifo.Word) error {
 	want := uint16(seq)
 	if s.testExpectEpoch != nil {
 		want = s.testExpectEpoch(seq, want)
@@ -278,8 +276,6 @@ func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, job *collectJo
 	if epoch != want {
 		return fmt.Errorf("dataflow: collector: frame epoch %d arrived, expected %d", epoch, want)
 	}
-	t := tensor.New(s.outShape[0], s.outShape[1], s.outShape[2])
-	data := t.Data()
 	sid := 0
 	if track != nil {
 		sid = track.Begin("collect", 0)
@@ -304,65 +300,88 @@ func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, job *collectJo
 		track.AddWords(sid, int64(len(data)))
 		track.End(sid, 0)
 	}
-	job.outs[b] = t
 	return nil
 }
 
 // RunBatch streams a batch through the resident pipeline and blocks until
-// every element has retired it, returning the outputs in input order. The
-// returned stats are cumulative over the session (Images counts every image
-// fed so far; DRAM counters are cumulative over the accelerator, exactly as
-// Accelerator.Run reports them), so the final RunBatch of a session is
-// comparable against one oracle run over the same image sequence. The
-// session survives input-validation errors (a wrong shape, or
-// ErrNonFiniteInput on the packed datapath); any failure detected inside the
-// fabric is fatal to the session and re-reported by Close.
+// every element has retired it, returning the outputs in input order as
+// views of one array (tensor.Views). It is RunInto with each image fed from
+// its tensor's words.
 func (s *Session) RunBatch(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
+	in := s.acc.Spec.Input
+	for i, img := range batch {
+		if sh := img.Shape(); len(sh) != 3 || sh[0] != in.Channels || sh[1] != in.Height || sh[2] != in.Width {
+			return nil, nil, fmt.Errorf("dataflow: image %d has shape %v, accelerator input is %v", i, sh, in)
+		}
+	}
+	out := make([]float32, len(batch)*s.outVol)
+	stats, err := s.run(len(batch), func(i int) []float32 { return batch[i].Data() }, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tensor.Views(out, s.outShape[:]...), stats, nil
+}
+
+// RunInto streams the images stored back-to-back in in through the resident
+// pipeline and writes their outputs back-to-back into out, blocking until
+// every element has retired the batch. len(in) must be a whole number of
+// input volumes and out must hold that many output volumes. The returned
+// stats are cumulative over the session (Images counts every image fed so
+// far; DRAM counters are cumulative over the accelerator, exactly as
+// Accelerator.Run reports them), so the final call of a session is
+// comparable against one oracle run over the same image sequence. The
+// session survives input-validation errors (a wrong size, or
+// ErrNonFiniteInput on the packed datapath); any failure detected inside the
+// fabric is fatal to the session, re-reported by Close, and may leave the
+// fabric reading in until Close returns.
+func (s *Session) RunInto(in, out []float32) (*RunStats, error) {
+	inVol := s.acc.Spec.Input.Volume()
+	n := len(in) / inVol
+	if len(in)%inVol != 0 || len(out) < n*s.outVol {
+		return nil, fmt.Errorf("dataflow: %d input words for %d-word images and %d output words for %d-word outputs", len(in), inVol, len(out), s.outVol)
+	}
+	return s.run(n, func(i int) []float32 { return in[i*inVol : (i+1)*inVol] }, out[:n*s.outVol])
+}
+
+// run feeds images img(0..n-1) and collects their outputs into out, one
+// output volume per image.
+func (s *Session) run(n int, img func(int) []float32, out []float32) (*RunStats, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	if s.closed {
-		return nil, nil, fmt.Errorf("dataflow: RunBatch on a closed session")
+		return nil, fmt.Errorf("dataflow: run on a closed session")
 	}
 	if err := s.failed(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(batch) == 0 {
-		return nil, &RunStats{}, nil
+	if n == 0 {
+		return &RunStats{}, nil
 	}
-	in := s.acc.Spec.Input
-	for i, img := range batch {
-		sh := img.Shape()
-		if len(sh) != 3 || sh[0] != in.Channels || sh[1] != in.Height || sh[2] != in.Width {
-			return nil, nil, fmt.Errorf("dataflow: image %d has shape %v, accelerator input is %v", i, sh, in)
-		}
-		if !s.packed {
-			continue
-		}
+	for i := 0; i < n && s.packed; i++ {
 		// The feeder calibrates an image's scale from its largest magnitude:
 		// an infinity makes every code garbage, and a NaN reaches a float→int
 		// conversion Go leaves implementation-defined.
-		for j, v := range img.Data() {
+		for j, v := range img(i) {
 			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, nil, fmt.Errorf("dataflow: image %d element %d is %v: %w", i, j, v, ErrNonFiniteInput)
+				return nil, fmt.Errorf("dataflow: image %d element %d is %v: %w", i, j, v, ErrNonFiniteInput)
 			}
 		}
 	}
 
-	outs := make([]*tensor.Tensor, len(batch))
 	select {
-	case s.collectQ <- &collectJob{outs: outs}:
+	case s.collectQ <- out:
 	case <-s.quit:
-		return nil, nil, s.failed()
+		return nil, s.failed()
 	}
 feed:
-	for _, img := range batch {
+	for i := 0; i < n; i++ {
 		select {
-		case s.feedQ <- img:
+		case s.feedQ <- img(i):
 		case <-s.quit:
 			break feed // the barrier below reports the failure
 		}
 	}
-	s.fed += len(batch)
+	s.fed += n
 	target := s.fed
 
 	s.mu.Lock()
@@ -372,9 +391,9 @@ feed:
 	err := s.err
 	s.mu.Unlock()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return outs, s.snapshotStats(), nil
+	return s.snapshotStats(), nil
 }
 
 // minDoneLocked returns the slowest element's retirement count.

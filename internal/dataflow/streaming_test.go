@@ -1,7 +1,9 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -385,5 +387,89 @@ func TestStreamingSessionDoesNotDrain(t *testing.T) {
 	}
 	if early := overlapped(false); len(early) != len(batch)-1 {
 		t.Fatalf("resident session drained: PE0 started the successor of only images %v of 0..%d before they left the sink", early, len(batch)-2)
+	}
+}
+
+// RunInto is RunBatch on flat words: on TC1 and LeNet, float32 and packed
+// int8, a session fed back-to-back buffers gives the outputs and cumulative
+// stats a session fed the same images as tensors gives. A ragged input or a
+// short output is refused before anything is fed, and on the packed
+// datapath so is a NaN, leaving the session to serve the next batch.
+func TestRunIntoMatchesRunBatch(t *testing.T) {
+	tc1, tc1W, err := models.TC1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lenet, lenetW, err := models.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []struct {
+		name  string
+		ir    *condorir.Network
+		ws    *condorir.WeightSet
+		batch []*tensor.Tensor
+	}{
+		{"tc1", tc1, tc1W, models.USPSImages(3, 7)},
+		{"lenet", lenet, lenetW, models.MNISTImages(3, 11)},
+	} {
+		for _, bits := range []int{32, 8} {
+			t.Run(fmt.Sprintf("%s/bits%d", n.name, bits), func(t *testing.T) {
+				spec, err := BuildSpec(n.ir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec.WordBits = bits
+				open := func() *Session {
+					acc, err := Instantiate(spec, n.ws)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return acc.OpenSession()
+				}
+				ref, flat := open(), open()
+				defer ref.Close()
+				defer flat.Close()
+				var in []float32
+				for _, img := range n.batch {
+					in = append(in, img.Data()...)
+				}
+				out := make([]float32, len(n.batch)*spec.OutputShape().Volume())
+				for _, bad := range []struct {
+					name    string
+					in, out []float32
+				}{
+					{"ragged input", in[:len(in)-1], out},
+					{"short output", in, out[:len(out)-1]},
+				} {
+					if _, err := flat.RunInto(bad.in, bad.out); err == nil {
+						t.Fatalf("%s accepted", bad.name)
+					}
+				}
+				if bits == 8 {
+					poisoned := append([]float32(nil), in...)
+					poisoned[len(in)/2] = float32(math.NaN())
+					if _, err := flat.RunInto(poisoned, out); !errors.Is(err, ErrNonFiniteInput) {
+						t.Fatalf("NaN input: %v, want ErrNonFiniteInput", err)
+					}
+				}
+				for round := 0; round < 2; round++ {
+					want, wantStats, err := ref.RunBatch(n.batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stats, err := flat.RunInto(in, out)
+					if err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					o := spec.OutputShape()
+					got := tensor.Views(out, o.Channels, o.Height, o.Width)
+					assertRunsIdentical(t, "RunInto", got, stats, "RunBatch", want, wantStats)
+					if stats.InputScale != wantStats.InputScale {
+						t.Fatalf("round %d: input scale %v, RunBatch %v", round, stats.InputScale, wantStats.InputScale)
+					}
+				}
+			})
+		}
 	}
 }

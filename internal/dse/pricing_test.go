@@ -202,8 +202,8 @@ func TestExploreAllocations(t *testing.T) {
 		ir     *condorir.Network
 		budget float64
 	}{
-		{"lenet", lenet, 450},
-		{"tc1", tc1, 600},
+		{"lenet", lenet, 220},
+		{"tc1", tc1, 275},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var err error

@@ -315,11 +315,20 @@ func TestSortedBreakdownDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := rep.PEs[0].SortedBreakdown()
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
+	bd, err := PEBreakdown(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := bd.Sorted()
+	var sum board.Resources
+	for i, k := range keys {
+		if i > 0 && keys[i-1] >= k {
 			t.Fatal("breakdown keys not sorted")
 		}
+		sum = sum.Add(bd[k])
+	}
+	if len(keys) == 0 || sum != rep.PEs[0].Kernel {
+		t.Fatalf("breakdown %v sums to %+v, PE kernel is %+v", bd, sum, rep.PEs[0].Kernel)
 	}
 }
 

@@ -100,10 +100,22 @@ func fifoCost(depth, wordBits int) board.Resources {
 // PEReport is the synthesis estimate for one PE (datapath + its memory
 // subsystem). Its latency is the cycle model's (perf.Stages).
 type PEReport struct {
-	ID        string
-	MACs      int
-	Kernel    board.Resources
-	Breakdown map[string]board.Resources
+	ID     string
+	MACs   int
+	Kernel board.Resources
+}
+
+// Breakdown splits a PE's estimate by component ("control", "conv-mac",
+// "filters", ...); the parts sum to its PEReport.Kernel.
+type Breakdown map[string]board.Resources
+
+// PEBreakdown re-runs the cost terms of the spec's i-th PE and returns them
+// by component. Estimate keeps only their sum, so pricing a design builds
+// no map.
+func PEBreakdown(spec *dataflow.Spec, i int) (Breakdown, error) {
+	bd := Breakdown{}
+	_, err := estimatePE(spec.PEs[i], spec.FreqMHz, spec.Bits(), bd)
+	return bd, err
 }
 
 // Report is the synthesis estimate for a complete accelerator.
@@ -148,7 +160,7 @@ func Estimate(spec *dataflow.Spec) (*Report, error) {
 	kernel = kernel.Add(inter)
 
 	for _, pe := range spec.PEs {
-		pr, err := estimatePE(pe, spec.FreqMHz, bits)
+		pr, err := estimatePE(pe, spec.FreqMHz, bits, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -166,11 +178,14 @@ func Estimate(spec *dataflow.Spec) (*Report, error) {
 }
 
 // estimatePE estimates one PE: datapath operators, filter-chain memory
-// subsystem, on-chip weight and partial buffers, and control.
-func estimatePE(pe *dataflow.PE, freqMHz float64, wordBits int) (PEReport, error) {
-	pr := PEReport{ID: pe.ID, Breakdown: make(map[string]board.Resources)}
+// subsystem, on-chip weight and partial buffers, and control. A non-nil bd
+// also receives every term by component.
+func estimatePE(pe *dataflow.PE, freqMHz float64, wordBits int, bd Breakdown) (PEReport, error) {
+	pr := PEReport{ID: pe.ID}
 	add := func(name string, r board.Resources) {
-		pr.Breakdown[name] = pr.Breakdown[name].Add(r)
+		if bd != nil {
+			bd[name] = bd[name].Add(r)
+		}
 		pr.Kernel = pr.Kernel.Add(r)
 	}
 
@@ -307,10 +322,10 @@ func fmaxModel(b *board.Board, u board.Utilization) float64 {
 	return math.Round(base * derate)
 }
 
-// SortedBreakdown returns the breakdown keys in deterministic order.
-func (p *PEReport) SortedBreakdown() []string {
-	keys := make([]string, 0, len(p.Breakdown))
-	for k := range p.Breakdown {
+// Sorted returns the component names in deterministic order.
+func (b Breakdown) Sorted() []string {
+	keys := make([]string, 0, len(b))
+	for k := range b {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

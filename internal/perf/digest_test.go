@@ -113,7 +113,7 @@ func TestModelDigest(t *testing.T) {
 				}
 				sort.Strings(algos)
 				fmt.Fprintf(h, "result %d %s %v\n", res.BottleneckCycles, res.Precision, algos)
-				hashReport(h, res.Report)
+				hashReport(t, h, res.Spec, res.Report)
 				lines = append(lines, fmt.Sprintf("dse/%s/%s/%s %x", n.name, p, o.name, h.Sum(nil)))
 			}
 		}
@@ -174,7 +174,7 @@ func hashModels(t *testing.T, h hash.Hash, spec *dataflow.Spec, flops int64) {
 	if err != nil {
 		fmt.Fprintf(h, "estimate %v\n", err)
 	} else {
-		hashReport(h, rep)
+		hashReport(t, h, spec, rep)
 		b, err := board.Lookup(spec.Board)
 		if err != nil {
 			t.Fatal(err)
@@ -196,12 +196,17 @@ func hashModels(t *testing.T, h hash.Hash, spec *dataflow.Spec, flops int64) {
 
 // hashReport hashes a synthesis estimate: every PE's kernel, breakdown and
 // MAC lanes, then the totals, fit and clock.
-func hashReport(h hash.Hash, rep *hls.Report) {
+func hashReport(t *testing.T, h hash.Hash, spec *dataflow.Spec, rep *hls.Report) {
+	t.Helper()
 	for i := range rep.PEs {
 		pr := &rep.PEs[i]
 		fmt.Fprintf(h, "pe %s %d %+v\n", pr.ID, pr.MACs, pr.Kernel)
-		for _, k := range pr.SortedBreakdown() {
-			fmt.Fprintf(h, "  %s %+v\n", k, pr.Breakdown[k])
+		bd, err := hls.PEBreakdown(spec, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range bd.Sorted() {
+			fmt.Fprintf(h, "  %s %+v\n", k, bd[k])
 		}
 	}
 	fmt.Fprintf(h, "report %+v %+v %+v %v %v %v\n", rep.Datamover, rep.InterFIFOs, rep.Total, rep.Fits, rep.FmaxMHz, rep.AchievedMHz)

@@ -88,29 +88,25 @@ func SimulateBatch(stages []Stage, batch int) int64 {
 	return finish
 }
 
-// BatchCyclesClosedForm computes the same quantity via the classic
-// heterogeneous-pipeline recurrence
+// BatchCyclesClosedForm computes the same quantity in closed form. The
+// classic heterogeneous-pipeline recurrence
 //
 //	t[b][s] = max(t[b-1][s], t[b][s-1]) + T[s]
 //
-// used to cross-check the discrete-event simulation.
+// is the longest path through the batch × stage grid: every image crosses
+// every stage once, and the remaining batch−1 images queue at the slowest,
+// so t[N-1][S-1] = Σ T[s] + (N−1)·max T[s]. It cross-checks the
+// discrete-event simulation.
 func BatchCyclesClosedForm(stages []Stage, batch int) int64 {
 	if batch <= 0 || len(stages) == 0 {
 		return 0
 	}
-	prev := make([]int64, len(stages)) // t[b-1][s]
-	for b := 0; b < batch; b++ {
-		var left int64 // t[b][s-1]
-		for s := range stages {
-			start := left
-			if prev[s] > start {
-				start = prev[s]
-			}
-			left = start + stages[s].Cycles
-			prev[s] = left
-		}
+	var sum, slowest int64
+	for _, s := range stages {
+		sum += s.Cycles
+		slowest = max(slowest, s.Cycles)
 	}
-	return prev[len(stages)-1]
+	return sum + int64(batch-1)*slowest
 }
 
 // BatchPoint is one sample of the Figure 5 curve.

@@ -91,7 +91,18 @@ scan:
 
 func (lx *lexer) scanString(quote byte) (token, error) {
 	lx.pos++ // opening quote
+	start := lx.pos
+	// A literal without escapes is returned as a substring of the source;
+	// the builder starts from its prefix at the first backslash.
+	for lx.pos < len(lx.src) && lx.src[lx.pos] != quote && lx.src[lx.pos] != '\\' && lx.src[lx.pos] != '\n' {
+		lx.pos++
+	}
+	if lx.pos < len(lx.src) && lx.src[lx.pos] == quote {
+		lx.pos++
+		return token{kind: tokString, text: lx.src[start : lx.pos-1], line: lx.line}, nil
+	}
 	var sb strings.Builder
+	sb.WriteString(lx.src[start:lx.pos])
 	for lx.pos < len(lx.src) {
 		c := lx.src[lx.pos]
 		switch c {

@@ -17,7 +17,6 @@ import (
 	"condor/internal/dataflow"
 	"condor/internal/obs"
 	"condor/internal/perf"
-	"condor/internal/tensor"
 )
 
 // ErrDeviceClosed is returned by every call that would program, load or
@@ -40,6 +39,7 @@ type Device struct {
 	mu      sync.Mutex
 	closed  bool
 	xclbin  *bitstream.Xclbin
+	stages  []perf.Stage // the image's pipeline model, priced at program time
 	weights *condorir.WeightSet
 	tracer  obs.Tracer
 	numCUs  int            // requested replication; applied at (re)instantiation
@@ -262,7 +262,7 @@ func (d *Device) program(data []byte) error {
 	if d.closed {
 		return ErrDeviceClosed
 	}
-	d.xclbin = x
+	d.xclbin, d.stages = x, perf.Stages(x.Spec)
 	d.retireLocked() // weights must be (re)loaded for the new image
 	return nil
 }
@@ -296,7 +296,7 @@ func (d *Device) Close() {
 	}
 	d.closed = true
 	d.retireLocked()
-	d.xclbin, d.weights = nil, nil
+	d.xclbin, d.stages, d.weights = nil, nil, nil
 }
 
 // Closed reports whether Close has run.
@@ -447,15 +447,15 @@ func (c *Context) CreateBuffer(n int) *Buffer {
 	return b
 }
 
-// EnqueueWrite copies host data into a device buffer.
+// EnqueueWrite copies host data into a device buffer at Finish time, in
+// queue order. Like a non-blocking OpenCL write it keeps src by reference:
+// the caller must not modify src before Finish.
 func (c *Context) EnqueueWrite(b *Buffer, src []float32) {
-	cp := make([]float32, len(src))
-	copy(cp, src)
 	c.queue = append(c.queue, func() error {
-		if len(cp) > len(b.data) {
-			return fmt.Errorf("sdaccel: write of %d words overflows buffer of %d", len(cp), len(b.data))
+		if len(src) > len(b.data) {
+			return fmt.Errorf("sdaccel: write of %d words overflows buffer of %d", len(src), len(b.data))
 		}
-		copy(b.data, cp)
+		copy(b.data, src)
 		return nil
 	})
 }
@@ -473,15 +473,17 @@ func (c *Context) EnqueueRead(b *Buffer, dst []float32) {
 
 // EnqueueKernel launches the accelerator on batch images stored
 // back-to-back in the input buffer, writing outputs back-to-back into the
-// output buffer. The dispatch streams the batch through the compute unit's
-// resident session, so consecutive kernels on the same unit pipeline
-// back-to-back; the RunStats recorded into RunInfo.LastStats are cumulative
-// over the session's lifetime, matching what one continuous run reports.
+// output buffer, which must be a different buffer. The compute unit's
+// resident session reads the images straight from the input buffer's words
+// and writes into the output buffer's, so no image is copied on the way.
+// Consecutive kernels on the same unit pipeline back-to-back; the RunStats
+// recorded into RunInfo.LastStats are cumulative over the session's
+// lifetime, matching what one continuous run reports.
 func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 	c.queue = append(c.queue, func() error {
 		dev := c.dev
 		dev.mu.Lock()
-		closed, xclbin := dev.closed, dev.xclbin
+		closed, xclbin, stages := dev.closed, dev.xclbin, dev.stages
 		loaded := len(dev.cus) > 0
 		dev.mu.Unlock()
 		if closed {
@@ -492,8 +494,7 @@ func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 		}
 		spec := xclbin.Spec
 		inVol := spec.Input.Volume()
-		outShape := spec.OutputShape()
-		outVol := outShape.Volume()
+		outVol := spec.OutputShape().Volume()
 		if batch <= 0 {
 			return fmt.Errorf("sdaccel: non-positive batch %d", batch)
 		}
@@ -503,17 +504,11 @@ func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 		if batch*outVol > len(out.data) {
 			return fmt.Errorf("sdaccel: output buffer holds %d words, batch needs %d", len(out.data), batch*outVol)
 		}
-		imgs := make([]*tensor.Tensor, batch)
-		for i := range imgs {
-			img := tensor.New(spec.Input.Channels, spec.Input.Height, spec.Input.Width)
-			copy(img.Data(), in.data[i*inVol:(i+1)*inVol])
-			imgs[i] = img
-		}
 		cu, err := dev.acquireCU()
 		if err != nil {
 			return err
 		}
-		outs, stats, err := cu.session().RunBatch(imgs)
+		stats, err := cu.session().RunInto(in.data[:batch*inVol], out.data[:batch*outVol])
 		if err != nil {
 			// A failed session is sticky; retire it so the next dispatch
 			// reopens a fresh fabric instead of failing forever. A rejected
@@ -525,12 +520,9 @@ func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 			cu.mu.Unlock()
 			return err
 		}
-		for i, o := range outs {
-			copy(out.data[i*outVol:(i+1)*outVol], o.Data())
-		}
 		// Device time from the pipeline model at the achieved clock (the
-		// recurrence the discrete-event simulation is cross-checked against).
-		cycles := perf.BatchCyclesClosedForm(perf.Stages(spec), batch)
+		// closed form the discrete-event simulation is cross-checked against).
+		cycles := perf.BatchCyclesClosedForm(stages, batch)
 		ms := perf.CyclesToMs(cycles, xclbin.Meta.AchievedMHz)
 		c.info.KernelMs += ms
 		c.info.Batches++

@@ -42,6 +42,25 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
 
+// Views splits data into consecutive tensors of the given shape that share
+// data and one copy of the shape: three allocations for any number of
+// views. Each view's data is capped at its own volume, so an append to it
+// reallocates instead of overwriting the next view.
+func Views(data []float32, shape ...int) []*Tensor {
+	vol := Volume(shape)
+	if vol <= 0 || len(data)%vol != 0 {
+		panic(fmt.Sprintf("tensor: %d words are not whole tensors of shape %v", len(data), shape))
+	}
+	sh := append([]int(nil), shape...)
+	ts := make([]Tensor, len(data)/vol)
+	views := make([]*Tensor, len(ts))
+	for i := range ts {
+		ts[i] = Tensor{shape: sh, data: data[i*vol : (i+1)*vol : (i+1)*vol]}
+		views[i] = &ts[i]
+	}
+	return views
+}
+
 // Shape returns the tensor's dimensions. The returned slice must not be
 // modified.
 func (t *Tensor) Shape() []int { return t.shape }

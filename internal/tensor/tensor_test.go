@@ -199,3 +199,34 @@ func TestVolume(t *testing.T) {
 		t.Fatal("Volume(nil) should be 1 (scalar)")
 	}
 }
+
+func TestViewsShareShapeAndStayApart(t *testing.T) {
+	data := []float32{1, 2, 3, 4, 5, 6}
+	views := Views(data, 3, 1, 1)
+	if len(views) != 2 {
+		t.Fatalf("%d views of 6 words in 3-word tensors", len(views))
+	}
+	if &views[0].Shape()[0] != &views[1].Shape()[0] || !ShapeEq(views[1].Shape(), []int{3, 1, 1}) {
+		t.Fatalf("views do not share the shape [3 1 1]: %v, %v", views[0].Shape(), views[1].Shape())
+	}
+	views[1].Data()[0] = 40
+	if data[3] != 40 {
+		t.Fatal("a view does not write through to the shared data")
+	}
+	if grown := append(views[0].Data(), -1); grown[3] != -1 || views[1].At(0, 0, 0) != 40 {
+		t.Fatalf("append on view 0 overwrote view 1: %v", views[1].Data())
+	}
+	if got := Views(nil, 3, 1, 1); len(got) != 0 {
+		t.Fatalf("%d views of no words", len(got))
+	}
+	for _, shape := range [][]int{{4}, {0, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Views of 6 words as %v did not panic", shape)
+				}
+			}()
+			Views(data, shape...)
+		}()
+	}
+}
