@@ -3,7 +3,7 @@ package condor
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (Section 4). Each benchmark times the work that produces the
 // result (functional fabric execution for the deployment rows, the
-// discrete-event pipeline simulation for the batch curves, the full
+// closed-form pipeline batch time for the batch curves, the full
 // explore+estimate pass for the improved-methodology columns) and attaches
 // the paper-facing quantities as custom metrics, so `go test -bench . ` emits
 // the same rows the paper reports. Paper-vs-measured numbers are recorded
@@ -136,8 +136,8 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // BenchmarkFigure5 regenerates the Figure 5 series: for each batch size the
-// timed body is the discrete-event simulation of the accelerator pipeline,
-// and the mean time per image is attached as a metric.
+// timed body is the accelerator pipeline's closed-form batch time, and the
+// mean time per image is attached as a metric.
 func BenchmarkFigure5(b *testing.B) {
 	nets := []struct {
 		name string
@@ -157,7 +157,7 @@ func BenchmarkFigure5(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/batch=%d", nc.name, batch), func(b *testing.B) {
 				var total int64
 				for i := 0; i < b.N; i++ {
-					total = perf.SimulateBatch(stages, batch)
+					total = perf.BatchCyclesClosedForm(stages, batch)
 				}
 				mean := perf.CyclesToMs(total, bld.Meta.AchievedMHz) / float64(batch)
 				b.ReportMetric(mean, "ms/image")
@@ -196,7 +196,7 @@ func BenchmarkAblationFusion(b *testing.B) {
 			stages := perf.Stages(bld.Spec)
 			var total int64
 			for i := 0; i < b.N; i++ {
-				total = perf.SimulateBatch(stages, 32)
+				total = perf.BatchCyclesClosedForm(stages, 32)
 			}
 			b.ReportMetric(perf.CyclesToMs(total, bld.Meta.AchievedMHz)/32, "ms/image")
 			b.ReportMetric(float64(len(bld.Spec.PEs)), "PEs")
@@ -223,7 +223,7 @@ func BenchmarkAblationPortParallelism(b *testing.B) {
 			bld := benchBuild(b, ir, ws)
 			stages := perf.Stages(bld.Spec)
 			for i := 0; i < b.N; i++ {
-				perf.SimulateBatch(stages, 16)
+				perf.BatchCyclesClosedForm(stages, 16)
 			}
 			// The knob targets the features pipeline; report its sustained
 			// throughput (the ip1 FC stage caps the whole-network figure).
@@ -266,11 +266,11 @@ func BenchmarkAblationStencilBuffer(b *testing.B) {
 	b.ReportMetric(float64(frameWords)/float64(stencilWords), "saving-x")
 }
 
-// BenchmarkAblationQuantization compares the float32 fabric against the
-// int16/int8 fixed-point variants (the bandwidth/resource optimisation of
-// the related work): resource footprint, power and weight-payload size.
+// BenchmarkAblationQuantization compares the float32 fabric against the int8
+// fixed-point variant (the bandwidth/resource optimisation of the related
+// work): resource footprint, power and weight-payload size.
 func BenchmarkAblationQuantization(b *testing.B) {
-	for _, p := range []quant.Precision{quant.Float32, quant.Int16, quant.Int8} {
+	for _, p := range []quant.Precision{quant.Float32, quant.Int8} {
 		b.Run(p.String(), func(b *testing.B) {
 			var bld *Build
 			for i := 0; i < b.N; i++ {
@@ -728,35 +728,6 @@ func BenchmarkWeightPath(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationFIFODepth studies how the inter-PE FIFO skid affects the
-// batch pipeline: with bounded boundaries a finished PE blocks on a full
-// downstream FIFO (the fabric's blocking writes), so shallow skids slow
-// unbalanced pipelines.
-func BenchmarkAblationFIFODepth(b *testing.B) {
-	ir, ws, err := models.LeNet()
-	if err != nil {
-		b.Fatal(err)
-	}
-	bld := benchBuild(b, ir, ws)
-	stages := perf.Stages(bld.Spec)
-	for _, skid := range []int{0, 1, 4, 16} {
-		b.Run(fmt.Sprintf("skid=%d", skid), func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				total = perf.SimulateBatchBounded(stages, 32, skid)
-			}
-			b.ReportMetric(perf.CyclesToMs(total, bld.Meta.AchievedMHz)/32, "ms/image")
-		})
-	}
-	b.Run("unbounded", func(b *testing.B) {
-		var total int64
-		for i := 0; i < b.N; i++ {
-			total = perf.SimulateBatch(stages, 32)
-		}
-		b.ReportMetric(perf.CyclesToMs(total, bld.Meta.AchievedMHz)/32, "ms/image")
-	})
-}
-
 // BenchmarkExtraAlexNetFeatures extends the Table 2 experiment to AlexNet
 // (features stage, same 2-port preliminary configuration).
 func BenchmarkExtraAlexNetFeatures(b *testing.B) {
@@ -821,32 +792,4 @@ func BenchmarkBaselineComparison(b *testing.B) {
 			b.ReportMetric(float64(rep.DDRBytes)/1024, "systolic-KiB/img")
 		})
 	}
-}
-
-// BenchmarkBaselineGEMMEngine measures the im2col+GEMM reference engine
-// against the direct engine on the host (an algorithmic baseline check).
-func BenchmarkBaselineGEMMEngine(b *testing.B) {
-	ir, ws, err := models.TC1()
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := ir.BuildNN(ws)
-	if err != nil {
-		b.Fatal(err)
-	}
-	img := models.USPSImages(1, 3)[0]
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := net.Predict(img); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("gemm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := net.GEMMForward(img); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

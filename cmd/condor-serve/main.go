@@ -64,7 +64,7 @@ func main() {
 		local      = flag.Int("local", 1, "number of local boards to program")
 		localBoard = flag.String("local-board", "ku115", "board id for local deployments")
 		cus        = flag.Int("cus", 1, "compute units (replicated kernel instances) per local board")
-		dtype      = flag.String("dtype", "float32", "fabric numeric format: float32 | int16 | int8 (int8 serves on the packed datapath)")
+		dtype      = flag.String("dtype", "float32", "fabric numeric format: float32 | int8 (int8 serves on the packed datapath)")
 		endpoint   = flag.String("endpoint", "", "cloud endpoint URL (e.g. awsmock); empty disables the cloud pool")
 		bucket     = flag.String("bucket", "condor-serve", "S3 bucket for cloud deployments")
 		instType   = flag.String("instance-type", "f1.2xlarge", "F1 instance type for the cloud pool")
@@ -124,19 +124,6 @@ type serveOptions struct {
 	pprofOn             bool
 }
 
-func modelPrecision(dtype string) (quant.Precision, error) {
-	switch dtype {
-	case "", "float32":
-		return quant.Float32, nil
-	case "int16":
-		return quant.Int16, nil
-	case "int8":
-		return quant.Int8, nil
-	default:
-		return quant.Float32, fmt.Errorf("unknown dtype %q (float32 | int16 | int8)", dtype)
-	}
-}
-
 func modelIR(model string) (*condorir.Network, *condorir.WeightSet, error) {
 	switch model {
 	case "tc1":
@@ -189,7 +176,7 @@ func run(o serveOptions) error {
 	if err != nil {
 		return err
 	}
-	prec, err := modelPrecision(o.dtype)
+	prec, err := quant.ParsePrecision(o.dtype)
 	if err != nil {
 		return err
 	}

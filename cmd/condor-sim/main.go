@@ -140,7 +140,7 @@ func run(model, xclbinPath, weightsPath string, batch int, sweep bool, seed int6
 		}
 		fmt.Printf("%8s %16s %16s\n", "batch", "device ms/img", "device img/s")
 		for _, bsz := range []int{1, 2, 4, 8, 16, 32, 64} {
-			cycles := perf.SimulateBatch(stages, bsz)
+			cycles := perf.BatchCyclesClosedForm(stages, bsz)
 			mean := perf.CyclesToMs(cycles, freq) / float64(bsz)
 			fmt.Printf("%8d %16.4f %16.1f\n", bsz, mean, 1000/mean)
 		}
@@ -159,7 +159,7 @@ func run(model, xclbinPath, weightsPath string, batch int, sweep bool, seed int6
 		return err
 	}
 	host := time.Since(start)
-	cycles := perf.SimulateBatch(stages, batch)
+	cycles := perf.BatchCyclesClosedForm(stages, batch)
 	deviceMs := perf.CyclesToMs(cycles, freq)
 	fmt.Printf("batch %d: host sim %v, modeled device %.4f ms (%.4f ms/image)\n",
 		batch, host.Round(time.Millisecond), deviceMs, deviceMs/float64(batch))

@@ -84,7 +84,7 @@ func cmdBuild(args []string) error {
 	boardID := fs.String("board", "", "deployment board (see 'condor boards')")
 	freq := fs.Float64("freq", 0, "requested kernel clock in MHz")
 	runDSE := fs.Bool("dse", false, "run automated design-space exploration")
-	precision := fs.String("precision", "float32", "fabric numeric format: float32 | int16 | int8")
+	precision := fs.String("precision", "float32", "fabric numeric format: float32 | int8")
 	emitHLS := fs.Bool("hls-project", false, "also emit the generated Vivado HLS project (sources + Tcl)")
 	outDir := fs.String("out", "build", "output directory")
 	if err := fs.Parse(args); err != nil {
@@ -92,7 +92,7 @@ func cmdBuild(args []string) error {
 	}
 
 	in := condor.Input{Board: *boardID, FrequencyMHz: *freq, RunDSE: *runDSE}
-	p, err := parsePrecision(*precision)
+	p, err := quant.ParsePrecision(*precision)
 	if err != nil {
 		return err
 	}
@@ -355,7 +355,7 @@ func cmdLint(args []string) error {
 	cus := fs.Int("cus", 1, "compute units the deployment replicates the kernel into")
 	burst := fs.Int("burst", 0, "DMA burst transaction length in words (0 = host-chunked)")
 	fifoDepth := fs.Int("fifo-depth", 0, "inter-PE stream FIFO depth override in words (0 = default)")
-	precision := fs.String("precision", "float32", "fabric numeric format to prove: float32 | int16 | int8")
+	precision := fs.String("precision", "float32", "fabric numeric format to prove: float32 | int8")
 	strictLanes := fs.Bool("strict-lanes", false, "reject padded tail lanes (CND023 becomes an error) on the packed int8 datapath")
 	algo := fs.String("algo", "", "convolution algorithm override for every conv layer: direct | im2col_gemm | winograd_f23 (CND025 rejects non-qualifying layers)")
 	batchStream := fs.Bool("batch", false, "prove the continuous-streaming deployment (CND024: two in-flight epochs must fit every FIFO)")
@@ -397,7 +397,7 @@ func cmdLint(args []string) error {
 		return fmt.Errorf("provide -network (optionally with -weights) or -model")
 	}
 
-	p, err := parsePrecision(*precision)
+	p, err := quant.ParsePrecision(*precision)
 	if err != nil {
 		return err
 	}
@@ -440,20 +440,6 @@ func cmdLint(args []string) error {
 		fmt.Printf("%s: design verification passed (%d warning(s))\n", ir.Name, len(diags))
 	}
 	return nil
-}
-
-// parsePrecision resolves the -precision flag values.
-func parsePrecision(s string) (quant.Precision, error) {
-	switch s {
-	case "", "float32":
-		return quant.Float32, nil
-	case "int16":
-		return quant.Int16, nil
-	case "int8":
-		return quant.Int8, nil
-	default:
-		return quant.Float32, fmt.Errorf("unknown precision %q", s)
-	}
 }
 
 // builtinModel resolves the -model names to the evaluation networks.

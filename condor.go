@@ -72,9 +72,9 @@ type Input struct {
 	ComputeUnits int
 
 	// Precision selects the fabric numeric format. The default Float32 is
-	// the paper's configuration; Int16/Int8 enable the fixed-point
-	// quantization of the related work (weights snapped to the fixed-point
-	// grid, MAC datapath and buffers shrunk accordingly).
+	// the paper's configuration; Int8 enables the fixed-point quantization
+	// of the related work (weights snapped to the fixed-point grid, the
+	// packed int8 datapath, MAC lanes and buffers shrunk accordingly).
 	Precision quant.Precision
 }
 

@@ -544,33 +544,33 @@ func TestLocalInferAllocations(t *testing.T) {
 }
 
 func TestQuantizedBuild(t *testing.T) {
-	in16 := tc1Input(t)
-	in16.Precision = quant.Int16
-	b16, err := New().BuildAccelerator(in16)
+	in8 := tc1Input(t)
+	in8.Precision = quant.Int8
+	b8, err := New().BuildAccelerator(in8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b16.QuantReport == nil || b16.QuantReport.Precision != quant.Int16 {
-		t.Fatalf("quant report = %+v", b16.QuantReport)
+	if b8.QuantReport == nil || b8.QuantReport.Precision != quant.Int8 {
+		t.Fatalf("quant report = %+v", b8.QuantReport)
 	}
-	if b16.Spec.WordBits != 16 {
-		t.Fatalf("spec word bits = %d", b16.Spec.WordBits)
+	if b8.Spec.WordBits != 8 {
+		t.Fatalf("spec word bits = %d", b8.Spec.WordBits)
 	}
 	base, err := New().BuildAccelerator(tc1Input(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fixed-point MACs shrink the DSP and LUT footprint.
-	if b16.Report.KernelTotal.DSP >= base.Report.KernelTotal.DSP {
-		t.Fatalf("int16 DSP %v should undercut float32 %v",
-			b16.Report.KernelTotal.DSP, base.Report.KernelTotal.DSP)
+	if b8.Report.KernelTotal.DSP >= base.Report.KernelTotal.DSP {
+		t.Fatalf("int8 DSP %v should undercut float32 %v",
+			b8.Report.KernelTotal.DSP, base.Report.KernelTotal.DSP)
 	}
-	if b16.Report.KernelTotal.LUT >= base.Report.KernelTotal.LUT {
-		t.Fatalf("int16 LUT %v should undercut float32 %v",
-			b16.Report.KernelTotal.LUT, base.Report.KernelTotal.LUT)
+	if b8.Report.KernelTotal.LUT >= base.Report.KernelTotal.LUT {
+		t.Fatalf("int8 LUT %v should undercut float32 %v",
+			b8.Report.KernelTotal.LUT, base.Report.KernelTotal.LUT)
 	}
 	// The quantized fabric still classifies like the float reference.
-	acc, err := b16.Fabric()
+	acc, err := b8.Fabric()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +589,7 @@ func TestQuantizedBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if outs[i].ArgMax() != want.ArgMax() {
-			t.Fatalf("image %d: int16 build changed the prediction", i)
+			t.Fatalf("image %d: int8 build changed the prediction", i)
 		}
 	}
 }

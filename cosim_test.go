@@ -60,13 +60,14 @@ func TestCosimLeNetViaCaffe(t *testing.T) {
 
 func TestCosimQuantizedBuild(t *testing.T) {
 	in := tc1Input(t)
-	in.Precision = quant.Int16
+	in.Precision = quant.Int8
 	b, err := New().BuildAccelerator(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The fabric runs on the quantized weights, and so does the reference
-	// inside Cosim (both use b.Weights), so the run must still pass.
+	// inside Cosim (both use b.Weights); the automatic tolerance is the int8
+	// run's quantization error bound, so the run must still pass.
 	rep, err := b.Cosim(4, 3, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -17,8 +17,7 @@ import "condor/internal/nn"
 // walks the input lanes-per-word inputs per cycle per port: on the packed
 // int8 fabric the cycles assume four times the MACs that are priced. And the
 // executor books the weight bytes of the stream it holds, not WeightWords:
-// a layer without bias moves no bias words, and the int16 variant, which
-// executes float32, moves four bytes a word where DDRBytes charges two.
+// a layer without bias moves no bias words.
 type Schedule struct {
 	// MACLanes are the multiply-accumulate lanes the resource model prices:
 	// per input/output port pair, K² for direct convolution, 2K² for

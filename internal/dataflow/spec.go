@@ -246,12 +246,11 @@ type Spec struct {
 	// PEs (and between the datamover and the boundary PEs).
 	InterPEFIFODepth int
 
-	// WordBits is the fabric numeric width: 32 (float32, the default), or
-	// 16/8 for the fixed-point quantized variants. At 8 bits the functional
-	// simulator executes the packed int8 datapath natively (4 lanes per
-	// 32-bit FIFO word, int32 accumulators, per-tensor requantization at PE
-	// boundaries); at 16 bits it computes in float32 over grid-snapped
-	// values. WordBits also drives the resource, bandwidth and power models.
+	// WordBits is the fabric numeric width: 32 (float32, the default), or 8
+	// for the fixed-point quantized variant, which the functional simulator
+	// executes natively on the packed int8 datapath (4 lanes per 32-bit FIFO
+	// word, int32 accumulators, per-tensor requantization at PE boundaries).
+	// WordBits also drives the resource, bandwidth and power models.
 	WordBits int
 
 	// StrictLanes escalates the CND023 lane-packing rule from a warning to
@@ -260,19 +259,17 @@ type Spec struct {
 	StrictLanes bool
 }
 
-// Bits returns the fabric word width: 8 or 16 on the fixed-point variants,
-// 32 (float32) otherwise. The cost models read WordBits only through it.
+// Bits returns the fabric word width: 8 on the fixed-point variant, 32
+// (float32) otherwise. The cost models read WordBits only through it.
 func (s *Spec) Bits() int {
-	if s.WordBits == 8 || s.WordBits == 16 {
-		return s.WordBits
+	if s.WordBits == 8 {
+		return 8
 	}
 	return 32
 }
 
 // Lanes returns the number of activation lanes packed into each 32-bit FIFO
-// word: Int8Lanes on the packed int8 datapath, 1 everywhere else (the int16
-// variant keeps the float-over-quantized-values execution, one element per
-// word).
+// word: Int8Lanes on the packed int8 datapath, 1 on the float32 one.
 func (s *Spec) Lanes() int { return lanesAt(s.Bits()) }
 
 func lanesAt(bits int) int {

@@ -99,19 +99,16 @@ func TestQuantizedTrafficScalesWithWordBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := spec.DDRBytesPerImage()
-	spec.WordBits = 16
-	half := spec.DDRBytesPerImage()
 	// Everything except the 4-byte partial spill scales by the word size;
-	// with partials on-chip the traffic halves exactly.
+	// with partials on-chip int8 traffic is a quarter of float32's exactly.
 	for _, pe := range spec.PEs {
 		pe.PartialsOnChip = true
 	}
 	spec.WordBits = 32
-	full = spec.DDRBytesPerImage()
-	spec.WordBits = 16
-	half = spec.DDRBytesPerImage()
-	if 2*half != full {
-		t.Fatalf("int16 traffic %d should be half of %d", half, full)
+	full := spec.DDRBytesPerImage()
+	spec.WordBits = 8
+	quarter := spec.DDRBytesPerImage()
+	if 4*quarter != full {
+		t.Fatalf("int8 traffic %d should be a quarter of %d", quarter, full)
 	}
 }

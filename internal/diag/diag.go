@@ -34,7 +34,7 @@ const (
 	RuleResourceBudget   = "CND013" // the kernel must fit the board's shell-excluded budget
 	RuleHLSArrayLimit    = "CND014" // static arrays must stay within the HLS front-end limit
 	RuleParallelism      = "CND015" // port parallelism must be positive and useful
-	RuleWordBits         = "CND016" // fabric word width must be 8, 16 or 32 bits
+	RuleWordBits         = "CND016" // fabric word width must be 8 or 32 bits
 	RuleEmptyStructure   = "CND017" // the spec needs PEs and every PE needs layers
 	RuleStageOrder       = "CND018" // features extraction must precede classification
 	RuleIRCoverage       = "CND019" // the spec must cover the IR's compute layers in order

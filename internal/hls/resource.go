@@ -59,20 +59,15 @@ func fadd(freqMHz float64) board.Resources {
 	return costFAddLog
 }
 
-// costMACFixed prices one fixed-point multiply-accumulate lane by word
-// width: an int16 MAC maps onto a single DSP48 (multiplier plus post-adder);
-// two int8 MACs pack into one DSP48.
-var costMACFixed = map[int]board.Resources{
-	16: {LUT: 62, FF: 84, DSP: 1},
-	8:  {LUT: 44, FF: 52, DSP: 0.5},
-}
+// costMACInt8 prices one int8 multiply-accumulate lane: two int8 MACs pack
+// into one DSP48.
+var costMACInt8 = board.Resources{LUT: 44, FF: 52, DSP: 0.5}
 
 // macCost returns the cost of one multiply-accumulate lane for the fabric
-// word width: the fixed-point table's, or a float32 multiplier plus the
-// clock's adder.
+// word width: an int8 lane, or a float32 multiplier plus the clock's adder.
 func macCost(freqMHz float64, wordBits int) board.Resources {
-	if c, ok := costMACFixed[wordBits]; ok {
-		return c
+	if wordBits == 8 {
+		return costMACInt8
 	}
 	return costFMul.Add(fadd(freqMHz))
 }

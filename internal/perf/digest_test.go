@@ -31,7 +31,7 @@ const digestGolden = "testdata/model_digest.txt"
 // estimate (kernel resources, every breakdown entry, MAC lanes), the memory
 // planner's on-chip decisions, the pipeline stages, the DDR traffic, the
 // per-layer algorithm table and the roofline — over TC1, LeNet and the
-// VGG-16 and AlexNet feature stages × {float32, int16, int8} × every
+// VGG-16 and AlexNet feature stages × {float32, int8} × every
 // convolution algorithm some layer qualifies for × three port settings, plus
 // the explorer's walk on TC1 and LeNet. The listing must equal the golden
 // line for line, so a refactor of the models that moves any of those numbers
@@ -64,7 +64,7 @@ func TestModelDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bits := range []int{32, 16, 8} {
+		for _, bits := range []int{32, 8} {
 			for _, algo := range []dataflow.ConvAlgo{dataflow.AlgoDirect, dataflow.AlgoGEMM, dataflow.AlgoWinograd} {
 				for _, par := range []condorir.Parallelism{{In: 1, Out: 1}, {In: 2, Out: 2}, {In: 4, Out: 1}} {
 					spec, err := dataflow.BuildSpec(ir)

@@ -1,6 +1,6 @@
 // Package perf models the performance of a Condor accelerator: the
-// high-level pipeline formed by the concurrently-active PEs is simulated at
-// image granularity on the discrete-event kernel, using the per-PE cycle
+// high-level pipeline formed by the concurrently-active PEs is timed at
+// image granularity by its closed-form recurrence, using the per-PE cycle
 // model shared with the functional fabric. This layer produces the paper's
 // evaluation quantities: mean time per image versus batch size (Figure 5)
 // and steady-state GFLOPS (Tables 1 and 2).
@@ -11,7 +11,6 @@ import (
 
 	"condor/internal/dataflow"
 	"condor/internal/nn"
-	"condor/internal/sim"
 )
 
 // Stage is one pipeline stage: a PE with its per-image service time.
@@ -54,59 +53,21 @@ func Bottleneck(stages []Stage) int64 {
 	return max
 }
 
-// SimulateBatch runs the image-granular pipeline on the discrete-event
-// kernel: every stage is a single-occupancy server, images enter
-// back-to-back, and image b starts stage s once it has left stage s-1 and
-// stage s is free. It returns the cycle at which the last image leaves the
-// last stage.
-func SimulateBatch(stages []Stage, batch int) int64 {
-	if batch <= 0 || len(stages) == 0 {
-		return 0
-	}
-	eng := sim.New()
-	servers := make([]*sim.Server, len(stages))
-	for i := range stages {
-		servers[i] = sim.NewServer(eng)
-	}
-	var finish int64
-	// advance moves an image into stage s; at the last stage it records the
-	// completion time.
-	var advance func(img, s int)
-	advance = func(img, s int) {
-		servers[s].Submit(stages[s].Cycles, func() {
-			if s+1 < len(stages) {
-				advance(img, s+1)
-			} else {
-				finish = eng.Now()
-			}
-		})
-	}
-	for img := 0; img < batch; img++ {
-		advance(img, 0)
-	}
-	eng.Run()
-	return finish
-}
-
-// BatchCyclesClosedForm computes the same quantity in closed form. The
-// classic heterogeneous-pipeline recurrence
+// BatchCyclesClosedForm returns the cycle at which the last of batch images,
+// entering back to back, leaves the last stage, every stage holding one
+// image at a time. The heterogeneous-pipeline recurrence
 //
 //	t[b][s] = max(t[b-1][s], t[b][s-1]) + T[s]
 //
 // is the longest path through the batch × stage grid: every image crosses
 // every stage once, and the remaining batch−1 images queue at the slowest,
-// so t[N-1][S-1] = Σ T[s] + (N−1)·max T[s]. It cross-checks the
-// discrete-event simulation.
+// so t[N-1][S-1] = Σ T[s] + (N−1)·max T[s] — the fill latency plus N−1
+// initiation intervals (the paper's Figure 5).
 func BatchCyclesClosedForm(stages []Stage, batch int) int64 {
 	if batch <= 0 || len(stages) == 0 {
 		return 0
 	}
-	var sum, slowest int64
-	for _, s := range stages {
-		sum += s.Cycles
-		slowest = max(slowest, s.Cycles)
-	}
-	return sum + int64(batch-1)*slowest
+	return Latency(stages) + int64(batch-1)*Bottleneck(stages)
 }
 
 // BatchPoint is one sample of the Figure 5 curve.
@@ -127,7 +88,7 @@ func BatchCurve(stages []Stage, freqMHz float64, batches []int) ([]BatchPoint, e
 		if b <= 0 {
 			return nil, fmt.Errorf("perf: non-positive batch size %d", b)
 		}
-		total := SimulateBatch(stages, b)
+		total := BatchCyclesClosedForm(stages, b)
 		out = append(out, BatchPoint{
 			Batch:          b,
 			TotalCycles:    total,

@@ -1,9 +1,9 @@
 // Package quant implements fixed-point quantization for Condor
 // accelerators, the bandwidth/resource optimisation the paper's related
 // work (Qiu et al., FPGA'16) applies: weights (and optionally activations)
-// are quantized to 16- or 8-bit fixed point with per-tensor scaling,
-// shrinking the datamover traffic, the on-chip weight buffers and the MAC
-// datapath, with a measurable and typically negligible accuracy impact.
+// are quantized to 8-bit fixed point with per-tensor scaling, shrinking the
+// datamover traffic, the on-chip weight buffers and the MAC datapath, with a
+// measurable and typically negligible accuracy impact.
 package quant
 
 import (
@@ -20,17 +20,27 @@ type Precision int
 
 const (
 	Float32 Precision = iota
-	Int16
 	Int8
 )
+
+// ParsePrecision resolves a precision name as the command lines spell it;
+// the empty string is the float32 default.
+func ParsePrecision(s string) (Precision, error) {
+	switch s {
+	case "", "float32":
+		return Float32, nil
+	case "int8":
+		return Int8, nil
+	default:
+		return Float32, fmt.Errorf("unknown precision %q (float32 | int8)", s)
+	}
+}
 
 // String names the precision.
 func (p Precision) String() string {
 	switch p {
 	case Float32:
 		return "float32"
-	case Int16:
-		return "int16"
 	case Int8:
 		return "int8"
 	default:
@@ -40,14 +50,10 @@ func (p Precision) String() string {
 
 // Bits returns the word width.
 func (p Precision) Bits() int {
-	switch p {
-	case Int16:
-		return 16
-	case Int8:
+	if p == Int8 {
 		return 8
-	default:
-		return 32
 	}
+	return 32
 }
 
 // WordBytes returns the stream word size in bytes.

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,49 +12,31 @@ import (
 	"condor/internal/tensor"
 )
 
-func TestQuantizeWeightsInt16(t *testing.T) {
+func TestQuantizeWeightsInt8(t *testing.T) {
 	_, ws, err := models.LeNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, rep, err := QuantizeWeights(ws, Int16)
+	q, rep, err := QuantizeWeights(ws, Int8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q.Len() != ws.Len() {
 		t.Fatalf("entry count %d vs %d", q.Len(), ws.Len())
 	}
-	if rep.Precision != Int16 || len(rep.Entries) != ws.Len() {
+	if rep.Precision != Int8 || len(rep.Entries) != ws.Len() {
 		t.Fatalf("report %+v", rep)
 	}
-	// 16-bit symmetric quantization of values in [-0.2, 0.2]: max error is
-	// about scale/2 ≈ 0.2/32767/2 — tiny.
-	if rep.MaxError > 1e-4 {
-		t.Fatalf("int16 max error %v too large", rep.MaxError)
+	// Symmetric quantization errs by at most half a step per entry, plus the
+	// half float32 ulp of the stored grid point (at most 2⁻²⁴ of maxAbs, which
+	// is 127 steps).
+	for _, e := range rep.Entries {
+		if e.Scale == 0 || e.MaxError > e.Scale/2+127*e.Scale*0x1p-24 {
+			t.Fatalf("%s/%v: max error %v against scale %v", e.Layer, e.Kind, e.MaxError, e.Scale)
+		}
 	}
-	if rep.BytesAfter*2 != rep.BytesBefore {
-		t.Fatalf("int16 should halve the payload: %d -> %d", rep.BytesBefore, rep.BytesAfter)
-	}
-}
-
-func TestQuantizeWeightsInt8CoarserThanInt16(t *testing.T) {
-	_, ws, err := models.TC1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep16, err := QuantizeWeights(ws, Int16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep8, err := QuantizeWeights(ws, Int8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep8.MaxError <= rep16.MaxError {
-		t.Fatalf("int8 error %v should exceed int16 error %v", rep8.MaxError, rep16.MaxError)
-	}
-	if rep8.BytesAfter*4 != rep8.BytesBefore {
-		t.Fatalf("int8 should quarter the payload: %d -> %d", rep8.BytesBefore, rep8.BytesAfter)
+	if rep.BytesAfter*4 != rep.BytesBefore {
+		t.Fatalf("int8 should quarter the payload: %d -> %d", rep.BytesBefore, rep.BytesAfter)
 	}
 }
 
@@ -73,27 +56,8 @@ func TestQuantizedNetworkDriftNegligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q16, _, err := QuantizeWeights(ws, Int16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net16, err := ir.BuildNN(q16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imgs := models.MNISTImages(12, 4)
-	d, err := EvaluateDrift(ref, net16, imgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Top1Agreement < 1 {
-		t.Fatalf("int16 weight quantization changed predictions: %+v", d)
-	}
-	if d.MaxAbsDiff > 1e-2 {
-		t.Fatalf("int16 drift %v too large", d.MaxAbsDiff)
-	}
-	// Int8 drifts more but should still broadly agree (the related work's
-	// "negligible accuracy impact" claim).
+	// Int8 weights drift, but predictions should still broadly agree (the
+	// related work's "negligible accuracy impact" claim).
 	q8, _, err := QuantizeWeights(ws, Int8)
 	if err != nil {
 		t.Fatal(err)
@@ -102,12 +66,13 @@ func TestQuantizedNetworkDriftNegligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	imgs := models.MNISTImages(12, 4)
 	d8, err := EvaluateDrift(ref, net8, imgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d8.MaxAbsDiff <= d.MaxAbsDiff {
-		t.Fatalf("int8 drift %v should exceed int16 drift %v", d8.MaxAbsDiff, d.MaxAbsDiff)
+	if d8.MaxAbsDiff == 0 || d8.MaxAbsDiff > 0.1 {
+		t.Fatalf("int8 drift %v outside (0, 0.1]", d8.MaxAbsDiff)
 	}
 	if d8.Top1Agreement < 0.75 {
 		t.Fatalf("int8 agreement %v implausibly low", d8.Top1Agreement)
@@ -133,11 +98,28 @@ func TestQuantizeActivations(t *testing.T) {
 	}
 }
 
+// ParsePrecision is the one parser of the command lines' precision names:
+// the empty string is float32, and a name without a datapath is refused
+// with the accepted spellings.
+func TestParsePrecision(t *testing.T) {
+	for s, want := range map[string]Precision{"": Float32, "float32": Float32, "int8": Int8} {
+		if got, err := ParsePrecision(s); err != nil || got != want {
+			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"int16", "fp16", "INT8", " float32"} {
+		_, err := ParsePrecision(s)
+		if err == nil || !strings.Contains(err.Error(), "float32 | int8") {
+			t.Errorf("ParsePrecision(%q) error %v, want one listing float32 | int8", s, err)
+		}
+	}
+}
+
 func TestPrecisionProperties(t *testing.T) {
-	if Float32.Bits() != 32 || Int16.Bits() != 16 || Int8.Bits() != 8 {
+	if Float32.Bits() != 32 || Int8.Bits() != 8 {
 		t.Fatal("bit widths wrong")
 	}
-	if Int16.WordBytes() != 2 || Int8.WordBytes() != 1 {
+	if Float32.WordBytes() != 4 || Int8.WordBytes() != 1 {
 		t.Fatal("word bytes wrong")
 	}
 	if Float32.String() != "float32" || Int8.String() != "int8" {
@@ -154,11 +136,11 @@ func TestQuantizationIdempotentProperty(t *testing.T) {
 		tt := tensor.New(32)
 		tt.FillRandom(rng, 2)
 		ws.Put("l", condorir.EntryWeights, tt)
-		q1, _, err := QuantizeWeights(ws, Int16)
+		q1, _, err := QuantizeWeights(ws, Int8)
 		if err != nil {
 			return false
 		}
-		q2, rep2, err := QuantizeWeights(q1, Int16)
+		q2, rep2, err := QuantizeWeights(q1, Int8)
 		if err != nil {
 			return false
 		}

@@ -15,6 +15,7 @@ import (
 	"condor/internal/board"
 	"condor/internal/condorir"
 	"condor/internal/dataflow"
+	"condor/internal/diag"
 	"condor/internal/obs"
 	"condor/internal/perf"
 )
@@ -256,6 +257,12 @@ func (d *Device) program(data []byte) error {
 	}
 	if x.Meta.Board != d.Board.ID {
 		return fmt.Errorf("sdaccel: xclbin targets %s, device is %s", x.Meta.Board, d.Board.ID)
+	}
+	// The fabric has a datapath for 8- and 32-bit words only; any other
+	// width would otherwise run as float32 (Spec.Bits).
+	if w := x.Spec.WordBits; w != 8 && w != 32 {
+		return fmt.Errorf("sdaccel: %w", diag.Errorf(diag.RuleWordBits, "", "",
+			"xclbin fabric word width %d bits is not 8 or 32", w))
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -520,8 +527,7 @@ func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 			cu.mu.Unlock()
 			return err
 		}
-		// Device time from the pipeline model at the achieved clock (the
-		// closed form the discrete-event simulation is cross-checked against).
+		// Device time from the pipeline model at the achieved clock.
 		cycles := perf.BatchCyclesClosedForm(stages, batch)
 		ms := perf.CyclesToMs(cycles, xclbin.Meta.AchievedMHz)
 		c.info.KernelMs += ms

@@ -15,6 +15,7 @@ import (
 	"condor/internal/bitstream"
 	"condor/internal/condorir"
 	"condor/internal/dataflow"
+	"condor/internal/diag"
 	"condor/internal/models"
 	"condor/internal/obs"
 	"condor/internal/tensor"
@@ -538,5 +539,64 @@ func TestReloadInvalidatesWeights(t *testing.T) {
 	ctx.EnqueueKernel(in, out, 1)
 	if _, err := ctx.Finish(); err == nil {
 		t.Fatal("weights must be reloaded after reprogramming")
+	}
+}
+
+// TestWordBitsRejected: a LeNet xclbin whose fabric section claims a word
+// width the fabric has no datapath for (16, 7) is refused with CND016 by
+// both load paths, and the device stays unprogrammed; the same image at 32
+// and 8 bits loads.
+func TestWordBitsRejected(t *testing.T) {
+	xclbin := func(boardID string, bits int) []byte {
+		ir, _, err := models.LeNet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ir.Board = boardID
+		spec, err := dataflow.BuildSpec(ir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.WordBits = bits
+		xo, err := bitstream.PackageXO(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _, err := bitstream.XOCC(xo, boardID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, leg := range []struct {
+		name, board string
+		load        func(*Device, []byte) error
+	}{
+		{"ProgramFromAFI", "aws-f1-vu9p", (*Device).ProgramFromAFI},
+		{"LoadXclbin", "ku115", (*Device).LoadXclbin},
+	} {
+		for _, bits := range []int{32, 16, 8, 7} {
+			t.Run(fmt.Sprintf("%s/bits%d", leg.name, bits), func(t *testing.T) {
+				dev, err := NewDevice("fpga0", leg.board)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dev.Close()
+				err = leg.load(dev, xclbin(leg.board, bits))
+				if bits == 32 || bits == 8 {
+					if err != nil {
+						t.Fatalf("%d-bit image refused: %v", bits, err)
+					}
+					return
+				}
+				var d *diag.Diagnostic
+				if !errors.As(err, &d) || d.Rule != diag.RuleWordBits {
+					t.Fatalf("%d-bit image: error %v, want %s", bits, err, diag.RuleWordBits)
+				}
+				if dev.Programmed() {
+					t.Fatalf("%d-bit image left the device programmed", bits)
+				}
+			})
+		}
 	}
 }

@@ -43,7 +43,7 @@
 //	                         VGG-16 classifier gate).
 //	CND015 parallelism       port parallelism must be >= 1 (error) and not
 //	                         exceed the feature maps it serves (warning).
-//	CND016 word-bits         the fabric word width must be 8, 16 or 32.
+//	CND016 word-bits         the fabric word width must be 8 or 32.
 //	CND017 empty-structure   the spec needs PEs and every PE needs layers.
 //	CND018 stage-order       features extraction precedes classification.
 //	CND019 ir-coverage       the spec must map the IR's compute layers in
@@ -181,11 +181,9 @@ func Lint(spec *dataflow.Spec, ir *condorir.Network, ws *condorir.WeightSet) []*
 
 // checkWordBits enforces CND016.
 func checkWordBits(spec *dataflow.Spec, report func(*Diagnostic)) {
-	switch spec.WordBits {
-	case 8, 16, 32:
-	default:
+	if spec.WordBits != 8 && spec.WordBits != 32 {
 		report(diag.Errorf(diag.RuleWordBits, "", "",
-			"fabric word width %d bits is not one of 8, 16, 32", spec.WordBits))
+			"fabric word width %d bits is not 8 or 32", spec.WordBits))
 	}
 }
 

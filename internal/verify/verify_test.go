@@ -369,6 +369,13 @@ func TestBrokenSpecs(t *testing.T) {
 			rule: diag.RuleWordBits,
 		},
 		{
+			name: "word-bits-16-has-no-datapath",
+			breakIt: func(t *testing.T, spec *dataflow.Spec, ir *condorir.Network, ws *condorir.WeightSet) {
+				spec.WordBits = 16
+			},
+			rule: diag.RuleWordBits,
+		},
+		{
 			name: "lane-packing-padded-tail",
 			breakIt: func(t *testing.T, spec *dataflow.Spec, ir *condorir.Network, ws *condorir.WeightSet) {
 				// TC1's fc2 streams 10 values per image — not a multiple of
