@@ -71,12 +71,13 @@ race-serve:
 
 # race-lifecycle runs the release paths three times under the race detector:
 # TerminateInstances against in-flight ExecuteInference/LoadFpgaImage on one
-# slot, Device.Close against waiting dispatches, and the leak harness's legs
+# slot, against warm batches on a slot that holds its weights, Device.Close
+# against waiting dispatches, and the leak harness's legs
 # (goroutines and live heap back at baseline after 50 create/use/close
 # cycles per tier). Which side of a release a call lands on depends on
 # scheduling, so one green run proves little.
 race-lifecycle:
-	$(GO) test -race -count=3 -run 'TestTerminateRacesInFlightWork|TestDeviceClose' ./internal/aws ./internal/sdaccel
+	$(GO) test -race -count=3 -run 'TestTerminateRacesInFlightWork|TestTerminateRacesWarmSlot|TestDeviceClose' ./internal/aws ./internal/sdaccel
 	$(GO) test -race -count=3 -run 'TestLifecycle' .
 
 # race-fleet focuses the race detector on the fleet tier, including the

@@ -25,6 +25,7 @@ import (
 	"condor/internal/models"
 	"condor/internal/perf"
 	"condor/internal/quant"
+	"condor/internal/serve"
 	"condor/internal/tensor"
 )
 
@@ -637,6 +638,37 @@ func BenchmarkCloudSlotScaling(b *testing.B) {
 			b.ReportMetric(ms, "kernel-ms")
 			b.ReportMetric(32/ms*1000, "img/s")
 		})
+	}
+}
+
+// BenchmarkCloudSlotWarm times a warm LeNet batch of 1 and 16 images on an
+// F1 slot against the same batch on a local board, float32 and int8. The
+// cloud leg is one round trip to the slot's host program, whose fabric keeps
+// the weights it loaded; the local leg is LocalDeployment.Infer. The gap
+// between the legs is the HTTP exchange.
+func BenchmarkCloudSlotWarm(b *testing.B) {
+	for _, prec := range []quant.Precision{quant.Float32, quant.Int8} {
+		cloud, local := warmSlotLeNet(b, prec)
+		for _, n := range []int{1, 16} {
+			imgs := models.MNISTImages(n, 7)
+			for _, leg := range []struct {
+				name string
+				dep  serve.Backend
+			}{{"cloud", cloud}, {"local", local}} {
+				b.Run(fmt.Sprintf("%s/batch=%d/%s", prec, n, leg.name), func(b *testing.B) {
+					if _, _, err := leg.dep.Infer(imgs); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := leg.dep.Infer(imgs); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

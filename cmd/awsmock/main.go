@@ -29,7 +29,7 @@ func main() {
 		TransientErrorRate: *failRate,
 		TransientErrorSeed: *failSeed,
 	})
-	fmt.Printf("awsmock: S3 at http://%s/s3/, API at http://%s/api\n", *addr, *addr)
+	fmt.Printf("awsmock: S3 at http://%s/s3/, API at http://%s/api, slot host programs at http://%s/infer\n", *addr, *addr, *addr)
 	fmt.Printf("awsmock: AFI generation delay %v; licence token %q\n", *afiDelay, aws.DefaultLicense)
 	if *failRate > 0 {
 		fmt.Printf("awsmock: injecting transient 503s on %.0f%% of requests\n", 100**failRate)

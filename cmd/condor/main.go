@@ -16,8 +16,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"condor"
 	"condor/internal/aws"
@@ -147,27 +149,8 @@ func cmdBuild(args []string) error {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
-	base := filepath.Join(*outDir, b.Meta.Name)
-	wbytes, err := b.WeightsBytes()
-	if err != nil {
+	if err := writeArtifacts(os.Stdout, b, filepath.Join(*outDir, b.Meta.Name)); err != nil {
 		return err
-	}
-	files := map[string][]byte{
-		base + ".xo":     b.XO,
-		base + ".xclbin": b.Xclbin,
-		base + ".cndw":   wbytes,
-		base + "_host.c": []byte(b.HostCode),
-	}
-	irJSON, err := b.IR.ToJSON()
-	if err != nil {
-		return err
-	}
-	files[base+".json"] = irJSON
-	for path, data := range files {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
 	}
 	if *emitHLS {
 		proj, err := hls.GenerateProject(b.Spec)
@@ -188,6 +171,38 @@ func cmdBuild(args []string) error {
 	fmt.Printf("\n%s on %s: %.0f MHz (requested %.0f)\n", b.Meta.Name, b.Meta.Board, b.Meta.AchievedMHz, b.Meta.RequestedMHz)
 	fmt.Printf("  LUT %.2f%%  FF %.2f%%  DSP %.2f%%  BRAM %.2f%%\n", 100*u.LUT, 100*u.FF, 100*u.DSP, 100*u.BRAM)
 	fmt.Printf("  %.2f GFLOPS  %.2f GFLOPS/W  latency %.3f ms/image\n", s.GFLOPS, s.GFLOPSPerWatt, s.LatencyMs)
+	return nil
+}
+
+// writeArtifacts writes the build's files next to base (base.xo,
+// base.xclbin, …) in sorted path order, printing a "wrote" line for each to
+// w, so two runs print the same lines.
+func writeArtifacts(w io.Writer, b *condor.Build, base string) error {
+	wbytes, err := b.WeightsBytes()
+	if err != nil {
+		return err
+	}
+	irJSON, err := b.IR.ToJSON()
+	if err != nil {
+		return err
+	}
+	files := []struct {
+		path string
+		data []byte
+	}{
+		{base + ".xo", b.XO},
+		{base + ".xclbin", b.Xclbin},
+		{base + ".cndw", wbytes},
+		{base + "_host.c", []byte(b.HostCode)},
+		{base + ".json", irJSON},
+	}
+	sort.Slice(files, func(i, j int) bool { return files[i].path < files[j].path })
+	for _, f := range files {
+		if err := os.WriteFile(f.path, f.data, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintln(w, "wrote", f.path)
+	}
 	return nil
 }
 

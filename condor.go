@@ -287,11 +287,8 @@ func (f *Framework) BuildAccelerator(in Input) (*Build, error) {
 		return nil, err
 	}
 	f.logf("backend: compiling with XOCC for %s", ir.Board)
-	b.Xclbin, b.Report, err = bitstream.XOCC(b.XO, ir.Board)
-	if err != nil {
-		return nil, err
-	}
-	x, err := bitstream.ReadXclbin(b.Xclbin)
+	var x *bitstream.Xclbin
+	b.Xclbin, x, b.Report, err = bitstream.Compile(b.XO, ir.Board)
 	if err != nil {
 		return nil, err
 	}

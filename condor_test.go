@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"condor/internal/aws"
+	"condor/internal/bitstream"
 	"condor/internal/models"
 	"condor/internal/onnx"
 	"condor/internal/quant"
@@ -45,6 +46,27 @@ func TestBuildAcceleratorFromIR(t *testing.T) {
 	}
 	if len(logLines) == 0 {
 		t.Fatal("expected progress logging")
+	}
+}
+
+// TestBuildRecordsCompiledXclbin: BuildAccelerator takes Meta and HostCode
+// from the compile step instead of decoding the xclbin it just wrote; they
+// must equal what decoding it gives, at both precisions and with DSE on.
+func TestBuildRecordsCompiledXclbin(t *testing.T) {
+	for _, prec := range []quant.Precision{quant.Float32, quant.Int8} {
+		in := toolflowInput(t)
+		in.Precision = prec
+		b, err := New().BuildAccelerator(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := bitstream.ReadXclbin(b.Xclbin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Meta != x.Meta || b.HostCode != x.Host {
+			t.Fatalf("%s: build recorded %+v, the xclbin holds %+v", prec, b.Meta, x.Meta)
+		}
 	}
 }
 
@@ -496,10 +518,11 @@ func TestWarmSessionAllocations(t *testing.T) {
 
 // TestLocalInferAllocations bounds a warm 16-image LocalDeployment.Infer in
 // the benchmark's two fabric shapes. The kernel streams straight from the
-// input buffer into the output buffer and the outputs are views of the one
-// read-back array, so what is left is the context, its two buffers and
-// queue, the batch's staging and result arrays, the views and the stats
-// snapshot: nothing per image.
+// input buffer into the output buffer, the outputs are views of the one
+// read-back array, and the host program with its buffers and staging array
+// is taken from the deployment's pool, so what is left is the result array,
+// the views and the stats snapshot: nothing per image. The bound leaves room
+// for the race detector, under which sync.Pool drops a share of its puts.
 func TestLocalInferAllocations(t *testing.T) {
 	ir, ws, err := models.LeNet()
 	if err != nil {

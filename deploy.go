@@ -3,7 +3,9 @@ package condor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,6 +32,7 @@ var (
 type LocalDeployment struct {
 	Device *sdaccel.Device
 	build  *Build
+	hosts  sync.Pool // idle *localHost
 }
 
 // localDeviceSeq numbers local boards so every deployment models a distinct
@@ -85,32 +88,44 @@ func (d *LocalDeployment) Close() { d.Device.Close() }
 
 // Infer runs a batch on the local device and returns the outputs, views of
 // one array read back from the device, plus the modeled kernel time in
-// milliseconds.
+// milliseconds. Concurrent calls each take their own host program, so they
+// run on distinct compute units.
 func (d *LocalDeployment) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
-	spec := d.build.Spec
-	inVol := spec.Input.Volume()
-	outShape := spec.OutputShape()
-	outVol := outShape.Volume()
-
-	ctx := sdaccel.CreateContext(d.Device)
-	in := ctx.CreateBuffer(len(batch) * inVol)
-	out := ctx.CreateBuffer(len(batch) * outVol)
-	flat := make([]float32, 0, len(batch)*inVol)
-	for i, img := range batch {
-		if img.Len() != inVol {
-			return nil, 0, fmt.Errorf("condor: image %d has %d words, accelerator input is %d", i, img.Len(), inVol)
-		}
-		flat = append(flat, img.Data()...)
+	h, _ := d.hosts.Get().(*localHost)
+	if h == nil {
+		h = &localHost{prog: sdaccel.NewHostProgram(d.Device)}
 	}
-	ctx.EnqueueWrite(in, flat)
-	ctx.EnqueueKernel(in, out, len(batch))
-	results := make([]float32, len(batch)*outVol)
-	ctx.EnqueueRead(out, results)
-	info, err := ctx.Finish()
+	defer d.hosts.Put(h)
+	var err error
+	if h.in, err = flatten(h.in[:0], batch, d.build.Spec.Input.Volume()); err != nil {
+		return nil, 0, err
+	}
+	outShape := d.build.Spec.OutputShape()
+	results := make([]float32, len(batch)*outShape.Volume())
+	ms, err := h.prog.Run(h.in, results, len(batch))
 	if err != nil {
 		return nil, 0, err
 	}
-	return tensor.Views(results, outShape.Channels, outShape.Height, outShape.Width), info.KernelMs, nil
+	return tensor.Views(results, outShape.Channels, outShape.Height, outShape.Width), ms, nil
+}
+
+// localHost is one caller's host program and the array it stages a batch's
+// images in, both kept for the next caller.
+type localHost struct {
+	prog *sdaccel.HostProgram
+	in   []float32
+}
+
+// flatten appends the batch's images to dst back to back, refusing an image
+// of the wrong size.
+func flatten(dst []float32, batch []*tensor.Tensor, inVol int) ([]float32, error) {
+	for i, img := range batch {
+		if img.Len() != inVol {
+			return nil, fmt.Errorf("condor: image %d has %d words, accelerator input is %d", i, img.Len(), inVol)
+		}
+		dst = append(dst, img.Data()...)
+	}
+	return dst, nil
 }
 
 // CUBackend exposes one compute unit of a local deployment as an
@@ -175,11 +190,6 @@ type CloudDeployment struct {
 	Slot       int   // first programmed slot
 	Slots      []int // all programmed slots; batches shard across them
 	build      *Build
-
-	// runSeq numbers inference runs so concurrent callers get disjoint S3
-	// staging keys.
-	runSeq atomic.Uint64
-
 	terminated atomic.Bool
 }
 
@@ -277,11 +287,11 @@ func PackageAFITarball(b *Build) ([]byte, error) {
 	return bitstream.PackageAFITarball(b.Xclbin)
 }
 
-// Infer uploads a batch to S3, runs it on the deployment's first slot and
-// downloads the outputs, returning them with the modeled kernel
-// milliseconds. Concurrent calls stage under disjoint S3 keys.
+// Infer runs a batch on the deployment's first slot, one round trip that
+// carries the images in and the outputs back, and returns the outputs with
+// the modeled kernel milliseconds.
 func (d *CloudDeployment) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
-	return d.inferOnSlot(d.Slot, fmt.Sprintf("runs/run%d", d.runSeq.Add(1)), batch)
+	return d.inferOnSlot(d.Slot, batch)
 }
 
 // ID identifies the deployment's primary slot in a serving pool; use
@@ -292,9 +302,8 @@ func (d *CloudDeployment) ID() string {
 
 // SlotBackend exposes one programmed F1 slot as an independently
 // schedulable inference backend: the unit of parallelism the serving tier's
-// scheduler dispatches batches to. Each backend stages its runs under its
-// own S3 keys, so different slots of one instance execute concurrently
-// without colliding.
+// scheduler dispatches batches to. Different slots of one instance execute
+// concurrently.
 type SlotBackend struct {
 	dep  *CloudDeployment
 	slot int
@@ -319,8 +328,7 @@ func (b *SlotBackend) ID() string { return b.id }
 
 // Infer runs one batch on this slot.
 func (b *SlotBackend) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
-	prefix := fmt.Sprintf("runs/slot%d/run%d", b.slot, b.dep.runSeq.Add(1))
-	return b.dep.inferOnSlot(b.slot, prefix, batch)
+	return b.dep.inferOnSlot(b.slot, batch)
 }
 
 // InferSharded splits a batch across every programmed slot of the instance
@@ -335,102 +343,49 @@ func (d *CloudDeployment) InferSharded(batch []*tensor.Tensor) ([]*tensor.Tensor
 	if len(slots) == 1 || len(batch) <= 1 {
 		return d.Infer(batch)
 	}
-	n := len(slots)
-	if n > len(batch) {
-		n = len(batch)
-	}
-	type shardResult struct {
-		idx  int
-		outs []*tensor.Tensor
-		ms   float64
-		err  error
-	}
-	// Contiguous shards preserve output ordering on reassembly; every shard
-	// of this run stages under a run-unique key prefix.
-	run := d.runSeq.Add(1)
-	per := (len(batch) + n - 1) / n
-	results := make(chan shardResult, n)
-	shards := 0
-	for i := 0; i < n; i++ {
-		lo := i * per
-		hi := lo + per
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		if lo >= hi {
-			break
-		}
-		shards++
-		go func(idx, slot int, prefix string, part []*tensor.Tensor) {
-			outs, ms, err := d.inferOnSlot(slot, prefix, part)
-			results <- shardResult{idx: idx, outs: outs, ms: ms, err: err}
-		}(i, slots[i], fmt.Sprintf("runs/run%d/shard%d", run, i), batch[lo:hi])
-	}
+	// Contiguous shards preserve output ordering on reassembly.
+	per := (len(batch) + len(slots) - 1) / len(slots)
 	outs := make([]*tensor.Tensor, len(batch))
-	var maxMs float64
-	var firstErr error
-	for i := 0; i < shards; i++ {
-		r := <-results
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-			continue
-		}
-		if r.err == nil {
-			copy(outs[r.idx*per:], r.outs)
-			if r.ms > maxMs {
-				maxMs = r.ms
-			}
-		}
+	ms := make([]float64, len(slots))
+	errs := make([]error, len(slots))
+	var wg sync.WaitGroup
+	for i, lo := 0, 0; lo < len(batch); i, lo = i+1, lo+per {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var part []*tensor.Tensor
+			part, ms[i], errs[i] = d.inferOnSlot(slots[i], batch[lo:min(lo+per, len(batch))])
+			copy(outs[lo:], part)
+		}()
 	}
-	if firstErr != nil {
-		return nil, 0, firstErr
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, 0, err
 	}
-	return outs, maxMs, nil
+	return outs, slices.Max(ms), nil
 }
 
-// inferOnSlot runs one batch against a specific slot, staging input and
-// output under the given S3 key prefix; callers pass disjoint prefixes so
-// concurrent runs (shards of one batch, or scheduler dispatches to
-// different slots) do not collide.
-func (d *CloudDeployment) inferOnSlot(slot int, keyPrefix string, batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
+// inferOnSlot runs one batch on a specific slot: the request carries the
+// images, the reply the outputs.
+func (d *CloudDeployment) inferOnSlot(slot int, batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
 	spec := d.build.Spec
-	inVol := spec.Input.Volume()
-	outShape := spec.OutputShape()
-	outVol := outShape.Volume()
-	flat := make([]float32, 0, len(batch)*inVol)
-	for i, img := range batch {
-		if img.Len() != inVol {
-			return nil, 0, fmt.Errorf("condor: image %d has %d words, accelerator input is %d", i, img.Len(), inVol)
-		}
-		flat = append(flat, img.Data()...)
-	}
-	inKey := keyPrefix + "/input.bin"
-	outKey := keyPrefix + "/output.bin"
-	if err := d.Client.PutObject(d.Bucket, inKey, aws.EncodeBatch(flat)); err != nil {
+	flat, err := flatten(make([]float32, 0, len(batch)*spec.Input.Volume()), batch, spec.Input.Volume())
+	if err != nil {
 		return nil, 0, err
 	}
 	res, err := d.Client.ExecuteInference(aws.InferenceJob{
-		InstanceID: d.InstanceID, Slot: slot,
+		InstanceID: d.InstanceID, Slot: slot, Batch: len(batch),
 		Weights: aws.ObjectRef{Bucket: d.Bucket, Key: weightsKey(d.build)},
-		Input:   aws.ObjectRef{Bucket: d.Bucket, Key: inKey},
-		Output:  aws.ObjectRef{Bucket: d.Bucket, Key: outKey},
-		Batch:   len(batch),
+		Input:   tensor.LEBytes(flat),
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	outBytes, err := d.Client.GetObject(d.Bucket, outKey)
-	if err != nil {
-		return nil, 0, err
+	outShape := spec.OutputShape()
+	if len(res.Output) != len(batch)*outShape.Volume() {
+		return nil, 0, fmt.Errorf("condor: slot %d returned %d output words, want %d", slot, len(res.Output), len(batch)*outShape.Volume())
 	}
-	vals, err := aws.DecodeBatch(outBytes)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(vals) != len(batch)*outVol {
-		return nil, 0, fmt.Errorf("condor: slot %d output under %s has %d words, want %d", slot, keyPrefix, len(vals), len(batch)*outVol)
-	}
-	return tensor.Views(vals, outShape.Channels, outShape.Height, outShape.Width), res.KernelMs, nil
+	return tensor.Views(res.Output, outShape.Channels, outShape.Height, outShape.Width), res.KernelMs, nil
 }
 
 // Terminate shuts the F1 instance down, which frees its slots: the devices

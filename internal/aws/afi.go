@@ -88,11 +88,11 @@ func (a *afiService) create(inputBucket, inputKey, logsBucket, name, description
 func (a *afiService) generate(afiID, bucket, key, logsBucket string) {
 	defer a.workers.Done()
 	time.Sleep(a.generationDelay)
-	data, err := a.store.get(bucket, key)
+	obj, err := a.store.get(bucket, key)
 	var manifest *bitstream.AFIManifest
 	var xclbin []byte
 	if err == nil {
-		manifest, xclbin, err = bitstream.ReadAFITarball(data)
+		manifest, xclbin, err = bitstream.ReadAFITarball(obj.data)
 	}
 	a.mu.Lock()
 	rec := a.records[afiID]

@@ -251,7 +251,8 @@ func TestFullCloudDeploymentRoundTrip(t *testing.T) {
 		t.Fatalf("slot status = %+v", st)
 	}
 
-	// 4. Upload weights and an input batch, run inference, fetch outputs.
+	// 4. Upload the weights, then run a batch: the images go in the
+	// request, the outputs come back in the reply.
 	var wbuf bytes.Buffer
 	if err := ws.Write(&wbuf); err != nil {
 		t.Fatal(err)
@@ -265,33 +266,21 @@ func TestFullCloudDeploymentRoundTrip(t *testing.T) {
 	for _, img := range imgs {
 		flat = append(flat, img.Data()...)
 	}
-	if err := c.PutObject("condor-designs", "tc1/input.bin", EncodeBatch(flat)); err != nil {
-		t.Fatal(err)
-	}
 	res, err := c.ExecuteInference(InferenceJob{
-		InstanceID: inst.InstanceID, Slot: 0,
+		InstanceID: inst.InstanceID, Slot: 0, Batch: batch,
 		Weights: ObjectRef{"condor-designs", "tc1/weights.cndw"},
-		Input:   ObjectRef{"condor-designs", "tc1/input.bin"},
-		Output:  ObjectRef{"condor-designs", "tc1/output.bin"},
-		Batch:   batch,
+		Input:   EncodeBatch(flat),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Images != batch || res.KernelMs <= 0 {
-		t.Fatalf("inference result = %+v", res)
-	}
-	outBytes, err := c.GetObject("condor-designs", "tc1/output.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outVals, err := DecodeBatch(outBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	outVals := res.Output
 	outVol := spec.OutputShape().Volume()
-	if len(outVals) != batch*outVol {
-		t.Fatalf("output words = %d, want %d", len(outVals), batch*outVol)
+	if len(outVals) != batch*outVol || res.KernelMs <= 0 {
+		t.Fatalf("inference result: %d output words (want %d), %v kernel ms", len(outVals), batch*outVol, res.KernelMs)
+	}
+	if keys, err := c.ListObjects("condor-designs", ""); err != nil || len(keys) != 3 {
+		t.Fatalf("bucket holds %v (%v); a batch must stage nothing in S3 beside the design, its log and the weights", keys, err)
 	}
 
 	// Validate against the reference engine.
@@ -435,14 +424,12 @@ func TestExecuteInferenceWithoutImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = c.ExecuteInference(InferenceJob{
-		InstanceID: inst.InstanceID, Slot: 0,
+		InstanceID: inst.InstanceID, Slot: 0, Batch: 1,
 		Weights: ObjectRef{"inf-bucket", "w"},
-		Input:   ObjectRef{"inf-bucket", "i"},
-		Output:  ObjectRef{"inf-bucket", "o"},
-		Batch:   1,
+		Input:   EncodeBatch(make([]float32, 16)),
 	})
-	if err == nil {
-		t.Fatal("expected FpgaNotProgrammed")
+	if ae, ok := err.(*apiError); !ok || ae.Code != "FpgaNotProgrammed" {
+		t.Fatalf("ExecuteInference on an empty slot = %v, want FpgaNotProgrammed", err)
 	}
 }
 
@@ -534,7 +521,7 @@ func TestConcurrentSlotInference(t *testing.T) {
 	if err := c.PutObject("multi-slot", "w.cndw", wbuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	inVol := spec.Input.Volume()
+	inVol, outVol := spec.Input.Volume(), spec.OutputShape().Volume()
 	// Program 4 slots and run inference on all of them concurrently.
 	const slots = 4
 	errs := make(chan error, slots)
@@ -554,19 +541,14 @@ func TestConcurrentSlotInference(t *testing.T) {
 				errs <- fmt.Errorf("bad input size")
 				return
 			}
-			inKey := fmt.Sprintf("s%d/in.bin", s)
-			outKey := fmt.Sprintf("s%d/out.bin", s)
-			if err := c.PutObject("multi-slot", inKey, EncodeBatch(flat)); err != nil {
-				errs <- err
-				return
-			}
-			_, err := c.ExecuteInference(InferenceJob{
-				InstanceID: inst.InstanceID, Slot: s,
+			res, err := c.ExecuteInference(InferenceJob{
+				InstanceID: inst.InstanceID, Slot: s, Batch: 2,
 				Weights: ObjectRef{"multi-slot", "w.cndw"},
-				Input:   ObjectRef{"multi-slot", inKey},
-				Output:  ObjectRef{"multi-slot", outKey},
-				Batch:   2,
+				Input:   EncodeBatch(flat),
 			})
+			if err == nil && len(res.Output) != 2*outVol {
+				err = fmt.Errorf("slot %d: %d output words, want %d", s, len(res.Output), 2*outVol)
+			}
 			errs <- err
 		}(s)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -103,8 +104,9 @@ func LicenseFromAMI() string { return DefaultLicense }
 // sleep between attempts doubles and is jittered, so a fleet of scheduler
 // goroutines retrying the same outage spreads out instead of hammering the
 // endpoint in lockstep (the AWS SDK "full jitter" guidance). The body is
-// the concatenation of its parts (none for an empty body).
-func (c *Client) doRaw(method, path, contentType string, body ...[]byte) ([]byte, error) {
+// the concatenation of its parts (none for an empty body). It returns the
+// reply's body and headers.
+func (c *Client) doRaw(method, path, contentType string, body ...[]byte) ([]byte, http.Header, error) {
 	var lastErr error
 	delay := c.Backoff
 	for attempt := 0; attempt <= c.MaxRetries; attempt++ {
@@ -118,7 +120,7 @@ func (c *Client) doRaw(method, path, contentType string, body ...[]byte) ([]byte
 		c.requests.Add(1)
 		req, err := newRequest(method, c.base+path, body)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
@@ -142,12 +144,12 @@ func (c *Client) doRaw(method, path, contentType string, body ...[]byte) ([]byte
 			continue // transient: retry
 		}
 		if resp.StatusCode >= 400 {
-			return nil, decodeAPIError(resp.StatusCode, data)
+			return nil, nil, decodeAPIError(resp.StatusCode, data)
 		}
-		return data, nil
+		return data, resp.Header, nil
 	}
 	c.failures.Add(1)
-	return nil, fmt.Errorf("aws: request failed after %d attempts: %w", c.MaxRetries+1, lastErr)
+	return nil, nil, fmt.Errorf("aws: request failed after %d attempts: %w", c.MaxRetries+1, lastErr)
 }
 
 // newRequest builds one attempt's request. A body of one part (or none) is
@@ -204,7 +206,7 @@ func decodeAPIError(status int, body []byte) error {
 
 // CreateBucket creates an S3 bucket.
 func (c *Client) CreateBucket(bucket string) error {
-	_, err := c.doRaw(http.MethodPut, "/s3/"+url.PathEscape(bucket), "")
+	_, _, err := c.doRaw(http.MethodPut, "/s3/"+url.PathEscape(bucket), "")
 	return err
 }
 
@@ -212,24 +214,25 @@ func (c *Client) CreateBucket(bucket string) error {
 // are sent as one body without being joined, so a file encoded in pieces
 // (condorir.WeightSet.Parts) uploads without a contiguous copy.
 func (c *Client) PutObject(bucket, key string, parts ...[]byte) error {
-	_, err := c.doRaw(http.MethodPut, s3Path(bucket, key), "application/octet-stream", parts...)
+	_, _, err := c.doRaw(http.MethodPut, s3Path(bucket, key), "application/octet-stream", parts...)
 	return err
 }
 
 // GetObject downloads an object.
 func (c *Client) GetObject(bucket, key string) ([]byte, error) {
-	return c.doRaw(http.MethodGet, s3Path(bucket, key), "")
+	data, _, err := c.doRaw(http.MethodGet, s3Path(bucket, key), "")
+	return data, err
 }
 
 // DeleteObject removes an object.
 func (c *Client) DeleteObject(bucket, key string) error {
-	_, err := c.doRaw(http.MethodDelete, s3Path(bucket, key), "")
+	_, _, err := c.doRaw(http.MethodDelete, s3Path(bucket, key), "")
 	return err
 }
 
 // ListObjects lists keys with the given prefix.
 func (c *Client) ListObjects(bucket, prefix string) ([]string, error) {
-	data, err := c.doRaw(http.MethodGet, "/s3/"+url.PathEscape(bucket)+"?prefix="+url.QueryEscape(prefix), "")
+	data, _, err := c.doRaw(http.MethodGet, "/s3/"+url.PathEscape(bucket)+"?prefix="+url.QueryEscape(prefix), "")
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +254,7 @@ func (c *Client) api(req apiRequest) (*apiResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := c.doRaw(http.MethodPost, "/api", "application/json", body)
+	data, _, err := c.doRaw(http.MethodPost, "/api", "application/json", body)
 	if err != nil {
 		return nil, err
 	}
@@ -338,39 +341,47 @@ func (c *Client) DescribeFpgaLocalImage(instanceID string, slot int) (*SlotStatu
 	return resp.SlotStatus, nil
 }
 
-// InferenceJob describes a remote batch inference on a programmed slot.
+// InferenceJob is one batch for the host program of a programmed slot.
 type InferenceJob struct {
 	InstanceID string
 	Slot       int
-	Weights    ObjectRef
-	Input      ObjectRef
-	Output     ObjectRef
-	Batch      int
+	Weights    ObjectRef // the CNDW file the slot's fabric runs with
+	Batch      int       // images in Input
+	Input      []byte    // the images back to back, as EncodeBatch writes them
 }
 
 // ObjectRef addresses an S3 object.
 type ObjectRef struct{ Bucket, Key string }
 
-// ExecuteInference runs the host application on the instance against the
-// programmed slot: weights and inputs are read from S3, outputs written
-// back to S3.
+// path addresses the job's slot and weights on the host program's endpoint.
+func (j InferenceJob) path() string {
+	return inferPath + "?InstanceId=" + url.QueryEscape(j.InstanceID) +
+		"&Slot=" + strconv.Itoa(j.Slot) + "&Batch=" + strconv.Itoa(j.Batch) +
+		"&WeightsBucket=" + url.QueryEscape(j.Weights.Bucket) + "&WeightsKey=" + url.QueryEscape(j.Weights.Key)
+}
+
+// InferenceResult is what the host program returns for one batch.
+type InferenceResult struct {
+	Output   []float32 // the batch's outputs back to back
+	KernelMs float64   // modeled kernel milliseconds
+}
+
+// ExecuteInference runs the host program on the instance against the
+// programmed slot, one round trip: the request carries the input words and
+// the reply the outputs. The slot loads the weights object from S3 unless
+// its fabric already holds that very object.
 func (c *Client) ExecuteInference(job InferenceJob) (*InferenceResult, error) {
-	resp, err := c.api(apiRequest{
-		Action:     "ExecuteInference",
-		InstanceID: job.InstanceID, Slot: job.Slot,
-		WeightsBucket: job.Weights.Bucket, WeightsKey: job.Weights.Key,
-		InputDataBucket: job.Input.Bucket, InputDataKey: job.Input.Key,
-		OutputBucket: job.Output.Bucket, OutputKey: job.Output.Key,
-		Batch: job.Batch,
-	})
+	data, hdr, err := c.doRaw(http.MethodPost, job.path(), "application/octet-stream", job.Input)
 	if err != nil {
 		return nil, err
 	}
-	return resp.Inference, nil
+	ms, err := strconv.ParseFloat(hdr.Get(kernelMsHeader), 64)
+	if err != nil {
+		return nil, fmt.Errorf("aws: %s header: %w", kernelMsHeader, err)
+	}
+	out, err := DecodeBatch(data)
+	if err != nil {
+		return nil, fmt.Errorf("aws: inference output: %w", err)
+	}
+	return &InferenceResult{Output: out, KernelMs: ms}, nil
 }
-
-// EncodeBatch serialises a batch of float32 words for S3 upload.
-func EncodeBatch(vals []float32) []byte { return encodeFloats(vals) }
-
-// DecodeBatch parses float32 words downloaded from S3.
-func DecodeBatch(data []byte) ([]float32, error) { return decodeFloats(data) }

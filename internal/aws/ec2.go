@@ -22,15 +22,32 @@ type Instance struct {
 	State        string `json:"State"`
 	Slots        int    `json:"Slots"`
 
-	devices []*sdaccel.Device
-	loaded  []string // agfi id per slot, "" when cleared
+	fpga []*fpgaSlot
+}
 
-	// slotMu serialises the load-weights → run sequence per slot, so
+// fpgaSlot is one FPGA slot of an instance: its device and the host program
+// that feeds it, which stays resident between batches with the weights it
+// loaded.
+type fpgaSlot struct {
+	// mu serialises the load-weights → run sequence per slot, so
 	// concurrent ExecuteInference calls from serving-scheduler goroutines
 	// are safe: each targets one slot, different slots run in parallel.
-	// Terminate takes it too, so a running host program finishes before
-	// the slot's device is closed.
-	slotMu []sync.Mutex
+	// Image loads and terminate take it too, so a running host program
+	// finishes before the slot is reprogrammed or its device closed.
+	mu   sync.Mutex
+	dev  *sdaccel.Device
+	agfi string               // the loaded image, "" when cleared; guarded by ec2Service.mu
+	prog *sdaccel.HostProgram // opened by the first batch, dropped by terminate
+	// weights names the object the fabric was last loaded from, the zero
+	// value when it holds none. A batch whose weights object still has this
+	// bucket, key and generation skips the parse and the load.
+	weights weightsVersion
+}
+
+// weightsVersion identifies one stored weights object.
+type weightsVersion struct {
+	bucket, key string
+	gen         uint64
 }
 
 // SlotStatus reports what an FPGA slot is running.
@@ -68,15 +85,13 @@ func (e *ec2Service) runInstance(instanceType string) (*Instance, error) {
 		InstanceType: instanceType,
 		State:        "running",
 		Slots:        slots,
-		loaded:       make([]string, slots),
-		slotMu:       make([]sync.Mutex, slots),
 	}
 	for s := 0; s < slots; s++ {
 		dev, err := sdaccel.NewDevice(fmt.Sprintf("%s/slot%d", inst.InstanceID, s), "aws-f1-vu9p")
 		if err != nil {
 			return nil, err
 		}
-		inst.devices = append(inst.devices, dev)
+		inst.fpga = append(inst.fpga, &fpgaSlot{dev: dev})
 	}
 	e.instances[inst.InstanceID] = inst
 	return instSnapshot(inst), nil
@@ -120,13 +135,14 @@ func (e *ec2Service) terminateAll() {
 	}
 }
 
-// release closes every slot's device, waiting out the host program that
-// holds the slot. Called after the state left "running".
+// release closes every slot's device and drops its host program, waiting
+// out a batch that holds the slot. Called after the state left "running".
 func (inst *Instance) release() {
-	for s, dev := range inst.devices {
-		inst.slotMu[s].Lock()
-		dev.Close()
-		inst.slotMu[s].Unlock()
+	for _, sl := range inst.fpga {
+		sl.mu.Lock()
+		sl.dev.Close()
+		sl.prog, sl.weights = nil, weightsVersion{}
+		sl.mu.Unlock()
 	}
 }
 
@@ -134,7 +150,7 @@ func incorrectState(state string) error {
 	return &apiError{Code: "IncorrectInstanceState", Status: 409, Message: state}
 }
 
-func (e *ec2Service) slot(id string, slot int) (*Instance, *sdaccel.Device, error) {
+func (e *ec2Service) slot(id string, slot int) (*Instance, *fpgaSlot, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	inst, ok := e.instances[id]
@@ -148,139 +164,118 @@ func (e *ec2Service) slot(id string, slot int) (*Instance, *sdaccel.Device, erro
 		return nil, nil, &apiError{Code: "InvalidSlot", Status: 400,
 			Message: fmt.Sprintf("slot %d out of range [0,%d)", slot, inst.Slots)}
 	}
-	return inst, inst.devices[slot], nil
+	return inst, inst.fpga[slot], nil
 }
 
 // lockSlot is slot plus the slot lock, which the caller releases. The state
 // is checked again once the lock is held: a call that waited out a terminate
 // gets IncorrectInstanceState and never touches the closed device.
-func (e *ec2Service) lockSlot(id string, slot int) (*Instance, *sdaccel.Device, error) {
-	inst, dev, err := e.slot(id, slot)
+func (e *ec2Service) lockSlot(id string, slot int) (*fpgaSlot, error) {
+	inst, sl, err := e.slot(id, slot)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	inst.slotMu[slot].Lock()
+	sl.mu.Lock()
 	e.mu.Lock()
 	state := inst.State
 	e.mu.Unlock()
 	if state != "running" {
-		inst.slotMu[slot].Unlock()
-		return nil, nil, incorrectState(state)
+		sl.mu.Unlock()
+		return nil, incorrectState(state)
 	}
-	return inst, dev, nil
+	return sl, nil
 }
 
 // loadImage programs an FPGA slot with an available AFI
-// (fpga-load-local-image).
+// (fpga-load-local-image). The new image drops the weights the fabric held.
 func (e *ec2Service) loadImage(instanceID string, slot int, agfi string) error {
 	xclbin, err := e.afi.imageForGlobal(agfi)
 	if err != nil {
 		return err
 	}
-	inst, dev, err := e.lockSlot(instanceID, slot)
+	sl, err := e.lockSlot(instanceID, slot)
 	if err != nil {
 		return err
 	}
-	defer inst.slotMu[slot].Unlock()
-	if err := dev.ProgramFromAFI(xclbin); err != nil {
+	defer sl.mu.Unlock()
+	sl.weights = weightsVersion{}
+	if err := sl.dev.ProgramFromAFI(xclbin); err != nil {
 		return &apiError{Code: "FpgaImageLoadFailure", Status: 500, Message: err.Error()}
 	}
 	e.mu.Lock()
-	inst.loaded[slot] = agfi
+	sl.agfi = agfi
 	e.mu.Unlock()
 	return nil
 }
 
 // describeSlot reports a slot's loaded image (fpga-describe-local-image).
 func (e *ec2Service) describeSlot(instanceID string, slot int) (*SlotStatus, error) {
-	inst, _, err := e.slot(instanceID, slot)
+	_, sl, err := e.slot(instanceID, slot)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := &SlotStatus{Slot: slot, AgfiID: inst.loaded[slot], Status: "cleared"}
+	st := &SlotStatus{Slot: slot, AgfiID: sl.agfi, Status: "cleared"}
 	if st.AgfiID != "" {
 		st.Status = "loaded"
 	}
 	return st, nil
 }
 
-// InferenceResult is the outcome of running the host application against a
-// programmed slot.
-type InferenceResult struct {
-	Images   int     `json:"Images"`
-	KernelMs float64 `json:"KernelMs"`
-}
-
 // executeInference stands in for the user's host program running on the F1
-// instance (the default host code Condor generates): it pulls the weights
-// file and the input batch from S3, runs the batch on the slot's fabric,
-// and writes the raw float32 outputs back to S3.
-func (e *ec2Service) executeInference(instanceID string, slot int,
-	weightsBucket, weightsKey, inputBucket, inputKey, outputBucket, outputKey string, batch int) (*InferenceResult, error) {
+// instance (the default host code Condor generates): it runs the batch in
+// input, little-endian float32 words as EncodeBatch writes them, on the
+// slot's fabric and returns the outputs. The fabric loads the weights object
+// from S3 unless it already holds that very object. The input is checked
+// against the loaded image before the slot's device does any work.
+func (e *ec2Service) executeInference(instanceID string, slot int, weightsBucket, weightsKey string,
+	batch int, input []byte) (out []float32, kernelMs float64, err error) {
 	// The whole host-program run — weight load through kernel execution —
 	// holds the slot, as the real per-slot host process would.
-	inst, dev, err := e.lockSlot(instanceID, slot)
+	sl, err := e.lockSlot(instanceID, slot)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	defer inst.slotMu[slot].Unlock()
-	if !dev.Programmed() {
-		return nil, &apiError{Code: "FpgaNotProgrammed", Status: 409,
+	defer sl.mu.Unlock()
+	spec, err := sl.dev.Spec()
+	if err != nil {
+		return nil, 0, &apiError{Code: "FpgaNotProgrammed", Status: 409,
 			Message: fmt.Sprintf("slot %d of %s has no image loaded", slot, instanceID)}
 	}
-	wBytes, err := e.store.get(weightsBucket, weightsKey)
+	inBytes := 4 * spec.Input.Volume()
+	if batch <= 0 || len(input)%inBytes != 0 || len(input)/inBytes != batch {
+		return nil, 0, &apiError{Code: "InvalidInput", Status: 400,
+			Message: fmt.Sprintf("input has %d bytes, batch %d needs %d per image", len(input), batch, inBytes)}
+	}
+	obj, err := e.store.get(weightsBucket, weightsKey)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	ws, err := condorir.ParseWeights(wBytes)
-	if err != nil {
-		return nil, &apiError{Code: "InvalidWeightsFile", Status: 400, Message: err.Error()}
+	if v := (weightsVersion{weightsBucket, weightsKey, obj.gen}); sl.weights != v {
+		ws, err := condorir.ParseWeights(obj.data)
+		if err != nil {
+			return nil, 0, &apiError{Code: "InvalidWeightsFile", Status: 400, Message: err.Error()}
+		}
+		sl.weights = weightsVersion{}
+		if err := sl.dev.LoadWeights(ws); err != nil {
+			return nil, 0, &apiError{Code: "WeightLoadFailure", Status: 400, Message: err.Error()}
+		}
+		sl.weights = v
 	}
-	if err := dev.LoadWeights(ws); err != nil {
-		return nil, &apiError{Code: "WeightLoadFailure", Status: 400, Message: err.Error()}
+	in, _ := DecodeBatch(input) // whole images, so whole words
+	if sl.prog == nil {
+		sl.prog = sdaccel.NewHostProgram(sl.dev)
 	}
-	inBytes, err := e.store.get(inputBucket, inputKey)
-	if err != nil {
-		return nil, err
+	out = make([]float32, batch*spec.OutputShape().Volume())
+	if kernelMs, err = sl.prog.Run(in, out, batch); err != nil {
+		return nil, 0, &apiError{Code: "KernelExecutionFailure", Status: 500, Message: err.Error()}
 	}
-	input, err := decodeFloats(inBytes)
-	if err != nil {
-		return nil, &apiError{Code: "InvalidInput", Status: 400, Message: err.Error()}
-	}
-
-	ctx := sdaccel.CreateContext(dev)
-	spec, err := dev.Spec()
-	if err != nil {
-		return nil, &apiError{Code: "FpgaNotProgrammed", Status: 409, Message: err.Error()}
-	}
-	inVol := spec.Input.Volume()
-	outVol := spec.OutputShape().Volume()
-	if batch <= 0 || batch*inVol != len(input) {
-		return nil, &apiError{Code: "InvalidInput", Status: 400,
-			Message: fmt.Sprintf("input has %d words, batch %d needs %d", len(input), batch, batch*inVol)}
-	}
-	in := ctx.CreateBuffer(batch * inVol)
-	out := ctx.CreateBuffer(batch * outVol)
-	ctx.EnqueueWrite(in, input)
-	ctx.EnqueueKernel(in, out, batch)
-	results := make([]float32, batch*outVol)
-	ctx.EnqueueRead(out, results)
-	info, err := ctx.Finish()
-	if err != nil {
-		return nil, &apiError{Code: "KernelExecutionFailure", Status: 500, Message: err.Error()}
-	}
-	if err := e.store.put(outputBucket, outputKey, encodeFloats(results)); err != nil {
-		return nil, err
-	}
-	return &InferenceResult{Images: batch, KernelMs: info.KernelMs}, nil
+	return out, kernelMs, nil
 }
 
 func instSnapshot(i *Instance) *Instance {
 	cp := *i
-	cp.devices = nil
-	cp.slotMu = nil
-	cp.loaded = append([]string(nil), i.loaded...)
+	cp.fpga = nil
 	return &cp
 }

@@ -37,15 +37,38 @@ func call(srv *Server, req apiRequest) (*apiResponse, error) {
 	return &resp, nil
 }
 
+// infer drives one batch of job through the host program's endpoint in
+// process and returns the outputs or the API error.
+func infer(srv *Server, job InferenceJob) ([]float32, error) {
+	r := httptest.NewRequest(http.MethodPost, job.path(), bytes.NewReader(job.Input))
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, r)
+	if w.Code >= 400 {
+		return nil, decodeAPIError(w.Code, w.Body.Bytes())
+	}
+	return DecodeBatch(w.Body.Bytes())
+}
+
+// tc1Job is a one-image TC1 batch for slot 0 of the instance, with the
+// weights tc1Cloud stores.
+func tc1Job(id string) InferenceJob {
+	return InferenceJob{InstanceID: id, Batch: 1, Weights: ObjectRef{"condor-lc", "w.cndw"},
+		Input: EncodeBatch(models.USPSImages(1, 8)[0].Data())}
+}
+
 // devices returns the slot devices of an instance, terminated or not.
 func devices(srv *Server, id string) []*sdaccel.Device {
 	srv.ec2.mu.Lock()
 	defer srv.ec2.mu.Unlock()
-	return srv.ec2.instances[id].devices
+	var devs []*sdaccel.Device
+	for _, sl := range srv.ec2.instances[id].fpga {
+		devs = append(devs, sl.dev)
+	}
+	return devs
 }
 
 // tc1Cloud returns a server holding an available TC1 AFI plus its weights
-// and a one-image input in bucket "condor-lc", and the AFI's global id.
+// in bucket "condor-lc", and the AFI's global id.
 func tc1Cloud(t *testing.T) (*Server, string) {
 	t.Helper()
 	srv := NewServer(Options{AFIGenerationDelay: time.Millisecond})
@@ -57,9 +80,7 @@ func tc1Cloud(t *testing.T) (*Server, string) {
 	if err := srv.store.createBucket("condor-lc"); err != nil {
 		t.Fatal(err)
 	}
-	for key, data := range map[string][]byte{
-		"d.tar": tarball, "w.cndw": wbytes, "in.bin": EncodeBatch(models.USPSImages(1, 8)[0].Data()),
-	} {
+	for key, data := range map[string][]byte{"d.tar": tarball, "w.cndw": wbytes} {
 		if err := srv.store.put("condor-lc", key, data); err != nil {
 			t.Fatal(err)
 		}
@@ -94,23 +115,22 @@ func TestTerminateRacesInFlightWork(t *testing.T) {
 		if _, err := call(srv, load); err != nil {
 			t.Fatal(err)
 		}
-		work := []apiRequest{
-			{Action: "ExecuteInference", InstanceID: id, WeightsBucket: "condor-lc", WeightsKey: "w.cndw",
-				InputDataBucket: "condor-lc", InputDataKey: "in.bin", OutputBucket: "condor-lc", OutputKey: "out.bin", Batch: 1},
-			load,
+		work := []func() error{
+			func() error { _, err := infer(srv, tc1Job(id)); return err },
+			func() error { _, err := call(srv, load); return err },
 		}
 		// All three start together; the terminate lags by 0–1 ms, stepping
 		// across iterations, so it lands before, during and after the work.
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		errs := make([]error, len(work))
-		for j, req := range work {
+		for j, fn := range work {
 			wg.Add(1)
-			go func(j int, req apiRequest) {
+			go func(j int, fn func() error) {
 				defer wg.Done()
 				<-start
-				_, errs[j] = call(srv, req)
-			}(j, req)
+				errs[j] = fn()
+			}(j, fn)
 		}
 		var termErr error
 		wg.Add(1)
@@ -130,7 +150,7 @@ func TestTerminateRacesInFlightWork(t *testing.T) {
 			if err != nil {
 				ae, ok := err.(*apiError)
 				if !ok || ae.Code != "IncorrectInstanceState" || ae.Status != http.StatusConflict {
-					t.Fatalf("iteration %d: %s racing terminate: %v, want success or 409 IncorrectInstanceState", i, work[j].Action, err)
+					t.Fatalf("iteration %d: %s racing terminate: %v, want success or 409 IncorrectInstanceState", i, []string{"ExecuteInference", "LoadFpgaImage"}[j], err)
 				}
 				code = ae.Code
 			}
@@ -147,6 +167,82 @@ func TestTerminateRacesInFlightWork(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n != baseline {
 		t.Fatalf("%d goroutines after 200 terminated instances, %d before", n, baseline)
+	}
+}
+
+// TestTerminateRacesWarmSlot: TerminateInstances lands while warm batches
+// run on a slot that holds its weights and host program. Each batch either
+// succeeds or gets 409 IncorrectInstanceState, the slot ends with its
+// device closed and its host program and weights record dropped, and every
+// fabric goroutine is joined.
+func TestTerminateRacesWarmSlot(t *testing.T) {
+	srv, agfi := tc1Cloud(t)
+	baseline := runtime.NumGoroutine()
+	outcomes := map[string]int{}
+	for i := 0; i < 100; i++ {
+		resp, err := call(srv, apiRequest{Action: "RunInstances", InstanceType: "f1.2xlarge"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := resp.Instance.InstanceID
+		if _, err := call(srv, apiRequest{Action: "LoadFpgaImage", InstanceID: id, AgfiID: agfi}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := infer(srv, tc1Job(id)); err != nil {
+			t.Fatal(err) // the slot is warm from here on
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errs := make([]error, 3)
+		for j := range errs {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				<-start
+				_, errs[j] = infer(srv, tc1Job(id))
+			}(j)
+		}
+		var termErr error
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			time.Sleep(time.Duration(i%4) * 100 * time.Microsecond)
+			_, termErr = call(srv, apiRequest{Action: "TerminateInstances", InstanceID: id})
+		}()
+		close(start)
+		wg.Wait()
+		if termErr != nil {
+			t.Fatal(termErr)
+		}
+		for _, err := range errs {
+			code := "ok"
+			if err != nil {
+				ae, ok := err.(*apiError)
+				if !ok || ae.Code != "IncorrectInstanceState" || ae.Status != http.StatusConflict {
+					t.Fatalf("iteration %d: warm batch racing terminate: %v, want success or 409 IncorrectInstanceState", i, err)
+				}
+				code = ae.Code
+			}
+			outcomes[code]++
+		}
+		srv.ec2.mu.Lock()
+		sl := srv.ec2.instances[id].fpga[0]
+		srv.ec2.mu.Unlock()
+		sl.mu.Lock()
+		kept := sl.prog != nil || sl.weights != (weightsVersion{})
+		sl.mu.Unlock()
+		if !sl.dev.Closed() || kept {
+			t.Fatalf("iteration %d: terminated slot: device closed %v, host program or weights record kept %v", i, sl.dev.Closed(), kept)
+		}
+	}
+	t.Logf("warm ExecuteInference %v", outcomes)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() != baseline && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n != baseline {
+		t.Fatalf("%d goroutines after 100 terminated warm slots, %d before", n, baseline)
 	}
 }
 

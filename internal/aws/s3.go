@@ -21,11 +21,20 @@ import (
 // which callers only read. A put replaces an object, never writes into it.
 type objectStore struct {
 	mu      sync.RWMutex
-	buckets map[string]map[string][]byte
+	buckets map[string]map[string]object
+	gen     uint64 // puts so far: the generation of the latest object
+}
+
+// object is one stored object. Its generation is the number of the put that
+// stored it, unique in the store, so a reader that remembers (bucket, key,
+// generation) knows whether it still holds that very object.
+type object struct {
+	data []byte
+	gen  uint64
 }
 
 func newObjectStore() *objectStore {
-	return &objectStore{buckets: make(map[string]map[string][]byte)}
+	return &objectStore{buckets: make(map[string]map[string]object)}
 }
 
 func validBucketName(b string) bool {
@@ -49,7 +58,7 @@ func (s *objectStore) createBucket(name string) error {
 	if _, ok := s.buckets[name]; ok {
 		return &apiError{Code: "BucketAlreadyExists", Status: 409, Message: name}
 	}
-	s.buckets[name] = make(map[string][]byte)
+	s.buckets[name] = make(map[string]object)
 	return nil
 }
 
@@ -63,22 +72,23 @@ func (s *objectStore) put(bucket, key string, data []byte) error {
 	if !ok {
 		return &apiError{Code: "NoSuchBucket", Status: 404, Message: bucket}
 	}
-	b[key] = data
+	s.gen++
+	b[key] = object{data: data, gen: s.gen}
 	return nil
 }
 
-func (s *objectStore) get(bucket, key string) ([]byte, error) {
+func (s *objectStore) get(bucket, key string) (object, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	b, ok := s.buckets[bucket]
 	if !ok {
-		return nil, &apiError{Code: "NoSuchBucket", Status: 404, Message: bucket}
+		return object{}, &apiError{Code: "NoSuchBucket", Status: 404, Message: bucket}
 	}
-	data, ok := b[key]
+	obj, ok := b[key]
 	if !ok {
-		return nil, &apiError{Code: "NoSuchKey", Status: 404, Message: bucket + "/" + key}
+		return object{}, &apiError{Code: "NoSuchKey", Status: 404, Message: bucket + "/" + key}
 	}
-	return data, nil
+	return obj, nil
 }
 
 func (s *objectStore) delete(bucket, key string) error {

@@ -65,14 +65,15 @@ func TestS3BodyCaps(t *testing.T) {
 			t.Errorf("%s: body %q, want code %s", tc.name, rec.Body, tc.code)
 		}
 	}
-	if got, err := srv.store.get("caps", "obj"); err != nil || string(got) != "declared" {
-		t.Fatalf("object after the accepted PUTs = %q, %v", got, err)
+	if got, err := srv.store.get("caps", "obj"); err != nil || string(got.data) != "declared" {
+		t.Fatalf("object after the accepted PUTs = %q, %v", got.data, err)
 	}
 }
 
 // TestObjectStoreOwnership pins the copy-free contract: get hands out the
 // slice put stored, and replacing the object leaves a slice already handed
-// out untouched.
+// out untouched. Every put, a replacement of the same bytes included, gives
+// the object a new generation.
 func TestObjectStoreOwnership(t *testing.T) {
 	s := newObjectStore()
 	if err := s.createBucket("own"); err != nil {
@@ -82,10 +83,11 @@ func TestObjectStoreOwnership(t *testing.T) {
 	if err := s.put("own", "k", first); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.get("own", "k")
+	obj, err := s.get("own", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := obj.data
 	if &got[0] != &first[0] {
 		t.Fatal("get copied the object")
 	}
@@ -94,5 +96,19 @@ func TestObjectStoreOwnership(t *testing.T) {
 	}
 	if string(got) != "first version" {
 		t.Fatalf("replacing the object rewrote a slice already handed out: %q", got)
+	}
+	gens := []uint64{obj.gen}
+	for _, data := range [][]byte{[]byte("second"), []byte("second")} {
+		if err := s.put("own", "k", data); err != nil {
+			t.Fatal(err)
+		}
+		o, err := s.get("own", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.gen <= gens[len(gens)-1] {
+			t.Fatalf("generations %v then %d: a put must raise the generation", gens, o.gen)
+		}
+		gens = append(gens, o.gen)
 	}
 }

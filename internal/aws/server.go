@@ -6,9 +6,12 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"condor/internal/tensor"
 )
 
 // DefaultLicense is the Xilinx tool licence token the FPGA Developer AMI
@@ -41,8 +44,9 @@ type Options struct {
 	TransientErrorSeed int64
 }
 
-// Server is the in-process AWS endpoint: an S3-like store under /s3/ and
-// the EC2/AFI JSON API under /api.
+// Server is the in-process AWS endpoint: an S3-like store under /s3/, the
+// EC2/AFI JSON API under /api, and under /infer the host program of an F1
+// instance, which runs one batch per request.
 type Server struct {
 	store *objectStore
 	afi   *afiService
@@ -143,6 +147,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.serveS3(w, r)
 	case r.URL.Path == "/api":
 		s.serveAPI(w, r)
+	case r.URL.Path == inferPath:
+		s.serveInfer(w, r)
 	default:
 		writeErr(w, &apiError{Code: "NotFound", Status: 404, Message: r.URL.Path})
 	}
@@ -185,11 +191,11 @@ func (s *Server) serveS3(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(http.StatusOK)
 			}
 		case http.MethodGet:
-			var data []byte
-			data, err = s.store.get(bucket, key)
+			var obj object
+			obj, err = s.store.get(bucket, key)
 			if err == nil {
 				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Write(data) //nolint:errcheck
+				w.Write(obj.data) //nolint:errcheck
 			}
 		case http.MethodDelete:
 			err = s.store.delete(bucket, key)
@@ -249,25 +255,15 @@ type apiRequest struct {
 	InstanceID   string `json:"InstanceId,omitempty"`
 	Slot         int    `json:"Slot,omitempty"`
 	AgfiID       string `json:"AgfiId,omitempty"`
-
-	// ExecuteInference
-	WeightsBucket   string `json:"WeightsBucket,omitempty"`
-	WeightsKey      string `json:"WeightsKey,omitempty"`
-	InputDataBucket string `json:"InputDataBucket,omitempty"`
-	InputDataKey    string `json:"InputDataKey,omitempty"`
-	OutputBucket    string `json:"OutputBucket,omitempty"`
-	OutputKey       string `json:"OutputKey,omitempty"`
-	Batch           int    `json:"Batch,omitempty"`
 }
 
 // apiResponse is the JSON result envelope.
 type apiResponse struct {
-	AFI        *AFIRecord       `json:"Afi,omitempty"`
-	AFIs       []*AFIRecord     `json:"Afis,omitempty"`
-	Instance   *Instance        `json:"Instance,omitempty"`
-	Instances  []*Instance      `json:"Instances,omitempty"`
-	SlotStatus *SlotStatus      `json:"SlotStatus,omitempty"`
-	Inference  *InferenceResult `json:"Inference,omitempty"`
+	AFI        *AFIRecord   `json:"Afi,omitempty"`
+	AFIs       []*AFIRecord `json:"Afis,omitempty"`
+	Instance   *Instance    `json:"Instance,omitempty"`
+	Instances  []*Instance  `json:"Instances,omitempty"`
+	SlotStatus *SlotStatus  `json:"SlotStatus,omitempty"`
 }
 
 func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
@@ -308,10 +304,6 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
 		err = s.ec2.loadImage(req.InstanceID, req.Slot, req.AgfiID)
 	case "DescribeFpgaLocalImage":
 		resp.SlotStatus, err = s.ec2.describeSlot(req.InstanceID, req.Slot)
-	case "ExecuteInference":
-		resp.Inference, err = s.ec2.executeInference(req.InstanceID, req.Slot,
-			req.WeightsBucket, req.WeightsKey, req.InputDataBucket, req.InputDataKey,
-			req.OutputBucket, req.OutputKey, req.Batch)
 	default:
 		err = &apiError{Code: "InvalidAction", Status: 400, Message: req.Action}
 	}
@@ -320,6 +312,42 @@ func (s *Server) serveAPI(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, resp)
+}
+
+// The host program's endpoint: POST inferPath?InstanceId=…&Slot=…&Batch=…&
+// WeightsBucket=…&WeightsKey=… with the batch's EncodeBatch bytes as the
+// body, capped like an S3 PUT. The reply's body is the outputs in the same
+// encoding, and kernelMsHeader carries the modeled kernel milliseconds.
+const (
+	inferPath      = "/infer"
+	kernelMsHeader = "X-Condor-Kernel-Ms"
+)
+
+func (s *Server) serveInfer(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeErr(w, &apiError{Code: "MethodNotAllowed", Status: 405, Message: r.Method})
+		return
+	}
+	q := r.URL.Query()
+	slot, err1 := strconv.Atoi(q.Get("Slot"))
+	batch, err2 := strconv.Atoi(q.Get("Batch"))
+	if err := errors.Join(err1, err2); err != nil {
+		writeErr(w, &apiError{Code: "MalformedRequest", Status: 400, Message: err.Error()})
+		return
+	}
+	input, err := readObject(w, r)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	out, ms, err := s.ec2.executeInference(q.Get("InstanceId"), slot, q.Get("WeightsBucket"), q.Get("WeightsKey"), batch, input)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set(kernelMsHeader, strconv.FormatFloat(ms, 'g', -1, 64))
+	w.Write(tensor.LEBytes(out)) //nolint:errcheck
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -1,12 +1,15 @@
 package bitstream
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"condor/internal/condorir"
 	"condor/internal/dataflow"
+	"condor/internal/diag"
 	"condor/internal/models"
 	"condor/internal/tensor"
 )
@@ -201,6 +204,56 @@ func TestXOCCRejectsOverclock(t *testing.T) {
 	}
 	if _, _, err := XOCC(xoData, "aws-f1-vu9p"); err == nil {
 		t.Fatal("expected clock-limit error")
+	}
+}
+
+// TestXOCCRejectsWordBits: the fabric has datapaths for 8- and 32-bit words
+// only, so XOCC refuses any other width with CND016 before compiling, as the
+// verifier and the device load do; 8 and 32 compile.
+func TestXOCCRejectsWordBits(t *testing.T) {
+	for _, bits := range []int{32, 8, 16, 7, 0} {
+		spec, _ := tc1Spec(t)
+		spec.WordBits = bits
+		xoData, err := PackageXO(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = XOCC(xoData, "aws-f1-vu9p")
+		if bits == 8 || bits == 32 {
+			if err != nil {
+				t.Errorf("%d-bit fabric refused: %v", bits, err)
+			}
+			continue
+		}
+		var d *diag.Diagnostic
+		if !errors.As(err, &d) || d.Rule != diag.RuleWordBits {
+			t.Errorf("%d-bit fabric: error %v, want %s", bits, err, diag.RuleWordBits)
+		}
+	}
+}
+
+// TestCompileReturnsWhatReadXclbinReads: Compile's parsed xclbin — the
+// metadata and host code a build records without decoding its binary —
+// equals what ReadXclbin decodes from the bytes it returns.
+func TestCompileReturnsWhatReadXclbinReads(t *testing.T) {
+	spec, _ := tc1Spec(t)
+	xoData, err := PackageXO(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, x, _, err := Compile(xoData, "aws-f1-vu9p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := ReadXclbin(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Meta != read.Meta || x.Host != read.Host {
+		t.Fatalf("Compile returned %+v, ReadXclbin reads %+v", x.Meta, read.Meta)
+	}
+	if !reflect.DeepEqual(x.Spec, read.Spec) {
+		t.Fatal("Compile's fabric differs from the one ReadXclbin decodes")
 	}
 }
 

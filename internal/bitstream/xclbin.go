@@ -6,6 +6,7 @@ import (
 
 	"condor/internal/board"
 	"condor/internal/dataflow"
+	"condor/internal/diag"
 	"condor/internal/hls"
 )
 
@@ -32,33 +33,47 @@ type Xclbin struct {
 // synthesis estimate and the placement/timing-closure model — the step that
 // "creates custom logic based on the characteristics of the selected target
 // device". It fails when the design does not fit the device, and records
-// the achieved kernel clock in the xclbin metadata.
+// the achieved kernel clock in the xclbin metadata. The fabric has a
+// datapath for 8- and 32-bit words only, so any other width is refused
+// (CND016), as the device load and the verifier refuse it.
 func XOCC(xoData []byte, boardID string) ([]byte, *hls.Report, error) {
+	data, _, rep, err := Compile(xoData, boardID)
+	return data, rep, err
+}
+
+// Compile is XOCC that also returns the xclbin it wrote as ReadXclbin would
+// parse it — its metadata, fabric and host code — so the caller need not
+// decode the binary it just compiled.
+func Compile(xoData []byte, boardID string) ([]byte, *Xclbin, *hls.Report, error) {
 	xo, err := ReadXO(xoData)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	spec := xo.Spec
+	if w := spec.WordBits; w != 8 && w != 32 {
+		return nil, nil, nil, fmt.Errorf("bitstream: %w", diag.Errorf(diag.RuleWordBits, "", "",
+			"fabric word width %d bits is not 8 or 32", w))
+	}
 	b, err := board.Lookup(boardID)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if spec.Board != boardID {
 		// Retarget: the same IP can be compiled for any catalogued device.
 		spec.Board = boardID
 	}
 	if spec.FreqMHz > b.MaxClockMHz {
-		return nil, nil, fmt.Errorf("bitstream: requested clock %.0f MHz exceeds platform limit %.0f MHz", spec.FreqMHz, b.MaxClockMHz)
+		return nil, nil, nil, fmt.Errorf("bitstream: requested clock %.0f MHz exceeds platform limit %.0f MHz", spec.FreqMHz, b.MaxClockMHz)
 	}
 	if err := hls.PlanMemory(spec); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	rep, err := hls.Estimate(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if !rep.Fits {
-		return nil, nil, fmt.Errorf("bitstream: design does not fit %s (kernel %+v vs available %+v)",
+		return nil, nil, nil, fmt.Errorf("bitstream: design does not fit %s (kernel %+v vs available %+v)",
 			b.ID, rep.KernelTotal, b.Available())
 	}
 
@@ -74,37 +89,31 @@ func XOCC(xoData []byte, boardID string) ([]byte, *hls.Report, error) {
 	}
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	fabric, err := json.Marshal(spec)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	host := hls.GenerateHostCode(spec)
 	data, err := WriteContainer(xclbinMagic, []Section{
 		{Name: sectionMetadata, Data: metaJSON},
 		{Name: sectionFabric, Data: fabric},
-		{Name: sectionHostCode, Data: []byte(hls.GenerateHostCode(spec))},
+		{Name: sectionHostCode, Data: []byte(host)},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return data, rep, nil
+	return data, &Xclbin{Meta: meta, Spec: spec, Host: host}, rep, nil
 }
 
 // ReadXclbin parses and validates an xclbin container.
 func ReadXclbin(data []byte) (*Xclbin, error) {
-	sections, err := ReadContainer(xclbinMagic, data)
+	sections, meta, err := readXclbinMeta(data)
 	if err != nil {
 		return nil, err
 	}
-	metaJSON, err := FindSection(sections, sectionMetadata)
-	if err != nil {
-		return nil, err
-	}
-	out := &Xclbin{}
-	if err := json.Unmarshal(metaJSON, &out.Meta); err != nil {
-		return nil, fmt.Errorf("bitstream: xclbin metadata: %w", err)
-	}
+	out := &Xclbin{Meta: meta}
 	fabric, err := FindSection(sections, sectionFabric)
 	if err != nil {
 		return nil, err
@@ -120,6 +129,24 @@ func ReadXclbin(data []byte) (*Xclbin, error) {
 	return out, nil
 }
 
+// readXclbinMeta checks an xclbin container, every section's checksum
+// included, and decodes its metadata section only.
+func readXclbinMeta(data []byte) ([]Section, Metadata, error) {
+	var meta Metadata
+	sections, err := ReadContainer(xclbinMagic, data)
+	if err != nil {
+		return nil, meta, err
+	}
+	metaJSON, err := FindSection(sections, sectionMetadata)
+	if err != nil {
+		return nil, meta, err
+	}
+	if err := json.Unmarshal(metaJSON, &meta); err != nil {
+		return nil, meta, fmt.Errorf("bitstream: xclbin metadata: %w", err)
+	}
+	return sections, meta, nil
+}
+
 // AFIManifest describes the design inside an AFI creation tarball.
 type AFIManifest struct {
 	Name        string  `json:"name"`
@@ -131,13 +158,15 @@ type AFIManifest struct {
 
 // PackageAFITarball wraps an xclbin (plus the design-checkpoint placeholder
 // and manifest) into the tarball uploaded to S3 for AFI generation. Only
-// F1-targeted xclbins are accepted, matching the AWS flow.
+// F1-targeted xclbins are accepted, matching the AWS flow. Of the xclbin's
+// sections only the metadata is decoded; the fabric is decoded when a slot
+// loads the image.
 func PackageAFITarball(xclbinData []byte) ([]byte, error) {
-	x, err := ReadXclbin(xclbinData)
+	_, meta, err := readXclbinMeta(xclbinData)
 	if err != nil {
 		return nil, err
 	}
-	b, err := board.Lookup(x.Meta.Board)
+	b, err := board.Lookup(meta.Board)
 	if err != nil {
 		return nil, err
 	}
@@ -145,10 +174,10 @@ func PackageAFITarball(xclbinData []byte) ([]byte, error) {
 		return nil, fmt.Errorf("bitstream: board %s is not an F1 target; AFI creation is cloud-only", b.ID)
 	}
 	manifest, err := json.Marshal(AFIManifest{
-		Name:        x.Meta.Name,
-		Board:       x.Meta.Board,
-		Kernel:      x.Meta.Kernel,
-		AchievedMHz: x.Meta.AchievedMHz,
+		Name:        meta.Name,
+		Board:       meta.Board,
+		Kernel:      meta.Kernel,
+		AchievedMHz: meta.AchievedMHz,
 		ShellVer:    "0x04261818", // the F1 shell release the flow targets
 	})
 	if err != nil {
@@ -156,7 +185,7 @@ func PackageAFITarball(xclbinData []byte) ([]byte, error) {
 	}
 	// The DCP section stands in for the routed design checkpoint; the AFI
 	// service only validates its presence and integrity.
-	dcp := []byte("condor-routed-dcp:" + x.Meta.Kernel)
+	dcp := []byte("condor-routed-dcp:" + meta.Kernel)
 	return WriteContainer(afiMagic, []Section{
 		{Name: sectionManifest, Data: manifest},
 		{Name: sectionXclbin, Data: xclbinData},

@@ -431,9 +431,28 @@ func (d *Device) lockCU() (*computeUnit, error) {
 type Context struct {
 	dev     *Device
 	buffers []*Buffer
-	queue   []func() error
+	queue   []command
 	info    RunInfo
 }
+
+// command is one enqueued transfer or kernel launch. The queue holds
+// commands by value and is reused after Finish, so a context that runs
+// batch after batch allocates no queue entries.
+type command struct {
+	op    opcode
+	buf   *Buffer   // the written, read or kernel-input buffer
+	out   *Buffer   // the kernel's output buffer
+	host  []float32 // the write's source or the read's destination
+	batch int       // the kernel's image count
+}
+
+type opcode uint8
+
+const (
+	opWrite opcode = iota
+	opKernel
+	opRead
+)
 
 // Buffer is a device-memory allocation of float32 words.
 type Buffer struct {
@@ -443,6 +462,15 @@ type Buffer struct {
 
 // Words returns the buffer capacity.
 func (b *Buffer) Words() int { return len(b.data) }
+
+// resize makes the buffer n words long, reallocating only when n exceeds
+// what it has held before.
+func (b *Buffer) resize(n int) {
+	if n > cap(b.data) {
+		b.data = make([]float32, n)
+	}
+	b.data = b.data[:n]
+}
 
 // CreateContext opens a command context on the device.
 func CreateContext(dev *Device) *Context { return &Context{dev: dev} }
@@ -458,24 +486,12 @@ func (c *Context) CreateBuffer(n int) *Buffer {
 // queue order. Like a non-blocking OpenCL write it keeps src by reference:
 // the caller must not modify src before Finish.
 func (c *Context) EnqueueWrite(b *Buffer, src []float32) {
-	c.queue = append(c.queue, func() error {
-		if len(src) > len(b.data) {
-			return fmt.Errorf("sdaccel: write of %d words overflows buffer of %d", len(src), len(b.data))
-		}
-		copy(b.data, src)
-		return nil
-	})
+	c.queue = append(c.queue, command{op: opWrite, buf: b, host: src})
 }
 
 // EnqueueRead copies a device buffer back to host memory at Finish time.
 func (c *Context) EnqueueRead(b *Buffer, dst []float32) {
-	c.queue = append(c.queue, func() error {
-		if len(dst) > len(b.data) {
-			return fmt.Errorf("sdaccel: read of %d words overflows buffer of %d", len(dst), len(b.data))
-		}
-		copy(dst, b.data)
-		return nil
-	})
+	c.queue = append(c.queue, command{op: opRead, buf: b, host: dst})
 }
 
 // EnqueueKernel launches the accelerator on batch images stored
@@ -487,61 +503,83 @@ func (c *Context) EnqueueRead(b *Buffer, dst []float32) {
 // recorded into RunInfo.LastStats are cumulative over the session's
 // lifetime, matching what one continuous run reports.
 func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
-	c.queue = append(c.queue, func() error {
-		dev := c.dev
-		dev.mu.Lock()
-		closed, xclbin, stages := dev.closed, dev.xclbin, dev.stages
-		loaded := len(dev.cus) > 0
-		dev.mu.Unlock()
-		if closed {
-			return ErrDeviceClosed
+	c.queue = append(c.queue, command{op: opKernel, buf: in, out: out, batch: batch})
+}
+
+// run executes one command.
+func (c *Context) run(cmd *command) error {
+	switch cmd.op {
+	case opWrite:
+		if len(cmd.host) > len(cmd.buf.data) {
+			return fmt.Errorf("sdaccel: write of %d words overflows buffer of %d", len(cmd.host), len(cmd.buf.data))
 		}
-		if xclbin == nil || !loaded {
-			return fmt.Errorf("sdaccel: device %s has no weights loaded", dev.ID)
+		copy(cmd.buf.data, cmd.host)
+	case opRead:
+		if len(cmd.host) > len(cmd.buf.data) {
+			return fmt.Errorf("sdaccel: read of %d words overflows buffer of %d", len(cmd.host), len(cmd.buf.data))
 		}
-		spec := xclbin.Spec
-		inVol := spec.Input.Volume()
-		outVol := spec.OutputShape().Volume()
-		if batch <= 0 {
-			return fmt.Errorf("sdaccel: non-positive batch %d", batch)
+		copy(cmd.host, cmd.buf.data)
+	case opKernel:
+		return c.kernel(cmd.buf, cmd.out, cmd.batch)
+	}
+	return nil
+}
+
+// kernel runs one batch on a free compute unit of the device.
+func (c *Context) kernel(in, out *Buffer, batch int) error {
+	dev := c.dev
+	dev.mu.Lock()
+	closed, xclbin, stages := dev.closed, dev.xclbin, dev.stages
+	loaded := len(dev.cus) > 0
+	dev.mu.Unlock()
+	if closed {
+		return ErrDeviceClosed
+	}
+	if xclbin == nil || !loaded {
+		return fmt.Errorf("sdaccel: device %s has no weights loaded", dev.ID)
+	}
+	spec := xclbin.Spec
+	inVol := spec.Input.Volume()
+	outVol := spec.OutputShape().Volume()
+	if batch <= 0 {
+		return fmt.Errorf("sdaccel: non-positive batch %d", batch)
+	}
+	if batch*inVol > len(in.data) {
+		return fmt.Errorf("sdaccel: input buffer holds %d words, batch needs %d", len(in.data), batch*inVol)
+	}
+	if batch*outVol > len(out.data) {
+		return fmt.Errorf("sdaccel: output buffer holds %d words, batch needs %d", len(out.data), batch*outVol)
+	}
+	cu, err := dev.acquireCU()
+	if err != nil {
+		return err
+	}
+	stats, err := cu.session().RunInto(in.data[:batch*inVol], out.data[:batch*outVol])
+	if err != nil {
+		// A failed session is sticky; retire it so the next dispatch
+		// reopens a fresh fabric instead of failing forever. A rejected
+		// input is not a failed session: nothing was fed, and the
+		// resident fabric serves the next batch.
+		if !errors.Is(err, dataflow.ErrNonFiniteInput) {
+			cu.closeSession()
 		}
-		if batch*inVol > len(in.data) {
-			return fmt.Errorf("sdaccel: input buffer holds %d words, batch needs %d", len(in.data), batch*inVol)
-		}
-		if batch*outVol > len(out.data) {
-			return fmt.Errorf("sdaccel: output buffer holds %d words, batch needs %d", len(out.data), batch*outVol)
-		}
-		cu, err := dev.acquireCU()
-		if err != nil {
-			return err
-		}
-		stats, err := cu.session().RunInto(in.data[:batch*inVol], out.data[:batch*outVol])
-		if err != nil {
-			// A failed session is sticky; retire it so the next dispatch
-			// reopens a fresh fabric instead of failing forever. A rejected
-			// input is not a failed session: nothing was fed, and the
-			// resident fabric serves the next batch.
-			if !errors.Is(err, dataflow.ErrNonFiniteInput) {
-				cu.closeSession()
-			}
-			cu.mu.Unlock()
-			return err
-		}
-		// Device time from the pipeline model at the achieved clock.
-		cycles := perf.BatchCyclesClosedForm(stages, batch)
-		ms := perf.CyclesToMs(cycles, xclbin.Meta.AchievedMHz)
-		c.info.KernelMs += ms
-		c.info.Batches++
-		c.info.Images += batch
-		c.info.LastStats = stats
-		cu.cmu.Lock()
-		cu.kernels++
-		cu.images += int64(batch)
-		cu.kernelMs += ms
-		cu.cmu.Unlock()
 		cu.mu.Unlock()
-		return nil
-	})
+		return err
+	}
+	// Device time from the pipeline model at the achieved clock.
+	cycles := perf.BatchCyclesClosedForm(stages, batch)
+	ms := perf.CyclesToMs(cycles, xclbin.Meta.AchievedMHz)
+	c.info.KernelMs += ms
+	c.info.Batches++
+	c.info.Images += batch
+	c.info.LastStats = stats
+	cu.cmu.Lock()
+	cu.kernels++
+	cu.images += int64(batch)
+	cu.kernelMs += ms
+	cu.cmu.Unlock()
+	cu.mu.Unlock()
+	return nil
 }
 
 // RunInfo accumulates execution metrics across Finish calls.
@@ -561,12 +599,48 @@ type RunInfo struct {
 // up to the device's compute-unit count and serialise per unit beyond it —
 // exactly the concurrency a replicated physical card offers.
 func (c *Context) Finish() (RunInfo, error) {
-	for _, cmd := range c.queue {
-		if err := cmd(); err != nil {
-			c.queue = nil
-			return c.info, err
+	var err error
+	for i := range c.queue {
+		if err = c.run(&c.queue[i]); err != nil {
+			break
 		}
 	}
-	c.queue = nil
-	return c.info, nil
+	// Drop the host slices with the commands: the queue's array outlives
+	// them when the context runs again.
+	clear(c.queue)
+	c.queue = c.queue[:0]
+	return c.info, err
+}
+
+// HostProgram is the host half of every kernel dispatch: the sequence the
+// generated host code (hls.GenerateHostCode) runs per batch — write the
+// images into the input buffer, launch the kernel, read the output buffer
+// back. It keeps its context and its two buffers across batches and grows a
+// buffer only when a batch outgrows it, so a warm run allocates nothing of
+// its own. A HostProgram serves one caller at a time; concurrent callers
+// each hold one, and their kernels run on distinct compute units of the
+// device.
+type HostProgram struct {
+	ctx     *Context
+	in, out *Buffer
+}
+
+// NewHostProgram opens a host program on the device.
+func NewHostProgram(dev *Device) *HostProgram {
+	ctx := CreateContext(dev)
+	return &HostProgram{ctx: ctx, in: ctx.CreateBuffer(0), out: ctx.CreateBuffer(0)}
+}
+
+// Run executes batch images stored back to back in in and reads their
+// outputs back to back into out, returning the modeled kernel milliseconds.
+// The program keeps neither slice.
+func (p *HostProgram) Run(in, out []float32, batch int) (float64, error) {
+	p.in.resize(len(in))
+	p.out.resize(len(out))
+	p.ctx.info = RunInfo{}
+	p.ctx.EnqueueWrite(p.in, in)
+	p.ctx.EnqueueKernel(p.in, p.out, batch)
+	p.ctx.EnqueueRead(p.out, out)
+	info, err := p.ctx.Finish()
+	return info.KernelMs, err
 }

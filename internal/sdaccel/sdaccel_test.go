@@ -2,6 +2,7 @@ package sdaccel
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -114,6 +115,69 @@ func TestCommandsRunInQueueOrder(t *testing.T) {
 			}
 			if slices.Equal(wantA, wantB) {
 				t.Fatal("the two batches give equal outputs: the test cannot tell them apart")
+			}
+		})
+	}
+}
+
+// TestHostProgramMatchesContext: one HostProgram running batches of 3, 1
+// and 5 images — its buffers grow, shrink back and grow again — gives the
+// outputs and kernel times of a fresh context per batch bit for bit, float32
+// and int8. A batch whose input is short is refused without spoiling the
+// next, and a warm run allocates nothing but the session's stats snapshot
+// (the RunStats and its two slices).
+func TestHostProgramMatchesContext(t *testing.T) {
+	for _, bits := range []int{32, 8} {
+		t.Run(fmt.Sprintf("bits%d", bits), func(t *testing.T) {
+			xclbin, ws := tc1XclbinBits(t, "zc706", bits)
+			dev, err := NewDevice("fpga0", "zc706")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dev.Close()
+			if err := dev.LoadXclbin(xclbin); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.LoadWeights(ws); err != nil {
+				t.Fatal(err)
+			}
+			const inVol, outVol = 16 * 16, 10
+			prog := NewHostProgram(dev)
+			for _, batch := range []int{3, 1, 5} {
+				var in []float32
+				for _, img := range models.USPSImages(batch, int64(batch)) {
+					in = append(in, img.Data()...)
+				}
+				ctx := CreateContext(dev)
+				inBuf, outBuf := ctx.CreateBuffer(batch*inVol), ctx.CreateBuffer(batch*outVol)
+				ctx.EnqueueWrite(inBuf, in)
+				ctx.EnqueueKernel(inBuf, outBuf, batch)
+				want := make([]float32, batch*outVol)
+				ctx.EnqueueRead(outBuf, want)
+				info, err := ctx.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]float32, batch*outVol)
+				ms, err := prog.Run(in, got, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(tensor.LEBytes(got), tensor.LEBytes(want)) || ms != info.KernelMs {
+					t.Fatalf("batch %d: host program gave %v in %v ms, a context %v in %v ms", batch, got, ms, want, info.KernelMs)
+				}
+				if _, err := prog.Run(in[:len(in)-1], got, batch); err == nil {
+					t.Fatalf("batch %d: a short input was accepted", batch)
+				}
+			}
+			in := models.USPSImages(1, 1)[0].Data()
+			out := make([]float32, outVol)
+			if n := testing.AllocsPerRun(20, func() {
+				if _, err := prog.Run(in, out, 1); err != nil {
+					t.Fatal(err)
+				}
+			}); n > 3 {
+				t.Fatalf("%.1f allocations per warm run, want at most 3", n)
 			}
 		})
 	}
@@ -545,7 +609,8 @@ func TestReloadInvalidatesWeights(t *testing.T) {
 // TestWordBitsRejected: a LeNet xclbin whose fabric section claims a word
 // width the fabric has no datapath for (16, 7) is refused with CND016 by
 // both load paths, and the device stays unprogrammed; the same image at 32
-// and 8 bits loads.
+// and 8 bits loads. XOCC refuses to compile the bad widths, so their images
+// are the 32-bit one with the width in its fabric section rewritten.
 func TestWordBitsRejected(t *testing.T) {
 	xclbin := func(boardID string, bits int) []byte {
 		ir, _, err := models.LeNet()
@@ -557,13 +622,38 @@ func TestWordBitsRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec.WordBits = bits
+		if bits == 8 {
+			spec.WordBits = 8
+		}
 		xo, err := bitstream.PackageXO(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		data, _, err := bitstream.XOCC(xo, boardID)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if bits == 8 || bits == 32 {
+			return data
+		}
+		sections, err := bitstream.ReadContainer("XCLB", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sec := range sections {
+			if sec.Name != "FABRIC_SPEC" {
+				continue
+			}
+			var fabric map[string]any
+			if err := json.Unmarshal(sec.Data, &fabric); err != nil {
+				t.Fatal(err)
+			}
+			fabric["WordBits"] = bits
+			if sections[i].Data, err = json.Marshal(fabric); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if data, err = bitstream.WriteContainer("XCLB", sections); err != nil {
 			t.Fatal(err)
 		}
 		return data
