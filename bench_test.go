@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -308,9 +309,10 @@ func BenchmarkAblationQuantization(b *testing.B) {
 
 // BenchmarkFabricThroughput measures the raw functional-simulator
 // throughput (host-side), useful for tracking simulator regressions. The
-// cus=N sub-benchmarks run a 16-image batch on a replicated compute-unit
-// pool and report img/s — the replication speedup appears on hosts with
-// enough cores; on a single-core host all legs coincide. The dtype=int8
+// cus=N sub-benchmarks run a 16-image batch on a local deployment whose
+// device replicates the kernel into N compute units (benchCULegs) and report
+// img/s — the replication speedup appears on hosts with enough cores; on a
+// single-core host all legs coincide. The dtype=int8
 // legs run the same workloads on the packed int8 datapath (4 lanes per
 // FIFO word, int32 accumulators); its host speedup over the bare float32
 // legs is a gated baseline figure.
@@ -334,16 +336,7 @@ func BenchmarkFabricThroughput(b *testing.B) {
 	b.StopTimer()
 
 	batch := models.USPSImages(16, 5)
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("cus=%d", n), func(b *testing.B) {
-			pool := dataflow.NewCUPool(dep, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchPoolRun(b, pool, batch)
-			}
-			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "img/s")
-		})
-	}
+	benchCULegs(b, Input{IR: ir, Weights: ws}, batch, "")
 	benchStreamingLegs(b, dep, "")
 
 	bld8, err := New().BuildAccelerator(Input{IR: ir, Weights: ws, Precision: quant.Int8})
@@ -362,16 +355,7 @@ func BenchmarkFabricThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "img/s")
 	})
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("cus=%d/dtype=int8", n), func(b *testing.B) {
-			pool := dataflow.NewCUPool(dep8, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchPoolRun(b, pool, batch)
-			}
-			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "img/s")
-		})
-	}
+	benchCULegs(b, Input{IR: ir, Weights: ws, Precision: quant.Int8}, batch, "/dtype=int8")
 	benchStreamingLegs(b, dep8, "/dtype=int8")
 	benchAlgoLegs(b)
 }
@@ -418,16 +402,44 @@ func BenchmarkLeNetSession(b *testing.B) {
 	}
 }
 
-// benchPoolRun is one one-shot pool run: the batch goes through the pool's
-// resident sessions, which are then closed, so every iteration pays the
-// fabric's spawn/join as a cold deployment does.
-func benchPoolRun(b *testing.B, pool *dataflow.CUPool, batch []*tensor.Tensor) {
-	_, _, err := pool.RunBatch(batch)
-	if cerr := pool.Close(); err == nil {
-		err = cerr
-	}
+// benchCULegs runs the cus=N legs the way serving drives a replicated card:
+// the input built for a local board and deployed with its kernel in N
+// compute units, and N concurrent Infer callers per iteration, each on a
+// contiguous batch/N shard of the batch.
+func benchCULegs(b *testing.B, in Input, batch []*tensor.Tensor, suffix string) {
+	in.Board = localBoard
+	bld, err := New().BuildAccelerator(in)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("cus=%d%s", n, suffix), func(b *testing.B) {
+			dep, err := New().DeployLocalCUs(bld, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer dep.Close()
+			per := len(batch) / n
+			errs := make([]error, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for c := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						_, _, errs[c] = dep.Infer(batch[c*per : (c+1)*per])
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "img/s")
+		})
 	}
 }
 

@@ -48,8 +48,8 @@ func (f *Framework) DeployLocal(b *Build) (*LocalDeployment, error) {
 }
 
 // DeployLocalCUs deploys like DeployLocal with the device's kernel
-// replicated into cus compute units: the instances share one sealed weight
-// store and execute concurrently, so a single card serves up to cus kernel
+// replicated into cus compute units: the instances share one lowered weight
+// set and execute concurrently, so a single card serves up to cus kernel
 // dispatches at once. Use CUBackends to schedule the units independently in
 // a serving pool.
 func (f *Framework) DeployLocalCUs(b *Build, cus int) (*LocalDeployment, error) {

@@ -5,9 +5,7 @@ import (
 	"sync"
 
 	"condor/internal/condorir"
-	"condor/internal/diag"
 	"condor/internal/fifo"
-	"condor/internal/nn"
 	"condor/internal/obs"
 	"condor/internal/tensor"
 )
@@ -15,28 +13,19 @@ import (
 // Accelerator is an instantiated dataflow fabric: a Spec bound to a weight
 // set loaded into the (simulated) on-board memory, ready to execute
 // inference batches. This is the functional equivalent of the synthesized
-// bitstream running on the device.
+// bitstream running on the device. The spec is read-only once instantiated.
 type Accelerator struct {
 	Spec   *Spec
 	dm     *Datamover
 	tracer obs.Tracer
 
-	// qweights holds every compute layer's weights pre-quantized onto the
-	// symmetric int8 grid (FC layers packed two neurons per word), built at
-	// Instantiate time for packed specs (WordBits == 8) from the streams the
-	// sealed store holds and shared read-only by clones. Nil otherwise.
-	qweights map[string]int8LayerWeights
-
-	// wgweights holds the Winograd-transformed weights (U = G g Gᵀ, f·c·16
-	// words per layer) of every winograd_f23 conv layer, built at
-	// Instantiate time and shared read-only by clones — the same lifecycle
-	// as qweights. Nil when no layer uses the algorithm.
-	wgweights map[string][]float32
+	// plan is the weight set lowered for the spec, one record per PE: built
+	// once by Instantiate and read, never written, by every compute unit
+	// Replicate makes.
+	plan []pePlan
 
 	// trackPrefix namespaces this unit's trace tracks ("cu1/feeder", …).
-	// Empty for a standalone fabric and for unit 0 of a single-unit pool, so
-	// existing track names are unchanged; CUPool assigns per-unit prefixes
-	// when it replicates the fabric.
+	// Empty for a standalone fabric, so its track names carry no unit.
 	trackPrefix string
 }
 
@@ -49,78 +38,51 @@ type Accelerator struct {
 // equivalence oracle and stays uninstrumented.
 func (a *Accelerator) SetTracer(t obs.Tracer) { a.tracer = t }
 
-// Instantiate binds a spec to its weights: every compute layer's weights
-// are loaded into the datamover's on-board memory, and on-chip caching
-// decisions are accounted. Consistency failures are reported as wrapped
-// diag.Diagnostic errors carrying the same rule IDs the internal/verify
-// pass fires statically, so callers and tests can match on diag.Rule.
+// Instantiate binds a spec to its weights. It is the one place a weight set
+// is checked and lowered: every PE's layers are validated against what the
+// executors assume, and their weights become the plan every session and
+// compute unit reads — float streams, tap tables, int8 codes, Winograd
+// transforms and kernel choices. On-chip caching decisions are accounted as
+// the one-time configuration load. Weight-set failures are reported as
+// wrapped diag.Diagnostic errors carrying the same rule IDs the
+// internal/verify pass fires statically, so callers and tests can match on
+// diag.Rule.
 func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
-	a := &Accelerator{Spec: spec, dm: NewDatamover()}
-	if spec.WordBits == 8 {
-		a.qweights = make(map[string]int8LayerWeights)
-	}
-	for _, pe := range spec.PEs {
-		for i, l := range pe.Layers {
-			if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
-				continue
-			}
-			we, ok := ws.Get(l.Name, condorir.EntryWeights)
-			if !ok {
-				return nil, fmt.Errorf("dataflow: %w",
-					diag.Errorf(diag.RuleWeightMissing, pe.ID, l.Name, "weights for layer %q not in weight set", l.Name))
-			}
-			var bias []float32
-			if be, ok := ws.Get(l.Name, condorir.EntryBias); ok {
-				bias = be.Data
-				if len(bias) != l.OutShape.Channels {
-					return nil, fmt.Errorf("dataflow: %w",
-						diag.Errorf(diag.RuleBiasWords, pe.ID, l.Name,
-							"layer %q bias has %d words, accelerator needs %d", l.Name, len(bias), l.OutShape.Channels))
-				}
-			}
-			if wantW := l.WeightWords(); len(we.Data) != wantW {
-				return nil, fmt.Errorf("dataflow: %w",
-					diag.Errorf(diag.RuleWeightWords, pe.ID, l.Name,
-						"layer %q weight set has %d words, accelerator needs %d", l.Name, len(we.Data), wantW))
-			}
-			a.dm.LoadWeights(l.Name, we.Data, bias)
-			if spec.WordBits == 8 {
-				if d := Int8AccumulatorRange(pe.ID, &l); d != nil {
-					return nil, fmt.Errorf("dataflow: %w", d)
-				}
-				a.qweights[l.Name] = quantizeLayerWeights(&l, we.Data)
-			}
-			if pe.Schedule(i, spec.Bits()).XformWords > 0 {
-				// The on-chip weight transform runs once, at configuration load.
-				if err := checkWinograd(&l); err != nil {
-					return nil, fmt.Errorf("dataflow: %w", err)
-				}
-				if a.wgweights == nil {
-					a.wgweights = make(map[string][]float32)
-				}
-				a.wgweights[l.Name] = winogradTransformWeights(we.Data, l.InShape.Channels, l.OutShape.Channels)
-			}
-			if pe.WeightsOnChip {
-				a.dm.AccountOnChipLoad(l.Name, spec.Lanes())
-			}
+	a := &Accelerator{Spec: spec, dm: NewDatamover(), plan: make([]pePlan, len(spec.PEs))}
+	for i, pe := range spec.PEs {
+		if err := a.plan[i].lower(pe, spec.Bits(), ws); err != nil {
+			return nil, fmt.Errorf("dataflow: %w", err)
+		}
+		if !pe.WeightsOnChip {
+			continue
+		}
+		for _, st := range a.plan[i].layers {
+			// The DDR→BRAM load: a float32 word per weight, or one byte per
+			// int8 code where a word packs lanes of them.
+			a.dm.AccountReadBytes(int64(4/spec.Lanes()) * int64(len(st.w)+len(st.b)))
 		}
 	}
-	// Weights are read-only from here on: sealing freezes the store, makes
-	// every subsequent read lock-free, and is what lets Clone replicate the
-	// fabric by reference instead of by copy.
-	a.dm.Seal()
 	return a, nil
 }
 
-// Clone returns an additional compute unit of the same instantiated design:
-// it shares the sealed, immutable weight store with the original (no weight
-// copy, no lock contention) and owns private DDR scratch buffers and
-// private traffic counters, so replica fabrics execute concurrently without
-// touching any shared mutable state. The one-time on-chip configuration
-// load stays accounted on the original unit. The tracer attachment carries
-// over; CUPool assigns per-unit track prefixes.
-func (a *Accelerator) Clone() *Accelerator {
-	return &Accelerator{Spec: a.Spec, dm: a.dm.Clone(), tracer: a.tracer, trackPrefix: a.trackPrefix, qweights: a.qweights, wgweights: a.wgweights}
+// Replicate returns n compute units of the instantiated design (n < 1 is
+// treated as 1): the receiver first, then units that share its plan and
+// tracer and own fresh datamovers, so they execute concurrently with no
+// shared mutable state. The one-time on-chip configuration load stays
+// accounted on the receiver. With n > 1 every unit's trace tracks are
+// namespaced "cu0/", "cu1/", … so a shared tracer keeps their timelines
+// apart.
+func (a *Accelerator) Replicate(n int) []*Accelerator {
+	cus := []*Accelerator{a}
+	for i := 1; i < n; i++ {
+		cus = append(cus, &Accelerator{Spec: a.Spec, dm: NewDatamover(), tracer: a.tracer, plan: a.plan})
+	}
+	if n > 1 {
+		for i, cu := range cus {
+			cu.trackPrefix = fmt.Sprintf("cu%d/", i)
+		}
+	}
+	return cus
 }
 
 // Datamover exposes the on-board memory interface (used by tests and the
@@ -207,9 +169,8 @@ func (s *RunStats) TotalMACs() int64 {
 // bursts behind epoch-tagged frame headers, with identical datapath word
 // content, order, traffic totals and modeled cycles as the word-at-a-time
 // path, which is retained behind RunWords as the equivalence oracle.
-// Callers running many batches should hold a Session (or CUPool.RunBatch)
-// open instead, which amortizes the fabric's setup and fill/drain across
-// batches.
+// Callers running many batches should hold a Session open instead, which
+// amortizes the fabric's setup and fill/drain across batches.
 func (a *Accelerator) Run(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	if len(batch) == 0 {
 		return nil, &RunStats{}, nil
@@ -278,7 +239,7 @@ func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunSt
 	// One goroutine per PE.
 	for i, pe := range spec.PEs {
 		stats.PEs[i].ID = pe.ID
-		exec := &peExecWords{pe: pe, dm: a.dm, in: fifos[i], out: fifos[i+1], stats: &stats.PEs[i]}
+		exec := &peExecWords{pe: pe, plan: &a.plan[i], dm: a.dm, in: fifos[i], out: fifos[i+1], stats: &stats.PEs[i]}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"condor/internal/condorir"
+	"condor/internal/models"
 	"condor/internal/nn"
 	"condor/internal/tensor"
 )
@@ -290,6 +291,42 @@ func TestInstantiateRejectsWrongWeightSize(t *testing.T) {
 	}
 	if _, err := Instantiate(spec, ws); err == nil {
 		t.Fatal("expected weight-size error")
+	}
+}
+
+// TestInstantiateRejectsBadWindowGrid: a spec the executors cannot run fails
+// when its weights load, not on the first batch. TC1's pool1 at a stride 3
+// larger keeps its 6×6 output, whose windows no longer fit the input; a PE
+// with no layers is refused too.
+func TestInstantiateRejectsBadWindowGrid(t *testing.T) {
+	ir, ws, err := models.TC1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := BuildSpec(ir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool1 *LayerHW
+	for _, pe := range spec.PEs {
+		for li := range pe.Layers {
+			if pe.Layers[li].Name == "pool1" {
+				pool1 = &pe.Layers[li]
+			}
+		}
+	}
+	if pool1 == nil {
+		t.Fatal("TC1 has no pool1")
+	}
+	pool1.Stride += 3
+	_, err = Instantiate(spec, ws)
+	if err == nil || !strings.Contains(err.Error(), "layer \"pool1\"") || !strings.Contains(err.Error(), "do not fit") {
+		t.Fatalf("Instantiate = %v, want pool1's window grid refused", err)
+	}
+	pool1.Stride -= 3
+	spec.PEs = append(spec.PEs, &PE{ID: "pe9"}) // a PE with no layers, as a crafted xclbin can carry
+	if _, err := Instantiate(spec, ws); err == nil || !strings.Contains(err.Error(), "pe9: no layers") {
+		t.Fatalf("Instantiate = %v, want the empty PE refused", err)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // accumulation chain), Winograd F(2,3) is held to the bounded-error
 // contract of RunStats.WinogradErrorBound, and the packed int8 variants
 // stay inside QuantErrorBound (plus the winograd term where it applies) —
-// all swept across parallelism and compute-unit counts, on specs whose conv
-// layers were switched away from the direct algorithm.
+// all swept across parallelism and replicated compute units, on specs whose
+// conv layers were switched away from the direct algorithm.
 
 // setConvAlgo overrides the algorithm of every conv layer in the spec.
 func setConvAlgo(spec *Spec, algo ConvAlgo) {
@@ -31,8 +31,8 @@ func setConvAlgo(spec *Spec, algo ConvAlgo) {
 }
 
 // runGEMMCase runs one {Par, CUs} point of the float32 GEMM sweep: the
-// same gemm-mode spec backs an n-CU pool and the word oracle (whose conv
-// arithmetic is always direct), so the comparison proves the lowering is
+// same gemm-mode spec backs a replicated unit (replica) and the word oracle
+// (whose conv arithmetic is always direct), so the comparison proves the lowering is
 // bit-identical to direct convolution — and that the shared cycle model
 // keeps both sides' stats in lockstep.
 func runGEMMCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, batch []*tensor.Tensor, par condorir.Parallelism, cus int) {
@@ -53,11 +53,12 @@ func runGEMMCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, bat
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewCUPool(gemmAcc, cus)
-	gotOut, gotStats, err := runPoolBatch(pool, batch)
+	unit, load := replica(t, gemmAcc, cus)
+	gotOut, gotStats, err := unit.Run(batch)
 	if err != nil {
 		t.Fatalf("gemm run: %v", err)
 	}
+	gotStats.DRAM.BytesRead += load
 	wantOut, wantStats, err := wordAcc.RunWords(batch)
 	if err != nil {
 		t.Fatalf("word run: %v", err)
@@ -87,8 +88,8 @@ func runQuantAlgoCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewCUPool(packedAcc, cus)
-	gotOut, gotStats, err := runPoolBatch(pool, batch)
+	unit, _ := replica(t, packedAcc, cus)
+	gotOut, gotStats, err := unit.Run(batch)
 	if err != nil {
 		t.Fatalf("packed %s run: %v", algo, err)
 	}
@@ -189,8 +190,8 @@ func TestWinogradEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pool := NewCUPool(wgAcc, cus)
-				gotOut, gotStats, err := runPoolBatch(pool, batch)
+				unit, _ := replica(t, wgAcc, cus)
+				gotOut, gotStats, err := unit.Run(batch)
 				if err != nil {
 					t.Fatalf("winograd run: %v", err)
 				}
@@ -299,7 +300,7 @@ func TestStreamingMixedAlgoChain(t *testing.T) {
 					t.Errorf("image %d: max abs diff %g exceeds error bound %g", i, d, tol)
 				}
 			}
-			assertFramedStreams(t, gotStats, len(batch), 1)
+			assertFramedStreams(t, gotStats, len(batch))
 		})
 	}
 }

@@ -98,7 +98,7 @@ func winogradInverse(m []float32) (y [4]float32) {
 	return y
 }
 
-// winogradPass is the scratch resolveLayers sized for the PE's most
+// winogradPass is the scratch peExec.prepare sizes for the PE's most
 // demanding winograd_f23 layer.
 type winogradPass struct {
 	plane []float32 // zero-padded channel plane

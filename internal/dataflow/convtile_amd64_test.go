@@ -306,22 +306,14 @@ func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
 	}
 }
 
-// newFloatExec prepares a float32 executor for a one-layer PE, with the
-// layer's weights (if any) in its datamover and its input popped into the
-// frame buffer as runImage leaves it.
+// newFloatExec prepares a float32 executor for a one-layer PE, lowered with
+// the layer's weights (if any), and its input popped into the frame buffer
+// as runImage leaves it.
 func newFloatExec(t *testing.T, l LayerHW, w, bias, in []float32) *peExec[float32] {
 	t.Helper()
 	l.Activation, l.Normalize = NoActivation, NoActivation
-	dm := NewDatamover()
-	if w != nil {
-		dm.LoadWeights(l.Name, w, bias)
-	}
-	dm.Seal()
-	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, WeightsOnChip: true, PartialsOnChip: true}
-	x := newF32Exec(peStream{pe: pe, dm: dm, stats: &PEStats{}})
-	if err := x.prepare(); err != nil {
-		t.Fatal(err)
-	}
+	x := newF32Exec(oneLayerStream(t, 32, l, w, bias))
+	x.prepare()
 	x.pass.cur = x.el.view(x.curFrame, len(in))
 	copy(x.pass.cur, in)
 	return x

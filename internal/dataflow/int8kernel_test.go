@@ -60,12 +60,13 @@ type int8KernelCase struct {
 	scale float64 // input scale; the weight scale is 1 (codes are the weights)
 }
 
-// runInt8Kernel instantiates a one-layer PE around the case, runs the layer
-// the way runImage would and returns the floats it left for requantization. The float weights handed to the datamover are the
-// codes themselves with one pinned at 127, so the production quantizer
+// runInt8Kernel lowers a one-layer PE around the case the way Instantiate
+// does, runs the layer the way runImage would and returns the floats it left
+// for requantization. The float weights in the weight set are the codes
+// themselves with one pinned at 127, so the production quantizer
 // (quantizeLayerWeights) reproduces them at scale 1. A non-nil relayout
-// rewrites the session-resolved layer before it runs — how a test sends it
-// to a kernel this CPU would not choose.
+// rewrites the lowered layer before it runs — how a test sends it to a kernel
+// this CPU would not choose.
 func runInt8Kernel(t *testing.T, tc int8KernelCase, relayout func(*layerState)) []float32 {
 	t.Helper()
 	l := tc.l
@@ -77,20 +78,34 @@ func runInt8Kernel(t *testing.T, tc int8KernelCase, relayout func(*layerState)) 
 	if s := frameScale(wf); s != 1 {
 		t.Fatalf("weight scale %g: the case must pin one weight code at ±127", s)
 	}
-	dm := NewDatamover()
-	dm.LoadWeights(l.Name, wf, tc.bias)
-	dm.Seal()
-	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, WeightsOnChip: true, PartialsOnChip: true}
-	x := newI8Exec(peStream{pe: pe, dm: dm, stats: &PEStats{}}, nil)
-	if err := x.prepare(); err != nil {
-		t.Fatal(err)
-	}
+	x := newI8Exec(oneLayerStream(t, 8, l, wf, tc.bias))
 	if relayout != nil {
-		relayout(&x.resolved[0])
+		relayout(&x.plan.layers[0])
 	}
+	x.prepare()
 	x.pass.cur, x.pass.inScale = tc.in, tc.scale
 	x.runLayer(0)
 	return x.el.floats(l.OutShape.Volume())
+}
+
+// oneLayerStream lowers a PE of layer l alone at word width bits, with
+// weights w and bias (none when w is nil), into an executor's stream state:
+// the plan and a datamover, no FIFOs.
+func oneLayerStream(t *testing.T, bits int, l LayerHW, w, bias []float32) peStream {
+	t.Helper()
+	ws := condorir.NewWeightSet()
+	if w != nil {
+		ws.PutRaw(l.Name, condorir.EntryWeights, nil, w)
+	}
+	if bias != nil {
+		ws.PutRaw(l.Name, condorir.EntryBias, nil, bias)
+	}
+	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, WeightsOnChip: true, PartialsOnChip: true}
+	plan := &pePlan{}
+	if err := plan.lower(pe, bits, ws); err != nil {
+		t.Fatal(err)
+	}
+	return peStream{pe: pe, plan: plan, dm: NewDatamover(), stats: &PEStats{}}
 }
 
 // checkInt8Kernel runs the case and compares the kernel's floats with the
@@ -308,13 +323,8 @@ func extremeCodes(rng *rand.Rand, n int) []int8 {
 // the codes popped into its frame buffer as runImage leaves them.
 func newInt8PoolExec(t *testing.T, l LayerHW, codes []int8, inScale float64) *peExec[int8] {
 	t.Helper()
-	pe := &PE{ID: "pe0", Layers: []LayerHW{l}, WeightsOnChip: true, PartialsOnChip: true}
-	dm := NewDatamover()
-	dm.Seal()
-	x := newI8Exec(peStream{pe: pe, dm: dm, stats: &PEStats{}}, nil)
-	if err := x.prepare(); err != nil {
-		t.Fatal(err)
-	}
+	x := newI8Exec(oneLayerStream(t, 8, l, nil, nil))
+	x.prepare()
 	x.pass.cur, x.pass.inScale = x.el.view(x.curFrame, len(codes)), inScale
 	copy(x.pass.cur, codes)
 	return x

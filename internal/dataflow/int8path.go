@@ -72,8 +72,8 @@ func Int8AccumulatorRange(peID string, l *LayerHW) *diag.Diagnostic {
 }
 
 // int8LayerWeights is one layer's weights pre-quantized onto the symmetric
-// int8 grid, once per Instantiate, and shared read-only by every compute unit
-// and every run, so batches never pay the weight-calibration scan again.
+// int8 grid, once per Instantiate, and read by every compute unit and every
+// run, so batches never pay the weight-calibration scan again.
 type int8LayerWeights struct {
 	w        []int8   // the codes in weight order: one row per output channel or neuron
 	tapPairs []uint32 // conv codes by tap pair (pairWeights), for the AVX2 conv tile
@@ -142,10 +142,9 @@ func popInt8Frame(f *fifo.FIFO, words []fifo.Word, n int) (float64, error) {
 // normalisation fold in float, and the layer close requantizes with a fresh
 // per-tensor scale, straight into the output codes. Integer accumulation is
 // exact and order-free; the layer schedule models the packed stream
-// traversal.
+// traversal. The weight codes and kernel choices are the plan's (lower).
 type i8Ops struct {
 	x     *peExec[int8]
-	qw    map[string]int8LayerWeights // Instantiate-time weight codes (prepare quantizes a layer it lacks)
 	tiles convPass[int8, uint32, int32]
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
@@ -154,43 +153,18 @@ type i8Ops struct {
 	deqBuf   []float32 // a winograd_f23 layer's dequantized input volume
 }
 
-// newI8Exec binds a packed int8 executor to its stream ends and the
-// accelerator's weight codes.
-func newI8Exec(s peStream, qw map[string]int8LayerWeights) *peExec[int8] {
+// newI8Exec binds a packed int8 executor to its stream ends.
+func newI8Exec(s peStream) *peExec[int8] {
 	x := &peExec[int8]{peStream: s, poolMax8: poolMax8I8}
-	o := &i8Ops{x: x, qw: qw}
+	o := &i8Ops{x: x}
 	o.tiles.ops, x.el = o, o
 	return x
 }
 
-// prepare checks CND026 on every compute layer and resolves its weight codes
-// and kernel choices into its layerState.
-func (o *i8Ops) prepare(sz scratchWords) error {
-	x := o.x
-	channels := 0
-	for li := range x.resolved {
-		l, st := &x.pe.Layers[li], &x.resolved[li]
-		if st.w == nil {
-			continue
-		}
-		channels = max(channels, l.OutShape.Channels)
-		if d := Int8AccumulatorRange(x.pe.ID, l); d != nil {
-			return d
-		}
-		var ok bool
-		if st.q, ok = o.qw[l.Name]; !ok {
-			// Spec switched to WordBits==8 after Instantiate: derive the
-			// codes here (the slow path the Instantiate-time cache avoids).
-			st.q = quantizeLayerWeights(l, st.w)
-		}
-		st.tile8 = haveAVX2 && l.Kind == nn.FullyConnected
-		st.deq4 = haveAVX2 && (l.Activation == NoActivation || l.Activation == nn.ReLU)
-		st.taps2 = pairTaps(st.taps)
-	}
+func (o *i8Ops) prepare(sz *scratchWords) {
 	o.floatBuf = make([]float32, sz.vol)
-	o.chanMax = make([]uint32, channels)
+	o.chanMax = make([]uint32, sz.channels)
 	o.deqBuf = make([]float32, sz.winogradIn)
-	return nil
 }
 
 func (o *i8Ops) frameWords(n int) int                 { return 1 + fifo.PackedWords(n) }

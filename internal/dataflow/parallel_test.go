@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"condor/internal/condorir"
@@ -11,17 +12,18 @@ import (
 )
 
 // These tests pin the invariant of parallel-port execution: at any
-// Parallelism{In,Out} setting and any compute-unit count, the burst fabric
-// (each PE's ports modeled, its layers run inline; the batch sharded across
-// cloned CUs) must produce bit-identical outputs and identical merged
+// Parallelism{In,Out} setting, the burst fabric (each PE's ports modeled,
+// its layers run inline) must produce bit-identical outputs and identical
 // RunStats to the word-at-a-time oracle running the same spec sequentially —
-// the port parallelism moves only the schedule, which both sides share, and
-// CU shards merge back counter-for-counter.
+// the port parallelism moves only the schedule, which both sides share. The
+// cus axis runs the burst side on the last of that many compute units
+// Replicate makes from one instantiation: a unit that shares the plan and
+// owns its datamover must be exactly the fabric.
 // MaxOccupancy stays excluded as in the burst/word equivalence tests.
 
 // runParallelCase executes one {Par, CUs} point: the same spec (with every
 // PE's port parallelism overridden) is instantiated twice; the burst side
-// runs the batch through an n-CU pool, the oracle side through RunWords.
+// runs the batch on a replicated unit, the oracle side through RunWords.
 // Sharing one spec keeps the layer schedules — which depend on Par —
 // identical on both sides, so the stats comparison is exact.
 func runParallelCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, batch []*tensor.Tensor, par condorir.Parallelism, cus int) {
@@ -41,29 +43,32 @@ func runParallelCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewCUPool(burstAcc, cus)
-	if pool.Size() != cus {
-		t.Fatalf("pool size %d, want %d", pool.Size(), cus)
-	}
-	gotOut, gotStats, err := runPoolBatch(pool, batch)
+	unit, load := replica(t, burstAcc, cus)
+	gotOut, gotStats, err := unit.Run(batch)
 	if err != nil {
-		t.Fatalf("pool run: %v", err)
+		t.Fatalf("cu%d run: %v", cus-1, err)
 	}
+	gotStats.DRAM.BytesRead += load
 	wantOut, wantStats, err := wordAcc.RunWords(batch)
 	if err != nil {
 		t.Fatalf("word run: %v", err)
 	}
-	assertRunsIdentical(t, "pool", gotOut, gotStats, "word", wantOut, wantStats)
+	assertRunsIdentical(t, "burst", gotOut, gotStats, "word", wantOut, wantStats)
 }
 
-// runPoolBatch runs one batch through the pool's resident sessions and
-// closes them: the one-shot pool run the sweeps hold against the oracle.
-func runPoolBatch(pool *CUPool, batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
-	outs, stats, err := pool.RunBatch(batch)
-	if cerr := pool.Close(); err == nil && cerr != nil {
-		return nil, nil, cerr
+// replica returns the last of cus compute units replicated from acc — for
+// cus > 1 a unit that shares acc's plan and owns a fresh datamover — and the
+// DDR bytes of the one-time on-chip configuration load, which stays
+// accounted on unit 0: what the unit's reads lack against a standalone
+// fabric's.
+func replica(t *testing.T, acc *Accelerator, cus int) (*Accelerator, int64) {
+	t.Helper()
+	units := acc.Replicate(cus)
+	if len(units) != cus {
+		t.Fatalf("Replicate(%d) made %d units", cus, len(units))
 	}
-	return outs, stats, err
+	unit := units[cus-1]
+	return unit, acc.dm.Stats().BytesRead - unit.dm.Stats().BytesRead
 }
 
 // withProcs runs the sweep body at a given GOMAXPROCS.
@@ -120,11 +125,10 @@ func TestParallelPortSingleProcDegrades(t *testing.T) {
 	})
 }
 
-// Cloned compute units share one sealed weight store and keep private DDR
-// counters; the one-time on-chip configuration load stays accounted on unit
-// 0 only, so merged pool traffic equals a single fabric's run exactly (the
-// stats assertions above depend on this; here the mechanism is pinned
-// directly).
+// Replicated compute units share one plan and keep private DDR counters;
+// the one-time on-chip configuration load stays accounted on unit 0 only
+// (the sweeps above add it back to a replica's reads; here the mechanism is
+// pinned directly).
 func TestCloneSharesWeightsPrivateCounters(t *testing.T) {
 	ir, ws, err := models.TC1()
 	if err != nil {
@@ -138,33 +142,85 @@ func TestCloneSharesWeightsPrivateCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := acc.Clone()
-	if clone.dm.store != acc.dm.store {
-		t.Fatal("clone does not share the weight store")
+	units := acc.Replicate(2)
+	if units[0] != acc {
+		t.Fatal("unit 0 is not the instantiated fabric")
+	}
+	clone := units[1]
+	if &clone.plan[0] != &acc.plan[0] {
+		t.Fatal("replica does not share the plan")
 	}
 	if clone.dm == acc.dm {
-		t.Fatal("clone shares the whole datamover (counters must be private)")
+		t.Fatal("replica shares the whole datamover (counters must be private)")
+	}
+	if clone.trackPrefix != "cu1/" || acc.trackPrefix != "cu0/" {
+		t.Fatalf("track prefixes %q, %q; want cu0/, cu1/", acc.trackPrefix, clone.trackPrefix)
 	}
 	base := acc.dm.Stats()
 	if got := clone.dm.Stats(); got != (DatamoverStats{}) {
-		t.Fatalf("clone starts with traffic %+v, want zero", got)
+		t.Fatalf("replica starts with traffic %+v, want zero", got)
 	}
 	clone.dm.AccountInput(10)
 	if got := acc.dm.Stats(); got != base {
-		t.Fatalf("clone traffic leaked into original: %+v vs %+v", got, base)
+		t.Fatalf("replica traffic leaked into original: %+v vs %+v", got, base)
 	}
 }
 
-// The weight store rejects writes after sealing: replication is only safe
-// because the shared region is provably immutable during execution.
-func TestWeightStoreSealedPanics(t *testing.T) {
-	dm := NewDatamover()
-	dm.LoadWeights("l", []float32{1}, nil)
-	dm.Seal()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LoadWeights after Seal did not panic")
-		}
-	}()
-	dm.LoadWeights("l2", []float32{2}, nil)
+// TestReplicatedUnitsMatchOneFabric runs one LeNet batch on both units of
+// Replicate(2) at once, in float32 and in int8: each must equal a single
+// fabric's run bit for bit, outputs and RunStats (MaxOccupancy aside, and
+// the replica's DDR reads less the configuration load unit 0 carries).
+func TestReplicatedUnitsMatchOneFabric(t *testing.T) {
+	ir, ws, err := models.LeNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := models.MNISTImages(4, 17)
+	for _, bits := range []int{32, 8} {
+		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
+			spec, err := BuildSpec(ir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.WordBits = bits
+			single, err := Instantiate(spec, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOut, wantStats, err := single.Run(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc, err := Instantiate(spec, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			units := acc.Replicate(2)
+			load := acc.dm.Stats().BytesRead
+			outs := make([][]*tensor.Tensor, len(units))
+			stats := make([]*RunStats, len(units))
+			errs := make([]error, len(units))
+			var wg sync.WaitGroup
+			for i, u := range units {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					outs[i], stats[i], errs[i] = u.Run(batch)
+				}()
+			}
+			wg.Wait()
+			for i := range units {
+				if errs[i] != nil {
+					t.Fatalf("cu%d: %v", i, errs[i])
+				}
+				if i > 0 {
+					stats[i].DRAM.BytesRead += load
+				}
+				assertRunsIdentical(t, fmt.Sprintf("cu%d", i), outs[i], stats[i], "single", wantOut, wantStats)
+				if stats[i].InputScale != wantStats.InputScale {
+					t.Errorf("cu%d: input scale %g, single fabric %g", i, stats[i].InputScale, wantStats.InputScale)
+				}
+			}
+		})
+	}
 }

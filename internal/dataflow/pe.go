@@ -5,6 +5,8 @@ import (
 	"math"
 	"unsafe"
 
+	"condor/internal/condorir"
+	"condor/internal/diag"
 	"condor/internal/fifo"
 	"condor/internal/nn"
 	"condor/internal/obs"
@@ -44,9 +46,9 @@ func (s *PEStats) CyclesPerImage() int64 {
 }
 
 // peStream is the part of a PE executor that does not depend on the element
-// type: the PE and its stream ends, the session hooks, the per-layer state
-// resolved once per session and the Winograd convolution (whose transform
-// domain is float32 on both datapaths).
+// type: the PE, its plan and its stream ends, the session hooks and the
+// Winograd convolution (whose transform domain is float32 on both
+// datapaths).
 //
 // Windows are gathered straight from the zero-padded channel planes — the
 // filter chain itself is simulated FIFO by FIFO only by the word-at-a-time
@@ -60,19 +62,12 @@ func (s *PEStats) CyclesPerImage() int64 {
 // sized once in prepare.
 type peStream struct {
 	pe    *PE
+	plan  *pePlan // Instantiate's, shared with every compute unit
 	dm    *Datamover
 	in    *fifo.FIFO
 	out   *fifo.FIFO
 	stats *PEStats
 	track *obs.Track // nil when tracing is off
-
-	// bits is the fabric word width (Spec.Bits) the layers are lowered at.
-	bits int
-
-	// wgCache is the accelerator's pre-transformed Winograd weight cache
-	// (layer name → f·c·16 transformed words), shared read-only across CU
-	// clones like the int8 code store.
-	wgCache map[string][]float32
 
 	// Session hooks: onImage advances the RunBatch barrier after each
 	// retired image; onErr latches a failure before the input drain starts,
@@ -80,14 +75,18 @@ type peStream struct {
 	onImage func()
 	onErr   func(error)
 
-	// resolved is the per-layer state resolveLayers cached for the session.
-	resolved []layerState
-
 	wino winogradPass // algopath.go
 }
 
-// layerState is what the executor reads of one fused layer, resolved once
-// per session instead of once per image.
+// pePlan is one PE's share of the lowered weight set: a record per fused
+// layer and the scratch of its most demanding one. lower builds it once per
+// Instantiate; the executors only read it.
+type pePlan struct {
+	layers  []layerState
+	scratch scratchWords
+}
+
+// layerState is what the executors read of one fused layer.
 type layerState struct {
 	sched       Schedule  // the layer's cycles and counters per image
 	w, b        []float32 // float weight stream and bias (compute layers)
@@ -95,10 +94,10 @@ type layerState struct {
 	wg          []float32 // Winograd-transformed weights (winograd_f23 layers)
 	streamBytes int64     // weight+bias bytes re-read from DDR per image (0 when on-chip)
 
-	// The int8 datapath's (i8Ops.prepare): the layer's weight codes, a conv
-	// layer's tap table padded to whole pairs (pairTaps) for the AVX2 tile,
-	// whether an FC layer runs on fcDot4I8 and whether a conv layer's store
-	// runs on deqStore4 (AVX2, and no activation or ReLU).
+	// The int8 datapath's: the layer's weight codes, a conv layer's tap
+	// table padded to whole pairs (pairTaps) for the AVX2 tile, whether an
+	// FC layer runs on fcDot4I8 and whether a conv layer's store runs on
+	// deqStore4 (AVX2, and no activation or ReLU).
 	q           int8LayerWeights
 	taps2       []int32
 	tile8, deq4 bool
@@ -110,7 +109,12 @@ type scratchWords struct {
 	vol         int // largest volume a layer reads or writes
 	plane       int // largest zero-padded channel plane of a padded layer
 	paddedStack int // largest stack of padded channel planes a tap-table convolution gathers from (an unpadded volume is its own stack)
+	channels    int // most output channels of a compute layer (int8 datapath)
 	winogradIn  int // largest input volume of a winograd_f23 layer
+
+	// The Winograd pass (winogradPass): the largest padded plane, input
+	// tiles and transform-domain accumulators of a winograd_f23 layer.
+	wgPlane, wgTiles, wgAcc int
 }
 
 // checkWinograd reports why a conv layer cannot run winograd_f23.
@@ -147,91 +151,124 @@ func tapOffsets(l *LayerHW) []int32 {
 	return taps
 }
 
-// resolveLayers is the once-per-session resolution pass of both element
-// types: it validates every fused layer against what the gather assumes,
-// caches its schedule, weight stream and derived tables and sizes the
-// scratch of the PE's most demanding layer.
-func (x *peStream) resolveLayers() (scratchWords, error) {
-	layers := x.pe.Layers
-	x.resolved = make([]layerState, len(layers))
-	sz := scratchWords{vol: layers[0].InShape.Volume()}
-	var wgPlane, wgTiles, wgAcc int
+// lower validates PE pe's fused layers against what the executors assume and
+// lowers them at word width bits with their weights from ws: each layer's
+// schedule, weight stream and derived tables, and the scratch of the most
+// demanding layer. A weight-set failure is a diag.Diagnostic; any other names
+// the PE.
+func (p *pePlan) lower(pe *PE, bits int, ws *condorir.WeightSet) error {
+	layers := pe.Layers
+	if len(layers) == 0 {
+		return fmt.Errorf("%s: no layers", pe.ID)
+	}
+	p.layers = make([]layerState, len(layers))
+	sz := &p.scratch
+	sz.vol = layers[0].InShape.Volume()
 	for li := range layers {
-		l, st := &layers[li], &x.resolved[li]
-		st.sched = x.pe.Schedule(li, x.bits)
-		if li+1 < len(layers) {
-			if next := &layers[li+1]; next.InShape.Volume() != l.OutShape.Volume() {
-				return sz, fmt.Errorf("fused intermediate has %d words, layer %q expects %d", l.OutShape.Volume(), next.Name, next.InShape.Volume())
-			}
+		l, st := &layers[li], &p.layers[li]
+		st.sched = pe.Schedule(li, bits)
+		if err := checkLayer(l, layers[li+1:]); err != nil {
+			return fmt.Errorf("%s: %w", pe.ID, err)
 		}
 		sz.vol = max(sz.vol, l.OutShape.Volume())
 		plane := l.PaddedHeight() * l.PaddedWidth()
-		switch {
-		case l.Kind.IsFeatureExtraction():
-			if err := checkWindowGrid(l); err != nil {
-				return sz, err
-			}
-			if l.Pad > 0 {
-				sz.plane = max(sz.plane, plane)
-			}
-		case l.Kind != nn.FullyConnected:
-			return sz, fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
+		if l.Kind.IsFeatureExtraction() && l.Pad > 0 {
+			sz.plane = max(sz.plane, plane)
 		}
 		if l.Kind != nn.Conv && l.Kind != nn.FullyConnected {
 			continue
 		}
-		w, b, err := x.dm.WeightsRef(l.Name)
-		if err != nil {
-			return sz, fmt.Errorf("layer %q: %w", l.Name, err)
-		}
-		if len(w) != l.WeightWords() {
-			return sz, fmt.Errorf("layer %q: weight stream has %d words, want %d", l.Name, len(w), l.WeightWords())
+		w, b, d := layerWeights(pe.ID, l, ws)
+		if d != nil {
+			return d
 		}
 		st.w, st.b = w, b
-		if !x.pe.WeightsOnChip {
+		if !pe.WeightsOnChip {
 			// The datapath re-reads its own elements: a float32 word each, or
 			// one byte per code where a word packs lanes of them.
-			st.streamBytes = int64(4/lanesAt(x.bits)) * int64(len(w)+len(b))
+			st.streamBytes = int64(4/lanesAt(bits)) * int64(len(w)+len(b))
+		}
+		if bits == 8 {
+			if d := Int8AccumulatorRange(pe.ID, l); d != nil {
+				return d
+			}
+			st.q = quantizeLayerWeights(l, w)
+			st.tile8 = haveAVX2 && l.Kind == nn.FullyConnected
+			st.deq4 = haveAVX2 && (l.Activation == NoActivation || l.Activation == nn.ReLU)
+			sz.channels = max(sz.channels, l.OutShape.Channels)
 		}
 		if l.Kind != nn.Conv {
 			continue
 		}
 		if st.sched.XformWords == 0 { // not in the Winograd transform domain
 			st.taps = tapOffsets(l)
+			if bits == 8 {
+				st.taps2 = pairTaps(st.taps)
+			}
 			if l.Pad > 0 {
 				sz.paddedStack = max(sz.paddedStack, l.InShape.Channels*plane)
 			}
 			continue
 		}
+		// The on-chip weight transform runs once, at configuration load.
 		if err := checkWinograd(l); err != nil {
-			return sz, err
+			return fmt.Errorf("%s: %w", pe.ID, err)
 		}
-		if st.wg = x.wgCache[l.Name]; st.wg == nil {
-			// Spec mutated after Instantiate (tests do this): derive the
-			// transformed weights locally instead.
-			st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
-		}
+		st.wg = winogradTransformWeights(w, l.InShape.Channels, l.OutShape.Channels)
 		tiles := l.OutShape.Height / 2 * (l.OutShape.Width / 2)
 		sz.winogradIn = max(sz.winogradIn, l.InShape.Volume())
-		wgPlane = max(wgPlane, plane)
-		wgTiles = max(wgTiles, tiles*16)
-		wgAcc = max(wgAcc, l.OutShape.Channels*tiles*16)
+		sz.wgPlane = max(sz.wgPlane, plane)
+		sz.wgTiles = max(sz.wgTiles, tiles*16)
+		sz.wgAcc = max(sz.wgAcc, l.OutShape.Channels*tiles*16)
 	}
-	x.wino.plane = make([]float32, wgPlane)
-	x.wino.v = make([]float32, wgTiles)
-	x.wino.m = make([]float32, wgAcc)
-	return sz, nil
+	return nil
+}
+
+// checkLayer rejects a fused layer the executors cannot run: a kind no PE
+// has, a window grid that does not fit the padded input, or an output the
+// next fused layer (the first of rest, if any) does not take as its input.
+func checkLayer(l *LayerHW, rest []LayerHW) error {
+	if len(rest) > 0 && rest[0].InShape.Volume() != l.OutShape.Volume() {
+		return fmt.Errorf("fused intermediate has %d words, layer %q expects %d", l.OutShape.Volume(), rest[0].Name, rest[0].InShape.Volume())
+	}
+	switch {
+	case l.Kind.IsFeatureExtraction():
+		return checkWindowGrid(l)
+	case l.Kind != nn.FullyConnected:
+		return fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
+	}
+	return nil
+}
+
+// layerWeights looks compute layer l's weights and bias up in ws and checks
+// their word counts against the layer.
+func layerWeights(peID string, l *LayerHW, ws *condorir.WeightSet) (w, b []float32, d *diag.Diagnostic) {
+	we, ok := ws.Get(l.Name, condorir.EntryWeights)
+	if !ok {
+		return nil, nil, diag.Errorf(diag.RuleWeightMissing, peID, l.Name, "weights for layer %q not in weight set", l.Name)
+	}
+	if be, ok := ws.Get(l.Name, condorir.EntryBias); ok {
+		if b = be.Data; len(b) != l.OutShape.Channels {
+			return nil, nil, diag.Errorf(diag.RuleBiasWords, peID, l.Name,
+				"layer %q bias has %d words, accelerator needs %d", l.Name, len(b), l.OutShape.Channels)
+		}
+	}
+	if want := l.WeightWords(); len(we.Data) != want {
+		return nil, nil, diag.Errorf(diag.RuleWeightWords, peID, l.Name,
+			"layer %q weight set has %d words, accelerator needs %d", l.Name, len(we.Data), want)
+	}
+	return we.Data, b, nil
 }
 
 // peExec executes one PE over a stream of images, on float32 words or int8
 // codes (E): each image is popped from the PE's input FIFO into a frame
 // buffer in one burst, each layer fills the other frame buffer, a fused
 // layer's output crosses DDR by swapping the two, and the last layer's output
-// leaves in one push. Layer resolution, the frame loop, the conv staging and
-// the pool and FC skeletons are written once here; the per-type value el
-// (f32Ops, i8Ops), bound once per session by OpenSession, supplies what the
-// element types do differently — the frame ends, the stores, the layer close
-// and the pool's scale — and each type's AVX2 tiles and FC kernel. el is
+// leaves in one push. The frame loop, the conv staging and the pool and FC
+// skeletons are written once here; the per-type value el (f32Ops, i8Ops),
+// bound once per session by OpenSession, supplies what the element types do
+// differently — the frame ends, the stores, the layer close and the pool's
+// scale — and each type's AVX2 tiles and FC kernel. el is
 // called once per frame or layer, never per tile: the tiles reach their
 // stores through convOps. Every output cell keeps the RunWords oracle's
 // accumulation chain (float32) or an exact int32 sum (int8), so results,
@@ -265,8 +302,8 @@ type peExec[E float32 | int8] struct {
 // elemOps is peExec's per-type value: what float32 words (f32Ops) and int8
 // codes (i8Ops) do differently.
 type elemOps[E float32 | int8] interface {
-	// prepare resolves the type's weight tables and scratch.
-	prepare(sz scratchWords) error
+	// prepare allocates the type's scratch.
+	prepare(sz *scratchWords)
 	// frameWords is the size of a frame buffer holding n elements, and view
 	// the elements of one.
 	frameWords(n int) int
@@ -299,17 +336,17 @@ type elemOps[E float32 | int8] interface {
 // last window, admits a plane's last row too.
 const poolSlack = 1
 
-// prepare resolves the PE's layers and sizes its scratch, once per session.
-func (x *peExec[E]) prepare() error {
-	sz, err := x.resolveLayers()
-	if err != nil {
-		return err
-	}
+// prepare allocates the executor's scratch for its plan, once per session.
+func (x *peExec[E]) prepare() {
+	sz := &x.plan.scratch
 	words := x.el.frameWords(sz.vol + poolSlack)
 	x.curFrame, x.nxtFrame = make([]fifo.Word, words), make([]fifo.Word, words)
 	x.plane = make([]E, sz.plane+poolSlack)
 	x.stack = make([]E, sz.paddedStack)
-	return x.el.prepare(sz)
+	x.wino.plane = make([]float32, sz.wgPlane)
+	x.wino.v = make([]float32, sz.wgTiles)
+	x.wino.m = make([]float32, sz.wgAcc)
+	x.el.prepare(sz)
 }
 
 // runStream is the resident session loop: frames are consumed until the
@@ -327,9 +364,7 @@ func (x *peExec[E]) runStream() error {
 		x.in.Drain()
 		return err
 	}
-	if err := x.prepare(); err != nil {
-		return fail(err)
-	}
+	x.prepare()
 	var epoch uint16
 	for {
 		h, ok, err := x.in.PopFrameHeader()
@@ -367,7 +402,7 @@ func (x *peExec[E]) runImage() error {
 	p.cur = x.el.view(x.curFrame, n)
 	x.stats.ElemsIn += int64(n)
 	for li := range layers {
-		s := &x.resolved[li].sched
+		s := &x.plan.layers[li].sched
 
 		// The span brackets the PE's cumulative cycle counter: its cycle
 		// width is this layer's cycles plus, for fused layers, the DDR round
@@ -378,7 +413,7 @@ func (x *peExec[E]) runImage() error {
 			sid = x.track.Begin(layers[li].Name, x.stats.Cycles)
 		}
 		x.runLayer(li)
-		if bytes := x.resolved[li].streamBytes; bytes > 0 {
+		if bytes := x.plan.layers[li].streamBytes; bytes > 0 {
 			x.dm.AccountReadBytes(bytes)
 		}
 		if s.SpillWords > 0 {
@@ -426,13 +461,13 @@ func (x *peExec[E]) handOff() {
 // records the output scale.
 func (x *peExec[E]) runLayer(li int) {
 	p := &x.pass
-	p.l, p.st = &x.pe.Layers[li], &x.resolved[li]
+	p.l, p.st = &x.pe.Layers[li], &x.plan.layers[li]
 	n := p.l.OutShape.Volume()
 	p.out = x.el.view(x.nxtFrame, n)
 	switch {
 	case p.l.Kind == nn.FullyConnected:
 		p.outScale = x.runFC(x.el.floats(n))
-	case p.l.Kind != nn.Conv: // sub-sampling: resolveLayers admits no other kind
+	case p.l.Kind != nn.Conv: // sub-sampling: lower admits no other kind
 		p.outScale = x.runPool()
 	case p.l.Algo() == AlgoWinograd:
 		fb := x.el.floats(n)
@@ -551,7 +586,7 @@ func newF32Exec(s peStream) *peExec[float32] {
 	return x
 }
 
-func (o *f32Ops) prepare(scratchWords) error { return nil }
+func (o *f32Ops) prepare(*scratchWords) {}
 
 func (o *f32Ops) frameWords(n int) int                    { return n }
 func (o *f32Ops) view(frame []fifo.Word, n int) []float32 { return frame[:n] }

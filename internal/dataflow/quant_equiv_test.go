@@ -10,16 +10,17 @@ import (
 )
 
 // These tests pin the tentpole contract of the packed int8 datapath: at any
-// Parallelism{In,Out} setting and any compute-unit count, the packed fabric
-// (4 int8 lanes per FIFO word, int32 accumulators, per-tensor requantization
-// at every PE boundary) must agree with the float32 word-at-a-time oracle to
+// Parallelism{In,Out} setting and on any replicated compute unit, the packed
+// fabric (4 int8 lanes per FIFO word, int32 accumulators, per-tensor
+// requantization at every PE boundary) must agree with the float32 word-at-a-time oracle to
 // within the bound its own recorded quantization scales imply — bounded
 // error, not bit identity; the float fabric's bit-identity harness lives in
 // equivalence_test.go and does not apply here.
 
 // runQuantCase executes one {Par, CUs} point of the sweep. One spec (with
 // WordBits=8 and every PE's port parallelism overridden) backs both sides:
-// the packed side runs the batch through an n-CU pool; the oracle side runs
+// the packed side runs the batch on the last of cus replicated units
+// (replica); the oracle side runs
 // RunWords, which always executes in float32 regardless of WordBits. The
 // tolerance is not a magic constant — it is RunStats.QuantErrorBound(),
 // derived from the input scale and per-PE requantization scales the packed
@@ -42,8 +43,8 @@ func runQuantCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, ba
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewCUPool(packedAcc, cus)
-	gotOut, gotStats, err := runPoolBatch(pool, batch)
+	unit, _ := replica(t, packedAcc, cus)
+	gotOut, gotStats, err := unit.Run(batch)
 	if err != nil {
 		t.Fatalf("packed run: %v", err)
 	}
@@ -73,7 +74,7 @@ func runQuantCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, ba
 	}
 
 	// The packed run must actually have moved int8 lanes: every stream edge
-	// carries packed payload words, so the merged lane counters are nonzero
+	// carries packed payload words, so the lane counters are nonzero
 	// (they stay zero on the float32 datapath by construction).
 	var lanes int64
 	for _, s := range gotStats.Streams {

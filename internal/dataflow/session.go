@@ -109,12 +109,11 @@ func (a *Accelerator) OpenSession() *Session {
 	for i, pe := range spec.PEs {
 		s.peStats[i].ID = pe.ID
 		elem := 1 + i
-		stream := peStream{pe: pe, dm: a.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i], track: peTracks[i],
-			bits: spec.Bits(), wgCache: a.wgweights,
-			onImage: func() { s.imageDone(elem) }, onErr: s.fail}
+		stream := peStream{pe: pe, plan: &a.plan[i], dm: a.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i],
+			track: peTracks[i], onImage: func() { s.imageDone(elem) }, onErr: s.fail}
 		var run func() error
 		if s.packed {
-			run = newI8Exec(stream, a.qweights).runStream
+			run = newI8Exec(stream).runStream
 		} else {
 			run = newF32Exec(stream).runStream
 		}

@@ -38,8 +38,8 @@ const (
 	AlgoGEMM ConvAlgo = "im2col_gemm"
 	// AlgoWinograd is the Winograd F(2,3) transform-domain convolution,
 	// valid only for 3×3/stride-1 layers whose output tiles align (even
-	// output height and width). Weights are pre-transformed at instantiate
-	// time into the sealed store, shared read-only across CU clones.
+	// output height and width). Weights are pre-transformed once, at
+	// Instantiate, into the plan every compute unit reads.
 	AlgoWinograd ConvAlgo = "winograd_f23"
 )
 

@@ -15,7 +15,7 @@ import (
 )
 
 // These tests pin the tentpole invariant of the continuous-streaming fabric:
-// a resident Session (or CUPool of sessions) fed the same images in several
+// a resident Session fed the same images in several
 // back-to-back RunBatch calls must agree with one word-at-a-time oracle pass
 // over the whole sequence — bit-identical outputs and identical cumulative
 // RunStats on the float32 path (frame headers ride in separate counters, so
@@ -24,8 +24,8 @@ import (
 // cascade end-of-stream through every resident element and leak nothing.
 
 // chunkBatch splits a batch into uneven consecutive chunks (1, 2, 3, …) so
-// the sweep exercises single-image batches, partial CU shards and full
-// shards in one session lifetime.
+// the sweep exercises single-image and multi-image batches in one session
+// lifetime.
 func chunkBatch(batch []*tensor.Tensor) [][]*tensor.Tensor {
 	var chunks [][]*tensor.Tensor
 	for size := 1; len(batch) > 0; size++ {
@@ -39,8 +39,9 @@ func chunkBatch(batch []*tensor.Tensor) [][]*tensor.Tensor {
 }
 
 // runStreamCase executes one {Par, CUs, dtype} point: the streaming side
-// feeds the batch through resident pool sessions in uneven chunks, the
-// oracle side runs one unframed word-at-a-time pass over everything.
+// feeds the batch in uneven chunks through a resident session of the last of
+// cus replicated compute units (replica), the oracle side runs one unframed
+// word-at-a-time pass over everything.
 func runStreamCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, batch []*tensor.Tensor, par condorir.Parallelism, cus int, int8path bool) {
 	t.Helper()
 	spec, err := BuildSpec(ir)
@@ -61,19 +62,21 @@ func runStreamCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewCUPool(streamAcc, cus)
+	unit, load := replica(t, streamAcc, cus)
+	sess := unit.OpenSession()
 	var gotOut []*tensor.Tensor
 	for _, chunk := range chunkBatch(batch) {
-		outs, _, err := pool.RunBatch(chunk)
+		outs, _, err := sess.RunBatch(chunk)
 		if err != nil {
 			t.Fatalf("streaming chunk: %v", err)
 		}
 		gotOut = append(gotOut, outs...)
 	}
-	gotStats := pool.Stats()
-	if err := pool.Close(); err != nil {
-		t.Fatalf("pool close: %v", err)
+	gotStats := sess.Stats()
+	if err := sess.Close(); err != nil {
+		t.Fatalf("session close: %v", err)
 	}
+	gotStats.DRAM.BytesRead += load
 	wantOut, wantStats, err := oracleAcc.RunWords(batch)
 	if err != nil {
 		t.Fatalf("oracle run: %v", err)
@@ -81,7 +84,7 @@ func runStreamCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, b
 
 	if !int8path {
 		assertRunsIdentical(t, "stream", gotOut, gotStats, "word", wantOut, wantStats)
-		assertFramedStreams(t, gotStats, len(batch), cus)
+		assertFramedStreams(t, gotStats, len(batch))
 		return
 	}
 	// Packed path: bounded error against the float oracle, like runQuantCase.
@@ -104,13 +107,13 @@ func runStreamCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, b
 	if frac := float64(agree) / float64(len(gotOut)); frac < 0.75 {
 		t.Errorf("argmax agreement %.2f below 0.75 (%d/%d images)", frac, agree, len(gotOut))
 	}
-	assertFramedStreams(t, gotStats, len(batch), cus)
+	assertFramedStreams(t, gotStats, len(batch))
 }
 
 // assertFramedStreams asserts the session actually framed its traffic: one
-// header pushed and popped per image per stream edge (pool-merged across
-// units), with per-epoch occupancy windows recorded.
-func assertFramedStreams(t *testing.T, stats *RunStats, images, cus int) {
+// header pushed and popped per image per stream edge, with per-epoch
+// occupancy windows recorded.
+func assertFramedStreams(t *testing.T, stats *RunStats, images int) {
 	t.Helper()
 	for i, s := range stats.Streams {
 		if s.HeaderPushes != int64(images) || s.HeaderPops != int64(images) {
@@ -310,7 +313,7 @@ func TestStreamingTwoEpochsInFlightSaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRunsIdentical(t, "saturated", gotOut, gotStats, "word", wantOut, wantStats)
-	assertFramedStreams(t, gotStats, len(batch), 1)
+	assertFramedStreams(t, gotStats, len(batch))
 	for i, st := range gotStats.Streams {
 		if st.MaxOccupancy > int64(spec.InterPEFIFODepth) {
 			t.Errorf("stream %d: occupancy %d exceeds depth %d", i, st.MaxOccupancy, spec.InterPEFIFODepth)

@@ -18,6 +18,7 @@ import (
 // peExecWords executes one PE over a batch of images, word by word.
 type peExecWords struct {
 	pe    *PE
+	plan  *pePlan // read for its float weights only
 	dm    *Datamover
 	in    *fifo.FIFO
 	out   *fifo.FIFO
@@ -64,11 +65,11 @@ func (x *peExecWords) runImage(img int) error {
 
 		switch l.Kind {
 		case nn.Conv:
-			err = x.runConv(l, read, emit)
+			err = x.runConv(l, x.weights(li), read, emit)
 		case nn.MaxPool, nn.AvgPool:
 			err = x.runPool(l, read, emit)
 		case nn.FullyConnected:
-			err = x.runFC(l, read, emit)
+			err = x.runFC(l, x.weights(li), read, emit)
 		default:
 			err = fmt.Errorf("layer %q: unsupported PE kind %v", l.Name, l.Kind)
 		}
@@ -93,6 +94,18 @@ func (x *peExecWords) runImage(img int) error {
 		}
 	}
 	return nil
+}
+
+// weights returns layer li's weight stream and bias from the plan, accounting
+// their DDR read unless the PE caches them on-chip (whose one-time load
+// Instantiate accounted). The oracle computes in float32 whatever the spec's
+// word width, so it reads a word per weight.
+func (x *peExecWords) weights(li int) *layerState {
+	st := &x.plan.layers[li]
+	if !x.pe.WeightsOnChip {
+		x.dm.AccountReadBytes(int64(4 * (len(st.w) + len(st.b))))
+	}
+	return st
 }
 
 // layerReader returns the element source for a layer: the PE input FIFO for
@@ -127,16 +140,10 @@ func (x *peExecWords) layerReader(l *LayerHW, cur []float32) (func() (fifo.Word,
 // accumulating into the partial-sum buffer; after the last input map the
 // bias is added, the folded activation applied, and the output maps are
 // emitted channel-major.
-func (x *peExecWords) runConv(l *LayerHW, read func() (fifo.Word, bool), emit func(float32)) error {
+func (x *peExecWords) runConv(l *LayerHW, st *layerState, read func() (fifo.Word, bool), emit func(float32)) error {
 	c, f, k := l.InShape.Channels, l.OutShape.Channels, l.Kernel
 	outHW := l.OutShape.Height * l.OutShape.Width
-	w, b, err := x.dm.Weights(l.Name, x.pe.WeightsOnChip)
-	if err != nil {
-		return err
-	}
-	if len(w) != f*c*k*k {
-		return fmt.Errorf("weight stream has %d words, want %d", len(w), f*c*k*k)
-	}
+	w, b := st.w, st.b
 	partial := make([]float32, f*outHW)
 	for ci := 0; ci < c; ci++ {
 		if err := x.stencilPass(l, read, func(pos int, win []fifo.Word) {
@@ -236,16 +243,10 @@ func (x *peExecWords) stencilPass(l *LayerHW, read func() (fifo.Word, bool), fn 
 // 1x1 convolution: each streamed input element is multiplied against every
 // output neuron's weight, accumulating in the on-chip partial vector; the
 // optional normalisation (LogSoftMax/SoftMax) is applied before emission.
-func (x *peExecWords) runFC(l *LayerHW, read func() (fifo.Word, bool), emit func(float32)) error {
+func (x *peExecWords) runFC(l *LayerHW, st *layerState, read func() (fifo.Word, bool), emit func(float32)) error {
 	v := l.InShape.Volume()
 	o := l.OutShape.Channels
-	w, b, err := x.dm.Weights(l.Name, x.pe.WeightsOnChip)
-	if err != nil {
-		return err
-	}
-	if len(w) != o*v {
-		return fmt.Errorf("weight stream has %d words, want %d", len(w), o*v)
-	}
+	w, b := st.w, st.b
 	partial := make([]float32, o)
 	copy(partial, b)
 	for h := 0; h < v; h++ {

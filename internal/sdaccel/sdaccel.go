@@ -52,8 +52,8 @@ type Device struct {
 	archived DeviceCounters
 }
 
-// computeUnit is one kernel instance of the programmed design: a cloned
-// fabric sharing the device's sealed weight store, an execution lock (one
+// computeUnit is one kernel instance of the programmed design: a replicated
+// fabric sharing the device's lowered weights, an execution lock (one
 // kernel at a time per unit, as in hardware) and private dispatch counters.
 // Dispatches run through a resident streaming session, so back-to-back
 // batches on the same unit pipeline at the fabric's steady-state initiation
@@ -342,7 +342,8 @@ func (d *Device) Meta() (bitstream.Metadata, error) {
 
 // LoadWeights transfers the network weights to the device's on-board memory
 // (the dynamic weight-load step that lets a retrained network run without
-// re-synthesis) and instantiates the fabric.
+// re-synthesis) and instantiates the fabric. A weight set the fabric refuses
+// leaves the device's weights and compute units as they were.
 func (d *Device) LoadWeights(ws *condorir.WeightSet) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -352,14 +353,19 @@ func (d *Device) LoadWeights(ws *condorir.WeightSet) error {
 	if d.xclbin == nil {
 		return fmt.Errorf("sdaccel: device %s has no image loaded", d.ID)
 	}
+	prev := d.weights
 	d.weights = ws
-	return d.instantiateLocked()
+	if err := d.instantiateLocked(); err != nil {
+		d.weights = prev // the device keeps serving the weights it holds
+		return err
+	}
+	return nil
 }
 
-// instantiateLocked builds the compute-unit pool for the current image,
-// weights and replication factor: one fabric is instantiated (weights load
-// once into the sealed store) and cloned into the remaining units, which
-// share the store by reference. Caller holds d.mu.
+// instantiateLocked builds the compute units for the current image, weights
+// and replication factor: one fabric is instantiated (the weights are
+// checked and lowered once) and replicated into the units, which share that
+// plan. Caller holds d.mu.
 func (d *Device) instantiateLocked() error {
 	acc, err := dataflow.Instantiate(d.xclbin.Spec, d.weights)
 	if err != nil {
@@ -368,17 +374,12 @@ func (d *Device) instantiateLocked() error {
 	if d.tracer != nil {
 		acc.SetTracer(d.tracer)
 	}
-	n := d.numCUs
-	if n < 1 {
-		n = 1
-	}
-	pool := dataflow.NewCUPool(acc, n)
 	d.retireLocked()
-	cus := make([]*computeUnit, n)
-	for i := range cus {
-		cus[i] = &computeUnit{acc: pool.CU(i)}
+	units := acc.Replicate(d.numCUs)
+	d.cus = make([]*computeUnit, len(units))
+	for i, u := range units {
+		d.cus[i] = &computeUnit{acc: u}
 	}
-	d.cus = cus
 	return nil
 }
 

@@ -370,8 +370,10 @@ func TestBufferOverflowErrors(t *testing.T) {
 	}
 }
 
+// A refused weight set leaves the loaded one in place: a later CU change
+// re-instantiates from the weights the device serves, not the refused ones.
 func TestWeightsMustMatchImage(t *testing.T) {
-	xclbin, _ := tc1Xclbin(t, "zc706")
+	xclbin, ws := tc1Xclbin(t, "zc706")
 	dev, _ := NewDevice("fpga0", "zc706")
 	if err := dev.LoadXclbin(xclbin); err != nil {
 		t.Fatal(err)
@@ -379,11 +381,61 @@ func TestWeightsMustMatchImage(t *testing.T) {
 	if err := dev.LoadWeights(condorir.NewWeightSet()); err == nil {
 		t.Fatal("expected weight-mismatch error")
 	}
+	if err := dev.LoadWeights(ws); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.LoadWeights(condorir.NewWeightSet()); err == nil {
+		t.Fatal("expected weight-mismatch error")
+	}
+	if err := dev.SetComputeUnits(2); err != nil {
+		t.Fatalf("SetComputeUnits after a refused load: %v", err)
+	}
+	if n := len(dev.CUCounters()); n != 2 {
+		t.Fatalf("%d live compute units, want 2", n)
+	}
+}
+
+// TestLoadWeightsRejectsBadSpec: a fabric the executors cannot run — TC1's
+// pool1 at a stride 3 larger, whose 6×6 windows no longer fit its input —
+// is refused when the weights load, so no kernel ever dispatches to it.
+func TestLoadWeightsRejectsBadSpec(t *testing.T) {
+	ir, ws, err := models.TC1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir.Board = "zc706"
+	spec, err := dataflow.BuildSpec(ir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range spec.PEs {
+		for li := range pe.Layers {
+			if pe.Layers[li].Name == "pool1" {
+				pe.Layers[li].Stride += 3
+			}
+		}
+	}
+	xo, err := bitstream.PackageXO(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xclbin, _, err := bitstream.XOCC(xo, "zc706")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, _ := NewDevice("fpga0", "zc706")
+	if err := dev.LoadXclbin(xclbin); err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.LoadWeights(ws); err == nil || !strings.Contains(err.Error(), "do not fit") {
+		t.Fatalf("LoadWeights = %v, want pool1's window grid refused", err)
+	}
 }
 
 // A device with SetComputeUnits(n) executes concurrent contexts on distinct
-// kernel instances: outputs stay correct, per-CU counters cover all
-// dispatches, and the metric samples carry {device, cu} labels.
+// kernel instances: outputs equal a single-unit device's bit for bit, per-CU
+// counters cover all dispatches, and the metric samples carry {device, cu}
+// labels.
 func TestComputeUnitReplication(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -406,46 +458,55 @@ func TestComputeUnitReplication(t *testing.T) {
 		t.Fatalf("ComputeUnits() = %d, want 2", got)
 	}
 
-	ir, ws2, err := models.TC1()
+	// The reference is the same image and weights on a single-unit device.
+	one, err := NewDevice("fpga1", "zc706")
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := ir.BuildNN(ws2)
-	if err != nil {
+	if err := one.LoadXclbin(xclbin); err != nil {
 		t.Fatal(err)
 	}
-
+	if err := one.LoadWeights(ws); err != nil {
+		t.Fatal(err)
+	}
 	const clients = 4
 	const perClient = 2
 	inVol, outVol := 16*16, 10
+	infer := func(dev *Device, img *tensor.Tensor) ([]float32, error) {
+		ctx := CreateContext(dev)
+		in := ctx.CreateBuffer(inVol)
+		out := ctx.CreateBuffer(outVol)
+		ctx.EnqueueWrite(in, img.Data())
+		ctx.EnqueueKernel(in, out, 1)
+		res := make([]float32, outVol)
+		ctx.EnqueueRead(out, res)
+		_, err := ctx.Finish()
+		return res, err
+	}
 	imgs := models.USPSImages(clients, 3)
+	wants := make([][]float32, clients)
+	for g, img := range imgs {
+		if wants[g], err = infer(one, img); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			want, err := net.Predict(imgs[g])
-			if err != nil {
-				errs[g] = err
-				return
-			}
 			for rep := 0; rep < perClient; rep++ {
-				ctx := CreateContext(dev)
-				in := ctx.CreateBuffer(inVol)
-				out := ctx.CreateBuffer(outVol)
-				ctx.EnqueueWrite(in, imgs[g].Data())
-				ctx.EnqueueKernel(in, out, 1)
-				res := make([]float32, outVol)
-				ctx.EnqueueRead(out, res)
-				if _, err := ctx.Finish(); err != nil {
+				got, err := infer(dev, imgs[g])
+				if err != nil {
 					errs[g] = err
 					return
 				}
-				got := tensor.FromSlice(res, outVol, 1, 1)
-				if !tensor.AllClose(got, want, 2e-3) {
-					errs[g] = fmt.Errorf("client %d rep %d: output mismatch", g, rep)
-					return
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(wants[g][i]) {
+						errs[g] = fmt.Errorf("client %d rep %d output %d: %v, single-unit device %v", g, rep, i, got[i], wants[g][i])
+						return
+					}
 				}
 			}
 		}(g)
