@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build loc vet cross condorlint staticcheck govulncheck lint test race race-serve race-lifecycle race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench profile-fabric ci
+.PHONY: all build loc vet cross condorlint staticcheck govulncheck lint test race race-serve race-lifecycle race-fleet fleet-repeat serve-repeat benchmark-module fuzz-smoke stream-stress smoke-serve smoke-fleet bench pairs profile-fabric ci
 
 all: build lint test
 
@@ -171,6 +171,40 @@ smoke-fleet:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# pairs times BENCH (a -bench regex over the root package's benchmarks) at
+# the commit BASE and at the working tree in N alternating pairs, the order
+# flipped every pair, since the box drifts too much for back-to-back runs to
+# compare. BASE is exported with git archive into .pairs/ (git-ignored) and
+# both test binaries are built there. For each benchmark it prints every
+# pair's ns/op, both medians, the base runs' IQR (linear quartiles) and how
+# many pairs the working tree won. A gain counts when it wins at least 9 of
+# 10 pairs and the medians lie further apart than the base IQR.
+BASE ?= HEAD
+BENCH ?= BenchmarkLeNetSession
+N ?= 10
+pairs:
+	rm -rf .pairs && mkdir -p .pairs/base
+	git archive $(BASE) | tar -x -C .pairs/base
+	cd .pairs/base && $(GO) test -c -o ../base.test .
+	$(GO) test -c -o .pairs/head.test .
+	@for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir=.pairs/base; else dir=.; fi; \
+			(cd $$dir && $(CURDIR)/.pairs/$$side.test -test.run '^$$' -test.bench '$(BENCH)' -test.timeout 10m) | \
+				awk -v i=$$i -v side=$$side '/^Benchmark/ && $$4 == "ns/op" { print i, side, $$1, $$3 }'; \
+		done; \
+	done | tee .pairs/runs.txt | awk '\
+		function q(a, n, p,   h, k) { h = (n - 1) * p; k = int(h); return k + 1 < n ? a[k] + (h - k) * (a[k + 1] - a[k]) : a[k] } \
+		function sorted(src, n, dst,   i, j, v) { for (i = 0; i < n; i++) { v = src[i]; for (j = i; j > 0 && dst[j - 1] > v; j--) dst[j] = dst[j - 1]; dst[j] = v } } \
+		{ if (!($$3 in seen)) { seen[$$3] = 1; names[nn++] = $$3 } v[$$3, $$2, $$1] = $$4; if ($$1 > np) np = $$1 } \
+		END { for (b = 0; b < nn; b++) { name = names[b]; print name; wins = 0; \
+			for (i = 1; i <= np; i++) { x = v[name, "base", i]; y = v[name, "head", i]; \
+				printf "  pair %2d  base %12.0f  head %12.0f ns/op\n", i, x, y; base[i - 1] = x; head[i - 1] = y; if (y < x) wins++ } \
+			sorted(base, np, sb); sorted(head, np, sh); mb = q(sb, np, 0.5); mh = q(sh, np, 0.5); \
+			printf "  median base %.0f  head %.0f ns/op (%+.1f %%); base IQR %.0f; head wins %d/%d\n", \
+				mb, mh, 100 * (mh - mb) / mb, q(sb, np, 0.75) - q(sb, np, 0.25), wins, np } }'
 
 # profile-fabric captures a CPU profile of a warm LeNet session in the shape
 # of the benchmark's fabric-lenet-f32 workload (BenchmarkLeNetSession/float32;

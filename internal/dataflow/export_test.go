@@ -6,15 +6,18 @@ import (
 	"condor/internal/condorir"
 )
 
-// Hooks for the external test package (digest_test.go): it builds LeNet and
-// TC1 through the root package, which imports this one, so it cannot be an
-// internal test; these give it the internal tests' net builders.
+// Hooks for the external test package (digest_test.go, scheduling_test.go):
+// it builds LeNet and TC1 through the root package, which imports this one,
+// so it cannot be an internal test; these give it the internal tests' net
+// builders and goroutine count.
 var (
 	BuildIR         = buildIR
 	RandomImages    = randomImages
 	SetConvAlgo     = setConvAlgo
 	Conv            = conv
 	TinyLeNetLayers = tinyLeNetLayers
+
+	PackageGoroutines = packageGoroutines
 )
 
 // DisableAVX2 makes every accelerator instantiated until t ends run the Go

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"unsafe"
 
 	"condor/internal/condorir"
@@ -399,6 +400,12 @@ func (x *peExec[E]) runImage() error {
 	if p.inScale, err = x.el.popFrame(x.curFrame, n); err != nil {
 		return err
 	}
+	// The pop may have released the upstream PE's blocked push. Go puts the
+	// goroutine it wakes in this one's runnext slot, where it would wait out
+	// the whole layer sequence below unless another processor fell idle.
+	// Yielding lets the producer run now, while this PE computes. No output,
+	// counter or modeled quantity depends on it.
+	runtime.Gosched()
 	p.cur = x.el.view(x.curFrame, n)
 	x.stats.ElemsIn += int64(n)
 	for li := range layers {
