@@ -465,10 +465,12 @@ func TestBuildWithDSE(t *testing.T) {
 // TestWarmSessionAllocations pins the allocation-free session datapath: on a
 // warm LeNet session fed 16-image batches, what is left per image is the
 // output tensor and a share of RunBatch's result and stats — nothing per
-// layer, per channel pass or per band. The two legs are the benchmark's
-// fabric workloads: float32 direct convolutions at unit parallelism, and
-// int8 with the im2col+GEMM schedule and port parallelism the explorer
-// picks, which is the one that dispatches bands to the worker pool.
+// layer, per channel pass or per band — and RunInto, the kernel's path from
+// one flat buffer into another, allocates nothing at all. The two legs are
+// the benchmark's fabric workloads: float32 direct convolutions at unit
+// parallelism, and int8 with the im2col+GEMM schedule and port parallelism
+// the explorer picks, which is the one that dispatches bands to the worker
+// pool.
 func TestWarmSessionAllocations(t *testing.T) {
 	ir, ws, err := models.LeNet()
 	if err != nil {
@@ -512,6 +514,19 @@ func TestWarmSessionAllocations(t *testing.T) {
 			if perImage > 6 {
 				t.Fatalf("%.1f allocations per image on a warm session, want at most 6", perImage)
 			}
+
+			var in []float32
+			for _, img := range batch {
+				in = append(in, img.Data()...)
+			}
+			out := make([]float32, len(batch)*b.Spec.OutputShape().Volume())
+			if n := testing.AllocsPerRun(20, func() {
+				if err := sess.RunInto(in, out); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("%.1f allocations per warm 16-image RunInto, want 0", n)
+			}
 		})
 	}
 }
@@ -520,8 +535,8 @@ func TestWarmSessionAllocations(t *testing.T) {
 // the benchmark's two fabric shapes. The kernel streams straight from the
 // input buffer into the output buffer, the outputs are views of the one
 // read-back array, and the host program with its buffers and staging array
-// is taken from the deployment's pool, so what is left is the result array,
-// the views and the stats snapshot: nothing per image. The bound leaves room
+// is taken from the deployment's pool, so what is left is the result array
+// and the views: nothing per image. The bound leaves room
 // for the race detector, under which sync.Pool drops a share of its puts.
 func TestLocalInferAllocations(t *testing.T) {
 	ir, ws, err := models.LeNet()

@@ -7,7 +7,6 @@ import (
 
 	"condor/internal/dataflow"
 	"condor/internal/nn"
-	"condor/internal/obs"
 	"condor/internal/tensor"
 )
 
@@ -30,17 +29,6 @@ type CosimReport struct {
 	// Stats carries the fabric run's full counters (per-PE cycles, DDR
 	// traffic, FIFO occupancy) for observability dumps.
 	Stats *dataflow.RunStats
-}
-
-// MetricsText renders the run's fabric counters in Prometheus text form
-// (empty when the run never reached the fabric).
-func (r CosimReport) MetricsText() string {
-	if r.Stats == nil {
-		return ""
-	}
-	reg := obs.NewRegistry()
-	r.Stats.Publish(reg)
-	return reg.TextSnapshot()
 }
 
 // Passed reports whether the co-simulation met the tolerance on every image

@@ -403,20 +403,6 @@ func (d *CloudDeployment) Terminate() error {
 	return nil
 }
 
-// RegisterMetrics exposes the deployment's device execution counters under
-// the condor_sdaccel_* families. For pools with several deployments use
-// RegisterDeploymentMetrics, which registers each family once.
-func (d *LocalDeployment) RegisterMetrics(reg *obs.Registry) {
-	sdaccel.RegisterMetrics(reg, d.Device)
-}
-
-// RegisterMetrics exposes the deployment's cloud-client retry accounting
-// under the condor_aws_* families. For pools with several deployments use
-// RegisterDeploymentMetrics, which registers each family once.
-func (d *CloudDeployment) RegisterMetrics(reg *obs.Registry) {
-	aws.RegisterMetrics(reg, d.Client)
-}
-
 // RegisterDeploymentMetrics wires a whole serving pool's backend
 // observability into reg: the execution counters of every distinct local
 // device (condor_sdaccel_*) and the aggregate retry accounting of every

@@ -2,7 +2,6 @@ package condor
 
 import (
 	"fmt"
-	"math/rand"
 
 	"condor/internal/board"
 	"condor/internal/condorir"
@@ -12,7 +11,6 @@ import (
 	"condor/internal/models"
 	"condor/internal/obs"
 	"condor/internal/perf"
-	"condor/internal/power"
 	"condor/internal/tensor"
 )
 
@@ -261,30 +259,6 @@ func (b *Build) TraceFabric(batch []*tensor.Tensor) (*obs.Trace, *dataflow.RunSt
 	return tr, stats, nil
 }
 
-// FabricMetricsSnapshot runs n seeded random images through the fabric and
-// returns the run's counters in Prometheus text form — the one-shot metrics
-// dump behind `condor-sim -metrics`.
-func (b *Build) FabricMetricsSnapshot(n int, seed int64) (string, error) {
-	acc, err := b.Fabric()
-	if err != nil {
-		return "", err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	imgs := make([]*tensor.Tensor, n)
-	for i := range imgs {
-		img := tensor.New(b.Spec.Input.Channels, b.Spec.Input.Height, b.Spec.Input.Width)
-		img.FillRandom(rng, 1)
-		imgs[i] = img
-	}
-	_, stats, err := acc.Run(imgs)
-	if err != nil {
-		return "", err
-	}
-	reg := obs.NewRegistry()
-	stats.Publish(reg)
-	return reg.TextSnapshot(), nil
-}
-
 // RooflineOf characterises a build with the roofline model: the compute
 // roof from the synthesis report's MAC lanes, the bandwidth roof from the
 // traffic model and the board's DDR bandwidth.
@@ -302,9 +276,4 @@ func RooflineOf(b *Build) (perf.Roofline, error) {
 		lanes += b.Report.PEs[i].MACs
 	}
 	return perf.AnalyzeRoofline(b.Spec, brd, lanes, net.TotalFLOPs(), b.Meta.AchievedMHz), nil
-}
-
-// PowerOf reports the modeled power of a build (exposed for the CLI).
-func PowerOf(b *Build, gflops float64) float64 {
-	return power.Model(b.Report.Total, b.Meta.AchievedMHz, gflops).TotalW()
 }

@@ -16,13 +16,17 @@ import (
 // bitstream running on the device. The spec is read-only once instantiated.
 type Accelerator struct {
 	Spec   *Spec
-	dm     *Datamover
 	tracer obs.Tracer
 
 	// plan is the weight set lowered for the spec, one record per PE: built
 	// once by Instantiate and read, never written, by every compute unit
 	// Replicate makes.
 	plan []pePlan
+
+	// configLoad is the DDR bytes of the one-time configuration load that
+	// fills the on-chip weight caches, counted from the plan by Instantiate.
+	// Every run's datamover starts from it.
+	configLoad int64
 
 	// trackPrefix namespaces this unit's trace tracks ("cu1/feeder", …).
 	// Empty for a standalone fabric, so its track names carry no unit.
@@ -48,7 +52,7 @@ func (a *Accelerator) SetTracer(t obs.Tracer) { a.tracer = t }
 // internal/verify pass fires statically, so callers and tests can match on
 // diag.Rule.
 func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
-	a := &Accelerator{Spec: spec, dm: NewDatamover(), plan: make([]pePlan, len(spec.PEs))}
+	a := &Accelerator{Spec: spec, plan: make([]pePlan, len(spec.PEs))}
 	for i, pe := range spec.PEs {
 		if err := a.plan[i].lower(pe, spec.Bits(), ws); err != nil {
 			return nil, fmt.Errorf("dataflow: %w", err)
@@ -59,23 +63,23 @@ func Instantiate(spec *Spec, ws *condorir.WeightSet) (*Accelerator, error) {
 		for _, st := range a.plan[i].layers {
 			// The DDR→BRAM load: a float32 word per weight, or one byte per
 			// int8 code where a word packs lanes of them.
-			a.dm.AccountReadBytes(int64(4/spec.Lanes()) * int64(len(st.w)+len(st.b)))
+			a.configLoad += int64(4/spec.Lanes()) * int64(len(st.w)+len(st.b))
 		}
 	}
 	return a, nil
 }
 
 // Replicate returns n compute units of the instantiated design (n < 1 is
-// treated as 1): the receiver first, then units that share its plan and
-// tracer and own fresh datamovers, so they execute concurrently with no
-// shared mutable state. The one-time on-chip configuration load stays
-// accounted on the receiver. With n > 1 every unit's trace tracks are
-// namespaced "cu0/", "cu1/", … so a shared tracer keeps their timelines
-// apart.
+// treated as 1): the receiver first, then copies that share its plan and
+// tracer. A unit holds no counters — each run owns its own — so the units
+// execute concurrently with no shared mutable state, and each reports what
+// the receiver would. With n > 1 every unit's trace tracks are namespaced
+// "cu0/", "cu1/", … so a shared tracer keeps their timelines apart.
 func (a *Accelerator) Replicate(n int) []*Accelerator {
 	cus := []*Accelerator{a}
 	for i := 1; i < n; i++ {
-		cus = append(cus, &Accelerator{Spec: a.Spec, dm: NewDatamover(), tracer: a.tracer, plan: a.plan})
+		cu := *a
+		cus = append(cus, &cu)
 	}
 	if n > 1 {
 		for i, cu := range cus {
@@ -85,11 +89,10 @@ func (a *Accelerator) Replicate(n int) []*Accelerator {
 	return cus
 }
 
-// Datamover exposes the on-board memory interface (used by tests and the
-// runtime for traffic reporting).
-func (a *Accelerator) Datamover() *Datamover { return a.dm }
-
-// RunStats aggregates a batch execution.
+// RunStats aggregates one run: an Accelerator.Run or RunWords call, or a
+// session from its opening. Every counter, DRAM included, covers exactly
+// that run; DRAM also counts the one-time configuration load, as the
+// device's first run would.
 type RunStats struct {
 	Images  int
 	PEs     []PEStats
@@ -213,6 +216,8 @@ func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunSt
 
 	stats := &RunStats{Images: len(batch), PEs: make([]PEStats, len(spec.PEs))}
 	errs := make(chan error, len(spec.PEs)+2)
+	dm := &datamover{}
+	dm.read(a.configLoad)
 
 	// Streaming FIFOs: datamover → pe0 → pe1 → … → datamover.
 	fifos := make([]*fifo.FIFO, len(spec.PEs)+1)
@@ -229,7 +234,7 @@ func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunSt
 		defer wg.Done()
 		defer fifos[0].Close()
 		for _, img := range batch {
-			a.dm.AccountInput(int64(img.Len()))
+			dm.read(4 * int64(img.Len()))
 			for _, v := range img.Data() {
 				fifos[0].Push(v)
 			}
@@ -239,7 +244,7 @@ func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunSt
 	// One goroutine per PE.
 	for i, pe := range spec.PEs {
 		stats.PEs[i].ID = pe.ID
-		exec := &peExecWords{pe: pe, plan: &a.plan[i], dm: a.dm, in: fifos[i], out: fifos[i+1], stats: &stats.PEs[i]}
+		exec := &peExecWords{pe: pe, plan: &a.plan[i], dm: dm, in: fifos[i], out: fifos[i+1], stats: &stats.PEs[i]}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -267,7 +272,7 @@ func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunSt
 				}
 				data[j] = v
 			}
-			a.dm.AccountOutput(int64(len(data)))
+			dm.write(4 * int64(len(data)))
 			outputs[b] = t
 		}
 		// Anything extra indicates a shape accounting bug. Drain the sink
@@ -286,7 +291,7 @@ func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunSt
 			return nil, nil, err
 		}
 	}
-	stats.DRAM = a.dm.Stats()
+	stats.DRAM = dm.stats()
 	for _, f := range fifos {
 		stats.Streams = append(stats.Streams, f.Stats())
 	}

@@ -53,12 +53,10 @@ func runGEMMCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, bat
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, load := replica(t, gemmAcc, cus)
-	gotOut, gotStats, err := unit.Run(batch)
+	gotOut, gotStats, err := replica(t, gemmAcc, cus).Run(batch)
 	if err != nil {
 		t.Fatalf("gemm run: %v", err)
 	}
-	gotStats.DRAM.BytesRead += load
 	wantOut, wantStats, err := wordAcc.RunWords(batch)
 	if err != nil {
 		t.Fatalf("word run: %v", err)
@@ -88,8 +86,7 @@ func runQuantAlgoCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, _ := replica(t, packedAcc, cus)
-	gotOut, gotStats, err := unit.Run(batch)
+	gotOut, gotStats, err := replica(t, packedAcc, cus).Run(batch)
 	if err != nil {
 		t.Fatalf("packed %s run: %v", algo, err)
 	}
@@ -190,8 +187,7 @@ func TestWinogradEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				unit, _ := replica(t, wgAcc, cus)
-				gotOut, gotStats, err := unit.Run(batch)
+				gotOut, gotStats, err := replica(t, wgAcc, cus).Run(batch)
 				if err != nil {
 					t.Fatalf("winograd run: %v", err)
 				}

@@ -105,7 +105,7 @@ func oneLayerStream(t *testing.T, bits int, l LayerHW, w, bias []float32) peStre
 	if err := plan.lower(pe, bits, ws); err != nil {
 		t.Fatal(err)
 	}
-	return peStream{pe: pe, plan: plan, dm: NewDatamover(), stats: &PEStats{}}
+	return peStream{pe: pe, plan: plan, dm: &datamover{}, stats: &PEStats{}}
 }
 
 // checkInt8Kernel runs the case and compares the kernel's floats with the

@@ -17,8 +17,8 @@ import (
 // RunStats to the word-at-a-time oracle running the same spec sequentially —
 // the port parallelism moves only the schedule, which both sides share. The
 // cus axis runs the burst side on the last of that many compute units
-// Replicate makes from one instantiation: a unit that shares the plan and
-// owns its datamover must be exactly the fabric.
+// Replicate makes from one instantiation: a unit that shares the plan must
+// be exactly the fabric, DDR traffic included.
 // MaxOccupancy stays excluded as in the burst/word equivalence tests.
 
 // runParallelCase executes one {Par, CUs} point: the same spec (with every
@@ -43,12 +43,10 @@ func runParallelCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet,
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, load := replica(t, burstAcc, cus)
-	gotOut, gotStats, err := unit.Run(batch)
+	gotOut, gotStats, err := replica(t, burstAcc, cus).Run(batch)
 	if err != nil {
 		t.Fatalf("cu%d run: %v", cus-1, err)
 	}
-	gotStats.DRAM.BytesRead += load
 	wantOut, wantStats, err := wordAcc.RunWords(batch)
 	if err != nil {
 		t.Fatalf("word run: %v", err)
@@ -57,18 +55,14 @@ func runParallelCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet,
 }
 
 // replica returns the last of cus compute units replicated from acc — for
-// cus > 1 a unit that shares acc's plan and owns a fresh datamover — and the
-// DDR bytes of the one-time on-chip configuration load, which stays
-// accounted on unit 0: what the unit's reads lack against a standalone
-// fabric's.
-func replica(t *testing.T, acc *Accelerator, cus int) (*Accelerator, int64) {
+// cus > 1 a unit that shares acc's plan.
+func replica(t *testing.T, acc *Accelerator, cus int) *Accelerator {
 	t.Helper()
 	units := acc.Replicate(cus)
 	if len(units) != cus {
 		t.Fatalf("Replicate(%d) made %d units", cus, len(units))
 	}
-	unit := units[cus-1]
-	return unit, acc.dm.Stats().BytesRead - unit.dm.Stats().BytesRead
+	return units[cus-1]
 }
 
 // withProcs runs the sweep body at a given GOMAXPROCS.
@@ -125,10 +119,10 @@ func TestParallelPortSingleProcDegrades(t *testing.T) {
 	})
 }
 
-// Replicated compute units share one plan and keep private DDR counters;
-// the one-time on-chip configuration load stays accounted on unit 0 only
-// (the sweeps above add it back to a replica's reads; here the mechanism is
-// pinned directly).
+// Replicated compute units share one plan and hold no counters: run at once
+// on the same batch, each reports exactly the RunStats of the other, the
+// one-time configuration load included, and a unit's second run reports what
+// its first did.
 func TestCloneSharesWeightsPrivateCounters(t *testing.T) {
 	ir, ws, err := models.TC1()
 	if err != nil {
@@ -137,6 +131,9 @@ func TestCloneSharesWeightsPrivateCounters(t *testing.T) {
 	spec, err := BuildSpec(ir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, pe := range spec.PEs {
+		pe.WeightsOnChip = true // so there is a configuration load to count
 	}
 	acc, err := Instantiate(spec, ws)
 	if err != nil {
@@ -150,26 +147,41 @@ func TestCloneSharesWeightsPrivateCounters(t *testing.T) {
 	if &clone.plan[0] != &acc.plan[0] {
 		t.Fatal("replica does not share the plan")
 	}
-	if clone.dm == acc.dm {
-		t.Fatal("replica shares the whole datamover (counters must be private)")
-	}
 	if clone.trackPrefix != "cu1/" || acc.trackPrefix != "cu0/" {
 		t.Fatalf("track prefixes %q, %q; want cu0/, cu1/", acc.trackPrefix, clone.trackPrefix)
 	}
-	base := acc.dm.Stats()
-	if got := clone.dm.Stats(); got != (DatamoverStats{}) {
-		t.Fatalf("replica starts with traffic %+v, want zero", got)
+	batch := models.USPSImages(3, 9)
+	outs := make([][]*tensor.Tensor, len(units))
+	stats := make([]*RunStats, len(units))
+	errs := make([]error, len(units))
+	var wg sync.WaitGroup
+	for i, u := range units {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], stats[i], errs[i] = u.Run(batch)
+		}()
 	}
-	clone.dm.AccountInput(10)
-	if got := acc.dm.Stats(); got != base {
-		t.Fatalf("replica traffic leaked into original: %+v vs %+v", got, base)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cu%d: %v", i, err)
+		}
 	}
+	if load := spec.OnChipLoadBytes(); load == 0 || stats[1].DRAM.BytesRead <= load {
+		t.Fatalf("replica read %d DDR bytes, want more than the %d-byte configuration load", stats[1].DRAM.BytesRead, load)
+	}
+	assertRunsIdentical(t, "cu1", outs[1], stats[1], "cu0", outs[0], stats[0])
+	again, againStats, err := clone.Run(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRunsIdentical(t, "cu1 again", again, againStats, "cu1", outs[1], stats[1])
 }
 
 // TestReplicatedUnitsMatchOneFabric runs one LeNet batch on both units of
 // Replicate(2) at once, in float32 and in int8: each must equal a single
-// fabric's run bit for bit, outputs and RunStats (MaxOccupancy aside, and
-// the replica's DDR reads less the configuration load unit 0 carries).
+// fabric's run bit for bit, outputs and RunStats (MaxOccupancy aside).
 func TestReplicatedUnitsMatchOneFabric(t *testing.T) {
 	ir, ws, err := models.LeNet()
 	if err != nil {
@@ -196,7 +208,6 @@ func TestReplicatedUnitsMatchOneFabric(t *testing.T) {
 				t.Fatal(err)
 			}
 			units := acc.Replicate(2)
-			load := acc.dm.Stats().BytesRead
 			outs := make([][]*tensor.Tensor, len(units))
 			stats := make([]*RunStats, len(units))
 			errs := make([]error, len(units))
@@ -212,9 +223,6 @@ func TestReplicatedUnitsMatchOneFabric(t *testing.T) {
 			for i := range units {
 				if errs[i] != nil {
 					t.Fatalf("cu%d: %v", i, errs[i])
-				}
-				if i > 0 {
-					stats[i].DRAM.BytesRead += load
 				}
 				assertRunsIdentical(t, fmt.Sprintf("cu%d", i), outs[i], stats[i], "single", wantOut, wantStats)
 				if stats[i].InputScale != wantStats.InputScale {

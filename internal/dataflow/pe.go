@@ -63,8 +63,8 @@ func (s *PEStats) CyclesPerImage() int64 {
 // sized once in prepare.
 type peStream struct {
 	pe    *PE
-	plan  *pePlan // Instantiate's, shared with every compute unit
-	dm    *Datamover
+	plan  *pePlan    // Instantiate's, shared with every compute unit
+	dm    *datamover // the session's
 	in    *fifo.FIFO
 	out   *fifo.FIFO
 	stats *PEStats
@@ -421,10 +421,10 @@ func (x *peExec[E]) runImage() error {
 		}
 		x.runLayer(li)
 		if bytes := x.plan.layers[li].streamBytes; bytes > 0 {
-			x.dm.AccountReadBytes(bytes)
+			x.dm.read(bytes)
 		}
 		if s.SpillWords > 0 {
-			x.dm.AccountPartialSpill(s.SpillWords)
+			x.dm.spill(s.SpillWords)
 			x.stats.SpilledPartial += s.SpillWords
 		}
 		x.stats.WindowsRead += s.Windows
@@ -458,8 +458,8 @@ func (x *peExec[E]) handOff() {
 	p := &x.pass
 	var e E
 	bytes := int64(len(p.out)) * int64(unsafe.Sizeof(e))
-	x.dm.AccountWriteBytes(bytes)
-	x.dm.AccountReadBytes(bytes)
+	x.dm.write(bytes)
+	x.dm.read(bytes)
 	x.curFrame, x.nxtFrame = x.nxtFrame, x.curFrame
 	p.cur, p.inScale = p.out, p.outScale
 }

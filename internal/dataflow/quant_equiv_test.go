@@ -43,8 +43,7 @@ func runQuantCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, ba
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, _ := replica(t, packedAcc, cus)
-	gotOut, gotStats, err := unit.Run(batch)
+	gotOut, gotStats, err := replica(t, packedAcc, cus).Run(batch)
 	if err != nil {
 		t.Fatalf("packed run: %v", err)
 	}

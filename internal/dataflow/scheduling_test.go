@@ -14,7 +14,8 @@ import (
 
 // TestSessionSchedulingInvariance runs one 16-image LeNet batch on a warm
 // session at GOMAXPROCS 1, 2 and 16, float32 and int8 (with the explorer's
-// parallelism and algorithms). A PE yields the processor at every frame
+// parallelism and algorithms), the three sessions opened in turn on one
+// fabric. A PE yields the processor at every frame
 // hand-off, so each setting interleaves the PEs, the feeder and the
 // collector differently; the outputs and the deterministic RunStats counters
 // (runDigest) must not move, and the session must run exactly its PEs, the
@@ -34,16 +35,14 @@ func TestSessionSchedulingInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			acc, err := b.Fabric()
+			if err != nil {
+				t.Fatal(err)
+			}
 			digests := map[int]string{}
 			for _, procs := range []int{1, 2, 16} {
 				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-					// A fresh fabric each time: its DRAM counters are
-					// cumulative over the accelerator's sessions.
-					acc, err := b.Fabric()
-					if err != nil {
-						t.Fatal(err)
-					}
 					baseline := dataflow.PackageGoroutines()
 					sess := acc.OpenSession()
 					if _, _, err := sess.RunBatch(batch); err != nil { // warm the session

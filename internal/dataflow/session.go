@@ -47,6 +47,7 @@ type Session struct {
 
 	fed        int // images fed over the session (runMu-guarded)
 	peStats    []PEStats
+	dm         datamover // the session's DDR traffic, from the configuration load on
 	inputScale float64
 	outShape   [3]int
 	outVol     int
@@ -82,6 +83,7 @@ func (a *Accelerator) OpenSession() *Session {
 		peStats:  make([]PEStats, len(spec.PEs)),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.dm.read(a.configLoad)
 	out := spec.OutputShape()
 	s.outShape = [3]int{out.Channels, out.Height, out.Width}
 	s.outVol = out.Volume()
@@ -109,7 +111,7 @@ func (a *Accelerator) OpenSession() *Session {
 	for i, pe := range spec.PEs {
 		s.peStats[i].ID = pe.ID
 		elem := 1 + i
-		stream := peStream{pe: pe, plan: &a.plan[i], dm: a.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i],
+		stream := peStream{pe: pe, plan: &a.plan[i], dm: &s.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i],
 			track: peTracks[i], onImage: func() { s.imageDone(elem) }, onErr: s.fail}
 		var run func() error
 		if s.packed {
@@ -201,7 +203,7 @@ func (s *Session) feeder(track *obs.Track) {
 			if s.packed {
 				scale := frameScale(img)
 				quantizeCodes(int8Payload(frame, len(img)), img, scale)
-				s.acc.dm.AccountReadBytes(int64(len(img)))
+				s.dm.read(int64(len(img)))
 				pushInt8Frame(head, frame, len(img), scale)
 				s.mu.Lock()
 				if scale > s.inputScale {
@@ -209,7 +211,7 @@ func (s *Session) feeder(track *obs.Track) {
 				}
 				s.mu.Unlock()
 			} else {
-				s.acc.dm.AccountInput(int64(len(img)))
+				s.dm.read(4 * int64(len(img)))
 				head.PushSlice(img)
 			}
 			if track != nil {
@@ -288,12 +290,12 @@ func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, data []float32
 			return fmt.Errorf("dataflow: image %d: %w", seq, err)
 		}
 		quant.DequantizeInto(data, int8Payload(frame, len(data)), scale)
-		s.acc.dm.AccountWriteBytes(int64(len(data)))
+		s.dm.write(int64(len(data)))
 	} else {
 		if n := sink.PopInto(data); n < len(data) {
 			return fmt.Errorf("dataflow: output stream ended at image %d element %d", seq, n)
 		}
-		s.acc.dm.AccountOutput(int64(len(data)))
+		s.dm.write(4 * int64(len(data)))
 	}
 	if track != nil {
 		track.AddWords(sid, int64(len(data)))
@@ -314,47 +316,45 @@ func (s *Session) RunBatch(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats,
 		}
 	}
 	out := make([]float32, len(batch)*s.outVol)
-	stats, err := s.run(len(batch), func(i int) []float32 { return batch[i].Data() }, out)
-	if err != nil {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if err := s.run(len(batch), func(i int) []float32 { return batch[i].Data() }, out); err != nil {
 		return nil, nil, err
 	}
-	return tensor.Views(out, s.outShape[:]...), stats, nil
+	return tensor.Views(out, s.outShape[:]...), s.snapshotStats(), nil
 }
 
 // RunInto streams the images stored back-to-back in in through the resident
 // pipeline and writes their outputs back-to-back into out, blocking until
 // every element has retired the batch. len(in) must be a whole number of
-// input volumes and out must hold that many output volumes. The returned
-// stats are cumulative over the session (Images counts every image fed so
-// far; DRAM counters are cumulative over the accelerator, exactly as
-// Accelerator.Run reports them), so the final call of a session is
-// comparable against one oracle run over the same image sequence. The
-// session survives input-validation errors (a wrong size, or
-// ErrNonFiniteInput on the packed datapath); any failure detected inside the
-// fabric is fatal to the session, re-reported by Close, and may leave the
-// fabric reading in until Close returns.
-func (s *Session) RunInto(in, out []float32) (*RunStats, error) {
+// input volumes and out must hold that many output volumes. It builds no
+// stats: a caller that wants the counters asks Stats. The session survives
+// input-validation errors (a wrong size, or ErrNonFiniteInput on the packed
+// datapath); any failure detected inside the fabric is fatal to the
+// session, re-reported by Close, and may leave the fabric reading in until
+// Close returns.
+func (s *Session) RunInto(in, out []float32) error {
 	inVol := s.acc.Spec.Input.Volume()
 	n := len(in) / inVol
 	if len(in)%inVol != 0 || len(out) < n*s.outVol {
-		return nil, fmt.Errorf("dataflow: %d input words for %d-word images and %d output words for %d-word outputs", len(in), inVol, len(out), s.outVol)
+		return fmt.Errorf("dataflow: %d input words for %d-word images and %d output words for %d-word outputs", len(in), inVol, len(out), s.outVol)
 	}
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
 	return s.run(n, func(i int) []float32 { return in[i*inVol : (i+1)*inVol] }, out[:n*s.outVol])
 }
 
 // run feeds images img(0..n-1) and collects their outputs into out, one
-// output volume per image.
-func (s *Session) run(n int, img func(int) []float32, out []float32) (*RunStats, error) {
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
+// output volume per image. The caller holds runMu.
+func (s *Session) run(n int, img func(int) []float32, out []float32) error {
 	if s.closed {
-		return nil, fmt.Errorf("dataflow: run on a closed session")
+		return fmt.Errorf("dataflow: run on a closed session")
 	}
 	if err := s.failed(); err != nil {
-		return nil, err
+		return err
 	}
 	if n == 0 {
-		return &RunStats{}, nil
+		return nil
 	}
 	for i := 0; i < n && s.packed; i++ {
 		// The feeder calibrates an image's scale from its largest magnitude:
@@ -362,7 +362,7 @@ func (s *Session) run(n int, img func(int) []float32, out []float32) (*RunStats,
 		// conversion Go leaves implementation-defined.
 		for j, v := range img(i) {
 			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("dataflow: image %d element %d is %v: %w", i, j, v, ErrNonFiniteInput)
+				return fmt.Errorf("dataflow: image %d element %d is %v: %w", i, j, v, ErrNonFiniteInput)
 			}
 		}
 	}
@@ -370,7 +370,7 @@ func (s *Session) run(n int, img func(int) []float32, out []float32) (*RunStats,
 	select {
 	case s.collectQ <- out:
 	case <-s.quit:
-		return nil, s.failed()
+		return s.failed()
 	}
 feed:
 	for i := 0; i < n; i++ {
@@ -389,10 +389,7 @@ feed:
 	}
 	err := s.err
 	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return s.snapshotStats(), nil
+	return err
 }
 
 // minDoneLocked returns the slowest element's retirement count.
@@ -407,11 +404,11 @@ func (s *Session) minDoneLocked() int {
 }
 
 // snapshotStats assembles the session-cumulative RunStats. Callers
-// guarantee quiescence (the RunBatch barrier or the Close join).
+// guarantee quiescence (no batch in flight).
 func (s *Session) snapshotStats() *RunStats {
 	stats := &RunStats{Images: s.fed, PEs: make([]PEStats, len(s.peStats)), Streams: make([]fifo.Stats, 0, len(s.fifos))}
 	copy(stats.PEs, s.peStats)
-	stats.DRAM = s.acc.dm.Stats()
+	stats.DRAM = s.dm.stats()
 	s.mu.Lock()
 	stats.InputScale = s.inputScale
 	s.mu.Unlock()

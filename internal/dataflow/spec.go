@@ -106,16 +106,6 @@ func (l *LayerHW) PaddedHeight() int { return l.InShape.Height + 2*l.Pad }
 // PaddedWidth returns the padded input width.
 func (l *LayerHW) PaddedWidth() int { return l.InShape.Width + 2*l.Pad }
 
-// WindowTaps returns the number of parallel window accesses (K²) for
-// features-extraction layers, or 1 for fully-connected layers (the paper's
-// 1x1-convolution view of FC layers).
-func (l *LayerHW) WindowTaps() int {
-	if l.Kind.IsFeatureExtraction() {
-		return l.Kernel * l.Kernel
-	}
-	return 1
-}
-
 // WeightWords returns the number of weight words (excluding bias) the
 // layer's geometry implies: the word count a weight-set entry must carry and
 // the datamover streams per image when weights stay off-chip. Non-compute

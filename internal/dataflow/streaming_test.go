@@ -62,8 +62,7 @@ func runStreamCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, b
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit, load := replica(t, streamAcc, cus)
-	sess := unit.OpenSession()
+	sess := replica(t, streamAcc, cus).OpenSession()
 	var gotOut []*tensor.Tensor
 	for _, chunk := range chunkBatch(batch) {
 		outs, _, err := sess.RunBatch(chunk)
@@ -76,7 +75,6 @@ func runStreamCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, b
 	if err := sess.Close(); err != nil {
 		t.Fatalf("session close: %v", err)
 	}
-	gotStats.DRAM.BytesRead += load
 	wantOut, wantStats, err := oracleAcc.RunWords(batch)
 	if err != nil {
 		t.Fatalf("oracle run: %v", err)
@@ -445,14 +443,14 @@ func TestRunIntoMatchesRunBatch(t *testing.T) {
 					{"ragged input", in[:len(in)-1], out},
 					{"short output", in, out[:len(out)-1]},
 				} {
-					if _, err := flat.RunInto(bad.in, bad.out); err == nil {
+					if err := flat.RunInto(bad.in, bad.out); err == nil {
 						t.Fatalf("%s accepted", bad.name)
 					}
 				}
 				if bits == 8 {
 					poisoned := append([]float32(nil), in...)
 					poisoned[len(in)/2] = float32(math.NaN())
-					if _, err := flat.RunInto(poisoned, out); !errors.Is(err, ErrNonFiniteInput) {
+					if err := flat.RunInto(poisoned, out); !errors.Is(err, ErrNonFiniteInput) {
 						t.Fatalf("NaN input: %v, want ErrNonFiniteInput", err)
 					}
 				}
@@ -461,10 +459,10 @@ func TestRunIntoMatchesRunBatch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					stats, err := flat.RunInto(in, out)
-					if err != nil {
+					if err := flat.RunInto(in, out); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
+					stats := flat.Stats()
 					o := spec.OutputShape()
 					got := tensor.Views(out, o.Channels, o.Height, o.Width)
 					assertRunsIdentical(t, "RunInto", got, stats, "RunBatch", want, wantStats)

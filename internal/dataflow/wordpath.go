@@ -19,7 +19,7 @@ import (
 type peExecWords struct {
 	pe    *PE
 	plan  *pePlan // read for its float weights only
-	dm    *Datamover
+	dm    *datamover
 	in    *fifo.FIFO
 	out   *fifo.FIFO
 	stats *PEStats
@@ -31,7 +31,7 @@ type peExecWords struct {
 func (x *peExecWords) run(batch int) error {
 	defer x.out.Close()
 	for img := 0; img < batch; img++ {
-		if err := x.runImage(img); err != nil {
+		if err := x.runImage(); err != nil {
 			x.in.Drain()
 			return fmt.Errorf("dataflow: %s image %d: %w", x.pe.ID, img, err)
 		}
@@ -41,7 +41,7 @@ func (x *peExecWords) run(batch int) error {
 }
 
 // runImage pushes one image through the PE's fused layer sequence.
-func (x *peExecWords) runImage(img int) error {
+func (x *peExecWords) runImage() error {
 	// cur holds the intermediate activations between fused layers; nil for
 	// the first layer, whose input arrives over the input FIFO.
 	var cur []float32
@@ -82,14 +82,12 @@ func (x *peExecWords) runImage(img int) error {
 
 		if !last {
 			// Fused-layer handoff goes through the datamover (the paper's
-			// partial-result exchange): write the intermediate to DDR and
-			// stream it back for the next layer's pass.
-			name := fmt.Sprintf("%s/fused/%s/img%d", x.pe.ID, l.Name, img)
-			x.dm.WriteBuffer(name, outBuf)
-			cur, err = x.dm.ReadBuffer(name)
-			if err != nil {
-				return err
-			}
+			// partial-result exchange): the intermediate is written to DDR
+			// and streamed back for the next layer's pass.
+			bytes := 4 * int64(len(outBuf))
+			x.dm.write(bytes)
+			x.dm.read(bytes)
+			cur = outBuf
 			x.stats.Cycles += 2 * int64(len(outBuf))
 		}
 	}
@@ -103,7 +101,7 @@ func (x *peExecWords) runImage(img int) error {
 func (x *peExecWords) weights(li int) *layerState {
 	st := &x.plan.layers[li]
 	if !x.pe.WeightsOnChip {
-		x.dm.AccountReadBytes(int64(4 * (len(st.w) + len(st.b))))
+		x.dm.read(int64(4 * (len(st.w) + len(st.b))))
 	}
 	return st
 }
@@ -160,7 +158,7 @@ func (x *peExecWords) runConv(l *LayerHW, st *layerState, read func() (fifo.Word
 			return err
 		}
 		if !x.pe.PartialsOnChip {
-			x.dm.AccountPartialSpill(int64(f * outHW))
+			x.dm.spill(int64(f * outHW))
 			x.stats.SpilledPartial += int64(f * outHW)
 		}
 	}

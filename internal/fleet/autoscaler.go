@@ -95,7 +95,7 @@ type AutoscalerStats struct {
 }
 
 // Autoscaler closes the loop between scraped node metrics and simulated F1
-// capacity: each interval it reduces the fleet's /metricsz figures to one
+// capacity: each interval it reduces the fleet's /statsz figures to one
 // pressure scalar — the worst node's max of queue occupancy, backend
 // utilization, and (optionally) p99-vs-SLO ratio — and moves the
 // ScaleTarget one Step when the pressure leaves the [LowWater, HighWater]

@@ -1,8 +1,14 @@
 package fleet
 
 import (
-	"strings"
+	"context"
+	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
+
+	"condor/internal/serve"
+	"condor/internal/tensor"
 )
 
 // fakeTarget records SetDesiredSlots calls.
@@ -112,30 +118,81 @@ func TestFleetPressureTakesWorstSignal(t *testing.T) {
 	}
 }
 
+// heldBackend finishes as many batches as release holds tokens, each
+// modeled at 40 ms, and holds the next one until release is closed.
+type heldBackend struct{ release chan struct{} }
+
+func (b *heldBackend) ID() string { return "fpga:0" }
+
+func (b *heldBackend) Infer(batch []*tensor.Tensor) ([]*tensor.Tensor, float64, error) {
+	<-b.release
+	return batch, 40, nil
+}
+
+// TestParseNodeMetrics scrapes a real serving node's /statsz through the
+// membership: its one backend has finished two requests and holds a third
+// while three more queue behind it. A registered node without /statsz is
+// left out.
 func TestParseNodeMetrics(t *testing.T) {
-	page := `# HELP condor_serve_queue_depth Requests waiting.
-# TYPE condor_serve_queue_depth gauge
-condor_serve_queue_depth 12
-condor_serve_queue_capacity 64
-condor_serve_backend_utilization{backend="cpu:0"} 0.25
-condor_serve_backend_utilization{backend="fpga:0"} 0.75
-condor_serve_latency_ms{kind="total",q="0.5"} 8.5
-condor_serve_latency_ms{kind="total",q="0.99"} 41.25
-condor_serve_latency_ms{kind="kernel",q="0.99"} 12
-garbage line without value
-condor_serve_queue_depth not-a-number
-`
-	m := parseNodeMetrics("http://n", strings.NewReader(page))
-	if m.QueueDepth != 12 || m.QueueCapacity != 64 {
-		t.Errorf("queue = %v/%v, want 12/64", m.QueueDepth, m.QueueCapacity)
+	be := &heldBackend{release: make(chan struct{}, 2)}
+	be.release <- struct{}{}
+	be.release <- struct{}{}
+	srv, err := serve.New(serve.Config{Backends: []serve.Backend{be}, MaxBatch: 1, QueueDepth: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Utilization != 0.5 {
-		t.Errorf("utilization = %v, want mean 0.5", m.Utilization)
+	input := serve.InputShape{Channels: 1, Height: 8, Width: 8}
+	node := httptest.NewServer(serve.NewHandler(srv, input, 5*time.Second))
+	defer node.Close()
+	img := tensor.New(input.Channels, input.Height, input.Width)
+	for i := 0; i < 2; i++ {
+		if _, _, err := srv.Submit(context.Background(), img); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if m.TotalP99Ms != 41.25 {
-		t.Errorf("p99 = %v, want 41.25 (total q=0.99 only)", m.TotalP99Ms)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.Submit(context.Background(), img)
+		}()
 	}
-	if got := m.QueuePressure(); got != 12.0/64.0 {
-		t.Errorf("QueuePressure = %v, want %v", got, 12.0/64.0)
+	defer func() {
+		close(be.release)
+		wg.Wait()
+		srv.Shutdown(context.Background())
+	}()
+	for deadline := time.Now().Add(5 * time.Second); srv.QueueDepth() != 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want 3 behind the held request", srv.QueueDepth())
+		}
+	}
+
+	members := NewMembership(MembershipConfig{})
+	defer members.Close()
+	for _, url := range []string{node.URL, newStubNode(t, okInfer).srv.URL} {
+		if _, err := members.Register(url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := NewMetricsScraper(members).Scrape()
+	if len(got) != 1 || got[0].URL != node.URL {
+		t.Fatalf("scraped %+v, want the serving node only", got)
+	}
+	m, st := got[0], srv.Stats()
+	if m.QueueDepth != 3 || m.QueueCapacity != 16 {
+		t.Errorf("queue = %v/%v, want 3/16", m.QueueDepth, m.QueueCapacity)
+	}
+	if got := m.QueuePressure(); got != 3.0/16.0 {
+		t.Errorf("QueuePressure = %v, want %v", got, 3.0/16.0)
+	}
+	if m.TotalP99Ms <= 0 || m.TotalP99Ms != st.TotalMsP99 {
+		t.Errorf("p99 = %v, the node reports %v", m.TotalP99Ms, st.TotalMsP99)
+	}
+	// Busy time is fixed while the backend is held and uptime only grows,
+	// so the scraped utilization is at least the later snapshot's.
+	if m.Utilization <= 0 || m.Utilization < st.Backends[0].Utilization {
+		t.Errorf("utilization = %v, the node reports %v a moment later", m.Utilization, st.Backends[0].Utilization)
 	}
 }

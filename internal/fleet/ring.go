@@ -15,7 +15,7 @@
 //     unready nodes from the ring and re-admits them on recovery;
 //   - Router: the HTTP front door (/infer, /register, /deregister, /nodes,
 //     /healthz, /statsz, /metricsz);
-//   - Autoscaler: a control loop over scraped /metricsz queue-depth,
+//   - Autoscaler: a control loop over scraped /statsz queue-depth,
 //     utilization and latency figures driving a ScaleTarget.
 package fleet
 

@@ -1,91 +1,18 @@
 package fleet
 
 import (
-	"bufio"
-	"io"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
+
+	"condor/internal/serve"
 )
 
-// This file is the autoscaler's input side: a minimal Prometheus
-// text-exposition parser and the per-node scrape that distils a
-// condor-serve /metricsz page into the three signals the control law needs
-// — queue pressure, backend utilization, and the p99 total latency.
-
-// promSample is one parsed exposition line.
-type promSample struct {
-	name   string
-	labels map[string]string
-	value  float64
-}
-
-// parsePromText parses Prometheus text exposition into samples. Unparseable
-// lines are skipped — the scraper degrades to fewer signals rather than
-// failing the control loop on one malformed family.
-func parsePromText(r io.Reader) []promSample {
-	var out []promSample
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		series, valStr := line[:sp], line[sp+1:]
-		val, err := strconv.ParseFloat(valStr, 64)
-		if err != nil {
-			continue
-		}
-		s := promSample{labels: map[string]string{}, value: val}
-		if i := strings.IndexByte(series, '{'); i >= 0 {
-			s.name = series[:i]
-			inner := strings.TrimSuffix(series[i+1:], "}")
-			for _, pair := range splitLabels(inner) {
-				eq := strings.IndexByte(pair, '=')
-				if eq < 0 {
-					continue
-				}
-				key := pair[:eq]
-				v := strings.Trim(pair[eq+1:], `"`)
-				s.labels[key] = v
-			}
-		} else {
-			s.name = series
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// splitLabels splits `a="x",b="y"` on commas outside quotes.
-func splitLabels(s string) []string {
-	var parts []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				parts = append(parts, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	if start < len(s) {
-		parts = append(parts, s[start:])
-	}
-	return parts
-}
+// This file is the autoscaler's input side: the per-node scrape that
+// distils a node's /statsz snapshot (serve.Stats) into the three signals the
+// control law needs — queue pressure, backend utilization, and the p99 total
+// latency.
 
 // NodeMetrics is one node's scraped control signals.
 type NodeMetrics struct {
@@ -107,33 +34,25 @@ func (m NodeMetrics) QueuePressure() float64 {
 	return m.QueueDepth / m.QueueCapacity
 }
 
-// parseNodeMetrics distils one /metricsz page.
-func parseNodeMetrics(url string, r io.Reader) NodeMetrics {
-	m := NodeMetrics{URL: url}
-	var utilSum float64
-	var utilN int
-	for _, s := range parsePromText(r) {
-		switch s.name {
-		case "condor_serve_queue_depth":
-			m.QueueDepth = s.value
-		case "condor_serve_queue_capacity":
-			m.QueueCapacity = s.value
-		case "condor_serve_backend_utilization":
-			utilSum += s.value
-			utilN++
-		case "condor_serve_latency_ms":
-			if s.labels["kind"] == "total" && s.labels["q"] == "0.99" {
-				m.TotalP99Ms = s.value
-			}
-		}
+// nodeMetrics distils one node's Stats.
+func nodeMetrics(url string, st *serve.Stats) NodeMetrics {
+	m := NodeMetrics{
+		URL:           url,
+		QueueDepth:    float64(st.QueueDepth),
+		QueueCapacity: float64(st.QueueCapacity),
+		TotalP99Ms:    st.TotalMsP99,
 	}
-	if utilN > 0 {
-		m.Utilization = utilSum / float64(utilN)
+	if n := len(st.Backends); n > 0 {
+		var sum float64
+		for _, b := range st.Backends {
+			sum += b.Utilization
+		}
+		m.Utilization = sum / float64(n)
 	}
 	return m
 }
 
-// MetricsScraper polls every ready node's /metricsz. The Membership-backed
+// MetricsScraper polls every ready node's /statsz. The Membership-backed
 // implementation is what the autoscaler runs against in production; tests
 // substitute the Scrape func directly.
 type MetricsScraper struct {
@@ -154,14 +73,27 @@ func NewMetricsScraper(members *Membership) *MetricsScraper {
 func (s *MetricsScraper) Scrape() []NodeMetrics {
 	var out []NodeMetrics
 	for _, url := range s.members.ring.Members() {
-		resp, err := s.client.Get(url + "/metricsz")
-		if err != nil {
-			continue
+		if m, err := s.scrape(url); err == nil {
+			out = append(out, m)
 		}
-		m := parseNodeMetrics(url, resp.Body)
-		resp.Body.Close()
-		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
+}
+
+// scrape fetches and distils one node's /statsz.
+func (s *MetricsScraper) scrape(url string) (NodeMetrics, error) {
+	resp, err := s.client.Get(url + "/statsz")
+	if err != nil {
+		return NodeMetrics{}, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return NodeMetrics{}, fmt.Errorf("statsz status %s", resp.Status)
+	}
+	var st serve.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return NodeMetrics{}, fmt.Errorf("statsz decode: %w", err)
+	}
+	return nodeMetrics(url, &st), nil
 }

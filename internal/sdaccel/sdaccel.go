@@ -430,10 +430,9 @@ func (d *Device) lockCU() (*computeUnit, error) {
 
 // Context is an OpenCL-like command context on one device.
 type Context struct {
-	dev     *Device
-	buffers []*Buffer
-	queue   []command
-	info    RunInfo
+	dev   *Device
+	queue []command
+	info  RunInfo
 }
 
 // command is one enqueued transfer or kernel launch. The queue holds
@@ -457,7 +456,6 @@ const (
 
 // Buffer is a device-memory allocation of float32 words.
 type Buffer struct {
-	id   int
 	data []float32
 }
 
@@ -478,9 +476,7 @@ func CreateContext(dev *Device) *Context { return &Context{dev: dev} }
 
 // CreateBuffer allocates a device buffer of n words.
 func (c *Context) CreateBuffer(n int) *Buffer {
-	b := &Buffer{id: len(c.buffers), data: make([]float32, n)}
-	c.buffers = append(c.buffers, b)
-	return b
+	return &Buffer{data: make([]float32, n)}
 }
 
 // EnqueueWrite copies host data into a device buffer at Finish time, in
@@ -500,9 +496,7 @@ func (c *Context) EnqueueRead(b *Buffer, dst []float32) {
 // output buffer, which must be a different buffer. The compute unit's
 // resident session reads the images straight from the input buffer's words
 // and writes into the output buffer's, so no image is copied on the way.
-// Consecutive kernels on the same unit pipeline back-to-back; the RunStats
-// recorded into RunInfo.LastStats are cumulative over the session's
-// lifetime, matching what one continuous run reports.
+// Consecutive kernels on the same unit pipeline back-to-back.
 func (c *Context) EnqueueKernel(in, out *Buffer, batch int) {
 	c.queue = append(c.queue, command{op: opKernel, buf: in, out: out, batch: batch})
 }
@@ -555,8 +549,7 @@ func (c *Context) kernel(in, out *Buffer, batch int) error {
 	if err != nil {
 		return err
 	}
-	stats, err := cu.session().RunInto(in.data[:batch*inVol], out.data[:batch*outVol])
-	if err != nil {
+	if err := cu.session().RunInto(in.data[:batch*inVol], out.data[:batch*outVol]); err != nil {
 		// A failed session is sticky; retire it so the next dispatch
 		// reopens a fresh fabric instead of failing forever. A rejected
 		// input is not a failed session: nothing was fed, and the
@@ -573,7 +566,6 @@ func (c *Context) kernel(in, out *Buffer, batch int) error {
 	c.info.KernelMs += ms
 	c.info.Batches++
 	c.info.Images += batch
-	c.info.LastStats = stats
 	cu.cmu.Lock()
 	cu.kernels++
 	cu.images += int64(batch)
@@ -585,10 +577,9 @@ func (c *Context) kernel(in, out *Buffer, batch int) error {
 
 // RunInfo accumulates execution metrics across Finish calls.
 type RunInfo struct {
-	KernelMs  float64
-	Batches   int
-	Images    int
-	LastStats *dataflow.RunStats
+	KernelMs float64
+	Batches  int
+	Images   int
 }
 
 // Finish executes all enqueued commands in order and returns the
