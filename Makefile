@@ -122,17 +122,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFIFOHandOff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantizeAVX2$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
-# stream-stress is the continuous-streaming fabric gate CI runs: the frame
-# protocol unit tests, the burst rendezvous tests (pending burst, waiting
-# buffer, lane snapshots), the epoch-framing equivalence sweep, the
-# two-epochs-in-flight saturation test and the per-element goroutine counts
-# (at GOMAXPROCS 2 and 16) under the race detector, plus the
-# CND024 static check — an undersized stream FIFO depth must pass the plain
-# lint and fail the -batch lint.
+# stream-stress is the resident-session gate CI runs: the FIFO frame,
+# epoch and burst rendezvous unit tests (pending burst, waiting buffer, lane
+# snapshots), the session-vs-oracle equivalence sweep, and the scheduling
+# invariance, worker-panic and goroutine-count tests at GOMAXPROCS 1, 2 and
+# 16, all under the race detector, plus the CND024 static check — an
+# undersized stream FIFO depth must pass the plain lint and fail the -batch
+# lint.
 stream-stress:
 	$(GO) test -race -run 'TestFrame|TestEpoch|TestMarkEpoch|TestResetStats|TestHandOff|TestPackedLaneSnapshots' ./internal/fifo/
 	$(GO) test -race -run 'TestStreaming' -timeout 20m ./internal/dataflow/
-	$(GO) test -race -cpu 2,16 -run 'TestSessionGoroutinesPerElement|TestWarmSessionSpawnsNoGoroutines' ./internal/dataflow/
+	$(GO) test -race -cpu 1,2,16 -run 'TestSessionSchedulingInvariance|TestSessionWorkerPanicIsError|TestSessionGoroutinesPerElement|TestWarmSessionSpawnsNoGoroutines' ./internal/dataflow/
 	@if $(GO) run ./cmd/condor lint -model tc1 -batch -fifo-depth 2 >/dev/null 2>&1; then \
 		echo "undersized streaming FIFO depth passed -batch lint"; exit 1; fi
 	$(GO) run ./cmd/condor lint -model tc1 -fifo-depth 2 -q

@@ -28,18 +28,18 @@ type Accelerator struct {
 	// Every run's datamover starts from it.
 	configLoad int64
 
-	// trackPrefix namespaces this unit's trace tracks ("cu1/feeder", …).
+	// trackPrefix namespaces this unit's trace tracks ("cu1/pe0", …).
 	// Empty for a standalone fabric, so its track names carry no unit.
 	trackPrefix string
 }
 
-// SetTracer attaches a span tracer to the fabric. Every subsequent Run
-// records one track per element (feeder, each PE, collector) with one span
-// per layer per image, bracketing the element's modeled cycle counter so
-// span cycle totals reconcile exactly with RunStats. A nil tracer (the
-// default) disables tracing; the hot path then pays only a nil check per
-// hook site. Tracing covers the burst datapath only — RunWords is the
-// equivalence oracle and stays uninstrumented.
+// SetTracer attaches a span tracer to the fabric. Every session opened after
+// it records one track per worker and PE, named after the PE, with one span
+// per layer per chunk whose cycles are the chunk's share of the PE's
+// schedule, so span cycle totals reconcile exactly with RunStats and a span's
+// host time is the layer's own work. A nil tracer (the default) disables
+// tracing; the hot path then pays only a nil check per hook site. RunWords is
+// the equivalence oracle and stays uninstrumented.
 func (a *Accelerator) SetTracer(t obs.Tracer) { a.tracer = t }
 
 // Instantiate binds a spec to its weights. It is the one place a weight set
@@ -97,10 +97,10 @@ type RunStats struct {
 	Images  int
 	PEs     []PEStats
 	DRAM    DatamoverStats
-	Streams []fifo.Stats // inter-PE streaming FIFO traffic and occupancy
+	Streams []fifo.Stats // inter-PE stream traffic; occupancy and bursts only where RunWords measures them
 
 	// InputScale is the largest per-image activation quantization scale the
-	// feeder applied over the batch (packed int8 datapath only; zero on the
+	// input stage applied over the batch (packed int8 datapath only; zero on the
 	// float paths). Together with the per-PE MaxRequantScale values it
 	// bounds the admissible deviation from the float oracle.
 	InputScale float64
@@ -108,8 +108,8 @@ type RunStats struct {
 
 // QuantErrorBound derives the admissible element-wise deviation of a packed
 // int8 run from the float32 oracle out of the per-tensor scales the run
-// recorded: every quantization point (the feeder plus each PE's requantize
-// boundary) contributes up to half a step of rounding error, and upstream
+// recorded: every quantization point (the input stage plus each PE's
+// requantize boundary) contributes up to half a step of rounding error, and upstream
 // error is amplified as it propagates through the MAC chains, so the bound
 // takes a conservative multiple of the summed scales. Zero on float runs
 // (no scales recorded — the float paths are held to bit-identity instead).
@@ -161,19 +161,14 @@ func (s *RunStats) TotalMACs() int64 {
 	return n
 }
 
-// Run executes a batch of images on the fabric. Every PE runs as an
-// independent goroutine connected by blocking FIFOs, so consecutive images
-// pipeline across the PEs exactly as on the device; outputs are returned in
-// input order. The returned stats carry per-PE cycle counts and DDR
-// traffic for the batch.
-//
-// Run is a one-shot streaming session (OpenSession + RunBatch + Close): it
-// uses the framed burst datapath — FIFO traffic moves in slice-granularity
-// bursts behind epoch-tagged frame headers, with identical datapath word
-// content, order, traffic totals and modeled cycles as the word-at-a-time
-// path, which is retained behind RunWords as the equivalence oracle.
-// Callers running many batches should hold a Session open instead, which
-// amortizes the fabric's setup and fill/drain across batches.
+// Run executes a batch of images on the fabric and returns the outputs in
+// input order, with stats carrying per-PE cycle counts and DDR traffic for
+// the batch. It is a one-shot session (OpenSession + RunBatch + Close):
+// workers run the images to completion PE by PE, and the device's pipeline
+// is modeled by the counters — the same outputs, stream word totals and
+// modeled cycles as the word-at-a-time path, which is retained behind
+// RunWords as the equivalence oracle. Callers running many batches should
+// hold a Session open instead, which amortizes the setup across batches.
 func (a *Accelerator) Run(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	if len(batch) == 0 {
 		return nil, &RunStats{}, nil
@@ -191,16 +186,16 @@ func (a *Accelerator) Run(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, 
 
 // RunWords executes the batch with the original word-at-a-time datapath:
 // one FIFO operation per streamed word, the exact granularity of the modeled
-// hardware, with no frame headers. It exists so tests can assert the framed
-// burst datapath is functionally and statistically bit-identical on the
-// datapath counters; production callers should use Run.
+// hardware, with no frame headers. It exists so tests can assert the session
+// datapath is functionally and statistically bit-identical on the datapath
+// counters; production callers should use Run.
 func (a *Accelerator) RunWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	return a.runWords(batch)
 }
 
 // runWords is the unframed word-at-a-time oracle. It is deliberately the
-// original one-shot feeder/PE/collector spawn-and-join loop — the framed
-// streaming session in session.go is measured against it.
+// original one-shot feeder/PE/collector spawn-and-join loop — the session
+// in session.go is measured against it.
 func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	if len(batch) == 0 {
 		return nil, &RunStats{}, nil

@@ -3,9 +3,9 @@ package dataflow
 // This file is the Winograd F(2,3) transform-domain convolution, the one
 // convolution algorithm with a host kernel of its own (direct and im2col_gemm
 // share each element type's tap-table kernel; the algorithm only drives the
-// cycle, resource and verification models there). It rides the same FIFOs,
-// frame protocol and tracing as every other layer — only the intra-PE compute
-// schedule changes — and runs in float32 on both datapaths: the ±½ transform
+// cycle, resource and verification models there). It rides the same workers,
+// stream accounting and tracing as every other layer — only the intra-PE
+// compute schedule changes — and runs in float32 on both datapaths: the ±½ transform
 // combinations do not survive the int8 grid, so on the packed datapath the
 // executor dequantizes the layer's input, calls runWinograd and requantizes.
 //
@@ -114,7 +114,7 @@ type winogradPass struct {
 // dst and the bias and folded activation are applied in place. Results are
 // deterministic, though not bit-identical to the direct path — see the file
 // comment for the error contract.
-func (x *peStream) runWinograd(l *LayerHW, st *layerState, cur, dst []float32) {
+func (x *peBase) runWinograd(l *LayerHW, st *layerState, cur, dst []float32) {
 	p := &x.wino
 	f, c := l.OutShape.Channels, l.InShape.Channels
 	inHW := l.InShape.Height * l.InShape.Width
@@ -134,7 +134,7 @@ func (x *peStream) runWinograd(l *LayerHW, st *layerState, cur, dst []float32) {
 			}
 		}
 	}
-	x.stats.MaxWinogradMag = max(x.stats.MaxWinogradMag, winogradInverseLayer(l, st.b, acc, dst))
+	x.maxWinograd = max(x.maxWinograd, winogradInverseLayer(l, st.b, acc, dst))
 }
 
 // winogradTransformPlane cuts a padded plane into the layer's overlapping

@@ -20,6 +20,17 @@ func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, o0, o1
 //go:noescape
 func fcRows8(in *float32, blocks int, w *float32, v int, acc *float32)
 
+// fcLanes8 continues the chains of eight FC neurons over a chunk of up to
+// convLanes images at once: x holds the v inputs interleaved, input h of
+// image i at x[h·convLanes+i], rows are the eight neurons' weight rows and
+// acc[j][i] is neuron j's sum for image i. Input h adds its rounded product
+// to every sum in ascending h order — each lane one image's chain, as
+// fcRows8 and the Go tile accumulate it. Unchecked loads: x must hold
+// v·convLanes words and each row v.
+//
+//go:noescape
+func fcLanes8(x *float32, v int, rows *[convLanes]*float32, acc *[convLanes][convLanes]float32)
+
 // poolMax8 writes the maxima of two half-tiles of poolHalf consecutive k×k
 // windows each: the one whose first window's top-left word is win to out,
 // the one at win2 to out2. pw is the plane's row length and stride (1 or 2)

@@ -158,6 +158,83 @@ storerows:
 	VZEROUPPER
 	RET
 
+// func fcLanes8(x *float32, v int, rows *[8]*float32, acc *[8][8]float32)
+//
+// Eight FC neurons × eight images. Per input h the eight images' inputs,
+// interleaved at x[8h:], are loaded once, each neuron's weight h is
+// broadcast, and the products are rounded (VMULPS) before they are added
+// (VADDPS) to the neuron's eight sums, which start from acc: every lane is
+// one image's h-ascending chain with two roundings per MAC, as in fcRows8
+// and the Go band. No FMA. The eight row pointers live in AX, BX, DX and
+// R9–R13 and DI is the byte offset of weight h in each row.
+TEXT ·fcLanes8(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), SI
+	MOVQ v+8(FP), CX
+	MOVQ rows+16(FP), DI
+	MOVQ acc+24(FP), R8
+	MOVQ 0(DI), AX
+	MOVQ 8(DI), BX
+	MOVQ 16(DI), DX
+	MOVQ 24(DI), R9
+	MOVQ 32(DI), R10
+	MOVQ 40(DI), R11
+	MOVQ 48(DI), R12
+	MOVQ 56(DI), R13
+	VMOVUPS 0(R8), Y0
+	VMOVUPS 32(R8), Y1
+	VMOVUPS 64(R8), Y2
+	VMOVUPS 96(R8), Y3
+	VMOVUPS 128(R8), Y4
+	VMOVUPS 160(R8), Y5
+	VMOVUPS 192(R8), Y6
+	VMOVUPS 224(R8), Y7
+	XORQ DI, DI
+	TESTQ CX, CX
+	JLE storelanes
+
+looplanes:
+	VMOVUPS (SI), Y8
+	VBROADCASTSS (AX)(DI*1), Y9
+	VBROADCASTSS (BX)(DI*1), Y10
+	VBROADCASTSS (DX)(DI*1), Y11
+	VBROADCASTSS (R9)(DI*1), Y12
+	VMULPS Y8, Y9, Y9
+	VMULPS Y8, Y10, Y10
+	VMULPS Y8, Y11, Y11
+	VMULPS Y8, Y12, Y12
+	VADDPS Y9, Y0, Y0
+	VADDPS Y10, Y1, Y1
+	VADDPS Y11, Y2, Y2
+	VADDPS Y12, Y3, Y3
+	VBROADCASTSS (R10)(DI*1), Y13
+	VBROADCASTSS (R11)(DI*1), Y14
+	VBROADCASTSS (R12)(DI*1), Y15
+	VBROADCASTSS (R13)(DI*1), Y9
+	VMULPS Y8, Y13, Y13
+	VMULPS Y8, Y14, Y14
+	VMULPS Y8, Y15, Y15
+	VMULPS Y8, Y9, Y9
+	VADDPS Y13, Y4, Y4
+	VADDPS Y14, Y5, Y5
+	VADDPS Y15, Y6, Y6
+	VADDPS Y9, Y7, Y7
+	ADDQ $32, SI
+	ADDQ $4, DI
+	DECQ CX
+	JNZ looplanes
+
+storelanes:
+	VMOVUPS Y0, 0(R8)
+	VMOVUPS Y1, 32(R8)
+	VMOVUPS Y2, 64(R8)
+	VMOVUPS Y3, 96(R8)
+	VMOVUPS Y4, 128(R8)
+	VMOVUPS Y5, 160(R8)
+	VMOVUPS Y6, 192(R8)
+	VMOVUPS Y7, 224(R8)
+	VZEROUPPER
+	RET
+
 // func poolMax8(win, win2 *float32, k, pw, stride int, out, out2 *float32)
 //
 // Eight max-pool windows: four consecutive ones of a row from win (lanes

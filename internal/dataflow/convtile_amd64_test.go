@@ -307,15 +307,14 @@ func TestFCDot4I8MatchesGoFCBand(t *testing.T) {
 }
 
 // newFloatExec prepares a float32 executor for a one-layer PE, lowered with
-// the layer's weights (if any), and its input popped into the frame buffer
-// as runImage leaves it.
+// the layer's weights (if any), and its input staged as a worker stages
+// it.
 func newFloatExec(t *testing.T, l LayerHW, w, bias, in []float32) *peExec[float32] {
 	t.Helper()
 	l.Activation, l.Normalize = NoActivation, NoActivation
-	x := newF32Exec(oneLayerStream(t, 32, l, w, bias))
+	x := newF32Exec(oneLayerPE(t, 32, l, w, bias))
 	x.prepare()
-	x.pass.cur = x.el.view(x.curFrame, len(in))
-	copy(x.pass.cur, in)
+	x.pass.cur = withSlack(in)
 	return x
 }
 
@@ -352,9 +351,9 @@ func TestFCRows8MatchesGoFCBand(t *testing.T) {
 				l.Name = "fc"
 				x := newFloatExec(t, l, w, bias, in)
 				p := &x.pass
-				x.runLayer(0)
+				x.runLayer0()
 				got := slices.Clone(p.out)
-				withoutAVX2(func() { x.runLayer(0) })
+				withoutAVX2(func() { x.runLayer0() })
 				for oi, want := range p.out {
 					if math.Float32bits(got[oi]) != math.Float32bits(want) && !(isNaN32(got[oi]) && isNaN32(want)) {
 						t.Fatalf("v=%d o=%d bias=%v neuron %d: AVX2 %g (%#08x), Go band %g (%#08x)",
@@ -379,6 +378,74 @@ func TestFCRows8MatchesGoFCBand(t *testing.T) {
 }
 
 func isNaN32(v float32) bool { return math.IsNaN(float64(v)) }
+
+// TestFCLanes8MatchesRowKernels runs float32 FC layers of v ∈ {1, 7, 8, 9,
+// 800} inputs and {4, 5, 10, 500} neurons, with and without bias, over
+// chunks of 2–8 images through the executor's chunk pass (run), which puts
+// the chunk on the image-lane kernel fcLanes8, and each image alone through
+// the per-image pass, which puts it on fcRows8 and the Go band: every sum
+// must match bit for bit (two NaNs match). Under DisableAVX2 the chunk pass
+// runs the Go band image by image over the same chunk layout.
+func TestFCLanes8MatchesRowKernels(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every FC layer runs the Go band")
+	}
+	rng := rand.New(rand.NewSource(53))
+	var sums int
+	for _, leg := range []struct {
+		name   string
+		noAVX2 bool
+	}{{"AVX2", false}, {"DisableAVX2", true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			if leg.noAVX2 {
+				DisableAVX2(t)
+			}
+			for _, v := range []int{1, 7, 8, 9, 800} {
+				for _, neurons := range []int{4, 5, 10, 500} {
+					w := make([]float32, neurons*v)
+					for i := range w {
+						w[i] = hostileWord(rng, true)
+					}
+					for _, bias := range [][]float32{nil, randomBias(rng, neurons)} {
+						l := fcLayerHW(v, neurons)
+						l.Name = "fc"
+						for c := 2; c <= convLanes; c++ {
+							x := newFloatExec(t, l, w, bias, nil)
+							wk := &worker[float32]{pes: []*peExec[float32]{x}, stride: max(v, neurons) + poolSlack}
+							for side := range wk.vols {
+								wk.vols[side], wk.scales[side] = make([]float32, c*wk.stride), make([]float64, c)
+							}
+							ins := make([][]float32, c)
+							for i := range ins {
+								ins[i] = make([]float32, v)
+								for h := range ins[i] {
+									ins[i][h] = hostileWord(rng, false)
+								}
+								copy(wk.vols[0][i*wk.stride:], ins[i])
+							}
+							out := wk.vols[x.run(wk, 0, 0, c)]
+							if lanes := len(x.el.(*f32Ops).lanes) > 0; lanes == leg.noAVX2 {
+								t.Fatalf("v=%d o=%d c=%d: the chunk ran on the lane kernel: %v", v, neurons, c, lanes)
+							}
+							for i, in := range ins {
+								one := newFloatExec(t, l, w, bias, in)
+								one.runLayer0()
+								for oi, want := range one.pass.out {
+									if got := out[i*wk.stride+oi]; math.Float32bits(got) != math.Float32bits(want) && !(isNaN32(got) && isNaN32(want)) {
+										t.Fatalf("v=%d o=%d bias=%v c=%d image %d neuron %d: chunk %g (%#08x), one image %g (%#08x)",
+											v, neurons, bias != nil, c, i, oi, got, math.Float32bits(got), want, math.Float32bits(want))
+									}
+									sums++
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+	t.Logf("%d sums bit-identical to the row kernels", sums)
+}
 
 // hostilePoolWord draws the values max pooling must not reorder or skip
 // differently: ±0, NaN, ±Inf, a subnormal or an ordinary value.
@@ -433,7 +500,7 @@ func TestPoolMax8MatchesGoPool(t *testing.T) {
 					goRows += goRows8
 					x := newFloatExec(t, l, nil, nil, in)
 					p := &x.pass
-					x.runLayer(0)
+					x.runLayer0()
 					rows8 := poolKernelRows(&l, in, poolSlack)
 					if rows8 == 0 && l.OutShape.Width >= poolHalf {
 						t.Fatalf("s=%d k=%d pad=%d pw=%d: no row ran on the AVX2 kernel", s, k, pad, pw)
@@ -441,7 +508,7 @@ func TestPoolMax8MatchesGoPool(t *testing.T) {
 					kernelRows += rows8
 					goRows += c*l.OutShape.Height - rows8
 					got := slices.Clone(p.out)
-					withoutAVX2(func() { x.runLayer(0) })
+					withoutAVX2(func() { x.runLayer0() })
 					for i, want := range p.out {
 						if math.Float32bits(got[i]) != math.Float32bits(want) {
 							t.Fatalf("s=%d k=%d pad=%d pw=%d window %d: AVX2 %g (%#08x), Go loop %g (%#08x)",
@@ -499,14 +566,14 @@ func int8PoolBothWays(t *testing.T, l LayerHW, codes []int8) (kernelRows, goRows
 	l.Activation, l.Normalize = NoActivation, NoActivation
 	x := newInt8PoolExec(t, l, codes, 1)
 	p := &x.pass
-	x.runLayer(0)
+	x.runLayer0()
 	kernelRows = poolKernelRows(&l, codes, poolSlack)
 	if kernelRows == 0 && l.OutShape.Width >= poolHalf {
 		t.Fatalf("int8 s=%d k=%d pad=%d: no row ran on the AVX2 kernel", l.Stride, l.Kernel, l.Pad)
 	}
 	got := slices.Clone(p.out)
 	goRows = l.InShape.Channels*l.OutShape.Height - kernelRows
-	withoutAVX2(func() { x.runLayer(0) })
+	withoutAVX2(func() { x.runLayer0() })
 	for i, want := range p.out {
 		if got[i] != want {
 			t.Fatalf("int8 s=%d k=%d pad=%d pw=%d window %d: AVX2 %d, Go loop %d",
@@ -649,12 +716,12 @@ func TestConvTile8StoreMatchesGo(t *testing.T) {
 		x := newFloatExec(t, l, wts, bias, in)
 		x.pe.Layers[0].Activation = act
 		p, o := &x.pass, x.el.(*f32Ops)
-		x.runLayer(0)
+		x.runLayer0()
 		if !o.tiles.tile8 {
 			t.Fatalf("run %d: C=%d K=%d pad=%d %dx%d: the layer did not run on the AVX2 tile", run, c, k, pad, h, w)
 		}
 		got := slices.Clone(p.out)
-		withoutAVX2(func() { x.runLayer(0) })
+		withoutAVX2(func() { x.runLayer0() })
 		if o.tiles.tile8 {
 			t.Fatal("the Go leg ran on the AVX2 tile")
 		}
@@ -721,9 +788,9 @@ func TestGoKernelFallbacksRun(t *testing.T) {
 	}{{"AVX2", false}, {"DisableAVX2", true}} {
 		run := func(x *peExec[float32]) {
 			if leg.noAVX2 {
-				withoutAVX2(func() { x.runLayer(0) })
+				withoutAVX2(func() { x.runLayer0() })
 			} else {
-				x.runLayer(0)
+				x.runLayer0()
 			}
 		}
 		x := newFloatExec(t, pool, nil, nil, in)

@@ -15,6 +15,10 @@ func fcRows8(*float32, int, *float32, int, *float32) {
 	panic("dataflow: fcRows8 called without AVX2")
 }
 
+func fcLanes8(*float32, int, *[convLanes]*float32, *[convLanes][convLanes]float32) {
+	panic("dataflow: fcLanes8 called without AVX2")
+}
+
 func poolMax8(*float32, *float32, int, int, int, *float32, *float32) {
 	panic("dataflow: poolMax8 called without AVX2")
 }

@@ -7,9 +7,10 @@ import "sync/atomic"
 // with the PEs over streaming connections, and it accounts every byte one
 // run moves — the input stream, the output write-back, weight re-reads,
 // partial-sum spills and fused-layer hand-offs — so the traffic numbers feed
-// the performance and power models. Each Session and each RunWords call owns
-// one, started from the one-time configuration load Instantiate counted, so
-// a run reports exactly what a freshly instantiated fabric would.
+// the performance and power models. Each RunWords call owns one, started
+// from the one-time configuration load Instantiate counted, so a run reports
+// exactly what a freshly instantiated fabric would; a Session books the same
+// bytes from the schedule instead (Session.Stats).
 type datamover struct {
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64

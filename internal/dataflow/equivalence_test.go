@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"condor/internal/condorir"
@@ -9,13 +10,14 @@ import (
 	"condor/internal/tensor"
 )
 
-// These tests pin the tentpole invariant of the burst datapath: Run (burst
-// granularity) and RunWords (one FIFO operation per word, the modeled
-// hardware granularity) must produce bit-identical outputs and identical
-// RunStats — same stream traffic totals, MACs, windows, modeled cycles and
-// DDR bytes. MaxOccupancy is the one excluded quantity: it is a high-water
-// mark of a race between producer and consumer and is nondeterministic even
-// between two word-at-a-time runs.
+// These tests pin the invariant of the session datapath: Run (workers
+// running chunks to completion) and RunWords (one FIFO operation per word,
+// the modeled hardware granularity) must produce bit-identical outputs and
+// identical RunStats — same stream traffic totals, MACs, windows, modeled
+// cycles and DDR bytes. MaxOccupancy is the one excluded quantity: RunWords
+// measures it as a high-water mark of a race between producer and consumer,
+// nondeterministic even between two word-at-a-time runs, and a session does
+// not measure it.
 
 func runEquivalence(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, batch []*tensor.Tensor) {
 	t.Helper()
@@ -104,10 +106,13 @@ func TestBurstWordEquivalenceTC1(t *testing.T) {
 	runEquivalence(t, ir, ws, models.USPSImages(4, 7))
 }
 
+// TestBurstWordEquivalenceLeNet runs a batch of 16 at GOMAXPROCS 2: two
+// chunks of eight, so the FC layers run on the image-lane kernel.
 func TestBurstWordEquivalenceLeNet(t *testing.T) {
 	ir, ws, err := models.LeNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	runEquivalence(t, ir, ws, models.MNISTImages(2, 11))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	runEquivalence(t, ir, ws, models.MNISTImages(16, 11))
 }

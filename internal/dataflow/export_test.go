@@ -20,6 +20,16 @@ var (
 	PackageGoroutines = packageGoroutines
 )
 
+// PanicAt makes a worker of s panic as it starts PE pe on image img of a
+// batch.
+func PanicAt(s *Session, pe, img int) {
+	s.testPanic = func(p, i int) {
+		if p == pe && i == img {
+			panic("dataflow: test panic")
+		}
+	}
+}
+
 // DisableAVX2 makes every accelerator instantiated until t ends run the Go
 // kernels, as on a CPU without AVX2.
 func DisableAVX2(t testing.TB) {

@@ -237,14 +237,15 @@ func TestWarmSessionSpawnsNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestSessionGoroutinesPerElement pins what a session runs on: one goroutine
-// per PE, the feeder and the collector, whatever the PEs' port parallelism
-// and the processor count — a port is modeled, not a goroutine. On LeNet
-// with Par {2,2}, float32 and int8, at GOMAXPROCS 2 and 16, a session that
-// has retired a batch (so every executor has prepared) must have started
-// exactly len(PEs)+2 goroutines, and Close must return the count to its
-// baseline. The count is of the goroutines this package created, read from
-// their stacks, so the other tests' goroutines cannot move it.
+// TestSessionGoroutinesPerElement pins what a session runs on: the caller's
+// goroutine, and one resident helper per further processor once a batch has
+// more than one image — whatever the PEs' port parallelism, since a port is
+// modeled, not a goroutine. On LeNet with Par {2,2}, float32 and int8, at
+// GOMAXPROCS 2 and 16, a session must start no goroutine when it opens or
+// runs one-image batches, exactly GOMAXPROCS−1 on its first two-image batch
+// and none after, and Close must return the count to its baseline. The count
+// is of the goroutines this package created, read from their stacks, so the
+// other tests' goroutines cannot move it.
 func TestSessionGoroutinesPerElement(t *testing.T) {
 	ir, ws, err := models.LeNet()
 	if err != nil {
@@ -271,16 +272,20 @@ func TestSessionGoroutinesPerElement(t *testing.T) {
 				}
 				baseline := packageGoroutines()
 				sess := acc.OpenSession()
-				if _, _, err := sess.RunBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-				if n, want := packageGoroutines()-baseline, len(spec.PEs)+2; n != want {
-					t.Errorf("the session runs %d goroutines, want %d (%d PEs, the feeder and the collector)", n, want, len(spec.PEs))
+				for _, step := range []struct {
+					images, helpers int
+				}{{0, 0}, {1, 0}, {1, 0}, {2, procs - 1}, {1, procs - 1}, {2, procs - 1}} {
+					if _, _, err := sess.RunBatch(batch[:step.images]); err != nil {
+						t.Fatal(err)
+					}
+					if n := packageGoroutines() - baseline; n != step.helpers {
+						t.Fatalf("after a %d-image batch the session runs %d goroutines, want %d", step.images, n, step.helpers)
+					}
 				}
 				if err := sess.Close(); err != nil {
 					t.Fatal(err)
 				}
-				// Close has joined every goroutine; poll briefly to let the
+				// Close has joined every helper; poll briefly to let the
 				// runtime retire stacks that are mid-exit.
 				deadline := time.Now().Add(5 * time.Second)
 				for packageGoroutines() != baseline {

@@ -61,7 +61,7 @@ type int8KernelCase struct {
 }
 
 // runInt8Kernel lowers a one-layer PE around the case the way Instantiate
-// does, runs the layer the way runImage would and returns the floats it left
+// does, runs the layer the way a worker would and returns the floats it left
 // for requantization. The float weights in the weight set are the codes
 // themselves with one pinned at 127, so the production quantizer
 // (quantizeLayerWeights) reproduces them at scale 1. A non-nil relayout
@@ -78,20 +78,20 @@ func runInt8Kernel(t *testing.T, tc int8KernelCase, relayout func(*layerState)) 
 	if s := frameScale(wf); s != 1 {
 		t.Fatalf("weight scale %g: the case must pin one weight code at ±127", s)
 	}
-	x := newI8Exec(oneLayerStream(t, 8, l, wf, tc.bias))
+	x := newI8Exec(oneLayerPE(t, 8, l, wf, tc.bias))
 	if relayout != nil {
 		relayout(&x.plan.layers[0])
 	}
 	x.prepare()
 	x.pass.cur, x.pass.inScale = tc.in, tc.scale
-	x.runLayer(0)
+	x.runLayer0()
 	return x.el.floats(l.OutShape.Volume())
 }
 
-// oneLayerStream lowers a PE of layer l alone at word width bits, with
-// weights w and bias (none when w is nil), into an executor's stream state:
-// the plan and a datamover, no FIFOs.
-func oneLayerStream(t *testing.T, bits int, l LayerHW, w, bias []float32) peStream {
+// oneLayerPE lowers a PE of layer l alone at word width bits, with weights
+// w and bias (none when w is nil), into an executor's base: the PE and its
+// plan.
+func oneLayerPE(t *testing.T, bits int, l LayerHW, w, bias []float32) peBase {
 	t.Helper()
 	ws := condorir.NewWeightSet()
 	if w != nil {
@@ -105,7 +105,26 @@ func oneLayerStream(t *testing.T, bits int, l LayerHW, w, bias []float32) peStre
 	if err := plan.lower(pe, bits, ws); err != nil {
 		t.Fatal(err)
 	}
-	return peStream{pe: pe, plan: plan, dm: &datamover{}, stats: &PEStats{}}
+	return peBase{pe: pe, plan: plan}
+}
+
+// withSlack copies in into a volume followed by poolSlack more elements, as
+// a worker's volumes are.
+func withSlack[E float32 | int8](in []E) []E {
+	buf := make([]E, len(in)+poolSlack)
+	copy(buf, in)
+	return buf[:len(in)]
+}
+
+// runLayer0 runs a one-layer executor's layer from pass.cur into pass.out,
+// a volume with slack made on first use, as run does for one image.
+func (x *peExec[E]) runLayer0() {
+	p := &x.pass
+	p.l, p.st = &x.pe.Layers[0], &x.plan.layers[0]
+	if p.out == nil {
+		p.out = withSlack(make([]E, p.l.OutShape.Volume()))
+	}
+	x.runLayer()
 }
 
 // checkInt8Kernel runs the case and compares the kernel's floats with the
@@ -320,13 +339,12 @@ func extremeCodes(rng *rand.Rand, n int) []int8 {
 }
 
 // newInt8PoolExec prepares an int8 executor for a one-layer pool PE, with
-// the codes popped into its frame buffer as runImage leaves them.
+// the codes staged as a worker stages them.
 func newInt8PoolExec(t *testing.T, l LayerHW, codes []int8, inScale float64) *peExec[int8] {
 	t.Helper()
-	x := newI8Exec(oneLayerStream(t, 8, l, nil, nil))
+	x := newI8Exec(oneLayerPE(t, 8, l, nil, nil))
 	x.prepare()
-	x.pass.cur, x.pass.inScale = x.el.view(x.curFrame, len(codes)), inScale
-	copy(x.pass.cur, codes)
+	x.pass.cur, x.pass.inScale = withSlack(codes), inScale
 	return x
 }
 
@@ -367,7 +385,7 @@ func TestInt8PoolMatchesReference(t *testing.T) {
 								want := refPoolInt8(&l, in)
 								x := newInt8PoolExec(t, l, in, inScale)
 								p := &x.pass
-								x.runLayer(0)
+								x.runLayer0()
 								fb := x.el.floats(len(p.out))
 								for i, r := range want {
 									cells++

@@ -1,29 +1,27 @@
 package dataflow
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
 	"condor/internal/diag"
-	"condor/internal/fifo"
 	"condor/internal/nn"
 	"condor/internal/quant"
 )
 
 // This file is the packed int8 datapath: the fabric variant selected by
-// Spec.WordBits == 8, where every FIFO word carries fifo.Int8Lanes quantized
-// activation lanes. Each stream edge frames one image as a single float32
-// scale-header word followed by PackedWords(volume) payload words, whose bytes
-// are the codes in order (fifo.Int8View): a PE pops the frame into a word
-// buffer and its kernels read the codes in place, runs conv/FC MACs in
-// widened integer accumulators, dequantizes once per layer to fold
-// bias/activation/normalisation in float, and requantizes with a fresh
-// symmetric per-tensor scale at the PE boundary, straight into the word
-// buffer it pushes. Only the feeder quantizes float inputs and only the
-// collector dequantizes back — in between, activations exist purely as
-// packed lanes, which is what shrinks the stream traversal cycles and DDR
-// bytes by the lane factor.
+// Spec.WordBits == 8, where every stream word models fifo.Int8Lanes quantized
+// activation lanes. An image crosses each stream edge as a float32 scale
+// word and PackedWords(volume) payload words; on the host it is its codes,
+// one byte each, and its scale. The first PE's executor quantizes a float
+// image with its own per-tensor scale (i8Ops.load), the kernels read the
+// codes in place, run conv/FC MACs in widened integer accumulators,
+// dequantize once per layer to fold bias/activation/normalisation in float,
+// and requantize with a fresh symmetric per-tensor scale at the PE boundary,
+// straight into the next volume. Only the load quantizes float inputs and
+// only the store after the last PE dequantizes back — in between,
+// activations exist purely as codes, which is what shrinks the stream
+// traversal cycles and DDR bytes by the lane factor.
 //
 // Codes have one layout on every CPU: a conv layer's padded code planes are
 // stacked one byte per code, as the float32 path stacks words, and FC codes
@@ -44,7 +42,7 @@ import (
 // quant_equiv_test.go.
 
 // frameScale rounds a per-tensor scale to float32 before anything is
-// quantized with it, so the exact value a header word can transport is also
+// quantized with it, so the exact value a scale word can transport is also
 // the value the codes were produced with.
 func frameScale(data []float32) float64 {
 	return float64(float32(quant.TensorScale(data, quant.Int8)))
@@ -113,29 +111,6 @@ func pairTaps(taps []int32) []int32 {
 	return append(taps[:len(taps):len(taps)], taps[len(taps)-1])
 }
 
-// int8Payload is the code view of a frame buffer's first n payload lanes. A
-// frame buffer is one image's frame on the packed datapath as the words that
-// carry it, moved as one packed burst: the scale header word, then the
-// payload words whose bytes are the codes.
-func int8Payload(words []fifo.Word, n int) []int8 { return fifo.Int8View(words[1:], n) }
-
-// pushInt8Frame sends the frame buffer whose payload holds n codes
-// downstream with the given scale in its header word.
-func pushInt8Frame(f *fifo.FIFO, words []fifo.Word, n int, scale float64) {
-	words[0] = fifo.Word(scale)
-	f.PushPacked(words[:1+fifo.PackedWords(n)], int64(n))
-}
-
-// popInt8Frame receives a frame of n codes into the frame buffer and returns
-// its scale.
-func popInt8Frame(f *fifo.FIFO, words []fifo.Word, n int) (float64, error) {
-	need := 1 + fifo.PackedWords(n)
-	if got := f.PopPackedInto(words[:need], int64(n)); got < need {
-		return 0, fmt.Errorf("input stream ended after %d of the frame's %d words (scale header and packed payload)", got, need)
-	}
-	return float64(words[0]), nil
-}
-
 // i8Ops is the packed datapath's per-type value. Its arithmetic is
 // int8×int8 in int32 accumulators with one dequantize/requantize per layer
 // boundary: the stores dequantize into floatBuf, where bias, activation and
@@ -153,9 +128,9 @@ type i8Ops struct {
 	deqBuf   []float32 // a winograd_f23 layer's dequantized input volume
 }
 
-// newI8Exec binds a packed int8 executor to its stream ends.
-func newI8Exec(s peStream) *peExec[int8] {
-	x := &peExec[int8]{peStream: s, poolMax8: poolMax8I8}
+// newI8Exec binds a packed int8 executor to its PE.
+func newI8Exec(b peBase) *peExec[int8] {
+	x := &peExec[int8]{peBase: b, poolMax8: poolMax8I8}
 	o := &i8Ops{x: x}
 	o.tiles.ops, x.el = o, o
 	return x
@@ -167,16 +142,21 @@ func (o *i8Ops) prepare(sz *scratchWords) {
 	o.deqBuf = make([]float32, sz.winogradIn)
 }
 
-func (o *i8Ops) frameWords(n int) int                 { return 1 + fifo.PackedWords(n) }
-func (o *i8Ops) view(frame []fifo.Word, n int) []int8 { return int8Payload(frame, n) }
-
-func (o *i8Ops) popFrame(frame []fifo.Word, n int) (float64, error) {
-	return popInt8Frame(o.x.in, frame, n)
+// load is the fabric's only float→int8 point: an image is quantized with
+// its own per-tensor scale. store is the only int8→float point: the last
+// PE's codes are dequantized with their scale as the output leaves.
+func (o *i8Ops) load(dst []int8, img []float32) float64 {
+	scale := frameScale(img)
+	quantizeCodes(dst[:len(img)], img, scale)
+	return scale
 }
 
-func (o *i8Ops) pushFrame(frame []fifo.Word, n int, scale float64) {
-	pushInt8Frame(o.x.out, frame, n, scale)
+func (o *i8Ops) store(dst []float32, src []int8, scale float64) {
+	quant.DequantizeInto(dst, src[:len(dst)], scale)
 }
+
+// fcChunk declines: int8 FC layers run fcDot4I8 image by image.
+func (o *i8Ops) fcChunk([]int8, []int8, int, int) bool { return false }
 
 func (o *i8Ops) floats(n int) []float32 { return o.floatBuf[:n] }
 
@@ -201,7 +181,7 @@ func (o *i8Ops) closeLayer(fb []float32) float64 {
 
 // quantizeCodes is quant.QuantizeInto — the reference, and the path off
 // AVX2 — with its whole blocks of eight on the AVX2 requantizer (quantize8)
-// where the CPU has one. The feeder, conv and closeLayer use it.
+// where the CPU has one. load, conv and closeLayer use it.
 func quantizeCodes(dst []int8, src []float32, scale float64) {
 	_ = dst[:len(src)]
 	n := 0

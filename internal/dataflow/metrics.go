@@ -4,8 +4,7 @@ import "condor/internal/obs"
 
 // Publish records the batch's modeled counters into reg under the
 // condor_fabric_* and condor_fifo_* metric families: images executed, per-PE
-// cycles/MACs/spills, DDR traffic by direction, and per-stream FIFO word,
-// burst and occupancy figures. Counters accumulate across calls, so one
+// cycles/MACs/spills, DDR traffic by direction, and per-stream FIFO words. Counters accumulate across calls, so one
 // registry can absorb many batches; call with a fresh registry for a
 // single-run snapshot.
 func (s *RunStats) Publish(reg *obs.Registry) {
@@ -35,16 +34,5 @@ func (s *RunStats) Publish(reg *obs.Registry) {
 		reg.Counter("condor_fifo_words_total",
 			"Words moved through inter-PE streaming FIFOs.",
 			l, obs.L("op", "pop")).Add(st.Pops)
-		reg.Counter("condor_fifo_bursts_total",
-			"Burst synchronisations on inter-PE streaming FIFOs.",
-			l, obs.L("op", "push")).Add(st.PushBursts)
-		reg.Counter("condor_fifo_bursts_total",
-			"Burst synchronisations on inter-PE streaming FIFOs.",
-			l, obs.L("op", "pop")).Add(st.PopBursts)
-		g := reg.Gauge("condor_fifo_max_occupancy_words",
-			"High-water FIFO occupancy observed at burst boundaries.", l)
-		if float64(st.MaxOccupancy) > g.Value() {
-			g.Set(float64(st.MaxOccupancy))
-		}
 	}
 }

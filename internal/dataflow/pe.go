@@ -3,12 +3,9 @@ package dataflow
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"unsafe"
 
 	"condor/internal/condorir"
 	"condor/internal/diag"
-	"condor/internal/fifo"
 	"condor/internal/nn"
 	"condor/internal/obs"
 )
@@ -46,35 +43,29 @@ func (s *PEStats) CyclesPerImage() int64 {
 	return s.Cycles / s.Images
 }
 
-// peStream is the part of a PE executor that does not depend on the element
-// type: the PE, its plan and its stream ends, the session hooks and the
-// Winograd convolution (whose transform domain is float32 on both
-// datapaths).
+// peBase is the part of a PE executor that does not depend on the element
+// type: the PE, its plan, its trace track, what it measures and the Winograd
+// convolution (whose transform domain is float32 on both datapaths).
 //
 // Windows are gathered straight from the zero-padded channel planes — the
 // filter chain itself is simulated FIFO by FIFO only by the word-at-a-time
 // oracle in wordpath.go. The PE's port parallelism (Par.In input maps read
 // concurrently, Par.Out output maps computed in parallel) is modeled — it
 // sets the schedule's cycles, resources and DDR traffic — while the host runs
-// each layer inline on the PE's goroutine, every output cell's chain in the
-// oracle's order, so results do not depend on the parallelism setting.
+// each layer inline on its worker's goroutine, every output cell's chain in
+// the oracle's order, so results do not depend on the parallelism setting.
 //
 // A warm executor allocates nothing and spawns nothing per image: scratch is
 // sized once in prepare.
-type peStream struct {
-	pe    *PE
-	plan  *pePlan    // Instantiate's, shared with every compute unit
-	dm    *datamover // the session's
-	in    *fifo.FIFO
-	out   *fifo.FIFO
-	stats *PEStats
-	track *obs.Track // nil when tracing is off
+type peBase struct {
+	pe     *PE
+	plan   *pePlan    // Instantiate's, shared with every compute unit
+	track  *obs.Track // nil when tracing is off
+	cycles int64      // the track's modeled cycle stamp
 
-	// Session hooks: onImage advances the RunBatch barrier after each
-	// retired image; onErr latches a failure before the input drain starts,
-	// so the feeder learns to close the head FIFO and the drain terminates.
-	onImage func()
-	onErr   func(error)
+	// The PE's measured maxima over the images this executor ran (PEStats):
+	// every other counter is the schedule's, booked by Session.Stats.
+	maxRequant, maxWinograd float64
 
 	wino winogradPass // algopath.go
 }
@@ -261,43 +252,42 @@ func layerWeights(peID string, l *LayerHW, ws *condorir.WeightSet) (w, b []float
 	return we.Data, b, nil
 }
 
-// peExec executes one PE over a stream of images, on float32 words or int8
-// codes (E): each image is popped from the PE's input FIFO into a frame
-// buffer in one burst, each layer fills the other frame buffer, a fused
-// layer's output crosses DDR by swapping the two, and the last layer's output
-// leaves in one push. The frame loop, the conv staging and the pool and FC
-// skeletons are written once here; the per-type value el (f32Ops, i8Ops),
-// bound once per session by OpenSession, supplies what the element types do
-// differently — the frame ends, the stores, the layer close and the pool's
-// scale — and each type's AVX2 tiles and FC kernel. el is
-// called once per frame or layer, never per tile: the tiles reach their
-// stores through convOps. Every output cell keeps the RunWords oracle's
-// accumulation chain (float32) or an exact int32 sum (int8), so results,
-// FIFO traffic, MAC counts and modeled cycles do not depend on how the host
-// schedules the cells. The direct and im2col_gemm schedules share one
-// kernel: the algorithm drives the cycle, resource and verification models
-// only.
+// peExec executes one PE for a worker, on float32 words or int8 codes (E),
+// over the images of a chunk (run): layer by layer, each layer over every
+// image of the chunk, from the worker's volumes on one side into the other,
+// so a fused layer's output is the next layer's input where it lies (the
+// datamover's DDR round trip is modeled, not copied). The conv staging and
+// the pool and FC skeletons are written once here; the per-type value el
+// (f32Ops, i8Ops), bound when the worker is built, supplies what the element
+// types do differently — staging an image and storing a result, the stores,
+// the layer close and the pool's scale — and each type's AVX2 tiles and FC
+// kernels. el is called once per image or layer, never per tile: the tiles
+// reach their stores through convOps. Every output cell keeps the RunWords
+// oracle's accumulation chain (float32) or an exact int32 sum (int8), so
+// results, MAC counts and modeled cycles do not depend on how the host
+// groups the images or schedules the cells. The direct and im2col_gemm
+// schedules share one kernel: the algorithm drives the cycle, resource and
+// verification models only.
 type peExec[E float32 | int8] struct {
-	peStream
+	peBase
 	el elemOps[E]
 
 	// poolMax8 is the element type's AVX2 max-pool kernel (maxPoolPlane).
 	poolMax8 func(win, win2 *E, k, pw, stride int, out, out2 *E)
 
-	// pass is the layer pass in flight, written by runImage, runLayer and
-	// handOff and read by the layer bodies and el.
+	// pass is the layer pass in flight, written by run and read by the layer
+	// bodies and el.
 	pass struct {
 		l        *LayerHW
 		st       *layerState
-		cur, out []E     // the layer's input and output volumes, views of curFrame and nxtFrame
+		cur, out []E     // the image's input and output volumes, views of the worker's
 		inScale  float64 // scale of cur (int8 codes; zero for float32 words)
 		outScale float64 // scale of out, once the layer has run
 	}
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
-	curFrame, nxtFrame []fifo.Word // frame buffers (el.view): the layer's input and output volumes
-	plane              []E         // a zero-padded channel plane
-	stack              []E         // a padded conv layer's stacked planes
+	plane []E // a zero-padded channel plane
+	stack []E // a padded conv layer's stacked planes
 }
 
 // elemOps is peExec's per-type value: what float32 words (f32Ops) and int8
@@ -305,14 +295,10 @@ type peExec[E float32 | int8] struct {
 type elemOps[E float32 | int8] interface {
 	// prepare allocates the type's scratch.
 	prepare(sz *scratchWords)
-	// frameWords is the size of a frame buffer holding n elements, and view
-	// the elements of one.
-	frameWords(n int) int
-	view(frame []fifo.Word, n int) []E
-	// popFrame receives an image of n elements into frame and returns its
-	// scale; pushFrame sends the n elements of frame downstream.
-	popFrame(frame []fifo.Word, n int) (float64, error)
-	pushFrame(frame []fifo.Word, n int, scale float64)
+	// load stages an image's float32 words in dst and returns their scale;
+	// store writes the elements of src, at scale, back as float32 words.
+	load(dst []E, img []float32) (scale float64)
+	store(dst []float32, src []E, scale float64)
 	// floats is where the layer in flight leaves its first n float results:
 	// the output volume itself, or the int8 float stage. floatsIn is the
 	// layer's input as float32 words.
@@ -322,6 +308,10 @@ type elemOps[E float32 | int8] interface {
 	// planes, and fc an FC layer's biased sums into fb.
 	conv(stack []E) (outScale float64)
 	fc(fb []float32)
+	// fcChunk runs the FC layer in flight over the c images of a chunk, whose
+	// input and output volumes lie stride elements apart in in and out, in one
+	// pass over its weights, and reports whether it did.
+	fcChunk(in, out []E, stride, c int) bool
 	// maxFloats puts a max pool's channel into the float stage; avgPool
 	// averages a padded plane's windows into it.
 	maxFloats(fb []float32, out []E)
@@ -332,16 +322,14 @@ type elemOps[E float32 | int8] interface {
 }
 
 // poolSlack is how many elements past every channel plane the executor can
-// read — the frame buffers and the scratch plane carry them — so that
+// read — the worker's volumes and the scratch plane carry them — so that
 // poolMax8Rows, which counts the stride-2 kernel's one load past a plane's
 // last window, admits a plane's last row too.
 const poolSlack = 1
 
-// prepare allocates the executor's scratch for its plan, once per session.
+// prepare allocates the executor's scratch for its plan, once per worker.
 func (x *peExec[E]) prepare() {
 	sz := &x.plan.scratch
-	words := x.el.frameWords(sz.vol + poolSlack)
-	x.curFrame, x.nxtFrame = make([]fifo.Word, words), make([]fifo.Word, words)
 	x.plane = make([]E, sz.plane+poolSlack)
 	x.stack = make([]E, sz.paddedStack)
 	x.wino.plane = make([]float32, sz.wgPlane)
@@ -350,127 +338,49 @@ func (x *peExec[E]) prepare() {
 	x.el.prepare(sz)
 }
 
-// runStream is the resident session loop: frames are consumed until the
-// input stream ends, each validated against the expected epoch sequence and
-// forwarded under the same tag. prepare runs once per session, not once per
-// image, so batches amortize it. On error the executor latches the failure
-// first (so the session feeder stops and closes the head FIFO) and then
-// drains its input; the drain completes before runStream returns, so no
-// goroutine outlives the session.
-func (x *peExec[E]) runStream() error {
-	defer x.out.Close()
-	fail := func(err error) error {
-		err = fmt.Errorf("dataflow: %s: %w", x.pe.ID, err)
-		x.onErr(err)
-		x.in.Drain()
-		return err
-	}
-	x.prepare()
-	var epoch uint16
-	for {
-		h, ok, err := x.in.PopFrameHeader()
-		if !ok {
-			return nil // end of session
-		}
-		if err != nil {
-			return fail(err)
-		}
-		if h != epoch {
-			return fail(fmt.Errorf("frame epoch %d arrived, expected %d", h, epoch))
-		}
-		x.out.PushFrameHeader(h)
-		if err := x.runImage(); err != nil {
-			return fail(fmt.Errorf("epoch %d: %w", h, err))
-		}
-		x.stats.Images++
-		epoch++
-		x.onImage()
-	}
-}
-
-// runImage pushes one image through the PE's fused layer sequence and books
-// each layer's counters from its schedule: they are pure adds, so the
-// modeled passes fold into one closed form whatever order the host computed
-// the cells in.
-func (x *peExec[E]) runImage() error {
+// run runs the PE's fused layers over the c images of a chunk, the first
+// of which is image first of the batch: their input volumes lie in
+// w.vols[side] with their scales in w.scales[side], and run returns the side
+// their outputs lie on. A float32 FC layer takes the whole chunk at once
+// (fcChunk); every other layer runs image by image. With tracing on, each
+// layer is one span on the PE's track whose cycles are the chunk's share of
+// the schedule, so per-track span totals sum to exactly PEStats.Cycles.
+func (x *peExec[E]) run(w *worker[E], side, first, c int) int {
 	p := &x.pass
-	layers := x.pe.Layers
-	n := layers[0].InShape.Volume()
-	var err error
-	if p.inScale, err = x.el.popFrame(x.curFrame, n); err != nil {
-		return err
-	}
-	// The pop may have released the upstream PE's blocked push. Go puts the
-	// goroutine it wakes in this one's runnext slot, where it would wait out
-	// the whole layer sequence below unless another processor fell idle.
-	// Yielding lets the producer run now, while this PE computes. No output,
-	// counter or modeled quantity depends on it.
-	runtime.Gosched()
-	p.cur = x.el.view(x.curFrame, n)
-	x.stats.ElemsIn += int64(n)
-	for li := range layers {
-		s := &x.plan.layers[li].sched
-
-		// The span brackets the PE's cumulative cycle counter: its cycle
-		// width is this layer's cycles plus, for fused layers, the DDR round
-		// trip of the intermediate — so per-track span totals sum to exactly
-		// PEStats.Cycles.
+	for li := range x.pe.Layers {
+		p.l, p.st = &x.pe.Layers[li], &x.plan.layers[li]
 		sid := 0
 		if x.track != nil {
-			sid = x.track.Begin(layers[li].Name, x.stats.Cycles)
+			sid = x.track.Begin(p.l.Name, x.cycles)
 		}
-		x.runLayer(li)
-		if bytes := x.plan.layers[li].streamBytes; bytes > 0 {
-			x.dm.read(bytes)
+		in, out := w.vols[side], w.vols[1-side]
+		w.img = first
+		if p.l.Kind != nn.FullyConnected || !x.el.fcChunk(in, out, w.stride, c) {
+			n, m := p.l.InShape.Volume(), p.l.OutShape.Volume()
+			for i := 0; i < c; i++ {
+				w.img = first + i
+				p.cur, p.inScale = in[i*w.stride:][:n], w.scales[side][i]
+				p.out = out[i*w.stride:][:m]
+				x.runLayer()
+				w.scales[1-side][i] = p.outScale
+			}
 		}
-		if s.SpillWords > 0 {
-			x.dm.spill(s.SpillWords)
-			x.stats.SpilledPartial += s.SpillWords
-		}
-		x.stats.WindowsRead += s.Windows
-		x.stats.MACs += s.MACs
-		x.stats.Cycles += s.Cycles()
-		last := li == len(layers)-1
-		if !last {
-			x.handOff()
-			x.stats.Cycles += s.HandOff
-		}
+		side = 1 - side
 		if x.track != nil {
-			x.track.AddWords(sid, s.OutWords)
-			x.track.End(sid, x.stats.Cycles)
-		}
-		if last {
-			// Outside the span, like the pop: the push waits for room in the
-			// consumer's FIFO, and that backpressure is the consumer's time,
-			// not this layer's.
-			x.el.pushFrame(x.nxtFrame, len(p.out), p.outScale)
-			x.stats.ElemsOut += int64(len(p.out))
+			s := &p.st.sched
+			x.cycles += int64(c) * (s.Cycles() + s.HandOff)
+			x.track.AddWords(sid, int64(c)*s.OutWords)
+			x.track.End(sid, x.cycles)
 		}
 	}
-	return nil
+	return side
 }
 
-// handOff is the fused-layer hand-off through the datamover (the paper's
-// partial-result exchange): the output volume is written to DDR and read
-// back as the next layer's input — its elements' own bytes each way, a
-// float32 word or an int8 code — and the frame buffers swap.
-func (x *peExec[E]) handOff() {
+// runLayer runs the layer in flight from the image's input volume into its
+// output volume and records the output scale.
+func (x *peExec[E]) runLayer() {
 	p := &x.pass
-	var e E
-	bytes := int64(len(p.out)) * int64(unsafe.Sizeof(e))
-	x.dm.write(bytes)
-	x.dm.read(bytes)
-	x.curFrame, x.nxtFrame = x.nxtFrame, x.curFrame
-	p.cur, p.inScale = p.out, p.outScale
-}
-
-// runLayer runs layer li from the current volume into the output volume and
-// records the output scale.
-func (x *peExec[E]) runLayer(li int) {
-	p := &x.pass
-	p.l, p.st = &x.pe.Layers[li], &x.plan.layers[li]
-	n := p.l.OutShape.Volume()
-	p.out = x.el.view(x.nxtFrame, n)
+	n := len(p.out)
 	switch {
 	case p.l.Kind == nn.FullyConnected:
 		p.outScale = x.runFC(x.el.floats(n))
@@ -486,7 +396,7 @@ func (x *peExec[E]) runLayer(li int) {
 		// gather from.
 		p.outScale = x.el.conv(stackPlanes(x.stack, p.l, p.cur))
 	}
-	x.stats.MaxRequantScale = max(x.stats.MaxRequantScale, p.outScale)
+	x.maxRequant = max(x.maxRequant, p.outScale)
 }
 
 // runFC is the fully-connected PE as a single-input/single-output 1x1
@@ -495,13 +405,18 @@ func (x *peExec[E]) runLayer(li int) {
 // float — the paper folds normalisation into the last PE) apply and the
 // layer closes.
 func (x *peExec[E]) runFC(fb []float32) float64 {
-	l := x.pass.l
 	x.el.fc(fb)
+	foldFC(x.pass.l, fb)
+	return x.el.closeLayer(fb)
+}
+
+// foldFC applies FC layer l's folded activation and normalisation to one
+// image's biased sums.
+func foldFC(l *LayerHW, fb []float32) {
 	activateInPlace(l.Activation, fb)
 	if l.Normalize != NoActivation {
 		normalizeInPlace(l.Normalize, fb)
 	}
-	return x.el.closeLayer(fb)
 }
 
 // runPool is the sub-sampling PE: one pass per channel, each window replaced
@@ -578,16 +493,18 @@ func avgPlane[E float32 | int8, A float32 | int32](fb []float32, plane []E, l *L
 	}
 }
 
-// f32Ops is the float32 datapath's per-type value: frames of plain words,
-// float results written straight into the output volume, and no layer close.
+// f32Ops is the float32 datapath's per-type value: images staged as they
+// are, float results written straight into the output volume, and no layer
+// close.
 type f32Ops struct {
 	x     *peExec[float32]
 	tiles convPass[float32, float32, float32]
+	lanes []float32 // fcChunk's interleaved inputs, grown on first use
 }
 
-// newF32Exec binds a float32 executor to its stream ends.
-func newF32Exec(s peStream) *peExec[float32] {
-	x := &peExec[float32]{peStream: s, poolMax8: poolMax8}
+// newF32Exec binds a float32 executor to its PE.
+func newF32Exec(b peBase) *peExec[float32] {
+	x := &peExec[float32]{peBase: b, poolMax8: poolMax8}
 	o := &f32Ops{x: x}
 	o.tiles.ops, x.el = o, o
 	return x
@@ -595,20 +512,8 @@ func newF32Exec(s peStream) *peExec[float32] {
 
 func (o *f32Ops) prepare(*scratchWords) {}
 
-func (o *f32Ops) frameWords(n int) int                    { return n }
-func (o *f32Ops) view(frame []fifo.Word, n int) []float32 { return frame[:n] }
-
-func (o *f32Ops) popFrame(frame []fifo.Word, n int) (float64, error) {
-	// The whole input image is burst out of the input FIFO up front; the
-	// bounded FIFO still throttles the producer, PopInto just retires each
-	// arriving chunk with one synchronisation instead of one per word.
-	if got := o.x.in.PopInto(frame[:n]); got < n {
-		return 0, fmt.Errorf("input stream ended after %d of %d elements", got, n)
-	}
-	return 0, nil
-}
-
-func (o *f32Ops) pushFrame(frame []fifo.Word, n int, _ float64) { o.x.out.PushSlice(frame[:n]) }
+func (o *f32Ops) load(dst, img []float32) float64     { copy(dst, img); return 0 }
+func (o *f32Ops) store(dst, src []float32, _ float64) { copy(dst, src) }
 
 func (o *f32Ops) floats(n int) []float32         { return o.x.pass.out[:n] }
 func (o *f32Ops) floatsIn() []float32            { return o.x.pass.cur }
@@ -972,6 +877,59 @@ func (o *f32Ops) fcGroup8(first int, acc []float32) {
 		}
 		acc[j] = a
 	}
+}
+
+// fcChunk is fc and foldFC over a chunk of c images in one pass over the
+// weights, on the AVX2 image-lane kernel fcLanes8: the inputs are
+// interleaved, lane i image i's, and each group of convLanes neurons is one
+// kernel call whose lanes each continue one image's chain from the neuron's
+// bias, visiting the inputs in ascending order with two roundings per MAC —
+// the chain fcRows8 and fcTileGo keep, so the sums are theirs bit for bit.
+// The neurons past the last whole group run again as the last convLanes of
+// the layer, and a layer narrower than convLanes repeats its last neuron,
+// each storing the same sums again. A lone image, or a CPU without AVX2,
+// runs fc image by image instead.
+func (o *f32Ops) fcChunk(in, out []float32, stride, c int) bool {
+	if !haveAVX2 || c < 2 {
+		return false
+	}
+	l, w, b := o.x.pass.l, o.x.pass.st.w, o.x.pass.st.b
+	v, n := l.InShape.Volume(), l.OutShape.Volume()
+	if len(o.lanes) < v*convLanes {
+		o.lanes = make([]float32, v*convLanes)
+	}
+	lanes := o.lanes[:v*convLanes]
+	if c < convLanes {
+		clear(lanes) // the idle lanes compute on zeros
+	}
+	for i := 0; i < c; i++ {
+		for h, xv := range in[i*stride:][:v] {
+			lanes[h*convLanes+i] = xv
+		}
+	}
+	var rows [convLanes]*float32
+	var acc [convLanes][convLanes]float32
+	for g := 0; g < n; g += convLanes {
+		first := min(g, max(n-convLanes, 0))
+		for j := range rows {
+			f := min(first+j, n-1)
+			rows[j] = &w[f*v]
+			for i := range acc[j] {
+				acc[j][i] = biasAt(b, f)
+			}
+		}
+		fcLanes8(&lanes[0], v, &rows, &acc)
+		for j := range rows {
+			f := min(first+j, n-1)
+			for i := 0; i < c; i++ {
+				out[i*stride+f] = acc[j][i]
+			}
+		}
+	}
+	for i := 0; i < c; i++ {
+		foldFC(l, out[i*stride:][:n])
+	}
+	return true
 }
 
 // fcTileGo continues the chains of FC neurons f over the inputs in: neuron

@@ -12,20 +12,20 @@ import (
 	"condor/internal/quant"
 )
 
-// TestSessionSchedulingInvariance runs one 16-image LeNet batch on a warm
-// session at GOMAXPROCS 1, 2 and 16, float32 and int8 (with the explorer's
-// parallelism and algorithms), the three sessions opened in turn on one
-// fabric. A PE yields the processor at every frame
-// hand-off, so each setting interleaves the PEs, the feeder and the
-// collector differently; the outputs and the deterministic RunStats counters
-// (runDigest) must not move, and the session must run exactly its PEs, the
-// feeder and the collector at every setting.
+// TestSessionSchedulingInvariance runs LeNet batches of 1, 3, 8, 9 and 16
+// images on a warm session at GOMAXPROCS 1, 2 and 16, float32 and int8 (with
+// the explorer's parallelism and algorithms), the sessions opened in turn
+// on one fabric. The processor count sets how many workers a session has and
+// so how a batch is cut into chunks and which worker runs which; the outputs
+// and the deterministic RunStats counters (runDigest) must not move, and
+// Close must return the package's goroutines to where OpenSession found
+// them.
 func TestSessionSchedulingInvariance(t *testing.T) {
 	ir, ws, err := models.LeNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := models.MNISTImages(16, 7)
+	batches := []int{1, 3, 8, 9, 16}
 	for _, c := range []struct {
 		precision quant.Precision
 		dse       bool
@@ -39,28 +39,29 @@ func TestSessionSchedulingInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			digests := map[int]string{}
+			digests := map[int]map[int]string{} // procs → batch size → digest
 			for _, procs := range []int{1, 2, 16} {
 				t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					digests[procs] = map[int]string{}
 					baseline := dataflow.PackageGoroutines()
-					sess := acc.OpenSession()
-					if _, _, err := sess.RunBatch(batch); err != nil { // warm the session
-						t.Fatal(err)
+					for _, n := range batches {
+						sess := acc.OpenSession()
+						batch := models.MNISTImages(n, 7)
+						if _, _, err := sess.RunBatch(batch); err != nil { // warm the session
+							t.Fatal(err)
+						}
+						outs, _, err := sess.RunBatch(batch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						digests[procs][n] = runDigest(outs, sess.Stats())
+						if err := sess.Close(); err != nil {
+							t.Fatal(err)
+						}
 					}
-					outs, stats, err := sess.RunBatch(batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n, want := dataflow.PackageGoroutines()-baseline, len(acc.Spec.PEs)+2; n != want {
-						t.Errorf("the session runs %d goroutines, want %d (%d PEs, the feeder and the collector)", n, want, len(acc.Spec.PEs))
-					}
-					digests[procs] = runDigest(outs, stats)
-					if err := sess.Close(); err != nil {
-						t.Fatal(err)
-					}
-					// Close has joined every goroutine; let the runtime retire
-					// stacks that are mid-exit before the next baseline.
+					// Close has joined every helper; let the runtime retire
+					// stacks that are mid-exit before comparing.
 					for deadline := time.Now().Add(5 * time.Second); dataflow.PackageGoroutines() != baseline; time.Sleep(10 * time.Millisecond) {
 						if time.Now().After(deadline) {
 							t.Fatalf("%d goroutines of the package after Close, %d before OpenSession", dataflow.PackageGoroutines(), baseline)
@@ -69,9 +70,11 @@ func TestSessionSchedulingInvariance(t *testing.T) {
 				})
 			}
 			for _, procs := range []int{2, 16} {
-				d, ok := digests[procs]
-				if want, ran := digests[1]; ok && ran && d != want {
-					t.Errorf("GOMAXPROCS %d: outputs or counters digest %s, GOMAXPROCS 1 gives %s", procs, d, want)
+				for _, n := range batches {
+					d, ok := digests[procs][n]
+					if want, ran := digests[1][n]; ok && ran && d != want {
+						t.Errorf("GOMAXPROCS %d, batch %d: outputs or counters digest %s, GOMAXPROCS 1 gives %s", procs, n, d, want)
+					}
 				}
 			}
 		})

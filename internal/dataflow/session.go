@@ -4,310 +4,144 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"condor/internal/fifo"
-	"condor/internal/obs"
-	"condor/internal/quant"
 	"condor/internal/tensor"
 )
 
-// Session is a resident streaming instance of the fabric: every element
-// (feeder, one goroutine per PE, collector) stays alive across batches, and
-// consecutive images stream back-to-back through the layer pipeline without
-// draining between them. Each image travels as an epoch-tagged frame
-// (fifo.PushFrameHeader) so elements detect interleaving bugs instead of
-// silently mixing images; on the packed int8 datapath the epoch header
-// precedes the per-image scale word of the PR-8 frame layout.
+// Session is a resident instance of the fabric that runs batches to
+// completion on workers: the caller's goroutine is worker 0, and the first
+// batch of more than one image starts runtime.GOMAXPROCS(0)−1 resident
+// helpers. Each worker owns one executor per PE. A batch of n images is cut
+// into chunks of min(convLanes, ⌈n/workers⌉) images; a worker takes the next
+// chunk, stages its images, runs the chunk through each PE in turn and
+// writes the outputs, until none is left. Images never share a result, so
+// outputs do not depend on which worker ran which chunk.
 //
-// RunInto (flat words) and RunBatch (tensors) feed a batch into the
-// running pipeline and block until every element has retired it; Close ends
-// the stream, joins every goroutine and reports any deferred failure.
-// Accelerator.Run is OpenSession + RunBatch + Close, so one-shot callers
-// see exactly the old behavior; throughput callers hold a session open and
-// amortize the fabric's fill/drain and setup (executor prepare, FIFO and
-// scratch allocation, goroutine spawn) over the whole stream.
+// The device's pipeline is modeled, not re-enacted: every counter Stats
+// reports is the PEs' schedule times the images run, plus what the workers
+// measure (the int8 scales and the Winograd magnitudes).
+//
+// RunInto (flat words) and RunBatch (tensors) block until the batch is done;
+// Close joins the helpers and reports any failure. Accelerator.Run is
+// OpenSession + RunBatch + Close; throughput callers hold a session open and
+// amortize its setup (executor scratch, helper start) over the stream.
 type Session struct {
 	acc    *Accelerator
 	packed bool
-	fifos  []*fifo.FIFO
+	inVol  int
+	outVol int
 
-	feedQ    chan []float32 // one image's words
-	collectQ chan []float32 // a batch's output words, one frame per image
-	quit     chan struct{}  // closed on first element failure
+	// workers[0] runs on the caller's goroutine; workers[k] for k ≥ 1 is a
+	// resident helper, woken by wake[k-1] once per batch it joins.
+	workers []runner
+	wake    []chan struct{}
+	helpers sync.WaitGroup // the helper goroutines, joined by Close
+	joined  sync.WaitGroup // the helpers woken for the batch in flight
 
-	// mu guards the completion barrier and the failure latch. Elements
-	// increment their done counter after finishing an image; RunBatch waits
-	// until the slowest element catches up, which also orders every
-	// element's stats writes before the snapshot RunBatch returns.
-	mu   sync.Mutex
-	cond *sync.Cond
-	done []int // images retired per element: [feeder, PEs..., collector]
-	err  error // sticky first failure
+	job    job
+	images int // images run over the session
 
-	fed        int // images fed over the session (runMu-guarded)
-	peStats    []PEStats
-	dm         datamover // the session's DDR traffic, from the configuration load on
-	inputScale float64
-	outShape   [3]int
-	outVol     int
+	failed atomic.Bool
+	err    error // the first failure, written once by the worker that set failed
 
-	runMu  sync.Mutex // serializes batches and Close
+	runMu  sync.Mutex // serializes batches, Stats and Close
 	closed bool       // runMu-guarded
-	wg     sync.WaitGroup
 
-	// testExpectEpoch, when set by tests, perturbs the epoch the collector
-	// expects for a given image sequence number — the hook the mid-batch
-	// error-cascade test uses to prove teardown leaks no goroutine.
-	testExpectEpoch func(seq int, epoch uint16) uint16
+	// testPanic, when set by tests, is called as a worker starts PE pe on
+	// image img of a batch: the hook a worker-failure test panics from.
+	testPanic func(pe, img int)
+}
+
+// job is the batch in flight: its images (flat back-to-back volumes, or
+// tensors), the output words and the chunking. Workers take chunks by
+// advancing next.
+type job struct {
+	flat    []float32
+	tensors []*tensor.Tensor
+	out     []float32
+	n       int
+	chunk   int
+	next    atomic.Int64
+}
+
+// image returns image i's input words.
+func (j *job) image(i, vol int) []float32 {
+	if j.tensors != nil {
+		return j.tensors[i].Data()
+	}
+	return j.flat[i*vol : (i+1)*vol]
+}
+
+// runner is a worker of either element type as the session drives it.
+type runner interface {
+	// work takes chunks of the batch until none is left or the session has
+	// failed; a panic fails the session instead of crashing the process.
+	work(j *job)
+	// fold folds what the worker measured into st.
+	fold(st *RunStats)
 }
 
 // ErrNonFiniteInput is returned (wrapped) by RunInto and RunBatch on the
-// packed datapath for a NaN or infinite pixel; nothing is fed and the
-// session stays usable.
+// packed datapath for a NaN or infinite pixel; nothing runs and the session
+// stays usable.
 var ErrNonFiniteInput = errors.New("non-finite value cannot be quantized")
 
-// OpenSession brings the fabric up as a resident streaming pipeline with no
-// images in flight. The caller must Close the session to join its
-// goroutines; errors detected mid-stream surface on the blocked RunBatch
-// and again on Close.
+// OpenSession brings the fabric up with worker 0's executors prepared and no
+// goroutine started. The caller must Close the session to join the helpers a
+// multi-image batch starts.
 func (a *Accelerator) OpenSession() *Session {
-	spec := a.Spec
 	s := &Session{
-		acc:      a,
-		packed:   spec.WordBits == 8,
-		feedQ:    make(chan []float32),
-		collectQ: make(chan []float32, 1),
-		quit:     make(chan struct{}),
-		done:     make([]int, len(spec.PEs)+2),
-		peStats:  make([]PEStats, len(spec.PEs)),
+		acc:    a,
+		packed: a.Spec.WordBits == 8,
+		inVol:  a.Spec.Input.Volume(),
+		outVol: a.Spec.OutputShape().Volume(),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.dm.read(a.configLoad)
-	out := spec.OutputShape()
-	s.outShape = [3]int{out.Channels, out.Height, out.Width}
-	s.outVol = out.Volume()
-
-	s.fifos = make([]*fifo.FIFO, len(spec.PEs)+1)
-	for i := range s.fifos {
-		s.fifos[i] = fifo.New(fmt.Sprintf("stream%d", i), spec.InterPEFIFODepth)
-	}
-
-	// One trace track per element, created up front so each goroutine owns
-	// its track exclusively (single-writer, no locking on the record path).
-	var feedTrack, sinkTrack *obs.Track
-	peTracks := make([]*obs.Track, len(spec.PEs))
-	if a.tracer != nil {
-		feedTrack = a.tracer.Track(a.trackPrefix + "feeder")
-		for i, pe := range spec.PEs {
-			peTracks[i] = a.tracer.Track(a.trackPrefix + pe.ID)
-		}
-		sinkTrack = a.tracer.Track(a.trackPrefix + "collector")
-	}
-
-	s.wg.Add(1)
-	go s.feeder(feedTrack)
-
-	for i, pe := range spec.PEs {
-		s.peStats[i].ID = pe.ID
-		elem := 1 + i
-		stream := peStream{pe: pe, plan: &a.plan[i], dm: &s.dm, in: s.fifos[i], out: s.fifos[i+1], stats: &s.peStats[i],
-			track: peTracks[i], onImage: func() { s.imageDone(elem) }, onErr: s.fail}
-		var run func() error
-		if s.packed {
-			run = newI8Exec(stream).runStream
-		} else {
-			run = newF32Exec(stream).runStream
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := run(); err != nil {
-				s.fail(err)
-			}
-		}()
-	}
-
-	s.wg.Add(1)
-	go s.collector(sinkTrack)
+	s.workers = []runner{s.newWorker()}
 	return s
 }
 
-// imageDone advances one element's retirement counter and wakes the
-// RunBatch barrier. Because the increment happens under mu after the
-// element's stats writes for that image, a woken RunBatch observes every
-// contributing write.
-func (s *Session) imageDone(elem int) {
-	s.mu.Lock()
-	s.done[elem]++
-	s.cond.Broadcast()
-	s.mu.Unlock()
+// newWorker builds a worker of the session's element type.
+func (s *Session) newWorker() runner {
+	if s.packed {
+		return newWorker(s, newI8Exec)
+	}
+	return newWorker(s, newF32Exec)
 }
 
-// fail latches the first element failure and tells the fabric to wind down:
-// the feeder closes the head FIFO on seeing quit, which cascades
-// end-of-stream through every resident element.
+// startHelpers starts a resident helper per processor beyond the caller's.
+func (s *Session) startHelpers() {
+	for k := 1; k < runtime.GOMAXPROCS(0); k++ {
+		w, wake := s.newWorker(), make(chan struct{})
+		s.workers = append(s.workers, w)
+		s.wake = append(s.wake, wake)
+		s.helpers.Add(1)
+		go s.helper(w, wake)
+	}
+}
+
+// helper runs w's share of every batch it is woken for, until Close closes
+// wake.
+func (s *Session) helper(w runner, wake <-chan struct{}) {
+	defer s.helpers.Done()
+	for range wake {
+		w.work(&s.job)
+		s.joined.Done()
+	}
+}
+
+// fail latches the session's first failure.
 func (s *Session) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
+	if s.failed.CompareAndSwap(false, true) {
 		s.err = err
-		close(s.quit)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// failed reports the sticky error, if any.
-func (s *Session) failed() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// feeder streams every queued image from on-board memory into the head
-// FIFO, one epoch-tagged frame per image. On the packed datapath it is the
-// fabric's only float→int8 quantization point. It owns closing the head
-// FIFO — on a clean Close (feedQ closed) and on failure (quit closed) —
-// which is what guarantees every downstream drain terminates.
-func (s *Session) feeder(track *obs.Track) {
-	defer s.wg.Done()
-	in := s.acc.Spec.Input
-	head := s.fifos[0]
-	var frame []fifo.Word // the packed datapath's frame buffer
-	if s.packed {
-		frame = make([]fifo.Word, 1+fifo.PackedWords(in.Volume()))
-	}
-	var epoch uint16
-	for {
-		// Prefer quit so a failed fabric stops consuming the queue promptly.
-		select {
-		case <-s.quit:
-			head.Close()
-			return
-		default:
-		}
-		select {
-		case <-s.quit:
-			head.Close()
-			return
-		case img, ok := <-s.feedQ:
-			if !ok {
-				head.Close()
-				return
-			}
-			sid := 0
-			if track != nil {
-				sid = track.Begin("feed", 0)
-			}
-			head.PushFrameHeader(epoch)
-			if s.packed {
-				scale := frameScale(img)
-				quantizeCodes(int8Payload(frame, len(img)), img, scale)
-				s.dm.read(int64(len(img)))
-				pushInt8Frame(head, frame, len(img), scale)
-				s.mu.Lock()
-				if scale > s.inputScale {
-					s.inputScale = scale
-				}
-				s.mu.Unlock()
-			} else {
-				s.dm.read(4 * int64(len(img)))
-				head.PushSlice(img)
-			}
-			if track != nil {
-				track.AddWords(sid, int64(len(img)))
-				track.End(sid, 0)
-			}
-			epoch++
-			s.imageDone(0)
-		}
 	}
 }
 
-// collector retires output frames from the tail FIFO into the posted
-// output slices, validating the epoch sequence and dequantizing on the
-// packed datapath. A mid-stream failure drains the tail synchronously so no
-// upstream element can block on a full FIFO forever.
-func (s *Session) collector(track *obs.Track) {
-	defer s.wg.Done()
-	sink := s.fifos[len(s.fifos)-1]
-	elem := len(s.done) - 1
-	var frame []fifo.Word // the packed datapath's frame buffer
-	if s.packed {
-		frame = make([]fifo.Word, 1+fifo.PackedWords(s.outVol))
-	}
-	seq := 0 // images retired over the session; low 16 bits = expected epoch
-	for {
-		out, ok := <-s.collectQ
-		if !ok {
-			// Clean shutdown: anything left in the tail stream is a shape
-			// accounting bug. The blocking Pop terminates because Close has
-			// already ended the feed, so end-of-stream cascades here.
-			if _, ok := sink.Pop(); ok {
-				s.fail(fmt.Errorf("dataflow: accelerator produced more output words than %d images require", seq))
-				sink.Drain()
-			}
-			return
-		}
-		for ; len(out) > 0; out = out[s.outVol:] {
-			if err := s.collectImage(sink, track, out[:s.outVol], seq, frame); err != nil {
-				s.fail(err)
-				sink.Drain()
-				return
-			}
-			seq++
-			s.imageDone(elem)
-		}
-	}
-}
-
-// collectImage retires one output frame into data.
-func (s *Session) collectImage(sink *fifo.FIFO, track *obs.Track, data []float32, seq int, frame []fifo.Word) error {
-	want := uint16(seq)
-	if s.testExpectEpoch != nil {
-		want = s.testExpectEpoch(seq, want)
-	}
-	epoch, ok, err := sink.PopFrameHeader()
-	if !ok {
-		return fmt.Errorf("dataflow: output stream ended before image %d", seq)
-	}
-	if err != nil {
-		return fmt.Errorf("dataflow: collector: %w", err)
-	}
-	if epoch != want {
-		return fmt.Errorf("dataflow: collector: frame epoch %d arrived, expected %d", epoch, want)
-	}
-	sid := 0
-	if track != nil {
-		sid = track.Begin("collect", 0)
-	}
-	if s.packed {
-		// The collector is the fabric's only int8→float point: it
-		// dequantizes the last PE's codes with the frame's scale, straight
-		// from the frame buffer, before the output leaves the fabric.
-		scale, err := popInt8Frame(sink, frame, len(data))
-		if err != nil {
-			return fmt.Errorf("dataflow: image %d: %w", seq, err)
-		}
-		quant.DequantizeInto(data, int8Payload(frame, len(data)), scale)
-		s.dm.write(int64(len(data)))
-	} else {
-		if n := sink.PopInto(data); n < len(data) {
-			return fmt.Errorf("dataflow: output stream ended at image %d element %d", seq, n)
-		}
-		s.dm.write(4 * int64(len(data)))
-	}
-	if track != nil {
-		track.AddWords(sid, int64(len(data)))
-		track.End(sid, 0)
-	}
-	return nil
-}
-
-// RunBatch streams a batch through the resident pipeline and blocks until
-// every element has retired it, returning the outputs in input order as
-// views of one array (tensor.Views). It is RunInto with each image fed from
-// its tensor's words.
+// RunBatch runs a batch and returns the outputs in input order as views of
+// one array (tensor.Views), with the session-cumulative stats.
 func (s *Session) RunBatch(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	in := s.acc.Spec.Input
 	for i, img := range batch {
@@ -318,128 +152,235 @@ func (s *Session) RunBatch(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats,
 	out := make([]float32, len(batch)*s.outVol)
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if err := s.run(len(batch), func(i int) []float32 { return batch[i].Data() }, out); err != nil {
+	s.job.flat, s.job.tensors = nil, batch
+	if err := s.run(len(batch), out); err != nil {
 		return nil, nil, err
 	}
-	return tensor.Views(out, s.outShape[:]...), s.snapshotStats(), nil
+	o := s.acc.Spec.OutputShape()
+	return tensor.Views(out, o.Channels, o.Height, o.Width), s.stats(), nil
 }
 
-// RunInto streams the images stored back-to-back in in through the resident
-// pipeline and writes their outputs back-to-back into out, blocking until
-// every element has retired the batch. len(in) must be a whole number of
-// input volumes and out must hold that many output volumes. It builds no
-// stats: a caller that wants the counters asks Stats. The session survives
-// input-validation errors (a wrong size, or ErrNonFiniteInput on the packed
-// datapath); any failure detected inside the fabric is fatal to the
-// session, re-reported by Close, and may leave the fabric reading in until
-// Close returns.
+// RunInto runs the images stored back-to-back in in and writes their outputs
+// back-to-back into out. len(in) must be a whole number of input volumes and
+// out must hold that many output volumes. It builds no stats: a caller that
+// wants the counters asks Stats. The session survives input-validation
+// errors (a wrong size, or ErrNonFiniteInput on the packed datapath); a
+// failure while running is fatal to the session and re-reported by Close.
 func (s *Session) RunInto(in, out []float32) error {
-	inVol := s.acc.Spec.Input.Volume()
-	n := len(in) / inVol
-	if len(in)%inVol != 0 || len(out) < n*s.outVol {
-		return fmt.Errorf("dataflow: %d input words for %d-word images and %d output words for %d-word outputs", len(in), inVol, len(out), s.outVol)
+	n := len(in) / s.inVol
+	if len(in)%s.inVol != 0 || len(out) < n*s.outVol {
+		return fmt.Errorf("dataflow: %d input words for %d-word images and %d output words for %d-word outputs", len(in), s.inVol, len(out), s.outVol)
 	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	return s.run(n, func(i int) []float32 { return in[i*inVol : (i+1)*inVol] }, out[:n*s.outVol])
+	s.job.flat, s.job.tensors = in, nil
+	return s.run(n, out[:n*s.outVol])
 }
 
-// run feeds images img(0..n-1) and collects their outputs into out, one
-// output volume per image. The caller holds runMu.
-func (s *Session) run(n int, img func(int) []float32, out []float32) error {
+// run runs the n images of s.job into out. The caller holds runMu.
+func (s *Session) run(n int, out []float32) error {
+	defer func() { s.job.flat, s.job.tensors, s.job.out = nil, nil, nil }()
 	if s.closed {
 		return fmt.Errorf("dataflow: run on a closed session")
 	}
-	if err := s.failed(); err != nil {
-		return err
+	if s.failed.Load() {
+		return s.err
 	}
 	if n == 0 {
 		return nil
 	}
 	for i := 0; i < n && s.packed; i++ {
-		// The feeder calibrates an image's scale from its largest magnitude:
-		// an infinity makes every code garbage, and a NaN reaches a float→int
+		// An image's scale is calibrated from its largest magnitude: an
+		// infinity makes every code garbage, and a NaN reaches a float→int
 		// conversion Go leaves implementation-defined.
-		for j, v := range img(i) {
+		for j, v := range s.job.image(i, s.inVol) {
 			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 				return fmt.Errorf("dataflow: image %d element %d is %v: %w", i, j, v, ErrNonFiniteInput)
 			}
 		}
 	}
-
-	select {
-	case s.collectQ <- out:
-	case <-s.quit:
-		return s.failed()
+	if n > 1 && len(s.workers) == 1 {
+		s.startHelpers()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case s.feedQ <- img(i):
-		case <-s.quit:
-			break feed // the barrier below reports the failure
-		}
+	j := &s.job
+	j.out, j.n = out, n
+	j.chunk = min(convLanes, (n+len(s.workers)-1)/len(s.workers))
+	j.next.Store(0)
+	woken := min(len(s.wake), (n+j.chunk-1)/j.chunk-1)
+	s.joined.Add(woken)
+	for _, wake := range s.wake[:woken] {
+		wake <- struct{}{}
 	}
-	s.fed += n
-	target := s.fed
-
-	s.mu.Lock()
-	for s.minDoneLocked() < target && s.err == nil {
-		s.cond.Wait()
+	s.workers[0].work(j)
+	s.joined.Wait()
+	s.images += n
+	if s.failed.Load() {
+		return s.err
 	}
-	err := s.err
-	s.mu.Unlock()
-	return err
+	return nil
 }
 
-// minDoneLocked returns the slowest element's retirement count.
-func (s *Session) minDoneLocked() int {
-	min := s.done[0]
-	for _, d := range s.done[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// snapshotStats assembles the session-cumulative RunStats. Callers
-// guarantee quiescence (no batch in flight).
-func (s *Session) snapshotStats() *RunStats {
-	stats := &RunStats{Images: s.fed, PEs: make([]PEStats, len(s.peStats)), Streams: make([]fifo.Stats, 0, len(s.fifos))}
-	copy(stats.PEs, s.peStats)
-	stats.DRAM = s.dm.stats()
-	s.mu.Lock()
-	stats.InputScale = s.inputScale
-	s.mu.Unlock()
-	for _, f := range s.fifos {
-		stats.Streams = append(stats.Streams, f.Stats())
-	}
-	return stats
-}
-
-// Stats returns the session-cumulative RunStats without feeding anything.
-// Only meaningful between RunBatch calls (no images in flight).
+// Stats returns the session-cumulative RunStats without running anything.
 func (s *Session) Stats() *RunStats {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	return s.snapshotStats()
+	return s.stats()
 }
 
-// Close ends the stream: the feeder closes the head FIFO, end-of-stream
-// cascades through every PE to the collector, and every session goroutine
-// joins before Close returns. A failure latched at any point in the
-// session's life — including surplus output words discovered during the
-// final drain — is returned. Closing twice returns the latched error again.
+// stats assembles the session-cumulative RunStats: the schedule's counters
+// times the images run, and the maxima the workers measured. The caller
+// holds runMu, so no batch is in flight.
+func (s *Session) stats() *RunStats {
+	spec, n := s.acc.Spec, int64(s.images)
+	st := &RunStats{Images: s.images, PEs: make([]PEStats, len(spec.PEs)), Streams: make([]fifo.Stats, len(spec.PEs)+1)}
+	elem := int64(4 / spec.Lanes()) // bytes per element: a float32 word or an int8 code
+	st.DRAM.BytesRead = s.acc.configLoad + n*elem*int64(s.inVol)
+	st.DRAM.BytesWritten = n * elem * int64(s.outVol)
+	for i, pe := range spec.PEs {
+		ps := &st.PEs[i]
+		ps.ID, ps.Images = pe.ID, n
+		for li := range pe.Layers {
+			ls := &s.acc.plan[i].layers[li]
+			sc := &ls.sched
+			ps.Cycles += n * (sc.Cycles() + sc.HandOff)
+			ps.MACs += n * sc.MACs
+			ps.WindowsRead += n * sc.Windows
+			ps.SpilledPartial += n * sc.SpillWords
+			// The weight re-read, the partial spill's round trip at 32 bits
+			// and the fused hand-off's round trip at the element width.
+			st.DRAM.BytesRead += n * (ls.streamBytes + 4*sc.SpillWords)
+			st.DRAM.BytesWritten += n * 4 * sc.SpillWords
+			if li < len(pe.Layers)-1 {
+				handOff := n * elem * int64(pe.Layers[li].OutShape.Volume())
+				st.DRAM.BytesRead += handOff
+				st.DRAM.BytesWritten += handOff
+			}
+		}
+		ps.ElemsIn = n * int64(pe.Layers[0].InShape.Volume())
+		ps.ElemsOut = n * int64(pe.Layers[len(pe.Layers)-1].OutShape.Volume())
+	}
+	// Each edge carries one image per frame: a header word, then the
+	// volume's words, or on the packed datapath a scale word and the packed
+	// payload words whose lanes are the codes.
+	for e := range st.Streams {
+		vol := s.inVol
+		if e > 0 {
+			layers := spec.PEs[e-1].Layers
+			vol = layers[len(layers)-1].OutShape.Volume()
+		}
+		words, lanes := int64(vol), int64(0)
+		if s.packed {
+			words, lanes = 1+int64(fifo.PackedWords(vol)), int64(vol)
+		}
+		st.Streams[e] = fifo.Stats{Name: fmt.Sprintf("stream%d", e), Depth: spec.InterPEFIFODepth,
+			Pushes: n * words, Pops: n * words, LanePushes: n * lanes, LanePops: n * lanes, HeaderPushes: n, HeaderPops: n}
+	}
+	for _, w := range s.workers {
+		w.fold(st)
+	}
+	return st
+}
+
+// Close joins every helper. A failure latched at any point in the session's
+// life is returned; closing twice returns it again.
 func (s *Session) Close() error {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if s.closed {
-		return s.failed()
+	if !s.closed {
+		s.closed = true
+		for _, wake := range s.wake {
+			close(wake)
+		}
+		s.helpers.Wait()
 	}
-	s.closed = true
-	close(s.feedQ)
-	close(s.collectQ)
-	s.wg.Wait()
-	return s.failed()
+	if s.failed.Load() {
+		return s.err
+	}
+	return nil
+}
+
+// worker runs chunks of a batch through its own executors, one per PE, over
+// two sets of chunk volumes: a layer reads one side and writes the other.
+type worker[E float32 | int8] struct {
+	s      *Session
+	pes    []*peExec[E]
+	stride int          // elements per image in vols: the network's largest volume and poolSlack
+	vols   [2][]E       // the chunk's images, stride elements apart, grown to the largest chunk
+	scales [2][]float64 // the images' scales (int8 codes; zero for float32 words)
+
+	inputScale float64 // the largest scale an image was quantized with (int8)
+	pe, img    int     // where the worker is, for a panic's error: a PE index and a batch image
+}
+
+// newWorker builds a worker with its executors prepared and, with tracing
+// on, one track per PE.
+func newWorker[E float32 | int8](s *Session, newExec func(peBase) *peExec[E]) *worker[E] {
+	a := s.acc
+	w := &worker[E]{s: s, pes: make([]*peExec[E], 0, len(a.Spec.PEs))}
+	for i, pe := range a.Spec.PEs {
+		b := peBase{pe: pe, plan: &a.plan[i]}
+		if a.tracer != nil {
+			b.track = a.tracer.Track(a.trackPrefix + pe.ID)
+		}
+		x := newExec(b)
+		x.prepare()
+		w.pes = append(w.pes, x)
+		w.stride = max(w.stride, a.plan[i].scratch.vol+poolSlack)
+	}
+	return w
+}
+
+func (w *worker[E]) work(j *job) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.s.fail(fmt.Errorf("dataflow: %s: image %d: panic: %v", w.pes[w.pe].pe.ID, w.img, r))
+		}
+	}()
+	for !w.s.failed.Load() {
+		first := int(j.next.Add(1)-1) * j.chunk
+		if first >= j.n {
+			return
+		}
+		w.runChunk(j, first, min(j.chunk, j.n-first))
+	}
+}
+
+// runChunk stages images first..first+c-1, runs them through every PE and
+// writes their outputs.
+func (w *worker[E]) runChunk(j *job, first, c int) {
+	if len(w.scales[0]) < c {
+		for side := range w.vols {
+			w.vols[side] = make([]E, c*w.stride)
+			w.scales[side] = make([]float64, c)
+		}
+	}
+	s := w.s
+	w.pe, w.img = 0, first
+	load := w.pes[0].el
+	for i := 0; i < c; i++ {
+		w.img = first + i
+		w.scales[0][i] = load.load(w.vols[0][i*w.stride:], j.image(first+i, s.inVol))
+		w.inputScale = max(w.inputScale, w.scales[0][i])
+	}
+	side := 0
+	for p, x := range w.pes {
+		w.pe = p
+		for i := 0; s.testPanic != nil && i < c; i++ {
+			w.img = first + i
+			s.testPanic(p, first+i)
+		}
+		side = x.run(w, side, first, c)
+	}
+	store := w.pes[len(w.pes)-1].el
+	for i := 0; i < c; i++ {
+		store.store(j.out[(first+i)*s.outVol:][:s.outVol], w.vols[side][i*w.stride:], w.scales[side][i])
+	}
+}
+
+func (w *worker[E]) fold(st *RunStats) {
+	st.InputScale = max(st.InputScale, w.inputScale)
+	for i, x := range w.pes {
+		st.PEs[i].MaxRequantScale = max(st.PEs[i].MaxRequantScale, x.maxRequant)
+		st.PEs[i].MaxWinogradMag = max(st.PEs[i].MaxWinogradMag, x.maxWinograd)
+	}
 }

@@ -270,8 +270,8 @@ func lanesAt(bits int) int {
 }
 
 // FrameHeaderWords returns the control words that precede one image's
-// payload on a streaming-session stream edge: the epoch frame header, plus
-// the per-image scale word of the packed int8 frame layout. The verifier's
+// payload on a stream edge of the modeled fabric: the epoch frame header,
+// plus the per-image scale word of the packed int8 frame layout. The verifier's
 // CND024 interleaving rule uses it to bound two-epochs-in-flight occupancy.
 func (s *Spec) FrameHeaderWords() int {
 	if s.Lanes() > 1 {

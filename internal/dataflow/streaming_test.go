@@ -14,14 +14,13 @@ import (
 	"condor/internal/tensor"
 )
 
-// These tests pin the tentpole invariant of the continuous-streaming fabric:
-// a resident Session fed the same images in several
-// back-to-back RunBatch calls must agree with one word-at-a-time oracle pass
-// over the whole sequence — bit-identical outputs and identical cumulative
-// RunStats on the float32 path (frame headers ride in separate counters, so
-// the datapath word totals still match exactly), bounded error on the packed
-// int8 path. Teardown is part of the contract too: a mid-batch failure must
-// cascade end-of-stream through every resident element and leak nothing.
+// These tests pin the invariant of the resident session: a Session fed the
+// same images in several back-to-back RunBatch calls must agree with one
+// word-at-a-time oracle pass over the whole sequence — bit-identical outputs
+// and identical cumulative RunStats on the float32 path (frame headers ride
+// in separate counters, so the datapath word totals still match exactly),
+// bounded error on the packed int8 path. Teardown is part of the contract
+// too: a failing worker fails the session and leaks nothing.
 
 // chunkBatch splits a batch into uneven consecutive chunks (1, 2, 3, …) so
 // the sweep exercises single-image and multi-image batches in one session
@@ -108,20 +107,13 @@ func runStreamCase(t *testing.T, ir *condorir.Network, ws *condorir.WeightSet, b
 	assertFramedStreams(t, gotStats, len(batch))
 }
 
-// assertFramedStreams asserts the session actually framed its traffic: one
-// header pushed and popped per image per stream edge, with per-epoch
-// occupancy windows recorded.
+// assertFramedStreams asserts the session booked its modeled frames: one
+// header word per image on each side of every stream edge.
 func assertFramedStreams(t *testing.T, stats *RunStats, images int) {
 	t.Helper()
 	for i, s := range stats.Streams {
 		if s.HeaderPushes != int64(images) || s.HeaderPops != int64(images) {
 			t.Errorf("stream %d: %d header pushes / %d pops, want %d each", i, s.HeaderPushes, s.HeaderPops, images)
-		}
-		if s.EpochMaxOccupancy <= 0 {
-			t.Errorf("stream %d: no per-epoch occupancy recorded", i)
-		}
-		if s.EpochMaxOccupancy > int64(s.Depth) {
-			t.Errorf("stream %d: per-epoch occupancy %d exceeds depth %d", i, s.EpochMaxOccupancy, s.Depth)
 		}
 	}
 }
@@ -216,11 +208,12 @@ func TestStreamingBatch1Degenerates(t *testing.T) {
 	assertRunsIdentical(t, "session", sessOut, sessStats, "word", wantOut, wantStats)
 }
 
-// A mid-batch failure must cascade end-of-stream through every resident
-// element: RunBatch reports the failure, later calls fail fast, Close joins
-// every goroutine and re-reports it, and no goroutine outlives the session
-// (hand-rolled leak check — the fabric's teardown contract).
-func TestStreamingMidBatchCollectorErrorNoLeak(t *testing.T) {
+// A worker that panics fails the session instead of crashing the process:
+// at GOMAXPROCS 1, 2 and 16 a panic at image 5 of PE 1 in a 12-image batch
+// makes RunBatch return an error naming the PE and the image, later calls
+// fail fast, Close joins every helper and re-reports it, and no goroutine of
+// the package outlives the session.
+func TestSessionWorkerPanicIsError(t *testing.T) {
 	ir, ws, err := models.TC1()
 	if err != nil {
 		t.Fatal(err)
@@ -233,161 +226,33 @@ func TestStreamingMidBatchCollectorErrorNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := models.USPSImages(5, 7)
-	before := runtime.NumGoroutine()
-
-	s := acc.OpenSession()
-	// Corrupt the collector's expected epoch for the third image: the frame
-	// arriving under the true tag then looks interleaved, mid-batch.
-	s.testExpectEpoch = func(seq int, epoch uint16) uint16 {
-		if seq == 2 {
-			return epoch + 7
-		}
-		return epoch
-	}
-	_, _, err = s.RunBatch(batch)
-	if err == nil {
-		t.Fatal("mid-batch epoch corruption was not detected")
-	}
-	if !strings.Contains(err.Error(), "epoch") {
-		t.Fatalf("unexpected failure: %v", err)
-	}
-	if _, _, err2 := s.RunBatch(batch[:1]); err2 == nil {
-		t.Fatal("RunBatch on a failed session did not fail fast")
-	}
-	if cerr := s.Close(); cerr == nil {
-		t.Fatal("Close did not re-report the session failure")
-	}
-	// Every element goroutine must have exited by now; poll briefly to let
-	// the runtime retire stacks that are mid-exit.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutine leak: %d before session, %d after Close", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// Two epochs genuinely in flight inside shallow FIFOs: with the stream depth
-// squeezed far below one image's volume, back-to-back frames saturate every
-// edge, and the result must still be bit-identical with per-epoch occupancy
-// bounded by the declared depth (the dynamic counterpart of CND024).
-func TestStreamingTwoEpochsInFlightSaturation(t *testing.T) {
-	ir, ws, err := models.TC1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := BuildSpec(ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.InterPEFIFODepth = 8
-	streamAcc, err := Instantiate(spec, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracleAcc, err := Instantiate(spec, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := models.USPSImages(6, 7)
-	s := streamAcc.OpenSession()
-	var gotOut []*tensor.Tensor
-	var gotStats *RunStats
-	for lo := 0; lo < len(batch); lo += 3 {
-		outs, st, err := s.RunBatch(batch[lo : lo+3])
-		if err != nil {
-			t.Fatalf("chunk at %d: %v", lo, err)
-		}
-		gotOut = append(gotOut, outs...)
-		gotStats = st
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	wantOut, wantStats, err := oracleAcc.RunWords(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, "saturated", gotOut, gotStats, "word", wantOut, wantStats)
-	assertFramedStreams(t, gotStats, len(batch))
-	for i, st := range gotStats.Streams {
-		if st.MaxOccupancy > int64(spec.InterPEFIFODepth) {
-			t.Errorf("stream %d: occupancy %d exceeds depth %d", i, st.MaxOccupancy, spec.InterPEFIFODepth)
-		}
-	}
-}
-
-// A resident session must not drain between images: on a batch of 8, the
-// first PE has to start image e+1 before image e leaves the sink, for every
-// e. The observation is event order, not time. As the collector starts
-// waiting for image e it holds image e in the sink and yields until PE0 has
-// forwarded image e+1's frame header into its output FIFO. PE0 forwards a
-// header only after finishing the previous image and popping the next one's
-// header, so this means a PE of the fabric was working on e+1 while e was
-// still inside it. With e parked in the sink that point is reached on every
-// session that feeds ahead, whatever the scheduling; a session that waits
-// for e to retire before feeding e+1 never reaches it, and the yield loop's
-// bound (far above what the fabric needs, counted in yields, not time) is
-// what then lets the collector go on. The same observer without the hold,
-// on a drained run — one RunBatch per image, each returning only after its
-// image retired — must see no overlap, which keeps the check from passing
-// vacuously.
-//
-// Watching the head FIFO instead would prove only that the feeder runs
-// ahead of the collector. Neither catches a barrier inside the PE chain
-// (PE0 waiting for the last PE to finish e): image e parked in the sink has
-// already left the last PE.
-func TestStreamingSessionDoesNotDrain(t *testing.T) {
-	ir, ws, err := models.TC1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := BuildSpec(ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := Instantiate(spec, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := models.USPSImages(8, 7)
-	overlapped := func(drain bool) []int {
-		s := acc.OpenSession()
-		pe0out := s.fifos[1]
-		started := func(seq int) bool { return pe0out.Stats().HeaderPushes >= int64(seq+2) }
-		var early []int // images e whose successor PE0 started before e left
-		s.testExpectEpoch = func(seq int, epoch uint16) uint16 {
-			if !drain && seq+1 < len(batch) {
-				for i := 0; i < 1<<22 && !started(seq); i++ {
-					runtime.Gosched()
+	batch := models.USPSImages(12, 7)
+	const pe, img = 1, 5
+	for _, procs := range []int{1, 2, 16} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			baseline := packageGoroutines()
+			s := acc.OpenSession()
+			PanicAt(s, pe, img)
+			_, _, err := s.RunBatch(batch)
+			want := fmt.Sprintf("%s: image %d: panic", spec.PEs[pe].ID, img)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("RunBatch returned %v, want an error containing %q", err, want)
+			}
+			if _, _, err2 := s.RunBatch(batch[:1]); err2 == nil {
+				t.Fatal("RunBatch on a failed session did not fail fast")
+			}
+			if cerr := s.Close(); cerr == nil || cerr.Error() != err.Error() {
+				t.Fatalf("Close returned %v, want the session failure %v", cerr, err)
+			}
+			// Close has joined every helper; poll briefly to let the runtime
+			// retire stacks that are mid-exit.
+			for deadline := time.Now().Add(5 * time.Second); packageGoroutines() != baseline; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines of the package after Close, %d before OpenSession", packageGoroutines(), baseline)
 				}
 			}
-			if started(seq) {
-				early = append(early, seq)
-			}
-			return epoch
-		}
-		chunk := len(batch)
-		if drain {
-			chunk = 1
-		}
-		for lo := 0; lo < len(batch); lo += chunk {
-			if _, _, err := s.RunBatch(batch[lo : lo+chunk]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return early
-	}
-	if early := overlapped(true); len(early) > 0 {
-		t.Fatalf("drained run: images %v overlapped their successors", early)
-	}
-	if early := overlapped(false); len(early) != len(batch)-1 {
-		t.Fatalf("resident session drained: PE0 started the successor of only images %v of 0..%d before they left the sink", early, len(batch)-2)
+		})
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -221,6 +222,12 @@ func (s *Server) dispatchLoop() {
 		if !ok {
 			return
 		}
+		// Let submitters that are already runnable enqueue before the batch
+		// forms. A local backend computes on its batch's goroutine without
+		// blocking, so on a single processor no submitter would run between
+		// two dispatches and every batch would hold one request, however
+		// many clients wait. With nothing else runnable this returns at once.
+		runtime.Gosched()
 		reqs := s.take(first)
 		if len(reqs) == 0 {
 			continue // every taken request had expired; no backend was claimed
