@@ -47,11 +47,15 @@ func poolMax8I8(win, win2 *int8, k, pw, stride int, out, out2 *int8)
 
 // convTile8I8 is convTile8 on int8 codes, the sums in int32 lanes and two
 // taps per step: taps holds 2·pairs offsets (pairTaps) and w0–w3 are the
-// four channels' rows of the layer's pair table (pairWeights). Unchecked
-// loads, guarded by convTile8OK.
+// four channels' rows of the layer's pair table (pairWeights). It stores
+// channel j's sums dequantized, as deqStore4 stores them — float32(float64(a)·deq
+// + bj), clamped at zero when relu is set — to the convLanes words at oj, and
+// folds their magnitudes into the channel's running maximum at mj (float32
+// bits, sign cleared, a NaN skipped). Unchecked loads and stores; convTile8OK
+// guards the loads.
 //
 //go:noescape
-func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, acc *[4][convLanes]int32)
+func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, o0, o1, o2, o3 *float32, deq float64, b0, b1, b2, b3 float32, relu bool, m0, m1, m2, m3 *uint32)
 
 // fcDot4I8 accumulates the first 16·blocks products of four FC neurons'
 // code rows w0–w3 with the input codes in, eight int32 lanes per neuron; the
@@ -60,6 +64,15 @@ func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, acc 
 //
 //go:noescape
 func fcDot4I8(in *int8, blocks int, w0, w1, w2, w3 *int8, acc *[4][convLanes]int32)
+
+// fcLanes8I8 is fcLanes8 on int8 codes: x holds a chunk of up to convLanes
+// images' inputs as int16 pairs (pairCodes), pair p of image i at
+// x[p·convLanes+i], rows are eight neurons' rows of the layer's pair table
+// (pairWeights) and acc[j][i] receives neuron j's exact int32 sum for image
+// i. Unchecked loads: x must hold pairs·convLanes words and each row pairs.
+//
+//go:noescape
+func fcLanes8I8(x *uint32, pairs int, rows *[convLanes]*uint32, acc *[convLanes][convLanes]int32)
 
 // deqStore4 dequantizes 4·blocks int32 conv sums at acc into dst as
 // float32(float64(a)·deq + bias), clamps them at zero when relu is set, and

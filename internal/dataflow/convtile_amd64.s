@@ -1,5 +1,11 @@
 #include "textflag.h"
 
+// The conv and FC kernels start their hot loop on a 32-byte boundary
+// (PCALIGN $32), so that how the loop is fetched does not depend on where the
+// linker places the function, which it aligns to 32 bytes only: moving
+// convTile8 by 32 bytes made the float32 LeNet session 6 % slower on a
+// 2-core Xeon.
+
 // func convTile8(win *float32, taps *int32, n int, w0, w1, w2, w3 *float32, o0, o1, o2, o3 *float32, b0, b1, b2, b3 float32)
 //
 // Four output channels × eight consecutive output positions. Per tap t the
@@ -25,6 +31,7 @@ TEXT ·convTile8(SB), NOSPLIT, $0-104
 	XORQ BX, BX
 	TESTQ CX, CX
 	JLE store
+	PCALIGN $32
 
 loop:
 	MOVLQSX (DI)(BX*4), AX
@@ -89,6 +96,7 @@ TEXT ·fcRows8(SB), NOSPLIT, $0-40
 	VMOVUPS (R8), Y15
 	TESTQ CX, CX
 	JLE storerows
+	PCALIGN $32
 
 looprows:
 	VBROADCASTF128 (SI), Y12
@@ -191,6 +199,7 @@ TEXT ·fcLanes8(SB), NOSPLIT, $0-32
 	XORQ DI, DI
 	TESTQ CX, CX
 	JLE storelanes
+	PCALIGN $32
 
 looplanes:
 	VMOVUPS (SI), Y8
@@ -366,7 +375,48 @@ pool8store:
 	VPEXTRD $1, X0, (R12)
 	RET
 
-// func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, acc *[4][8]int32)
+// DEQSTORE8 is the int8 tile's epilogue for one channel, deqStore4's
+// instruction sequence on eight lanes: the int32 sums in accy are widened
+// exactly (VCVTDQ2PD, four per half), multiplied by deq (Y15) and biased
+// (VADDPD, the channel's float32 bias widened exactly into Y14) in float64,
+// then rounded to nearest float32 (VCVTPD2PSY). VMAXPS takes Y10 as its
+// first source and the value as its second: Y10 is zero with ReLU, so a lane
+// is 0 > v ? 0 : v — Go's `if v < 0`, which keeps −0 and a NaN — and −Inf
+// without, which returns every value unchanged. The eight floats are stored
+// at out, and their magnitude bits (sign cleared, Y12), a NaN lane (above
+// +Inf's bits, Y11) masked to zero, fold as unsigned integers into the
+// channel's running maximum at max.
+#define DEQSTORE8(accy, accx, bias, out, max) \
+	VCVTSS2SD bias, X14, X14; \
+	VBROADCASTSD X14, Y14; \
+	VEXTRACTI128 $1, accy, X5; \
+	VCVTDQ2PD X5, Y5; \
+	VCVTDQ2PD accx, Y4; \
+	VMULPD Y15, Y4, Y4; \
+	VMULPD Y15, Y5, Y5; \
+	VADDPD Y14, Y4, Y4; \
+	VADDPD Y14, Y5, Y5; \
+	VCVTPD2PSY Y4, X4; \
+	VCVTPD2PSY Y5, X5; \
+	VINSERTF128 $1, X5, Y4, Y4; \
+	VMAXPS Y4, Y10, Y4; \
+	MOVQ out, R8; \
+	VMOVUPS Y4, (R8); \
+	VPAND Y12, Y4, Y4; \
+	VPCMPGTD Y11, Y4, Y5; \
+	VPANDN Y4, Y5, Y4; \
+	VEXTRACTI128 $1, Y4, X5; \
+	VPMAXUD X5, X4, X4; \
+	VPSHUFD $0x4E, X4, X5; \
+	VPMAXUD X5, X4, X4; \
+	VPSHUFD $0xB1, X4, X5; \
+	VPMAXUD X5, X4, X4; \
+	MOVQ max, R8; \
+	VMOVD (R8), X5; \
+	VPMAXUD X5, X4, X4; \
+	VMOVD X4, (R8)
+
+// func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, o0, o1, o2, o3 *float32, deq float64, b0, b1, b2, b3 float32, relu bool, m0, m1, m2, m3 *uint32)
 //
 // The int8 tile: four output channels × eight consecutive output positions,
 // one pair of taps per step. The eight codes at win[taps[2i]:] and the eight
@@ -374,8 +424,11 @@ pool8store:
 // lanes (a0 b0 a1 b1 …), each channel's (w[2i], w[2i+1]) word is broadcast,
 // and VPMADDWD leaves a_k·w[2i] + b_k·w[2i+1] in int32 lane k. Integer sums
 // are exact and order-free, so the lanes equal the Go tile's while the chain
-// fits int32 (rule CND026).
-TEXT ·convTile8I8(SB), NOSPLIT, $0-64
+// fits int32 (rule CND026). Each channel j's finished sums are then stored
+// dequantized at oj and folded into its maximum at mj (DEQSTORE8). A quad
+// that repeats its last channel stores the same floats twice and folds the
+// same maximum twice.
+TEXT ·convTile8I8(SB), NOSPLIT, $0-152
 	MOVQ win+0(FP), SI
 	MOVQ taps+8(FP), DI
 	MOVQ pairs+16(FP), CX
@@ -383,7 +436,6 @@ TEXT ·convTile8I8(SB), NOSPLIT, $0-64
 	MOVQ w1+32(FP), R9
 	MOVQ w2+40(FP), R10
 	MOVQ w3+48(FP), R11
-	MOVQ acc+56(FP), DX
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
@@ -391,6 +443,7 @@ TEXT ·convTile8I8(SB), NOSPLIT, $0-64
 	XORQ BX, BX
 	TESTQ CX, CX
 	JLE store8
+	PCALIGN $32
 
 loop8:
 	MOVLQSX (DI)(BX*8), AX
@@ -416,10 +469,26 @@ loop8:
 	JLT loop8
 
 store8:
-	VMOVDQU Y0, (DX)
-	VMOVDQU Y1, 32(DX)
-	VMOVDQU Y2, 64(DX)
-	VMOVDQU Y3, 96(DX)
+	VBROADCASTSD deq+88(FP), Y15
+	MOVL $0x7fffffff, AX   // magnitude mask
+	VMOVD AX, X12
+	VPBROADCASTD X12, Y12
+	MOVL $0x7f800000, AX   // +Inf
+	VMOVD AX, X11
+	VPBROADCASTD X11, Y11
+	MOVL $0xff800000, AX   // −Inf: VMAXPS returns every value
+	MOVBLZX relu+112(FP), DX
+	TESTQ DX, DX
+	JZ floor8
+	XORL AX, AX            // zero: ReLU
+
+floor8:
+	VMOVD AX, X10
+	VPBROADCASTD X10, Y10
+	DEQSTORE8(Y0, X0, b0+96(FP), o0+56(FP), m0+120(FP))
+	DEQSTORE8(Y1, X1, b1+100(FP), o1+64(FP), m1+128(FP))
+	DEQSTORE8(Y2, X2, b2+104(FP), o2+72(FP), m2+136(FP))
+	DEQSTORE8(Y3, X3, b3+108(FP), o3+80(FP), m3+144(FP))
 	VZEROUPPER
 	RET
 
@@ -470,6 +539,86 @@ storefc:
 	VMOVDQU Y1, 32(DX)
 	VMOVDQU Y2, 64(DX)
 	VMOVDQU Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// func fcLanes8I8(x *uint32, pairs int, rows *[8]*uint32, acc *[8][8]int32)
+//
+// fcLanes8 on int8 codes: eight FC neurons × eight images, one pair of
+// inputs per step. Per pair p the eight images' (x[2p], x[2p+1]) int16
+// pairs, interleaved at x[8p:], are loaded once, each neuron's tap-pair
+// word p (pairWeights) is broadcast, and VPMADDWD leaves x[2p]·w[2p] +
+// x[2p+1]·w[2p+1] in each image's int32 lane, which VPADDD adds to the
+// neuron's eight sums, from zero. Integer sums are exact and order-free, so
+// every lane is fcDot4I8's and the Go tile's sum while the chain fits int32
+// (rule CND026). The eight row pointers live in AX, BX, DX and R9–R13 and DI
+// is the byte offset of pair p in each row.
+TEXT ·fcLanes8I8(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), SI
+	MOVQ pairs+8(FP), CX
+	MOVQ rows+16(FP), DI
+	MOVQ acc+24(FP), R8
+	MOVQ 0(DI), AX
+	MOVQ 8(DI), BX
+	MOVQ 16(DI), DX
+	MOVQ 24(DI), R9
+	MOVQ 32(DI), R10
+	MOVQ 40(DI), R11
+	MOVQ 48(DI), R12
+	MOVQ 56(DI), R13
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	XORQ DI, DI
+	TESTQ CX, CX
+	JLE storelanes8
+	PCALIGN $32
+
+looplanes8:
+	VMOVDQU (SI), Y8
+	VPBROADCASTD (AX)(DI*1), Y9
+	VPBROADCASTD (BX)(DI*1), Y10
+	VPBROADCASTD (DX)(DI*1), Y11
+	VPBROADCASTD (R9)(DI*1), Y12
+	VPMADDWD Y8, Y9, Y9
+	VPMADDWD Y8, Y10, Y10
+	VPMADDWD Y8, Y11, Y11
+	VPMADDWD Y8, Y12, Y12
+	VPADDD Y9, Y0, Y0
+	VPADDD Y10, Y1, Y1
+	VPADDD Y11, Y2, Y2
+	VPADDD Y12, Y3, Y3
+	VPBROADCASTD (R10)(DI*1), Y13
+	VPBROADCASTD (R11)(DI*1), Y14
+	VPBROADCASTD (R12)(DI*1), Y15
+	VPBROADCASTD (R13)(DI*1), Y9
+	VPMADDWD Y8, Y13, Y13
+	VPMADDWD Y8, Y14, Y14
+	VPMADDWD Y8, Y15, Y15
+	VPMADDWD Y8, Y9, Y9
+	VPADDD Y13, Y4, Y4
+	VPADDD Y14, Y5, Y5
+	VPADDD Y15, Y6, Y6
+	VPADDD Y9, Y7, Y7
+	ADDQ $32, SI
+	ADDQ $4, DI
+	DECQ CX
+	JNZ looplanes8
+
+storelanes8:
+	VMOVDQU Y0, 0(R8)
+	VMOVDQU Y1, 32(R8)
+	VMOVDQU Y2, 64(R8)
+	VMOVDQU Y3, 96(R8)
+	VMOVDQU Y4, 128(R8)
+	VMOVDQU Y5, 160(R8)
+	VMOVDQU Y6, 192(R8)
+	VMOVDQU Y7, 224(R8)
 	VZEROUPPER
 	RET
 

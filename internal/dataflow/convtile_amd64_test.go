@@ -194,25 +194,38 @@ func hostileCode(rng *rand.Rand) int8 {
 	return int8(rng.Intn(256) - 128)
 }
 
-// checkConvTile8I8 runs every tile of a two-row, four-channel layer of c
-// channels, k×k taps and padded width pw on the AVX2 int8 tile and on the Go
-// tile, both over the same code stack, and compares the int32 sums. It
-// returns the number of cells compared.
-func checkConvTile8I8(t *testing.T, c, k, pw int, code, weight func() int8) int {
+// tileEpilogue is what the int8 tile's epilogue is given: the
+// dequantization scale, the four channels' biases, the ReLU flag and the
+// channels' running maxima to fold into.
+type tileEpilogue struct {
+	deq  float64
+	bias [4]float32
+	relu bool
+	m    [4]uint32
+}
+
+// checkConvTile8I8 runs every tile of a two-row layer of c channels, k×k
+// taps, padded width pw and f ≤ 4 output channels (one quad, which repeats
+// its last channel when f < 4) on the AVX2 int8 tile, with the epilogue that
+// epi picks from the Go tile's sums, and compares what it stores and the
+// channel maxima it folds with the Go tile's sums through deqStoreGo, bit for
+// bit, both over the same code stack. A row's last tile overlaps the one
+// before unless the row is a whole number of tiles. It returns the reference
+// floats.
+func checkConvTile8I8(t *testing.T, c, k, pw, f int, code, weight func() int8, epi func(sums [][]int32) tileEpilogue) []float32 {
 	t.Helper()
 	l := LayerHW{Kind: nn.Conv, Kernel: k, Stride: 1,
 		InShape:  nn.Shape{Channels: c, Height: k + 1, Width: pw},
-		OutShape: nn.Shape{Channels: 4, Height: 2, Width: pw - k + 1}}
+		OutShape: nn.Shape{Channels: f, Height: 2, Width: pw - k + 1}}
 	if d := Int8AccumulatorRange("pe0", &l); d != nil {
 		t.Fatal(d)
 	}
 	taps := tapOffsets(&l)
-	plane := l.PaddedHeight() * pw
-	stack := make([]int8, c*plane)
+	stack := make([]int8, c*l.PaddedHeight()*pw)
 	for i := range stack {
 		stack[i] = code()
 	}
-	w := make([]int8, 4*len(taps))
+	w := make([]int8, f*len(taps))
 	for i := range w {
 		w[i] = weight()
 	}
@@ -221,53 +234,184 @@ func checkConvTile8I8(t *testing.T, c, k, pw int, code, weight func() int8) int 
 	if !convTile8OK(&l, taps2, pairs, len(tp), len(stack)) {
 		t.Fatalf("C=%d K=%d pw=%d: convTile8OK refused a well-formed layer", c, k, pw)
 	}
-	rows := [4][]int8{w[:len(taps)], w[len(taps) : 2*len(taps)], w[2*len(taps) : 3*len(taps)], w[3*len(taps):]}
-	outW, cells := l.OutShape.Width, 0
-	for oy := 0; oy < 2; oy++ {
-		for ox := 0; ox < outW; ox += convLanes {
-			base := oy*pw + min(ox, outW-convLanes)
-			var got, want [4][convLanes]int32
-			convTile8I8(&stack[base], &taps2[0], pairs, &tp[0], &tp[pairs], &tp[2*pairs], &tp[3*pairs], &got)
-			for half := 0; half < convLanes; half += convPosTile {
-				for j := 0; j < 4; j += 2 {
-					a, b := convTileGo[int8, int32](stack[base+half:], 1, 2, 3, rows[j], rows[j+1], taps)
-					copy(want[j][half:], a[:])
-					copy(want[j+1][half:], b[:])
-				}
+	outW := l.OutShape.Width
+	hw := 2 * outW
+	sums := make([][]int32, f)
+	for fi := range sums {
+		sums[fi] = make([]int32, hw)
+		row := w[fi*len(taps):][:len(taps)]
+		for oy := 0; oy < 2; oy++ {
+			for ox := 0; ox < outW; ox += convPosTile {
+				col := min(ox, outW-convPosTile)
+				a, _ := convTileGo[int8, int32](stack[oy*pw+col:], 1, 2, 3, row, row, taps)
+				copy(sums[fi][oy*outW+col:], a[:])
 			}
-			if got != want {
-				t.Fatalf("C=%d K=%d pw=%d tile (%d,%d): AVX2 %v, Go tile %v", c, k, pw, oy, base-oy*pw, got, want)
-			}
-			cells += 4 * convLanes
 		}
 	}
-	return cells
+	e := epi(sums)
+	act := NoActivation
+	if e.relu {
+		act = nn.ReLU
+	}
+	want, wantM := make([]float32, f*hw), e.m
+	for fi, s := range sums {
+		wantM[fi] = deqStoreGo(want[fi*hw:][:hw], s, e.deq, float64(e.bias[fi]), act, e.m[fi])
+	}
+	got, gotM := make([]float32, f*hw), e.m
+	q := quad(0, f)
+	for oy := 0; oy < 2; oy++ {
+		for ox := 0; ox < outW; ox += convLanes {
+			col := min(ox, outW-convLanes)
+			pos := oy*outW + col
+			convTile8I8(&stack[oy*pw+col], &taps2[0], pairs, &tp[q[0]*pairs], &tp[q[1]*pairs], &tp[q[2]*pairs], &tp[q[3]*pairs],
+				&got[q[0]*hw+pos], &got[q[1]*hw+pos], &got[q[2]*hw+pos], &got[q[3]*hw+pos],
+				e.deq, e.bias[q[0]], e.bias[q[1]], e.bias[q[2]], e.bias[q[3]], e.relu, &gotM[q[0]], &gotM[q[1]], &gotM[q[2]], &gotM[q[3]])
+		}
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			fi, pos := i/hw, i%hw
+			t.Fatalf("C=%d K=%d pw=%d F=%d channel %d position %d: sum %d · %g + %g, relu %v: AVX2 stored %g (%#08x), Go tile + deqStoreGo %g (%#08x)",
+				c, k, pw, f, fi, pos, sums[fi][pos], e.deq, e.bias[fi], e.relu, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+	if gotM != wantM {
+		t.Fatalf("C=%d K=%d pw=%d F=%d relu %v: channel maxima %#08x, Go tile + deqStoreGo %#08x (start %#08x)", c, k, pw, f, e.relu, gotM[:f], wantM[:f], e.m[:f])
+	}
+	return want
 }
 
+// TestConvTile8I8MatchesGoTile holds the int8 tile, sums and epilogue, to the
+// Go tile and deqStoreGo: over geometries whose rows end on an overlapping
+// tile and quads that repeat a channel, once at scale 1 with no bias — which
+// stores every sum of the sweep exactly, |sum| ≤ 500·128² < 2²⁴ — and twice
+// with deqCase's scales and biases, with and without ReLU, which must push
+// −0 through ReLU, NaN and ±Inf lanes through the epilogue; then on the
+// deepest chains CND026 admits, where a bias cancels the sum exactly.
 func TestConvTile8I8MatchesGoTile(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
 	}
 	rng := rand.New(rand.NewSource(27))
 	draw := func() int8 { return hostileCode(rng) }
-	cells := 0
+	exact := func([][]int32) tileEpilogue { return tileEpilogue{deq: 1} }
+	hostile := func(relu bool) func([][]int32) tileEpilogue {
+		return func([][]int32) tileEpilogue {
+			e := tileEpilogue{relu: relu}
+			for j := range e.bias {
+				var b float64
+				e.deq, b = deqScaleBias(rng)
+				e.bias[j] = float32(b)
+				e.m[j] = []uint32{0, rng.Uint32() >> 1, 0x7f800000}[rng.Intn(3)]
+			}
+			return e
+		}
+	}
+	var cells, negZero, nan, inf int
 	for _, c := range []int{1, 2, 3, 7, 20} {
 		for _, k := range []int{1, 3, 5} { // C·K² odd and even: the padded pair and without
 			for pw := 8; pw <= 40; pw++ {
-				if pw-k+1 >= convLanes {
-					cells += checkConvTile8I8(t, c, k, pw, draw, draw)
+				if pw-k+1 < convLanes {
+					continue
+				}
+				f := 3 + pw%2 // F = 3 repeats the last channel
+				cells += len(checkConvTile8I8(t, c, k, pw, f, draw, draw, exact))
+				for _, relu := range []bool{false, true} {
+					for _, v := range checkConvTile8I8(t, c, k, pw, f, draw, draw, hostile(relu)) {
+						cells++
+						switch v := float64(v); {
+						case math.IsNaN(v):
+							nan++
+						case math.IsInf(v, 0):
+							inf++
+						case v == 0 && math.Signbit(v) && relu:
+							negZero++
+						}
+					}
 				}
 			}
 		}
 	}
+	if negZero == 0 || nan == 0 || inf == 0 {
+		t.Fatalf("the epilogues missed a class: %d −0 lanes through ReLU, %d NaN lanes, %d ±Inf lanes", negZero, nan, inf)
+	}
 	// The deepest chain CND026 admits, every product at an extreme of one
 	// sign: 131 067 products of −128·−128 or −128·127 sum to 99.996 % and
-	// −99.2 % of the int32 range, so a lane that wrapped would show.
+	// −99.2 % of the int32 range. Both sums are float32s, so each channel's
+	// bias cancels its sum exactly and every cell must store +0: a lane that
+	// wrapped, or a sum off by one, would show.
 	const depthC = (1<<31/(128*128) - 1) / 9
-	for _, wcode := range []int8{-128, 127} {
-		cells += checkConvTile8I8(t, depthC, 3, 10, func() int8 { return -128 }, func() int8 { return wcode })
+	cancel := func(sums [][]int32) tileEpilogue {
+		e := tileEpilogue{deq: 1}
+		for j, s := range sums {
+			if e.bias[j] = -float32(s[0]); int32(e.bias[j]) != -s[0] {
+				t.Fatalf("saturated sum %d is not a float32", s[0])
+			}
+		}
+		return e
 	}
-	t.Logf("%d int8 cells identical to the Go tile", cells)
+	for _, wcode := range []int8{-128, 127} {
+		for i, v := range checkConvTile8I8(t, depthC, 3, 10, 4, func() int8 { return -128 }, func() int8 { return wcode }, cancel) {
+			if math.Float32bits(v) != 0 {
+				t.Fatalf("weight code %d: cell %d stores %g, not +0", wcode, i, v)
+			}
+			cells++
+		}
+	}
+	t.Logf("%d int8 cells identical to the Go tile + deqStoreGo (%d −0 through ReLU, %d NaN, %d ±Inf)", cells, negZero, nan, inf)
+}
+
+// TestConvTile8I8StoreMatchesGo runs int8 conv layers through the executor
+// twice — on the AVX2 tile, whose epilogue stores its own cells and folds
+// the channel maxima, and on the Go tile (convTileGo, then store4) — over
+// random geometries, channel counts that end inside a quad, rows whose last
+// tile overlaps and every folded activation. The float stage, the output
+// codes and the output scale must match bit for bit: a Sigmoid or TanH
+// layer, which the tile stores unactivated, is activated after it and its
+// scale scanned.
+func TestConvTile8I8StoreMatchesGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every layer runs the Go tile")
+	}
+	rng := rand.New(rand.NewSource(56))
+	acts := []nn.Kind{NoActivation, nn.ReLU, nn.Sigmoid, nn.TanH}
+	cells := 0
+	for run := 0; run < 48; run++ {
+		c, k, pad := 1+rng.Intn(4), 1+2*rng.Intn(3), rng.Intn(2)
+		h, w := k+rng.Intn(4), 8+k-1-2*pad+rng.Intn(20)
+		f := 1 + rng.Intn(11)
+		l := convLayerHW(c, h, w, k, 1, pad, f)
+		l.Name, l.Activation, l.Normalize = "conv", acts[run%len(acts)], NoActivation
+		wf := make([]float32, l.WeightWords())
+		for i := range wf {
+			wf[i] = float32(rng.NormFloat64())
+		}
+		x := newI8Exec(oneLayerPE(t, 8, l, wf, randomBias(rng, f)))
+		x.prepare()
+		p, o := &x.pass, x.el.(*i8Ops)
+		p.cur, p.inScale = withSlack(randomCodes(rng, l.InShape.Volume())), 0.001+0.1*rng.Float64()
+		x.runLayer0()
+		if !o.tiles.tile8 {
+			t.Fatalf("run %d: C=%d K=%d pad=%d %dx%d: the layer did not run on the AVX2 tile", run, c, k, pad, h, w)
+		}
+		vol := l.OutShape.Volume()
+		floats, codes, scale := slices.Clone(x.el.floats(vol)), slices.Clone(p.out), p.outScale
+		withoutAVX2(func() { x.runLayer0() })
+		if o.tiles.tile8 {
+			t.Fatal("the Go leg ran on the AVX2 tile")
+		}
+		for i, want := range x.el.floats(vol) {
+			if math.Float32bits(floats[i]) != math.Float32bits(want) {
+				t.Fatalf("run %d: C=%d K=%d pad=%d %dx%d F=%d act %v cell %d: AVX2 %g (%#08x), Go %g (%#08x)",
+					run, c, k, pad, h, w, f, l.Activation, i, floats[i], math.Float32bits(floats[i]), want, math.Float32bits(want))
+			}
+		}
+		if scale != p.outScale || !slices.Equal(codes, p.out) {
+			t.Fatalf("run %d: act %v: AVX2 scale %g, Go %g; codes equal: %v", run, l.Activation, scale, p.outScale, slices.Equal(codes, p.out))
+		}
+		cells += vol
+	}
+	t.Logf("%d int8 cells bit-identical to the Go tile, every activation", cells)
 }
 
 // TestFCDot4I8MatchesGoFCBand runs each FC layer through the executor twice
@@ -445,6 +589,212 @@ func TestFCLanes8MatchesRowKernels(t *testing.T) {
 		})
 	}
 	t.Logf("%d sums bit-identical to the row kernels", sums)
+}
+
+// dot4Sums is i8Ops.fc's integer part on one image: each neuron's sum over
+// the row-major codes from fcDot4I8's whole 16-code blocks, its lanes added
+// up, and fcTileGo past them.
+func dot4Sums(in, w []int8, neurons int) []int32 {
+	v := len(in)
+	body := v &^ 15
+	out := make([]int32, neurons)
+	for oi := 0; oi < neurons; oi += 4 {
+		f := quad(oi, neurons)
+		var acc [4][convLanes]int32
+		var s [4]int32
+		fcDot4I8(&in[0], body/16, &w[f[0]*v], &w[f[1]*v], &w[f[2]*v], &w[f[3]*v], &acc)
+		for j := range s {
+			for _, a := range acc[j] {
+				s[j] += a
+			}
+		}
+		s = fcTileGo(in[body:], w[body:], v, f, s)
+		for j, fj := range f {
+			out[fj] = s[j]
+		}
+	}
+	return out
+}
+
+// lanes8I8Sums runs fcLanes8I8 over the images ins (at most convLanes),
+// staged and grouped as i8Ops.fcChunk stages and groups them, and returns
+// each image's neuron sums; the idle lanes must sum to zero.
+func lanes8I8Sums(t *testing.T, ins [][]int8, w []int8, neurons int) [][]int32 {
+	t.Helper()
+	v := len(ins[0])
+	pairs := (v + 1) / 2
+	lanes, table := make([]uint32, pairs*convLanes), pairWeights(w, v)
+	for i, in := range ins {
+		pairCodes(lanes[i:], convLanes, in)
+	}
+	out := make([][]int32, len(ins))
+	for i := range out {
+		out[i] = make([]int32, neurons)
+	}
+	var rows [convLanes]*uint32
+	var acc [convLanes][convLanes]int32
+	for g := 0; g < neurons; g += convLanes {
+		first := min(g, max(neurons-convLanes, 0))
+		for j := range rows {
+			rows[j] = &table[min(first+j, neurons-1)*pairs]
+		}
+		fcLanes8I8(&lanes[0], pairs, &rows, &acc)
+		for j := range rows {
+			for i, a := range acc[j] {
+				if i >= len(ins) {
+					if a != 0 {
+						t.Fatalf("v=%d o=%d c=%d: idle lane %d of neuron %d sums to %d", v, neurons, len(ins), i, first+j, a)
+					}
+					continue
+				}
+				out[i][min(first+j, neurons-1)] = a
+			}
+		}
+	}
+	return out
+}
+
+// TestFCLanes8I8MatchesDot4 holds the int8 image-lane FC kernel to the
+// per-image kernel (fcDot4I8 + fcTileGo) and to a plain int32 loop, sum for
+// sum: over odd input volumes, where the last pair's high half is zero,
+// neuron counts below convLanes and not a multiple of it (LeNet ip2's 10),
+// chunks of 2–8 images, so that lanes sit idle, and codes saturated at
+// ±127/−128 at CND026's depth limit. Then the executor's chunk pass
+// (fcChunk, per-image input scales) must leave each image the codes, output
+// scale and float results of the per-image pass; under DisableAVX2 it
+// declines and the chunk runs image by image.
+func TestFCLanes8I8MatchesDot4(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("CPU without AVX2: every FC layer runs the Go tile")
+	}
+	rng := rand.New(rand.NewSource(54))
+	check := func(ins [][]int8, w []int8, neurons int) int {
+		got := lanes8I8Sums(t, ins, w, neurons)
+		for i, in := range ins {
+			dot4, plain := dot4Sums(in, w, neurons), refFCInt8(in, w, neurons)
+			for oi := range plain {
+				if got[i][oi] != dot4[oi] || got[i][oi] != plain[oi] {
+					t.Fatalf("v=%d o=%d c=%d image %d neuron %d: lanes %d, fcDot4I8+fcTileGo %d, int32 loop %d",
+						len(in), neurons, len(ins), i, oi, got[i][oi], dot4[oi], plain[oi])
+				}
+			}
+		}
+		return len(ins) * neurons
+	}
+	sums := 0
+	for _, v := range []int{1, 2, 15, 16, 17, 31, 33, 800, 801} {
+		for _, neurons := range []int{1, 3, 7, 8, 10, 13, 17} {
+			w := make([]int8, neurons*v)
+			for i := range w {
+				w[i] = hostileCode(rng)
+			}
+			for c := 2; c <= convLanes; c++ {
+				ins := make([][]int8, c)
+				for i := range ins {
+					ins[i] = make([]int8, v)
+					for h := range ins[i] {
+						ins[i][h] = hostileCode(rng)
+					}
+				}
+				sums += check(ins, w, neurons)
+			}
+		}
+	}
+	// CND026's depth limit, odd: each image's codes and each neuron's
+	// weights are all −128, all 127 or the two alternating, so the lanes hold
+	// the largest sums of both signs, −128·−128 products summing to 99.999 %
+	// of the int32 range.
+	const depth = 1<<31/(128*128) - 1
+	fill := func(codes []int8, k int) {
+		for h := range codes {
+			switch {
+			case k%3 == 0, k%3 == 2 && h%2 == 0:
+				codes[h] = -128
+			default:
+				codes[h] = 127
+			}
+		}
+	}
+	const neurons = 10
+	w := make([]int8, neurons*depth)
+	for oi := 0; oi < neurons; oi++ {
+		fill(w[oi*depth:][:depth], oi)
+	}
+	ins := make([][]int8, convLanes)
+	for i := range ins {
+		ins[i] = make([]int8, depth)
+		fill(ins[i], i+1)
+	}
+	sums += check(ins, w, neurons)
+	t.Logf("%d int8 sums identical to fcDot4I8+fcTileGo and the int32 loop", sums)
+
+	for _, leg := range []struct {
+		name   string
+		noAVX2 bool
+	}{{"AVX2", false}, {"DisableAVX2", true}} {
+		t.Run(leg.name, func(t *testing.T) {
+			if leg.noAVX2 {
+				DisableAVX2(t)
+			}
+			for _, v := range []int{9, 800} {
+				for _, neurons := range []int{5, 10, 500} {
+					l := fcLayerHW(v, neurons)
+					l.Name = "fc"
+					wf, bias := make([]float32, neurons*v), randomBias(rng, neurons)
+					for i := range wf {
+						wf[i] = float32(rng.NormFloat64())
+					}
+					for c := 2; c <= convLanes; c++ {
+						l.Activation, l.Normalize = nn.ReLU, NoActivation
+						if c%2 == 0 {
+							l.Activation, l.Normalize = NoActivation, nn.LogSoftMax
+						}
+						x := newI8Exec(oneLayerPE(t, 8, l, wf, bias))
+						x.prepare()
+						wk := &worker[int8]{pes: []*peExec[int8]{x}, stride: max(v, neurons) + poolSlack}
+						for side := range wk.vols {
+							wk.vols[side], wk.scales[side] = make([]int8, c*wk.stride), make([]float64, c)
+						}
+						ins := make([][]int8, c)
+						for i := range ins {
+							ins[i] = randomCodes(rng, v)
+							copy(wk.vols[0][i*wk.stride:], ins[i])
+							wk.scales[0][i] = math.Ldexp(1+rng.Float64(), -rng.Intn(12))
+						}
+						side := x.run(wk, 0, 0, c)
+						o := x.el.(*i8Ops)
+						if lanes := len(o.lanes) > 0; lanes == leg.noAVX2 {
+							t.Fatalf("v=%d o=%d c=%d: the chunk ran on the lane kernel: %v", v, neurons, c, lanes)
+						}
+						var maxRequant float64
+						for i, in := range ins {
+							one := newI8Exec(oneLayerPE(t, 8, l, wf, bias))
+							one.prepare()
+							one.pass.cur, one.pass.inScale = withSlack(in), wk.scales[0][i]
+							one.runLayer0()
+							maxRequant = max(maxRequant, one.pass.outScale)
+							if got, want := wk.scales[side][i], one.pass.outScale; got != want {
+								t.Fatalf("v=%d o=%d c=%d image %d: output scale %g, one image %g", v, neurons, c, i, got, want)
+							}
+							if !leg.noAVX2 {
+								for oi, want := range one.el.floats(neurons) {
+									if got := o.sums[i*neurons+oi]; math.Float32bits(got) != math.Float32bits(want) {
+										t.Fatalf("v=%d o=%d c=%d image %d neuron %d: chunk %g, one image %g", v, neurons, c, i, oi, got, want)
+									}
+								}
+							}
+							if got := wk.vols[side][i*wk.stride:][:neurons]; !slices.Equal(got, one.pass.out) {
+								t.Fatalf("v=%d o=%d c=%d image %d: chunk codes %v, one image %v", v, neurons, c, i, got, one.pass.out)
+							}
+						}
+						if x.maxRequant != maxRequant {
+							t.Fatalf("v=%d o=%d c=%d: MaxRequantScale %g, the images' largest %g", v, neurons, c, x.maxRequant, maxRequant)
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // hostilePoolWord draws the values max pooling must not reorder or skip

@@ -27,12 +27,16 @@ func poolMax8I8(*int8, *int8, int, int, int, *int8, *int8) {
 	panic("dataflow: poolMax8I8 called without AVX2")
 }
 
-func convTile8I8(*int8, *int32, int, *uint32, *uint32, *uint32, *uint32, *[4][convLanes]int32) {
+func convTile8I8(*int8, *int32, int, *uint32, *uint32, *uint32, *uint32, *float32, *float32, *float32, *float32, float64, float32, float32, float32, float32, bool, *uint32, *uint32, *uint32, *uint32) {
 	panic("dataflow: convTile8I8 called without AVX2")
 }
 
 func fcDot4I8(*int8, int, *int8, *int8, *int8, *int8, *[4][convLanes]int32) {
 	panic("dataflow: fcDot4I8 called without AVX2")
+}
+
+func fcLanes8I8(*uint32, int, *[convLanes]*uint32, *[convLanes][convLanes]int32) {
+	panic("dataflow: fcLanes8I8 called without AVX2")
 }
 
 func deqStore4(*int32, int, *float32, float64, float64, bool, uint32) uint32 {

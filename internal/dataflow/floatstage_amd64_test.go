@@ -132,10 +132,7 @@ func FuzzQuantizeAVX2(f *testing.F) {
 }
 
 // deqCase draws one conv store call: int32 sums from the whole range, from
-// a network's range and at the extremes, a dequantization scale from 1e-9
-// to 1e3 (and, sometimes, one that overflows float32, underflows it to ±0,
-// or is 1, where large sums round to even), and a bias that is sometimes
-// −0, ±Inf or NaN, so that ±Inf and NaN lanes reach the max-abs fold.
+// a network's range and at the extremes, and deqScaleBias's scale and bias.
 func deqCase(rng *rand.Rand, acc []int32) (deq, bias float64) {
 	for i := range acc {
 		switch rng.Intn(6) {
@@ -147,6 +144,14 @@ func deqCase(rng *rand.Rand, acc []int32) (deq, bias float64) {
 			acc[i] = int32(rng.NormFloat64() * 20000)
 		}
 	}
+	return deqScaleBias(rng)
+}
+
+// deqScaleBias draws a conv store's dequantization scale from 1e-9 to 1e3
+// (and, sometimes, one that overflows float32, underflows it to ±0, or is
+// 1, where large sums round to even), and a bias that is sometimes −0, ±Inf
+// or NaN, so that ±Inf and NaN lanes reach the max-abs fold.
+func deqScaleBias(rng *rand.Rand) (deq, bias float64) {
 	switch rng.Intn(10) {
 	case 0:
 		deq = 1

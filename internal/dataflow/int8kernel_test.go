@@ -91,7 +91,7 @@ func runInt8Kernel(t *testing.T, tc int8KernelCase, relayout func(*layerState)) 
 // oneLayerPE lowers a PE of layer l alone at word width bits, with weights
 // w and bias (none when w is nil), into an executor's base: the PE and its
 // plan.
-func oneLayerPE(t *testing.T, bits int, l LayerHW, w, bias []float32) peBase {
+func oneLayerPE(t testing.TB, bits int, l LayerHW, w, bias []float32) peBase {
 	t.Helper()
 	ws := condorir.NewWeightSet()
 	if w != nil {

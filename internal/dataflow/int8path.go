@@ -29,12 +29,15 @@ import (
 // value) and the MAC loops are the float32 path's too — convPass's nests and
 // the generic Go tiles (convTileGo, fcTileGo) — summing in int32,
 // which rule CND026 keeps from wrapping. Where the CPU has AVX2 the same sums
-// come from VPMADDWD tiles (convtile_amd64.s) sixteen int16 products per
+// come from VPMADDWD kernels (convtile_amd64.s) sixteen int16 products per
 // instruction: the conv tile over the code stack and a tap-pair weight table
-// (pairWeights), the FC kernel over the row-major codes. Integer sums are
+// (pairWeights), which also dequantizes, stores and folds its own cells as
+// deqStore4 does; the FC kernel over one image's row-major codes; and for a
+// chunk of images the FC image-lane kernel, eight neurons × eight images per
+// call over the pair table, one weight pass per chunk. Integer sums are
 // exact, so every kernel gives the same int32s. Max pooling runs the float32
 // path's half-tile loop (maxPoolPlane) on VPMAXSB where the CPU has AVX2;
-// integer max is exact too. DESIGN.md §15 has the derivations.
+// integer max is exact too. DESIGN.md §15 and §16 have the derivations.
 //
 // Unlike the float paths, results are not bit-identical to the oracle: the
 // contract is bounded error, with the admissible deviation derived from the
@@ -74,32 +77,44 @@ func Int8AccumulatorRange(peID string, l *LayerHW) *diag.Diagnostic {
 // run, so batches never pay the weight-calibration scan again.
 type int8LayerWeights struct {
 	w        []int8   // the codes in weight order: one row per output channel or neuron
-	tapPairs []uint32 // conv codes by tap pair (pairWeights), for the AVX2 conv tile
+	tapPairs []uint32 // the codes by tap pair (pairWeights), for the AVX2 conv tile and FC image-lane kernel
 	wScale   float64
 }
 
 // quantizeLayerWeights derives one compute layer's int8 codes from its float
-// weight stream, plus the AVX2 conv tile's pair table where that tile runs.
+// weight stream, plus the pair table of the AVX2 kernels where they run.
 func quantizeLayerWeights(l *LayerHW, w []float32) int8LayerWeights {
 	e := int8LayerWeights{wScale: frameScale(w), w: make([]int8, len(w))}
 	quant.QuantizeInto(e.w, w, e.wScale)
-	if l.Kind == nn.Conv && haveAVX2 {
-		e.tapPairs = pairWeights(e.w, l.InShape.Channels*l.Kernel*l.Kernel)
+	if haveAVX2 {
+		e.tapPairs = pairWeights(e.w, len(w)/l.OutShape.Channels)
 	}
 	return e
 }
 
-// pairWeights lays a conv layer's codes (n taps per output channel) out for
-// the AVX2 tile: word i of a channel's row carries tap 2i's code in its low
-// int16 half and tap 2i+1's — zero past an odd count — in its high half.
+// pairWeights lays a layer's codes (n taps per output channel or neuron) out
+// for the AVX2 kernels, one row of pairCodes per channel.
 func pairWeights(codes []int8, n int) []uint32 {
 	pairs := (n + 1) / 2
 	out := make([]uint32, len(codes)/n*pairs)
-	for i, c := range codes {
-		f, t := i/n, i%n
-		out[f*pairs+t/2] |= uint32(uint16(c)) << (t % 2 * 16)
+	for f := range len(codes) / n {
+		pairCodes(out[f*pairs:], 1, codes[f*n:][:n])
 	}
 	return out
+}
+
+// pairCodes writes codes two by two into every stride-th word of dst: word
+// i carries code 2i in its low int16 half and code 2i+1 — zero past an odd
+// count — in its high half, the operand layout of VPMADDWD.
+func pairCodes(dst []uint32, stride int, codes []int8) {
+	j := 0
+	for ; len(codes) >= 2; j += stride {
+		dst[j] = uint32(uint16(codes[0])) | uint32(uint16(codes[1]))<<16
+		codes = codes[2:]
+	}
+	if len(codes) == 1 {
+		dst[j] = uint32(uint16(codes[0]))
+	}
 }
 
 // pairTaps pads a tap table to whole pairs for the AVX2 tile: an odd count
@@ -124,8 +139,12 @@ type i8Ops struct {
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
 	floatBuf []float32 // a layer's results before requantization
-	chanMax  []uint32  // a direct or im2col_gemm conv layer's largest |result| per output channel, as float32 bits (convStore)
+	chanMax  []uint32  // a direct or im2col_gemm conv layer's largest |result| per output channel, as float32 bits (tile8, store4)
 	deqBuf   []float32 // a winograd_f23 layer's dequantized input volume
+
+	// fcChunk's interleaved input pairs and biased sums, grown on first use.
+	lanes []uint32
+	sums  []float32
 }
 
 // newI8Exec binds a packed int8 executor to its PE.
@@ -155,8 +174,64 @@ func (o *i8Ops) store(dst []float32, src []int8, scale float64) {
 	quant.DequantizeInto(dst, src[:len(dst)], scale)
 }
 
-// fcChunk declines: int8 FC layers run fcDot4I8 image by image.
-func (o *i8Ops) fcChunk([]int8, []int8, int, int) bool { return false }
+// fcChunk is fc, foldFC and closeLayer over a chunk of c images in one pass
+// over the weights, on the AVX2 image-lane kernel fcLanes8I8: the codes are
+// staged as int16 pairs, lane i image i's, and each group of convLanes
+// neurons is one kernel call over the layer's pair table. The int32 sums are
+// exact, so they are fcDot4I8's and fcTileGo's; each image's are then
+// dequantized at its own input scale, folded, and requantized with a scale of
+// its own. The neurons past the last whole group run again as the last
+// convLanes of the layer, and a layer narrower than convLanes repeats its
+// last neuron, each storing the same sums again. A lone image, or a layer
+// lowered without AVX2, runs fc image by image instead.
+func (o *i8Ops) fcChunk(in, out []int8, inScales, outScales []float64, stride, c int) bool {
+	p := &o.x.pass
+	if !p.st.tile8 || c < 2 {
+		return false
+	}
+	l, q, b := p.l, &p.st.q, p.st.b
+	v, n := l.InShape.Volume(), l.OutShape.Volume()
+	pairs := (v + 1) / 2
+	if len(o.lanes) < pairs*convLanes {
+		o.lanes = make([]uint32, pairs*convLanes)
+	}
+	if len(o.sums) < n*convLanes {
+		o.sums = make([]float32, n*convLanes)
+	}
+	lanes, sums := o.lanes[:pairs*convLanes], o.sums[:n*c]
+	if c < convLanes {
+		clear(lanes) // the idle lanes compute on zeros
+	}
+	var deq [convLanes]float64
+	for i := 0; i < c; i++ {
+		pairCodes(lanes[i:], convLanes, in[i*stride:][:v])
+		deq[i] = q.wScale * inScales[i]
+	}
+	var rows [convLanes]*uint32
+	var acc [convLanes][convLanes]int32
+	for g := 0; g < n; g += convLanes {
+		first := min(g, max(n-convLanes, 0))
+		for j := range rows {
+			rows[j] = &q.tapPairs[min(first+j, n-1)*pairs]
+		}
+		fcLanes8I8(&lanes[0], pairs, &rows, &acc)
+		for j := range rows {
+			f := min(first+j, n-1)
+			bias := float64(biasAt(b, f))
+			for i, a := range acc[j][:c] {
+				sums[i*n+f] = float32(float64(a)*deq[i] + bias)
+			}
+		}
+	}
+	for i := 0; i < c; i++ {
+		fb := sums[i*n:][:n]
+		foldFC(l, fb)
+		p.out = out[i*stride:][:n]
+		outScales[i] = o.closeLayer(fb)
+		o.x.maxRequant = max(o.x.maxRequant, outScales[i])
+	}
+	return true
+}
 
 func (o *i8Ops) floats(n int) []float32 { return o.floatBuf[:n] }
 
@@ -197,7 +272,8 @@ func quantizeCodes(dst []int8, src []float32, scale float64) {
 // output cell's whole chain is dequantized (acc · wScale · inScale + bias)
 // and activated in float, and the layer output is requantized with a fresh
 // per-tensor scale, from the per-channel magnitudes the stores kept instead
-// of a scan of the output.
+// of a scan of the output. The AVX2 tile clamps only for ReLU, so on it a
+// Sigmoid or TanH layer is activated here and its scale scanned.
 func (o *i8Ops) conv(stack []int8) float64 {
 	p := &o.x.pass
 	l, st := p.l, p.st
@@ -205,44 +281,45 @@ func (o *i8Ops) conv(stack []int8) float64 {
 	clear(chanMax)
 	o.tiles.set(l, stack, st.q.w, st.taps, st.q.tapPairs, st.taps2, len(st.taps2)/2)
 	o.tiles.run()
+	fb := o.floatBuf[:len(p.out)]
+	if o.tiles.tile8 && l.Activation != NoActivation && l.Activation != nn.ReLU {
+		activateInPlace(l.Activation, fb)
+		return o.closeLayer(fb)
+	}
 	outScale := float64(float32(quant.MaxAbsScale(float64(math.Float32frombits(slices.Max(chanMax))), quant.Int8))) // rounded as frameScale does
-	quantizeCodes(p.out, o.floatBuf[:len(p.out)], outScale)
+	quantizeCodes(p.out, fb, outScale)
 	return outScale
 }
 
-// tile8 and store4 are the int8 part of the shared conv nests (convOps): the
-// AVX2 tile reads the padded tap table and rows of the tap-pair table.
+// tile8 and store4 are the int8 part of the shared conv nests (convOps). The
+// AVX2 tile reads the padded tap table and rows of the tap-pair table, and
+// stores and folds its channels' sums itself, a repeated channel twice.
+// store4 dequantizes and activates a Go tile's first n sums for channel fi,
+// into the channel's float plane from pos on, and folds their magnitudes
+// into the channel's maximum with tensorScale's comparison (a NaN is
+// skipped): whole blocks of four on deqStore4 where the layer admits it
+// (layerState.deq4), the rest on deqStoreGo. A recomputed tile stores equal
+// values again, so each maximum is the scan's.
 func (o *i8Ops) tile8(win *int8, taps *int32, pairs int, w [4]*uint32, f [4]int, pos int) {
-	var acc [4][convLanes]int32
-	convTile8I8(win, taps, pairs, w[0], w[1], w[2], w[3], &acc)
-	for j, fj := range f {
-		if j == 0 || fj != f[j-1] {
-			o.convStore(fj, pos, acc[j][:])
-		}
-	}
+	p := &o.x.pass
+	hw, b, fb, m := p.l.OutShape.Height*p.l.OutShape.Width, p.st.b, o.floatBuf, o.chanMax
+	convTile8I8(win, taps, pairs, w[0], w[1], w[2], w[3],
+		&fb[f[0]*hw+pos], &fb[f[1]*hw+pos], &fb[f[2]*hw+pos], &fb[f[3]*hw+pos],
+		p.st.q.wScale*p.inScale, biasAt(b, f[0]), biasAt(b, f[1]), biasAt(b, f[2]), biasAt(b, f[3]),
+		p.l.Activation == nn.ReLU, &m[f[0]], &m[f[1]], &m[f[2]], &m[f[3]])
 }
 
-func (o *i8Ops) store4(fi, pos, n int, acc [convPosTile]int32) { o.convStore(fi, pos, acc[:n]) }
-
-// convStore dequantizes and activates a tile's position sums for one
-// channel, into channel fi's float plane from pos on, and folds their
-// magnitudes into the channel's maximum with tensorScale's comparison (a NaN
-// is skipped). A recomputed tile stores equal values again, so the maximum
-// is the scan's. Whole blocks of four run on deqStore4 where the layer admits
-// it (layerState.deq4), the rest on deqStoreGo.
-func (o *i8Ops) convStore(fi, pos int, acc []int32) {
+func (o *i8Ops) store4(fi, pos, n int, acc [convPosTile]int32) {
 	p := &o.x.pass
 	l, bias := p.l, float64(biasAt(p.st.b, fi))
 	deq := p.st.q.wScale * p.inScale
-	fb := o.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:len(acc)]
-	m, n := o.chanMax[fi], 0
-	if p.st.deq4 {
-		if n = len(acc) &^ 3; n > 0 {
-			m = deqStore4(&acc[0], n/4, &fb[0], deq, bias, l.Activation == nn.ReLU, m)
-		}
+	fb := o.floatBuf[fi*l.OutShape.Height*l.OutShape.Width+pos:][:n]
+	m, k := o.chanMax[fi], 0
+	if p.st.deq4 && n == convPosTile {
+		m, k = deqStore4(&acc[0], 1, &fb[0], deq, bias, l.Activation == nn.ReLU, m), n
 	}
-	if n < len(acc) {
-		m = deqStoreGo(fb[n:], acc[n:], deq, bias, l.Activation, m)
+	if k < n {
+		m = deqStoreGo(fb[k:], acc[k:n], deq, bias, l.Activation, m)
 	}
 	o.chanMax[fi] = m
 }
@@ -275,8 +352,9 @@ func (o *i8Ops) avgPool(fb []float32, plane []int8) {
 	avgPlane[int8, int32](fb, plane, p.l, p.inScale/float64(p.l.Kernel*p.l.Kernel))
 }
 
-// fc accumulates, dequantizes and biases every neuron, four per tile over
-// the row-major codes; a layer ending inside a quad repeats its last neuron.
+// fc accumulates, dequantizes and biases one image's neurons, four per tile
+// over the row-major codes; a layer ending inside a quad repeats its last
+// neuron.
 // On the AVX2 kernel (layerState.tile8) fcDot4I8 takes each quad's whole
 // 16-input blocks, sixteen codes per step, and its eight lane sums per neuron
 // are added up here; the Go tile takes the inputs past the last block, or the

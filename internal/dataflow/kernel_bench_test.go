@@ -3,6 +3,8 @@ package dataflow
 import (
 	"math/rand"
 	"testing"
+
+	"condor/internal/nn"
 )
 
 // BenchmarkGoConvTile times the Go conv tile — what every conv layer runs on
@@ -38,6 +40,49 @@ func benchGoConvTile[E float32 | int8, A float32 | int32](b *testing.B, l *Layer
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(2*convPosTile*n)), "ns/MAC")
 	benchSink = float64(keep)
+}
+
+// BenchmarkInt8FC times an int8 FC layer of LeNet ip1's shape (800 inputs,
+// 500 neurons, ReLU) through the executor, eight images per iteration, each
+// with its dequantization, fold and requantization: "image" runs them one
+// by one on fcDot4I8, as a lone image runs, and "chunk8" as one chunk on
+// fcLanes8I8. ns/MAC sizes the FC share of an int8 session without the
+// session around it.
+func BenchmarkInt8FC(b *testing.B) {
+	if !haveAVX2 {
+		b.Skip("CPU without AVX2: int8 FC layers run the Go tile")
+	}
+	const v, neurons = 800, 500
+	l := fcLayerHW(v, neurons)
+	l.Name, l.Activation, l.Normalize = "ip1", nn.ReLU, NoActivation
+	rng := rand.New(rand.NewSource(55))
+	w := make([]float32, neurons*v)
+	for i := range w {
+		w[i] = float32(rng.NormFloat64())
+	}
+	x := newI8Exec(oneLayerPE(b, 8, l, w, randomBias(rng, neurons)))
+	x.prepare()
+	wk := &worker[int8]{pes: []*peExec[int8]{x}, stride: v + poolSlack}
+	for side := range wk.vols {
+		wk.vols[side], wk.scales[side] = make([]int8, convLanes*wk.stride), make([]float64, convLanes)
+	}
+	for i := 0; i < convLanes; i++ {
+		copy(wk.vols[0][i*wk.stride:], randomCodes(rng, v))
+		wk.scales[0][i] = 0.01
+	}
+	for _, leg := range []struct {
+		name  string
+		chunk int
+	}{{"image", 1}, {"chunk8", convLanes}} {
+		b.Run(leg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for first := 0; first < convLanes; first += leg.chunk {
+					x.run(wk, 0, first, leg.chunk)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*convLanes*v*neurons), "ns/MAC")
+		})
+	}
 }
 
 // benchSink keeps benchmarked results live.

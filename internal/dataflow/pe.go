@@ -88,8 +88,9 @@ type layerState struct {
 
 	// The int8 datapath's: the layer's weight codes, a conv layer's tap
 	// table padded to whole pairs (pairTaps) for the AVX2 tile, whether an
-	// FC layer runs on fcDot4I8 and whether a conv layer's store runs on
-	// deqStore4 (AVX2, and no activation or ReLU).
+	// FC layer runs on the AVX2 kernels (fcDot4I8 and fcLanes8I8) and
+	// whether a Go conv tile's store runs on deqStore4 (AVX2, and no
+	// activation or ReLU).
 	q           int8LayerWeights
 	taps2       []int32
 	tile8, deq4 bool
@@ -310,8 +311,9 @@ type elemOps[E float32 | int8] interface {
 	fc(fb []float32)
 	// fcChunk runs the FC layer in flight over the c images of a chunk, whose
 	// input and output volumes lie stride elements apart in in and out, in one
-	// pass over its weights, and reports whether it did.
-	fcChunk(in, out []E, stride, c int) bool
+	// pass over its weights, and reports whether it did. It reads the images'
+	// input scales from inScales and writes their output scales to outScales.
+	fcChunk(in, out []E, inScales, outScales []float64, stride, c int) bool
 	// maxFloats puts a max pool's channel into the float stage; avgPool
 	// averages a padded plane's windows into it.
 	maxFloats(fb []float32, out []E)
@@ -341,10 +343,11 @@ func (x *peExec[E]) prepare() {
 // run runs the PE's fused layers over the c images of a chunk, the first
 // of which is image first of the batch: their input volumes lie in
 // w.vols[side] with their scales in w.scales[side], and run returns the side
-// their outputs lie on. A float32 FC layer takes the whole chunk at once
-// (fcChunk); every other layer runs image by image. With tracing on, each
-// layer is one span on the PE's track whose cycles are the chunk's share of
-// the schedule, so per-track span totals sum to exactly PEStats.Cycles.
+// their outputs lie on. An FC layer takes the whole chunk at once where the
+// element type can (fcChunk); every other layer runs image by image. With
+// tracing on, each layer is one span on the PE's track whose cycles are the
+// chunk's share of the schedule, so per-track span totals sum to exactly
+// PEStats.Cycles.
 func (x *peExec[E]) run(w *worker[E], side, first, c int) int {
 	p := &x.pass
 	for li := range x.pe.Layers {
@@ -355,7 +358,7 @@ func (x *peExec[E]) run(w *worker[E], side, first, c int) int {
 		}
 		in, out := w.vols[side], w.vols[1-side]
 		w.img = first
-		if p.l.Kind != nn.FullyConnected || !x.el.fcChunk(in, out, w.stride, c) {
+		if p.l.Kind != nn.FullyConnected || !x.el.fcChunk(in, out, w.scales[side][:c], w.scales[1-side][:c], w.stride, c) {
 			n, m := p.l.InShape.Volume(), p.l.OutShape.Volume()
 			for i := 0; i < c; i++ {
 				w.img = first + i
@@ -889,7 +892,7 @@ func (o *f32Ops) fcGroup8(first int, acc []float32) {
 // the layer, and a layer narrower than convLanes repeats its last neuron,
 // each storing the same sums again. A lone image, or a CPU without AVX2,
 // runs fc image by image instead.
-func (o *f32Ops) fcChunk(in, out []float32, stride, c int) bool {
+func (o *f32Ops) fcChunk(in, out []float32, _, _ []float64, stride, c int) bool {
 	if !haveAVX2 || c < 2 {
 		return false
 	}
