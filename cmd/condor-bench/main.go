@@ -8,7 +8,7 @@
 //
 //	condor-bench            # everything
 //	condor-bench -only table1|table2|figure5
-//	condor-bench -layers tc1               # per-layer traced cycle profile
+//	condor-bench -layers tc1               # per-layer traced profile, float32 and int8
 package main
 
 import (
@@ -21,8 +21,8 @@ import (
 
 func main() {
 	only := flag.String("only", "", "run a single experiment: table1 | table2 | figure5")
-	layers := flag.String("layers", "", "print a per-layer traced cycle profile of the fabric: tc1 | lenet")
-	layersBatch := flag.Int("layers-batch", 4, "batch size for the -layers profile")
+	layers := flag.String("layers", "", "print a per-layer traced profile of the fabric, float32 and int8: tc1 | lenet")
+	layersBatch := flag.Int("layers-batch", 16, "batch size for the -layers profile")
 	flag.Parse()
 
 	if *layers != "" {

@@ -31,31 +31,38 @@ func fcRows8(in *float32, blocks int, w *float32, v int, acc *float32)
 //go:noescape
 func fcLanes8(x *float32, v int, rows *[convLanes]*float32, acc *[convLanes][convLanes]float32)
 
-// poolMax8 writes the maxima of two half-tiles of poolHalf consecutive k×k
-// windows each: the one whose first window's top-left word is win to out,
-// the one at win2 to out2. pw is the plane's row length and stride (1 or 2)
-// the step between windows. Unchecked loads, guarded by poolMax8Rows.
+// poolMaxPlane writes the max pool of output rows [0,rows) of one channel
+// from its padded plane, pw words a row, to out, outW windows a row: the
+// window of output row oy and column ox starts at plane[(oy·pw+ox)·stride]
+// (stride 1 or 2) and spans k×k words. It covers a row in steps of 16 raw
+// words per tap — 16 windows at stride 1, 8 at stride 2 — and stores only
+// the row's windows. Unchecked loads and stores, the loads guarded by
+// poolMax8Rows.
 //
 //go:noescape
-func poolMax8(win, win2 *float32, k, pw, stride int, out, out2 *float32)
+func poolMaxPlane(plane *float32, k, pw, stride, outW, rows int, out *float32)
 
-// poolMax8I8 is poolMax8 on int8 codes, with the same call geometry and the
-// same loads counted in codes, so poolMax8Rows guards it too.
+// poolMaxPlaneI8 is poolMaxPlane on int8 codes, in steps of 32 raw codes
+// per tap — 32 windows at stride 1, 16 at stride 2.
 //
 //go:noescape
-func poolMax8I8(win, win2 *int8, k, pw, stride int, out, out2 *int8)
+func poolMaxPlaneI8(plane *int8, k, pw, stride, outW, rows int, out *int8)
 
-// convTile8I8 is convTile8 on int8 codes, the sums in int32 lanes and two
-// taps per step: taps holds 2·pairs offsets (pairTaps) and w0–w3 are the
-// four channels' rows of the layer's pair table (pairWeights). It stores
-// channel j's sums dequantized, as deqStore4 stores them — float32(float64(a)·deq
-// + bj), clamped at zero when relu is set — to the convLanes words at oj, and
-// folds their magnitudes into the channel's running maximum at mj (float32
-// bits, sign cleared, a NaN skipped). Unchecked loads and stores; convTile8OK
-// guards the loads.
+// convTile16I8 is the int8 conv tile: four output channels × two output
+// rows × convLanes positions, the sums in int32 lanes and one tap pair per
+// step over the layer's pair planes (stagePairPlanes). win is the first
+// row's first window in them and the second row's starts rowIn words on,
+// taps holds the pairs steps' offsets (pairTapOffsets) and w0–w3 are the
+// four channels' rows of the layer's pair table (convPairWeights). It stores
+// channel j's sums dequantized, as deqStore4 stores them —
+// float32(float64(a)·deq + bj), clamped at zero when relu is set — to the
+// convLanes words at oj for the first row and rowOut words past it for the
+// second, and folds their magnitudes into the channel's running maximum at
+// mj (float32 bits, sign cleared, a NaN skipped). Unchecked loads and
+// stores; convTile8OK guards the loads.
 //
 //go:noescape
-func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, o0, o1, o2, o3 *float32, deq float64, b0, b1, b2, b3 float32, relu bool, m0, m1, m2, m3 *uint32)
+func convTile16I8(win *uint32, taps *int32, pairs int, w0, w1, w2, w3 *uint32, rowIn int, o0, o1, o2, o3 *float32, rowOut int, deq float64, b0, b1, b2, b3 float32, relu bool, m0, m1, m2, m3 *uint32)
 
 // fcDot4I8 accumulates the first 16·blocks products of four FC neurons'
 // code rows w0–w3 with the input codes in, eight int32 lanes per neuron; the

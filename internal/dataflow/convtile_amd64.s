@@ -244,191 +244,295 @@ storelanes:
 	VZEROUPPER
 	RET
 
-// func poolMax8(win, win2 *float32, k, pw, stride int, out, out2 *float32)
+// The max-pool kernels take one channel plane per call: output rows
+// [0,rows) of outW windows each, the k×k windows of output row oy starting
+// at plane[oy·stride·pw + ox·stride], stored row after row from out on. A
+// row is covered in steps of consecutive windows: per tap (m,n), in
+// ascending order, a step loads the same run of raw elements from its
+// first window's top-left element + m·pw + n on and folds it into the
+// running maxima, so raw lane p ends as the maximum of the window starting
+// at raw element p. At stride 1 every raw lane is a window; at stride 2
+// the even ones are, and they are picked once, after the taps. A step's
+// lanes past the row's last window compute maxima no window uses (they
+// read on into the row, or the rows, after it), and only the row's windows
+// are stored: n = min(windows left, windows per step) lanes, in pieces of
+// 2^i lanes for each bit i of n. poolMax8Rows guards the loads.
+
+// func poolMaxPlane(plane *float32, k, pw, stride, outW, rows int, out *float32)
 //
-// Eight max-pool windows: four consecutive ones of a row from win (lanes
-// 0–3, stored to out) and four from win2 (lanes 4–7, stored to out2) — the
-// next four of the row, or of a later row where rows are narrower than
-// eight. Per tap (m,n), in ascending order, the tap's word of each window
-// is loaded — at stride 1 four consecutive words per half (VMOVUPS, then
-// VINSERTF128 for the high lane); at stride 2 the even words of eight per
-// half, two loads picked by VSHUFPS $0x88 within each 128-bit lane and put
-// in order by VPERMPD $0xD8 — and VMAXPS folds it into the running maxima,
-// which start at −Inf. The tap is VMAXPS's first source and the running
-// maximum its second, so each lane is e > v ? e : v: the Go loop's
-// comparison, ±0 ties and NaN included (a NaN tap is skipped).
-TEXT ·poolMax8(SB), NOSPLIT, $0-56
-	MOVQ win+0(FP), SI
-	MOVQ win2+8(FP), R11
-	MOVQ k+16(FP), CX
-	MOVQ pw+24(FP), DX
-	MOVQ stride+32(FP), BX
-	MOVQ out+40(FP), DI
-	MOVQ out2+48(FP), R12
-	SHLQ $2, DX            // row step in bytes
-	SUBQ SI, R11           // win2 as an offset from win: one pointer walks the taps
+// float32 words, 16 raw words per step (two VMOVUPS per tap): 16 windows at
+// stride 1, 8 at stride 2, picked by VSHUFPS $0x88 within each 128-bit lane
+// and put in order by VPERMPD $0xD8. VMAXPS folds each tap into the running
+// maxima, which start at −Inf, with the tap as its first source and the
+// running maximum as its second, so each lane is e > v ? e : v: the Go
+// loop's comparison, ±0 ties and NaN included (a NaN tap is skipped).
+TEXT ·poolMaxPlane(SB), NOSPLIT, $0-56
+	MOVQ plane+0(FP), SI
+	MOVQ k+8(FP), CX
+	MOVQ pw+16(FP), DX
+	MOVQ stride+24(FP), BX
+	MOVQ outW+32(FP), R13
+	MOVQ out+48(FP), DI
+	SHLQ $2, DX            // tap row step in bytes
+	MOVQ DX, R12
+	IMULQ BX, R12          // bytes from one output row's windows to the next's
 	MOVL $0xff800000, AX   // −Inf
-	VMOVD AX, X0
-	VBROADCASTSS X0, Y0
-	XORQ R8, R8            // m
+	VMOVD AX, X15
+	VBROADCASTSS X15, Y15
+	CMPQ rows+40(FP), $0
+	JLE pooldone
 
 poolrow:
-	MOVQ SI, R9
-	XORQ R10, R10          // n
+	MOVQ SI, AX            // the step's first window
+	MOVQ R13, R11          // windows left in the row
+
+poolstep:
+	VMOVAPS Y15, Y0
+	VMOVAPS Y15, Y1
+	MOVQ AX, R8
+	MOVQ CX, R9            // tap rows left
+
+pooltaprow:
+	MOVQ R8, R10
+	MOVQ CX, R14           // taps left in the row
+
+pooltap:
+	VMOVUPS (R10), Y2
+	VMOVUPS 32(R10), Y3
+	VMAXPS Y0, Y2, Y0
+	VMAXPS Y1, Y3, Y1
+	ADDQ $4, R10
+	DECQ R14
+	JNZ pooltap
+	ADDQ DX, R8
+	DECQ R9
+	JNZ pooltaprow
+	MOVQ $16, R9           // windows per step
 	CMPQ BX, $2
-	JEQ pooltap2
+	JNE poolpicked
+	VSHUFPS $0x88, Y1, Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	MOVQ $8, R9
 
-pooltap1:
-	VMOVUPS (R9), X1
-	VINSERTF128 $1, (R9)(R11*1), Y1, Y1
-	VMAXPS Y0, Y1, Y0
-	ADDQ $4, R9
-	INCQ R10
-	CMPQ R10, CX
-	JLT pooltap1
-	JMP poolnext
+poolpicked:
+	CMPQ R11, R9
+	CMOVQLT R11, R9        // lanes to store
+	SUBQ R9, R11
+	TESTQ $16, R9
+	JZ poolstore8
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	ADDQ $64, DI
+	JMP poolstored
 
-pooltap2:
-	VMOVUPS (R9), Y1
-	VMOVUPS (R9)(R11*1), Y2
-	VSHUFPS $0x88, Y2, Y1, Y1
-	VPERMPD $0xD8, Y1, Y1
-	VMAXPS Y0, Y1, Y0
-	ADDQ $4, R9
-	INCQ R10
-	CMPQ R10, CX
-	JLT pooltap2
+poolstore8:
+	TESTQ $8, R9
+	JZ poolstore4
+	VMOVUPS Y0, (DI)
+	VMOVAPS Y1, Y0
+	ADDQ $32, DI
 
-poolnext:
-	ADDQ DX, SI
-	INCQ R8
-	CMPQ R8, CX
-	JLT poolrow
+poolstore4:
+	TESTQ $4, R9
+	JZ poolstore2
 	VMOVUPS X0, (DI)
-	VEXTRACTF128 $1, Y0, (R12)
+	VEXTRACTF128 $1, Y0, X0
+	ADDQ $16, DI
+
+poolstore2:
+	TESTQ $2, R9
+	JZ poolstore1
+	VMOVQ X0, (DI)
+	VPSRLDQ $8, X0, X0
+	ADDQ $8, DI
+
+poolstore1:
+	TESTQ $1, R9
+	JZ poolstored
+	VMOVSS X0, (DI)
+	ADDQ $4, DI
+
+poolstored:
+	ADDQ $64, AX           // the next step: 16 raw words on
+	TESTQ R11, R11
+	JNZ poolstep
+	ADDQ R12, SI
+	DECQ rows+40(FP)
+	JNZ poolrow
+
+pooldone:
 	VZEROUPPER
 	RET
 
-// func poolMax8I8(win, win2 *int8, k, pw, stride int, out, out2 *int8)
+// func poolMaxPlaneI8(plane *int8, k, pw, stride, outW, rows int, out *int8)
 //
-// poolMax8 on int8 codes: eight max-pool windows, four consecutive ones of a
-// row from win (bytes 0–3, stored to out) and four from win2 (bytes 4–7,
-// stored to out2). Per tap (m,n) the tap's code of each window is loaded —
-// at stride 1 four consecutive bytes per half (VMOVD, then VPINSRD for
-// win2's); at stride 2 eight per half, the windows' taps on the even bytes
-// (VMOVQ twice, joined by VPUNPCKLQDQ) — and VPMAXSB folds it into the
-// running signed maxima, which start at −128. At stride 2 the odd bytes carry
-// maxima no window uses: the even ones are picked at the end by
+// int8 codes, 32 raw codes per step (one VMOVDQU per tap, as VPMAXSB's
+// memory operand): 32 windows at stride 1, 16 at stride 2. VPMAXSB folds
+// each tap into the running signed maxima, which start at −128 (VPMAXUB
+// would compare unsigned). At stride 2 the even bytes are picked by
 // sign-extending each int16 lane's low byte and packing with signed
-// saturation, exact for int8 values. Integer max is exact and order-free, so
-// every window's code is the Go loop's.
-TEXT ·poolMax8I8(SB), NOSPLIT, $0-56
-	MOVQ win+0(FP), SI
-	MOVQ win2+8(FP), R11
-	MOVQ k+16(FP), CX
-	MOVQ pw+24(FP), DX
-	MOVQ stride+32(FP), BX
-	MOVQ out+40(FP), DI
-	MOVQ out2+48(FP), R12
-	SUBQ SI, R11           // win2 as an offset from win: one pointer walks the taps
+// saturation, exact for int8 values. Integer max is exact and order-free,
+// so every window's code is the Go loop's.
+TEXT ·poolMaxPlaneI8(SB), NOSPLIT, $0-56
+	MOVQ plane+0(FP), SI
+	MOVQ k+8(FP), CX
+	MOVQ pw+16(FP), DX
+	MOVQ stride+24(FP), BX
+	MOVQ outW+32(FP), R13
+	MOVQ out+48(FP), DI
+	MOVQ DX, R12
+	IMULQ BX, R12          // codes from one output row's windows to the next's
 	MOVL $0x80808080, AX   // −128 in every byte
-	VMOVD AX, X0
-	VPBROADCASTD X0, X0
-	MOVQ CX, R8            // rows left (k ≥ 1)
+	VMOVD AX, X15
+	VPBROADCASTD X15, Y15
+	CMPQ rows+40(FP), $0
+	JLE pool8done
 
 pool8row:
-	MOVQ SI, R9
-	MOVQ CX, R10           // taps left in the row
+	MOVQ SI, AX            // the step's first window
+	MOVQ R13, R11          // windows left in the row
+
+pool8step:
+	VMOVDQA Y15, Y0
+	MOVQ AX, R8
+	MOVQ CX, R9            // tap rows left
+
+pool8taprow:
+	MOVQ R8, R10
+	MOVQ CX, R14           // taps left in the row
+
+pool8tap:
+	VPMAXSB (R10), Y0, Y0
+	INCQ R10
+	DECQ R14
+	JNZ pool8tap
+	ADDQ DX, R8
+	DECQ R9
+	JNZ pool8taprow
+	MOVQ $32, R9           // windows per step
 	CMPQ BX, $2
-	JEQ pool8tap2
+	JNE pool8picked
+	VPSLLW $8, Y0, Y0
+	VPSRAW $8, Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSWB X1, X0, X0
+	MOVQ $16, R9
 
-pool8tap1:
-	VMOVD (R9), X1
-	VPINSRD $1, (R9)(R11*1), X1, X1
-	VPMAXSB X1, X0, X0
-	INCQ R9
-	DECQ R10
-	JNZ pool8tap1
-	JMP pool8next
+pool8picked:
+	CMPQ R11, R9
+	CMOVQLT R11, R9        // lanes to store
+	SUBQ R9, R11
+	TESTQ $32, R9
+	JZ pool8store16
+	VMOVDQU Y0, (DI)
+	ADDQ $32, DI
+	JMP pool8stored
 
-pool8tap2:
-	VMOVQ (R9), X1
-	VMOVQ (R9)(R11*1), X2
-	VPUNPCKLQDQ X2, X1, X1
-	VPMAXSB X1, X0, X0
-	INCQ R9
-	DECQ R10
-	JNZ pool8tap2
+pool8store16:
+	TESTQ $16, R9
+	JZ pool8store8
+	VMOVDQU X0, (DI)
+	VEXTRACTI128 $1, Y0, X0
+	ADDQ $16, DI
 
-pool8next:
-	ADDQ DX, SI
-	DECQ R8
+pool8store8:
+	TESTQ $8, R9
+	JZ pool8store4
+	VMOVQ X0, (DI)
+	VPSRLDQ $8, X0, X0
+	ADDQ $8, DI
+
+pool8store4:
+	VMOVQ X0, R8
+	TESTQ $4, R9
+	JZ pool8store2
+	MOVL R8, (DI)
+	SHRQ $32, R8
+	ADDQ $4, DI
+
+pool8store2:
+	TESTQ $2, R9
+	JZ pool8store1
+	MOVW R8, (DI)
+	SHRQ $16, R8
+	ADDQ $2, DI
+
+pool8store1:
+	TESTQ $1, R9
+	JZ pool8stored
+	MOVB R8, (DI)
+	INCQ DI
+
+pool8stored:
+	ADDQ $32, AX           // the next step: 32 raw codes on
+	TESTQ R11, R11
+	JNZ pool8step
+	ADDQ R12, SI
+	DECQ rows+40(FP)
 	JNZ pool8row
-	CMPQ BX, $2
-	JNE pool8store
-	VPSLLW $8, X0, X0
-	VPSRAW $8, X0, X0
-	VPACKSSWB X0, X0, X0
 
-pool8store:
-	VMOVD X0, (DI)
-	VPEXTRD $1, X0, (R12)
+pool8done:
+	VZEROUPPER
 	RET
 
-// DEQSTORE8 is the int8 tile's epilogue for one channel, deqStore4's
-// instruction sequence on eight lanes: the int32 sums in accy are widened
-// exactly (VCVTDQ2PD, four per half), multiplied by deq (Y15) and biased
-// (VADDPD, the channel's float32 bias widened exactly into Y14) in float64,
-// then rounded to nearest float32 (VCVTPD2PSY). VMAXPS takes Y10 as its
-// first source and the value as its second: Y10 is zero with ReLU, so a lane
-// is 0 > v ? 0 : v — Go's `if v < 0`, which keeps −0 and a NaN — and −Inf
-// without, which returns every value unchanged. The eight floats are stored
-// at out, and their magnitude bits (sign cleared, Y12), a NaN lane (above
-// +Inf's bits, Y11) masked to zero, fold as unsigned integers into the
-// channel's running maximum at max.
-#define DEQSTORE8(accy, accx, bias, out, max) \
+// DEQSTORE8 is the int8 tile's epilogue for one channel and output row,
+// deqStore4's instruction sequence on eight lanes: the int32 sums in accy are
+// widened exactly (VCVTDQ2PD, four per half), multiplied by deq (Y15) and
+// biased (VADDPD, the channel's float32 bias widened exactly into Y14) in
+// float64, then rounded to nearest float32 (VCVTPD2PSY). VMAXPS takes Y10 as
+// its first source and the value as its second: Y10 is zero with ReLU, so a
+// lane is 0 > v ? 0 : v — Go's `if v < 0`, which keeps −0 and a NaN — and
+// −Inf without, which returns every value unchanged. The eight floats are
+// stored off bytes past out, and their magnitude bits (sign cleared, Y12), a
+// NaN lane (above +Inf's bits, Y11) masked to zero, fold as unsigned integers
+// into the channel's running maximum at max.
+#define DEQSTORE8(accy, accx, bias, out, off, max) \
 	VCVTSS2SD bias, X14, X14; \
 	VBROADCASTSD X14, Y14; \
-	VEXTRACTI128 $1, accy, X5; \
-	VCVTDQ2PD X5, Y5; \
-	VCVTDQ2PD accx, Y4; \
-	VMULPD Y15, Y4, Y4; \
-	VMULPD Y15, Y5, Y5; \
-	VADDPD Y14, Y4, Y4; \
-	VADDPD Y14, Y5, Y5; \
-	VCVTPD2PSY Y4, X4; \
-	VCVTPD2PSY Y5, X5; \
-	VINSERTF128 $1, X5, Y4, Y4; \
-	VMAXPS Y4, Y10, Y4; \
+	VEXTRACTI128 $1, accy, X9; \
+	VCVTDQ2PD X9, Y9; \
+	VCVTDQ2PD accx, Y8; \
+	VMULPD Y15, Y8, Y8; \
+	VMULPD Y15, Y9, Y9; \
+	VADDPD Y14, Y8, Y8; \
+	VADDPD Y14, Y9, Y9; \
+	VCVTPD2PSY Y8, X8; \
+	VCVTPD2PSY Y9, X9; \
+	VINSERTF128 $1, X9, Y8, Y8; \
+	VMAXPS Y8, Y10, Y8; \
 	MOVQ out, R8; \
-	VMOVUPS Y4, (R8); \
-	VPAND Y12, Y4, Y4; \
-	VPCMPGTD Y11, Y4, Y5; \
-	VPANDN Y4, Y5, Y4; \
-	VEXTRACTI128 $1, Y4, X5; \
-	VPMAXUD X5, X4, X4; \
-	VPSHUFD $0x4E, X4, X5; \
-	VPMAXUD X5, X4, X4; \
-	VPSHUFD $0xB1, X4, X5; \
-	VPMAXUD X5, X4, X4; \
+	VMOVUPS Y8, (R8)(off*1); \
+	VPAND Y12, Y8, Y8; \
+	VPCMPGTD Y11, Y8, Y9; \
+	VPANDN Y8, Y9, Y8; \
+	VEXTRACTI128 $1, Y8, X9; \
+	VPMAXUD X9, X8, X8; \
+	VPSHUFD $0x4E, X8, X9; \
+	VPMAXUD X9, X8, X8; \
+	VPSHUFD $0xB1, X8, X9; \
+	VPMAXUD X9, X8, X8; \
 	MOVQ max, R8; \
-	VMOVD (R8), X5; \
-	VPMAXUD X5, X4, X4; \
-	VMOVD X4, (R8)
+	VMOVD (R8), X9; \
+	VPMAXUD X9, X8, X8; \
+	VMOVD X8, (R8)
 
-// func convTile8I8(win *int8, taps *int32, pairs int, w0, w1, w2, w3 *uint32, o0, o1, o2, o3 *float32, deq float64, b0, b1, b2, b3 float32, relu bool, m0, m1, m2, m3 *uint32)
+// func convTile16I8(win *uint32, taps *int32, pairs int, w0, w1, w2, w3 *uint32, rowIn int, o0, o1, o2, o3 *float32, rowOut int, deq float64, b0, b1, b2, b3 float32, relu bool, m0, m1, m2, m3 *uint32)
 //
-// The int8 tile: four output channels × eight consecutive output positions,
-// one pair of taps per step. The eight codes at win[taps[2i]:] and the eight
-// at win[taps[2i+1]:] are interleaved and sign-extended to sixteen int16
-// lanes (a0 b0 a1 b1 …), each channel's (w[2i], w[2i+1]) word is broadcast,
-// and VPMADDWD leaves a_k·w[2i] + b_k·w[2i+1] in int32 lane k. Integer sums
-// are exact and order-free, so the lanes equal the Go tile's while the chain
-// fits int32 (rule CND026). Each channel j's finished sums are then stored
-// dequantized at oj and folded into its maximum at mj (DEQSTORE8). A quad
-// that repeats its last channel stores the same floats twice and folds the
-// same maximum twice.
-TEXT ·convTile8I8(SB), NOSPLIT, $0-152
+// The int8 tile: four output channels × two output rows × eight consecutive
+// output positions, one tap pair per step over the layer's pair planes,
+// whose words each hold two codes as int16 halves (stagePairPlanes). Per
+// step i the eight words at win[taps[i]:] (the first row's windows) and the
+// eight rowIn words on (the second row's) are loaded once, each channel's
+// tap-pair weight word i is broadcast, and VPMADDWD leaves the pair's two
+// products summed in int32 lane k of the row's accumulator: Y0–Y3 the first
+// row's four channels, Y4–Y7 the second's. Integer sums are exact and
+// order-free, so the lanes equal the Go tile's while the chain fits int32
+// (rule CND026). Each channel j's finished sums are then stored dequantized
+// at oj and rowOut words past it, and folded into its maximum at mj
+// (DEQSTORE8). A quad that repeats its last channel, and a row pair whose
+// rows coincide (rowIn = rowOut = 0), store the same floats twice and fold
+// the same maximum twice.
+TEXT ·convTile16I8(SB), NOSPLIT, $0-168
 	MOVQ win+0(FP), SI
 	MOVQ taps+8(FP), DI
 	MOVQ pairs+16(FP), CX
@@ -436,40 +540,51 @@ TEXT ·convTile8I8(SB), NOSPLIT, $0-152
 	MOVQ w1+32(FP), R9
 	MOVQ w2+40(FP), R10
 	MOVQ w3+48(FP), R11
+	MOVQ rowIn+56(FP), R13
+	LEAQ (SI)(R13*4), R13  // the second row's first window
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	VPXOR Y2, Y2, Y2
 	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
 	XORQ BX, BX
 	TESTQ CX, CX
-	JLE store8
+	JLE store16
 	PCALIGN $32
 
-loop8:
-	MOVLQSX (DI)(BX*8), AX
-	MOVLQSX 4(DI)(BX*8), R12
-	VMOVQ (SI)(AX*1), X4
-	VMOVQ (SI)(R12*1), X5
-	VPUNPCKLBW X5, X4, X4
-	VPMOVSXBW X4, Y4
-	VPBROADCASTD (R8)(BX*4), Y5
-	VPBROADCASTD (R9)(BX*4), Y6
-	VPBROADCASTD (R10)(BX*4), Y7
-	VPBROADCASTD (R11)(BX*4), Y8
-	VPMADDWD Y4, Y5, Y5
-	VPMADDWD Y4, Y6, Y6
-	VPMADDWD Y4, Y7, Y7
-	VPMADDWD Y4, Y8, Y8
-	VPADDD Y5, Y0, Y0
-	VPADDD Y6, Y1, Y1
-	VPADDD Y7, Y2, Y2
-	VPADDD Y8, Y3, Y3
+loop16:
+	MOVLQSX (DI)(BX*4), AX
+	VMOVDQU (SI)(AX*4), Y8
+	VMOVDQU (R13)(AX*4), Y9
+	VPBROADCASTD (R8)(BX*4), Y10
+	VPBROADCASTD (R9)(BX*4), Y11
+	VPMADDWD Y8, Y10, Y12
+	VPMADDWD Y9, Y10, Y13
+	VPMADDWD Y8, Y11, Y14
+	VPMADDWD Y9, Y11, Y15
+	VPADDD Y12, Y0, Y0
+	VPADDD Y13, Y4, Y4
+	VPADDD Y14, Y1, Y1
+	VPADDD Y15, Y5, Y5
+	VPBROADCASTD (R10)(BX*4), Y10
+	VPBROADCASTD (R11)(BX*4), Y11
+	VPMADDWD Y8, Y10, Y12
+	VPMADDWD Y9, Y10, Y13
+	VPMADDWD Y8, Y11, Y14
+	VPMADDWD Y9, Y11, Y15
+	VPADDD Y12, Y2, Y2
+	VPADDD Y13, Y6, Y6
+	VPADDD Y14, Y3, Y3
+	VPADDD Y15, Y7, Y7
 	INCQ BX
 	CMPQ BX, CX
-	JLT loop8
+	JLT loop16
 
-store8:
-	VBROADCASTSD deq+88(FP), Y15
+store16:
+	VBROADCASTSD deq+104(FP), Y15
 	MOVL $0x7fffffff, AX   // magnitude mask
 	VMOVD AX, X12
 	VPBROADCASTD X12, Y12
@@ -477,18 +592,25 @@ store8:
 	VMOVD AX, X11
 	VPBROADCASTD X11, Y11
 	MOVL $0xff800000, AX   // −Inf: VMAXPS returns every value
-	MOVBLZX relu+112(FP), DX
+	MOVBLZX relu+128(FP), DX
 	TESTQ DX, DX
-	JZ floor8
+	JZ floor16
 	XORL AX, AX            // zero: ReLU
 
-floor8:
+floor16:
 	VMOVD AX, X10
 	VPBROADCASTD X10, Y10
-	DEQSTORE8(Y0, X0, b0+96(FP), o0+56(FP), m0+120(FP))
-	DEQSTORE8(Y1, X1, b1+100(FP), o1+64(FP), m1+128(FP))
-	DEQSTORE8(Y2, X2, b2+104(FP), o2+72(FP), m2+136(FP))
-	DEQSTORE8(Y3, X3, b3+108(FP), o3+80(FP), m3+144(FP))
+	XORQ R9, R9            // the first row's offset
+	MOVQ rowOut+96(FP), DX
+	SHLQ $2, DX            // the second row's, in bytes
+	DEQSTORE8(Y0, X0, b0+112(FP), o0+64(FP), R9, m0+136(FP))
+	DEQSTORE8(Y1, X1, b1+116(FP), o1+72(FP), R9, m1+144(FP))
+	DEQSTORE8(Y2, X2, b2+120(FP), o2+80(FP), R9, m2+152(FP))
+	DEQSTORE8(Y3, X3, b3+124(FP), o3+88(FP), R9, m3+160(FP))
+	DEQSTORE8(Y4, X4, b0+112(FP), o0+64(FP), DX, m0+136(FP))
+	DEQSTORE8(Y5, X5, b1+116(FP), o1+72(FP), DX, m1+144(FP))
+	DEQSTORE8(Y6, X6, b2+120(FP), o2+80(FP), DX, m2+152(FP))
+	DEQSTORE8(Y7, X7, b3+124(FP), o3+88(FP), DX, m3+160(FP))
 	VZEROUPPER
 	RET
 

@@ -118,8 +118,10 @@ func fusedChain(win, w []float32, taps []int32) float32 {
 // TestConvTile8OKGuards pins what sends a layer back to the Go tile: the
 // geometry the AVX2 tiles do not cover, and anything that would let their
 // unchecked loads leave the stack or a weight row — for the float32 tile
-// (one tap per weight word, four bytes per stack element) and the int8 tile
-// (a tap pair per weight word, one byte per code) alike.
+// (one tap per weight word over the word stack) and the int8 tile (a tap
+// pair per weight word over the pair planes) alike. The well-formed layers
+// read their stacks' last word: the last row pair's second row is the
+// layer's last row, also at an odd height and for a one-row layer.
 func TestConvTile8OKGuards(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
@@ -129,25 +131,27 @@ func TestConvTile8OKGuards(t *testing.T) {
 		taps                   []int32
 		row, weights, stackLen int
 	}
-	// Channels 3 × 3×3 taps: 27, an odd count the int8 tile pads to 14 pairs.
-	geom := func(stride, outW int, int8Codes bool) guard {
+	// Channels 3 × 3×3 taps: the int8 tile pairs channels 0 and 1 at the 9
+	// taps and channel 2's taps (m,0)+(m,1) and (m,2)+zero, 15 steps over
+	// two pair planes.
+	geom := func(stride, outH, outW int, int8Codes bool) guard {
 		l := LayerHW{Kind: nn.Conv, Kernel: 3, Stride: stride,
-			InShape:  nn.Shape{Channels: 3, Height: 5, Width: (outW-1)*stride + 3},
-			OutShape: nn.Shape{Channels: 3, Height: (5-3)/stride + 1, Width: outW}}
-		g := guard{l: l, taps: tapOffsets(&l), stackLen: l.InShape.Channels * l.PaddedHeight() * l.PaddedWidth()}
-		g.row = len(g.taps)
+			InShape:  nn.Shape{Channels: 3, Height: (outH-1)*stride + 3, Width: (outW-1)*stride + 3},
+			OutShape: nn.Shape{Channels: 3, Height: outH, Width: outW}}
+		plane := l.PaddedHeight() * l.PaddedWidth()
+		g := guard{l: l, taps: tapOffsets(&l), stackLen: l.InShape.Channels * plane}
 		if int8Codes {
-			g.taps = pairTaps(g.taps)
-			g.row = len(g.taps) / 2
+			g.taps, g.stackLen = pairTapOffsets(&l), (l.InShape.Channels+1)/2*plane
 		}
+		g.row = len(g.taps)
 		g.weights = l.OutShape.Channels * g.row
 		return g
 	}
 	for _, dtype := range []string{"float32", "int8"} {
 		int8Codes := dtype == "int8"
-		ok := geom(1, 8, int8Codes)
-		if int8Codes && (len(ok.taps) != 28 || ok.row != 14) {
-			t.Fatalf("int8 geometry: %d padded taps, %d-word pair rows; want 28 and 14", len(ok.taps), ok.row)
+		ok := geom(1, 3, 8, int8Codes)
+		if int8Codes && ok.row != 15 {
+			t.Fatalf("int8 geometry: %d-word pair rows; want 15", ok.row)
 		}
 		with := func(edit func(*guard)) guard {
 			g := ok
@@ -161,8 +165,11 @@ func TestConvTile8OKGuards(t *testing.T) {
 			admit bool
 		}{
 			{"well-formed", ok, true},
-			{"stride 2", geom(2, 8, int8Codes), false},
-			{"outW 7", geom(1, 7, int8Codes), false},
+			{"even height", geom(1, 4, 8, int8Codes), true},
+			{"one row", geom(1, 1, 9, int8Codes), true},
+			{"one row, stack one element short", with(func(g *guard) { *g = geom(1, 1, 9, int8Codes); g.stackLen-- }), false},
+			{"stride 2", geom(2, 3, 8, int8Codes), false},
+			{"outW 7", geom(1, 3, 7, int8Codes), false},
 			{"stack one element short", with(func(g *guard) { g.stackLen-- }), false},
 			{"taps out of order", with(func(g *guard) { g.taps[1], g.taps[2] = g.taps[2], g.taps[1] }), false},
 			{"negative first tap", with(func(g *guard) { g.taps[0] = -1 }), false},
@@ -204,47 +211,50 @@ type tileEpilogue struct {
 	m    [4]uint32
 }
 
-// checkConvTile8I8 runs every tile of a two-row layer of c channels, k×k
-// taps, padded width pw and f ≤ 4 output channels (one quad, which repeats
-// its last channel when f < 4) on the AVX2 int8 tile, with the epilogue that
-// epi picks from the Go tile's sums, and compares what it stores and the
-// channel maxima it folds with the Go tile's sums through deqStoreGo, bit for
-// bit, both over the same code stack. A row's last tile overlaps the one
-// before unless the row is a whole number of tiles. It returns the reference
-// floats.
-func checkConvTile8I8(t *testing.T, c, k, pw, f int, code, weight func() int8, epi func(sums [][]int32) tileEpilogue) []float32 {
+// checkConvTile8I8 runs every tile of a conv layer of c input channels,
+// k×k taps, padding pad and an outH × outW output of f ≤ 4 channels (one
+// quad, which repeats its last channel when f < 4) on the AVX2 int8 tile,
+// over the layer's pair planes and row pairs as run8 walks them, with the
+// epilogue that epi picks from the Go tile's sums, and compares what it
+// stores and the channel maxima it folds with the Go tile's sums through
+// deqStoreGo, bit for bit, both over the same padded code stack. A row's
+// last tile overlaps the one before unless the row is a whole number of
+// tiles, an odd height's last row pair overlaps the one before, and a
+// one-row layer runs its row as both. It returns the reference floats.
+func checkConvTile8I8(t *testing.T, c, k, pad, outH, outW, f int, code, weight func() int8, epi func(sums [][]int32) tileEpilogue) []float32 {
 	t.Helper()
-	l := LayerHW{Kind: nn.Conv, Kernel: k, Stride: 1,
-		InShape:  nn.Shape{Channels: c, Height: k + 1, Width: pw},
-		OutShape: nn.Shape{Channels: f, Height: 2, Width: pw - k + 1}}
+	l := convLayerHW(c, outH+k-1-2*pad, outW+k-1-2*pad, k, 1, pad, f)
 	if d := Int8AccumulatorRange("pe0", &l); d != nil {
 		t.Fatal(d)
 	}
-	taps := tapOffsets(&l)
-	stack := make([]int8, c*l.PaddedHeight()*pw)
-	for i := range stack {
-		stack[i] = code()
+	in := make([]int8, l.InShape.Volume())
+	for i := range in {
+		in[i] = code()
 	}
+	plane, pw := l.PaddedHeight()*l.PaddedWidth(), l.PaddedWidth()
+	stack := stackPlanes(make([]int8, c*plane), &l, in)
+	taps := tapOffsets(&l)
 	w := make([]int8, f*len(taps))
 	for i := range w {
 		w[i] = weight()
 	}
-	taps2, tp := pairTaps(taps), pairWeights(w, len(taps))
-	pairs := len(taps2) / 2
-	if !convTile8OK(&l, taps2, pairs, len(tp), len(stack)) {
-		t.Fatalf("C=%d K=%d pw=%d: convTile8OK refused a well-formed layer", c, k, pw)
+	taps2, tp := pairTapOffsets(&l), convPairWeights(&l, w)
+	pairs := len(taps2)
+	planes := make([]uint32, (c+1)/2*plane)
+	stagePairPlanes(planes, stack, &l)
+	if !convTile8OK(&l, taps2, pairs, len(tp), len(planes)) {
+		t.Fatalf("C=%d K=%d pad=%d %dx%d: convTile8OK refused a well-formed layer", c, k, pad, outH, outW)
 	}
-	outW := l.OutShape.Width
-	hw := 2 * outW
+	hw := outH * outW
 	sums := make([][]int32, f)
 	for fi := range sums {
 		sums[fi] = make([]int32, hw)
 		row := w[fi*len(taps):][:len(taps)]
-		for oy := 0; oy < 2; oy++ {
+		for oy := 0; oy < outH; oy++ {
 			for ox := 0; ox < outW; ox += convPosTile {
-				col := min(ox, outW-convPosTile)
-				a, _ := convTileGo[int8, int32](stack[oy*pw+col:], 1, 2, 3, row, row, taps)
-				copy(sums[fi][oy*outW+col:], a[:])
+				n := min(convPosTile, outW-ox)
+				a, _ := convTileGo[int8, int32](stack[oy*pw+ox:], min(1, n-1), min(2, n-1), n-1, row, row, taps)
+				copy(sums[fi][oy*outW+ox:][:n], a[:])
 			}
 		}
 	}
@@ -259,35 +269,62 @@ func checkConvTile8I8(t *testing.T, c, k, pw, f int, code, weight func() int8, e
 	}
 	got, gotM := make([]float32, f*hw), e.m
 	q := quad(0, f)
-	for oy := 0; oy < 2; oy++ {
+	rowIn, rowOut := pw, outW
+	if outH == 1 {
+		rowIn, rowOut = 0, 0
+	}
+	for oy := 0; oy < outH; oy += 2 {
+		y := max(min(oy, outH-2), 0)
 		for ox := 0; ox < outW; ox += convLanes {
 			col := min(ox, outW-convLanes)
-			pos := oy*outW + col
-			convTile8I8(&stack[oy*pw+col], &taps2[0], pairs, &tp[q[0]*pairs], &tp[q[1]*pairs], &tp[q[2]*pairs], &tp[q[3]*pairs],
-				&got[q[0]*hw+pos], &got[q[1]*hw+pos], &got[q[2]*hw+pos], &got[q[3]*hw+pos],
+			pos := y*outW + col
+			convTile16I8(&planes[y*pw+col], &taps2[0], pairs, &tp[q[0]*pairs], &tp[q[1]*pairs], &tp[q[2]*pairs], &tp[q[3]*pairs], rowIn,
+				&got[q[0]*hw+pos], &got[q[1]*hw+pos], &got[q[2]*hw+pos], &got[q[3]*hw+pos], rowOut,
 				e.deq, e.bias[q[0]], e.bias[q[1]], e.bias[q[2]], e.bias[q[3]], e.relu, &gotM[q[0]], &gotM[q[1]], &gotM[q[2]], &gotM[q[3]])
 		}
 	}
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 			fi, pos := i/hw, i%hw
-			t.Fatalf("C=%d K=%d pw=%d F=%d channel %d position %d: sum %d · %g + %g, relu %v: AVX2 stored %g (%#08x), Go tile + deqStoreGo %g (%#08x)",
-				c, k, pw, f, fi, pos, sums[fi][pos], e.deq, e.bias[fi], e.relu, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			t.Fatalf("C=%d K=%d pad=%d %dx%d F=%d channel %d position %d: sum %d · %g + %g, relu %v: AVX2 stored %g (%#08x), Go tile + deqStoreGo %g (%#08x)",
+				c, k, pad, outH, outW, f, fi, pos, sums[fi][pos], e.deq, e.bias[fi], e.relu, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 	if gotM != wantM {
-		t.Fatalf("C=%d K=%d pw=%d F=%d relu %v: channel maxima %#08x, Go tile + deqStoreGo %#08x (start %#08x)", c, k, pw, f, e.relu, gotM[:f], wantM[:f], e.m[:f])
+		t.Fatalf("C=%d K=%d pad=%d %dx%d F=%d relu %v: channel maxima %#08x, Go tile + deqStoreGo %#08x (start %#08x)", c, k, pad, outH, outW, f, e.relu, gotM[:f], wantM[:f], e.m[:f])
 	}
 	return want
 }
 
+// tileSweep lists the int8 tile's test geometries: input channel counts
+// that pair up and that leave a last channel alone (and one deep stack),
+// odd and even kernels — whose last channel's last row step pairs a tap
+// with a zero or not — padding 0 to 2, output heights of one row, odd and
+// even, and widths whose rows are and are not a whole number of tiles.
+func tileSweep(visit func(c, k, pad, outH, outW int)) {
+	for _, c := range []int{1, 2, 3, 20} {
+		for _, k := range []int{1, 2, 3, 5} {
+			for pad := 0; pad <= min(2, k-1); pad++ {
+				for _, outH := range []int{1, 3, 4} {
+					if outH+k-1-2*pad < 1 {
+						continue // no input row left
+					}
+					for _, outW := range []int{8, 11, 16, 21} {
+						visit(c, k, pad, outH, outW)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestConvTile8I8MatchesGoTile holds the int8 tile, sums and epilogue, to the
-// Go tile and deqStoreGo: over geometries whose rows end on an overlapping
-// tile and quads that repeat a channel, once at scale 1 with no bias — which
-// stores every sum of the sweep exactly, |sum| ≤ 500·128² < 2²⁴ — and twice
-// with deqCase's scales and biases, with and without ReLU, which must push
-// −0 through ReLU, NaN and ±Inf lanes through the epilogue; then on the
-// deepest chains CND026 admits, where a bias cancels the sum exactly.
+// Go tile and deqStoreGo over tileSweep's geometries and quads that repeat a
+// channel: once at scale 1 with no bias — which stores every sum of the
+// sweep exactly, |sum| ≤ 500·128² < 2²⁴ — and twice with deqCase's scales
+// and biases, with and without ReLU, which must push −0 through ReLU, NaN
+// and ±Inf lanes through the epilogue; then on the deepest chains CND026
+// admits, where a bias cancels the sum exactly.
 func TestConvTile8I8MatchesGoTile(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
@@ -308,30 +345,23 @@ func TestConvTile8I8MatchesGoTile(t *testing.T) {
 		}
 	}
 	var cells, negZero, nan, inf int
-	for _, c := range []int{1, 2, 3, 7, 20} {
-		for _, k := range []int{1, 3, 5} { // C·K² odd and even: the padded pair and without
-			for pw := 8; pw <= 40; pw++ {
-				if pw-k+1 < convLanes {
-					continue
-				}
-				f := 3 + pw%2 // F = 3 repeats the last channel
-				cells += len(checkConvTile8I8(t, c, k, pw, f, draw, draw, exact))
-				for _, relu := range []bool{false, true} {
-					for _, v := range checkConvTile8I8(t, c, k, pw, f, draw, draw, hostile(relu)) {
-						cells++
-						switch v := float64(v); {
-						case math.IsNaN(v):
-							nan++
-						case math.IsInf(v, 0):
-							inf++
-						case v == 0 && math.Signbit(v) && relu:
-							negZero++
-						}
-					}
+	tileSweep(func(c, k, pad, outH, outW int) {
+		f := 3 + outW%2 // F = 3 repeats the last channel
+		cells += len(checkConvTile8I8(t, c, k, pad, outH, outW, f, draw, draw, exact))
+		for _, relu := range []bool{false, true} {
+			for _, v := range checkConvTile8I8(t, c, k, pad, outH, outW, f, draw, draw, hostile(relu)) {
+				cells++
+				switch v := float64(v); {
+				case math.IsNaN(v):
+					nan++
+				case math.IsInf(v, 0):
+					inf++
+				case v == 0 && math.Signbit(v) && relu:
+					negZero++
 				}
 			}
 		}
-	}
+	})
 	if negZero == 0 || nan == 0 || inf == 0 {
 		t.Fatalf("the epilogues missed a class: %d −0 lanes through ReLU, %d NaN lanes, %d ±Inf lanes", negZero, nan, inf)
 	}
@@ -339,7 +369,8 @@ func TestConvTile8I8MatchesGoTile(t *testing.T) {
 	// sign: 131 067 products of −128·−128 or −128·127 sum to 99.996 % and
 	// −99.2 % of the int32 range. Both sums are float32s, so each channel's
 	// bias cancels its sum exactly and every cell must store +0: a lane that
-	// wrapped, or a sum off by one, would show.
+	// wrapped, or a sum off by one, would show. The channel count is odd, so
+	// the last channel's row steps run too.
 	const depthC = (1<<31/(128*128) - 1) / 9
 	cancel := func(sums [][]int32) tileEpilogue {
 		e := tileEpilogue{deq: 1}
@@ -351,7 +382,7 @@ func TestConvTile8I8MatchesGoTile(t *testing.T) {
 		return e
 	}
 	for _, wcode := range []int8{-128, 127} {
-		for i, v := range checkConvTile8I8(t, depthC, 3, 10, 4, func() int8 { return -128 }, func() int8 { return wcode }, cancel) {
+		for i, v := range checkConvTile8I8(t, depthC, 3, 0, 2, 8, 4, func() int8 { return -128 }, func() int8 { return wcode }, cancel) {
 			if math.Float32bits(v) != 0 {
 				t.Fatalf("weight code %d: cell %d stores %g, not +0", wcode, i, v)
 			}
@@ -364,22 +395,21 @@ func TestConvTile8I8MatchesGoTile(t *testing.T) {
 // TestConvTile8I8StoreMatchesGo runs int8 conv layers through the executor
 // twice — on the AVX2 tile, whose epilogue stores its own cells and folds
 // the channel maxima, and on the Go tile (convTileGo, then store4) — over
-// random geometries, channel counts that end inside a quad, rows whose last
-// tile overlaps and every folded activation. The float stage, the output
-// codes and the output scale must match bit for bit: a Sigmoid or TanH
-// layer, which the tile stores unactivated, is activated after it and its
-// scale scanned.
+// tileSweep's geometries, channel counts that end inside a quad and every
+// folded activation. The float stage, the output codes and the output scale
+// must match bit for bit: a Sigmoid or TanH layer, which the tile stores
+// unactivated, is activated after it and its scale scanned.
 func TestConvTile8I8StoreMatchesGo(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every layer runs the Go tile")
 	}
 	rng := rand.New(rand.NewSource(56))
 	acts := []nn.Kind{NoActivation, nn.ReLU, nn.Sigmoid, nn.TanH}
-	cells := 0
-	for run := 0; run < 48; run++ {
-		c, k, pad := 1+rng.Intn(4), 1+2*rng.Intn(3), rng.Intn(2)
-		h, w := k+rng.Intn(4), 8+k-1-2*pad+rng.Intn(20)
-		f := 1 + rng.Intn(11)
+	cells, run := 0, 0
+	tileSweep(func(c, k, pad, outH, outW int) {
+		run++
+		h, w := outH+k-1-2*pad, outW+k-1-2*pad
+		f := []int{1, 3, 4, 6, 11}[run%5]
 		l := convLayerHW(c, h, w, k, 1, pad, f)
 		l.Name, l.Activation, l.Normalize = "conv", acts[run%len(acts)], NoActivation
 		wf := make([]float32, l.WeightWords())
@@ -410,8 +440,8 @@ func TestConvTile8I8StoreMatchesGo(t *testing.T) {
 			t.Fatalf("run %d: act %v: AVX2 scale %g, Go %g; codes equal: %v", run, l.Activation, scale, p.outScale, slices.Equal(codes, p.out))
 		}
 		cells += vol
-	}
-	t.Logf("%d int8 cells bit-identical to the Go tile, every activation", cells)
+	})
+	t.Logf("%d int8 cells bit-identical to the Go tile, every activation, over %d layers", cells, run)
 }
 
 // TestFCDot4I8MatchesGoFCBand runs each FC layer through the executor twice
@@ -819,9 +849,11 @@ func hostilePoolWord(rng *rand.Rand) float32 {
 
 // TestPoolMax8MatchesGoPool runs max-pool layers through the executor twice —
 // once with AVX2, which puts the rows poolMax8Rows admits on the AVX2 kernel,
-// and once with the Go loop forced — at stride 1 and 2, k
-// 1–3, padded widths 8–40 and pad 0 and 1, and compares every window bit for
-// bit. It also counts the windows whose order the comparison must respect —
+// and once with the Go loop forced — at stride 1 and 2, k 1–3, padded widths
+// from k to 40 (rows of one window to rows of several kernel steps), pad 0
+// and 1 and input heights 8 and 9 (at pad 0, height 8 stacks the 2×2
+// stride-2 layer's planes into one call, stackedPool), and compares every
+// window bit for bit. With poolSlack every row must run on the kernel. It also counts the windows whose order the comparison must respect —
 // +0 before −0 and after it, a NaN first and later, all −Inf — and fails if
 // the sweep drew none of one. Each layer runs the same way on int8 codes
 // drawn heavy in −128, +127 and ties (int8PoolBothWays).
@@ -830,68 +862,73 @@ func TestPoolMax8MatchesGoPool(t *testing.T) {
 		t.Skip("CPU without AVX2: every pool layer runs the Go loop")
 	}
 	rng := rand.New(rand.NewSource(30))
-	const c, h = 3, 9
-	var windows, kernelRows, goRows int
+	const c = 3
+	var windows, kernelRows, goRows, stacked int
 	var zeroThenNeg, negThenZero, nanFirst, nanLater, allNegInf int
-	for _, s := range []int{1, 2} {
-		for k := 1; k <= 3; k++ {
-			for pad := 0; pad <= 1; pad++ {
-				for pw := 8; pw <= 40; pw++ {
-					l := LayerHW{Name: "pool", Kind: nn.MaxPool, Kernel: k, Stride: s, Pad: pad,
-						InShape:  nn.Shape{Channels: c, Height: h, Width: pw - 2*pad},
-						OutShape: nn.Shape{Channels: c, Height: (h+2*pad-k)/s + 1, Width: (pw-k)/s + 1}}
-					in := make([]float32, l.InShape.Volume())
-					for i := range in {
-						in[i] = hostilePoolWord(rng)
-					}
-					codes := extremeCodes(rng, len(in))
-					kernelRows8, goRows8 := int8PoolBothWays(t, l, codes)
-					kernelRows += kernelRows8
-					goRows += goRows8
-					x := newFloatExec(t, l, nil, nil, in)
-					p := &x.pass
-					x.runLayer0()
-					rows8 := poolKernelRows(&l, in, poolSlack)
-					if rows8 == 0 && l.OutShape.Width >= poolHalf {
-						t.Fatalf("s=%d k=%d pad=%d pw=%d: no row ran on the AVX2 kernel", s, k, pad, pw)
-					}
-					kernelRows += rows8
-					goRows += c*l.OutShape.Height - rows8
-					got := slices.Clone(p.out)
-					withoutAVX2(func() { x.runLayer0() })
-					for i, want := range p.out {
-						if math.Float32bits(got[i]) != math.Float32bits(want) {
-							t.Fatalf("s=%d k=%d pad=%d pw=%d window %d: AVX2 %g (%#08x), Go loop %g (%#08x)",
-								s, k, pad, pw, i, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
+	for _, h := range []int{8, 9} {
+		for _, s := range []int{1, 2} {
+			for k := 1; k <= 3; k++ {
+				for pad := 0; pad <= 1; pad++ {
+					for pw := max(k, 2*pad+1); pw <= 40; pw++ {
+						l := LayerHW{Name: "pool", Kind: nn.MaxPool, Kernel: k, Stride: s, Pad: pad,
+							InShape:  nn.Shape{Channels: c, Height: h, Width: pw - 2*pad},
+							OutShape: nn.Shape{Channels: c, Height: (h+2*pad-k)/s + 1, Width: (pw-k)/s + 1}}
+						if _, ok := stackedPool(&l); ok {
+							stacked++
 						}
-					}
-					// Classify the windows the sweep compared, on the padded planes.
-					outHW := l.OutShape.Height * l.OutShape.Width
-					for ci := 0; ci < c; ci++ {
-						plane := padPlane(make([]float32, l.PaddedHeight()*pw), &l, in[ci*h*l.InShape.Width:][:h*l.InShape.Width])
-						for i := 0; i < outHW; i++ {
-							oy, ox := i/l.OutShape.Width, i%l.OutShape.Width
-							win := plane[(oy*pw+ox)*s:]
-							var taps []float32
-							for m := 0; m < k; m++ {
-								taps = append(taps, win[m*pw:][:k]...)
+						in := make([]float32, l.InShape.Volume())
+						for i := range in {
+							in[i] = hostilePoolWord(rng)
+						}
+						codes := extremeCodes(rng, len(in))
+						kernelRows8, goRows8 := int8PoolBothWays(t, l, codes)
+						kernelRows += kernelRows8
+						goRows += goRows8
+						x := newFloatExec(t, l, nil, nil, in)
+						p := &x.pass
+						x.runLayer0()
+						rows8 := poolKernelRows(&l, in, poolSlack)
+						if rows8 != c*l.OutShape.Height {
+							t.Fatalf("s=%d k=%d pad=%d pw=%d: %d of %d rows ran on the AVX2 kernel", s, k, pad, pw, rows8, c*l.OutShape.Height)
+						}
+						kernelRows += rows8
+						goRows += c*l.OutShape.Height - rows8
+						got := slices.Clone(p.out)
+						withoutAVX2(func() { x.runLayer0() })
+						for i, want := range p.out {
+							if math.Float32bits(got[i]) != math.Float32bits(want) {
+								t.Fatalf("s=%d k=%d pad=%d pw=%d window %d: AVX2 %g (%#08x), Go loop %g (%#08x)",
+									s, k, pad, pw, i, got[i], math.Float32bits(got[i]), want, math.Float32bits(want))
 							}
-							windows++
-							zero := slices.IndexFunc(taps, func(e float32) bool { return math.Float32bits(e) == 0 })
-							neg := slices.IndexFunc(taps, func(e float32) bool { return math.Float32bits(e) == 1<<31 })
-							if zero >= 0 && neg > zero {
-								zeroThenNeg++
-							} else if neg >= 0 && zero > neg {
-								negThenZero++
-							}
-							switch nan := slices.IndexFunc(taps, isNaN32); {
-							case nan == 0:
-								nanFirst++
-							case nan > 0:
-								nanLater++
-							}
-							if !slices.ContainsFunc(taps, func(e float32) bool { return !math.IsInf(float64(e), -1) }) {
-								allNegInf++
+						}
+						// Classify the windows the sweep compared, on the padded planes.
+						outHW := l.OutShape.Height * l.OutShape.Width
+						for ci := 0; ci < c; ci++ {
+							plane := padPlane(make([]float32, l.PaddedHeight()*pw), &l, in[ci*h*l.InShape.Width:][:h*l.InShape.Width])
+							for i := 0; i < outHW; i++ {
+								oy, ox := i/l.OutShape.Width, i%l.OutShape.Width
+								win := plane[(oy*pw+ox)*s:]
+								var taps []float32
+								for m := 0; m < k; m++ {
+									taps = append(taps, win[m*pw:][:k]...)
+								}
+								windows++
+								zero := slices.IndexFunc(taps, func(e float32) bool { return math.Float32bits(e) == 0 })
+								neg := slices.IndexFunc(taps, func(e float32) bool { return math.Float32bits(e) == 1<<31 })
+								if zero >= 0 && neg > zero {
+									zeroThenNeg++
+								} else if neg >= 0 && zero > neg {
+									negThenZero++
+								}
+								switch nan := slices.IndexFunc(taps, isNaN32); {
+								case nan == 0:
+									nanFirst++
+								case nan > 0:
+									nanLater++
+								}
+								if !slices.ContainsFunc(taps, func(e float32) bool { return !math.IsInf(float64(e), -1) }) {
+									allNegInf++
+								}
 							}
 						}
 					}
@@ -899,18 +936,18 @@ func TestPoolMax8MatchesGoPool(t *testing.T) {
 			}
 		}
 	}
-	if zeroThenNeg == 0 || negThenZero == 0 || nanFirst == 0 || nanLater == 0 || allNegInf == 0 {
-		t.Fatalf("the sweep drew +0 then −0 in %d windows, −0 then +0 in %d, a NaN first in %d, a later NaN in %d, all −Inf in %d: every count must be positive",
-			zeroThenNeg, negThenZero, nanFirst, nanLater, allNegInf)
+	if zeroThenNeg == 0 || negThenZero == 0 || nanFirst == 0 || nanLater == 0 || allNegInf == 0 || stacked == 0 {
+		t.Fatalf("the sweep drew +0 then −0 in %d windows, −0 then +0 in %d, a NaN first in %d, a later NaN in %d, all −Inf in %d, and %d layers whose planes stack: every count must be positive",
+			zeroThenNeg, negThenZero, nanFirst, nanLater, allNegInf, stacked)
 	}
-	t.Logf("%d windows, once each per element type: %d rows on the AVX2 kernels and %d on the Go loop identical to the Go loop", windows, kernelRows, goRows)
+	t.Logf("%d windows, once each per element type: %d rows on the AVX2 kernels (%d layers in one call) and %d on the Go loop identical to the Go loop", windows, kernelRows, stacked, goRows)
 }
 
 // int8PoolBothWays is TestPoolMax8MatchesGoPool's int8 leg: max-pool layer l
 // over the codes through the int8 executor, once through runLayer, which
 // puts the rows poolMax8Rows admits (its planes carry poolSlack) on
-// poolMax8I8, and again with the Go loop forced; every code must match. It
-// returns the rows each way ran.
+// poolMaxPlaneI8 — every row — and again with the Go loop forced; every code
+// must match. It returns the rows each way ran.
 func int8PoolBothWays(t *testing.T, l LayerHW, codes []int8) (kernelRows, goRows int) {
 	t.Helper()
 	l.Activation, l.Normalize = NoActivation, NoActivation
@@ -918,8 +955,9 @@ func int8PoolBothWays(t *testing.T, l LayerHW, codes []int8) (kernelRows, goRows
 	p := &x.pass
 	x.runLayer0()
 	kernelRows = poolKernelRows(&l, codes, poolSlack)
-	if kernelRows == 0 && l.OutShape.Width >= poolHalf {
-		t.Fatalf("int8 s=%d k=%d pad=%d: no row ran on the AVX2 kernel", l.Stride, l.Kernel, l.Pad)
+	if kernelRows != l.InShape.Channels*l.OutShape.Height {
+		t.Fatalf("int8 s=%d k=%d pad=%d pw=%d: %d of %d rows ran on the AVX2 kernel",
+			l.Stride, l.Kernel, l.Pad, l.PaddedWidth(), kernelRows, l.InShape.Channels*l.OutShape.Height)
 	}
 	got := slices.Clone(p.out)
 	goRows = l.InShape.Channels*l.OutShape.Height - kernelRows
@@ -933,9 +971,10 @@ func int8PoolBothWays(t *testing.T, l LayerHW, codes []int8) (kernelRows, goRows
 	return kernelRows, goRows
 }
 
-// TestPoolMax8RowsGuards pins which rows the AVX2 max-pool kernel runs: none
-// for a geometry it does not cover, and — its loads being unchecked — only
-// the rows whose last half-tile's loads end inside the plane.
+// TestPoolMax8RowsGuards pins which rows the AVX2 max-pool kernels run: none
+// for a geometry they do not cover, and — their loads being unchecked — only
+// the rows whose last step's loads end inside the plane, for float32 words
+// (16 raw words a step) and int8 codes (32) apart.
 func TestPoolMax8RowsGuards(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("CPU without AVX2: every pool layer runs the Go loop")
@@ -946,37 +985,45 @@ func TestPoolMax8RowsGuards(t *testing.T) {
 	}
 	pool1 := pool(nn.MaxPool, 2, 2, 20, 24) // LeNet's: 12 rows of 12 windows
 	s1 := pool(nn.MaxPool, 3, 1, 1, 10)     // 8 rows of 8 windows, the last reading the plane's last word
+	rows4 := pool(nn.MaxPool, 2, 2, 1, 8)   // 4 rows of 4 windows
 	for _, tc := range []struct {
 		name     string
 		l        LayerHW
 		planeLen int
-		rows     int
+		rows     [2]int // float32, int8
 	}{
-		// The stride-2 half-tile loads eight words to use seven: on the last
-		// row of a plane that ends on the last window's last word, that is one
-		// word past the plane.
-		{"LeNet pool1", pool1, 24 * 24, 11},
-		{"LeNet pool1, one word of slack", pool1, 24*24 + 1, 12},
-		{"stride 1, exact plane", s1, 100, 8},
-		{"stride 1, plane one word short", s1, 99, 7},
-		{"rows of four", pool(nn.MaxPool, 2, 2, 1, 8), 8*8 + 1, 4},
-		{"rows of three", pool(nn.MaxPool, 2, 2, 1, 6), 6 * 6, 0},
-		{"average pooling", pool(nn.AvgPool, 2, 2, 20, 24), 24 * 24, 0},
-		{"stride 3", pool(nn.MaxPool, 3, 3, 1, 30), 30 * 30, 0},
-		{"plane shorter than one row's reach", pool1, 40, 0},
+		// A pool1 row's one step (int8) or two (float32) read 57 elements
+		// from the row's first window on, where its windows use 48: on a
+		// plane that ends on the last window's last element, the last row
+		// reads 9 past the plane.
+		{"LeNet pool1, nothing readable after the plane", pool1, 24 * 24, [2]int{11, 11}},
+		{"LeNet pool1, 8 elements of slack", pool1, 24*24 + 8, [2]int{11, 11}},
+		{"LeNet pool1, 9 elements of slack", pool1, 24*24 + 9, [2]int{12, 12}},
+		{"stride 1, exact plane", s1, 100, [2]int{7, 5}},
+		{"stride 1, a float32 step past the last row", s1, 70 + 38, [2]int{8, 6}},
+		{"stride 1, an int8 step past the last row", s1, 70 + 54, [2]int{8, 8}},
+		{"rows of four, exact plane", rows4, 8 * 8, [2]int{3, 2}},
+		{"rows of four, a float32 step past the last row", rows4, 48 + 25, [2]int{4, 3}},
+		{"rows of four, an int8 step past the last row", rows4, 48 + 41, [2]int{4, 4}},
+		{"rows of three", pool(nn.MaxPool, 2, 2, 1, 6), 6 * 6, [2]int{2, 0}},
+		{"rows of forty, three float32 steps and two int8", pool(nn.MaxPool, 1, 1, 1, 40), 40 * 40, [2]int{39, 39}},
+		{"rows of forty, a float32 step past the last row", pool(nn.MaxPool, 1, 1, 1, 40), 40*40 + 8, [2]int{40, 39}},
+		{"rows of forty, an int8 step past the last row", pool(nn.MaxPool, 1, 1, 1, 40), 40*40 + 24, [2]int{40, 40}},
+		{"average pooling", pool(nn.AvgPool, 2, 2, 20, 24), 24 * 24, [2]int{0, 0}},
+		{"stride 3", pool(nn.MaxPool, 3, 3, 1, 30), 30 * 30, [2]int{0, 0}},
+		{"plane shorter than one row's reach", pool1, 40, [2]int{0, 0}},
 	} {
-		if got := poolMax8Rows(&tc.l, tc.planeLen); got != tc.rows {
-			t.Errorf("%s: poolMax8Rows = %d, want %d", tc.name, got, tc.rows)
+		if got := [2]int{poolMax8Rows[float32](&tc.l, tc.planeLen), poolMax8Rows[int8](&tc.l, tc.planeLen)}; got != tc.rows {
+			t.Errorf("%s: poolMax8Rows = %d (float32, int8), want %d", tc.name, got, tc.rows)
 		}
 	}
 
-	// The int8 kernel loads as many codes as the float32 one loads words, so
-	// the guard is the same count. An unpadded plane is a view into the layer
-	// input, so every channel but the last can read on into the next one and
-	// runs all its rows on the kernels; the executor's frames and planes also
-	// carry poolSlack elements past the input's end, which admits the last
-	// channel's last row as well. So LeNet's pool1 and pool2 run every row
-	// there, on both element types.
+	// An unpadded plane is a view into the layer input, so every channel but
+	// the last can read on into the next one and runs all its rows on the
+	// kernels; the executor's frames and planes also carry poolSlack elements
+	// past the input's end, which admits the last channel's last rows as
+	// well. So LeNet's pool1 and pool2 run every row there, on both element
+	// types.
 	pool2 := pool(nn.MaxPool, 2, 2, 50, 8) // LeNet's: 4 rows of 4 windows
 	for _, tc := range []struct {
 		name string
@@ -992,11 +1039,15 @@ func TestPoolMax8RowsGuards(t *testing.T) {
 
 // poolKernelRows is how many output rows, summed over the channels, the
 // executors put on the AVX2 max-pool kernel for layer l over input in, whose
-// buffer carries slack elements past its end.
+// buffer carries slack elements past its end: the stacked plane's rows
+// where the layer's planes stack (stackedPool), else each channel's.
 func poolKernelRows[E float32 | int8](l *LayerHW, in []E, slack int) (rows int) {
+	if s, ok := stackedPool(l); ok {
+		return poolMax8Rows[E](&s, len(in)+slack)
+	}
 	plane := make([]E, l.PaddedHeight()*l.PaddedWidth())
 	for ci := 0; ci < l.InShape.Channels; ci++ {
-		rows += poolMax8Rows(l, poolReach(l, in, plane, ci)+slack)
+		rows += poolMax8Rows[E](l, poolReach(l, in, plane, ci)+slack)
 	}
 	return rows
 }

@@ -19,16 +19,16 @@ func fcLanes8(*float32, int, *[convLanes]*float32, *[convLanes][convLanes]float3
 	panic("dataflow: fcLanes8 called without AVX2")
 }
 
-func poolMax8(*float32, *float32, int, int, int, *float32, *float32) {
-	panic("dataflow: poolMax8 called without AVX2")
+func poolMaxPlane(*float32, int, int, int, int, int, *float32) {
+	panic("dataflow: poolMaxPlane called without AVX2")
 }
 
-func poolMax8I8(*int8, *int8, int, int, int, *int8, *int8) {
-	panic("dataflow: poolMax8I8 called without AVX2")
+func poolMaxPlaneI8(*int8, int, int, int, int, int, *int8) {
+	panic("dataflow: poolMaxPlaneI8 called without AVX2")
 }
 
-func convTile8I8(*int8, *int32, int, *uint32, *uint32, *uint32, *uint32, *float32, *float32, *float32, *float32, float64, float32, float32, float32, float32, bool, *uint32, *uint32, *uint32, *uint32) {
-	panic("dataflow: convTile8I8 called without AVX2")
+func convTile16I8(*uint32, *int32, int, *uint32, *uint32, *uint32, *uint32, int, *float32, *float32, *float32, *float32, int, float64, float32, float32, float32, float32, bool, *uint32, *uint32, *uint32, *uint32) {
+	panic("dataflow: convTile16I8 called without AVX2")
 }
 
 func fcDot4I8(*int8, int, *int8, *int8, *int8, *int8, *[4][convLanes]int32) {

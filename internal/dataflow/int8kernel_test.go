@@ -349,8 +349,10 @@ func newInt8PoolExec(t *testing.T, l LayerHW, codes []int8, inScale float64) *pe
 }
 
 // TestInt8PoolMatchesReference runs pool layers through the int8 executor —
-// k 1–3 × stride 1–3 × pad 0–1 × output widths on both sides of the AVX2
-// kernel's half-tile and tile, max, max + ReLU and average —
+// k 1–3 × stride 1–3 × pad 0–1 × output widths below and across the AVX2
+// kernel's steps (16 windows at stride 2, 32 at stride 1), layers whose
+// planes stack (k = stride, no padding) and layers whose planes do not, max,
+// max + ReLU and average —
 // with the AVX2 kernels and with the Go kernels, and compares every cell with
 // refPoolInt8: a pure max pool's codes exactly, the others' floats (before
 // requantization) bit for bit with the reference pushed through the
@@ -372,7 +374,7 @@ func TestInt8PoolMatchesReference(t *testing.T) {
 			for k := 1; k <= 3; k++ {
 				for s := 1; s <= 3; s++ {
 					for pad := 0; pad <= 1; pad++ {
-						for _, outW := range []int{3, 4, 5, 8, 12, 13} {
+						for _, outW := range []int{3, 4, 5, 8, 12, 13, 17, 33} {
 							outH := 2 + outW%3
 							inW, inH := (outW-1)*s+k-2*pad, (outH-1)*s+k-2*pad
 							if inW < 1 || inH < 1 {

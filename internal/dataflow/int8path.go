@@ -23,21 +23,25 @@ import (
 // activations exist purely as codes, which is what shrinks the stream
 // traversal cycles and DDR bytes by the lane factor.
 //
-// Codes have one layout on every CPU: a conv layer's padded code planes are
-// stacked one byte per code, as the float32 path stacks words, and FC codes
+// Codes are one byte each in the worker's volumes: a conv layer's padded
+// code planes are stacked as the float32 path stacks words, and FC codes
 // are row-major. The executor (peExec[int8], with i8Ops as its per-type
 // value) and the MAC loops are the float32 path's too — convPass's nests and
 // the generic Go tiles (convTileGo, fcTileGo) — summing in int32,
 // which rule CND026 keeps from wrapping. Where the CPU has AVX2 the same sums
 // come from VPMADDWD kernels (convtile_amd64.s) sixteen int16 products per
-// instruction: the conv tile over the code stack and a tap-pair weight table
-// (pairWeights), which also dequantizes, stores and folds its own cells as
-// deqStore4 does; the FC kernel over one image's row-major codes; and for a
+// instruction, over operands laid out at int16 width once so that no kernel
+// loop widens or shuffles: the conv tile reads the image's pair planes
+// (stagePairPlanes, one word per position holding two channels' codes) and
+// a tap-pair weight table in the same order (convPairWeights), two output
+// rows per call, and dequantizes, stores and folds its own cells as
+// deqStore4 does; the FC kernel reads one image's row-major codes; and for a
 // chunk of images the FC image-lane kernel, eight neurons × eight images per
-// call over the pair table, one weight pass per chunk. Integer sums are
-// exact, so every kernel gives the same int32s. Max pooling runs the float32
-// path's half-tile loop (maxPoolPlane) on VPMAXSB where the CPU has AVX2;
-// integer max is exact too. DESIGN.md §15 and §16 have the derivations.
+// call over the FC pair table (pairWeights), one weight pass per chunk.
+// Integer sums are exact, so every kernel gives the same int32s. Max pooling
+// runs one channel plane per call of VPMAXSB (maxPoolPlane) where the CPU
+// has AVX2; integer max is exact too. DESIGN.md §15 and §16 have the
+// derivations.
 //
 // Unlike the float paths, results are not bit-identical to the oracle: the
 // contract is bounded error, with the admissible deviation derived from the
@@ -77,7 +81,7 @@ func Int8AccumulatorRange(peID string, l *LayerHW) *diag.Diagnostic {
 // run, so batches never pay the weight-calibration scan again.
 type int8LayerWeights struct {
 	w        []int8   // the codes in weight order: one row per output channel or neuron
-	tapPairs []uint32 // the codes by tap pair (pairWeights), for the AVX2 conv tile and FC image-lane kernel
+	tapPairs []uint32 // the codes by tap pair, for the AVX2 conv tile (convPairWeights) and FC image-lane kernel (pairWeights)
 	wScale   float64
 }
 
@@ -86,7 +90,11 @@ type int8LayerWeights struct {
 func quantizeLayerWeights(l *LayerHW, w []float32) int8LayerWeights {
 	e := int8LayerWeights{wScale: frameScale(w), w: make([]int8, len(w))}
 	quant.QuantizeInto(e.w, w, e.wScale)
-	if haveAVX2 {
+	switch {
+	case !haveAVX2:
+	case l.Kind == nn.Conv:
+		e.tapPairs = convPairWeights(l, e.w)
+	default:
 		e.tapPairs = pairWeights(e.w, len(w)/l.OutShape.Channels)
 	}
 	return e
@@ -117,13 +125,85 @@ func pairCodes(dst []uint32, stride int, codes []int8) {
 	}
 }
 
-// pairTaps pads a tap table to whole pairs for the AVX2 tile: an odd count
-// repeats its last offset, which pairWeights weights with zero.
-func pairTaps(taps []int32) []int32 {
-	if len(taps)%2 == 0 {
-		return taps
+// convPairs calls visit for each step of the AVX2 int8 conv tile over conv
+// layer l, in order, with the step's offset in the layer's pair planes
+// (stagePairPlanes) and the indexes, in an output channel's weight row, of
+// the weights of its low and high int16 halves (hi < 0: a zero weight).
+// Channels 2c and 2c+1 pair at every tap (m,n), pair plane c; an odd
+// count's last channel, alone in the last pair plane, pairs the taps (m,n)
+// and (m,n+1) of each kernel row, with a zero weight past the row's end.
+// The offsets ascend.
+func convPairs(l *LayerHW, visit func(off int32, lo, hi int)) {
+	k, c, pw := l.Kernel, l.InShape.Channels, l.PaddedWidth()
+	plane := l.PaddedHeight() * pw
+	for p := 0; p < c/2; p++ {
+		for t := 0; t < k*k; t++ {
+			visit(int32(p*plane+t/k*pw+t%k), 2*p*k*k+t, (2*p+1)*k*k+t)
+		}
 	}
-	return append(taps[:len(taps):len(taps)], taps[len(taps)-1])
+	if c%2 == 0 {
+		return
+	}
+	for m := 0; m < k; m++ {
+		for n := 0; n < k; n += 2 {
+			lo, hi := ((c-1)*k+m)*k+n, -1
+			if n+1 < k {
+				hi = lo + 1
+			}
+			visit(int32(c/2*plane+m*pw+n), lo, hi)
+		}
+	}
+}
+
+// pairTapOffsets is the AVX2 int8 conv tile's tap table over conv layer l:
+// one pair-plane offset per step (convPairs).
+func pairTapOffsets(l *LayerHW) []int32 {
+	var taps []int32
+	convPairs(l, func(off int32, _, _ int) { taps = append(taps, off) })
+	return taps
+}
+
+// convPairWeights lays conv layer l's codes out for the AVX2 int8 tile, one
+// row per output channel: word i holds the weights of step i (convPairs),
+// the low one in its low int16 half, as pairCodes packs them.
+func convPairWeights(l *LayerHW, codes []int8) []uint32 {
+	n := len(codes) / l.OutShape.Channels
+	var halves [][2]int
+	convPairs(l, func(_ int32, lo, hi int) { halves = append(halves, [2]int{lo, hi}) })
+	out := make([]uint32, 0, l.OutShape.Channels*len(halves))
+	for f := range l.OutShape.Channels {
+		row := codes[f*n:][:n]
+		for _, h := range halves {
+			w := uint32(uint16(row[h[0]]))
+			if h[1] >= 0 {
+				w |= uint32(uint16(row[h[1]])) << 16
+			}
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+// stagePairPlanes lays a conv layer's stacked padded code planes out as the
+// AVX2 int8 tile reads them: pair plane c holds, at each position, channel
+// 2c's code in the low int16 half and channel 2c+1's in the high one; an odd
+// count's last pair plane holds the last channel's code and the one after it
+// in the plane, zero past the plane's end — the operands of convPairs's steps.
+func stagePairPlanes(dst []uint32, stack []int8, l *LayerHW) {
+	c, plane := l.InShape.Channels, l.PaddedHeight()*l.PaddedWidth()
+	for p := 0; p < c/2; p++ {
+		lo, hi, d := stack[2*p*plane:][:plane], stack[(2*p+1)*plane:][:plane], dst[p*plane:][:plane]
+		for q := range d {
+			d[q] = uint32(uint16(lo[q])) | uint32(hi[q])<<16
+		}
+	}
+	if c%2 == 1 {
+		lo, d := stack[(c-1)*plane:][:plane], dst[c/2*plane:][:plane]
+		for q := range plane - 1 {
+			d[q] = uint32(uint16(lo[q])) | uint32(lo[q+1])<<16
+		}
+		d[plane-1] = uint32(uint16(lo[plane-1]))
+	}
 }
 
 // i8Ops is the packed datapath's per-type value. Its arithmetic is
@@ -139,6 +219,7 @@ type i8Ops struct {
 
 	// Scratch sized once in prepare for the PE's most demanding layer.
 	floatBuf []float32 // a layer's results before requantization
+	pairs    []uint32  // a direct or im2col_gemm conv layer's pair planes (stagePairPlanes), for the AVX2 tile
 	chanMax  []uint32  // a direct or im2col_gemm conv layer's largest |result| per output channel, as float32 bits (tile8, store4)
 	deqBuf   []float32 // a winograd_f23 layer's dequantized input volume
 
@@ -149,7 +230,7 @@ type i8Ops struct {
 
 // newI8Exec binds a packed int8 executor to its PE.
 func newI8Exec(b peBase) *peExec[int8] {
-	x := &peExec[int8]{peBase: b, poolMax8: poolMax8I8}
+	x := &peExec[int8]{peBase: b, poolPlane: poolMaxPlaneI8}
 	o := &i8Ops{x: x}
 	o.tiles.ops, x.el = o, o
 	return x
@@ -157,6 +238,7 @@ func newI8Exec(b peBase) *peExec[int8] {
 
 func (o *i8Ops) prepare(sz *scratchWords) {
 	o.floatBuf = make([]float32, sz.vol)
+	o.pairs = make([]uint32, sz.pairStack)
 	o.chanMax = make([]uint32, sz.channels)
 	o.deqBuf = make([]float32, sz.winogradIn)
 }
@@ -268,7 +350,8 @@ func quantizeCodes(dst []int8, src []float32, scale float64) {
 	quant.QuantizeInto(dst[n:], src[n:], scale)
 }
 
-// conv runs the shared nests (convPass) over the stacked code planes: each
+// conv runs the shared nests (convPass) over the stacked code planes, or the
+// AVX2 tile over their pair planes, staged here when the tile runs: each
 // output cell's whole chain is dequantized (acc · wScale · inScale + bias)
 // and activated in float, and the layer output is requantized with a fresh
 // per-tensor scale, from the per-channel magnitudes the stores kept instead
@@ -276,11 +359,10 @@ func quantizeCodes(dst []int8, src []float32, scale float64) {
 // Sigmoid or TanH layer is activated here and its scale scanned.
 func (o *i8Ops) conv(stack []int8) float64 {
 	p := &o.x.pass
-	l, st := p.l, p.st
+	l := p.l
 	chanMax := o.chanMax[:l.OutShape.Channels]
 	clear(chanMax)
-	o.tiles.set(l, stack, st.q.w, st.taps, st.q.tapPairs, st.taps2, len(st.taps2)/2)
-	o.tiles.run()
+	o.convTiles(stack)
 	fb := o.floatBuf[:len(p.out)]
 	if o.tiles.tile8 && l.Activation != NoActivation && l.Activation != nn.ReLU {
 		activateInPlace(l.Activation, fb)
@@ -291,20 +373,36 @@ func (o *i8Ops) conv(stack []int8) float64 {
 	return outScale
 }
 
+// convTiles runs the conv layer in flight's nests over its stacked code
+// planes, staging their pair planes first when the AVX2 tile runs.
+func (o *i8Ops) convTiles(stack []int8) {
+	l, st := o.x.pass.l, o.x.pass.st
+	var pairs []uint32
+	if len(st.taps2) > 0 {
+		pairs = o.pairs[:(l.InShape.Channels+1)/2*l.PaddedHeight()*l.PaddedWidth()]
+	}
+	o.tiles.set(l, stack, st.q.w, st.taps, pairs, st.q.tapPairs, st.taps2, len(st.taps2))
+	if o.tiles.tile8 {
+		stagePairPlanes(pairs, stack, l)
+	}
+	o.tiles.run()
+}
+
 // tile8 and store4 are the int8 part of the shared conv nests (convOps). The
-// AVX2 tile reads the padded tap table and rows of the tap-pair table, and
-// stores and folds its channels' sums itself, a repeated channel twice.
+// AVX2 tile reads the pair planes at the tap-pair offsets and rows of the
+// tap-pair table, and stores and folds its channels' sums itself, a repeated
+// channel or row twice.
 // store4 dequantizes and activates a Go tile's first n sums for channel fi,
 // into the channel's float plane from pos on, and folds their magnitudes
 // into the channel's maximum with tensorScale's comparison (a NaN is
 // skipped): whole blocks of four on deqStore4 where the layer admits it
 // (layerState.deq4), the rest on deqStoreGo. A recomputed tile stores equal
 // values again, so each maximum is the scan's.
-func (o *i8Ops) tile8(win *int8, taps *int32, pairs int, w [4]*uint32, f [4]int, pos int) {
-	p := &o.x.pass
+func (o *i8Ops) tile8(at, rowIn int, w [4]*uint32, f [4]int, pos, rowOut int) {
+	p, c := &o.x.pass, &o.tiles
 	hw, b, fb, m := p.l.OutShape.Height*p.l.OutShape.Width, p.st.b, o.floatBuf, o.chanMax
-	convTile8I8(win, taps, pairs, w[0], w[1], w[2], w[3],
-		&fb[f[0]*hw+pos], &fb[f[1]*hw+pos], &fb[f[2]*hw+pos], &fb[f[3]*hw+pos],
+	convTile16I8(&c.stack8[at], &c.taps8[0], c.row8, w[0], w[1], w[2], w[3], rowIn,
+		&fb[f[0]*hw+pos], &fb[f[1]*hw+pos], &fb[f[2]*hw+pos], &fb[f[3]*hw+pos], rowOut,
 		p.st.q.wScale*p.inScale, biasAt(b, f[0]), biasAt(b, f[1]), biasAt(b, f[2]), biasAt(b, f[3]),
 		p.l.Activation == nn.ReLU, &m[f[0]], &m[f[1]], &m[f[2]], &m[f[3]])
 }

@@ -42,6 +42,100 @@ func benchGoConvTile[E float32 | int8, A float32 | int32](b *testing.B, l *Layer
 	benchSink = float64(keep)
 }
 
+// BenchmarkConvTile8 times the AVX2 conv tiles over whole layers of LeNet
+// conv1's and conv2's shapes (ReLU, stored into the layer's float results):
+// float32 on convTile8, int8 on convTile16I8 with its pair-plane staging
+// (convTiles), but neither the requantization nor the stacking of padded
+// planes (LeNet pads none). Compare the legs by their ns/MAC.
+func BenchmarkConvTile8(b *testing.B) {
+	if !haveAVX2 {
+		b.Skip("CPU without AVX2: every conv layer runs the Go tile")
+	}
+	conv1, conv2 := convLayerHW(1, 28, 28, 5, 1, 0, 20), convLayerHW(20, 12, 12, 5, 1, 0, 50)
+	conv1.Name, conv2.Name = "conv1", "conv2"
+	for _, l := range []LayerHW{conv1, conv2} {
+		l.Activation, l.Normalize = nn.ReLU, NoActivation
+		rng := rand.New(rand.NewSource(31))
+		w, bias := make([]float32, l.WeightWords()), randomBias(rng, l.OutShape.Channels)
+		for i := range w {
+			w[i] = float32(rng.NormFloat64())
+		}
+		macs := float64(l.OutShape.Volume() * l.InShape.Channels * l.Kernel * l.Kernel)
+		b.Run(l.Name+"/float32", func(b *testing.B) {
+			x := newF32Exec(oneLayerPE(b, 32, l, w, bias))
+			x.prepare()
+			p, o := &x.pass, x.el.(*f32Ops)
+			p.l, p.st = &x.pe.Layers[0], &x.plan.layers[0]
+			in := make([]float32, l.InShape.Volume())
+			for i := range in {
+				in[i] = float32(rng.NormFloat64())
+			}
+			p.cur, p.out = in, make([]float32, l.OutShape.Volume())
+			o.tiles.set(p.l, in, p.st.w, p.st.taps, in, p.st.w, p.st.taps, len(p.st.taps))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.tiles.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*macs), "ns/MAC")
+		})
+		b.Run(l.Name+"/int8", func(b *testing.B) {
+			x := newI8Exec(oneLayerPE(b, 8, l, w, bias))
+			x.prepare()
+			p, o := &x.pass, x.el.(*i8Ops)
+			p.l, p.st = &x.pe.Layers[0], &x.plan.layers[0]
+			in := randomCodes(rng, l.InShape.Volume())
+			p.cur, p.out, p.inScale = in, make([]int8, l.OutShape.Volume()), 0.01
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o.convTiles(in)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*macs), "ns/MAC")
+		})
+	}
+}
+
+// BenchmarkMaxPool times max-pool layers of LeNet pool1's and pool2's shapes
+// (2×2 windows at stride 2, no folded activation) through the executor, on
+// the AVX2 plane kernels: float32 words and int8 codes, in ns/window.
+func BenchmarkMaxPool(b *testing.B) {
+	if !haveAVX2 {
+		b.Skip("CPU without AVX2: every pool layer runs the Go loop")
+	}
+	pool1 := LayerHW{Name: "pool1", Kind: nn.MaxPool, Kernel: 2, Stride: 2,
+		InShape: nn.Shape{Channels: 20, Height: 24, Width: 24}, OutShape: nn.Shape{Channels: 20, Height: 12, Width: 12}}
+	pool2 := LayerHW{Name: "pool2", Kind: nn.MaxPool, Kernel: 2, Stride: 2,
+		InShape: nn.Shape{Channels: 50, Height: 8, Width: 8}, OutShape: nn.Shape{Channels: 50, Height: 4, Width: 4}}
+	for _, l := range []LayerHW{pool1, pool2} {
+		rng := rand.New(rand.NewSource(32))
+		l.Activation, l.Normalize = NoActivation, NoActivation
+		windows := float64(l.OutShape.Volume())
+		b.Run(l.Name+"/float32", func(b *testing.B) {
+			in := make([]float32, l.InShape.Volume())
+			for i := range in {
+				in[i] = float32(rng.NormFloat64())
+			}
+			x := newF32Exec(oneLayerPE(b, 32, l, nil, nil))
+			x.prepare()
+			x.pass.cur = withSlack(in)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.runLayer0()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*windows), "ns/window")
+		})
+		b.Run(l.Name+"/int8", func(b *testing.B) {
+			x := newI8Exec(oneLayerPE(b, 8, l, nil, nil))
+			x.prepare()
+			x.pass.cur, x.pass.inScale = withSlack(randomCodes(rng, l.InShape.Volume())), 0.01
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x.runLayer0()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*windows), "ns/window")
+		})
+	}
+}
+
 // BenchmarkInt8FC times an int8 FC layer of LeNet ip1's shape (800 inputs,
 // 500 neurons, ReLU) through the executor, eight images per iteration, each
 // with its dequantization, fold and requantization: "image" runs them one

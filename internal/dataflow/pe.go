@@ -86,9 +86,9 @@ type layerState struct {
 	wg          []float32 // Winograd-transformed weights (winograd_f23 layers)
 	streamBytes int64     // weight+bias bytes re-read from DDR per image (0 when on-chip)
 
-	// The int8 datapath's: the layer's weight codes, a conv layer's tap
-	// table padded to whole pairs (pairTaps) for the AVX2 tile, whether an
-	// FC layer runs on the AVX2 kernels (fcDot4I8 and fcLanes8I8) and
+	// The int8 datapath's: the layer's weight codes, a conv layer's tap-pair
+	// offsets in its pair planes (pairTapOffsets) for the AVX2 tile, whether
+	// an FC layer runs on the AVX2 kernels (fcDot4I8 and fcLanes8I8) and
 	// whether a Go conv tile's store runs on deqStore4 (AVX2, and no
 	// activation or ReLU).
 	q           int8LayerWeights
@@ -103,6 +103,7 @@ type scratchWords struct {
 	plane       int // largest zero-padded channel plane of a padded layer
 	paddedStack int // largest stack of padded channel planes a tap-table convolution gathers from (an unpadded volume is its own stack)
 	channels    int // most output channels of a compute layer (int8 datapath)
+	pairStack   int // most pair-plane words a tap-table convolution's AVX2 int8 tile reads (stagePairPlanes)
 	winogradIn  int // largest input volume of a winograd_f23 layer
 
 	// The Winograd pass (winogradPass): the largest padded plane, input
@@ -195,8 +196,9 @@ func (p *pePlan) lower(pe *PE, bits int, ws *condorir.WeightSet) error {
 		}
 		if st.sched.XformWords == 0 { // not in the Winograd transform domain
 			st.taps = tapOffsets(l)
-			if bits == 8 {
-				st.taps2 = pairTaps(st.taps)
+			if bits == 8 && haveAVX2 {
+				st.taps2 = pairTapOffsets(l)
+				sz.pairStack = max(sz.pairStack, (l.InShape.Channels+1)/2*plane)
 			}
 			if l.Pad > 0 {
 				sz.paddedStack = max(sz.paddedStack, l.InShape.Channels*plane)
@@ -273,8 +275,8 @@ type peExec[E float32 | int8] struct {
 	peBase
 	el elemOps[E]
 
-	// poolMax8 is the element type's AVX2 max-pool kernel (maxPoolPlane).
-	poolMax8 func(win, win2 *E, k, pw, stride int, out, out2 *E)
+	// poolPlane is the element type's AVX2 max-pool kernel (maxPoolPlane).
+	poolPlane func(plane *E, k, pw, stride, outW, rows int, out *E)
 
 	// pass is the layer pass in flight, written by run and read by the layer
 	// bodies and el.
@@ -324,10 +326,12 @@ type elemOps[E float32 | int8] interface {
 }
 
 // poolSlack is how many elements past every channel plane the executor can
-// read — the worker's volumes and the scratch plane carry them — so that
-// poolMax8Rows, which counts the stride-2 kernel's one load past a plane's
-// last window, admits a plane's last row too.
-const poolSlack = 1
+// read — the worker's volumes and the scratch plane carry them. A max-pool
+// kernel step loads poolStep raw elements per tap from one of its windows'
+// elements on, so its loads end fewer than poolStep (at most 32) elements
+// past the last element a window of its row uses, and with this slack
+// poolMax8Rows admits every row of every plane.
+const poolSlack = 31
 
 // prepare allocates the executor's scratch for its plan, once per worker.
 func (x *peExec[E]) prepare() {
@@ -422,36 +426,65 @@ func foldFC(l *LayerHW, fb []float32) {
 	}
 }
 
-// runPool is the sub-sampling PE: one pass per channel, each window replaced
-// by its maximum (maxPoolPlane) or average. Max pooling runs on the elements
-// themselves — integer max is exact and order-free, and max commutes with
-// the monotone dequantization — so a max pool with no folded activation
-// keeps the input's codes and scale; the other pools go through the float
-// stage and close. A window's elements are visited in ascending (m,n) order,
-// as the oracle's window slots are.
+// runPool is the sub-sampling PE: each window replaced by its maximum
+// (maxPool) or average (one channel plane at a time). Max pooling runs on
+// the elements themselves — integer max is exact and order-free, and max
+// commutes with the monotone dequantization — so a max pool with no folded
+// activation keeps the input's codes and scale; the other pools go through
+// the float stage and close. A window's elements are visited in ascending
+// (m,n) order, as the oracle's window slots are.
 func (x *peExec[E]) runPool() float64 {
 	p := &x.pass
 	l := p.l
-	outHW, inHW := l.OutShape.Height*l.OutShape.Width, l.InShape.Height*l.InShape.Width
 	floats := x.el.floats(len(p.out))
+	if l.Kind == nn.MaxPool {
+		x.maxPool()
+		if l.Activation == NoActivation {
+			return p.inScale
+		}
+		x.el.maxFloats(floats, p.out)
+	} else {
+		outHW, inHW := l.OutShape.Height*l.OutShape.Width, l.InShape.Height*l.InShape.Width
+		for ci := 0; ci < l.InShape.Channels; ci++ {
+			x.el.avgPool(floats[ci*outHW:][:outHW], padPlane(x.plane, l, p.cur[ci*inHW:(ci+1)*inHW]))
+		}
+	}
+	activateInPlace(l.Activation, floats)
+	return x.el.closeLayer(floats)
+}
+
+// maxPool writes the max pool of the layer in flight into its output
+// elements, one kernel call per channel plane (maxPoolPlane) — or one for
+// the whole layer where its planes stack into one (stackedPool).
+func (x *peExec[E]) maxPool() {
+	p := &x.pass
+	l := p.l
+	if s, ok := stackedPool(l); ok {
+		maxPoolPlane(x.poolPlane, p.cur, p.out, &s, poolMax8Rows[E](&s, len(p.cur)+poolSlack))
+		return
+	}
+	outHW, inHW := l.OutShape.Height*l.OutShape.Width, l.InShape.Height*l.InShape.Width
 	for ci := 0; ci < l.InShape.Channels; ci++ {
 		plane := padPlane(x.plane, l, p.cur[ci*inHW:(ci+1)*inHW])
-		out, fb := p.out[ci*outHW:][:outHW], floats[ci*outHW:][:outHW]
-		if l.Kind == nn.MaxPool {
-			maxPoolPlane(x.poolMax8, plane, out, l, poolMax8Rows(l, poolReach(l, p.cur, plane, ci)+poolSlack))
-			if l.Activation == NoActivation {
-				continue
-			}
-			x.el.maxFloats(fb, out)
-		} else {
-			x.el.avgPool(fb, plane)
-		}
-		activateInPlace(l.Activation, fb)
+		maxPoolPlane(x.poolPlane, plane, p.out[ci*outHW:][:outHW], l, poolMax8Rows[E](l, poolReach(l, p.cur, plane, ci)+poolSlack))
 	}
-	if l.Kind == nn.MaxPool && l.Activation == NoActivation {
-		return p.inScale
+}
+
+// stackedPool returns max-pool layer l as one channel whose plane is the
+// whole input volume, and whether that is the same layer: with no padding
+// and an input height of outH·stride, channel c's output row oy reads the
+// rows of the stacked plane's output row c·outH + oy (the window grid's fit
+// then keeps k ≤ stride, so no window reaches into the next channel), and
+// the outputs follow each other in the same order.
+func stackedPool(l *LayerHW) (LayerHW, bool) {
+	if l.Pad != 0 || l.InShape.Height != l.OutShape.Height*l.Stride {
+		return LayerHW{}, false
 	}
-	return x.el.closeLayer(floats)
+	s := *l
+	s.InShape.Height *= s.InShape.Channels
+	s.OutShape.Height *= s.OutShape.Channels
+	s.InShape.Channels, s.OutShape.Channels = 1, 1
+	return s, true
 }
 
 // padPlane returns the zero-padded plane of one channel map (float words or
@@ -507,7 +540,7 @@ type f32Ops struct {
 
 // newF32Exec binds a float32 executor to its PE.
 func newF32Exec(b peBase) *peExec[float32] {
-	x := &peExec[float32]{peBase: b, poolMax8: poolMax8}
+	x := &peExec[float32]{peBase: b, poolPlane: poolMaxPlane}
 	o := &f32Ops{x: x}
 	o.tiles.ops, x.el = o, o
 	return x
@@ -533,7 +566,7 @@ func (o *f32Ops) avgPool(fb, plane []float32) {
 // own.
 func (o *f32Ops) conv(stack []float32) float64 {
 	p := &o.x.pass
-	o.tiles.set(p.l, stack, p.st.w, p.st.taps, p.st.w, p.st.taps, len(p.st.taps))
+	o.tiles.set(p.l, stack, p.st.w, p.st.taps, stack, p.st.w, p.st.taps, len(p.st.taps))
 	o.tiles.run()
 	if o.tiles.tile8 {
 		activateInPlace(p.l.Activation, p.out)
@@ -551,13 +584,15 @@ const convPosTile = 4
 const convLanes = 8
 
 // convTile8OK reports whether an AVX2 tile may run conv layer l, loading at
-// taps from a stack of stackLen elements (float32 words or int8 codes) with
-// weight rows of row words in a weight table of weights words: the CPU has
-// the tile, the layer is stride 1 and at least one tile wide, and — because
-// the tile's loads are unchecked — the taps ascend from a non-negative first
-// offset, the last tile's last tap ends inside the stack and every weight
-// row is whole.
-// Anything else runs the Go tile.
+// taps from a stack of stackLen words (float32 words, or the int8 pair
+// planes' words) with weight rows of row words in a weight table of weights
+// words: the CPU has the tile, the layer is stride 1 and at least one tile
+// wide, and — because the tile's loads are unchecked — the taps ascend from
+// a non-negative first offset, the last tile's last tap ends inside the
+// stack and every weight row is whole. A tile reads convLanes words per tap
+// from each of its output rows' windows, the rows a padded width apart; the
+// last tile's second row is the layer's last, so its windows start at
+// lastTile below. Anything else runs the Go tile.
 func convTile8OK(l *LayerHW, taps []int32, row, weights, stackLen int) bool {
 	if !haveAVX2 || l.Stride != 1 || l.OutShape.Width < convLanes || len(taps) == 0 || taps[0] < 0 ||
 		weights != l.OutShape.Channels*row {
@@ -576,15 +611,16 @@ func convTile8OK(l *LayerHW, taps []int32, row, weights, stackLen int) bool {
 // read it — elements E (float32 words or int8 codes), AVX2 weight words W,
 // accumulators A — and ops, the per-type value, bound once per session.
 type convPass[E float32 | int8, W float32 | uint32, A float32 | int32] struct {
-	l     *LayerHW
-	stack []E     // the stacked zero-padded input planes
-	w     []E     // the Go tile's weight rows, len(taps) per channel
-	taps  []int32 // tapOffsets
-	tile8 bool    // the layer runs on the AVX2 tile (convTile8OK), over w8 and taps8
-	w8    []W     // the AVX2 tile's weight table, row8 words per channel
-	taps8 []int32
-	row8  int
-	ops   convOps[E, W, A]
+	l      *LayerHW
+	stack  []E     // the stacked zero-padded input planes
+	w      []E     // the Go tile's weight rows, len(taps) per channel
+	taps   []int32 // tapOffsets
+	tile8  bool    // the layer runs on the AVX2 tile (convTile8OK), over stack8, w8 and taps8
+	stack8 []W     // the AVX2 tile's input words: the stack itself, or the int8 pair planes
+	w8     []W     // the AVX2 tile's weight table, row8 words per channel
+	taps8  []int32
+	row8   int
+	ops    convOps[E, W, A]
 }
 
 // convOps is an element type's part of the conv nests: its AVX2 tile
@@ -592,18 +628,21 @@ type convPass[E float32 | int8, W float32 | uint32, A float32 | int32] struct {
 // tile's sums cross it by reference: tile8 stores its own, and store4 takes
 // a Go tile's by value.
 type convOps[E float32 | int8, W float32 | uint32, A float32 | int32] interface {
-	// tile8 runs the AVX2 tile (convTile8, convTile8I8) for channels f,
-	// whose weight rows start at w, and stores each channel's sums once,
-	// from output position pos on.
-	tile8(win *E, taps *int32, row int, w [4]*W, f [4]int, pos int)
+	// tile8 runs the AVX2 tile (convTile8 twice, convTile16I8) for channels
+	// f, whose weight rows start at w, over two output rows: the first's
+	// windows start at stack8[at] and its sums are stored from output
+	// position pos on, the second's rowIn words and rowOut positions on.
+	tile8(at, rowIn int, w [4]*W, f [4]int, pos, rowOut int)
 	// store4 stores the first n of a Go tile's sums for channel fi.
 	store4(fi, pos, n int, acc [convPosTile]A)
 }
 
-// set makes conv layer l over stack the layer in flight and decides its tile.
-func (c *convPass[E, W, A]) set(l *LayerHW, stack, w []E, taps []int32, w8 []W, taps8 []int32, row8 int) {
-	c.l, c.stack, c.w, c.taps, c.w8, c.taps8, c.row8 = l, stack, w, taps, w8, taps8, row8
-	c.tile8 = convTile8OK(l, taps8, row8, len(w8), len(stack))
+// set makes conv layer l over stack the layer in flight and decides its
+// tile, whose input is stack8.
+func (c *convPass[E, W, A]) set(l *LayerHW, stack, w []E, taps []int32, stack8, w8 []W, taps8 []int32, row8 int) {
+	c.l, c.stack, c.w, c.taps = l, stack, w, taps
+	c.stack8, c.w8, c.taps8, c.row8 = stack8, w8, taps8, row8
+	c.tile8 = convTile8OK(l, taps8, row8, len(w8), len(stack8))
 }
 
 // run computes every output channel of the layer in flight, two channels ×
@@ -640,20 +679,27 @@ func (c *convPass[E, W, A]) run() {
 	}
 }
 
-// run8 is run on the AVX2 tile, four channels × convLanes positions per
-// call. A row's last tile starts at outW-convLanes and recomputes the
-// positions it shares with the tile before (the same values, stored again);
-// a channel count ending inside a quad repeats its last channel.
+// run8 is run on the AVX2 tile, four channels × two output rows ×
+// convLanes positions per call. A row's last tile starts at outW-convLanes
+// and recomputes the positions it shares with the tile before (the same
+// values, stored again); at an odd height the last row pair overlaps the one
+// before it, and a one-row layer runs row 0 as both rows; a channel count
+// ending inside a quad repeats its last channel.
 func (c *convPass[E, W, A]) run8() {
 	l := c.l
 	pw, outH, outW := l.PaddedWidth(), l.OutShape.Height, l.OutShape.Width
+	rowIn, rowOut := pw, outW
+	if outH == 1 {
+		rowIn, rowOut = 0, 0
+	}
 	for fi := 0; fi < l.OutShape.Channels; fi += 4 {
 		f := quad(fi, l.OutShape.Channels)
 		w := [4]*W{&c.w8[f[0]*c.row8], &c.w8[f[1]*c.row8], &c.w8[f[2]*c.row8], &c.w8[f[3]*c.row8]}
-		for oy := 0; oy < outH; oy++ {
+		for oy := 0; oy < outH; oy += 2 {
+			y := max(min(oy, outH-2), 0)
 			for ox := 0; ox < outW; ox += convLanes {
 				col := min(ox, outW-convLanes)
-				c.ops.tile8(&c.stack[oy*pw+col], &c.taps8[0], c.row8, w, f, oy*outW+col)
+				c.ops.tile8(y*pw+col, rowIn, w, f, y*outW+col, rowOut)
 			}
 		}
 	}
@@ -699,14 +745,20 @@ func convTileGo[E float32 | int8, A float32 | int32](win []E, s1, s2, s3 int, w0
 }
 
 // tile8 and store4 are the float32 part of the shared conv nests (convOps):
-// the AVX2 tile adds each channel's bias to its finished chains and stores
-// them itself (a repeated channel stores the same values twice), which conv
-// then activates; store4 adds the bias to a Go tile's first n sums for
-// channel fi, applies the folded activation and writes them from pos on.
-func (o *f32Ops) tile8(win *float32, taps *int32, n int, w [4]*float32, f [4]int, pos int) {
-	p := &o.x.pass
+// the AVX2 tile runs a row pair as two convTile8 calls, one per row, each
+// adding each channel's bias to its finished chains and storing them itself
+// (a repeated channel or row stores the same values twice), which conv then
+// activates; store4 adds the bias to a Go tile's first n sums for channel
+// fi, applies the folded activation and writes them from pos on.
+func (o *f32Ops) tile8(at, rowIn int, w [4]*float32, f [4]int, pos, rowOut int) {
+	o.tileRow(at, w, f, pos)
+	o.tileRow(at+rowIn, w, f, pos+rowOut)
+}
+
+func (o *f32Ops) tileRow(at int, w [4]*float32, f [4]int, pos int) {
+	p, c := &o.x.pass, &o.tiles
 	hw, b := p.l.OutShape.Height*p.l.OutShape.Width, p.st.b
-	convTile8(win, taps, n, w[0], w[1], w[2], w[3],
+	convTile8(&c.stack8[at], &c.taps8[0], c.row8, w[0], w[1], w[2], w[3],
 		&p.out[f[0]*hw+pos], &p.out[f[1]*hw+pos], &p.out[f[2]*hw+pos], &p.out[f[3]*hw+pos],
 		biasAt(b, f[0]), biasAt(b, f[1]), biasAt(b, f[2]), biasAt(b, f[3]))
 }
@@ -721,32 +773,44 @@ func (o *f32Ops) store4(fi, pos, n int, acc [convPosTile]float32) {
 	activateInPlace(p.l.Activation, out)
 }
 
-// poolHalf is the half-tile width of the AVX2 max-pool kernel: it computes
-// two runs of this many consecutive windows of a row per call.
-const poolHalf = convLanes / 2
+// poolStep is how many consecutive raw elements the AVX2 max-pool kernel of
+// element type E loads per tap and step (poolMaxPlane, poolMaxPlaneI8): 16
+// float32 words, 32 int8 codes — two ymm registers, one.
+func poolStep[E float32 | int8]() int {
+	var e E
+	if _, ok := any(e).(int8); ok {
+		return 32
+	}
+	return 16
+}
 
 // poolMax8Rows reports how many leading output rows of sub-sampling layer l
-// the AVX2 max kernels may run over a padded plane from whose start planeLen
-// elements (float32 words or int8 codes) can be read: none unless the CPU
-// has them, the layer max-pools at stride 1 or 2 with a kernel of at least
-// one tap and its rows are at least one half-tile wide; past that — because the kernels' loads are unchecked —
-// every row whose last half-tile's loads end inside those elements. A
-// half-tile loads poolHalf elements per tap at stride 1 and 2·poolHalf at
-// stride 2, whose last element no window uses, so at stride 2 the last row
-// of a plane with nothing readable after it reads one element too many; the
-// rows from there on run the Go loop.
-func poolMax8Rows(l *LayerHW, planeLen int) int {
-	s, pw := l.Stride, l.PaddedWidth()
-	if !haveAVX2 || l.Kind != nn.MaxPool || s < 1 || s > 2 || l.Kernel < 1 || l.OutShape.Width < poolHalf {
+// the AVX2 max kernel of element type E may run over a padded plane from
+// whose start planeLen elements can be read: none unless the CPU has it and
+// the layer max-pools at stride 1 or 2 with a kernel of at least one tap;
+// past that — because the kernel's loads are unchecked — every row whose
+// last step's loads end inside those elements. A step covers poolStep/s
+// windows from poolStep raw elements per tap; a row's last step starts at
+// the last multiple of that below outW, and its lanes past the row's last
+// window load on past it, so at stride 2 a plane's last rows can read past a
+// plane with nothing readable after it; the rows from there on run the Go
+// loop.
+func poolMax8Rows[E float32 | int8](l *LayerHW, planeLen int) int {
+	s, pw, step := l.Stride, l.PaddedWidth(), poolStep[E]()
+	if !haveAVX2 || l.Kind != nn.MaxPool || s < 1 || s > 2 || l.Kernel < 1 {
 		return 0
 	}
-	// Words a row's last half-tile, at outW−poolHalf, reads from the row's
-	// first window on.
-	reach := l.OutShape.Width*s + (l.Kernel-1)*(pw+1)
-	if reach > planeLen {
+	// Elements a row's last step reads from the row's first window on: the
+	// step covers step/s windows, a power of two.
+	last := (l.OutShape.Width - 1) &^ (step/s - 1)
+	reach := last*s + step + (l.Kernel-1)*(pw+1)
+	switch {
+	case (l.OutShape.Height-1)*s*pw+reach <= planeLen:
+		return l.OutShape.Height
+	case reach > planeLen:
 		return 0
 	}
-	return min(l.OutShape.Height, (planeLen-reach)/(s*pw)+1)
+	return (planeLen-reach)/(s*pw) + 1
 }
 
 // poolReach is how many elements can be read from the start of channel ci's
@@ -761,30 +825,14 @@ func poolReach[E float32 | int8](l *LayerHW, in, plane []E, ci int) int {
 }
 
 // maxPoolPlane writes one channel's max pool from its padded plane, for
-// float32 words and int8 codes alike: output rows [0,rows8) on the AVX2
-// kernel (poolMax8, poolMax8I8; poolMax8Rows decides rows8) in half-tiles of
-// poolHalf windows, two per call — a row's last half-tile starts at
-// outW−poolHalf and recomputes the windows it shares with the one before, a
-// call's two halves may lie in two rows, and an odd last half runs as both —
-// and the rest with windowMax.
-func maxPoolPlane[E float32 | int8](kernel func(win, win2 *E, k, pw, stride int, out, out2 *E), plane, out []E, l *LayerHW, rows8 int) {
+// float32 words and int8 codes alike: output rows [0,rows8) in one call of
+// the element type's AVX2 kernel (poolMaxPlane, poolMaxPlaneI8;
+// poolMax8Rows decides rows8), and the rest with windowMax.
+func maxPoolPlane[E float32 | int8](kernel func(plane *E, k, pw, stride, outW, rows int, out *E), plane, out []E, l *LayerHW, rows8 int) {
 	k, stride, pw := l.Kernel, l.Stride, l.PaddedWidth()
 	outH, outW := l.OutShape.Height, l.OutShape.Width
-	half, halfOut := -1, 0 // a half-tile waiting for its partner: plane and output offsets
-	for oy := 0; oy < rows8; oy++ {
-		for ox := 0; ox < outW; ox += poolHalf {
-			col := min(ox, outW-poolHalf)
-			win, o := (oy*pw+col)*stride, oy*outW+col
-			if half < 0 {
-				half, halfOut = win, o
-				continue
-			}
-			kernel(&plane[half], &plane[win], k, pw, stride, &out[halfOut], &out[o])
-			half = -1
-		}
-	}
-	if half >= 0 {
-		kernel(&plane[half], &plane[half], k, pw, stride, &out[halfOut], &out[halfOut])
+	if rows8 > 0 {
+		kernel(&plane[0], k, pw, stride, outW, rows8, &out[0])
 	}
 	for oy := rows8; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
