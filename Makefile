@@ -26,12 +26,13 @@ vet:
 # amd64 assembly, and every other architecture runs the Go kernels. A 386
 # binary runs natively on an amd64 host, so the 386 test run executes those
 # Go kernels (the conv and FC tiles and the max-pool loop both element types
-# share) end to end. Two byte views go through unsafe and assume a
-# little-endian target: internal/fifo's packed words as int8 codes, and
-# internal/tensor's LEBytes, the float32 ↔ little-endian bytes view that the
-# proto float fields and the CNDW weights codec in internal/condorir copy
-# through. Those packages are vetted for arm64 and tested on 386 too. (`go
-# vet` on amd64 already runs asmdecl over the .s file.)
+# share) end to end, and internal/fifo's ring and burst rendezvous, which
+# carry the word-at-a-time oracle, run there too. One byte view goes through
+# unsafe and assumes a little-endian target: internal/tensor's LEBytes, the
+# float32 ↔ little-endian bytes view that the proto float fields and the
+# CNDW weights codec in internal/condorir copy through. Those packages are
+# vetted for arm64 and tested on 386 too. (`go vet` on amd64 already runs
+# asmdecl over the .s file.)
 CROSS_PKGS = ./internal/dataflow/... ./internal/fifo/... ./internal/tensor/... ./internal/proto/... ./internal/condorir/...
 cross:
 	GOARCH=arm64 $(GO) vet $(CROSS_PKGS)
@@ -104,9 +105,7 @@ benchmark-module:
 # fuzz-smoke runs each fuzz target for 10 s: the weights-file, container and
 # protobuf wire parsers must turn any byte string into a value or an error,
 # never a panic, and allocate at most a small multiple of its length, and so
-# must the prototxt text reader on any string; the packed-frame
-# decode must turn any words into a frame or a short count, never a panic; a
-# two-sided burst schedule built from the fuzz bytes must move the words and book
+# must the prototxt text reader on any string; a two-sided burst schedule built from the fuzz bytes must move the words and book
 # the totals a word-at-a-time reference FIFO does; the AVX2
 # requantizer must give quant.QuantizeInto's code for any float32 bits and scale
 # (it skips on a CPU without AVX2). `go test -fuzz` takes
@@ -118,19 +117,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProtoDecode$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzParseText$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/proto
 	$(GO) test -run '^$$' -fuzz '^FuzzReadContainer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/bitstream
-	$(GO) test -run '^$$' -fuzz '^FuzzPackedFrame$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
 	$(GO) test -run '^$$' -fuzz '^FuzzFIFOHandOff$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fifo
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantizeAVX2$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dataflow
 
-# stream-stress is the resident-session gate CI runs: the FIFO frame,
-# epoch and burst rendezvous unit tests (pending burst, waiting buffer, lane
-# snapshots), the session-vs-oracle equivalence sweep, and the scheduling
-# invariance, worker-panic and goroutine-count tests at GOMAXPROCS 1, 2 and
-# 16, all under the race detector, plus the CND024 static check — an
-# undersized stream FIFO depth must pass the plain lint and fail the -batch
-# lint.
+# stream-stress is the resident-session gate CI runs: the FIFO's burst and
+# rendezvous tests (pending burst, waiting buffer; the word oracle and its
+# stencil chains run on them), the session-vs-oracle equivalence sweep, and
+# the scheduling invariance, worker-panic and goroutine-count tests at
+# GOMAXPROCS 1, 2 and 16, all under the race detector, plus the CND024
+# static check: a stream FIFO of depth 2 fits one image in flight but not
+# two adjacent epochs, so it must pass the plain lint and fail the -batch
+# lint. Each -run pattern must name tests that exist (`go test -list`): one
+# that matches nothing passes silently.
 stream-stress:
-	$(GO) test -race -run 'TestFrame|TestEpoch|TestMarkEpoch|TestResetStats|TestHandOff|TestPackedLaneSnapshots' ./internal/fifo/
+	$(GO) test -race -run 'TestHandOff|TestBurst|FuzzFIFOHandOff' ./internal/fifo/
 	$(GO) test -race -run 'TestStreaming' -timeout 20m ./internal/dataflow/
 	$(GO) test -race -cpu 1,2,16 -run 'TestSessionSchedulingInvariance|TestSessionWorkerPanicIsError|TestSessionGoroutinesPerElement|TestWarmSessionSpawnsNoGoroutines' ./internal/dataflow/
 	@if $(GO) run ./cmd/condor lint -model tc1 -batch -fifo-depth 2 >/dev/null 2>&1; then \

@@ -136,8 +136,8 @@ func isSprintOfShape(e ast.Expr, fmtName string) bool {
 }
 
 // lockBearers lists the stdlib types whose values must never be copied once
-// used; fifo.FIFO joins them because it embeds sync.Once and atomic
-// counters.
+// used; fifo.FIFO joins them because it holds a sync.Mutex and two
+// sync.Conds bound to it.
 var lockBearers = map[string]map[string]bool{
 	"sync":   {"Mutex": true, "RWMutex": true, "Once": true, "WaitGroup": true, "Cond": true, "Map": true},
 	"atomic": {"Bool": true, "Int32": true, "Int64": true, "Uint32": true, "Uint64": true, "Uintptr": true, "Pointer": true, "Value": true},

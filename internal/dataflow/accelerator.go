@@ -97,13 +97,23 @@ type RunStats struct {
 	Images  int
 	PEs     []PEStats
 	DRAM    DatamoverStats
-	Streams []fifo.Stats // inter-PE stream traffic; occupancy and bursts only where RunWords measures them
+	Streams []StreamStats // inter-PE stream traffic; occupancy and bursts only where RunWords measures them
 
 	// InputScale is the largest per-image activation quantization scale the
 	// input stage applied over the batch (packed int8 datapath only; zero on the
 	// float paths). Together with the per-PE MaxRequantScale values it
 	// bounds the admissible deviation from the float oracle.
 	InputScale float64
+}
+
+// StreamStats is one inter-PE stream edge's traffic: what a FIFO measures,
+// and the modeled lane and frame-header totals a session books from the
+// schedule. RunWords streams unpacked, unframed words, so it leaves those
+// four zero; a session leaves the bursts and occupancy zero.
+type StreamStats struct {
+	fifo.Stats
+	LanePushes, LanePops     int64 // int8 lanes inside packed words; zero on the float32 datapath
+	HeaderPushes, HeaderPops int64 // frame-header words, one per image, apart from the datapath words
 }
 
 // QuantErrorBound derives the admissible element-wise deviation of a packed
@@ -184,11 +194,12 @@ func (a *Accelerator) Run(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, 
 	return outs, stats, nil
 }
 
-// RunWords executes the batch with the original word-at-a-time datapath:
-// one FIFO operation per streamed word, the exact granularity of the modeled
-// hardware, with no frame headers. It exists so tests can assert the session
-// datapath is functionally and statistically bit-identical on the datapath
-// counters; production callers should use Run.
+// RunWords executes the batch on the word-at-a-time oracle: a goroutine per
+// PE, joined by FIFOs that move one word per operation, the granularity of
+// the modeled hardware, with no frame headers, always in float32. Tests hold
+// a session's outputs and schedule-booked counters to it (bit-identical on
+// the float32 datapath, within QuantErrorBound on the int8 one); production
+// callers should use Run.
 func (a *Accelerator) RunWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunStats, error) {
 	return a.runWords(batch)
 }
@@ -288,7 +299,7 @@ func (a *Accelerator) runWords(batch []*tensor.Tensor) ([]*tensor.Tensor, *RunSt
 	}
 	stats.DRAM = dm.stats()
 	for _, f := range fifos {
-		stats.Streams = append(stats.Streams, f.Stats())
+		stats.Streams = append(stats.Streams, StreamStats{Stats: f.Stats()})
 	}
 	return outputs, stats, nil
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the packed int8 datapath: the fabric variant selected by
-// Spec.WordBits == 8, where every stream word models fifo.Int8Lanes quantized
+// Spec.WordBits == 8, where every stream word models int8Lanes quantized
 // activation lanes. An image crosses each stream edge as a float32 scale
-// word and PackedWords(volume) payload words; on the host it is its codes,
+// word and packedWords(volume) payload words; on the host it is its codes,
 // one byte each, and its scale. The first PE's executor quantizes a float
 // image with its own per-tensor scale (i8Ops.load), the kernels read the
 // codes in place, run conv/FC MACs in widened integer accumulators,

@@ -232,7 +232,7 @@ func (s *Session) Stats() *RunStats {
 // holds runMu, so no batch is in flight.
 func (s *Session) stats() *RunStats {
 	spec, n := s.acc.Spec, int64(s.images)
-	st := &RunStats{Images: s.images, PEs: make([]PEStats, len(spec.PEs)), Streams: make([]fifo.Stats, len(spec.PEs)+1)}
+	st := &RunStats{Images: s.images, PEs: make([]PEStats, len(spec.PEs)), Streams: make([]StreamStats, len(spec.PEs)+1)}
 	elem := int64(4 / spec.Lanes()) // bytes per element: a float32 word or an int8 code
 	st.DRAM.BytesRead = s.acc.configLoad + n*elem*int64(s.inVol)
 	st.DRAM.BytesWritten = n * elem * int64(s.outVol)
@@ -270,10 +270,11 @@ func (s *Session) stats() *RunStats {
 		}
 		words, lanes := int64(vol), int64(0)
 		if s.packed {
-			words, lanes = 1+int64(fifo.PackedWords(vol)), int64(vol)
+			words, lanes = 1+int64(packedWords(vol)), int64(vol)
 		}
-		st.Streams[e] = fifo.Stats{Name: fmt.Sprintf("stream%d", e), Depth: spec.InterPEFIFODepth,
-			Pushes: n * words, Pops: n * words, LanePushes: n * lanes, LanePops: n * lanes, HeaderPushes: n, HeaderPops: n}
+		st.Streams[e] = StreamStats{
+			Stats:      fifo.Stats{Name: fmt.Sprintf("stream%d", e), Depth: spec.InterPEFIFODepth, Pushes: n * words, Pops: n * words},
+			LanePushes: n * lanes, LanePops: n * lanes, HeaderPushes: n, HeaderPops: n}
 	}
 	for _, w := range s.workers {
 		w.fold(st)

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"condor/internal/condorir"
-	"condor/internal/fifo"
 	"condor/internal/nn"
 )
 
@@ -259,15 +258,23 @@ func (s *Spec) Bits() int {
 }
 
 // Lanes returns the number of activation lanes packed into each 32-bit FIFO
-// word: Int8Lanes on the packed int8 datapath, 1 on the float32 one.
+// word: int8Lanes on the packed int8 datapath, 1 on the float32 one.
 func (s *Spec) Lanes() int { return lanesAt(s.Bits()) }
+
+// int8Lanes is the number of int8 lanes a 32-bit stream word carries on the
+// packed datapath.
+const int8Lanes = 4
 
 func lanesAt(bits int) int {
 	if bits == 8 {
-		return fifo.Int8Lanes
+		return int8Lanes
 	}
 	return 1
 }
+
+// packedWords returns the number of 32-bit stream words that carry n int8
+// lanes (the tail word is zero-padded when int8Lanes does not divide n).
+func packedWords(n int) int { return (n + int8Lanes - 1) / int8Lanes }
 
 // FrameHeaderWords returns the control words that precede one image's
 // payload on a stream edge of the modeled fabric: the epoch frame header,

@@ -194,3 +194,12 @@ func TestNumLayersCountsFolded(t *testing.T) {
 		t.Fatalf("NumLayers = %d, want 5", got)
 	}
 }
+
+func TestPackedWords(t *testing.T) {
+	cases := map[int]int{0: 0, 1: 1, 3: 1, 4: 1, 5: 2, 8: 2, 9: 3, 256: 64, 10: 3}
+	for n, want := range cases {
+		if got := packedWords(n); got != want {
+			t.Errorf("packedWords(%d) = %d, want %d", n, got, want)
+		}
+	}
+}

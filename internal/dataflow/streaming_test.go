@@ -17,10 +17,11 @@ import (
 // These tests pin the invariant of the resident session: a Session fed the
 // same images in several back-to-back RunBatch calls must agree with one
 // word-at-a-time oracle pass over the whole sequence — bit-identical outputs
-// and identical cumulative RunStats on the float32 path (frame headers ride
-// in separate counters, so the datapath word totals still match exactly),
-// bounded error on the packed int8 path. Teardown is part of the contract
-// too: a failing worker fails the session and leaks nothing.
+// and identical cumulative RunStats on the float32 path (the session books
+// its modeled frame headers in separate counters, so its datapath word
+// totals equal the oracle's, which streams no headers), bounded error on the
+// packed int8 path. Teardown is part of the contract too: a failing worker
+// fails the session and leaks nothing.
 
 // chunkBatch splits a batch into uneven consecutive chunks (1, 2, 3, …) so
 // the sweep exercises single-image and multi-image batches in one session

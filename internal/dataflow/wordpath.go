@@ -11,9 +11,9 @@ import (
 // This file retains the original word-at-a-time PE executor: one FIFO
 // operation per streamed word, exactly the granularity of the modeled
 // hardware. Accelerator.RunWords drives it; the equivalence tests assert
-// that the burst datapath in pe.go/burst.go produces bit-identical outputs
-// and identical RunStats. It is an oracle, not a hot path — keep it simple
-// and do not optimise it.
+// that a session (session.go, running the executor in pe.go) produces
+// bit-identical outputs and the same datapath RunStats. It is an oracle, not
+// a hot path — keep it simple and do not optimise it.
 
 // peExecWords executes one PE over a batch of images, word by word.
 type peExecWords struct {

@@ -2,8 +2,10 @@
 // accelerator fabric is built from. The paper's architecture is "a
 // distributed dataflow architecture of simple and independent elements
 // communicating over FIFOs ... using blocking reads and writes"; this
-// package is that primitive, instrumented with the occupancy statistics the
-// resource model uses to size on-chip buffers.
+// package is that primitive, with traffic counters (words, bursts and the
+// ring's occupancy high-water mark). It carries the word-at-a-time oracle
+// (dataflow's RunWords) and its stencil chains; a session books its stream
+// traffic from the schedule instead.
 //
 // The implementation is a mutex+condvar ring buffer rather than a Go
 // channel: alongside the word-granularity Push/Pop of the hardware model it
@@ -60,49 +62,18 @@ type FIFO struct {
 	pushBursts int64
 	popBursts  int64
 	maxOcc     int64 // ring high-water mark, observed at burst boundaries
-
-	// Frame-protocol counters (frame.go): header words are control traffic
-	// and are kept apart from the datapath word totals so framed streaming
-	// runs stay word-identical to the unframed oracle.
-	headerPushes int64
-	headerPops   int64
-
-	// Per-epoch occupancy: epochOcc is the high-water mark of the window
-	// since the last epoch boundary; epochMaxOcc the maximum over completed
-	// windows; epochs the number of boundaries observed. Steady-state
-	// sessions read EpochMaxOccupancy to separate the pipeline-fill
-	// transient from the per-image occupancy that buffer sizing needs.
-	epochOcc    int64
-	epochMaxOcc int64
-	epochs      int64
-
-	// Lane counters, advanced only by the packed transfers (packed.go): the
-	// int8 elements carried inside the words counted above. Zero on the
-	// float32 datapath, where word == element.
-	lanePushes int64
-	lanePops   int64
 }
 
-// burst is one side's burst call: its words (source or destination), how
-// many have moved, and the int8 lanes the whole call carries. Lanes are
-// booked with the words that carry them, in proportion, so a finished call
-// books exactly its lanes and a truncated one its share.
+// burst is one side's burst call: its words (source or destination) and how
+// many have moved.
 type burst struct {
 	words []Word
 	done  int
-	lanes int64
 }
 
 func (b *burst) active() bool   { return b.words != nil }
 func (b *burst) rest() []Word   { return b.words[b.done:] }
 func (b *burst) finished() bool { return b.done == len(b.words) }
-
-// advance moves the burst on by n words and returns the lanes they carry.
-func (b *burst) advance(n int) int64 {
-	was := b.lanes * int64(b.done) / int64(len(b.words))
-	b.done += n
-	return b.lanes*int64(b.done)/int64(len(b.words)) - was
-}
 
 // New creates a FIFO with the given capacity (depth in words). Depth must be
 // at least 1, matching hardware FIFOs which always have at least one slot.
@@ -115,12 +86,6 @@ func New(name string, depth int) *FIFO {
 	f.notFull.L = &f.mu
 	return f
 }
-
-// Name returns the FIFO's identifier (used in fabric netlists and stats).
-func (f *FIFO) Name() string { return f.name }
-
-// Depth returns the FIFO capacity in words.
-func (f *FIFO) Depth() int { return len(f.buf) }
 
 // enqueueLocked copies as many of p's remaining words as fit into the ring
 // and accounts the burst; it returns the number moved. Callers hold mu.
@@ -139,9 +104,8 @@ func (f *FIFO) enqueueLocked(p *burst) int {
 	f.count += n
 	f.pushes += int64(n)
 	f.pushBursts++
-	f.lanePushes += p.advance(n)
+	p.done += n
 	f.maxOcc = max(f.maxOcc, int64(f.count))
-	f.epochOcc = max(f.epochOcc, int64(f.count))
 	return n
 }
 
@@ -162,7 +126,7 @@ func (f *FIFO) dequeueLocked(c *burst) int {
 	f.count -= n
 	f.pops += int64(n)
 	f.popBursts++
-	f.lanePops += c.advance(n)
+	c.done += n
 	return n
 }
 
@@ -177,8 +141,8 @@ func (f *FIFO) handOffLocked(p, c *burst) int {
 	f.pops += int64(n)
 	f.pushBursts++
 	f.popBursts++
-	f.lanePushes += p.advance(n)
-	f.lanePops += c.advance(n)
+	p.done += n
+	c.done += n
 	return n
 }
 
@@ -261,13 +225,11 @@ func (f *FIFO) Push(v Word) {
 // that fit neither it nor the ring stay pending in vs until consumers copy
 // them out. vs may be reused once PushSlice returns. Pushing to a closed
 // FIFO panics.
-func (f *FIFO) PushSlice(vs []Word) { f.push(vs, 0) }
-
-func (f *FIFO) push(vs []Word, lanes int64) {
+func (f *FIFO) PushSlice(vs []Word) {
 	if len(vs) == 0 {
 		return
 	}
-	p := burst{words: vs, lanes: lanes}
+	p := burst{words: vs}
 	f.mu.Lock()
 	for f.pend.active() && !f.closed {
 		f.notFull.Wait() // another producer's pending burst goes first
@@ -323,13 +285,11 @@ func (f *FIFO) PopSlice(dst []Word) (int, bool) {
 // PopInto fills dst completely, blocking for more words as needed, and
 // returns the number of words written. A short count (< len(dst)) means the
 // FIFO was closed and drained before the burst completed.
-func (f *FIFO) PopInto(dst []Word) int { return f.popInto(dst, 0) }
-
-func (f *FIFO) popInto(dst []Word, lanes int64) int {
+func (f *FIFO) PopInto(dst []Word) int {
 	if len(dst) == 0 {
 		return 0
 	}
-	c := burst{words: dst, lanes: lanes}
+	c := burst{words: dst}
 	f.mu.Lock()
 	for !c.finished() {
 		if f.takeLocked(&c) > 0 {
@@ -351,43 +311,6 @@ func (f *FIFO) popInto(dst []Word, lanes int64) int {
 	}
 	f.mu.Unlock()
 	return c.done
-}
-
-// Reset returns a closed, fully drained FIFO to its ready state so the
-// fabric can stream another map through the same physical FIFO — the way a
-// hardware FIFO is reused across channel passes — instead of instantiating
-// a fresh one per pass. Only a finished stream may be reset: resetting a
-// FIFO that is still open, or that still buffers words, is a design bug and
-// panics. Reset touches contents only — traffic counters keep accumulating
-// across the passes the FIFO carries, so per-session occupancy accounting
-// survives multi-epoch reuse; a caller that wants fresh counters calls
-// ResetStats explicitly.
-func (f *FIFO) Reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.closed {
-		panic(fmt.Sprintf("fifo %q: reset of an open FIFO", f.name))
-	}
-	if f.count != 0 {
-		panic(fmt.Sprintf("fifo %q: reset with %d words still buffered", f.name, f.count))
-	}
-	f.closed = false
-	f.head = 0
-}
-
-// ResetStats zeroes every traffic counter — words, bursts, lanes, headers,
-// occupancy high-water marks and epoch windows — without touching the
-// FIFO's contents or open/closed state. Sessions that reuse a fabric across
-// measurement intervals call it between intervals.
-func (f *FIFO) ResetStats() {
-	f.mu.Lock()
-	f.pushes, f.pops = 0, 0
-	f.pushBursts, f.popBursts = 0, 0
-	f.maxOcc = 0
-	f.lanePushes, f.lanePops = 0, 0
-	f.headerPushes, f.headerPops = 0, 0
-	f.epochOcc, f.epochMaxOcc, f.epochs = 0, 0, 0
-	f.mu.Unlock()
 }
 
 // Close marks end-of-stream. Subsequent Pops drain remaining words and then
@@ -412,26 +335,6 @@ type Stats struct {
 	PushBursts   int64
 	PopBursts    int64
 	MaxOccupancy int64
-
-	// LanePushes/LanePops count the int8 lanes carried inside packed words
-	// (PushPacked/PopPackedInto). Zero on the float32 datapath.
-	LanePushes int64
-	LanePops   int64
-
-	// HeaderPushes/HeaderPops count epoch frame-header words
-	// (PushFrameHeader/PopFrameHeader), kept apart from Pushes/Pops so the
-	// datapath word totals stay oracle-identical under framing. Zero on
-	// unframed runs.
-	HeaderPushes int64
-	HeaderPops   int64
-
-	// EpochMaxOccupancy is the largest per-epoch occupancy high-water mark:
-	// the maximum, over epoch windows (frame boundaries), of the buffered
-	// word count within that window. Unlike MaxOccupancy it excludes nothing
-	// numerically — it differs only in being windowed, so a steady-state
-	// session can tell the fill transient from the recurring per-image
-	// occupancy. Zero when no epoch boundary was ever marked.
-	EpochMaxOccupancy int64
 }
 
 // Stats returns the current traffic counters. MaxOccupancy is a high-water
@@ -439,7 +342,8 @@ type Stats struct {
 // after a push burst landed, which is the quantity buffer sizing needs.
 func (f *FIFO) Stats() Stats {
 	f.mu.Lock()
-	s := Stats{
+	defer f.mu.Unlock()
+	return Stats{
 		Name:         f.name,
 		Depth:        len(f.buf),
 		Pushes:       f.pushes,
@@ -447,19 +351,7 @@ func (f *FIFO) Stats() Stats {
 		PushBursts:   f.pushBursts,
 		PopBursts:    f.popBursts,
 		MaxOccupancy: f.maxOcc,
-		LanePushes:   f.lanePushes,
-		LanePops:     f.lanePops,
-		HeaderPushes: f.headerPushes,
-		HeaderPops:   f.headerPops,
 	}
-	if f.epochs > 0 {
-		s.EpochMaxOccupancy = f.epochMaxOcc
-		if f.epochOcc > s.EpochMaxOccupancy {
-			s.EpochMaxOccupancy = f.epochOcc // current, still-open window
-		}
-	}
-	f.mu.Unlock()
-	return s
 }
 
 // Drain pops until the FIFO is closed and empty, returning the number of

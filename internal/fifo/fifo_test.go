@@ -367,60 +367,3 @@ func TestFIFOOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestResetReusesFIFO: a closed, drained FIFO can carry a second stream
-// after Reset, with traffic counters accumulating across both passes.
-func TestResetReusesFIFO(t *testing.T) {
-	f := New("r", 4)
-	for pass := 0; pass < 3; pass++ {
-		go func() {
-			f.PushSlice([]Word{1, 2, 3, 4, 5, 6})
-			f.Close()
-		}()
-		var got []Word
-		for {
-			v, ok := f.Pop()
-			if !ok {
-				break
-			}
-			got = append(got, v)
-		}
-		if len(got) != 6 {
-			t.Fatalf("pass %d: popped %d words, want 6", pass, len(got))
-		}
-		for i, v := range got {
-			if v != Word(i+1) {
-				t.Fatalf("pass %d word %d: got %v", pass, i, v)
-			}
-		}
-		f.Reset()
-	}
-	if s := f.Stats(); s.Pushes != 18 || s.Pops != 18 {
-		t.Fatalf("counters must accumulate across resets: %+v", s)
-	}
-}
-
-// TestResetOpenPanics: resetting a FIFO that was never closed is a design
-// bug and must panic.
-func TestResetOpenPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset on an open FIFO did not panic")
-		}
-	}()
-	New("open", 2).Reset()
-}
-
-// TestResetNonEmptyPanics: resetting a FIFO with words still buffered would
-// silently leak stream data into the next pass.
-func TestResetNonEmptyPanics(t *testing.T) {
-	f := New("full", 4)
-	f.Push(1)
-	f.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset with buffered words did not panic")
-		}
-	}()
-	f.Reset()
-}

@@ -16,22 +16,19 @@ import (
 // these tests drive both with the same two-sided schedules and compare what
 // the consumer saw and what the counters booked.
 
-// Call kinds of a schedule: one Push/Pop per word, the slice calls
-// (PushSlice; PopSlice on the consumer, PopInto too), the packed calls and
-// the frame-header calls.
+// Call kinds of a schedule: one Push/Pop per word, or the slice calls
+// (PushSlice; PopSlice on the consumer, PopInto too).
 const (
 	callWord = iota
 	callSlice
 	callInto // consumer only
-	callPacked
-	callHeader
 )
 
 type call struct{ kind, n int }
 
 // schedule is a producer's calls and the consumer's calls over the same
 // words: every producer call is matched by consumer calls that take exactly
-// its words, split differently, so a header is always popped as a header.
+// its words, split differently.
 type schedule struct {
 	depth    int
 	producer []call
@@ -57,12 +54,7 @@ func scheduleFrom(depth int, data []byte) schedule {
 	s := script(data)
 	sc := schedule{depth: depth}
 	for len(s) > 0 {
-		kind := []int{callWord, callSlice, callPacked, callHeader}[s.next(4)]
-		if kind == callHeader {
-			sc.producer = append(sc.producer, call{callHeader, 1})
-			sc.consumer = append(sc.consumer, call{callHeader, 1})
-			continue
-		}
+		kind := []int{callWord, callSlice}[s.next(2)]
 		n := 1 + s.next(256)*(1+s.next(8))
 		if kind == callWord {
 			n = 1 + n%64
@@ -73,7 +65,7 @@ func scheduleFrom(depth int, data []byte) schedule {
 			if parts := s.next(4); parts > 0 {
 				m = 1 + s.next(n)
 			}
-			kind := []int{callWord, callSlice, callInto, callPacked}[s.next(4)]
+			kind := []int{callWord, callSlice, callInto}[s.next(3)]
 			if kind == callWord {
 				m = min(m, 64)
 			}
@@ -84,33 +76,23 @@ func scheduleFrom(depth int, data []byte) schedule {
 	return sc
 }
 
-// lanesOf is the lane count a packed call of n words carries in these
-// schedules: every word full but the last, which carries one lane.
-func lanesOf(n int) int64 { return int64(Int8Lanes*(n-1) + 1) }
-
 // wordFIFO is the reference: a Go channel moving one word per operation,
 // booking the counters as the documented rules say.
 type wordFIFO struct {
 	ch chan Word
 
-	mu                       sync.Mutex
-	pushes, pops             int64
-	lanePushes, lanePops     int64
-	headerPushes, headerPops int64
+	mu           sync.Mutex
+	pushes, pops int64
 }
 
 // The two FIFOs under one interface, so one driver runs both.
 type schedFIFO interface {
 	Push(Word)
 	PushSlice([]Word)
-	PushPacked([]Word, int64)
-	PushFrameHeader(uint16)
 	Close()
 	Pop() (Word, bool)
 	PopSlice([]Word) (int, bool)
 	PopInto([]Word) int
-	PopPackedInto([]Word, int64) int
-	PopFrameHeader() (uint16, bool, error)
 }
 
 func (r *wordFIFO) book(c *int64, n int64) {
@@ -124,18 +106,6 @@ func (r *wordFIFO) PushSlice(vs []Word) {
 	for _, v := range vs {
 		r.Push(v)
 	}
-}
-func (r *wordFIFO) PushPacked(vs []Word, lanes int64) {
-	if pad := int(-lanes & (Int8Lanes - 1)); pad > 0 {
-		b := Int8View(vs, len(vs)*Int8Lanes)
-		clear(b[len(b)-pad:])
-	}
-	r.PushSlice(vs)
-	r.book(&r.lanePushes, lanes)
-}
-func (r *wordFIFO) PushFrameHeader(e uint16) {
-	r.ch <- EncodeFrameHeader(e)
-	r.book(&r.headerPushes, 1)
 }
 func (r *wordFIFO) Close() { close(r.ch) }
 func (r *wordFIFO) Pop() (Word, bool) {
@@ -176,26 +146,11 @@ func (r *wordFIFO) PopInto(dst []Word) int {
 	}
 	return len(dst)
 }
-func (r *wordFIFO) PopPackedInto(dst []Word, lanes int64) int {
-	n := r.PopInto(dst)
-	r.book(&r.lanePops, lanes*int64(n)/int64(len(dst)))
-	return n
-}
-func (r *wordFIFO) PopFrameHeader() (uint16, bool, error) {
-	v, ok := <-r.ch
-	if !ok {
-		return 0, false, nil
-	}
-	r.book(&r.headerPops, 1)
-	e, _ := DecodeFrameHeader(v)
-	return e, true, nil
-}
 
 func (r *wordFIFO) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return Stats{Pushes: r.pushes, Pops: r.pops, LanePushes: r.lanePushes, LanePops: r.lanePops,
-		HeaderPushes: r.headerPushes, HeaderPops: r.headerPops}
+	return Stats{Pushes: r.pushes, Pops: r.pops}
 }
 
 // runSchedule streams words numbered from 0 through q as the schedule says
@@ -203,7 +158,7 @@ func (r *wordFIFO) Stats() Stats {
 func runSchedule(t testing.TB, q schedFIFO, sc schedule) []uint32 {
 	go func() {
 		next := 0
-		for i, c := range sc.producer {
+		for _, c := range sc.producer {
 			vs := make([]Word, c.n)
 			for j := range vs {
 				vs[j] = Word(next + j)
@@ -216,10 +171,6 @@ func runSchedule(t testing.TB, q schedFIFO, sc schedule) []uint32 {
 				}
 			case callSlice:
 				q.PushSlice(vs)
-			case callPacked:
-				q.PushPacked(vs, lanesOf(c.n))
-			case callHeader:
-				q.PushFrameHeader(uint16(i))
 			}
 		}
 		q.Close()
@@ -250,17 +201,6 @@ func runSchedule(t testing.TB, q schedFIFO, sc schedule) []uint32 {
 			if n := q.PopInto(dst); n != c.n {
 				t.Fatalf("PopInto: %d of %d words", n, c.n)
 			}
-		case callPacked:
-			if n := q.PopPackedInto(dst, lanesOf(c.n)); n != c.n {
-				t.Fatalf("PopPackedInto: %d of %d words", n, c.n)
-			}
-		case callHeader:
-			e, ok, err := q.PopFrameHeader()
-			if !ok || err != nil {
-				t.Fatalf("PopFrameHeader: ok=%v err=%v", ok, err)
-			}
-			got = append(got, math.Float32bits(EncodeFrameHeader(e)))
-			continue
 		}
 		for _, v := range dst {
 			got = append(got, math.Float32bits(v))
@@ -289,7 +229,7 @@ func checkAgainstReference(t testing.TB, sc schedule) {
 				return
 			default:
 			}
-			if s := f.Stats(); err == nil && (s.MaxOccupancy > int64(sc.depth) || s.Pops > s.Pushes || s.HeaderPops > s.HeaderPushes) {
+			if s := f.Stats(); err == nil && (s.MaxOccupancy > int64(sc.depth) || s.Pops > s.Pushes) {
 				err = fmt.Errorf("snapshot %+v: ring high-water mark over depth %d, or pops ahead of pushes", s, sc.depth)
 			}
 		}
@@ -309,7 +249,7 @@ func checkAgainstReference(t testing.TB, sc schedule) {
 		t.Fatalf("depth %d: %d words received, the reference %d; first difference at word %d", sc.depth, len(got), len(want), i)
 	}
 	gs, ws := f.Stats(), ref.Stats()
-	gs.Name, gs.Depth, gs.PushBursts, gs.PopBursts, gs.MaxOccupancy, gs.EpochMaxOccupancy = "", 0, 0, 0, 0, 0
+	gs.Name, gs.Depth, gs.PushBursts, gs.PopBursts, gs.MaxOccupancy = "", 0, 0, 0, 0
 	if gs != ws {
 		t.Fatalf("depth %d: totals %+v, the reference's %+v", sc.depth, gs, ws)
 	}
@@ -440,42 +380,6 @@ func TestHandOffPendingReleased(t *testing.T) {
 	}
 }
 
-// A PopFrameHeader that meets pending data (the ring already emptied)
-// returns the protocol error for the data word, consuming it, and does not
-// hang.
-func TestHandOffHeaderMeetsPending(t *testing.T) {
-	f, done := pendingProducer(t, 10)
-	ring := make([]Word, 4)
-	if n, _ := f.PopSlice(ring); n != 4 {
-		t.Fatalf("PopSlice took %d ring words, want 4", n)
-	}
-	type result struct {
-		ok  bool
-		err error
-	}
-	res := make(chan result)
-	go func() {
-		_, ok, err := f.PopFrameHeader()
-		res <- result{ok, err}
-	}()
-	select {
-	case r := <-res:
-		if !r.ok || r.err == nil || !strings.Contains(r.err.Error(), "is not a frame header") {
-			t.Fatalf("PopFrameHeader on pending data: ok=%v err=%v", r.ok, r.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("PopFrameHeader hung on pending data")
-	}
-	rest := make([]Word, 5)
-	if n := f.PopInto(rest); n != 5 || rest[0] != 5 {
-		t.Fatalf("PopInto after the header = %d from %v, want 5 from word 5", n, rest[0])
-	}
-	awaitDone(t, done, "the pops")
-	if s := f.Stats(); s.Pushes != 10 || s.Pops != 9 || s.HeaderPops != 1 {
-		t.Fatalf("stats %+v: want 10 pushes, 9 pops and the violating word as a header pop", s)
-	}
-}
-
 // A push after Close still panics, and so does a producer whose pending
 // burst is still untaken when the FIFO closes.
 func TestHandOffPushAfterClosePanics(t *testing.T) {
@@ -505,52 +409,5 @@ func TestHandOffPushAfterClosePanics(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the blocked producer never woke on Close")
-	}
-}
-
-// TestPackedLaneSnapshots: a Stats snapshot taken at any moment of a packed
-// stream sees the lanes of exactly the words it counts, on both sides —
-// lanes are booked in the critical sections that move the words.
-func TestPackedLaneSnapshots(t *testing.T) {
-	const frame, frames = 23, 400
-	lanes := lanesOf(frame)
-	lanesAt := func(words int64) int64 { return words/frame*lanes + lanes*(words%frame)/frame }
-	for _, depth := range []int{1, 7, 64} {
-		f := New("packed", depth)
-		go func() {
-			vs := counting(frame)
-			for i := 0; i < frames; i++ {
-				f.PushPacked(vs, lanes)
-			}
-			f.Close()
-		}()
-		stop := make(chan struct{})
-		bad := make(chan string, 1)
-		go func() {
-			defer close(bad)
-			for snaps := 0; ; snaps++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := f.Stats()
-				if s.LanePushes != lanesAt(s.Pushes) || s.LanePops != lanesAt(s.Pops) {
-					bad <- fmt.Sprintf("depth %d snapshot %d: %d words pushed with %d lanes (want %d), %d popped with %d (want %d)",
-						depth, snaps, s.Pushes, s.LanePushes, lanesAt(s.Pushes), s.Pops, s.LanePops, lanesAt(s.Pops))
-					return
-				}
-			}
-		}()
-		dst := make([]Word, frame)
-		for f.PopPackedInto(dst, lanes) == frame {
-		}
-		close(stop)
-		if msg, ok := <-bad; ok {
-			t.Fatal(msg)
-		}
-		if s := f.Stats(); s.LanePushes != frames*lanes || s.LanePops != frames*lanes {
-			t.Fatalf("depth %d: %d/%d lanes booked, want %d", depth, s.LanePushes, s.LanePops, frames*lanes)
-		}
 	}
 }
